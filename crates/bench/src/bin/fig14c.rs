@@ -35,16 +35,21 @@ fn main() {
         let mut points = Vec::new();
         for &n in FIG14_NODES.iter() {
             let app = MiniAero::generate(&MiniAeroParams { nx, ny, nz: nz_per_node * n as u64 });
-            let session =
+            let plan =
                 Partir::new(app.program.clone(), app.fns.clone(), app.store.schema().clone())
                     .relax(RelaxPolicy::Off)
                     .colors(n)
-                    .build()
+                    .solve()
                     .expect("miniaero no-relax");
-            let parts = session.evaluate(&app.store);
+            let parts = plan.evaluate(&app.store);
             let weights = LoopWeights(vec![12.0, 4.0, 4.0]);
-            let spec =
-                sim_spec_from_plan(&app.program, session.plan(), &parts, &app.store, &weights);
+            let spec = sim_spec_from_plan(
+                &app.program,
+                plan.parallel_plan(),
+                &parts,
+                &app.store,
+                &weights,
+            );
             let machine = MachineModel::gpu_cluster(n);
             let res = simulate(&spec, &machine).expect("sim spec is well-formed");
             points.push(ScalePoint {

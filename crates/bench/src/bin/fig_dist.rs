@@ -51,13 +51,13 @@
 //! accounting, that cost-driven never predicts (or measures) more
 //! cross-rank ghost bytes than block on any app and strictly fewer on
 //! SpMV and Circuit, and that the refinement solve time stays under 5%
-//! of the end-to-end plan time — emitting a `placement` report section.
+//! of the end-to-end plan time — emitting the `placement` experiment.
 
 use partir::core::exchange::derive_exchange;
 use partir::core::placement::{
     cost_driven_assignment, CommGraph, MachineModel, PlacementPolicy, PlacementReport,
 };
-use partir::{Backend, Partir, RunReport};
+use partir::{Backend, Partir, Plan, Run, RunReport};
 use partir_apps::circuit::{Circuit, CircuitParams};
 use partir_apps::miniaero::{MiniAero, MiniAeroParams};
 use partir_apps::pennant::{Pennant, PennantParams};
@@ -68,6 +68,7 @@ use partir_dpl::region::{FieldData, FieldId, Store};
 use partir_ir::ast::Loop;
 use partir_ir::interp::run_program_seq;
 use partir_obs::json::Json;
+use partir_obs::profile::DistProfile;
 use partir_obs::trace::chrome_trace_doc;
 use partir_obs::{MemorySink, ObsConfig};
 use partir_runtime::dist::{CheckpointPolicy, DistFaultPlan, DistReport, RankCrash};
@@ -106,13 +107,21 @@ fn cases() -> Vec<Case> {
     out
 }
 
-fn session_for(case: &Case, ranks: usize, obs: ObsConfig) -> partir::Session {
+/// A fresh solve of `case` at `colors` (no cache: every call pays the
+/// pipeline, and the first run on it pays evaluation and placement).
+fn solve_at(case: &Case, colors: usize) -> Plan {
     Partir::new(case.program.clone(), case.fns.clone(), case.store.schema().clone())
-        .backend(Backend::Ranks(ranks))
-        .colors(ranks.max(4))
-        .obs(obs)
-        .build()
+        .colors(colors)
+        .solve()
         .unwrap_or_else(|e| panic!("{} auto-parallelizes: {e}", case.name))
+}
+
+fn on_ranks(ranks: usize, obs: ObsConfig) -> Run {
+    Run::new().backend(Backend::Ranks(ranks)).obs(obs)
+}
+
+fn ranks_report(report: RunReport) -> DistReport {
+    *report.as_ranks().expect("rank backend requested")
 }
 
 /// One scaling point: the distributed report plus the observability
@@ -129,17 +138,18 @@ struct Point {
 }
 
 /// Median wall-clock of `REPS` runs with all observability off — the
-/// strong-scaling number proper. The session (plan solve + exchange
-/// derivation) is built once and amortized, exactly how a production
-/// caller would run repeated epochs.
+/// strong-scaling number proper. The plan (solve + exchange derivation)
+/// is built once and amortized, exactly how a production caller would run
+/// repeated epochs.
 fn time_point(case: &Case, ranks: usize) -> u64 {
     const REPS: usize = 5;
-    let mut session = session_for(case, ranks, ObsConfig::disabled());
+    let plan = solve_at(case, ranks.max(4));
+    let run = on_ranks(ranks, ObsConfig::disabled());
     let mut times: Vec<u64> = (0..REPS)
         .map(|_| {
             let mut par = case.store.clone();
             let t0 = Instant::now();
-            session.run(&mut par).unwrap_or_else(|e| panic!("timed run: {e}"));
+            run.run(&plan, &mut par).unwrap_or_else(|e| panic!("timed run: {e}"));
             t0.elapsed().as_nanos() as u64
         })
         .collect();
@@ -149,10 +159,11 @@ fn time_point(case: &Case, ranks: usize) -> u64 {
 
 fn run_point(case: &Case, seq: &Store, ranks: usize, pid: u64, want_trace: bool) -> Point {
     let obs = ObsConfig { timeline: true, strict_volume: true, ..ObsConfig::disabled() };
-    let mut session = session_for(case, ranks, obs);
+    let plan = solve_at(case, ranks.max(4));
     let mut par = case.store.clone();
-    let report =
-        session.run(&mut par).unwrap_or_else(|e| panic!("{} on {ranks} ranks: {e}", case.name));
+    let outcome = on_ranks(ranks, obs)
+        .run(&plan, &mut par)
+        .unwrap_or_else(|e| panic!("{} on {ranks} ranks: {e}", case.name));
     let schema = case.store.schema();
     for f in 0..schema.num_fields() {
         let fid = FieldId(f as u32);
@@ -161,10 +172,7 @@ fn run_point(case: &Case, seq: &Store, ranks: usize, pid: u64, want_trace: bool)
             assert_eq!(sv, pv, "{}: field {fid:?} diverged at {ranks} ranks", case.name);
         }
     }
-    let rep = match report {
-        RunReport::Ranks(r) => r,
-        RunReport::Threads(_) => unreachable!("rank backend requested"),
-    };
+    let rep = ranks_report(outcome.report);
     // Release builds must ride the plan-level proof: zero per-element
     // checks, non-zero containment facts. (Debug builds deliberately keep
     // the per-element path as a second line of defense.)
@@ -181,11 +189,11 @@ fn run_point(case: &Case, seq: &Store, ranks: usize, pid: u64, want_trace: bool)
         );
     }
 
-    let trace = session.trace().expect("timeline collection was requested");
+    let trace = outcome.trace.as_ref().expect("timeline collection was requested");
     trace
         .validate()
         .unwrap_or_else(|e| panic!("{} at {ranks} ranks: malformed timeline: {e}", case.name));
-    let profile = session.dist_profile().expect("profile derives from the timeline");
+    let profile = DistProfile::from_trace(trace);
     assert!(
         profile.coverage() >= 0.95,
         "{} at {ranks} ranks: critical-path categories cover only {:.1}% of wall-clock",
@@ -194,7 +202,7 @@ fn run_point(case: &Case, seq: &Store, ranks: usize, pid: u64, want_trace: bool)
     );
     // Strict mode already errored on any mismatch; assert the reported
     // deltas agree.
-    let volume = session.volume_accounting().expect("volume accounting present");
+    let volume = outcome.volume.as_ref().expect("volume accounting present");
     assert!(volume.is_clean(), "{} at {ranks} ranks: dirty volume accounting", case.name);
 
     let events = if want_trace {
@@ -217,16 +225,18 @@ fn check_obs_skew(case: &Case, ranks: usize) {
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(5.0);
 
-    // Metrics on/off is process-global sink state; the sessions themselves
+    // Metrics on/off is process-global sink state; the runs themselves
     // are configured identically (ObsConfig::disabled() never uninstalls a
     // programmatic sink).
     let median_walltime = || -> f64 {
         let mut times: Vec<f64> = (0..REPS)
             .map(|_| {
-                let mut session = session_for(case, ranks, ObsConfig::disabled());
+                let plan = solve_at(case, ranks.max(4));
                 let mut par = case.store.clone();
                 let t0 = Instant::now();
-                session.run(&mut par).unwrap_or_else(|e| panic!("skew run: {e}"));
+                on_ranks(ranks, ObsConfig::disabled())
+                    .run(&plan, &mut par)
+                    .unwrap_or_else(|e| panic!("skew run: {e}"));
                 t0.elapsed().as_secs_f64()
             })
             .collect();
@@ -265,23 +275,16 @@ fn time_checkpointed(
     let mut walls = Vec::with_capacity(reps);
     let mut last = None;
     for _ in 0..reps {
-        let mut b =
-            Partir::new(case.program.clone(), case.fns.clone(), case.store.schema().clone())
-                .backend(Backend::Ranks(ranks))
-                .colors(ranks.max(4))
-                .obs(ObsConfig::disabled());
+        let plan = solve_at(case, ranks.max(4));
+        let mut run = on_ranks(ranks, ObsConfig::disabled());
         if let Some(p) = ckpt {
-            b = b.checkpoint(p);
+            run = run.checkpoint(p);
         }
-        let mut session = b.build().unwrap_or_else(|e| panic!("{}: {e}", case.name));
         let mut par = case.store.clone();
         let t0 = Instant::now();
-        let report = session.run(&mut par).unwrap_or_else(|e| panic!("fault-mode run: {e}"));
+        let outcome = run.run(&plan, &mut par).unwrap_or_else(|e| panic!("fault-mode run: {e}"));
         walls.push(t0.elapsed().as_nanos() as u64);
-        last = Some(match report {
-            RunReport::Ranks(r) => r,
-            RunReport::Threads(_) => unreachable!("rank backend requested"),
-        });
+        last = Some(ranks_report(outcome.report));
     }
     walls.sort_unstable();
     (walls[reps / 2], last.unwrap())
@@ -362,17 +365,13 @@ fn run_fault_point(case: &Case, ranks: usize, seed: u64) -> Json {
     let mut seq = case.store.clone();
     run_program_seq(&case.program, &mut seq, &case.fns);
     let schema = case.store.schema().clone();
-    let mut session = Partir::new(case.program.clone(), case.fns.clone(), schema.clone())
-        .backend(Backend::Ranks(ranks))
-        .colors(ranks.max(4))
+    let plan = solve_at(case, ranks.max(4));
+    let run = on_ranks(ranks, ObsConfig { strict_volume: true, ..ObsConfig::disabled() })
         .check_legality(true)
-        .obs(ObsConfig { strict_volume: true, ..ObsConfig::disabled() })
         .dist_fault(fault)
-        .checkpoint(CheckpointPolicy::every(1))
-        .build()
-        .unwrap_or_else(|e| panic!("{}: {e}", case.name));
-    let parts = session.evaluate(&case.store);
-    let xplan = derive_exchange(session.plan(), &parts, &schema, ranks).unwrap();
+        .checkpoint(CheckpointPolicy::every(1));
+    let parts = plan.evaluate(&case.store);
+    let xplan = derive_exchange(plan.parallel_plan(), &parts, &schema, ranks).unwrap();
     let dead_owned = xplan.owned_field_bytes(&schema, crash_rank);
     // A recovery scheme with no migration bound would re-shard everything:
     // the full owned footprint is the yardstick `bytes_migrated` beats.
@@ -380,14 +379,11 @@ fn run_fault_point(case: &Case, ranks: usize, seed: u64) -> Json {
 
     let mut par = case.store.clone();
     let t0 = Instant::now();
-    let report = session
-        .run(&mut par)
+    let outcome = run
+        .run(&plan, &mut par)
         .unwrap_or_else(|e| panic!("{} at {ranks} ranks survives the crash: {e}", case.name));
     let fault_wall = t0.elapsed().as_nanos() as u64;
-    let rep = match report {
-        RunReport::Ranks(r) => r,
-        RunReport::Threads(_) => unreachable!("rank backend requested"),
-    };
+    let rep = ranks_report(outcome.report);
     assert_eq!(rep.recoveries, 1, "{}: exactly one recovery", case.name);
     assert!(
         rep.bytes_migrated <= dead_owned,
@@ -484,13 +480,9 @@ fn placement_cases(ranks: usize) -> Vec<Case> {
 /// so it divides this number by the one-shot plan wall. The in-situ
 /// `solve_ns` stays in the report unmodified.
 fn steady_solve_ns(case: &Case, ranks: usize) -> u64 {
-    let session = Partir::new(case.program.clone(), case.fns.clone(), case.store.schema().clone())
-        .backend(Backend::Ranks(ranks))
-        .colors(4 * ranks)
-        .build()
-        .unwrap_or_else(|e| panic!("{} (steady solve): {e}", case.name));
-    let parts = session.evaluate(&case.store);
-    let graph = CommGraph::build(session.plan(), &parts, case.store.schema())
+    let plan = solve_at(case, 4 * ranks);
+    let parts = plan.evaluate(&case.store);
+    let graph = CommGraph::build(plan.parallel_plan(), &parts, case.store.schema())
         .unwrap_or_else(|e| panic!("{} (steady solve) graph: {e}", case.name));
     let machine = MachineModel::homogeneous(ranks);
     let mut best = u64::MAX;
@@ -505,9 +497,9 @@ fn steady_solve_ns(case: &Case, ranks: usize) -> u64 {
 /// One policy run on the placement axis: over-decomposed to `4·ranks`
 /// colors, strict volume accounting, verified bit-identical against `seq`.
 /// Returns the measured report, the placement report, and the wall time of
-/// the session build (the entire planning pipeline — inference, constraint
-/// solve, rewrite, partitioning, placement) the solve-time gate divides by.
-fn run_placement_session(
+/// the solve (inference, constraint solve, rewrite) the solve-time gate
+/// divides by, together with the placement stage of the run.
+fn run_placement_policy(
     case: &Case,
     seq: &Store,
     ranks: usize,
@@ -516,34 +508,19 @@ fn run_placement_session(
     let label = policy.name();
     // Planning is timed at µs granularity and a cold first pass through
     // the planning and placement paths costs ~3× steady state in cache
-    // misses alone. One unmeasured warm-up session (built *and* run —
-    // placement happens inside `run`) keeps the measured timings about
-    // the solver, not the process's cache state.
-    {
-        let mut warm =
-            Partir::new(case.program.clone(), case.fns.clone(), case.store.schema().clone())
-                .backend(Backend::Ranks(ranks))
-                .colors(4 * ranks)
-                .placement(policy.clone())
-                .build()
-                .unwrap_or_else(|e| panic!("{} ({label}) warm-up: {e}", case.name));
-        let mut scratch = case.store.clone();
-        warm.run(&mut scratch)
-            .unwrap_or_else(|e| panic!("{} ({label}) warm-up on {ranks} ranks: {e}", case.name));
-    }
+    // misses alone. One unmeasured warm-up (solved *and* run — placement
+    // happens inside `run`) keeps the measured timings about the solver,
+    // not the process's cache state.
+    let run = on_ranks(ranks, ObsConfig { strict_volume: true, ..ObsConfig::disabled() })
+        .placement(policy);
+    run.run(&solve_at(case, 4 * ranks), &mut case.store.clone())
+        .unwrap_or_else(|e| panic!("{} ({label}) warm-up on {ranks} ranks: {e}", case.name));
     let t_build = std::time::Instant::now();
-    let mut session =
-        Partir::new(case.program.clone(), case.fns.clone(), case.store.schema().clone())
-            .backend(Backend::Ranks(ranks))
-            .colors(4 * ranks)
-            .placement(policy)
-            .obs(ObsConfig { strict_volume: true, ..ObsConfig::disabled() })
-            .build()
-            .unwrap_or_else(|e| panic!("{} ({label}): {e}", case.name));
+    let plan = solve_at(case, 4 * ranks);
     let build_ns = t_build.elapsed().as_nanos() as u64;
     let mut par = case.store.clone();
-    let report = session
-        .run(&mut par)
+    let outcome = run
+        .run(&plan, &mut par)
         .unwrap_or_else(|e| panic!("{} ({label}) on {ranks} ranks: {e}", case.name));
     let schema = case.store.schema();
     for f in 0..schema.num_fields() {
@@ -555,14 +532,10 @@ fn run_placement_session(
     }
     // Strict mode already aborted on any predicted-vs-measured mismatch;
     // the accounting must also read clean after the fact.
-    let volume = session.volume_accounting().expect("strict volume accounting present");
+    let volume = outcome.volume.expect("strict volume accounting present");
     assert!(volume.is_clean(), "{} ({label}): dirty volume accounting", case.name);
-    let rep = match report {
-        RunReport::Ranks(r) => r,
-        RunReport::Threads(_) => unreachable!("rank backend requested"),
-    };
-    let placement = session.placement_report().expect("rank backend records its placement").clone();
-    (rep, placement, build_ns)
+    let placement = outcome.placement.expect("rank backend records its placement");
+    (ranks_report(outcome.report), placement, build_ns)
 }
 
 /// The `--placement compare` axis: block vs cost-driven per app at 4 and
@@ -588,7 +561,7 @@ fn run_placement_compare(args: &BenchArgs) {
             let mut seq = case.store.clone();
             run_program_seq(&case.program, &mut seq, &case.fns);
             let (block_rep, block_pl, _) =
-                run_placement_session(&case, &seq, ranks, PlacementPolicy::Block);
+                run_placement_policy(&case, &seq, ranks, PlacementPolicy::Block);
             // Placement is deterministic, so bytes agree across repetitions;
             // only the µs-scale timings wobble. Three reps and the median
             // ratio bound the scheduler's influence on a single run without
@@ -596,11 +569,10 @@ fn run_placement_compare(args: &BenchArgs) {
             let mut reps: Vec<(DistReport, PlacementReport, u64, f64)> = (0..3)
                 .map(|_| {
                     let (rep, pl, build) =
-                        run_placement_session(&case, &seq, ranks, PlacementPolicy::CostDriven);
-                    // The session plans in two phases: `build` (inference,
-                    // constraint solve, rewrite, partition evaluation) and
-                    // the placement stage inside `run` — end-to-end plan
-                    // time is their sum.
+                        run_placement_policy(&case, &seq, ranks, PlacementPolicy::CostDriven);
+                    // Planning has two phases: `solve` (inference,
+                    // constraint solve, rewrite) and the placement stage
+                    // inside `run` — end-to-end plan time is their sum.
                     let pct = pl.solve_ns as f64 / (build + pl.place_ns).max(1) as f64 * 100.0;
                     (rep, pl, build, pct)
                 })
@@ -649,9 +621,9 @@ fn run_placement_compare(args: &BenchArgs) {
             }
             // Solve-time gate: seeding + refinement must stay a rounding
             // error next to the rest of planning. The denominator is the
-            // whole session build — inference, constraint solve, rewrite,
-            // partitioning and the full placement stage (graph build and
-            // the rank-granular candidate derivations included). The
+            // whole of planning — inference, constraint solve, rewrite,
+            // and the full placement stage (graph build and the
+            // rank-granular candidate derivations included). The
             // numerator is the steady-state solver cost: the one-shot
             // in-situ sample runs on caches the surrounding execution just
             // evicted and lands ~3x above what the solver actually costs,
@@ -675,7 +647,7 @@ fn run_placement_compare(args: &BenchArgs) {
             assert!(
                 solve_pct < max_solve_pct,
                 "{} at {ranks} ranks: placement refinement took {solve_pct:.2}% of the \
-                 end-to-end session build time (budget {max_solve_pct}%)",
+                 end-to-end planning time (budget {max_solve_pct}%)",
                 case.name
             );
 
@@ -721,7 +693,9 @@ fn run_placement_compare(args: &BenchArgs) {
         .with("mode", "compare")
         .with("solve_budget_pct", max_solve_pct)
         .with("placement", entries);
-    args.emit("fig_dist", payload, || {
+    // Its own experiment name, so `report` can hold it next to the scaling
+    // table's `fig_dist` (experiments merge last-wins by name).
+    args.emit("placement", payload, || {
         println!("# Placement axis: block vs cost-driven owner mapping");
         println!("# (both policies bit-identical to the sequential interpreter under");
         println!("#  strict volume accounting; bytes are exact per-pass predictions,");

@@ -105,9 +105,10 @@ fn main() {
                 .unwrap()
         });
         let plan = Partir::new(case.program.clone(), case.fns.clone(), schema)
-            .build()
+            .solve()
             .unwrap()
-            .into_plan();
+            .parallel_plan()
+            .clone();
         let eval_interned_ms =
             median_ms(|| plan.evaluate(&case.store, &case.fns, EVAL_COLORS, &exts));
         let eval_tree_ms = median_ms(|| eval_tree_baseline(&plan, &case.store, &case.fns, &exts));

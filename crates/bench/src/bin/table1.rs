@@ -97,9 +97,10 @@ fn main() {
 
     let app = pennant::Pennant::generate(&pennant::PennantParams::default());
     let plan = Partir::new(app.program.clone(), app.fns.clone(), app.store.schema().clone())
-        .build()
+        .solve()
         .expect("pennant")
-        .into_plan();
+        .parallel_plan()
+        .clone();
     rows.push(row_of("PENNANT", plan, app.program.len(), &app.fns, &app.store));
 
     let mut apps = Json::array();

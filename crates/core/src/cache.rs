@@ -79,7 +79,7 @@ impl std::error::Error for CacheError {}
 /// `(store structure, n_ranks, placement config)` triple: evaluated
 /// partitions, the placement (owner assignment + exchange plan + report),
 /// and the plan-legality proof's fact count. With these in hand a run goes
-/// straight to `execute_with_exchange_full` with proving skipped.
+/// straight to `partir-runtime`'s `dist::execute_ranks` with proving skipped.
 #[derive(Debug)]
 pub struct DistArtifacts {
     pub parts: Arc<Vec<Arc<Partition>>>,
@@ -135,7 +135,7 @@ struct Memos {
     dist: Memo<DistKey, Arc<DistArtifacts>>,
 }
 
-/// An immutable solved plan, shareable across threads and sessions.
+/// An immutable solved plan, shareable across threads and runs.
 ///
 /// Everything a run needs travels with the plan, so a cache hit is
 /// self-contained: callers bring only a store (whose schema must match)
@@ -366,7 +366,7 @@ struct Inner {
 
 /// A byte-accounted LRU of solved plans, keyed on [`solve_fingerprint`].
 /// Cloning shares the cache (it's an `Arc` handle), so one cache can back
-/// many sessions and server workers.
+/// many builders and server workers.
 #[derive(Clone)]
 pub struct PlanCache {
     inner: Arc<Mutex<Inner>>,

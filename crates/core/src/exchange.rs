@@ -85,8 +85,8 @@ pub struct LoopExchange {
     /// waiting for the whole exchange.
     pub boundary_deps: Vec<Vec<Vec<usize>>>,
     /// First-owner narrowing of centered writes for aliased iteration
-    /// partitions (same fold as the threaded executor), `None` when the
-    /// iteration partition is disjoint.
+    /// partitions ([`Partition::first_owner`]), `None` when the iteration
+    /// partition is disjoint.
     pub write_own: Option<Vec<IndexSet>>,
 }
 
@@ -572,20 +572,7 @@ pub fn derive_exchange_with(
     let mut loops = Vec::with_capacity(plan.loops.len());
     for lp in &plan.loops {
         let iter = &parts[lp.iter.0 as usize];
-        let write_own: Option<Vec<IndexSet>> = if iter.is_disjoint() {
-            None
-        } else {
-            let mut seen = IndexSet::new();
-            Some(
-                iter.iter()
-                    .map(|s| {
-                        let mine = s.difference(&seen);
-                        seen = seen.union(s);
-                        mine
-                    })
-                    .collect(),
-            )
-        };
+        let write_own = iter.first_owner();
 
         // Per-rank, per-field needed and in-place-mutated sets.
         let is_f64 = |f: FieldId| matches!(schema.field(f).kind, FieldKind::F64);
@@ -629,7 +616,7 @@ pub fn derive_exchange_with(
                 }
             }
             // In-place mutated sets, per the threaded executor's effect
-            // sets (see exec.rs::effect_set).
+            // sets (see `exec::effect_set` in `partir-runtime`).
             let is_in_place = matches!(
                 (&ap.kind, &ap.reduce),
                 (AccessKind::Write, _)

@@ -58,9 +58,7 @@ use std::time::Instant;
 ///
 /// Speeds and bandwidths are *relative* factors (1.0 = the reference rank);
 /// non-finite or non-positive entries sanitize to 1.0 so a malformed env
-/// override degrades to homogeneity instead of dividing by zero. The
-/// simulator consumes the same model (`partir-runtime::sim::simulate_hetero`)
-/// so placement and simulation price slow ranks consistently.
+/// override degrades to homogeneity instead of dividing by zero.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MachineModel {
     speed: Vec<f64>,

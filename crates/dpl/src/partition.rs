@@ -62,6 +62,24 @@ impl Partition {
         self.total_elements() == self.support().len()
     }
 
+    /// First-owner narrowing of an aliased partition: subregion `c` minus
+    /// every earlier subregion, so each element of the support stays with
+    /// the lowest color holding it. `None` when the partition is already
+    /// disjoint. This is what keeps centered writes sequentially ordered
+    /// when a relaxed loop runs over an aliased iteration partition.
+    pub fn first_owner(&self) -> Option<Vec<IndexSet>> {
+        if self.is_disjoint() {
+            return None;
+        }
+        let mut seen = IndexSet::new();
+        let own = self.subregions.iter().map(|s| {
+            let mine = s.difference(&seen);
+            seen = seen.union(s);
+            mine
+        });
+        Some(own.collect())
+    }
+
     /// `COMP`: the subregions cover all of `[0, region_size)`.
     pub fn is_complete(&self, region_size: u64) -> bool {
         self.support() == IndexSet::from_range(0, region_size)
@@ -114,6 +132,29 @@ mod tests {
         let p = Partition::new(r(), vec![IndexSet::from_range(0, 6), IndexSet::from_range(4, 10)]);
         assert!(!p.is_disjoint());
         assert!(p.is_complete(10));
+    }
+
+    #[test]
+    fn first_owner_gives_each_element_to_its_earliest_color() {
+        let disjoint =
+            Partition::new(r(), vec![IndexSet::from_range(0, 5), IndexSet::from_range(5, 10)]);
+        assert_eq!(disjoint.first_owner(), None);
+
+        let aliased = Partition::new(
+            r(),
+            vec![
+                IndexSet::from_range(2, 6),
+                IndexSet::from_range(4, 9),
+                IndexSet::from_indices([0, 3, 8, 11]),
+            ],
+        );
+        let own = aliased.first_owner().expect("aliased partitions narrow");
+        assert_eq!(own[0], IndexSet::from_range(2, 6), "the first color keeps everything");
+        assert_eq!(own[1], IndexSet::from_range(6, 9), "earlier colors win");
+        assert_eq!(own[2], IndexSet::from_indices([0, 11]));
+        let narrowed = Partition::new(r(), own);
+        assert!(narrowed.is_disjoint());
+        assert_eq!(narrowed.support(), aliased.support());
     }
 
     #[test]

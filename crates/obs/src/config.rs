@@ -55,7 +55,8 @@ pub struct ObsConfig {
     /// phase (pack/send/recv-wait/unpack/compute/merge) is recorded as a
     /// [`crate::trace::TraceSpan`], exportable as a Chrome trace and
     /// analyzable into the `dist_profile` critical-path breakdown.
-    /// Independent of `trace` — timelines go to the session, not a sink.
+    /// Independent of `trace` — timelines come back in the run's outcome,
+    /// not through a sink.
     pub timeline: bool,
     /// Error (instead of just reporting a delta) when measured bytes on
     /// any `(src, dst)` pair disagree with what the `ExchangePlan`
@@ -86,8 +87,8 @@ impl ObsConfig {
     /// nothing when both streams are off, and never replaces a sink that
     /// is already installed (so programmatic [`crate::install_sink`]
     /// callers — tests, report harnesses — always win). `timeline` and
-    /// `strict_volume` need no sink; the rank backend reads them from the
-    /// session directly.
+    /// `strict_volume` need no sink; the rank backend gets them from the
+    /// run's configuration directly.
     pub fn apply(&self) {
         if self.trace || self.metrics {
             crate::install_default_sink(Arc::new(StderrSink), self.trace, self.metrics);

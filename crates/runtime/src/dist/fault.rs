@@ -16,6 +16,8 @@
 //! whole epochs here since the rank backend checkpoints at epoch
 //! boundaries (the only globally consistent cut the protocol has).
 
+use crate::fault::{hash4, unit};
+
 /// Whole-rank crash injection: the victim stops at the top of `epoch`,
 /// before sending or computing anything for it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -150,27 +152,6 @@ impl CheckpointPolicy {
     pub fn due(&self, epoch: u64) -> bool {
         (epoch + 1).is_multiple_of(self.interval_epochs)
     }
-}
-
-/// 53 uniform bits → a unit float in `[0, 1)`.
-#[inline]
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// splitmix64-style finalizer: the standard 64-bit avalanche mix.
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Hashes four coordinates into one well-mixed word.
-#[inline]
-fn hash4(a: u64, b: u64, c: u64, d: u64) -> u64 {
-    mix(mix(mix(mix(a) ^ b) ^ c) ^ d)
 }
 
 #[cfg(test)]

@@ -26,17 +26,17 @@ pub use store::RankStore;
 
 use crate::dist::mailbox::build_fabric;
 use crate::dist::rank::{OwnedShards, RankStats};
+use crate::task::{panic_message, plan_loops, LegalityViolation, LoopSetup, PlanError};
 use parking_lot::Mutex;
 use partir_core::exchange::{
     derive_exchange_with, prove_plan_legality, ExchangeError, ExchangePlan, PlanLegalityError,
 };
-use partir_core::pipeline::{ParallelPlan, PlannedReduce};
-use partir_core::placement::{evacuate_placement, place, PlacementConfig, PlacementReport};
+use partir_core::pipeline::ParallelPlan;
+use partir_core::placement::{evacuate_placement, PlacementConfig};
 use partir_dpl::func::FnTable;
-use partir_dpl::index_set::Idx;
 use partir_dpl::partition::Partition;
-use partir_dpl::region::{RegionId, Schema, Store};
-use partir_ir::ast::{AccessId, Loop};
+use partir_dpl::region::{Schema, Store};
+use partir_ir::ast::Loop;
 use partir_obs::json::Json;
 use partir_obs::trace::{RankTracer, SpanKind, Trace};
 use std::borrow::Cow;
@@ -80,12 +80,10 @@ impl Default for LegalityMode {
     }
 }
 
-/// Distributed executor configuration.
-#[derive(Clone, Debug)]
+/// Distributed executor configuration. The rank count is not part of it:
+/// it is the [`ExchangePlan`]'s.
+#[derive(Clone, Debug, Default)]
 pub struct DistOptions {
-    /// Number of ranks (SPMD processes, modeled as threads with disjoint
-    /// sharded stores).
-    pub n_ranks: usize,
     /// How access legality is established (see [`LegalityMode`]).
     pub legality: LegalityMode,
     /// When set, mailboxes shuffle delivery order among ready messages and
@@ -131,22 +129,6 @@ pub struct DistOptions {
     /// re-proves from scratch regardless, since evacuation rewrites the
     /// exchange plan.
     pub preproved: Option<u64>,
-}
-
-impl Default for DistOptions {
-    fn default() -> Self {
-        DistOptions {
-            n_ranks: 4,
-            legality: LegalityMode::default(),
-            chaos_seed: None,
-            collect_timeline: false,
-            strict_volume: false,
-            fault: None,
-            checkpoint: None,
-            placement: PlacementConfig::default(),
-            preproved: None,
-        }
-    }
 }
 
 /// In-memory per-rank checkpoint store: snapshots of each rank's owned
@@ -357,36 +339,6 @@ pub struct DistOutcome {
     pub validate_ns: u64,
     /// Ranks declared lost and recovered from, in loss order.
     pub lost_ranks: Vec<usize>,
-    /// How the owner mapping was chosen, with block-vs-optimized predicted
-    /// bytes and refinement accounting. Present when this call derived the
-    /// exchange plan itself (absent under `execute_with_exchange_full`,
-    /// where the caller owns the plan).
-    pub placement: Option<PlacementReport>,
-}
-
-/// A distributed legality failure: which access of which loop, run by which
-/// task on which rank, touched which element outside its subregion or
-/// outside the rank's `owned ∪ ghosts` footprint.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DistViolation {
-    pub rank: usize,
-    /// Loop index in execution order.
-    pub loop_id: usize,
-    /// The task (color) whose access escaped.
-    pub task: usize,
-    pub region: RegionId,
-    pub index: Idx,
-    pub access: AccessId,
-}
-
-impl fmt::Display for DistViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "rank {} loop {} task {}: access {:?} touched element {} of region r{} outside its subregion or rank footprint",
-            self.rank, self.loop_id, self.task, self.access, self.index, self.region.0
-        )
-    }
 }
 
 /// Distributed execution failure.
@@ -394,22 +346,10 @@ impl fmt::Display for DistViolation {
 pub enum DistError {
     /// Communication-set derivation failed.
     Exchange(ExchangeError),
-    /// The plan does not describe this program (loop counts differ).
-    PlanMismatch { plan_loops: usize, program_loops: usize },
-    /// A plan references a partition index outside the evaluated set.
-    PartitionIndexOutOfBounds { loop_index: usize, part: usize, len: usize },
-    /// Partitions disagree on the launch width (subregion counts differ).
-    PartitionWidthMismatch { part: usize, expected: usize, got: usize },
-    /// A partition contains element indices outside its region.
-    PartitionExceedsRegion { loop_index: usize, part: usize, index: Idx, size: u64 },
-    /// The iteration partition misses elements of the iteration space.
-    IncompleteIteration { loop_index: usize },
-    /// A loop with centered reductions got an aliased iteration partition.
-    IterationNotDisjoint { loop_index: usize },
-    /// A direct/guarded reduction partition is not disjoint.
-    ReductionNotDisjoint { loop_index: usize, access: AccessId },
+    /// The plan or its partitions cannot drive this program.
+    Plan(PlanError),
     /// An access escaped its subregion or its rank's footprint.
-    Legality(DistViolation),
+    Legality(LegalityViolation),
     /// The plan-level legality proof failed: some `(loop, access, color)`
     /// can reach an element outside its rank's `owned ∪ ghosts` footprint.
     PlanIllegal(PlanLegalityError),
@@ -437,36 +377,7 @@ impl fmt::Display for DistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DistError::Exchange(e) => write!(f, "exchange derivation failed: {e}"),
-            DistError::PlanMismatch { plan_loops, program_loops } => {
-                write!(f, "plan describes {plan_loops} loops but the program has {program_loops}")
-            }
-            DistError::PartitionIndexOutOfBounds { loop_index, part, len } => {
-                write!(
-                    f,
-                    "loop {loop_index}: partition index {part} out of bounds ({len} evaluated)"
-                )
-            }
-            DistError::PartitionWidthMismatch { part, expected, got } => {
-                write!(f, "partition {part} has {got} subregions, launch width is {expected}")
-            }
-            DistError::PartitionExceedsRegion { loop_index, part, index, size } => {
-                write!(
-                    f,
-                    "loop {loop_index}: partition {part} contains element {index} outside its region (size {size})"
-                )
-            }
-            DistError::IncompleteIteration { loop_index } => {
-                write!(f, "loop {loop_index}: iteration partition incomplete")
-            }
-            DistError::IterationNotDisjoint { loop_index } => {
-                write!(
-                    f,
-                    "loop {loop_index}: centered reductions need a disjoint iteration partition"
-                )
-            }
-            DistError::ReductionNotDisjoint { loop_index, access } => {
-                write!(f, "loop {loop_index}: reduction partition for {access:?} not disjoint")
-            }
+            DistError::Plan(e) => write!(f, "{e}"),
             DistError::Legality(v) => write!(f, "distributed legality violation: {v}"),
             DistError::PlanIllegal(e) => write!(f, "plan-level legality proof failed: {e}"),
             DistError::RankPanic { rank, message } => {
@@ -498,57 +409,21 @@ impl From<ExchangeError> for DistError {
     }
 }
 
-/// Executes every loop of `program` in SPMD fashion over
-/// [`DistOptions::n_ranks`] ranks and gathers the owned shards back into
-/// `store`. Results are bit-identical to the sequential interpreter.
+impl From<PlanError> for DistError {
+    fn from(e: PlanError) -> Self {
+        DistError::Plan(e)
+    }
+}
+
+/// Executes every loop of `program` in SPMD fashion over the ranks of
+/// `xplan` and gathers the owned shards back into `store`. Results are
+/// bit-identical to the sequential interpreter.
 ///
 /// `parts` must be `plan.evaluate(...)` output, exactly as for the
-/// threaded executor.
-pub fn execute_dist(
-    program: &[Loop],
-    plan: &ParallelPlan,
-    parts: &[Arc<Partition>],
-    store: &mut Store,
-    fns: &FnTable,
-    opts: &DistOptions,
-) -> Result<DistReport, DistError> {
-    execute_dist_full(program, plan, parts, store, fns, opts).map(|o| o.report)
-}
-
-/// [`execute_dist`] returning the full [`DistOutcome`]: the report plus
-/// the cross-rank timeline and the volume accounting.
-pub fn execute_dist_full(
-    program: &[Loop],
-    plan: &ParallelPlan,
-    parts: &[Arc<Partition>],
-    store: &mut Store,
-    fns: &FnTable,
-    opts: &DistOptions,
-) -> Result<DistOutcome, DistError> {
-    validate(program, plan, parts, store.schema(), opts)?;
-    let placed = place(plan, parts, store.schema(), opts.n_ranks, &opts.placement)?;
-    let mut outcome =
-        execute_with_exchange_full(program, plan, parts, &placed.xplan, store, fns, opts)?;
-    outcome.placement = Some(placed.report);
-    Ok(outcome)
-}
-
-/// [`execute_dist`] with a precomputed exchange plan (the plan depends only
-/// on the partitions and rank count, so repeated executions reuse it).
-pub fn execute_with_exchange(
-    program: &[Loop],
-    plan: &ParallelPlan,
-    parts: &[Arc<Partition>],
-    xplan: &ExchangePlan,
-    store: &mut Store,
-    fns: &FnTable,
-    opts: &DistOptions,
-) -> Result<DistReport, DistError> {
-    execute_with_exchange_full(program, plan, parts, xplan, store, fns, opts).map(|o| o.report)
-}
-
-/// [`execute_dist_full`] with a precomputed exchange plan.
-pub fn execute_with_exchange_full(
+/// threaded executor, and `xplan` the exchange plan derived from them
+/// (`partir_core::placement::place`); it depends only on the partitions
+/// and the owner mapping, so repeated executions reuse it.
+pub fn execute_ranks(
     program: &[Loop],
     plan: &ParallelPlan,
     parts: &[Arc<Partition>],
@@ -558,11 +433,11 @@ pub fn execute_with_exchange_full(
     opts: &DistOptions,
 ) -> Result<DistOutcome, DistError> {
     let vt = Instant::now();
-    {
-        let vspan = partir_obs::span("dist.validate");
-        validate(program, plan, parts, store.schema(), opts)?;
-        drop(vspan);
-    }
+    let setups = {
+        let _span = partir_obs::span("dist.validate");
+        let check_bounds = opts.legality != LegalityMode::Off;
+        plan_loops(program, plan, parts, store.schema(), check_bounds, Some(xplan))?
+    };
     let validate_ns = vt.elapsed().as_nanos() as u64;
     // Plan-level legality: prove `accessed ⊆ owned ∪ ghosts` once, by
     // interval set-containment, instead of re-deriving it per element on
@@ -614,8 +489,7 @@ pub fn execute_with_exchange_full(
         let base_store: &Store = restored.as_ref().unwrap_or(store);
         let attempt = run_attempt(
             program,
-            plan,
-            parts,
+            &setups,
             &cur_xplan,
             base_store,
             &schema,
@@ -734,11 +608,11 @@ pub fn execute_with_exchange_full(
         report.tasks_run += rstats.tasks_run;
         report.messages += rstats.messages_sent;
         report.bytes_sent += rstats.bytes_sent;
-        report.legality_checks += rstats.legality_checks;
-        report.buffer_bytes += rstats.buffer_bytes;
-        report.guard_hits += rstats.guard_hits;
-        report.guard_skips += rstats.guard_skips;
-        report.write_skips += rstats.write_skips;
+        report.legality_checks += rstats.counts.legality_checks;
+        report.buffer_bytes += rstats.counts.buffer_bytes;
+        report.guard_hits += rstats.counts.guard_hits;
+        report.guard_skips += rstats.counts.guard_skips;
+        report.write_skips += rstats.counts.write_skips;
         report.pack_ns += rstats.pack_ns;
         report.exchange_wait_ns += rstats.exchange_wait_ns;
         report.unpack_ns += rstats.unpack_ns;
@@ -814,7 +688,7 @@ pub fn execute_with_exchange_full(
         ("messages", report.messages.into()),
         ("bytes_sent", report.bytes_sent.into()),
     ]);
-    Ok(DistOutcome { report, trace, volume, validate_ns, lost_ranks, placement: None })
+    Ok(DistOutcome { report, trace, volume, validate_ns, lost_ranks })
 }
 
 /// One rank's gathered result: owned shards, stats, and its timeline.
@@ -827,7 +701,7 @@ struct AttemptResult {
     outcomes: Vec<Option<RankOutcome>>,
     /// The first hard error any rank hit (secondary aborts excluded).
     error: Option<DistError>,
-    violation: Option<DistViolation>,
+    violation: Option<LegalityViolation>,
     /// Injected-crash ground truth: `(rank, epoch)` of the victim.
     lost: Option<(usize, u64)>,
 }
@@ -839,8 +713,7 @@ struct AttemptResult {
 #[allow(clippy::too_many_arguments)]
 fn run_attempt(
     program: &[Loop],
-    plan: &ParallelPlan,
-    parts: &[Arc<Partition>],
+    setups: &[LoopSetup<'_>],
     xplan: &ExchangePlan,
     base_store: &Store,
     schema: &Schema,
@@ -886,7 +759,7 @@ fn run_attempt(
         })
         .collect();
 
-    let violation: Mutex<Option<DistViolation>> = Mutex::new(None);
+    let violation: Mutex<Option<LegalityViolation>> = Mutex::new(None);
     let first_error: Mutex<Option<DistError>> = Mutex::new(None);
     let lost: Mutex<Option<(usize, u64)>> = Mutex::new(None);
     let outcomes: Mutex<Vec<Option<RankOutcome>>> =
@@ -907,8 +780,7 @@ fn run_attempt(
                     rank::rank_main(
                         r,
                         program,
-                        plan,
-                        parts,
+                        setups,
                         xplan,
                         schema,
                         fns,
@@ -966,114 +838,12 @@ fn run_attempt(
     })
 }
 
-/// Up-front validation: the same plan/partition invariants the threaded
-/// executor enforces, as typed errors before any rank spawns.
-fn validate(
-    program: &[Loop],
-    plan: &ParallelPlan,
-    parts: &[Arc<Partition>],
-    schema: &Schema,
-    opts: &DistOptions,
-) -> Result<(), DistError> {
-    if plan.loops.len() != program.len() {
-        return Err(DistError::PlanMismatch {
-            plan_loops: plan.loops.len(),
-            program_loops: program.len(),
-        });
-    }
-    let width = parts.first().map(|p| p.num_subregions()).unwrap_or(0);
-    for (pi, p) in parts.iter().enumerate() {
-        if p.num_subregions() != width {
-            return Err(DistError::PartitionWidthMismatch {
-                part: pi,
-                expected: width,
-                got: p.num_subregions(),
-            });
-        }
-    }
-    let check_part = |li: usize, part: usize| -> Result<(), DistError> {
-        if part >= parts.len() {
-            return Err(DistError::PartitionIndexOutOfBounds {
-                loop_index: li,
-                part,
-                len: parts.len(),
-            });
-        }
-        Ok(())
-    };
-    let check_bounds = |li: usize, part: usize, region: RegionId| -> Result<(), DistError> {
-        if opts.legality == LegalityMode::Off {
-            return Ok(());
-        }
-        let size = schema.region_size(region);
-        for sub in parts[part].subregions() {
-            if let Some(m) = sub.max() {
-                if m >= size {
-                    return Err(DistError::PartitionExceedsRegion {
-                        loop_index: li,
-                        part,
-                        index: m,
-                        size,
-                    });
-                }
-            }
-        }
-        Ok(())
-    };
-    for (li, lplan) in plan.loops.iter().enumerate() {
-        check_part(li, lplan.iter.0 as usize)?;
-        check_bounds(li, lplan.iter.0 as usize, program[li].region)?;
-        let iter = &parts[lplan.iter.0 as usize];
-        if !iter.is_complete(schema.region_size(program[li].region)) {
-            return Err(DistError::IncompleteIteration { loop_index: li });
-        }
-        if lplan.iter_must_be_disjoint && !iter.is_disjoint() {
-            return Err(DistError::IterationNotDisjoint { loop_index: li });
-        }
-        for (ai, ap) in lplan.accesses.iter().enumerate() {
-            check_part(li, ap.part.0 as usize)?;
-            check_bounds(li, ap.part.0 as usize, ap.region)?;
-            match &ap.reduce {
-                Some(PlannedReduce::Direct) | Some(PlannedReduce::Guarded)
-                    if !parts[ap.part.0 as usize].is_disjoint() =>
-                {
-                    return Err(DistError::ReductionNotDisjoint {
-                        loop_index: li,
-                        access: AccessId(ai as u32),
-                    });
-                }
-                Some(PlannedReduce::BufferedPrivate { private }) => {
-                    check_part(li, private.0 as usize)?;
-                    check_bounds(li, private.0 as usize, ap.region)?;
-                    if !parts[private.0 as usize].is_disjoint() {
-                        return Err(DistError::ReductionNotDisjoint {
-                            loop_index: li,
-                            access: AccessId(ai as u32),
-                        });
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    Ok(())
-}
-
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "unknown panic".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use partir_core::eval::ExtBindings;
     use partir_core::pipeline::{auto_parallelize, Hints, Options};
+    use partir_core::placement::place;
     use partir_dpl::func::{FnDef, FnTable, IndexFn};
     use partir_dpl::region::{FieldId, FieldKind, Schema};
     use partir_ir::ast::{LoopBuilder, ReduceOp, VExpr};
@@ -1115,6 +885,22 @@ mod tests {
         (vec![stencil, scatter], fns, schema, store)
     }
 
+    /// Solves, evaluates at `colors`, places on `ranks` and runs.
+    fn run_on(
+        ranks: usize,
+        colors: usize,
+        (program, fns, schema, mut store): (Vec<Loop>, FnTable, Schema, Store),
+        opts: &DistOptions,
+    ) -> (DistOutcome, Store) {
+        let plan =
+            auto_parallelize(&program, &fns, &schema, &Hints::new(), Options::default()).unwrap();
+        let parts = plan.evaluate(&store, &fns, colors, &ExtBindings::new());
+        let placed = place(&plan, &parts, &schema, ranks, &opts.placement).unwrap();
+        let outcome =
+            execute_ranks(&program, &plan, &parts, &placed.xplan, &mut store, &fns, opts).unwrap();
+        (outcome, store)
+    }
+
     #[test]
     fn dist_matches_sequential_bit_for_bit() {
         for ranks in [1usize, 2, 3, 4, 8] {
@@ -1123,13 +909,13 @@ mod tests {
             let mut seq = seed.clone();
             run_program_seq(&program, &mut seq, &fns);
 
-            let plan = auto_parallelize(&program, &fns, &schema, &Hints::new(), Options::default())
-                .unwrap();
-            let mut dist = seed.clone();
-            let parts = plan.evaluate(&dist, &fns, ranks.max(2), &ExtBindings::new());
-            let opts = DistOptions { n_ranks: ranks, ..DistOptions::default() };
-            let report = execute_dist(&program, &plan, &parts, &mut dist, &fns, &opts).unwrap();
-            assert_eq!(report.ranks, ranks as u64);
+            let (outcome, dist) = run_on(
+                ranks,
+                ranks.max(2),
+                (program, fns, schema.clone(), seed),
+                &DistOptions::default(),
+            );
+            assert_eq!(outcome.report.ranks, ranks as u64);
             for fi in 0..schema.num_fields() {
                 let f = FieldId(fi as u32);
                 assert_eq!(
@@ -1143,13 +929,7 @@ mod tests {
 
     #[test]
     fn ghost_bytes_beat_replication() {
-        let (program, fns, schema, seed) = stencil_program(64);
-        let plan =
-            auto_parallelize(&program, &fns, &schema, &Hints::new(), Options::default()).unwrap();
-        let mut store = seed.clone();
-        let parts = plan.evaluate(&store, &fns, 4, &ExtBindings::new());
-        let opts = DistOptions { n_ranks: 4, ..DistOptions::default() };
-        let report = execute_dist(&program, &plan, &parts, &mut store, &fns, &opts).unwrap();
+        let report = run_on(4, 4, stencil_program(64), &DistOptions::default()).0.report;
         assert!(report.bytes_sent > 0);
         assert!(
             report.bytes_sent < report.replication_bytes,
@@ -1161,18 +941,11 @@ mod tests {
 
     #[test]
     fn full_outcome_has_clean_volume_and_valid_timeline() {
-        let (program, fns, schema, seed) = stencil_program(64);
-        let plan =
-            auto_parallelize(&program, &fns, &schema, &Hints::new(), Options::default()).unwrap();
-        let mut store = seed.clone();
-        let parts = plan.evaluate(&store, &fns, 4, &ExtBindings::new());
-        let opts = DistOptions {
-            n_ranks: 4,
-            collect_timeline: true,
-            strict_volume: true,
-            ..DistOptions::default()
-        };
-        let outcome = execute_dist_full(&program, &plan, &parts, &mut store, &fns, &opts).unwrap();
+        let stencil = stencil_program(64);
+        let n_loops = stencil.0.len();
+        let opts =
+            DistOptions { collect_timeline: true, strict_volume: true, ..DistOptions::default() };
+        let (outcome, _) = run_on(4, 4, stencil, &opts);
         // Strict mode passed, so every pair is clean — and there is real
         // traffic to account for.
         assert!(!outcome.volume.pairs.is_empty());
@@ -1182,26 +955,20 @@ mod tests {
 
         let trace = outcome.trace.expect("timeline was requested");
         trace.validate().expect("well-formed cross-rank timeline");
-        assert_eq!(trace.n_epochs(), program.len(), "one epoch per loop");
+        assert_eq!(trace.n_epochs(), n_loops, "one epoch per loop");
         // Every rank recorded communication spans with byte payloads.
         for rank in 0..4 {
             assert!(trace.rank_spans(rank).any(|s| s.bytes > 0 && s.peer.is_some()));
         }
         // The profile attributes the whole wall-clock by construction.
         let prof = partir_obs::profile::DistProfile::from_trace(&trace);
-        assert_eq!(prof.epochs.len(), program.len());
+        assert_eq!(prof.epochs.len(), n_loops);
         assert!((prof.coverage() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn timeline_off_run_has_no_trace_but_still_accounts_volume() {
-        let (program, fns, schema, seed) = stencil_program(48);
-        let plan =
-            auto_parallelize(&program, &fns, &schema, &Hints::new(), Options::default()).unwrap();
-        let mut store = seed.clone();
-        let parts = plan.evaluate(&store, &fns, 2, &ExtBindings::new());
-        let opts = DistOptions { n_ranks: 2, ..DistOptions::default() };
-        let outcome = execute_dist_full(&program, &plan, &parts, &mut store, &fns, &opts).unwrap();
+        let (outcome, _) = run_on(2, 2, stencil_program(48), &DistOptions::default());
         assert!(outcome.trace.is_none());
         assert!(outcome.volume.is_clean());
         assert!(!outcome.volume.pairs.is_empty());

@@ -16,28 +16,26 @@
 //!    ascending global color order — reproducing the threaded executor's
 //!    deterministic merge bit-for-bit.
 //!
-//! The rank data context mirrors `exec::TaskCtx` exactly (guards, write
-//! ownership, buffered modes), with one addition: a global index that has
-//! no slot in the rank's sharded store *is* a distributed legality
-//! violation — the access escaped `owned ∪ ghosts`.
+//! Colors run through the shared data context ([`crate::task`]) over the
+//! rank's [`RankStore`]: a global index that has no slot in the sharded
+//! store *is* a distributed legality violation — the access escaped
+//! `owned ∪ ghosts`.
 
 use super::fault::{CheckpointPolicy, DistFaultPlan, MAX_SEND_ATTEMPTS};
 use super::mailbox::{Mailbox, MailboxError, Msg, MsgKind};
 use super::store::RankStore;
-use super::{CheckpointStore, DistError, DistViolation};
+use super::{CheckpointStore, DistError};
+use crate::task::{LegalityViolation, LoopSetup, PartCtx, Storage, TaskCounts, TaskEnv};
 use parking_lot::Mutex;
-use partir_core::exchange::{ExchangePlan, LoopExchange};
-use partir_core::pipeline::{LoopPlan, ParallelPlan, PlannedReduce};
-use partir_dpl::func::{FnDef, FnId, FnTable, IndexFn, MultiFn};
-use partir_dpl::index_set::{Idx, IndexSet};
-use partir_dpl::partition::Partition;
+use partir_core::exchange::{BufferRoute, ExchangePlan, LoopExchange};
+use partir_dpl::func::FnTable;
+use partir_dpl::index_set::Idx;
 use partir_dpl::region::{FieldId, Schema};
-use partir_ir::ast::{AccessId, Loop, ReduceOp};
-use partir_ir::interp::{run_loop_over, DataCtx};
+use partir_ir::ast::{Loop, ReduceOp};
+use partir_ir::interp::run_loop_over;
 use partir_obs::trace::{RankTracer, SpanKind};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A rank's gathered result: its owned shard of every F64 field, ready to
@@ -48,11 +46,8 @@ pub(crate) type OwnedShards = Vec<(FieldId, Vec<f64>)>;
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RankStats {
     pub tasks_run: u64,
-    pub legality_checks: u64,
-    pub guard_hits: u64,
-    pub guard_skips: u64,
-    pub write_skips: u64,
-    pub buffer_bytes: u64,
+    /// Summed over the rank's tasks; `buffer_bytes` is what they allocated.
+    pub counts: TaskCounts,
     pub bytes_sent: u64,
     pub messages_sent: u64,
     pub pack_ns: u64,
@@ -98,40 +93,12 @@ fn rec(
     }
 }
 
-/// Per-access execution mode (same resolution as the threaded executor).
-enum RankMode<'a> {
-    Plain,
-    Guarded,
-    Buffered,
-    BufferedPrivate { private: &'a Partition },
-}
-
-/// Everything one epoch's compute needs, bundled so color runs stay
-/// borrow-friendly.
-struct EpochEnv<'a> {
-    rank: usize,
-    lp: &'a Loop,
-    loop_plan: &'a LoopPlan,
-    parts: &'a [Arc<Partition>],
-    iter: &'a Partition,
-    write_own: Option<&'a Vec<IndexSet>>,
-    modes: Vec<RankMode<'a>>,
-    all_buf_sets: Vec<Vec<IndexSet>>,
-    buf_set_of_access: Vec<Option<usize>>,
-    fns: &'a FnTable,
-    schema: &'a Schema,
-    check: bool,
-    abort: &'a AtomicBool,
-    violation: &'a Mutex<Option<DistViolation>>,
-}
-
 /// One rank's whole run: every loop in order, then the owned-shard gather.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rank_main(
     rank: usize,
     program: &[Loop],
-    plan: &ParallelPlan,
-    parts: &[Arc<Partition>],
+    setups: &[LoopSetup<'_>],
     xplan: &ExchangePlan,
     schema: &Schema,
     fns: &FnTable,
@@ -140,7 +107,7 @@ pub(crate) fn rank_main(
     mailbox: &mut Mailbox,
     check: bool,
     abort: &AtomicBool,
-    violation: &Mutex<Option<DistViolation>>,
+    violation: &Mutex<Option<LegalityViolation>>,
     mut tracer: Option<RankTracer>,
     first_epoch: usize,
     fault: Option<&DistFaultPlan>,
@@ -148,6 +115,7 @@ pub(crate) fn rank_main(
     lost: &Mutex<Option<(usize, u64)>>,
 ) -> Result<(OwnedShards, RankStats, Option<RankTracer>), DistError> {
     let mut stats = RankStats::default();
+    let env = TaskEnv { fns, schema, check, rank: Some(rank), abort, violation };
     for (li, lp) in program.iter().enumerate().skip(first_epoch) {
         if abort.load(Ordering::Relaxed) {
             return Err(DistError::Aborted);
@@ -183,18 +151,12 @@ pub(crate) fn rank_main(
             rank,
             li,
             lp,
-            &plan.loops[li],
-            parts,
+            &setups[li],
             xplan,
-            &xplan.loops[li],
-            schema,
-            fns,
+            &env,
             &mut store,
             senders,
             mailbox,
-            check,
-            abort,
-            violation,
             &mut stats,
             &mut tracer,
             fault,
@@ -228,83 +190,37 @@ fn run_epoch(
     rank: usize,
     li: usize,
     lp: &Loop,
-    loop_plan: &LoopPlan,
-    parts: &[Arc<Partition>],
+    setup: &LoopSetup<'_>,
     xplan: &ExchangePlan,
-    lx: &LoopExchange,
-    schema: &Schema,
-    fns: &FnTable,
+    env: &TaskEnv<'_>,
     store: &mut RankStore,
     senders: &[Sender<Msg>],
     mailbox: &mut Mailbox,
-    check: bool,
-    abort: &AtomicBool,
-    violation: &Mutex<Option<DistViolation>>,
     stats: &mut RankStats,
     tracer: &mut Option<RankTracer>,
     fault: Option<&DistFaultPlan>,
 ) -> Result<(), DistError> {
     let n_ranks = xplan.n_ranks;
-    let n_colors = xplan.n_colors;
+    let lx: &LoopExchange = &xplan.loops[li];
     let epoch = li as u64;
-    let iter: &Partition = &parts[loop_plan.iter.0 as usize];
-
-    // Buffer sets for two-step reductions, exactly as the threaded executor
-    // allocates them (full subregion for Buffered, shared remainder for
-    // BufferedPrivate).
-    let mut all_buf_sets: Vec<Vec<IndexSet>> = Vec::new();
-    let mut buf_set_of_access: Vec<Option<usize>> = vec![None; loop_plan.accesses.len()];
-    for (ai, ap) in loop_plan.accesses.iter().enumerate() {
-        match &ap.reduce {
-            Some(PlannedReduce::Buffered) => {
-                buf_set_of_access[ai] = Some(all_buf_sets.len());
-                all_buf_sets.push(parts[ap.part.0 as usize].subregions().to_vec());
-            }
-            Some(PlannedReduce::BufferedPrivate { private }) => {
-                let part = &parts[ap.part.0 as usize];
-                let ppart = &parts[private.0 as usize];
-                let sets = part
-                    .subregions()
-                    .iter()
-                    .zip(ppart.subregions())
-                    .map(|(a, p)| a.difference(p))
-                    .collect();
-                buf_set_of_access[ai] = Some(all_buf_sets.len());
-                all_buf_sets.push(sets);
-            }
-            _ => {}
-        }
-    }
-    let modes: Vec<RankMode> = loop_plan
-        .accesses
-        .iter()
-        .map(|ap| match &ap.reduce {
-            None | Some(PlannedReduce::Direct) => RankMode::Plain,
-            Some(PlannedReduce::Guarded) => RankMode::Guarded,
-            Some(PlannedReduce::Buffered) => RankMode::Buffered,
-            Some(PlannedReduce::BufferedPrivate { private }) => {
-                RankMode::BufferedPrivate { private: &parts[private.0 as usize] }
-            }
-        })
-        .collect();
-    // bufs[bi][color]: task-local partial buffers, lazily identity-filled.
+    let abort = env.abort;
+    // bufs[buf][color]: the partial buffers of the rank's tasks (two-step
+    // reductions), present once a task contributed.
     let mut bufs: Vec<Vec<Option<Vec<f64>>>> =
-        all_buf_sets.iter().map(|_| vec![None; n_colors]).collect();
-    let env = EpochEnv {
-        rank,
-        lp,
-        loop_plan,
-        parts,
-        iter,
-        write_own: lx.write_own.as_ref(),
-        modes,
-        all_buf_sets,
-        buf_set_of_access,
-        fns,
-        schema,
-        check,
-        abort,
-        violation,
+        setup.buffers.iter().map(|_| vec![None; xplan.n_colors]).collect();
+    // A route moves the buffers of the access it names.
+    let buf_of = |route: &BufferRoute| {
+        let buf = setup.buffers.iter().position(|b| b.access == route.access);
+        buf.expect("route targets a buffered access")
+    };
+    let mut run_color = |color: usize, store: &mut RankStore, stats: &mut RankStats| {
+        let mut ctx = PartCtx::new(store, env, setup, color);
+        run_loop_over(lp, &mut ctx, setup.iter.subregion(color).iter());
+        stats.tasks_run += 1;
+        stats.counts.add(&ctx.counts);
+        for (per_color, buf) in bufs.iter_mut().zip(ctx.bufs) {
+            per_color[color] = buf;
+        }
     };
 
     // Phase 1: pack and push ghosts (owner-fresh loop-start values).
@@ -340,7 +256,7 @@ fn run_epoch(
     // Phase 2: interior compute, overlapping the ghost traffic in flight.
     let t = Instant::now();
     for &c in &lx.interior[rank] {
-        run_color(&env, c, store, &mut bufs, stats);
+        run_color(c, store, stats);
     }
     let d = t.elapsed().as_nanos() as u64;
     stats.compute_ns += d;
@@ -372,7 +288,7 @@ fn run_epoch(
             if color_done[k] || !deps[k].iter().all(|&s| installed[s]) {
                 continue;
             }
-            run_color(&env, c, store, &mut bufs, stats);
+            run_color(c, store, stats);
             color_done[k] = true;
             ran = true;
         }
@@ -430,7 +346,7 @@ fn run_epoch(
         store.pack(wb, &mut values);
         let mut flags = Vec::new();
         for route in &lx.routes {
-            let bi = env.buf_set_of_access[route.access].expect("route targets a buffered access");
+            let bi = buf_of(route);
             for &c in my_colors {
                 let Some((_, set)) = route.by_color[c].iter().find(|(d, _)| *d == dst) else {
                     continue;
@@ -439,7 +355,7 @@ fn run_epoch(
                 flags.push(present);
                 if present {
                     let buf = bufs[bi][c].as_ref().expect("checked above");
-                    let buf_set = &env.all_buf_sets[bi][c];
+                    let buf_set = &setup.buffers[bi].sets[c];
                     values.extend(set.iter().map(|i| {
                         buf[buf_set.rank(i).expect("route slice within buffer set") as usize]
                     }));
@@ -525,7 +441,7 @@ fn run_epoch(
     // threaded executor's merge, restricted to the elements this rank owns.
     let t = Instant::now();
     for (ri, route) in lx.routes.iter().enumerate() {
-        let bi = env.buf_set_of_access[route.access].expect("route targets a buffered access");
+        let bi = buf_of(route);
         remote[ri].sort_by_key(|(c, _)| *c);
         for (c, slices) in route.by_color.iter().enumerate() {
             let Some((_, set)) = slices.iter().find(|(d, _)| *d == rank) else {
@@ -533,7 +449,7 @@ fn run_epoch(
             };
             if xplan.rank_of_color(c) == rank {
                 let Some(buf) = bufs[bi][c].as_ref() else { continue };
-                let buf_set = &env.all_buf_sets[bi][c];
+                let buf_set = &setup.buffers[bi].sets[c];
                 for i in set.iter() {
                     let v = buf[buf_set.rank(i).expect("route slice within buffer set") as usize];
                     merge_apply(store, route.field, i, route.op, v);
@@ -561,8 +477,8 @@ fn elapsed(start: Option<Instant>) -> u64 {
 }
 
 fn merge_apply(store: &mut RankStore, field: FieldId, i: Idx, op: ReduceOp, v: f64) {
-    let cur = store.try_read_f64(field, i).expect("owner merge target is resident");
-    store.try_write_f64(field, i, op.apply(cur, v));
+    let cur = store.read_f64(field, i).expect("owner merge target is resident");
+    store.write_f64(field, i, op.apply(cur, v));
 }
 
 fn send(
@@ -635,230 +551,4 @@ fn send_faulty(
         return Ok(());
     }
     send(senders, dst, msg, abort)
-}
-
-/// Runs one color through the rank data context.
-fn run_color(
-    env: &EpochEnv<'_>,
-    color: usize,
-    store: &mut RankStore,
-    bufs: &mut [Vec<Option<Vec<f64>>>],
-    stats: &mut RankStats,
-) {
-    let mut ctx = RankCtx {
-        rank: env.rank,
-        store,
-        fns: env.fns,
-        schema: env.schema,
-        plan: env.loop_plan,
-        parts: env.parts,
-        modes: &env.modes,
-        color,
-        write_own: env.write_own.map(|o| &o[color]),
-        check: env.check,
-        bufs,
-        buf_set_of_access: &env.buf_set_of_access,
-        all_buf_sets: &env.all_buf_sets,
-        checks_done: 0,
-        guard_hits: 0,
-        guard_skips: 0,
-        write_skips: 0,
-        buffer_bytes: 0,
-        abort: env.abort,
-        violation: env.violation,
-    };
-    run_loop_over(env.lp, &mut ctx, env.iter.subregion(color).iter());
-    stats.tasks_run += 1;
-    stats.legality_checks += ctx.checks_done;
-    stats.guard_hits += ctx.guard_hits;
-    stats.guard_skips += ctx.guard_skips;
-    stats.write_skips += ctx.write_skips;
-    stats.buffer_bytes += ctx.buffer_bytes;
-}
-
-/// Rank-local data context: `exec::TaskCtx` semantics over a sharded store.
-struct RankCtx<'a> {
-    rank: usize,
-    store: &'a mut RankStore,
-    fns: &'a FnTable,
-    schema: &'a Schema,
-    plan: &'a LoopPlan,
-    parts: &'a [Arc<Partition>],
-    modes: &'a [RankMode<'a>],
-    color: usize,
-    write_own: Option<&'a IndexSet>,
-    check: bool,
-    bufs: &'a mut [Vec<Option<Vec<f64>>>],
-    buf_set_of_access: &'a [Option<usize>],
-    all_buf_sets: &'a [Vec<IndexSet>],
-    checks_done: u64,
-    guard_hits: u64,
-    guard_skips: u64,
-    write_skips: u64,
-    buffer_bytes: u64,
-    abort: &'a AtomicBool,
-    violation: &'a Mutex<Option<DistViolation>>,
-}
-
-impl RankCtx<'_> {
-    #[inline]
-    fn subregion(&self, a: AccessId) -> &IndexSet {
-        let part = self.plan.accesses[a.0 as usize].part;
-        self.parts[part.0 as usize].subregion(self.color)
-    }
-
-    /// Records a violation (subregion escape or non-resident access — the
-    /// distributed legality check) and aborts the rank.
-    #[cold]
-    fn fail(&self, a: AccessId, i: Idx) -> ! {
-        let v = DistViolation {
-            rank: self.rank,
-            loop_id: self.plan.loop_index,
-            task: self.color,
-            region: self.plan.accesses[a.0 as usize].region,
-            index: i,
-            access: a,
-        };
-        let mut slot = self.violation.lock();
-        if slot.is_none() {
-            *slot = Some(v);
-        }
-        drop(slot);
-        self.abort.store(true, Ordering::Relaxed);
-        panic!("distributed legality violation: {v}");
-    }
-
-    #[inline]
-    fn check_access(&mut self, a: AccessId, i: Idx) {
-        if self.check {
-            self.checks_done += 1;
-            if !self.subregion(a).contains(i) {
-                self.fail(a, i);
-            }
-        }
-    }
-
-    #[inline]
-    fn in_place(&mut self, a: AccessId, field: FieldId, i: Idx, op: ReduceOp, v: f64) {
-        match self.store.try_read_f64(field, i) {
-            Some(cur) => {
-                self.store.try_write_f64(field, i, op.apply(cur, v));
-            }
-            None => self.fail(a, i),
-        }
-    }
-
-    fn buffer_reduce(&mut self, a: AccessId, i: Idx, op: ReduceOp, v: f64) {
-        let bi = self.buf_set_of_access[a.0 as usize].expect("buffered access");
-        let set = &self.all_buf_sets[bi][self.color];
-        let rank = match set.rank(i) {
-            Some(r) => r as usize,
-            None => self.fail(a, i),
-        };
-        if self.bufs[bi][self.color].is_none() {
-            self.buffer_bytes += set.len() * 8;
-            self.bufs[bi][self.color] = Some(vec![op.identity(); set.len() as usize]);
-        }
-        let buf = self.bufs[bi][self.color].as_mut().expect("allocated above");
-        buf[rank] = op.apply(buf[rank], v);
-    }
-
-    fn eval_index_fn(&self, f: &IndexFn, i: Idx, target_size: u64) -> Idx {
-        match f {
-            IndexFn::Identity => i,
-            IndexFn::Affine { mul, add } => {
-                let v = (i as i64) * mul + add;
-                assert!(v >= 0 && (v as u64) < target_size, "affine out of range");
-                v as Idx
-            }
-            IndexFn::AffineMod { mul, add, modulus } => {
-                ((i as i64) * mul + add).rem_euclid(*modulus as i64) as Idx
-            }
-            IndexFn::Ptr { field } => self.store.read_ptr(*field, i),
-            IndexFn::Compose(a, b) => {
-                let mid = self.eval_index_fn(a, i, u64::MAX);
-                self.eval_index_fn(b, mid, target_size)
-            }
-        }
-    }
-}
-
-impl DataCtx for RankCtx<'_> {
-    fn read_f64(&mut self, a: AccessId, field: FieldId, i: Idx) -> f64 {
-        self.check_access(a, i);
-        match self.store.try_read_f64(field, i) {
-            Some(v) => v,
-            None => self.fail(a, i),
-        }
-    }
-
-    fn write_f64(&mut self, a: AccessId, field: FieldId, i: Idx, v: f64) {
-        self.check_access(a, i);
-        if let Some(own) = self.write_own {
-            if !own.contains(i) {
-                self.write_skips += 1;
-                return;
-            }
-        }
-        if !self.store.try_write_f64(field, i, v) {
-            self.fail(a, i);
-        }
-    }
-
-    fn reduce_f64(&mut self, a: AccessId, field: FieldId, i: Idx, op: ReduceOp, v: f64) {
-        match &self.modes[a.0 as usize] {
-            RankMode::Plain => {
-                self.check_access(a, i);
-                self.in_place(a, field, i, op, v);
-            }
-            RankMode::Guarded => {
-                if self.subregion(a).contains(i) {
-                    self.guard_hits += 1;
-                    self.in_place(a, field, i, op, v);
-                } else {
-                    self.guard_skips += 1;
-                }
-            }
-            RankMode::Buffered => {
-                self.check_access(a, i);
-                self.buffer_reduce(a, i, op, v);
-            }
-            RankMode::BufferedPrivate { private } => {
-                self.check_access(a, i);
-                if private.subregion(self.color).contains(i) {
-                    self.in_place(a, field, i, op, v);
-                } else {
-                    self.buffer_reduce(a, i, op, v);
-                }
-            }
-        }
-    }
-
-    fn read_ptr(&mut self, a: AccessId, field: FieldId, i: Idx) -> Idx {
-        self.check_access(a, i);
-        self.store.read_ptr(field, i)
-    }
-
-    fn eval_fn(&mut self, f: FnId, i: Idx) -> Idx {
-        let nf = self.fns.get(f);
-        let size = self.schema.region_size(nf.range);
-        match &nf.def {
-            FnDef::Index(func) => self.eval_index_fn(func, i, size),
-            FnDef::Multi(_) => panic!("eval_fn on multi-valued function"),
-        }
-    }
-
-    fn eval_multi(&mut self, a: AccessId, f: FnId, i: Idx, out: &mut Vec<Idx>) {
-        self.check_access(a, i);
-        let nf = self.fns.get(f);
-        let size = self.schema.region_size(nf.range);
-        match &nf.def {
-            FnDef::Multi(MultiFn::RangeField { field }) => {
-                let (s, e) = self.store.read_range(*field, i);
-                out.extend(s..e.min(size));
-            }
-            FnDef::Multi(MultiFn::Lift(func)) => out.push(self.eval_index_fn(func, i, size)),
-            FnDef::Index(func) => out.push(self.eval_index_fn(func, i, size)),
-        }
-    }
 }

@@ -22,6 +22,7 @@
 //! subset of the field's local footprint — always maps to one contiguous
 //! local slice.
 
+use crate::task::Storage;
 use partir_core::exchange::{ExchangePlan, FieldSets};
 use partir_dpl::index_set::{Idx, IndexSet};
 use partir_dpl::region::{FieldId, FieldKind, Store};
@@ -123,47 +124,6 @@ impl RankStore {
         RankStore { fields }
     }
 
-    /// Reads global element `i`; `None` when it is not locally resident
-    /// (a distributed legality violation at the caller).
-    #[inline]
-    pub fn try_read_f64(&self, f: FieldId, i: Idx) -> Option<f64> {
-        match &self.fields[f.0 as usize] {
-            RankField::F64 { local, data } => local.pos(i).map(|p| data[p as usize]),
-            _ => None,
-        }
-    }
-
-    /// Writes global element `i`; `false` when it is not locally resident.
-    #[inline]
-    pub fn try_write_f64(&mut self, f: FieldId, i: Idx, v: f64) -> bool {
-        match &mut self.fields[f.0 as usize] {
-            RankField::F64 { local, data } => match local.pos(i) {
-                Some(p) => {
-                    data[p as usize] = v;
-                    true
-                }
-                None => false,
-            },
-            _ => false,
-        }
-    }
-
-    #[inline]
-    pub fn read_ptr(&self, f: FieldId, i: Idx) -> Idx {
-        match &self.fields[f.0 as usize] {
-            RankField::Ptr(v) => v[i as usize],
-            _ => panic!("field {f:?} is not Ptr"),
-        }
-    }
-
-    #[inline]
-    pub fn read_range(&self, f: FieldId, i: Idx) -> (Idx, Idx) {
-        match &self.fields[f.0 as usize] {
-            RankField::Range(v) => v[i as usize],
-            _ => panic!("field {f:?} is not Range"),
-        }
-    }
-
     /// Packs the values of `sets` (plan order: ascending field, ascending
     /// element) into `out`, returning how many elements were packed — one
     /// contiguous copy per run. Every run must be locally resident: the
@@ -251,6 +211,48 @@ impl RankStore {
     }
 }
 
+/// Global-index element access: an element outside `owned ∪ ghosts` is
+/// "not held" (a distributed legality violation at the caller).
+impl Storage for RankStore {
+    #[inline]
+    fn read_f64(&self, f: FieldId, i: Idx) -> Option<f64> {
+        match &self.fields[f.0 as usize] {
+            RankField::F64 { local, data } => local.pos(i).map(|p| data[p as usize]),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn write_f64(&mut self, f: FieldId, i: Idx, v: f64) -> bool {
+        match &mut self.fields[f.0 as usize] {
+            RankField::F64 { local, data } => match local.pos(i) {
+                Some(p) => {
+                    data[p as usize] = v;
+                    true
+                }
+                None => false,
+            },
+            _ => false,
+        }
+    }
+
+    #[inline]
+    fn read_ptr(&self, f: FieldId, i: Idx) -> Idx {
+        match &self.fields[f.0 as usize] {
+            RankField::Ptr(v) => v[i as usize],
+            _ => panic!("field {f:?} is not Ptr"),
+        }
+    }
+
+    #[inline]
+    fn read_range(&self, f: FieldId, i: Idx) -> (Idx, Idx) {
+        match &self.fields[f.0 as usize] {
+            RankField::Range(v) => v[i as usize],
+            _ => panic!("field {f:?} is not Range"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,11 +275,11 @@ mod tests {
                 data: vec![0.0, 1.0, 2.0, 3.0],
             }],
         };
-        assert_eq!(rs.try_read_f64(f, 2), Some(2.0));
-        assert_eq!(rs.try_read_f64(f, 6), None);
-        assert!(rs.try_write_f64(f, 3, 9.0));
-        assert!(!rs.try_write_f64(f, 5, 9.0));
-        assert_eq!(rs.try_read_f64(f, 3), Some(9.0));
+        assert_eq!(rs.read_f64(f, 2), Some(2.0));
+        assert_eq!(rs.read_f64(f, 6), None);
+        assert!(rs.write_f64(f, 3, 9.0));
+        assert!(!rs.write_f64(f, 5, 9.0));
+        assert_eq!(rs.read_f64(f, 3), Some(9.0));
     }
 
     #[test]
@@ -319,10 +321,10 @@ mod tests {
 
         let rest = rs.unpack(&sets, &[10.0, 20.0, 80.0, 90.0, 7.5]);
         assert_eq!(rest, &[7.5], "unpack consumes exactly the set elements");
-        assert_eq!(rs.try_read_f64(f, 1), Some(10.0));
-        assert_eq!(rs.try_read_f64(f, 2), Some(20.0));
-        assert_eq!(rs.try_read_f64(f, 8), Some(80.0));
-        assert_eq!(rs.try_read_f64(f, 9), Some(90.0));
-        assert_eq!(rs.try_read_f64(f, 0), Some(0.0), "untouched elements survive");
+        assert_eq!(rs.read_f64(f, 1), Some(10.0));
+        assert_eq!(rs.read_f64(f, 2), Some(20.0));
+        assert_eq!(rs.read_f64(f, 8), Some(80.0));
+        assert_eq!(rs.read_f64(f, 9), Some(90.0));
+        assert_eq!(rs.read_f64(f, 0), Some(0.0), "untouched elements survive");
     }
 }

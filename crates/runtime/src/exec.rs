@@ -1,49 +1,38 @@
 //! Parallel execution of auto-parallelized loops on host threads.
 //!
 //! One task per subregion ("color") of the iteration partition, scheduled
-//! over a fixed worker pool. The executor implements the paper's runtime
-//! mechanisms faithfully:
-//!
-//! * **legality checking** — with [`ExecOptions::check_legality`] every
-//!   region access is validated against the task's subregion of the
-//!   corresponding access partition; a violation means the synthesized
-//!   partitioning was wrong, so tests run with this on;
-//! * **two-step uncentered reductions** (Section 2) — `Buffered` reductions
-//!   accumulate into task-local buffers merged deterministically (in color
-//!   order) after the parallel phase;
-//! * **guards** (Section 5.1) — in relaxed loops a reduction applies only
-//!   when its target lies in the task's subregion of the (disjoint)
-//!   reduction partition, and centered writes apply only for the task that
-//!   first owns the iteration, so aliased iteration partitions preserve
-//!   sequential semantics;
-//! * **private sub-partitions** (Section 5.2) — `BufferedPrivate`
-//!   reductions write directly inside the private sub-partition and buffer
-//!   only the shared remainder, shrinking buffer bytes (reported in
-//!   [`ExecReport`]);
-//! * **fault tolerance** (see [`crate::fault`]) — with a [`FaultPlan`]
-//!   installed, task attempts die deterministically mid-loop (cleanly or by
-//!   poisoning the worker with a panic); every attempt runs against a
-//!   pre-attempt snapshot of the task's exclusive effect sets so failed
-//!   attempts roll back, bounded retries with backoff re-run the task, and
-//!   tasks that exhaust their retries are re-executed sequentially on the
-//!   main thread — so results stay bit-identical to the sequential
-//!   interpreter under any fault schedule.
+//! over a fixed worker pool, all running against one [`SharedStore`]
+//! through the shared compute core ([`crate::task`]: legality checking,
+//! guards, two-step reductions, private sub-partitions). What this module
+//! adds is the thread pool, the deterministic buffer merge (color order,
+//! ascending element order) and **fault tolerance** (see [`crate::fault`]):
+//! with a [`FaultPlan`] installed, task attempts die deterministically
+//! mid-loop (cleanly or by poisoning the worker with a panic); every
+//! attempt runs against a pre-attempt snapshot of the task's exclusive
+//! effect sets so failed attempts roll back, bounded retries with backoff
+//! re-run the task, and tasks that exhaust their retries are re-executed
+//! sequentially on the main thread — so results stay bit-identical to the
+//! sequential interpreter under any fault schedule.
 
 use crate::fault::{FaultPlan, InjectedPanic, RetryPolicy};
 use crate::shared::SharedStore;
+use crate::task::{panic_message, plan_loops, LoopSetup, Mode, PartCtx, Storage};
+use crate::task::{LegalityViolation, PlanError, TaskCounts, TaskEnv};
 use parking_lot::Mutex;
-use partir_core::pipeline::{LoopPlan, ParallelPlan, PlannedReduce};
-use partir_dpl::func::{FnDef, FnId, FnTable, IndexFn, MultiFn};
-use partir_dpl::index_set::{Idx, IndexSet};
+use partir_core::pipeline::ParallelPlan;
+use partir_dpl::func::FnTable;
+use partir_dpl::index_set::IndexSet;
 use partir_dpl::partition::Partition;
-use partir_dpl::region::{FieldId, RegionId, Schema, Store};
-use partir_ir::ast::{AccessId, Loop, ReduceOp, Stmt};
-use partir_ir::interp::{run_loop_over, DataCtx};
+use partir_dpl::region::{FieldId, Store};
+use partir_ir::analysis::AccessKind;
+use partir_ir::ast::{AccessId, Loop, Stmt};
+use partir_ir::interp::run_loop_over;
 use partir_obs::json::Json;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Executor configuration.
 #[derive(Clone, Copy, Debug)]
@@ -103,6 +92,16 @@ pub struct ExecReport {
 }
 
 impl ExecReport {
+    /// Adds one task attempt's counters. `buffer_bytes` is not among them:
+    /// this backend reports the planned buffer sets, not what tasks
+    /// happened to allocate.
+    fn count(&mut self, c: &TaskCounts) {
+        self.legality_checks += c.legality_checks;
+        self.guard_hits += c.guard_hits;
+        self.guard_skips += c.guard_skips;
+        self.write_skips += c.write_skips;
+    }
+
     /// Machine-readable form, for the JSON report envelopes.
     pub fn to_json(&self) -> Json {
         Json::object()
@@ -121,93 +120,26 @@ impl ExecReport {
     }
 }
 
-/// Structured description of a legality-check failure: which access of
-/// which loop, run by which task, touched which element outside its
-/// subregion.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LegalityViolation {
-    /// Loop index in execution order.
-    pub loop_id: usize,
-    /// The task (color) whose access escaped its subregion.
-    pub task: usize,
-    /// Region the violating access targets.
-    pub region: RegionId,
-    /// The element touched outside the subregion.
-    pub index: Idx,
-    /// The access site within the loop.
-    pub access: AccessId,
-}
-
-impl fmt::Display for LegalityViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "loop {} task {}: access {:?} touched element {} of region r{} outside its subregion",
-            self.loop_id, self.task, self.access, self.index, self.region.0
-        )
-    }
-}
-
 /// Execution failure.
 #[derive(Debug)]
 pub enum ExecError {
-    /// The plan does not describe this program (loop counts differ).
-    PlanMismatch { plan_loops: usize, program_loops: usize },
-    /// A plan references a partition index outside the evaluated set.
-    PartitionIndexOutOfBounds { loop_index: usize, part: usize, len: usize },
-    /// Partitions disagree on the launch width (subregion counts differ).
-    PartitionWidthMismatch { part: usize, expected: usize, got: usize },
-    /// A partition contains element indices outside its region.
-    PartitionExceedsRegion { loop_index: usize, part: usize, index: Idx, size: u64 },
-    /// The iteration partition misses elements of the iteration space.
-    IncompleteIteration { loop_index: usize },
-    /// A loop with centered reductions got an aliased iteration partition.
-    IterationNotDisjoint { loop_index: usize },
-    /// A direct/guarded reduction partition is not disjoint.
-    ReductionNotDisjoint { loop_index: usize, access: AccessId },
+    /// The plan or its partitions cannot drive this program.
+    Plan(PlanError),
     /// A task accessed an element outside its subregion (legality check).
     Legality(LegalityViolation),
     /// A worker panicked (a genuine bug, not an injected fault).
     TaskPanic(String),
     /// A task exhausted its retries and sequential recovery was disabled.
     TaskFailed { loop_index: usize, color: usize, attempts: u32 },
-    /// Internal buffered-reduction bookkeeping lost its field binding.
+    /// A task buffered contributions for an access the plan does not list
+    /// as a reduction.
     BufferStateCorrupt { loop_index: usize },
 }
 
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecError::PlanMismatch { plan_loops, program_loops } => {
-                write!(f, "plan describes {plan_loops} loops but the program has {program_loops}")
-            }
-            ExecError::PartitionIndexOutOfBounds { loop_index, part, len } => {
-                write!(
-                    f,
-                    "loop {loop_index}: partition index {part} out of bounds ({len} evaluated)"
-                )
-            }
-            ExecError::PartitionWidthMismatch { part, expected, got } => {
-                write!(f, "partition {part} has {got} subregions, launch width is {expected}")
-            }
-            ExecError::PartitionExceedsRegion { loop_index, part, index, size } => {
-                write!(
-                    f,
-                    "loop {loop_index}: partition {part} contains element {index} outside its region (size {size})"
-                )
-            }
-            ExecError::IncompleteIteration { loop_index } => {
-                write!(f, "loop {loop_index}: iteration partition incomplete")
-            }
-            ExecError::IterationNotDisjoint { loop_index } => {
-                write!(
-                    f,
-                    "loop {loop_index}: centered reductions need a disjoint iteration partition"
-                )
-            }
-            ExecError::ReductionNotDisjoint { loop_index, access } => {
-                write!(f, "loop {loop_index}: reduction partition for {access:?} not disjoint")
-            }
+            ExecError::Plan(e) => write!(f, "{e}"),
             ExecError::Legality(v) => write!(f, "legality violation: {v}"),
             ExecError::TaskPanic(m) => write!(f, "task panicked: {m}"),
             ExecError::TaskFailed { loop_index, color, attempts } => {
@@ -225,24 +157,18 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Per-access execution mode with partition data resolved.
-enum Mode<'a> {
-    /// Plain read/write/centered-reduce/direct-reduce: access checked
-    /// against the subregion, effect applied in place.
-    Plain,
-    /// Relaxed guarded reduction: apply iff target in the subregion.
-    Guarded,
-    /// Buffered reduction over the per-color buffer set.
-    Buffered { buf_sets: &'a [IndexSet] },
-    /// Direct within `private`, buffered over `buf_sets` otherwise.
-    BufferedPrivate { private: &'a Partition, buf_sets: &'a [IndexSet] },
+impl From<PlanError> for ExecError {
+    fn from(e: PlanError) -> Self {
+        ExecError::Plan(e)
+    }
 }
 
 /// Executes every loop of `program` in order under `plan`.
 ///
 /// `parts` must be `plan.evaluate(...)` output (indexed by `PartId`); every
 /// partition must have the same number of subregions (the launch width).
-/// Both properties are validated up front and reported as typed errors.
+/// The plan and partitions are validated up front, before any loop runs,
+/// and defects are reported as typed errors.
 pub fn execute_program(
     program: &[Loop],
     plan: &ParallelPlan,
@@ -251,19 +177,27 @@ pub fn execute_program(
     fns: &FnTable,
     opts: &ExecOptions,
 ) -> Result<ExecReport, ExecError> {
-    {
-        let vspan = partir_obs::span("exec.validate");
-        validate_plan(program, plan, parts, store.schema(), opts)?;
-        drop(vspan);
-    }
+    let setups = {
+        let _span = partir_obs::span("exec.validate");
+        plan_loops(program, plan, parts, store.schema(), opts.check_legality, None)?
+    };
+    let schema = store.schema().clone();
+    let (abort, violation) = (AtomicBool::new(false), Mutex::new(None));
+    let env = TaskEnv {
+        fns,
+        schema: &schema,
+        check: opts.check_legality,
+        rank: None,
+        abort: &abort,
+        violation: &violation,
+    };
     let mut report = ExecReport::default();
     // Cumulative task ordinal (loop-major, color-minor): the deterministic
     // coordinate `FaultPlan::poison_after` thresholds on.
     let mut ordinal_base = 0u64;
-    for (li, lp) in program.iter().enumerate() {
-        let n_colors = parts[plan.loops[li].iter.0 as usize].num_subregions() as u64;
-        execute_loop(li, lp, plan, parts, store, fns, opts, &mut report, ordinal_base)?;
-        ordinal_base += n_colors;
+    for (li, (lp, setup)) in program.iter().zip(&setups).enumerate() {
+        execute_loop(li, lp, setup, store, &env, opts, &mut report, ordinal_base)?;
+        ordinal_base += setup.iter.num_subregions() as u64;
     }
     partir_obs::counter("exec.tasks_run", report.tasks_run);
     partir_obs::counter("exec.legality_checks", report.legality_checks);
@@ -275,78 +209,6 @@ pub fn execute_program(
     partir_obs::counter("exec.panics_isolated", report.panics_isolated);
     partir_obs::flush_counters();
     Ok(report)
-}
-
-/// Up-front validation of the plan/partition invariants the unsafe shared
-/// store relies on, as typed errors instead of downstream panics or (in
-/// release builds) out-of-bounds raw-pointer arithmetic.
-fn validate_plan(
-    program: &[Loop],
-    plan: &ParallelPlan,
-    parts: &[Arc<Partition>],
-    schema: &Schema,
-    opts: &ExecOptions,
-) -> Result<(), ExecError> {
-    if plan.loops.len() != program.len() {
-        return Err(ExecError::PlanMismatch {
-            plan_loops: plan.loops.len(),
-            program_loops: program.len(),
-        });
-    }
-    let width = parts.first().map(|p| p.num_subregions()).unwrap_or(0);
-    for (pi, p) in parts.iter().enumerate() {
-        if p.num_subregions() != width {
-            return Err(ExecError::PartitionWidthMismatch {
-                part: pi,
-                expected: width,
-                got: p.num_subregions(),
-            });
-        }
-    }
-    let check_part = |li: usize, part: usize| -> Result<(), ExecError> {
-        if part >= parts.len() {
-            return Err(ExecError::PartitionIndexOutOfBounds {
-                loop_index: li,
-                part,
-                len: parts.len(),
-            });
-        }
-        Ok(())
-    };
-    // Element-bounds validation walks every subregion, so it rides on the
-    // legality-checking switch (on for tests, off for benches).
-    let check_bounds = |li: usize, part: usize, region: RegionId| -> Result<(), ExecError> {
-        if !opts.check_legality {
-            return Ok(());
-        }
-        let size = schema.region_size(region);
-        for sub in parts[part].subregions() {
-            if let Some(m) = sub.max() {
-                if m >= size {
-                    return Err(ExecError::PartitionExceedsRegion {
-                        loop_index: li,
-                        part,
-                        index: m,
-                        size,
-                    });
-                }
-            }
-        }
-        Ok(())
-    };
-    for (li, lplan) in plan.loops.iter().enumerate() {
-        check_part(li, lplan.iter.0 as usize)?;
-        check_bounds(li, lplan.iter.0 as usize, program[li].region)?;
-        for ap in &lplan.accesses {
-            check_part(li, ap.part.0 as usize)?;
-            check_bounds(li, ap.part.0 as usize, ap.region)?;
-            if let Some(PlannedReduce::BufferedPrivate { private }) = &ap.reduce {
-                check_part(li, private.0 as usize)?;
-                check_bounds(li, private.0 as usize, ap.region)?;
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Mutating access sites of a loop body: `(access, field, is_write)`.
@@ -366,82 +228,66 @@ fn collect_mut_sites(body: &[Stmt], out: &mut Vec<(AccessId, FieldId, bool)>) {
 /// Saved pre-attempt values of one task's exclusive effect sets. Restoring
 /// is race-free: every saved element is owned by exactly this task (the
 /// same ownership argument that makes the direct effects race-free).
-struct TaskSnapshot<'a> {
-    saved: Vec<(FieldId, &'a IndexSet, Vec<f64>)>,
-}
+type TaskSnapshot<'a> = Vec<(FieldId, &'a IndexSet, Vec<f64>)>;
 
 /// Resolves the store elements one mutating site may touch for `color`, or
 /// `None` when the site's effects are task-local (buffered reductions).
 fn effect_set<'a>(
     site: &(AccessId, FieldId, bool),
-    lplan: &LoopPlan,
-    parts: &'a [Arc<Partition>],
-    iter: &'a Partition,
-    write_own: Option<&'a Vec<IndexSet>>,
+    setup: &'a LoopSetup<'a>,
     color: usize,
 ) -> Option<&'a IndexSet> {
     let (access, _, is_write) = site;
-    let ap = &lplan.accesses[access.0 as usize];
+    let ai = access.0 as usize;
     if *is_write {
         // Centered write: the task's iterations, narrowed to first-owner
         // elements when the iteration partition aliases.
-        return Some(match write_own {
+        return Some(match &setup.write_own {
             Some(own) => &own[color],
-            None => iter.subregion(color),
+            None => setup.iter.subregion(color),
         });
     }
-    match &ap.reduce {
+    match (&setup.lplan.accesses[ai].reduce, setup.modes[ai]) {
         // Centered reduction: disjoint iteration partition enforced.
-        None => Some(iter.subregion(color)),
-        // Direct/guarded effects land in the (disjoint) access partition.
-        Some(PlannedReduce::Direct) | Some(PlannedReduce::Guarded) => {
-            Some(parts[ap.part.0 as usize].subregion(color))
-        }
+        (None, _) => Some(setup.iter.subregion(color)),
         // Buffered contributions live in task-local buffers until the
         // post-scope merge; a failed attempt just drops them.
-        Some(PlannedReduce::Buffered) => None,
+        (_, Mode::Buffered(_)) => None,
         // Only the private (disjoint) slice is mutated in place.
-        Some(PlannedReduce::BufferedPrivate { private }) => {
-            Some(parts[private.0 as usize].subregion(color))
-        }
+        (_, Mode::BufferedPrivate { private, .. }) => Some(private.subregion(color)),
+        // Direct/guarded effects land in the (disjoint) access partition.
+        _ => Some(setup.parts[ai].subregion(color)),
     }
 }
 
 /// Saves the pre-attempt values of every element the task may mutate.
-///
-/// # Safety argument
-/// Reads race with nothing: each saved element is exclusively owned by this
-/// task during the parallel phase (see `effect_set` and shared.rs docs).
+/// Reads race with nothing: each saved element is exclusively owned by
+/// this task during the parallel phase (see `effect_set` and shared.rs).
 fn take_snapshot<'a>(
     shared: &SharedStore,
     sites: &[(AccessId, FieldId, bool)],
-    lplan: &LoopPlan,
-    parts: &'a [Arc<Partition>],
-    iter: &'a Partition,
-    write_own: Option<&'a Vec<IndexSet>>,
+    setup: &'a LoopSetup<'a>,
     color: usize,
 ) -> TaskSnapshot<'a> {
-    let mut saved: Vec<(FieldId, &IndexSet, Vec<f64>)> = Vec::new();
+    let mut saved: TaskSnapshot<'a> = Vec::new();
     for site in sites {
-        let Some(set) = effect_set(site, lplan, parts, iter, write_own, color) else {
-            continue;
-        };
+        let Some(set) = effect_set(site, setup, color) else { continue };
         let field = site.1;
         if saved.iter().any(|(f, s, _)| *f == field && std::ptr::eq(*s, set)) {
             continue; // site already covered (same field, same element set)
         }
-        let vals: Vec<f64> = set.iter().map(|i| unsafe { shared.read_f64(field, i) }).collect();
-        saved.push((field, set, vals));
+        let held = |i| shared.read_f64(field, i).expect("effect sets lie inside their field");
+        saved.push((field, set, set.iter().map(held).collect()));
     }
-    TaskSnapshot { saved }
+    saved
 }
 
 /// Rolls a failed attempt back to the snapshot (same exclusivity argument
 /// as `take_snapshot`).
-fn restore_snapshot(shared: &SharedStore, snap: &TaskSnapshot<'_>) {
-    for (field, set, vals) in &snap.saved {
-        for (rank, i) in set.iter().enumerate() {
-            unsafe { shared.write_f64(*field, i, vals[rank]) };
+fn restore_snapshot(mut shared: &SharedStore, snap: &TaskSnapshot<'_>) {
+    for (field, set, vals) in snap {
+        for (i, &v) in set.iter().zip(vals) {
+            shared.write_f64(*field, i, v);
         }
     }
 }
@@ -449,7 +295,7 @@ fn restore_snapshot(shared: &SharedStore, snap: &TaskSnapshot<'_>) {
 /// How one task (color) ended after its attempt loop.
 enum TaskOutcome {
     /// Completed; carries the task-local reduction buffers to publish.
-    Done(Vec<Vec<f64>>),
+    Done(Vec<Option<Vec<f64>>>),
     /// All attempts failed; queued for sequential recovery.
     Exhausted,
     /// Fatal condition (legality violation or genuine panic); stop the run.
@@ -460,18 +306,15 @@ enum TaskOutcome {
 fn execute_loop(
     li: usize,
     lp: &Loop,
-    plan: &ParallelPlan,
-    parts: &[Arc<Partition>],
+    setup: &LoopSetup<'_>,
     store: &mut Store,
-    fns: &FnTable,
+    env: &TaskEnv<'_>,
     opts: &ExecOptions,
     report: &mut ExecReport,
     ordinal_base: u64,
 ) -> Result<(), ExecError> {
-    let loop_plan = &plan.loops[li];
-    let iter: &Partition = &parts[loop_plan.iter.0 as usize];
+    let iter = setup.iter;
     let n_colors = iter.num_subregions();
-    let region_size = store.schema().region_size(lp.region);
     let tracing = partir_obs::trace_enabled();
     let loop_span = partir_obs::span_with(
         "exec.loop",
@@ -481,163 +324,62 @@ fn execute_loop(
             ("colors", n_colors.into()),
         ],
     );
-
-    // Dynamic validation of the partitioning invariants the plan relies on.
-    if !iter.is_complete(region_size) {
-        return Err(ExecError::IncompleteIteration { loop_index: li });
-    }
-    let iter_disjoint = iter.is_disjoint();
-    if loop_plan.iter_must_be_disjoint && !iter_disjoint {
-        return Err(ExecError::IterationNotDisjoint { loop_index: li });
-    }
-
-    // Write-ownership sets: with an aliased iteration partition, a centered
-    // write applies only in the first task owning the iteration.
-    let write_own: Option<Vec<IndexSet>> = if iter_disjoint {
-        None
-    } else {
-        let mut seen = IndexSet::new();
-        let own = iter
-            .iter()
-            .map(|s| {
-                let mine = s.difference(&seen);
-                seen = seen.union(s);
-                mine
-            })
-            .collect();
-        Some(own)
-    };
-
-    // Resolve per-access modes and allocate buffer sets.
-    let mut modes: Vec<Mode> = Vec::with_capacity(loop_plan.accesses.len());
-    // Buffer sets, owned out-of-line so `Mode` can borrow them.
-    let mut all_buf_sets: Vec<Vec<IndexSet>> = Vec::new();
-    let mut buf_set_of_access: Vec<Option<usize>> = vec![None; loop_plan.accesses.len()];
-    for (ai, ap) in loop_plan.accesses.iter().enumerate() {
-        let part = &parts[ap.part.0 as usize];
-        match &ap.reduce {
-            None | Some(PlannedReduce::Direct) => {
-                if matches!(ap.reduce, Some(PlannedReduce::Direct)) && !part.is_disjoint() {
-                    return Err(ExecError::ReductionNotDisjoint {
-                        loop_index: li,
-                        access: AccessId(ai as u32),
-                    });
-                }
-            }
-            Some(PlannedReduce::Guarded) => {
-                if !part.is_disjoint() {
-                    return Err(ExecError::ReductionNotDisjoint {
-                        loop_index: li,
-                        access: AccessId(ai as u32),
-                    });
-                }
-            }
-            Some(PlannedReduce::Buffered) => {
-                let sets: Vec<IndexSet> = part.subregions().to_vec();
-                report.buffer_bytes += sets.iter().map(|s| s.len() * 8).sum::<u64>();
-                buf_set_of_access[ai] = Some(all_buf_sets.len());
-                all_buf_sets.push(sets);
-            }
-            Some(PlannedReduce::BufferedPrivate { private }) => {
-                let ppart = &parts[private.0 as usize];
-                if !ppart.is_disjoint() {
-                    return Err(ExecError::ReductionNotDisjoint {
-                        loop_index: li,
-                        access: AccessId(ai as u32),
-                    });
-                }
-                let sets: Vec<IndexSet> = part
-                    .subregions()
-                    .iter()
-                    .zip(ppart.subregions())
-                    .map(|(a, p)| a.difference(p))
-                    .collect();
-                let full_bytes = part.subregions().iter().map(|s| s.len() * 8).sum::<u64>();
-                let shared_bytes = sets.iter().map(|s| s.len() * 8).sum::<u64>();
-                report.buffer_bytes += shared_bytes;
-                report.private_buffer_bytes_saved += full_bytes - shared_bytes;
-                buf_set_of_access[ai] = Some(all_buf_sets.len());
-                all_buf_sets.push(sets);
-            }
-        }
-    }
-    for (ai, ap) in loop_plan.accesses.iter().enumerate() {
-        let mode = match &ap.reduce {
-            None | Some(PlannedReduce::Direct) => Mode::Plain,
-            Some(PlannedReduce::Guarded) => Mode::Guarded,
-            Some(PlannedReduce::Buffered) => Mode::Buffered {
-                buf_sets: &all_buf_sets
-                    [buf_set_of_access[ai].expect("buffer set allocated in first pass")],
-            },
-            Some(PlannedReduce::BufferedPrivate { private }) => Mode::BufferedPrivate {
-                private: &parts[private.0 as usize],
-                buf_sets: &all_buf_sets
-                    [buf_set_of_access[ai].expect("buffer set allocated in first pass")],
-            },
-        };
-        modes.push(mode);
-    }
+    report.buffer_bytes += setup.planned_buffer_bytes;
+    report.private_buffer_bytes_saved += setup.private_bytes_saved;
 
     // Mutating sites (for effect-set snapshots); only needed under faults.
-    let mut_sites: Vec<(AccessId, FieldId, bool)> = if opts.fault.is_some() {
-        let mut sites = Vec::new();
-        collect_mut_sites(&lp.body, &mut sites);
-        sites
-    } else {
-        Vec::new()
-    };
+    let mut mut_sites = Vec::new();
+    if opts.fault.is_some() {
+        collect_mut_sites(&lp.body, &mut mut_sites);
+    }
 
-    // Buffers returned by tasks: buffers[buf_idx][color].
+    // Buffers published by completed tasks: buffers[buf][color].
     let buffers: Vec<Vec<Mutex<Option<Vec<f64>>>>> =
-        all_buf_sets.iter().map(|sets| sets.iter().map(|_| Mutex::new(None)).collect()).collect();
-    // Reduce ops discovered during execution (per buffered access index).
-    let buf_ops: Vec<Mutex<Option<ReduceOp>>> =
-        all_buf_sets.iter().map(|_| Mutex::new(None)).collect();
-    // The field each buffered access targets.
-    let buf_fields: Vec<Mutex<Option<FieldId>>> =
-        all_buf_sets.iter().map(|_| Mutex::new(None)).collect();
-
-    let violation: Mutex<Option<LegalityViolation>> = Mutex::new(None);
+        setup.buffers.iter().map(|b| b.sets.iter().map(|_| Mutex::new(None)).collect()).collect();
+    let publish = |color: usize, bufs: Vec<Option<Vec<f64>>>| {
+        for (slots, buf) in buffers.iter().zip(bufs).filter(|(_, buf)| buf.is_some()) {
+            *slots[color].lock() = buf;
+        }
+    };
     let genuine_panic: Mutex<Option<String>> = Mutex::new(None);
     // Colors that exhausted their retries, for sequential recovery.
     let failed: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-    let abort = AtomicBool::new(false);
-    let guard_hits = AtomicU64::new(0);
-    let guard_skips = AtomicU64::new(0);
-    let write_skips = AtomicU64::new(0);
-    let legality_checks = AtomicU64::new(0);
-    let faults_injected = AtomicU64::new(0);
-    let task_retries = AtomicU64::new(0);
-    let panics_isolated = AtomicU64::new(0);
+    // Workers add into the run's report once per task attempt.
+    let before = *report;
+    let tally = Mutex::new(report);
     let next_color = AtomicUsize::new(0);
-    let schema = store.schema().clone();
     let shared = SharedStore::new(store);
+    // One attempt of `color` through a fresh data context, over its whole
+    // subregion or only the first `survive` iterations.
+    let run_task = |color: usize, survive: Option<u64>| {
+        let mut ctx = PartCtx::new(&shared, env, setup, color);
+        let iters = iter.subregion(color).iter();
+        run_loop_over(lp, &mut ctx, iters.take(survive.map_or(usize::MAX, |n| n as usize)));
+        (ctx.counts, ctx.bufs)
+    };
 
     let scope_result = crossbeam::scope(|s| {
         for _ in 0..opts.n_threads.max(1) {
             s.spawn(|_| {
                 loop {
-                    if abort.load(Ordering::Relaxed) {
+                    if env.abort.load(Ordering::Relaxed) {
                         break;
                     }
                     let color = next_color.fetch_add(1, Ordering::Relaxed);
                     if color >= n_colors {
                         break;
                     }
-                    let sub = iter.subregion(color);
                     // Pre-attempt snapshot of the task's exclusive effect
                     // sets, so any failed attempt can roll back.
-                    let snapshot = opts.fault.map(|_| {
-                        take_snapshot(
-                            &shared,
-                            &mut_sites,
-                            loop_plan,
-                            parts,
-                            iter,
-                            write_own.as_ref(),
-                            color,
-                        )
-                    });
+                    let snapshot =
+                        opts.fault.map(|_| take_snapshot(&shared, &mut_sites, setup, color));
+                    let coords = |attempt: u32| -> Vec<(&'static str, partir_obs::Value)> {
+                        vec![
+                            ("loop", li.into()),
+                            ("color", color.into()),
+                            ("attempt", attempt.into()),
+                        ]
+                    };
                     let mut attempt: u32 = 0;
                     let outcome = loop {
                         let injection = opts.fault.and_then(|fp| {
@@ -646,7 +388,7 @@ fn execute_loop(
                                 color as u64,
                                 attempt,
                                 ordinal_base + color as u64,
-                                sub.len(),
+                                iter.subregion(color).len(),
                             )
                         });
                         // AssertUnwindSafe: shared state touched by a dying
@@ -654,103 +396,49 @@ fn execute_loop(
                         // (rolled back below) and task-local buffers (moved
                         // out only on success, dropped by the unwind).
                         let result = catch_unwind(AssertUnwindSafe(|| {
-                            let mut ctx = TaskCtx {
-                                shared: &shared,
-                                fns,
-                                schema: &schema,
-                                plan: loop_plan,
-                                parts,
-                                modes: &modes,
-                                color,
-                                write_own: write_own.as_ref().map(|o| &o[color]),
-                                check: opts.check_legality,
-                                local_bufs: all_buf_sets.iter().map(|_| Vec::new()).collect(),
-                                buf_set_of_access: &buf_set_of_access,
-                                buf_ops: &buf_ops,
-                                buf_fields: &buf_fields,
-                                checks_done: 0,
-                                guard_hits: &guard_hits,
-                                guard_skips: &guard_skips,
-                                write_skips: &write_skips,
-                                violation: &violation,
-                            };
-                            let t_task =
-                                if tracing { Some(std::time::Instant::now()) } else { None };
-                            let killed = match injection {
-                                Some(fault) => {
-                                    run_loop_over(
-                                        lp,
-                                        &mut ctx,
-                                        sub.iter().take(fault.survive_iters as usize),
-                                    );
-                                    if fault.poison {
-                                        std::panic::panic_any(InjectedPanic);
-                                    }
-                                    true
-                                }
-                                None => {
-                                    run_loop_over(lp, &mut ctx, sub.iter());
-                                    false
-                                }
-                            };
-                            if !killed {
-                                if let Some(t) = t_task {
-                                    partir_obs::instant(
-                                        "exec.task",
-                                        vec![
-                                            ("loop", li.into()),
-                                            ("color", color.into()),
-                                            ("attempt", attempt.into()),
-                                            ("elapsed_ns", (t.elapsed().as_nanos() as u64).into()),
-                                        ],
-                                    );
-                                }
+                            let t_task = tracing.then(Instant::now);
+                            let done = run_task(color, injection.map(|f| f.survive_iters));
+                            if injection.is_some_and(|f| f.poison) {
+                                std::panic::panic_any(InjectedPanic);
                             }
-                            (ctx.checks_done, ctx.local_bufs, killed)
+                            if let (None, Some(t)) = (injection, t_task) {
+                                let mut fields = coords(attempt);
+                                fields.push(("elapsed_ns", (t.elapsed().as_nanos() as u64).into()));
+                                partir_obs::instant("exec.task", fields);
+                            }
+                            done
                         }));
-                        let injected_death = match result {
-                            Ok((checks, bufs, killed)) => {
-                                legality_checks.fetch_add(checks, Ordering::Relaxed);
-                                if !killed {
+                        match result {
+                            Ok((counts, bufs)) => {
+                                tally.lock().count(&counts);
+                                if injection.is_none() {
                                     break TaskOutcome::Done(bufs);
                                 }
-                                true // clean injected kill
+                                // Clean injected kill.
                             }
                             Err(payload) => {
                                 // A legality panic means the *plan* is wrong:
                                 // never retried, never recovered — masking it
                                 // would hide the solver bug faults are
                                 // supposed to be orthogonal to.
-                                if violation.lock().is_some() {
-                                    abort.store(true, Ordering::Relaxed);
+                                if env.violation.lock().is_some() {
                                     break TaskOutcome::Abort;
                                 }
-                                panics_isolated.fetch_add(1, Ordering::Relaxed);
-                                if payload.downcast_ref::<InjectedPanic>().is_some() {
-                                    true // injected poison
-                                } else {
+                                tally.lock().panics_isolated += 1;
+                                if payload.downcast_ref::<InjectedPanic>().is_none() {
                                     // Genuine bug: isolate and stop the run.
-                                    let mut slot = genuine_panic.lock();
-                                    if slot.is_none() {
-                                        *slot = Some(panic_message(payload));
-                                    }
-                                    drop(slot);
-                                    abort.store(true, Ordering::Relaxed);
+                                    genuine_panic
+                                        .lock()
+                                        .get_or_insert_with(|| panic_message(payload));
+                                    env.abort.store(true, Ordering::Relaxed);
                                     break TaskOutcome::Abort;
                                 }
+                                // Injected poison.
                             }
-                        };
-                        debug_assert!(injected_death);
-                        faults_injected.fetch_add(1, Ordering::Relaxed);
+                        }
+                        tally.lock().faults_injected += 1;
                         if tracing {
-                            partir_obs::instant(
-                                "fault.injected",
-                                vec![
-                                    ("loop", li.into()),
-                                    ("color", color.into()),
-                                    ("attempt", attempt.into()),
-                                ],
-                            );
+                            partir_obs::instant("fault.injected", coords(attempt));
                         }
                         if let Some(snap) = &snapshot {
                             restore_snapshot(&shared, snap);
@@ -759,29 +447,16 @@ fn execute_loop(
                             break TaskOutcome::Exhausted;
                         }
                         attempt += 1;
-                        task_retries.fetch_add(1, Ordering::Relaxed);
+                        tally.lock().task_retries += 1;
                         if tracing {
-                            partir_obs::instant(
-                                "task.retry",
-                                vec![
-                                    ("loop", li.into()),
-                                    ("color", color.into()),
-                                    ("attempt", attempt.into()),
-                                ],
-                            );
+                            partir_obs::instant("task.retry", coords(attempt));
                         }
                         if !opts.retry.backoff.is_zero() {
                             std::thread::sleep(opts.retry.backoff * attempt);
                         }
                     };
                     match outcome {
-                        TaskOutcome::Done(bufs) => {
-                            for (bi, buf) in bufs.into_iter().enumerate() {
-                                if !buf.is_empty() {
-                                    *buffers[bi][color].lock() = Some(buf);
-                                }
-                            }
-                        }
+                        TaskOutcome::Done(bufs) => publish(color, bufs),
                         TaskOutcome::Exhausted => failed.lock().push(color),
                         TaskOutcome::Abort => break,
                     }
@@ -789,7 +464,7 @@ fn execute_loop(
             });
         }
     });
-    if let Some(v) = violation.lock().take() {
+    if let Some(v) = env.violation.lock().take() {
         return Err(ExecError::Legality(v));
     }
     if let Some(m) = genuine_panic.lock().take() {
@@ -815,38 +490,11 @@ fn execute_loop(
         });
     }
     for color in failed_colors {
-        let recovery = catch_unwind(AssertUnwindSafe(|| {
-            let mut ctx = TaskCtx {
-                shared: &shared,
-                fns,
-                schema: &schema,
-                plan: loop_plan,
-                parts,
-                modes: &modes,
-                color,
-                write_own: write_own.as_ref().map(|o| &o[color]),
-                check: opts.check_legality,
-                local_bufs: all_buf_sets.iter().map(|_| Vec::new()).collect(),
-                buf_set_of_access: &buf_set_of_access,
-                buf_ops: &buf_ops,
-                buf_fields: &buf_fields,
-                checks_done: 0,
-                guard_hits: &guard_hits,
-                guard_skips: &guard_skips,
-                write_skips: &write_skips,
-                violation: &violation,
-            };
-            run_loop_over(lp, &mut ctx, iter.subregion(color).iter());
-            (ctx.checks_done, ctx.local_bufs)
-        }));
-        match recovery {
-            Ok((checks, bufs)) => {
-                legality_checks.fetch_add(checks, Ordering::Relaxed);
-                for (bi, buf) in bufs.into_iter().enumerate() {
-                    if !buf.is_empty() {
-                        *buffers[bi][color].lock() = Some(buf);
-                    }
-                }
+        match catch_unwind(AssertUnwindSafe(|| run_task(color, None))) {
+            Ok((counts, bufs)) => {
+                publish(color, bufs);
+                let mut report = tally.lock();
+                report.count(&counts);
                 report.tasks_recovered += 1;
                 report.degraded = true;
                 if tracing {
@@ -857,269 +505,45 @@ fn execute_loop(
                 }
             }
             Err(p) => {
-                if let Some(v) = violation.lock().take() {
-                    return Err(ExecError::Legality(v));
-                }
-                return Err(ExecError::TaskPanic(panic_message(p)));
+                return Err(match env.violation.lock().take() {
+                    Some(v) => ExecError::Legality(v),
+                    None => ExecError::TaskPanic(panic_message(p)),
+                });
             }
         }
     }
     drop(shared);
+    let report = tally.into_inner();
 
     // Deterministic merge: color order, ascending element order.
     let merge_span = partir_obs::span_with("exec.merge", vec![("loop", (li as u64).into())]);
-    for (bi, sets) in all_buf_sets.iter().enumerate() {
-        let op = match *buf_ops[bi].lock() {
-            Some(op) => op,
-            None => continue, // no contributions at all
+    for (spec, slots) in setup.buffers.iter().zip(buffers) {
+        let bufs: Vec<Option<Vec<f64>>> = slots.into_iter().map(Mutex::into_inner).collect();
+        if bufs.iter().all(Option::is_none) {
+            continue; // no contributions at all
+        }
+        let ap = &setup.lplan.accesses[spec.access];
+        let AccessKind::Reduce(op) = ap.kind else {
+            return Err(ExecError::BufferStateCorrupt { loop_index: li });
         };
-        let field = match *buf_fields[bi].lock() {
-            Some(f) => f,
-            None => return Err(ExecError::BufferStateCorrupt { loop_index: li }),
-        };
-        let fs = store.f64s_mut(field);
-        for (color, set) in sets.iter().enumerate() {
-            if let Some(buf) = buffers[bi][color].lock().take() {
-                for (rank, t) in set.iter().enumerate() {
-                    let v = buf[rank];
-                    let slot = &mut fs[t as usize];
-                    *slot = op.apply(*slot, v);
-                }
+        let fs = store.f64s_mut(ap.field);
+        for (set, buf) in spec.sets.iter().zip(bufs) {
+            for (t, v) in set.iter().zip(buf.into_iter().flatten()) {
+                fs[t as usize] = op.apply(fs[t as usize], v);
             }
         }
     }
     drop(merge_span);
 
     report.tasks_run += n_colors as u64;
-    report.legality_checks += legality_checks.load(Ordering::Relaxed);
-    report.guard_hits += guard_hits.load(Ordering::Relaxed);
-    report.guard_skips += guard_skips.load(Ordering::Relaxed);
-    report.write_skips += write_skips.load(Ordering::Relaxed);
-    report.faults_injected += faults_injected.load(Ordering::Relaxed);
-    report.task_retries += task_retries.load(Ordering::Relaxed);
-    report.panics_isolated += panics_isolated.load(Ordering::Relaxed);
     loop_span.close_with(vec![
         ("tasks", n_colors.into()),
-        ("legality_checks", legality_checks.load(Ordering::Relaxed).into()),
-        ("guard_hits", guard_hits.load(Ordering::Relaxed).into()),
-        ("guard_skips", guard_skips.load(Ordering::Relaxed).into()),
-        ("write_skips", write_skips.load(Ordering::Relaxed).into()),
-        ("faults_injected", faults_injected.load(Ordering::Relaxed).into()),
-        ("task_retries", task_retries.load(Ordering::Relaxed).into()),
+        ("legality_checks", (report.legality_checks - before.legality_checks).into()),
+        ("guard_hits", (report.guard_hits - before.guard_hits).into()),
+        ("guard_skips", (report.guard_skips - before.guard_skips).into()),
+        ("write_skips", (report.write_skips - before.write_skips).into()),
+        ("faults_injected", (report.faults_injected - before.faults_injected).into()),
+        ("task_retries", (report.task_retries - before.task_retries).into()),
     ]);
     Ok(())
-}
-
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if p.downcast_ref::<InjectedPanic>().is_some() {
-        "injected fault".to_string()
-    } else {
-        "unknown panic".to_string()
-    }
-}
-
-/// Task-local data context: all region traffic from one task.
-struct TaskCtx<'a> {
-    shared: &'a SharedStore,
-    fns: &'a FnTable,
-    schema: &'a Schema,
-    plan: &'a partir_core::pipeline::LoopPlan,
-    parts: &'a [Arc<Partition>],
-    modes: &'a [Mode<'a>],
-    color: usize,
-    write_own: Option<&'a IndexSet>,
-    check: bool,
-    /// Task-local reduction buffers, one per buffered access (lazily
-    /// identity-filled on first use).
-    local_bufs: Vec<Vec<f64>>,
-    buf_set_of_access: &'a [Option<usize>],
-    buf_ops: &'a [Mutex<Option<ReduceOp>>],
-    buf_fields: &'a [Mutex<Option<FieldId>>],
-    /// Legality checks this task performed (plain counter, merged into the
-    /// shared total once at task end).
-    checks_done: u64,
-    guard_hits: &'a AtomicU64,
-    guard_skips: &'a AtomicU64,
-    write_skips: &'a AtomicU64,
-    /// First legality violation observed (recorded before the panic that
-    /// aborts the task, so the executor can report a structured error).
-    violation: &'a Mutex<Option<LegalityViolation>>,
-}
-
-impl TaskCtx<'_> {
-    #[inline]
-    fn subregion(&self, a: AccessId) -> &IndexSet {
-        let part = self.plan.accesses[a.0 as usize].part;
-        self.parts[part.0 as usize].subregion(self.color)
-    }
-
-    #[cold]
-    fn legality_violation(&self, a: AccessId, i: Idx) -> ! {
-        let v = LegalityViolation {
-            loop_id: self.plan.loop_index,
-            task: self.color,
-            region: self.plan.accesses[a.0 as usize].region,
-            index: i,
-            access: a,
-        };
-        let mut slot = self.violation.lock();
-        if slot.is_none() {
-            *slot = Some(v);
-        }
-        drop(slot);
-        panic!("legality violation: {v}");
-    }
-
-    #[inline]
-    fn check_access(&mut self, a: AccessId, i: Idx) {
-        if self.check {
-            self.checks_done += 1;
-            if !self.subregion(a).contains(i) {
-                self.legality_violation(a, i);
-            }
-        }
-    }
-
-    fn eval_index_fn(&self, f: &IndexFn, i: Idx, target_size: u64) -> Idx {
-        match f {
-            IndexFn::Identity => i,
-            IndexFn::Affine { mul, add } => {
-                let v = (i as i64) * mul + add;
-                assert!(v >= 0 && (v as u64) < target_size, "affine out of range");
-                v as Idx
-            }
-            IndexFn::AffineMod { mul, add, modulus } => {
-                ((i as i64) * mul + add).rem_euclid(*modulus as i64) as Idx
-            }
-            IndexFn::Ptr { field } => self.shared.read_ptr(*field, i),
-            IndexFn::Compose(a, b) => {
-                let mid = self.eval_index_fn(a, i, u64::MAX);
-                self.eval_index_fn(b, mid, target_size)
-            }
-        }
-    }
-}
-
-impl DataCtx for TaskCtx<'_> {
-    fn read_f64(&mut self, a: AccessId, field: FieldId, i: Idx) -> f64 {
-        self.check_access(a, i);
-        // SAFETY: reads only race with writes to *other* elements (see
-        // shared.rs module docs).
-        unsafe { self.shared.read_f64(field, i) }
-    }
-
-    fn write_f64(&mut self, a: AccessId, field: FieldId, i: Idx, v: f64) {
-        self.check_access(a, i);
-        if let Some(own) = self.write_own {
-            if !own.contains(i) {
-                self.write_skips.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-        // SAFETY: centered write; element owned by exactly one task.
-        unsafe { self.shared.write_f64(field, i, v) };
-    }
-
-    fn reduce_f64(&mut self, a: AccessId, field: FieldId, i: Idx, op: ReduceOp, v: f64) {
-        let modes = self.modes;
-        match &modes[a.0 as usize] {
-            Mode::Plain => {
-                self.check_access(a, i);
-                // Centered or provably-disjoint reduction: in-place.
-                // SAFETY: element owned by exactly one task.
-                unsafe {
-                    let cur = self.shared.read_f64(field, i);
-                    self.shared.write_f64(field, i, op.apply(cur, v));
-                }
-            }
-            Mode::Guarded => {
-                if self.subregion(a).contains(i) {
-                    self.guard_hits.fetch_add(1, Ordering::Relaxed);
-                    // SAFETY: the guard partition is disjoint.
-                    unsafe {
-                        let cur = self.shared.read_f64(field, i);
-                        self.shared.write_f64(field, i, op.apply(cur, v));
-                    }
-                } else {
-                    self.guard_skips.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Mode::Buffered { buf_sets } => {
-                self.check_access(a, i);
-                self.buffer_reduce(a, field, i, op, v, &buf_sets[self.color]);
-            }
-            Mode::BufferedPrivate { private, buf_sets } => {
-                self.check_access(a, i);
-                if private.subregion(self.color).contains(i) {
-                    // SAFETY: private sub-partition is disjoint.
-                    unsafe {
-                        let cur = self.shared.read_f64(field, i);
-                        self.shared.write_f64(field, i, op.apply(cur, v));
-                    }
-                } else {
-                    self.buffer_reduce(a, field, i, op, v, &buf_sets[self.color]);
-                }
-            }
-        }
-    }
-
-    fn read_ptr(&mut self, a: AccessId, field: FieldId, i: Idx) -> Idx {
-        self.check_access(a, i);
-        self.shared.read_ptr(field, i)
-    }
-
-    fn eval_fn(&mut self, f: FnId, i: Idx) -> Idx {
-        let nf = self.fns.get(f);
-        let size = self.schema.region_size(nf.range);
-        match &nf.def {
-            FnDef::Index(func) => self.eval_index_fn(func, i, size),
-            FnDef::Multi(_) => panic!("eval_fn on multi-valued function"),
-        }
-    }
-
-    fn eval_multi(&mut self, a: AccessId, f: FnId, i: Idx, out: &mut Vec<Idx>) {
-        self.check_access(a, i);
-        let nf = self.fns.get(f);
-        let size = self.schema.region_size(nf.range);
-        match &nf.def {
-            FnDef::Multi(MultiFn::RangeField { field }) => {
-                let (s, e) = self.shared.read_range(*field, i);
-                out.extend(s..e.min(size));
-            }
-            FnDef::Multi(MultiFn::Lift(func)) => out.push(self.eval_index_fn(func, i, size)),
-            FnDef::Index(func) => out.push(self.eval_index_fn(func, i, size)),
-        }
-    }
-}
-
-impl TaskCtx<'_> {
-    fn buffer_reduce(
-        &mut self,
-        a: AccessId,
-        field: FieldId,
-        i: Idx,
-        op: ReduceOp,
-        v: f64,
-        set: &IndexSet,
-    ) {
-        let bi = self.buf_set_of_access[a.0 as usize].expect("buffered access");
-        let buf = &mut self.local_bufs[bi];
-        if buf.is_empty() {
-            buf.resize(set.len() as usize, op.identity());
-            let mut slot = self.buf_ops[bi].lock();
-            if slot.is_none() {
-                *slot = Some(op);
-                *self.buf_fields[bi].lock() = Some(field);
-            }
-        }
-        let rank = match set.rank(i) {
-            Some(r) => r as usize,
-            None => self.legality_violation(a, i),
-        };
-        buf[rank] = op.apply(buf[rank], v);
-    }
 }

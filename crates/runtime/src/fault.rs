@@ -83,9 +83,7 @@ impl FaultPlan {
             return None;
         }
         let h = hash4(self.seed, loop_index, color, attempt as u64);
-        // 53 uniform bits → a unit float, compared against the rate.
-        let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-        if unit >= self.task_failure_rate {
+        if unit(h) >= self.task_failure_rate {
             return None;
         }
         let survive_iters =
@@ -143,10 +141,17 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Hashes four coordinates into one well-mixed word.
+/// Hashes four coordinates into one well-mixed word: the decision hash of
+/// both fault planes (this one and [`crate::dist::fault`]).
 #[inline]
-fn hash4(a: u64, b: u64, c: u64, d: u64) -> u64 {
+pub(crate) fn hash4(a: u64, b: u64, c: u64, d: u64) -> u64 {
     mix(mix(mix(mix(a) ^ b) ^ c) ^ d)
+}
+
+/// 53 uniform bits → a unit float in `[0, 1)`, compared against a rate.
+#[inline]
+pub(crate) fn unit(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

@@ -1,11 +1,15 @@
 //! # partir-runtime — executing auto-parallelized programs
 //!
-//! Two execution back-ends over the plans produced by `partir-core`:
+//! Two execution back-ends over the plans produced by `partir-core`, one
+//! compute core, and a simulator:
 //!
+//! * [`task`] — the shared compute core: plan/partition validation and
+//!   the partitioned data context implementing the paper's runtime
+//!   mechanisms (legality checking, two-step buffered reductions,
+//!   relaxation guards, private sub-partitions) over either backend's
+//!   storage;
 //! * [`exec`] — a real threaded executor (one task per subregion on a
-//!   worker pool) implementing the paper's runtime mechanisms: legality
-//!   checking, two-step buffered reductions, relaxation guards, and private
-//!   sub-partitions;
+//!   worker pool, all over one shared store);
 //! * [`sim`] — a distributed-memory simulator with an explicit machine
 //!   model (nodes, bandwidth, latency, per-node ingress/egress) used to
 //!   reproduce the weak-scaling experiments of Figure 14;
@@ -19,19 +23,21 @@ pub mod exec;
 pub mod fault;
 pub mod shared;
 pub mod sim;
+pub mod task;
 
 pub mod prelude {
     pub use crate::dist::{
-        execute_dist, execute_with_exchange, CheckpointPolicy, DistError, DistFaultPlan,
-        DistOptions, DistReport, DistViolation, RankCrash, RankStore,
+        execute_ranks, CheckpointPolicy, DistError, DistFaultPlan, DistOptions, DistReport,
+        RankCrash, RankStore,
     };
-    pub use crate::exec::{execute_program, ExecError, ExecOptions, ExecReport, LegalityViolation};
+    pub use crate::exec::{execute_program, ExecError, ExecOptions, ExecReport};
     pub use crate::fault::{FaultPlan, RetryPolicy};
     pub use crate::shared::SharedStore;
     pub use crate::sim::{
-        simulate, simulate_hetero, FailureModel, FailureSummary, MachineModel, NodeBreakdown,
-        SimAccess, SimError, SimLoop, SimResult, SimSpec,
+        simulate, FailureModel, FailureSummary, MachineModel, NodeBreakdown, SimAccess, SimError,
+        SimLoop, SimResult, SimSpec,
     };
+    pub use crate::task::{LegalityViolation, PlanError};
 }
 
 pub use prelude::*;

@@ -20,6 +20,7 @@
 //! Under those invariants no two tasks access the same `f64` element with a
 //! write involved, which is exactly Rust's no-data-race requirement.
 
+use crate::task::Storage;
 use partir_dpl::index_set::Idx;
 use partir_dpl::region::{FieldData, FieldId, Store};
 
@@ -57,57 +58,59 @@ impl SharedStore {
         }
         SharedStore { fields }
     }
+}
 
-    /// Reads an f64 element.
-    ///
-    /// # Safety
-    /// No concurrent write to the same element (guaranteed by the executor's
-    /// centered-write / reduction-ownership invariants).
+/// Every worker runs its tasks against the same `&SharedStore`. An index
+/// beyond the field (or a field that is not f64) is "not held", never an
+/// out-of-bounds pointer.
+impl Storage for &SharedStore {
     #[inline]
-    pub unsafe fn read_f64(&self, f: FieldId, i: Idx) -> f64 {
+    fn read_f64(&self, f: FieldId, i: Idx) -> Option<f64> {
         match &self.fields[f.0 as usize] {
-            RawField::F64 { ptr, len } => {
-                debug_assert!((i as usize) < *len, "f64 read out of bounds");
-                unsafe { *ptr.add(i as usize) }
-            }
-            _ => panic!("field {f:?} is not F64"),
+            // SAFETY: in bounds (guard), and no task writes this element
+            // while another reads it (the executor's centered-write and
+            // reduction-ownership invariants, module docs).
+            RawField::F64 { ptr, len } if (i as usize) < *len => unsafe {
+                Some(*ptr.add(i as usize))
+            },
+            _ => None,
         }
     }
 
-    /// Writes an f64 element.
-    ///
-    /// # Safety
-    /// The caller must be the unique task accessing element `i` of field
-    /// `f` during this parallel phase.
     #[inline]
-    pub unsafe fn write_f64(&self, f: FieldId, i: Idx, v: f64) {
+    fn write_f64(&mut self, f: FieldId, i: Idx, v: f64) -> bool {
         match &self.fields[f.0 as usize] {
-            RawField::F64 { ptr, len } => {
-                debug_assert!((i as usize) < *len, "f64 write out of bounds");
-                unsafe { *ptr.add(i as usize) = v }
-            }
-            _ => panic!("field {f:?} is not F64"),
+            // SAFETY: in bounds (guard), and the calling task is the only
+            // one touching element `i` of `f` during this parallel phase
+            // (same invariants).
+            RawField::F64 { ptr, len } if (i as usize) < *len => unsafe {
+                *ptr.add(i as usize) = v;
+                true
+            },
+            _ => false,
         }
     }
 
-    /// Reads a pointer-field element (never written during parallel phases).
     #[inline]
-    pub fn read_ptr(&self, f: FieldId, i: Idx) -> Idx {
+    fn read_ptr(&self, f: FieldId, i: Idx) -> Idx {
         match &self.fields[f.0 as usize] {
             RawField::Ptr { ptr, len } => {
                 assert!((i as usize) < *len, "ptr read out of bounds");
+                // SAFETY: in bounds; pointer fields are never written
+                // during parallel phases.
                 unsafe { *ptr.add(i as usize) }
             }
             _ => panic!("field {f:?} is not Ptr"),
         }
     }
 
-    /// Reads a range-field element (never written during parallel phases).
     #[inline]
-    pub fn read_range(&self, f: FieldId, i: Idx) -> (Idx, Idx) {
+    fn read_range(&self, f: FieldId, i: Idx) -> (Idx, Idx) {
         match &self.fields[f.0 as usize] {
             RawField::Range { ptr, len } => {
                 assert!((i as usize) < *len, "range read out of bounds");
+                // SAFETY: in bounds; range fields are never written during
+                // parallel phases.
                 unsafe { *ptr.add(i as usize) }
             }
             _ => panic!("field {f:?} is not Range"),
@@ -132,12 +135,15 @@ mod tests {
         store.ranges_mut(fr)[1] = (1, 4);
         {
             let shared = SharedStore::new(&mut store);
-            unsafe {
-                shared.write_f64(fv, 0, 7.5);
-                assert_eq!(shared.read_f64(fv, 0), 7.5);
-            }
-            assert_eq!(shared.read_ptr(fp, 2), 3);
-            assert_eq!(shared.read_range(fr, 1), (1, 4));
+            let mut view = &shared;
+            assert!(view.write_f64(fv, 0, 7.5));
+            assert_eq!(view.read_f64(fv, 0), Some(7.5));
+            assert_eq!(view.read_ptr(fp, 2), 3);
+            assert_eq!(view.read_range(fr, 1), (1, 4));
+            // Beyond the field, or not an f64 field: not held.
+            assert_eq!(view.read_f64(fv, 4), None);
+            assert!(!view.write_f64(fv, 4, 1.0));
+            assert_eq!(view.read_f64(fp, 0), None);
         }
         assert_eq!(store.f64s(fv)[0], 7.5);
     }
@@ -152,10 +158,10 @@ mod tests {
             let shared = SharedStore::new(&mut store);
             crossbeam::scope(|s| {
                 for t in 0..4u64 {
-                    let shared = &shared;
+                    let mut view = &shared;
                     s.spawn(move |_| {
                         for i in (t * 250)..((t + 1) * 250) {
-                            unsafe { shared.write_f64(fv, i, i as f64) };
+                            assert!(view.write_f64(fv, i, i as f64));
                         }
                     });
                 }

@@ -23,7 +23,6 @@
 //! is what makes a single hot owner (Circuit's shared nodes on node 0) a
 //! scaling bottleneck exactly as in Figure 14d.
 
-use partir_core::placement::MachineModel as RankModel;
 use partir_dpl::index_set::IndexSet;
 use partir_dpl::ops;
 use partir_dpl::partition::Partition;
@@ -219,19 +218,6 @@ impl NodeBreakdown {
     pub fn time(&self, m: &MachineModel) -> f64 {
         self.compute
             + self.comm_bytes / m.bandwidth
-            + self.messages as f64 * m.latency
-            + self.runs as f64 * m.run_overhead
-            + self.meta_units * m.meta_overhead
-    }
-
-    /// Per-node time when this node computes at `speed×` the base rate and
-    /// its NIC runs at `bw_tier×` the base bandwidth; `speed = bw_tier =
-    /// 1.0` reduces to [`NodeBreakdown::time`]. Latency and per-run/meta
-    /// overheads stay unscaled — they model protocol and runtime costs,
-    /// not core or link throughput.
-    pub fn time_hetero(&self, m: &MachineModel, speed: f64, bw_tier: f64) -> f64 {
-        self.compute / speed.max(f64::MIN_POSITIVE)
-            + self.comm_bytes / (m.bandwidth * bw_tier.max(f64::MIN_POSITIVE))
             + self.messages as f64 * m.latency
             + self.runs as f64 * m.run_overhead
             + self.meta_units * m.meta_overhead
@@ -491,33 +477,6 @@ pub fn simulate(spec: &SimSpec, machine: &MachineModel) -> Result<SimResult, Sim
                 ("total_work", result.total_work.into()),
             ],
         );
-    }
-    Ok(result)
-}
-
-/// [`simulate`] over a heterogeneous machine: the per-rank compute speeds
-/// and bandwidth tiers of a placement [`RankModel`] scale each node's
-/// breakdown before the max is taken, so a half-speed node doubles its
-/// compute term and (usually) becomes the iteration bottleneck. The cost
-/// *inputs* — bytes, messages, work units — are identical to the
-/// homogeneous run; heterogeneity only changes how fast each node clears
-/// them, which is exactly the signal cost-driven placement prices when it
-/// shrinks a slow rank's shard. A failure model, when installed, keeps its
-/// homogeneous pricing (the Young/Daly terms are machine-wide averages).
-pub fn simulate_hetero(
-    spec: &SimSpec,
-    machine: &MachineModel,
-    ranks: &RankModel,
-) -> Result<SimResult, SimError> {
-    let mut result = simulate(spec, machine)?;
-    if ranks.is_heterogeneous() {
-        let h = ranks.resized(machine.nodes);
-        result.iteration_time = result
-            .per_node
-            .iter()
-            .enumerate()
-            .map(|(i, b)| b.time_hetero(machine, h.speed(i), h.bandwidth(i)))
-            .fold(0.0f64, f64::max);
     }
     Ok(result)
 }
@@ -1019,69 +978,5 @@ mod tests {
             }
             other => panic!("expected IterWidthMismatch, got {other:?}"),
         }
-    }
-
-    /// A half-speed node doubles its compute term and sets the iteration
-    /// time; a uniform rank model leaves the homogeneous answer untouched.
-    #[test]
-    fn hetero_slow_node_sets_iteration_time() {
-        let n = 4usize;
-        let size = 40_000u64;
-        let spec = local_spec(n, equal(r0(), size, n), size);
-        let machine = MachineModel::gpu_cluster(n);
-        let base = simulate(&spec, &machine).unwrap().iteration_time;
-        let uniform = simulate_hetero(&spec, &machine, &RankModel::homogeneous(n)).unwrap();
-        assert_eq!(uniform.iteration_time, base, "uniform ranks change nothing");
-        let slow = simulate_hetero(&spec, &machine, &RankModel::with_speeds(&[1.0, 1.0, 1.0, 0.5]))
-            .unwrap();
-        // Compute dominates this local spec, so the half-speed node roughly
-        // doubles the iteration time.
-        assert!(
-            slow.iteration_time > 1.8 * base,
-            "slow node should dominate: {} vs base {base}",
-            slow.iteration_time
-        );
-        // Cost inputs are untouched — only the pricing moved.
-        assert_eq!(slow.total_bytes, uniform.total_bytes);
-        assert_eq!(slow.total_work, uniform.total_work);
-    }
-
-    /// A degraded bandwidth tier on the hot owner inflates its egress term.
-    #[test]
-    fn hetero_bandwidth_tier_prices_the_hot_owner() {
-        let n = 8usize;
-        let per_node = 1_000u64;
-        let size = per_node * n as u64;
-        let iter = equal(r0(), size, n);
-        let shared = IndexSet::from_range(0, 500);
-        let read =
-            Partition::new(r0(), iter.subregions().iter().map(|s| s.union(&shared)).collect());
-        let spec = SimSpec {
-            loops: vec![SimLoop {
-                name: "hot".into(),
-                iter: iter.clone(),
-                work_per_iter: 1.0,
-                accesses: vec![SimAccess {
-                    region: r0(),
-                    part: read,
-                    kind: SimKind::Read,
-                    bytes_per_elem: 8.0,
-                    group: None,
-                    expr_weight: 1.0,
-                }],
-            }],
-            region_sizes: [(r0(), size)].into_iter().collect(),
-            initial_home: Default::default(),
-        };
-        let machine = MachineModel::gpu_cluster(n);
-        let base = simulate(&spec, &machine).unwrap().iteration_time;
-        let mut bw = vec![1.0; n];
-        bw[0] = 0.25; // node 0 owns the shared block everyone reads
-        let tiered = simulate_hetero(&spec, &machine, &RankModel::new(vec![1.0; n], bw)).unwrap();
-        assert!(
-            tiered.iteration_time > base,
-            "throttling the hot owner's NIC must cost: {} vs {base}",
-            tiered.iteration_time
-        );
     }
 }

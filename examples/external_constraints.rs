@@ -40,20 +40,19 @@ fn main() {
     for (label, hints, bindings) in
         [("Auto", Hints::new(), ExtBindings::new()), ("Auto+Hint", hints, exts)]
     {
-        let mut session =
-            Partir::new(app.program.clone(), app.fns.clone(), app.store.schema().clone())
-                .hints(hints)
-                .externals(bindings)
-                .backend(Backend::Threads(8))
-                .colors(clusters)
-                .build()
-                .expect("circuit auto-parallelizes");
+        let plan = Partir::new(app.program.clone(), app.fns.clone(), app.store.schema().clone())
+            .hints(hints)
+            .externals(bindings)
+            .colors(clusters)
+            .solve()
+            .expect("circuit auto-parallelizes");
         println!("\n{label} DPL:");
-        println!("{}", session.render_dpl());
+        println!("{}", plan.render_dpl());
 
         let mut par = app.store.clone();
-        let report = session.run(&mut par).expect("parallel circuit");
-        let exec = report.as_threads().expect("threads backend report");
+        let run = Run::new().backend(Backend::Threads(8));
+        let outcome = run.run(&plan, &mut par).expect("parallel circuit");
+        let exec = outcome.report.as_threads().expect("threads backend report");
         assert_eq!(seq.f64s(app.voltage), par.f64s(app.voltage), "{label} diverged");
         println!(
             "{label:<10} ✓ correct; reduction buffers: {} bytes, guard hits: {}",

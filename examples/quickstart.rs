@@ -3,10 +3,9 @@
 //! Builds the particles/cells program of Figure 1a, then lets the
 //! `partir::Partir` builder infer partitioning constraints (Algorithm 1),
 //! solve them with unification (Algorithms 2–3), and print the synthesized
-//! DPL program (which matches Figure 2's "program B"). The same session
-//! configuration then runs the program on host threads and on the SPMD
-//! rank-sharded backend — both bit-identical to the sequential
-//! interpreter.
+//! DPL program (which matches Figure 2's "program B"). The one solved
+//! `Plan` then runs on host threads and on the SPMD rank-sharded backend
+//! — both bit-identical to the sequential interpreter.
 //!
 //! Run: `cargo run --release --example quickstart`
 
@@ -76,40 +75,31 @@ fn main() {
     let mut seq = store.clone();
     run_program_seq(&program, &mut seq, &fns);
 
-    // ---- Solve once per backend, run, compare. ----
-    let mut printed_plan = false;
+    // ---- Solve once. ----
+    let plan =
+        Partir::new(program, fns, schema).colors(8).solve().expect("Figure 1a is parallelizable");
+    println!("Synthesized DPL program (compare with Figure 2b, 'program B'):");
+    println!("{}", plan.render_dpl());
+    let t = plan.parallel_plan().timings;
+    println!("phases: inference {:?}, solver {:?}, rewrite {:?}", t.inference, t.solver, t.rewrite);
+    for (i, part) in plan.evaluate(&store).iter().enumerate() {
+        println!(
+            "P{i}: {} subregions of r{}, disjoint={}, max |sub|={}",
+            part.num_subregions(),
+            part.region.0,
+            part.is_disjoint(),
+            part.max_subregion_len()
+        );
+    }
+
+    // ---- Run the one plan on each backend, compare. ----
     for backend in [Backend::Threads(4), Backend::Ranks(4)] {
-        let mut session = Partir::new(program.clone(), fns.clone(), schema.clone())
-            .backend(backend)
-            .colors(8)
-            .build()
-            .expect("Figure 1a is parallelizable");
-
-        if !printed_plan {
-            println!("Synthesized DPL program (compare with Figure 2b, 'program B'):");
-            println!("{}", session.render_dpl());
-            let t = session.plan().timings;
-            println!(
-                "phases: inference {:?}, solver {:?}, rewrite {:?}",
-                t.inference, t.solver, t.rewrite
-            );
-            for (i, part) in session.evaluate(&store).iter().enumerate() {
-                println!(
-                    "P{i}: {} subregions of r{}, disjoint={}, max |sub|={}",
-                    part.num_subregions(),
-                    part.region.0,
-                    part.is_disjoint(),
-                    part.max_subregion_len()
-                );
-            }
-            printed_plan = true;
-        }
-
         let mut par = store.clone();
-        let report = session.run(&mut par).expect("parallel execution succeeds");
+        let outcome =
+            Run::new().backend(backend).run(&plan, &mut par).expect("parallel execution succeeds");
         assert_eq!(seq.f64s(pos), par.f64s(pos));
         assert_eq!(seq.f64s(vel), par.f64s(vel));
-        match report {
+        match outcome.report {
             RunReport::Threads(r) => println!(
                 "\n{backend:?}: matches sequential ✓ ({} tasks, {} buffer bytes)",
                 r.tasks_run, r.buffer_bytes

@@ -23,20 +23,19 @@ fn main() {
 
     // Solve once through the builder; run on 8 worker threads.
     let n_tasks = 8;
-    let mut session = Partir::new(app.program.clone(), app.fns.clone(), app.store.schema().clone())
-        .backend(Backend::Threads(8))
+    let plan = Partir::new(app.program.clone(), app.fns.clone(), app.store.schema().clone())
         .colors(n_tasks)
-        .check_legality(false)
-        .build()
+        .solve()
         .expect("SpMV auto-parallelizes");
+    let run = Run::new().backend(Backend::Threads(8)).check_legality(false);
     println!("\nSynthesized DPL (compare with Figure 10b):");
-    println!("{}", session.render_dpl());
+    println!("{}", plan.render_dpl());
 
     let expected = app.run_sequential();
 
     let mut store = app.store.clone();
     let t0 = std::time::Instant::now();
-    session.run(&mut store).expect("parallel SpMV");
+    run.run(&plan, &mut store).expect("parallel SpMV");
     let elapsed = t0.elapsed();
 
     assert_eq!(store.f64s(app.yv), &expected[..]);

@@ -1,9 +1,8 @@
-//! The unified `partir::Partir` builder — one front door for the whole
-//! pipeline.
+//! The `partir::Partir` builder — the front door of the solve.
 //!
-//! Instead of threading `Hints`/`Options`/`ExecOptions`/`DistOptions`
-//! through four crates by hand, callers describe a solve once and get a
-//! shareable [`Plan`]; per-run configuration lives in [`Run`]:
+//! Instead of threading `Hints`/`Options`/`ExtBindings` through the
+//! pipeline by hand, callers describe a solve once and get a shareable
+//! [`Plan`]; everything about executing it lives in [`Run`]:
 //!
 //! ```text
 //! let plan = Partir::new(program, fns, schema)
@@ -16,40 +15,24 @@
 //! Run::new().backend(Backend::Ranks(4)).run(&plan, &mut store)?;
 //! ```
 //!
-//! [`build`](Partir::build) remains as the one-struct compatibility path:
-//! it bundles the `Plan` with one resolved `Run` into a [`Session`].
-//!
-//! Configuration that used to be sniffed from the environment deep inside
-//! the runtime (`PARTIR_TRACE`, `PARTIR_FAULT_*`) is passed explicitly
-//! here via [`ObsConfig`] and [`FaultPlan`]; the environment variables
-//! remain supported as defaults only, parsed in exactly one place
-//! (`partir_obs::config`).
+//! [`Run`]: crate::Run
 
 use crate::error::Error;
-pub use crate::plan::Backend;
-use crate::plan::{Plan, ResolvedRun, Run, RunReport};
+use crate::plan::Plan;
 use partir_core::cache::{PlanCache, SolvedPlan};
 use partir_core::eval::ExtBindings;
 use partir_core::fingerprint::solve_fingerprint;
 use partir_core::optimize::RelaxPolicy;
-use partir_core::pipeline::{Hints, Options, ParallelPlan};
-use partir_core::placement::{PlacementConfig, PlacementPolicy, PlacementReport};
+use partir_core::pipeline::{Hints, Options};
 use partir_core::solve::SolveBudget;
 use partir_dpl::func::FnTable;
-use partir_dpl::partition::Partition;
-use partir_dpl::region::{Schema, Store};
+use partir_dpl::region::Schema;
 use partir_ir::ast::Loop;
-use partir_obs::profile::DistProfile;
-use partir_obs::trace::Trace;
-use partir_obs::ObsConfig;
-use partir_runtime::dist::{CheckpointPolicy, DistFaultPlan, LegalityMode, VolumeAccounting};
-use partir_runtime::fault::{FaultPlan, RetryPolicy};
 use std::sync::Arc;
 
 /// Builder for a partir solve. Construct with [`Partir::new`], configure
-/// with the chained setters, then either [`solve`](Partir::solve) for a
-/// shareable [`Plan`] or [`build`](Partir::build) for a classic
-/// [`Session`].
+/// with the chained setters, then [`solve`](Partir::solve) for a shareable
+/// [`Plan`].
 #[derive(Debug)]
 pub struct Partir {
     program: Vec<Loop>,
@@ -57,16 +40,7 @@ pub struct Partir {
     schema: Schema,
     hints: Hints,
     options: Options,
-    backend: Backend,
-    colors: Option<usize>,
-    legality: LegalityMode,
-    chaos_seed: Option<u64>,
-    obs: Option<ObsConfig>,
-    fault: Option<FaultPlan>,
-    dist_fault: Option<DistFaultPlan>,
-    checkpoint: Option<CheckpointPolicy>,
-    placement: Option<PlacementConfig>,
-    retry: RetryPolicy,
+    colors: usize,
     externals: ExtBindings,
     cache: Option<PlanCache>,
 }
@@ -81,16 +55,7 @@ impl Partir {
             schema,
             hints: Hints::new(),
             options: Options::default(),
-            backend: Backend::default(),
-            colors: None,
-            legality: LegalityMode::default(),
-            chaos_seed: None,
-            obs: None,
-            fault: None,
-            dist_fault: None,
-            checkpoint: None,
-            placement: None,
-            retry: RetryPolicy::default(),
+            colors: 4,
             externals: ExtBindings::new(),
             cache: None,
         }
@@ -122,120 +87,22 @@ impl Partir {
         self
     }
 
-    /// Execution backend (default: four host threads).
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Number of partition colors (tasks). Defaults to the backend width;
-    /// the rank backend requires `colors >= ranks` so every rank owns a
-    /// contiguous, possibly empty-free block of colors.
+    /// Number of partition colors (tasks); 4 unless set. A run on the
+    /// rank backend needs `colors >= ranks`, so every rank can own a
+    /// color.
     pub fn colors(mut self, colors: usize) -> Self {
-        self.colors = Some(colors);
+        self.colors = colors;
         self
     }
 
     /// Consult (and populate) a fingerprint-keyed [`PlanCache`] in
-    /// [`solve`](Self::solve) / [`build`](Self::build). On a hit the
-    /// entire pipeline — inference, unification, solving, plan
-    /// construction — is skipped and the returned [`Plan`] shares the
-    /// cached artifact, including its memoized exchange plans, placements,
-    /// and legality proofs. The handle is cloned; all users of one cache
-    /// share its capacity and statistics.
+    /// [`solve`](Self::solve). On a hit the entire pipeline — inference,
+    /// unification, solving, plan construction — is skipped and the
+    /// returned [`Plan`] shares the cached artifact, including its memoized
+    /// exchange plans, placements, and legality proofs. The handle is
+    /// cloned; all users of one cache share its capacity and statistics.
     pub fn cache(mut self, cache: &PlanCache) -> Self {
         self.cache = Some(cache.clone());
-        self
-    }
-
-    /// Validate accesses against their partition subregions (on by
-    /// default; benches turn it off). `true` restores the mode default —
-    /// per-element checks in debug builds, the once-per-plan containment
-    /// proof in release builds; `false` disables legality work entirely.
-    /// For explicit control use [`legality_mode`](Self::legality_mode).
-    pub fn check_legality(mut self, on: bool) -> Self {
-        self.legality = if on { LegalityMode::default() } else { LegalityMode::Off };
-        self
-    }
-
-    /// How the rank backend establishes access legality: prove containment
-    /// once per plan ([`LegalityMode::Plan`]), check every element at
-    /// runtime ([`LegalityMode::Element`]), or skip it
-    /// ([`LegalityMode::Off`]). The threads backend treats anything but
-    /// `Off` as its per-element check.
-    pub fn legality_mode(mut self, mode: LegalityMode) -> Self {
-        self.legality = mode;
-        self
-    }
-
-    /// Deterministic delivery-order chaos for the rank backend's
-    /// mailboxes: shuffles which ready message is installed first and
-    /// injects tiny receive delays, reproducibly per seed. Results must
-    /// stay bit-identical — this exists so tests can prove it.
-    pub fn chaos_seed(mut self, seed: u64) -> Self {
-        self.chaos_seed = Some(seed);
-        self
-    }
-
-    /// Explicit observability configuration. When unset, the
-    /// `PARTIR_TRACE` / `PARTIR_METRICS` environment defaults apply.
-    pub fn obs(mut self, config: ObsConfig) -> Self {
-        self.obs = Some(config);
-        self
-    }
-
-    /// Deterministic fault injection (threads backend only). When unset,
-    /// the `PARTIR_FAULT_*` environment defaults apply.
-    pub fn fault(mut self, plan: FaultPlan) -> Self {
-        self.fault = Some(plan);
-        self
-    }
-
-    /// Deterministic fabric/rank fault injection for the rank backend:
-    /// seeded message drops and duplication, plus a whole-rank crash at a
-    /// chosen epoch. Configuring a plan also arms survivor-side recovery.
-    /// When unset, the `PARTIR_DIST_FAULT_*` environment defaults apply
-    /// (on the rank backend only).
-    pub fn dist_fault(mut self, plan: DistFaultPlan) -> Self {
-        self.dist_fault = Some(plan);
-        self
-    }
-
-    /// Epoch-interval checkpointing of each rank's owned shard on the rank
-    /// backend — the restore points recovery rolls back to. When unset,
-    /// the `PARTIR_DIST_CHECKPOINT_INTERVAL` environment default applies.
-    pub fn checkpoint(mut self, policy: CheckpointPolicy) -> Self {
-        self.checkpoint = Some(policy);
-        self
-    }
-
-    /// Owner-mapping policy for the rank backend: how solved colors map
-    /// onto ranks ([`PlacementPolicy::Block`] contiguous blocks — the
-    /// default, [`PlacementPolicy::CostDriven`] gain-refined graph
-    /// partitioning over the exchange plan's predicted pair volumes, or an
-    /// explicit `assignment[color] = rank`). Keeps the current config's
-    /// imbalance / passes / machine knobs. When neither this nor
-    /// [`placement_config`](Self::placement_config) is called, the
-    /// `PARTIR_PLACEMENT*` environment defaults apply (rank backend only).
-    pub fn placement(mut self, policy: PlacementPolicy) -> Self {
-        let mut c = self.placement.take().unwrap_or_default();
-        c.policy = policy;
-        self.placement = Some(c);
-        self
-    }
-
-    /// Full placement configuration: policy plus the imbalance cap, the
-    /// refinement pass bound, and an optional heterogeneous machine model
-    /// (per-rank speeds and bandwidth tiers — slow ranks get
-    /// proportionally smaller shards).
-    pub fn placement_config(mut self, config: PlacementConfig) -> Self {
-        self.placement = Some(config);
-        self
-    }
-
-    /// Recovery policy for failed task attempts (threads backend).
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
         self
     }
 
@@ -246,49 +113,13 @@ impl Partir {
         self
     }
 
-    /// The run-side configuration accumulated on this builder, as a
-    /// standalone [`Run`].
-    fn run_config(&self) -> Run {
-        Run {
-            backend: self.backend,
-            legality: self.legality,
-            chaos_seed: self.chaos_seed,
-            obs: self.obs,
-            fault: self.fault,
-            dist_fault: self.dist_fault,
-            checkpoint: self.checkpoint,
-            placement: self.placement.clone(),
-            retry: self.retry,
-        }
-    }
-
-    /// The color count this builder will solve at (explicit, else the
-    /// backend width), after basic validation.
-    fn resolve_colors(&self) -> Result<usize, Error> {
-        let width = match self.backend {
-            Backend::Threads(n) | Backend::Ranks(n) => n,
-        };
-        if width == 0 {
-            return Err(Error::Session(format!("backend {:?} has zero width", self.backend)));
-        }
-        let colors = self.colors.unwrap_or(width);
-        if colors == 0 {
-            return Err(Error::Session("color count must be at least 1".into()));
-        }
-        Ok(colors)
-    }
-
     /// Solves the partitioning constraints (inference → unification →
     /// solving → plan construction) into a shareable [`Plan`], consulting
-    /// the configured [`PlanCache`] first. Run-side settings on the
-    /// builder are validated by [`Run::run`], not here — `solve` only
-    /// checks what the solve itself depends on.
+    /// the configured [`PlanCache`] first.
     pub fn solve(self) -> Result<Plan, Error> {
-        let colors = self.resolve_colors()?;
-        self.solve_at(colors)
-    }
-
-    fn solve_at(self, colors: usize) -> Result<Plan, Error> {
+        if self.colors == 0 {
+            return Err(Error::Session("color count must be at least 1".into()));
+        }
         if self.externals.len() != self.hints.num_externals() {
             return Err(Error::Session(format!(
                 "{} external bindings for {} declared externals",
@@ -305,7 +136,7 @@ impl Partir {
                 &self.hints,
                 &self.options,
                 &self.externals,
-                colors,
+                self.colors,
             );
             if let Some(solved) = cache.get(fp)? {
                 return Ok(Plan::from_solved(solved, true));
@@ -318,7 +149,7 @@ impl Partir {
             &self.hints,
             self.options,
             self.externals,
-            colors,
+            self.colors,
         )?);
         if let Some(cache) = &cache {
             // Degraded (budget-exhausted) plans are refused by the cache
@@ -327,153 +158,21 @@ impl Partir {
         }
         Ok(Plan::from_solved(solved, false))
     }
-
-    /// Validates the full configuration (solve- and run-side) and solves
-    /// the partitioning constraints, bundling the [`Plan`] with one
-    /// resolved [`Run`] into a classic [`Session`].
-    pub fn build(self) -> Result<Session, Error> {
-        let colors = self.resolve_colors()?;
-        // Run-side validation and environment-default resolution happen
-        // here, before paying for the solve, preserving the original
-        // build()-time error surface.
-        let resolved = self.run_config().resolve(colors)?;
-        let plan = self.solve_at(colors)?;
-        Ok(Session {
-            plan,
-            run: resolved,
-            last: None,
-            last_trace: None,
-            last_volume: None,
-            last_placement: None,
-        })
-    }
-}
-
-/// A solved partitioning bundled with one resolved run configuration —
-/// the classic single-struct API, now a thin wrapper over [`Plan`] +
-/// [`Run`]. One `build` amortizes over many [`run`](Session::run) calls;
-/// partitions, exchange plans, placements, and legality proofs are
-/// memoized per store index structure inside the shared plan. For
-/// concurrent runs or multiple backends over one solve, use
-/// [`Partir::solve`] and share the [`Plan`] directly.
-#[derive(Debug)]
-pub struct Session {
-    plan: Plan,
-    run: ResolvedRun,
-    last: Option<RunReport>,
-    last_trace: Option<Trace>,
-    last_volume: Option<VolumeAccounting>,
-    last_placement: Option<PlacementReport>,
-}
-
-impl Session {
-    /// The shareable solved plan. Clones of this handle stay valid after
-    /// the session is dropped and can run concurrently.
-    pub fn shared_plan(&self) -> Plan {
-        self.plan.clone()
-    }
-
-    /// The solved plan (partitions, per-loop strategies, timings).
-    pub fn plan(&self) -> &ParallelPlan {
-        self.plan.parallel_plan()
-    }
-
-    /// Yields an owned copy of the solved plan (for harnesses that only
-    /// need the pipeline output).
-    pub fn into_plan(self) -> ParallelPlan {
-        self.plan.parallel_plan().clone()
-    }
-
-    /// The program this session executes.
-    pub fn program(&self) -> &[Loop] {
-        self.plan.program()
-    }
-
-    /// The session's partitioning functions.
-    pub fn fns(&self) -> &FnTable {
-        self.plan.fns()
-    }
-
-    /// The backend this session runs on.
-    pub fn backend(&self) -> Backend {
-        self.run.backend
-    }
-
-    /// The color (task) count partitions are evaluated at.
-    pub fn colors(&self) -> usize {
-        self.plan.colors()
-    }
-
-    /// Renders the synthesized DPL program.
-    pub fn render_dpl(&self) -> String {
-        self.plan.render_dpl()
-    }
-
-    /// Renders the solver/unification explanation trace.
-    pub fn render_explanation(&self) -> String {
-        self.plan.render_explanation()
-    }
-
-    /// Evaluates the plan's partitions against a store (shared `Arc`s;
-    /// canonically equal subexpressions are materialized once, and the
-    /// evaluation itself is memoized per store index structure).
-    pub fn evaluate(&self, store: &Store) -> Vec<Arc<Partition>> {
-        self.plan.evaluate(store).as_ref().clone()
-    }
-
-    /// Executes the program on the configured backend, mutating `store` in
-    /// place. Results are bit-identical to the sequential interpreter on
-    /// both backends.
-    pub fn run(&mut self, store: &mut Store) -> Result<RunReport, Error> {
-        let outcome = self.run.execute(&self.plan, store)?;
-        self.last = Some(outcome.report);
-        self.last_trace = outcome.trace;
-        self.last_volume = outcome.volume;
-        self.last_placement = outcome.placement;
-        Ok(outcome.report)
-    }
-
-    /// The report of the most recent [`run`](Session::run), if any.
-    pub fn report(&self) -> Option<RunReport> {
-        self.last
-    }
-
-    /// The per-rank timeline of the most recent rank-backend run. `None`
-    /// unless the session's [`ObsConfig::timeline`] flag is on (or
-    /// `PARTIR_TIMELINE` was set) and a `Ranks` run has completed.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.last_trace.as_ref()
-    }
-
-    /// Predicted-vs-measured communication accounting from the most
-    /// recent rank-backend run: one [`partir_runtime::dist::PairDelta`]
-    /// per `(src, dst)` pair the exchange plan or the mailboxes saw.
-    pub fn volume_accounting(&self) -> Option<&VolumeAccounting> {
-        self.last_volume.as_ref()
-    }
-
-    /// Per-epoch critical-path attribution computed from the last
-    /// timeline (see [`DistProfile`]). `None` without a timeline.
-    pub fn dist_profile(&self) -> Option<DistProfile> {
-        self.last_trace.as_ref().map(DistProfile::from_trace)
-    }
-
-    /// How the most recent rank-backend run mapped colors onto ranks:
-    /// policy, block-vs-optimized predicted bytes, the achieved imbalance
-    /// factor, and the refinement pass/move/gain accounting with its solve
-    /// time. `None` before the first `Ranks` run.
-    pub fn placement_report(&self) -> Option<&PlacementReport> {
-        self.last_placement.as_ref()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Backend, Run, RunOutcome};
+    use partir_core::placement::{PlacementConfig, PlacementPolicy};
     use partir_dpl::func::{FnDef, IndexFn};
-    use partir_dpl::region::{FieldId, FieldKind};
+    use partir_dpl::region::{FieldId, FieldKind, Store};
     use partir_ir::ast::{LoopBuilder, ReduceOp, VExpr};
     use partir_ir::interp::run_program_seq;
+    use partir_obs::profile::DistProfile;
+    use partir_obs::ObsConfig;
+    use partir_runtime::dist::{CheckpointPolicy, DistFaultPlan, LegalityMode, RankCrash};
+    use partir_runtime::fault::FaultPlan;
 
     /// Figure 7's scatter: `for i in R: S[g(i)] += R[i]`.
     fn scatter() -> (Vec<Loop>, FnTable, Schema, Store) {
@@ -498,47 +197,63 @@ mod tests {
         (vec![b.finish()], fns, schema, store)
     }
 
-    #[test]
-    fn builder_runs_on_both_backends() {
+    /// The scatter solved at `colors`, its seed store, and the sequential
+    /// result every run must reproduce.
+    fn solved_scatter(colors: usize) -> (Plan, Store, Store) {
         let (program, fns, schema, seed) = scatter();
         let mut seq = seed.clone();
         run_program_seq(&program, &mut seq, &fns);
+        let plan = Partir::new(program, fns, schema)
+            .colors(colors)
+            .solve()
+            .expect("scatter is parallelizable");
+        (plan, seed, seq)
+    }
 
-        for backend in [Backend::Threads(3), Backend::Ranks(3)] {
-            let mut session = Partir::new(program.clone(), fns.clone(), schema.clone())
-                .backend(backend)
-                .colors(6)
-                .build()
-                .expect("scatter is parallelizable");
-            let mut store = seed.clone();
-            let report = session.run(&mut store).expect("run succeeds");
-            assert!(report.tasks_run() > 0);
-            assert!(session.report().is_some());
-            for fi in 0..schema.num_fields() {
-                let f = FieldId(fi as u32);
-                assert_eq!(seq.field_data(f), store.field_data(f), "{backend:?} differs");
-            }
+    /// Runs `run` on a copy of `seed` and checks the result against `seq`.
+    fn run_identical(run: &Run, plan: &Plan, seed: &Store, seq: &Store) -> RunOutcome {
+        let mut store = seed.clone();
+        let outcome = run.run(plan, &mut store).expect("run succeeds");
+        for fi in 0..plan.schema().num_fields() {
+            let f = FieldId(fi as u32);
+            assert_eq!(seq.field_data(f), store.field_data(f), "field {fi} differs under {run:?}");
+        }
+        outcome
+    }
+
+    fn invalid(run: Run, plan: &Plan, seed: &Store) {
+        let err = run.run(plan, &mut seed.clone()).unwrap_err();
+        assert_eq!(err.error_code(), "session.invalid", "{run:?}");
+    }
+
+    fn crash(rank: usize, seed: u64) -> DistFaultPlan {
+        DistFaultPlan {
+            crash: Some(RankCrash { rank, epoch: 0, silent: false }),
+            ..DistFaultPlan::quiescent(seed)
         }
     }
 
     #[test]
-    fn session_exposes_the_plan() {
+    fn one_plan_runs_on_both_backends() {
+        let (plan, seed, seq) = solved_scatter(6);
+        for backend in [Backend::Threads(3), Backend::Ranks(3)] {
+            let outcome = run_identical(&Run::new().backend(backend), &plan, &seed, &seq);
+            assert!(outcome.report.tasks_run() > 0);
+        }
+    }
+
+    #[test]
+    fn plan_exposes_the_solution() {
         let (program, fns, schema, _) = scatter();
-        let session = Partir::new(program, fns, schema).build().unwrap();
-        assert!(!session.render_dpl().is_empty());
-        assert!(session.plan().num_partitions() > 0);
+        let plan = Partir::new(program, fns, schema).solve().unwrap();
+        assert_eq!(plan.colors(), 4, "the default color count");
+        assert!(!plan.render_dpl().is_empty());
+        assert!(plan.parallel_plan().num_partitions() > 0);
     }
 
     #[test]
     fn solve_yields_a_shareable_plan_that_runs_on_both_backends() {
-        let (program, fns, schema, seed) = scatter();
-        let mut seq = seed.clone();
-        run_program_seq(&program, &mut seq, &fns);
-
-        let plan = Partir::new(program, fns, schema.clone())
-            .colors(6)
-            .solve()
-            .expect("scatter is parallelizable");
+        let (plan, seed, seq) = solved_scatter(6);
         assert!(!plan.cache_hit());
         assert!(!plan.degraded());
 
@@ -547,21 +262,15 @@ mod tests {
             [Run::new().backend(Backend::Threads(3)), Run::new().backend(Backend::Ranks(3))]
                 .into_iter()
                 .map(|run| {
-                    let plan = plan.clone();
-                    let mut store = seed.clone();
+                    let (plan, seed, seq) = (plan.clone(), seed.clone(), seq.clone());
                     std::thread::spawn(move || {
-                        let outcome = run.run(&plan, &mut store).expect("run succeeds");
+                        let outcome = run_identical(&run, &plan, &seed, &seq);
                         assert!(outcome.report.tasks_run() > 0);
-                        store
                     })
                 })
                 .collect();
         for h in handles {
-            let store = h.join().expect("no panic");
-            for fi in 0..schema.num_fields() {
-                let f = FieldId(fi as u32);
-                assert_eq!(seq.field_data(f), store.field_data(f));
-            }
+            h.join().expect("no panic");
         }
     }
 
@@ -585,230 +294,149 @@ mod tests {
 
     #[test]
     fn run_side_settings_do_not_perturb_the_cache_key() {
-        let (program, fns, schema, _) = scatter();
+        let (program, fns, schema, seed) = scatter();
+        let mut seq = seed.clone();
+        run_program_seq(&program, &mut seq, &fns);
         let cache = PlanCache::default();
-        let _ = Partir::new(program.clone(), fns.clone(), schema.clone())
-            .backend(Backend::Threads(3))
-            .colors(6)
-            .cache(&cache)
-            .solve()
-            .unwrap();
-        // Different backend, legality, chaos — same solve inputs.
-        let warm = Partir::new(program, fns, schema)
-            .backend(Backend::Ranks(2))
-            .colors(6)
-            .check_legality(false)
-            .chaos_seed(7)
-            .cache(&cache)
-            .solve()
-            .unwrap();
-        assert!(warm.cache_hit(), "run-side knobs must not fragment the cache");
+        // Different backend, legality, chaos — one solve serves them all.
+        let runs = [
+            Run::new().backend(Backend::Threads(3)),
+            Run::new().backend(Backend::Ranks(2)).check_legality(false).chaos_seed(7),
+            Run::new().backend(Backend::Ranks(3)).legality_mode(LegalityMode::Element),
+        ];
+        for run in &runs {
+            let plan = Partir::new(program.clone(), fns.clone(), schema.clone())
+                .colors(6)
+                .cache(&cache)
+                .solve()
+                .unwrap();
+            run_identical(run, &plan, &seed, &seq);
+        }
+        let stats = cache.stats().unwrap();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (2, 1),
+            "run-side knobs must not fragment the cache"
+        );
     }
 
     #[test]
     fn invalid_configurations_are_session_errors() {
-        let (program, fns, schema, _) = scatter();
-        let zero = Partir::new(program.clone(), fns.clone(), schema.clone())
-            .backend(Backend::Threads(0))
-            .build();
-        assert_eq!(zero.unwrap_err().error_code(), "session.invalid");
+        let (program, fns, schema, seed) = scatter();
+        let no_colors = Partir::new(program.clone(), fns.clone(), schema.clone()).colors(0).solve();
+        assert_eq!(no_colors.unwrap_err().error_code(), "session.invalid");
 
-        let few_colors = Partir::new(program.clone(), fns.clone(), schema.clone())
-            .backend(Backend::Ranks(4))
-            .colors(2)
-            .build();
-        assert_eq!(few_colors.unwrap_err().error_code(), "session.invalid");
-
-        let fault_on_ranks = Partir::new(program, fns, schema)
-            .backend(Backend::Ranks(2))
-            .fault(FaultPlan::quiescent(7))
-            .build();
-        assert_eq!(fault_on_ranks.unwrap_err().error_code(), "session.invalid");
+        let plan = Partir::new(program, fns, schema).colors(2).solve().unwrap();
+        invalid(Run::new().backend(Backend::Threads(0)), &plan, &seed);
+        // Fewer colors than ranks.
+        invalid(Run::new().backend(Backend::Ranks(4)), &plan, &seed);
+        invalid(Run::new().backend(Backend::Ranks(2)).fault(FaultPlan::quiescent(7)), &plan, &seed);
     }
 
     #[test]
     fn dist_fault_and_checkpoint_are_ranks_only() {
-        let (program, fns, schema, _) = scatter();
-        let df_on_threads = Partir::new(program.clone(), fns.clone(), schema.clone())
-            .backend(Backend::Threads(2))
-            .dist_fault(DistFaultPlan::quiescent(1))
-            .build();
-        assert_eq!(df_on_threads.unwrap_err().error_code(), "session.invalid");
-
-        let ckpt_on_threads = Partir::new(program.clone(), fns.clone(), schema.clone())
-            .backend(Backend::Threads(2))
-            .checkpoint(CheckpointPolicy::every(1))
-            .build();
-        assert_eq!(ckpt_on_threads.unwrap_err().error_code(), "session.invalid");
-
-        let crash_out_of_range = Partir::new(program, fns, schema)
-            .backend(Backend::Ranks(2))
-            .dist_fault(DistFaultPlan {
-                crash: Some(partir_runtime::dist::RankCrash { rank: 5, epoch: 0, silent: false }),
-                ..DistFaultPlan::quiescent(1)
-            })
-            .build();
-        assert_eq!(crash_out_of_range.unwrap_err().error_code(), "session.invalid");
+        let (plan, seed, _) = solved_scatter(4);
+        let threads = || Run::new().backend(Backend::Threads(2));
+        invalid(threads().dist_fault(DistFaultPlan::quiescent(1)), &plan, &seed);
+        invalid(threads().checkpoint(CheckpointPolicy::every(1)), &plan, &seed);
+        // A crash of a rank the backend does not have.
+        invalid(Run::new().backend(Backend::Ranks(2)).dist_fault(crash(5, 1)), &plan, &seed);
     }
 
     #[test]
     fn rank_crash_recovers_bit_identically_through_the_builder() {
-        let (program, fns, schema, seed) = scatter();
-        let mut seq = seed.clone();
-        run_program_seq(&program, &mut seq, &fns);
-
-        let mut session = Partir::new(program, fns, schema)
+        let (plan, seed, seq) = solved_scatter(6);
+        let run = Run::new()
             .backend(Backend::Ranks(3))
-            .colors(6)
-            .dist_fault(DistFaultPlan {
-                crash: Some(partir_runtime::dist::RankCrash { rank: 1, epoch: 0, silent: false }),
-                ..DistFaultPlan::quiescent(9)
-            })
-            .checkpoint(CheckpointPolicy::every(1))
-            .build()
-            .unwrap();
-        let mut store = seed.clone();
-        let report = session.run(&mut store).expect("survivors recover the run");
-        let dist = report.as_ranks().expect("ranks report");
+            .dist_fault(crash(1, 9))
+            .checkpoint(CheckpointPolicy::every(1));
+        let outcome = run_identical(&run, &plan, &seed, &seq);
+        let dist = outcome.report.as_ranks().expect("ranks report");
         assert_eq!(dist.recoveries, 1);
         assert!(dist.bytes_migrated > 0, "the lost rank's shard migrated");
-        for fi in 0..2u32 {
-            let f = FieldId(fi);
-            assert_eq!(seq.field_data(f), store.field_data(f), "field {fi} differs");
-        }
     }
 
     #[test]
     fn timeline_and_volume_flow_through_the_ranks_backend() {
-        let (program, fns, schema, seed) = scatter();
-        let mut session = Partir::new(program, fns, schema)
-            .backend(Backend::Ranks(4))
-            .colors(4)
-            .obs(ObsConfig { timeline: true, strict_volume: true, ..ObsConfig::disabled() })
-            .build()
-            .unwrap();
-        let mut store = seed.clone();
-        session.run(&mut store).expect("strict volume accounting holds");
+        let (plan, seed, seq) = solved_scatter(4);
+        let run = Run::new().backend(Backend::Ranks(4)).obs(ObsConfig {
+            timeline: true,
+            strict_volume: true,
+            ..ObsConfig::disabled()
+        });
+        // The run succeeding means strict volume accounting held.
+        let outcome = run_identical(&run, &plan, &seed, &seq);
 
-        let trace = session.trace().expect("timeline was collected");
+        let trace = outcome.trace.expect("timeline was collected");
         trace.validate().expect("well-formed timeline");
-        let volume = session.volume_accounting().expect("volume accounting present");
-        assert!(volume.is_clean());
-        let profile = session.dist_profile().expect("profile derives from the timeline");
+        assert!(outcome.volume.expect("volume accounting present").is_clean());
+        let profile = DistProfile::from_trace(&trace);
         assert!((profile.coverage() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn explicit_placement_runs_bit_identically_and_reports() {
-        let (program, fns, schema, seed) = scatter();
-        let mut seq = seed.clone();
-        run_program_seq(&program, &mut seq, &fns);
-
+        let (plan, seed, seq) = solved_scatter(6);
         // A deliberately scrambled (but valid) owner mapping: results must
         // not depend on which rank owns which color.
-        let mut session = Partir::new(program, fns, schema)
+        let run = Run::new()
             .backend(Backend::Ranks(3))
-            .colors(6)
-            .placement(PlacementPolicy::Explicit(vec![2, 0, 1, 1, 0, 2]))
-            .build()
-            .unwrap();
-        let mut store = seed.clone();
-        session.run(&mut store).expect("explicit placement runs");
-        let rep = session.placement_report().expect("placement report present");
-        assert_eq!(rep.policy, "explicit");
-        for fi in 0..2u32 {
-            let f = FieldId(fi);
-            assert_eq!(seq.field_data(f), store.field_data(f), "field {fi} differs");
-        }
+            .placement(PlacementPolicy::Explicit(vec![2, 0, 1, 1, 0, 2]));
+        let outcome = run_identical(&run, &plan, &seed, &seq);
+        assert_eq!(outcome.placement.expect("placement report present").policy, "explicit");
     }
 
     #[test]
     fn placement_misconfigurations_are_session_errors() {
-        let (program, fns, schema, _) = scatter();
-        let on_threads = Partir::new(program.clone(), fns.clone(), schema.clone())
-            .backend(Backend::Threads(2))
-            .placement(PlacementPolicy::CostDriven)
-            .build();
-        assert_eq!(on_threads.unwrap_err().error_code(), "session.invalid");
-
-        let bad_imbalance = Partir::new(program, fns, schema)
+        let (plan, seed, _) = solved_scatter(4);
+        let on_threads =
+            Run::new().backend(Backend::Threads(2)).placement(PlacementPolicy::CostDriven);
+        invalid(on_threads, &plan, &seed);
+        let bad_imbalance = Run::new()
             .backend(Backend::Ranks(2))
-            .placement_config(PlacementConfig { imbalance: 0.5, ..PlacementConfig::cost_driven() })
-            .build();
-        assert_eq!(bad_imbalance.unwrap_err().error_code(), "session.invalid");
+            .placement_config(PlacementConfig { imbalance: 0.5, ..PlacementConfig::cost_driven() });
+        invalid(bad_imbalance, &plan, &seed);
     }
 
     #[test]
     fn bad_explicit_assignments_surface_as_exchange_errors() {
-        let (program, fns, schema, seed) = scatter();
-        // Too short: 4 entries for 6 colors.
-        let mut short = Partir::new(program.clone(), fns.clone(), schema.clone())
-            .backend(Backend::Ranks(3))
-            .colors(6)
-            .placement(PlacementPolicy::Explicit(vec![0, 1, 2, 0]))
-            .build()
-            .expect("shape defects surface at run, not build");
-        let mut store = seed.clone();
-        let err = short.run(&mut store).unwrap_err();
-        assert_eq!(err.error_code(), "exchange.bad_assignment");
-
-        // Out-of-range rank: rank 7 on a 3-rank backend.
-        let mut oob = Partir::new(program, fns, schema)
-            .backend(Backend::Ranks(3))
-            .colors(6)
-            .placement(PlacementPolicy::Explicit(vec![0, 1, 2, 7, 1, 0]))
-            .build()
-            .unwrap();
-        let mut store = seed;
-        let err = oob.run(&mut store).unwrap_err();
-        assert_eq!(err.error_code(), "exchange.bad_assignment");
-    }
-
-    #[test]
-    fn cost_driven_placement_stays_bit_identical_through_recovery() {
-        let (program, fns, schema, seed) = scatter();
-        let mut seq = seed.clone();
-        run_program_seq(&program, &mut seq, &fns);
-
-        let mut session = Partir::new(program, fns, schema)
-            .backend(Backend::Ranks(3))
-            .colors(6)
-            .placement(PlacementPolicy::CostDriven)
-            .dist_fault(DistFaultPlan {
-                crash: Some(partir_runtime::dist::RankCrash { rank: 2, epoch: 0, silent: false }),
-                ..DistFaultPlan::quiescent(13)
-            })
-            .checkpoint(CheckpointPolicy::every(1))
-            .build()
-            .unwrap();
-        let mut store = seed.clone();
-        let report = session.run(&mut store).expect("survivors recover under cost placement");
-        assert_eq!(report.as_ranks().unwrap().recoveries, 1);
-        let rep = session.placement_report().expect("placement report present");
-        assert_eq!(rep.policy, "cost");
-        assert!(rep.predicted_bytes <= rep.predicted_block_bytes, "never worse than block");
-        for fi in 0..2u32 {
-            let f = FieldId(fi);
-            assert_eq!(seq.field_data(f), store.field_data(f), "field {fi} differs");
+        let (plan, seed, _) = solved_scatter(6);
+        // Too short (4 entries for 6 colors), then rank 7 on a 3-rank
+        // backend: shape defects carry the exchange layer's own code.
+        for assignment in [vec![0, 1, 2, 0], vec![0, 1, 2, 7, 1, 0]] {
+            let run = Run::new()
+                .backend(Backend::Ranks(3))
+                .placement(PlacementPolicy::Explicit(assignment));
+            let err = run.run(&plan, &mut seed.clone()).unwrap_err();
+            assert_eq!(err.error_code(), "exchange.bad_assignment");
         }
     }
 
     #[test]
-    fn fault_plan_flows_through_the_threads_backend() {
-        let (program, fns, schema, seed) = scatter();
-        let mut seq = seed.clone();
-        run_program_seq(&program, &mut seq, &fns);
+    fn cost_driven_placement_stays_bit_identical_through_recovery() {
+        let (plan, seed, seq) = solved_scatter(6);
+        let run = Run::new()
+            .backend(Backend::Ranks(3))
+            .placement(PlacementPolicy::CostDriven)
+            .dist_fault(crash(2, 13))
+            .checkpoint(CheckpointPolicy::every(1));
+        let outcome = run_identical(&run, &plan, &seed, &seq);
+        assert_eq!(outcome.report.as_ranks().unwrap().recoveries, 1);
+        let rep = outcome.placement.expect("placement report present");
+        assert_eq!(rep.policy, "cost");
+        assert!(rep.predicted_bytes <= rep.predicted_block_bytes, "never worse than block");
+    }
 
-        let mut session = Partir::new(program, fns, schema)
-            .backend(Backend::Threads(2))
-            .colors(4)
-            .fault(FaultPlan { seed: 11, task_failure_rate: 1.0, poison_after: None })
-            .build()
-            .unwrap();
-        let mut store = seed.clone();
-        let report = session.run(&mut store).expect("recovery keeps the run alive");
-        let exec = report.as_threads().expect("threads report");
+    #[test]
+    fn fault_plan_flows_through_the_threads_backend() {
+        let (plan, seed, seq) = solved_scatter(4);
+        let run = Run::new().backend(Backend::Threads(2)).fault(FaultPlan {
+            seed: 11,
+            task_failure_rate: 1.0,
+            poison_after: None,
+        });
+        let outcome = run_identical(&run, &plan, &seed, &seq);
+        let exec = outcome.report.as_threads().expect("threads report");
         assert!(exec.faults_injected > 0);
-        assert_eq!(seq.field_data(FieldId(1)), store.field_data(FieldId(1)));
     }
 }

@@ -15,6 +15,7 @@ use partir_core::solve::SolveError;
 use partir_runtime::dist::DistError;
 use partir_runtime::exec::ExecError;
 use partir_runtime::sim::SimError;
+use partir_runtime::task::PlanError;
 use std::fmt;
 
 /// Failures of the serving layer ([`crate::serve`]), each with its own
@@ -67,8 +68,8 @@ pub enum Error {
     Dist(DistError),
     /// Machine-model simulator failure (`sim.*`).
     Sim(SimError),
-    /// Builder misuse: an inconsistent or impossible session configuration
-    /// (`session.invalid`).
+    /// Builder misuse: an inconsistent or impossible solve or run
+    /// configuration (`session.invalid`).
     Session(String),
     /// Serving-layer failure (`serve.*`).
     Serve(ServeError),
@@ -87,13 +88,7 @@ impl Error {
             Error::Solve(SolveError::Unsatisfiable) => "solve.unsatisfiable",
             Error::Exchange(e) => exchange_code(e),
             Error::Exec(e) => match e {
-                ExecError::PlanMismatch { .. } => "exec.plan_mismatch",
-                ExecError::PartitionIndexOutOfBounds { .. } => "exec.partition_index_out_of_bounds",
-                ExecError::PartitionWidthMismatch { .. } => "exec.partition_width_mismatch",
-                ExecError::PartitionExceedsRegion { .. } => "exec.partition_exceeds_region",
-                ExecError::IncompleteIteration { .. } => "exec.incomplete_iteration",
-                ExecError::IterationNotDisjoint { .. } => "exec.iteration_not_disjoint",
-                ExecError::ReductionNotDisjoint { .. } => "exec.reduction_not_disjoint",
+                ExecError::Plan(p) => plan_code(p).0,
                 ExecError::Legality(_) => "exec.legality",
                 ExecError::TaskPanic(_) => "exec.task_panic",
                 ExecError::TaskFailed { .. } => "exec.task_failed",
@@ -103,13 +98,7 @@ impl Error {
                 // Exchange derivation keeps its own code family even when
                 // reached through the distributed entry point.
                 DistError::Exchange(x) => exchange_code(x),
-                DistError::PlanMismatch { .. } => "dist.plan_mismatch",
-                DistError::PartitionIndexOutOfBounds { .. } => "dist.partition_index_out_of_bounds",
-                DistError::PartitionWidthMismatch { .. } => "dist.partition_width_mismatch",
-                DistError::PartitionExceedsRegion { .. } => "dist.partition_exceeds_region",
-                DistError::IncompleteIteration { .. } => "dist.incomplete_iteration",
-                DistError::IterationNotDisjoint { .. } => "dist.iteration_not_disjoint",
-                DistError::ReductionNotDisjoint { .. } => "dist.reduction_not_disjoint",
+                DistError::Plan(p) => plan_code(p).1,
                 DistError::Legality(_) => "dist.legality",
                 DistError::PlanIllegal(_) => "dist.plan_illegal",
                 DistError::RankPanic { .. } => "dist.rank_panic",
@@ -131,6 +120,32 @@ impl Error {
                 ServeError::Disconnected => "serve.disconnected",
             },
             Error::Cache(CacheError::Poisoned) => "cache.poisoned",
+        }
+    }
+}
+
+/// The `(exec.*, dist.*)` codes of a plan/partition defect: one check, a
+/// code family per backend that ran it.
+fn plan_code(e: &PlanError) -> (&'static str, &'static str) {
+    match e {
+        PlanError::PlanMismatch { .. } => ("exec.plan_mismatch", "dist.plan_mismatch"),
+        PlanError::PartitionIndexOutOfBounds { .. } => {
+            ("exec.partition_index_out_of_bounds", "dist.partition_index_out_of_bounds")
+        }
+        PlanError::PartitionWidthMismatch { .. } => {
+            ("exec.partition_width_mismatch", "dist.partition_width_mismatch")
+        }
+        PlanError::PartitionExceedsRegion { .. } => {
+            ("exec.partition_exceeds_region", "dist.partition_exceeds_region")
+        }
+        PlanError::IncompleteIteration { .. } => {
+            ("exec.incomplete_iteration", "dist.incomplete_iteration")
+        }
+        PlanError::IterationNotDisjoint { .. } => {
+            ("exec.iteration_not_disjoint", "dist.iteration_not_disjoint")
+        }
+        PlanError::ReductionNotDisjoint { .. } => {
+            ("exec.reduction_not_disjoint", "dist.reduction_not_disjoint")
         }
     }
 }
@@ -229,12 +244,37 @@ mod tests {
     use partir_dpl::region::RegionId;
     use partir_ir::ast::AccessId;
     use partir_obs::report::is_known_error_code;
-    use partir_runtime::dist::DistViolation;
+    use partir_runtime::task::LegalityViolation;
+
+    fn violation(rank: Option<usize>) -> LegalityViolation {
+        LegalityViolation {
+            rank,
+            loop_id: 0,
+            task: 0,
+            region: RegionId(0),
+            index: 0,
+            access: AccessId(0),
+        }
+    }
 
     /// One witness per variant family; every code must be registered.
     #[test]
     fn every_error_code_is_registered() {
-        let samples: Vec<Error> = vec![
+        let plan_defects = [
+            PlanError::PlanMismatch { plan_loops: 1, program_loops: 2 },
+            PlanError::PartitionIndexOutOfBounds { loop_index: 0, part: 9, len: 1 },
+            PlanError::PartitionWidthMismatch { part: 0, expected: 2, got: 3 },
+            PlanError::PartitionExceedsRegion { loop_index: 0, part: 0, index: 7, size: 4 },
+            PlanError::IncompleteIteration { loop_index: 0 },
+            PlanError::IterationNotDisjoint { loop_index: 0 },
+            PlanError::ReductionNotDisjoint { loop_index: 0, access: AccessId(0) },
+        ];
+        let mut samples: Vec<Error> = Vec::new();
+        for p in plan_defects {
+            samples.push(Error::Exec(ExecError::Plan(p.clone())));
+            samples.push(Error::Dist(DistError::Plan(p)));
+        }
+        samples.extend([
             Error::Auto(AutoError::Unsatisfiable),
             Error::Solve(SolveError::Unsatisfiable),
             Error::Exchange(ExchangeError::NoRanks),
@@ -245,49 +285,12 @@ mod tests {
                 n_ranks: 2,
                 bad_rank: Some(9),
             }),
-            Error::Exec(ExecError::PlanMismatch { plan_loops: 1, program_loops: 2 }),
-            Error::Exec(ExecError::PartitionIndexOutOfBounds { loop_index: 0, part: 9, len: 1 }),
-            Error::Exec(ExecError::PartitionWidthMismatch { part: 0, expected: 2, got: 3 }),
-            Error::Exec(ExecError::PartitionExceedsRegion {
-                loop_index: 0,
-                part: 0,
-                index: 7,
-                size: 4,
-            }),
-            Error::Exec(ExecError::IncompleteIteration { loop_index: 0 }),
-            Error::Exec(ExecError::IterationNotDisjoint { loop_index: 0 }),
-            Error::Exec(ExecError::ReductionNotDisjoint { loop_index: 0, access: AccessId(0) }),
-            Error::Exec(ExecError::Legality(partir_runtime::exec::LegalityViolation {
-                loop_id: 0,
-                task: 0,
-                region: RegionId(0),
-                index: 0,
-                access: AccessId(0),
-            })),
+            Error::Exec(ExecError::Legality(violation(None))),
             Error::Exec(ExecError::TaskPanic("boom".into())),
             Error::Exec(ExecError::TaskFailed { loop_index: 0, color: 0, attempts: 3 }),
             Error::Exec(ExecError::BufferStateCorrupt { loop_index: 0 }),
             Error::Dist(DistError::Exchange(ExchangeError::NoRanks)),
-            Error::Dist(DistError::PlanMismatch { plan_loops: 1, program_loops: 2 }),
-            Error::Dist(DistError::PartitionIndexOutOfBounds { loop_index: 0, part: 9, len: 1 }),
-            Error::Dist(DistError::PartitionWidthMismatch { part: 0, expected: 2, got: 3 }),
-            Error::Dist(DistError::PartitionExceedsRegion {
-                loop_index: 0,
-                part: 0,
-                index: 7,
-                size: 4,
-            }),
-            Error::Dist(DistError::IncompleteIteration { loop_index: 0 }),
-            Error::Dist(DistError::IterationNotDisjoint { loop_index: 0 }),
-            Error::Dist(DistError::ReductionNotDisjoint { loop_index: 0, access: AccessId(0) }),
-            Error::Dist(DistError::Legality(DistViolation {
-                rank: 0,
-                loop_id: 0,
-                task: 0,
-                region: RegionId(0),
-                index: 0,
-                access: AccessId(0),
-            })),
+            Error::Dist(DistError::Legality(violation(Some(0)))),
             Error::Dist(DistError::PlanIllegal(partir_core::exchange::PlanLegalityError {
                 loop_index: 0,
                 access: 0,
@@ -315,7 +318,7 @@ mod tests {
             Error::Serve(ServeError::QueueFull { cap: 64 }),
             Error::Serve(ServeError::Disconnected),
             Error::Cache(CacheError::Poisoned),
-        ];
+        ]);
         for e in &samples {
             let code = e.error_code();
             assert!(is_known_error_code(code), "unregistered error code {code} for {e:?}");

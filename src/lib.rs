@@ -6,11 +6,11 @@
 //!
 //! The front door is the [`Partir`] builder: describe a program once, let
 //! the constraint pipeline solve its partitioning into a shareable
-//! [`Plan`], and run it on either backend via [`Run`] (or the classic
-//! one-struct [`Session`]). Solves are cacheable: a fingerprint-keyed
-//! [`PlanCache`] keys on the structure of the solve inputs and shares the
-//! immutable artifact — including memoized exchange plans, placements,
-//! and legality proofs — across sessions and threads, and the
+//! [`Plan`], and run it on either backend via [`Run`]. Solves are
+//! cacheable: a fingerprint-keyed [`PlanCache`] keys on the structure of
+//! the solve inputs and shares the immutable artifact — including
+//! memoized exchange plans, placements, and legality proofs — across
+//! runs and threads, and the
 //! [`serve`] module turns that into a concurrent solve service.
 //! Underneath, this facade re-exports the workspace crates:
 //!
@@ -24,11 +24,11 @@
 //!   (Algorithm 2), unification (Algorithm 3), external constraints, the
 //!   Section 5 reduction optimizations, and the end-to-end
 //!   [`core::pipeline::auto_parallelize`] pass;
-//! * [`runtime`] — a threaded executor (legality checking, reduction
-//!   buffers, relaxation guards, private sub-partitions), an SPMD
-//!   rank-sharded distributed backend with constraint-derived ghost
-//!   exchange, and a distributed-memory simulator for the weak-scaling
-//!   experiments;
+//! * [`runtime`] — one compute core (legality checking, reduction
+//!   buffers, relaxation guards, private sub-partitions) under two
+//!   backends — a threaded executor and an SPMD rank-sharded distributed
+//!   backend with constraint-derived ghost exchange — and a
+//!   distributed-memory simulator for the weak-scaling experiments;
 //! * [`apps`] — the five benchmark applications of the paper's evaluation.
 //!
 //! ## Quickstart
@@ -82,17 +82,17 @@ mod error;
 mod plan;
 pub mod serve;
 
-pub use builder::{Backend, Partir, Session};
+pub use builder::Partir;
 pub use error::{Error, ServeError};
 pub use partir_core::cache::{CacheStats, PlanCache};
-pub use plan::{Plan, Run, RunOutcome, RunReport};
+pub use plan::{Backend, Plan, Run, RunOutcome, RunReport};
 pub use serve::{ServeConfig, ServeReply, Server, Ticket};
 
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use crate::{
         Backend, Error, Partir, Plan, PlanCache, Run, RunOutcome, RunReport, ServeConfig,
-        ServeError, ServeReply, Server, Session,
+        ServeError, ServeReply, Server,
     };
     pub use partir_core::prelude::*;
     pub use partir_dpl::prelude::*;

@@ -1,5 +1,5 @@
-//! The redesigned execution API: a shareable [`Plan`] plus a per-run
-//! [`Run`] configuration.
+//! The execution API: a shareable [`Plan`] plus a per-run [`Run`]
+//! configuration.
 //!
 //! [`Partir::solve`](crate::Partir::solve) produces a [`Plan`] — a cheap,
 //! `Send + Sync`, clone-shareable handle over an immutable
@@ -14,8 +14,9 @@
 //! Run::new().backend(Backend::Ranks(4)).run(&plan, &mut store)?;
 //! ```
 //!
-//! [`Session`](crate::Session) remains as a thin compatibility wrapper
-//! (one `Plan` + one `Run` + the last run's artifacts) for one release.
+//! [`Run::run`] is the only way to execute; everything a run produced
+//! (report, timeline, volume accounting, placement report) comes back in
+//! its [`RunOutcome`].
 
 use crate::error::Error;
 use partir_core::cache::SolvedPlan;
@@ -30,8 +31,8 @@ use partir_obs::json::Json;
 use partir_obs::trace::Trace;
 use partir_obs::ObsConfig;
 use partir_runtime::dist::{
-    execute_with_exchange_full, CheckpointPolicy, DistFaultPlan, DistOptions, DistReport,
-    LegalityMode, VolumeAccounting,
+    execute_ranks, CheckpointPolicy, DistFaultPlan, DistOptions, DistReport, LegalityMode,
+    VolumeAccounting,
 };
 use partir_runtime::exec::{execute_program, ExecOptions, ExecReport};
 use partir_runtime::fault::{FaultPlan, RetryPolicy};
@@ -53,7 +54,7 @@ impl Default for Backend {
     }
 }
 
-/// A solved partitioning, shareable across threads and sessions.
+/// A solved partitioning, shareable across threads and runs.
 ///
 /// `Plan` is a handle over an `Arc<SolvedPlan>`: cloning is pointer-sized,
 /// and every clone shares the interior memos (evaluated partitions,
@@ -144,15 +145,15 @@ impl Plan {
 /// [`Plan`].
 #[derive(Clone, Debug, Default)]
 pub struct Run {
-    pub(crate) backend: Backend,
-    pub(crate) legality: LegalityMode,
-    pub(crate) chaos_seed: Option<u64>,
-    pub(crate) obs: Option<ObsConfig>,
-    pub(crate) fault: Option<FaultPlan>,
-    pub(crate) dist_fault: Option<DistFaultPlan>,
-    pub(crate) checkpoint: Option<CheckpointPolicy>,
-    pub(crate) placement: Option<PlacementConfig>,
-    pub(crate) retry: RetryPolicy,
+    backend: Backend,
+    legality: LegalityMode,
+    chaos_seed: Option<u64>,
+    obs: Option<ObsConfig>,
+    fault: Option<FaultPlan>,
+    dist_fault: Option<DistFaultPlan>,
+    checkpoint: Option<CheckpointPolicy>,
+    placement: Option<PlacementConfig>,
+    retry: RetryPolicy,
 }
 
 impl Run {
@@ -233,57 +234,44 @@ impl Run {
         self
     }
 
-    /// Validates this configuration against `plan` and executes, mutating
-    /// `store` in place. Results are bit-identical to the sequential
-    /// interpreter on both backends, for any backend width, placement, or
-    /// chaos seed.
-    pub fn run(&self, plan: &Plan, store: &mut Store) -> Result<RunOutcome, Error> {
-        self.resolve(plan.colors())?.execute(plan, store)
-    }
-
-    /// Validation + environment-default resolution, shared between the
-    /// standalone path ([`Run::run`]) and the compatibility
-    /// [`Session`](crate::Session) (which resolves once at `build()`).
-    pub(crate) fn resolve(&self, n_colors: usize) -> Result<ResolvedRun, Error> {
-        let width = match self.backend {
-            Backend::Threads(n) | Backend::Ranks(n) => n,
-        };
-        if width == 0 {
-            return Err(Error::Session(format!("backend {:?} has zero width", self.backend)));
-        }
-        if let Backend::Ranks(r) = self.backend {
-            if n_colors < r {
-                return Err(Error::Session(format!(
-                    "rank backend needs colors >= ranks (got {n_colors} colors for {r} ranks)"
-                )));
+    /// Checks the configuration against the backend it names and the color
+    /// count of the plan it is to run.
+    fn validate(&self, n_colors: usize) -> Result<(), Error> {
+        let invalid = |m: String| Err(Error::Session(m));
+        match self.backend {
+            Backend::Threads(0) | Backend::Ranks(0) => {
+                return invalid(format!("backend {:?} has zero width", self.backend));
             }
-            if self.fault.is_some() {
-                return Err(Error::Session(
-                    "task fault injection is only supported on the Threads backend; \
-                     use dist_fault for the Ranks backend"
-                        .into(),
-                ));
+            Backend::Ranks(r) => {
+                if n_colors < r {
+                    return invalid(format!(
+                        "rank backend needs colors >= ranks (got {n_colors} colors for {r} ranks)"
+                    ));
+                }
+                if self.fault.is_some() {
+                    return invalid(
+                        "task fault injection is only supported on the Threads backend; \
+                         use dist_fault for the Ranks backend"
+                            .into(),
+                    );
+                }
             }
-        }
-        if matches!(self.backend, Backend::Threads(_)) {
-            if self.dist_fault.is_some() {
-                return Err(Error::Session(
-                    "dist_fault injection is only supported on the Ranks backend; \
-                     use fault for the Threads backend"
-                        .into(),
-                ));
-            }
-            if self.checkpoint.is_some() {
-                return Err(Error::Session(
-                    "checkpointing is only supported on the Ranks backend".into(),
-                ));
-            }
-            // The threads backend has no owner mapping; an explicitly
-            // configured non-default placement would be silently dead.
-            if self.placement.as_ref().is_some_and(|p| p.policy != PlacementPolicy::Block) {
-                return Err(Error::Session(
-                    "placement policies apply to the Ranks backend only".into(),
-                ));
+            Backend::Threads(_) => {
+                if self.dist_fault.is_some() {
+                    return invalid(
+                        "dist_fault injection is only supported on the Ranks backend; \
+                         use fault for the Threads backend"
+                            .into(),
+                    );
+                }
+                if self.checkpoint.is_some() {
+                    return invalid("checkpointing is only supported on the Ranks backend".into());
+                }
+                // The threads backend has no owner mapping; an explicitly
+                // configured non-default placement would be silently dead.
+                if self.placement.as_ref().is_some_and(|p| p.policy != PlacementPolicy::Block) {
+                    return invalid("placement policies apply to the Ranks backend only".into());
+                }
             }
         }
         // An explicit assignment's shape (length == colors, ranks in
@@ -291,80 +279,25 @@ impl Run {
         // `derive_exchange_with`, whose `ExchangeError::BadAssignment`
         // carries the precise defect — the builder path surfaces the same
         // typed error as the core API.
-        if let Some(p) = &self.placement {
-            if !p.imbalance.is_finite() || p.imbalance < 1.0 {
-                return Err(Error::Session(format!(
-                    "placement imbalance factor must be >= 1.0, got {}",
-                    p.imbalance
-                )));
+        match &self.placement {
+            Some(p) if !p.imbalance.is_finite() || p.imbalance < 1.0 => {
+                invalid(format!("placement imbalance factor must be >= 1.0, got {}", p.imbalance))
             }
+            _ => Ok(()),
         }
-        // Explicit obs config wins; otherwise the `PARTIR_*` env defaults
-        // apply. The resolved config sticks so the rank backend can read
-        // `timeline` / `strict_volume` from it.
+    }
+
+    /// Validates this configuration against `plan` and executes, mutating
+    /// `store` in place. Results are bit-identical to the sequential
+    /// interpreter on both backends, for any backend width, placement, or
+    /// chaos seed. Settings left unset take their `PARTIR_*` environment
+    /// defaults, resolved per backend, so a threads `FaultPlan` never
+    /// silently attaches to (and gets ignored by) a `Ranks` run, and vice
+    /// versa.
+    pub fn run(&self, plan: &Plan, store: &mut Store) -> Result<RunOutcome, Error> {
+        self.validate(plan.colors())?;
         let obs = self.obs.unwrap_or_else(ObsConfig::from_env);
         obs.apply();
-        // Env-provided fault defaults resolve per backend, so a threads
-        // FaultPlan never silently attaches to (and gets ignored by) a
-        // Ranks run, and vice versa.
-        let fault = match self.backend {
-            Backend::Threads(_) => self.fault.or_else(FaultPlan::from_env),
-            Backend::Ranks(_) => None,
-        };
-        let (dist_fault, checkpoint) = match self.backend {
-            Backend::Ranks(r) => {
-                let df = self.dist_fault.or_else(DistFaultPlan::from_env);
-                if let Some(crash) = df.as_ref().and_then(|f| f.crash) {
-                    if crash.rank >= r {
-                        return Err(Error::Session(format!(
-                            "dist_fault crashes rank {} but the backend has only {r} ranks",
-                            crash.rank
-                        )));
-                    }
-                }
-                (df, self.checkpoint.or_else(CheckpointPolicy::from_env))
-            }
-            Backend::Threads(_) => (None, None),
-        };
-        // Explicit placement wins; otherwise the `PARTIR_PLACEMENT*` env
-        // defaults apply on the rank backend (Threads has no owner mapping,
-        // so env-derived placement is ignored there rather than erroring).
-        let placement = match self.backend {
-            Backend::Ranks(_) => {
-                self.placement.clone().or_else(PlacementConfig::from_env).unwrap_or_default()
-            }
-            Backend::Threads(_) => self.placement.clone().unwrap_or_default(),
-        };
-        Ok(ResolvedRun {
-            backend: self.backend,
-            legality: self.legality,
-            chaos_seed: self.chaos_seed,
-            obs,
-            fault,
-            dist_fault,
-            checkpoint,
-            placement,
-            retry: self.retry,
-        })
-    }
-}
-
-/// A [`Run`] after validation and environment-default resolution.
-#[derive(Clone, Debug)]
-pub(crate) struct ResolvedRun {
-    pub(crate) backend: Backend,
-    legality: LegalityMode,
-    chaos_seed: Option<u64>,
-    pub(crate) obs: ObsConfig,
-    fault: Option<FaultPlan>,
-    dist_fault: Option<DistFaultPlan>,
-    checkpoint: Option<CheckpointPolicy>,
-    placement: PlacementConfig,
-    retry: RetryPolicy,
-}
-
-impl ResolvedRun {
-    pub(crate) fn execute(&self, plan: &Plan, store: &mut Store) -> Result<RunOutcome, Error> {
         let schema = plan.schema();
         if store.schema().num_fields() != schema.num_fields()
             || store.schema().num_regions() != schema.num_regions()
@@ -377,7 +310,7 @@ impl ResolvedRun {
                 let opts = ExecOptions {
                     n_threads,
                     check_legality: self.legality != LegalityMode::Off,
-                    fault: self.fault,
+                    fault: self.fault.or_else(FaultPlan::from_env),
                     retry: self.retry,
                 };
                 let report = execute_program(
@@ -396,23 +329,31 @@ impl ResolvedRun {
                 })
             }
             Backend::Ranks(n_ranks) => {
+                let fault = self.dist_fault.or_else(DistFaultPlan::from_env);
+                if let Some(crash) = fault.and_then(|f| f.crash).filter(|c| c.rank >= n_ranks) {
+                    return Err(Error::Session(format!(
+                        "dist_fault crashes rank {} but the backend has only {n_ranks} ranks",
+                        crash.rank
+                    )));
+                }
+                let placement =
+                    self.placement.clone().or_else(PlacementConfig::from_env).unwrap_or_default();
                 // The memoized distributed artifacts: evaluated partitions,
                 // owner assignment, exchange plan, and the legality proof.
                 // A memo hit skips evaluation, exchange derivation,
                 // placement, and (via `preproved`) re-proving.
-                let artifacts = plan.solved().dist_artifacts(store, n_ranks, &self.placement)?;
+                let artifacts = plan.solved().dist_artifacts(store, n_ranks, &placement)?;
                 let opts = DistOptions {
-                    n_ranks,
                     legality: self.legality,
                     chaos_seed: self.chaos_seed,
-                    collect_timeline: self.obs.timeline,
-                    strict_volume: self.obs.strict_volume,
-                    fault: self.dist_fault,
-                    checkpoint: self.checkpoint,
-                    placement: self.placement.clone(),
+                    collect_timeline: obs.timeline,
+                    strict_volume: obs.strict_volume,
+                    fault,
+                    checkpoint: self.checkpoint.or_else(CheckpointPolicy::from_env),
+                    placement,
                     preproved: artifacts.proof_facts,
                 };
-                let outcome = execute_with_exchange_full(
+                let outcome = execute_ranks(
                     plan.program(),
                     plan.parallel_plan(),
                     &artifacts.parts,

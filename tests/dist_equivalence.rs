@@ -28,16 +28,17 @@ fn assert_dist_matches_seq(name: &str, program: Vec<Loop>, fns: FnTable, store: 
     let schema = store.schema().clone();
 
     for ranks in rank_counts() {
-        let mut session = Partir::new(program.clone(), fns.clone(), schema.clone())
-            .backend(Backend::Ranks(ranks))
+        let plan = Partir::new(program.clone(), fns.clone(), schema.clone())
             .colors(ranks.max(4))
-            .check_legality(true)
-            .build()
+            .solve()
             .unwrap_or_else(|e| panic!("{name} auto-parallelizes: {e}"));
         let mut par = store.clone();
-        let report =
-            session.run(&mut par).unwrap_or_else(|e| panic!("{name} on {ranks} ranks: {e}"));
-        let rep = report.as_ranks().expect("rank backend report");
+        let outcome = Run::new()
+            .backend(Backend::Ranks(ranks))
+            .check_legality(true)
+            .run(&plan, &mut par)
+            .unwrap_or_else(|e| panic!("{name} on {ranks} ranks: {e}"));
+        let rep = outcome.report.as_ranks().expect("rank backend report");
         // `check_legality(true)` means the mode default: per-element checks
         // in debug builds, the once-per-plan containment proof in release.
         if cfg!(debug_assertions) {

@@ -27,8 +27,13 @@ use partir::core::exchange::derive_exchange;
 use partir::prelude::*;
 use partir::runtime::dist::DistReport;
 
-fn strict() -> ObsConfig {
-    ObsConfig { strict_volume: true, ..ObsConfig::disabled() }
+/// A rank-backend run with legality checking on and strict volume
+/// accounting.
+fn strict_ranks(ranks: usize) -> Run {
+    Run::new()
+        .backend(Backend::Ranks(ranks))
+        .check_legality(true)
+        .obs(ObsConfig { strict_volume: true, ..ObsConfig::disabled() })
 }
 
 /// Crashes `crash_rank` mid-program and asserts the survivors finish the
@@ -48,30 +53,28 @@ fn assert_crash_recovers(
     let schema = store.schema().clone();
     let crash_epoch = (program.len() as u64) / 2;
 
-    let mut session = Partir::new(program.clone(), fns, schema.clone())
-        .backend(Backend::Ranks(ranks))
+    let plan = Partir::new(program.clone(), fns, schema.clone())
         .colors(ranks.max(4))
-        .check_legality(true)
-        .obs(strict())
+        .solve()
+        .unwrap_or_else(|e| panic!("{name} auto-parallelizes: {e}"));
+    let run = strict_ranks(ranks)
         .dist_fault(DistFaultPlan {
             crash: Some(RankCrash { rank: crash_rank, epoch: crash_epoch, silent }),
             ..DistFaultPlan::quiescent(0xFA17)
         })
-        .checkpoint(CheckpointPolicy::every(1))
-        .build()
-        .unwrap_or_else(|e| panic!("{name} auto-parallelizes: {e}"));
+        .checkpoint(CheckpointPolicy::every(1));
 
     // The dead rank's owned-shard size under the original block owner
     // mapping bounds what recovery is allowed to migrate.
     let mut par = store.clone();
-    let parts = session.evaluate(&par);
-    let xplan = derive_exchange(session.plan(), &parts, &schema, ranks).unwrap();
+    let parts = plan.evaluate(&par);
+    let xplan = derive_exchange(plan.parallel_plan(), &parts, &schema, ranks).unwrap();
     let dead_owned = xplan.owned_field_bytes(&schema, crash_rank);
 
-    let report = session
-        .run(&mut par)
+    let outcome = run
+        .run(&plan, &mut par)
         .unwrap_or_else(|e| panic!("{name} at {ranks} ranks survives a crash: {e}"));
-    let rep = *report.as_ranks().expect("rank backend report");
+    let rep = *outcome.report.as_ranks().expect("rank backend report");
 
     assert_eq!(rep.recoveries, 1, "{name}: exactly one recovery");
     assert!(
@@ -165,17 +168,13 @@ fn message_drop_storm_retransmits_and_stays_bit_identical() {
     run_program_seq(&a.program, &mut seq, &a.fns);
     let schema = a.store.schema().clone();
 
-    let mut session = Partir::new(a.program, a.fns, schema.clone())
-        .backend(Backend::Ranks(4))
-        .colors(4)
-        .check_legality(true)
-        .obs(strict())
-        .dist_fault(DistFaultPlan { drop_rate: 0.4, ..DistFaultPlan::quiescent(21) })
-        .build()
-        .unwrap();
+    let plan = Partir::new(a.program, a.fns, schema.clone()).colors(4).solve().unwrap();
     let mut par = a.store.clone();
-    let report = session.run(&mut par).expect("retransmits absorb the drops");
-    let rep = report.as_ranks().unwrap();
+    let outcome = strict_ranks(4)
+        .dist_fault(DistFaultPlan { drop_rate: 0.4, ..DistFaultPlan::quiescent(21) })
+        .run(&plan, &mut par)
+        .expect("retransmits absorb the drops");
+    let rep = outcome.report.as_ranks().unwrap();
     assert!(rep.retransmits > 0, "a 40% drop rate must force retransmits");
     assert_eq!(rep.recoveries, 0, "transient loss is not a rank loss");
     for f in 0..schema.num_fields() {
@@ -193,19 +192,15 @@ fn message_duplication_is_deduped_and_metered_out_of_plan() {
     run_program_seq(&a.program, &mut seq, &a.fns);
     let schema = a.store.schema().clone();
 
-    let mut session = Partir::new(a.program, a.fns, schema.clone())
-        .backend(Backend::Ranks(4))
-        .colors(4)
-        .check_legality(true)
-        .obs(strict())
-        .dist_fault(DistFaultPlan { dup_rate: 0.5, ..DistFaultPlan::quiescent(33) })
-        .build()
-        .unwrap();
+    let plan = Partir::new(a.program, a.fns, schema.clone()).colors(4).solve().unwrap();
     let mut par = a.store.clone();
-    let report = session.run(&mut par).expect("dedup keeps strict accounting clean");
-    let rep = report.as_ranks().unwrap();
+    let outcome = strict_ranks(4)
+        .dist_fault(DistFaultPlan { dup_rate: 0.5, ..DistFaultPlan::quiescent(33) })
+        .run(&plan, &mut par)
+        .expect("dedup keeps strict accounting clean");
+    let rep = outcome.report.as_ranks().unwrap();
     assert!(rep.duplicates > 0, "a 50% dup rate must inject duplicates");
-    let volume = session.volume_accounting().expect("accounting present");
+    let volume = outcome.volume.as_ref().expect("accounting present");
     assert!(volume.is_clean(), "duplicates leaked into the protocol meter");
     for f in 0..schema.num_fields() {
         let fid = partir::dpl::region::FieldId(f as u32);
@@ -223,30 +218,21 @@ fn fault_free_checkpointing_rounds_trip_and_sizes_add_up() {
     let mut seq = a.store.clone();
     run_program_seq(&a.program, &mut seq, &a.fns);
     let schema = a.store.schema().clone();
-    let n_loops;
-    let owned_total: u64;
+    let n_loops = a.program.len() as u64;
 
-    let mut session = Partir::new(a.program.clone(), a.fns.clone(), schema.clone())
-        .backend(Backend::Ranks(4))
-        .colors(4)
-        .check_legality(true)
-        .obs(strict())
+    let plan = Partir::new(a.program, a.fns, schema.clone()).colors(4).solve().unwrap();
+    let run = strict_ranks(4)
         // Explicitly quiescent so a CI-wide `PARTIR_DIST_FAULT_*`
         // environment (the dist-fault-matrix job) cannot leak faults into
         // a test whose point is the fault-free cost of checkpointing.
         .dist_fault(DistFaultPlan::quiescent(0))
-        .checkpoint(CheckpointPolicy::every(1))
-        .build()
-        .unwrap();
-    {
-        let parts = session.evaluate(&a.store);
-        let xplan = derive_exchange(session.plan(), &parts, &schema, 4).unwrap();
-        owned_total = (0..4).map(|r| xplan.owned_field_bytes(&schema, r)).sum();
-        n_loops = a.program.len() as u64;
-    }
+        .checkpoint(CheckpointPolicy::every(1));
+    let parts = plan.evaluate(&a.store);
+    let xplan = derive_exchange(plan.parallel_plan(), &parts, &schema, 4).unwrap();
+    let owned_total: u64 = (0..4).map(|r| xplan.owned_field_bytes(&schema, r)).sum();
     let mut par = a.store.clone();
-    let report = session.run(&mut par).expect("fault-free run");
-    let rep = report.as_ranks().unwrap();
+    let outcome = run.run(&plan, &mut par).expect("fault-free run");
+    let rep = outcome.report.as_ranks().unwrap();
     assert_eq!(rep.checkpoints, 4 * n_loops, "one snapshot per rank per epoch");
     assert_eq!(
         rep.checkpoint_bytes,

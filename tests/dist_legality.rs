@@ -19,7 +19,7 @@ use partir::core::eval::ExtBindings;
 use partir::core::exchange::derive_exchange;
 use partir::core::pipeline::{auto_parallelize, Hints, Options};
 use partir::prelude::*;
-use partir::runtime::dist::{execute_with_exchange, DistError, DistOptions, LegalityMode};
+use partir::runtime::dist::{execute_ranks, DistError, DistOptions, LegalityMode};
 
 fn stencil() -> Stencil {
     Stencil::generate(&StencilParams { nx: 48, ny: 32 })
@@ -30,13 +30,17 @@ fn run_with_mode(mode: LegalityMode) -> partir::runtime::dist::DistReport {
     let mut seq = a.store.clone();
     run_program_seq(&a.program, &mut seq, &a.fns);
 
-    let mut session = Partir::new(a.program, a.fns, a.store.schema().clone())
-        .backend(Backend::Ranks(4))
-        .legality_mode(mode)
-        .build()
+    let plan = Partir::new(a.program, a.fns, a.store.schema().clone())
+        .colors(4)
+        .solve()
         .expect("stencil auto-parallelizes");
     let mut par = a.store.clone();
-    let report = session.run(&mut par).expect("stencil runs on 4 ranks");
+    let report = Run::new()
+        .backend(Backend::Ranks(4))
+        .legality_mode(mode)
+        .run(&plan, &mut par)
+        .expect("stencil runs on 4 ranks")
+        .report;
 
     for f in 0..a.store.schema().num_fields() {
         let fid = partir::dpl::region::FieldId(f as u32);
@@ -79,8 +83,8 @@ fn corrupted_plan_is_rejected_by_prover_and_caught_by_residency_check() {
     // Plan mode: the prover rejects the corrupted plan before any rank
     // spawns, with the stable `dist.plan_illegal` error code.
     let mut store = a.store.clone();
-    let opts = DistOptions { n_ranks: 4, legality: LegalityMode::Plan, ..DistOptions::default() };
-    let err = execute_with_exchange(&a.program, &plan, &parts, &xplan, &mut store, &a.fns, &opts)
+    let opts = DistOptions { legality: LegalityMode::Plan, ..DistOptions::default() };
+    let err = execute_ranks(&a.program, &plan, &parts, &xplan, &mut store, &a.fns, &opts)
         .expect_err("the prover must reject a corrupted footprint");
     assert!(matches!(err, DistError::PlanIllegal(_)), "got {err}");
     assert_eq!(partir::Error::from(err).error_code(), "dist.plan_illegal");
@@ -88,8 +92,8 @@ fn corrupted_plan_is_rejected_by_prover_and_caught_by_residency_check() {
     // Prover off: the always-on residency check catches the read of the
     // never-shipped ghost element at runtime, as a structured violation.
     let mut store = a.store.clone();
-    let opts = DistOptions { n_ranks: 4, legality: LegalityMode::Off, ..DistOptions::default() };
-    let err = execute_with_exchange(&a.program, &plan, &parts, &xplan, &mut store, &a.fns, &opts)
+    let opts = DistOptions { legality: LegalityMode::Off, ..DistOptions::default() };
+    let err = execute_ranks(&a.program, &plan, &parts, &xplan, &mut store, &a.fns, &opts)
         .expect_err("the residency check must catch the missing ghost");
     assert!(matches!(err, DistError::Legality(_)), "got {err}");
 }

@@ -1,0 +1,178 @@
+//! Plan/partition validation, pinned per backend: each of the seven
+//! malformed shapes the executors reject before running anything is fed to
+//! the threaded executor and to the rank backend, and must come back with
+//! the same registered `exec.*` / `dist.*` code it always had.
+
+use partir::core::eval::ExtBindings;
+use partir::core::exchange::ExchangePlan;
+use partir::core::pipeline::{auto_parallelize, Hints, Options, ParallelPlan, PartId};
+use partir::core::pipeline::{LoopPlan, PlannedReduce};
+use partir::core::placement::{place, PlacementConfig};
+use partir::dpl::index_set::IndexSet;
+use partir::dpl::partition::Partition;
+use partir::obs::report::is_known_error_code;
+use partir::prelude::*;
+use partir::runtime::dist::{execute_ranks, DistOptions};
+use std::sync::Arc;
+
+mod common;
+use common::{build, Built, Cfg};
+
+const COLORS: usize = 4;
+
+/// A well-formed program, plan, partition set and 2-rank exchange plan.
+struct Fixture {
+    built: Built,
+    plan: ParallelPlan,
+    parts: Vec<Arc<Partition>>,
+    xplan: ExchangePlan,
+}
+
+fn fixture(reduce: bool, second_loop: bool) -> Fixture {
+    let built = build(&Cfg {
+        n_a: 48,
+        n_b: 24,
+        colors: COLORS,
+        read_ptr_chain: false,
+        read_affine: !reduce,
+        reduce_via_ptr: reduce,
+        reduce_via_affine: reduce,
+        second_loop,
+        ptr_seed: 5,
+    });
+    let schema = built.store.schema();
+    let plan =
+        auto_parallelize(&built.program, &built.fns, schema, &Hints::new(), Options::default())
+            .expect("generated programs are parallelizable");
+    let parts = plan.evaluate(&built.store, &built.fns, COLORS, &ExtBindings::new());
+    let xplan = place(&plan, &parts, schema, 2, &PlacementConfig::default()).unwrap().xplan;
+    Fixture { built, plan, parts, xplan }
+}
+
+/// The codes both backends answer a shape with.
+fn codes(fx: &Fixture, s: &Shape) -> (&'static str, &'static str) {
+    let fns = &fx.built.fns;
+    let mut store = fx.built.store.clone();
+    let exec =
+        execute_program(&s.program, &s.plan, &s.parts, &mut store, fns, &ExecOptions::default())
+            .expect_err("the threaded executor must reject the shape");
+    let opts = DistOptions::default();
+    let dist = execute_ranks(&s.program, &s.plan, &s.parts, &fx.xplan, &mut store, fns, &opts)
+        .expect_err("the rank backend must reject the shape");
+    assert_eq!(store.field_data(FieldId(2)), fx.built.store.field_data(FieldId(2)), "nothing ran");
+    (Error::from(exec).error_code(), Error::from(dist).error_code())
+}
+
+/// One `(program, plan, parts)` triple on its way to being malformed.
+struct Shape {
+    program: Vec<Loop>,
+    plan: ParallelPlan,
+    parts: Vec<Arc<Partition>>,
+}
+
+impl Shape {
+    /// Rewrites the subregions of partition `id`.
+    fn reshape(&mut self, id: PartId, f: impl FnOnce(&mut Vec<IndexSet>)) {
+        let old = &self.parts[id.0 as usize];
+        let mut subs = old.subregions().to_vec();
+        f(&mut subs);
+        self.parts[id.0 as usize] = Arc::new(Partition::new(old.region, subs));
+    }
+}
+
+/// Makes every later subregion overlap the first.
+fn alias(subs: &mut [IndexSet]) {
+    let first = subs[0].clone();
+    for s in &mut subs[1..] {
+        *s = s.union(&first);
+    }
+}
+
+#[test]
+fn every_malformed_shape_keeps_its_code_on_both_backends() {
+    // Loop 0 over A only reads and writes; loop 1 over B has a centered
+    // reduction, so its iteration partition must be disjoint.
+    let plain = fixture(false, true);
+    assert!(plain.plan.loops[1].iter_must_be_disjoint);
+    // One relaxed loop whose two reductions are guarded (or proved
+    // disjoint): their partitions must be disjoint.
+    let reducing = fixture(true, false);
+    let in_place = |lp: &LoopPlan| {
+        lp.accesses.iter().find_map(|a| match &a.reduce {
+            Some(PlannedReduce::Direct | PlannedReduce::Guarded) => Some(a.part),
+            Some(PlannedReduce::BufferedPrivate { private }) => Some(*private),
+            _ => None,
+        })
+    };
+    let reduction_part =
+        in_place(&reducing.plan.loops[0]).expect("a direct, guarded or private reduction");
+
+    type Malform<'a> = Box<dyn Fn(&mut Shape) + 'a>;
+    let table: [(&str, &Fixture, Malform); 7] = [
+        (
+            "plan_mismatch",
+            &plain,
+            Box::new(|s| {
+                s.program.pop();
+            }),
+        ),
+        (
+            "partition_index_out_of_bounds",
+            &plain,
+            Box::new(|s| s.plan.loops[0].accesses[0].part = PartId(999)),
+        ),
+        (
+            "partition_width_mismatch",
+            &plain,
+            Box::new(|s| {
+                s.reshape(s.plan.loops[0].iter, |subs| {
+                    subs.pop();
+                })
+            }),
+        ),
+        (
+            "partition_exceeds_region",
+            &plain,
+            Box::new(|s| {
+                // The iteration partition is complete, so anything past its
+                // largest element is past the region.
+                s.reshape(s.plan.loops[0].iter, |subs| {
+                    let last = subs.iter().filter_map(IndexSet::max).max().unwrap();
+                    subs[0] = subs[0].union(&IndexSet::from_indices([last + 5]));
+                })
+            }),
+        ),
+        (
+            "incomplete_iteration",
+            &plain,
+            Box::new(|s| {
+                let hole = IndexSet::from_indices([0]);
+                s.reshape(s.plan.loops[0].iter, |subs| {
+                    subs.iter_mut().for_each(|sub| *sub = sub.difference(&hole));
+                })
+            }),
+        ),
+        (
+            "iteration_not_disjoint",
+            &plain,
+            Box::new(|s| s.reshape(s.plan.loops[1].iter, |subs| alias(subs))),
+        ),
+        (
+            "reduction_not_disjoint",
+            &reducing,
+            Box::new(|s| s.reshape(reduction_part, |subs| alias(subs))),
+        ),
+    ];
+    for (name, fx, malform) in table {
+        let mut shape = Shape {
+            program: fx.built.program.clone(),
+            plan: fx.plan.clone(),
+            parts: fx.parts.clone(),
+        };
+        malform(&mut shape);
+        let (exec, dist) = codes(fx, &shape);
+        assert_eq!(exec, format!("exec.{name}"));
+        assert_eq!(dist, format!("dist.{name}"));
+        assert!(is_known_error_code(exec) && is_known_error_code(dist), "{name}");
+    }
+}

@@ -47,21 +47,21 @@ proptest! {
         let mut seq = built.store.clone();
         run_program_seq(&built.program, &mut seq, &built.fns);
 
-        let mut session = Partir::new(
+        let plan = Partir::new(
             built.program.clone(),
             built.fns.clone(),
             built.store.schema().clone(),
         )
-        .backend(Backend::Ranks(ranks))
         .colors(ranks.max(cfg.colors))
-        .check_legality(true)
-        .chaos_seed(chaos_seed)
-        .build()
+        .solve()
         .map_err(|e| TestCaseError::fail(format!("auto-parallelizes: {e}")))?;
 
         let mut par = built.store.clone();
-        session
-            .run(&mut par)
+        Run::new()
+            .backend(Backend::Ranks(ranks))
+            .check_legality(true)
+            .chaos_seed(chaos_seed)
+            .run(&plan, &mut par)
             .map_err(|e| TestCaseError::fail(format!("{ranks} ranks, chaos {chaos_seed:#x}: {e}")))?;
         assert_f64_fields_eq(&seq, &par, &format!("{ranks} ranks, chaos {chaos_seed:#x}"))?;
     }
@@ -88,29 +88,30 @@ proptest! {
             epoch: e.min(built.program.len() as u64 - 1),
             silent: false,
         });
-        let mut session = Partir::new(
+        let plan = Partir::new(
             built.program.clone(),
             built.fns.clone(),
             built.store.schema().clone(),
         )
-        .backend(Backend::Ranks(ranks))
         .colors(ranks.max(cfg.colors))
-        .check_legality(true)
-        .chaos_seed(chaos_seed)
-        .obs(ObsConfig { strict_volume: true, ..ObsConfig::disabled() })
-        .dist_fault(DistFaultPlan { seed: fault_seed, drop_rate, dup_rate, crash })
-        .checkpoint(CheckpointPolicy::every(ckpt_interval))
-        .build()
+        .solve()
         .map_err(|e| TestCaseError::fail(format!("auto-parallelizes: {e}")))?;
+        let run = Run::new()
+            .backend(Backend::Ranks(ranks))
+            .check_legality(true)
+            .chaos_seed(chaos_seed)
+            .obs(ObsConfig { strict_volume: true, ..ObsConfig::disabled() })
+            .dist_fault(DistFaultPlan { seed: fault_seed, drop_rate, dup_rate, crash })
+            .checkpoint(CheckpointPolicy::every(ckpt_interval));
 
         let mut par = built.store.clone();
         let label = format!(
             "{ranks} ranks, fault {fault_seed:#x} drop {drop_rate:.2} dup {dup_rate:.2} crash {crash:?}"
         );
-        let report = session
-            .run(&mut par)
+        let outcome = run
+            .run(&plan, &mut par)
             .map_err(|e| TestCaseError::fail(format!("{label}: {e}")))?;
-        let rep = report.as_ranks().expect("rank report");
+        let rep = outcome.report.as_ranks().expect("rank report");
         if crash.is_some() {
             prop_assert_eq!(rep.recoveries, 1, "{}: crash must trigger one recovery", label);
             prop_assert!(rep.plan_proved > 0, "{}: evacuated plan not re-proved", label);

@@ -87,17 +87,16 @@ fn run_with_policy(
 ) -> DistReport {
     let name = case.name;
     let label = policy.name();
-    let mut session =
-        Partir::new(case.program.clone(), case.fns.clone(), case.store.schema().clone())
-            .backend(Backend::Ranks(ranks))
-            .colors(colors)
-            .placement(policy)
-            .obs(ObsConfig { strict_volume: true, ..ObsConfig::disabled() })
-            .build()
-            .unwrap_or_else(|e| panic!("{name} ({label}) at {ranks} ranks: {e}"));
+    let plan = Partir::new(case.program.clone(), case.fns.clone(), case.store.schema().clone())
+        .colors(colors)
+        .solve()
+        .unwrap_or_else(|e| panic!("{name} ({label}) at {ranks} ranks: {e}"));
     let mut par = case.store.clone();
-    let report = session
-        .run(&mut par)
+    let outcome = Run::new()
+        .backend(Backend::Ranks(ranks))
+        .placement(policy)
+        .obs(ObsConfig { strict_volume: true, ..ObsConfig::disabled() })
+        .run(&plan, &mut par)
         .unwrap_or_else(|e| panic!("{name} ({label}) run at {ranks} ranks: {e}"));
     let schema = case.store.schema();
     for f in 0..schema.num_fields() {
@@ -111,9 +110,9 @@ fn run_with_policy(
     }
     // Strict accounting aborts the run on any predicted-vs-measured
     // mismatch; it must also read clean afterwards.
-    let volume = session.volume_accounting().expect("strict volume accounting present");
+    let volume = outcome.volume.expect("strict volume accounting present");
     assert!(volume.is_clean(), "{name} ({label}): dirty volume accounting at {ranks} ranks");
-    match report {
+    match outcome.report {
         RunReport::Ranks(r) => r,
         RunReport::Threads(_) => unreachable!("rank backend requested"),
     }

@@ -56,17 +56,18 @@ fn chrome_trace_matches_golden() {
         ptr_seed: 7,
     };
     let built = build(&cfg);
-    let mut session =
-        Partir::new(built.program.clone(), built.fns.clone(), built.store.schema().clone())
-            .backend(Backend::Ranks(2))
-            .colors(4)
-            .obs(ObsConfig { timeline: true, strict_volume: true, ..ObsConfig::disabled() })
-            .build()
-            .expect("fixed program is parallelizable");
+    let plan = Partir::new(built.program.clone(), built.fns.clone(), built.store.schema().clone())
+        .colors(4)
+        .solve()
+        .expect("fixed program is parallelizable");
     let mut store = built.store.clone();
-    session.run(&mut store).expect("run succeeds");
+    let outcome = Run::new()
+        .backend(Backend::Ranks(2))
+        .obs(ObsConfig { timeline: true, strict_volume: true, ..ObsConfig::disabled() })
+        .run(&plan, &mut store)
+        .expect("run succeeds");
 
-    let trace = session.trace().expect("timeline collected");
+    let trace = outcome.trace.expect("timeline collected");
     let text = format!("{}\n", normalize(trace.to_chrome_trace("trace_golden")));
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/chrome_trace.json");

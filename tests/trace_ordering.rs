@@ -23,25 +23,24 @@ proptest! {
         run_program_seq(&built.program, &mut seq, &built.fns);
 
         for ranks in [1usize, 2, 4, 8] {
-            let mut session = Partir::new(
+            let plan = Partir::new(
                 built.program.clone(),
                 built.fns.clone(),
                 built.store.schema().clone(),
             )
-            .backend(Backend::Ranks(ranks))
             .colors(cfg.colors.max(ranks))
-            .obs(ObsConfig { timeline: true, strict_volume: true, ..ObsConfig::disabled() })
-            .build()
+            .solve()
             .expect("generated programs are parallelizable");
 
             let mut par = built.store.clone();
-            match session.run(&mut par) {
-                Ok(_) => {}
-                Err(e) => return Err(TestCaseError::fail(format!("{ranks} ranks failed: {e}"))),
-            }
+            let outcome = Run::new()
+                .backend(Backend::Ranks(ranks))
+                .obs(ObsConfig { timeline: true, strict_volume: true, ..ObsConfig::disabled() })
+                .run(&plan, &mut par)
+                .map_err(|e| TestCaseError::fail(format!("{ranks} ranks failed: {e}")))?;
             assert_f64_fields_eq(&seq, &par, &format!("{ranks} ranks (cfg {cfg:?})"))?;
 
-            let trace = session.trace().expect("timeline collection was requested");
+            let trace = outcome.trace.as_ref().expect("timeline collection was requested");
             if let Err(e) = trace.validate() {
                 return Err(TestCaseError::fail(format!("{ranks} ranks: malformed: {e}")));
             }
@@ -54,9 +53,9 @@ proptest! {
                 );
             }
 
-            let volume = session.volume_accounting().expect("volume accounting present");
+            let volume = outcome.volume.as_ref().expect("volume accounting present");
             prop_assert!(volume.is_clean(), "dirty accounting at {} ranks", ranks);
-            let prof = session.dist_profile().expect("profile derives from the timeline");
+            let prof = partir::obs::profile::DistProfile::from_trace(trace);
             prop_assert!(
                 (prof.coverage() - 1.0).abs() < 1e-12,
                 "profile covers {} of wall-clock",
