@@ -1,39 +1,23 @@
-//! Loop interpreter.
+//! The sequential reference interpreter.
 //!
-//! The interpreter executes loop bodies against a [`DataCtx`], which
-//! abstracts *how* region data is accessed. Two implementations matter:
+//! A plain tree walk: `exec_body` matches on [`Stmt`], `eval_expr` recurses
+//! on [`VExpr`], and every access goes straight to the [`Store`] through a
+//! [`SeqCtx`]. Running every loop over its full iteration space gives the
+//! sequential semantics that all parallel executions must reproduce
+//! bit-for-bit.
 //!
-//! * [`SeqCtx`] — direct access to a [`Store`]; running every loop over its
-//!   full iteration space gives the sequential reference semantics that all
-//!   parallel executions must reproduce;
-//! * the parallel task context in `partir-runtime`, which adds legality
-//!   assertions (every access must stay inside the task's subregion),
-//!   per-task reduction buffers, and the guard checks of relaxed loops
-//!   (Section 5.1) — all keyed by [`AccessId`].
-//!
-//! Keeping one interpreter for both guarantees that "auto-parallelized"
-//! executions compute the same function as the sequential program modulo
-//! scheduling.
+//! Nothing else executes loop bodies through this code. The executors in
+//! `partir-runtime` lower the same [`Loop`]s to their own register
+//! programs and run those, so the interpreter is an oracle that shares no
+//! evaluation code with what it checks; their equivalence is established
+//! by differential tests (generated programs, the five apps, every
+//! backend width and fault schedule), not by construction. It is kept
+//! simple on purpose and is not a performance target.
 
-use crate::ast::{AccessId, BinOp, Loop, ReduceOp, Stmt, UnOp, VExpr};
+use crate::ast::{BinOp, Loop, ReduceOp, Stmt, UnOp, VExpr};
 use partir_dpl::func::{FnDef, FnId, FnTable};
 use partir_dpl::index_set::Idx;
 use partir_dpl::region::{FieldId, Store};
-
-/// How loop bodies touch data. All region accesses carry their [`AccessId`]
-/// so implementations can enforce per-site policies.
-pub trait DataCtx {
-    fn read_f64(&mut self, access: AccessId, field: FieldId, i: Idx) -> f64;
-    fn write_f64(&mut self, access: AccessId, field: FieldId, i: Idx, v: f64);
-    fn reduce_f64(&mut self, access: AccessId, field: FieldId, i: Idx, op: ReduceOp, v: f64);
-    fn read_ptr(&mut self, access: AccessId, field: FieldId, i: Idx) -> Idx;
-    /// Applies a declared single-valued index function (pure; not a region
-    /// access — pointer-field reads go through [`DataCtx::read_ptr`]).
-    fn eval_fn(&mut self, f: FnId, i: Idx) -> Idx;
-    /// Expands a set-valued function for a `ForEach` header (a region access
-    /// when the function is backed by a range field).
-    fn eval_multi(&mut self, access: AccessId, f: FnId, i: Idx, out: &mut Vec<Idx>);
-}
 
 /// Direct sequential access to a store.
 pub struct SeqCtx<'a> {
@@ -45,23 +29,27 @@ impl<'a> SeqCtx<'a> {
     pub fn new(store: &'a mut Store, fns: &'a FnTable) -> Self {
         SeqCtx { store, fns }
     }
-}
 
-impl DataCtx for SeqCtx<'_> {
-    fn read_f64(&mut self, _a: AccessId, field: FieldId, i: Idx) -> f64 {
+    fn read_f64(&self, field: FieldId, i: Idx) -> f64 {
         self.store.f64s(field)[i as usize]
     }
-    fn write_f64(&mut self, _a: AccessId, field: FieldId, i: Idx, v: f64) {
+
+    fn write_f64(&mut self, field: FieldId, i: Idx, v: f64) {
         self.store.f64s_mut(field)[i as usize] = v;
     }
-    fn reduce_f64(&mut self, _a: AccessId, field: FieldId, i: Idx, op: ReduceOp, v: f64) {
+
+    fn reduce_f64(&mut self, field: FieldId, i: Idx, op: ReduceOp, v: f64) {
         let slot = &mut self.store.f64s_mut(field)[i as usize];
         *slot = op.apply(*slot, v);
     }
-    fn read_ptr(&mut self, _a: AccessId, field: FieldId, i: Idx) -> Idx {
+
+    fn read_ptr(&self, field: FieldId, i: Idx) -> Idx {
         self.store.ptrs(field)[i as usize]
     }
-    fn eval_fn(&mut self, f: FnId, i: Idx) -> Idx {
+
+    /// Applies a declared single-valued index function (pure; not a region
+    /// access — pointer-field reads go through `read_ptr`).
+    fn eval_fn(&self, f: FnId, i: Idx) -> Idx {
         let nf = self.fns.get(f);
         let size = self.store.schema().region_size(nf.range);
         match &nf.def {
@@ -71,7 +59,9 @@ impl DataCtx for SeqCtx<'_> {
             FnDef::Multi(_) => panic!("eval_fn on multi-valued function {}", nf.name),
         }
     }
-    fn eval_multi(&mut self, _a: AccessId, f: FnId, i: Idx, out: &mut Vec<Idx>) {
+
+    /// Expands a set-valued function for a `ForEach` header.
+    fn eval_multi(&self, f: FnId, i: Idx, out: &mut Vec<Idx>) {
         let nf = self.fns.get(f);
         let size = self.store.schema().region_size(nf.range);
         match &nf.def {
@@ -118,18 +108,18 @@ fn eval_expr(e: &VExpr, frame: &Frame) -> f64 {
     }
 }
 
-fn exec_body<C: DataCtx>(
+fn exec_body(
     body: &[Stmt],
-    ctx: &mut C,
+    ctx: &mut SeqCtx<'_>,
     frame: &mut Frame,
     scratch: &mut Vec<Vec<Idx>>,
     depth: usize,
 ) {
     for s in body {
         match s {
-            Stmt::IdxRead { access, dst, field, src, .. } => {
+            Stmt::IdxRead { dst, field, src, .. } => {
                 let i = frame.ivals[src.0 as usize];
-                frame.ivals[dst.0 as usize] = ctx.read_ptr(*access, *field, i);
+                frame.ivals[dst.0 as usize] = ctx.read_ptr(*field, i);
             }
             Stmt::IdxApply { dst, f, src } => {
                 let i = frame.ivals[src.0 as usize];
@@ -138,28 +128,28 @@ fn exec_body<C: DataCtx>(
             Stmt::IdxCopy { dst, src } => {
                 frame.ivals[dst.0 as usize] = frame.ivals[src.0 as usize];
             }
-            Stmt::ValRead { access, dst, field, idx, .. } => {
+            Stmt::ValRead { dst, field, idx, .. } => {
                 let i = frame.ivals[idx.0 as usize];
-                frame.vvals[dst.0 as usize] = ctx.read_f64(*access, *field, i);
+                frame.vvals[dst.0 as usize] = ctx.read_f64(*field, i);
             }
-            Stmt::ValWrite { access, field, idx, value, .. } => {
-                let i = frame.ivals[idx.0 as usize];
-                let v = eval_expr(value, frame);
-                ctx.write_f64(*access, *field, i, v);
-            }
-            Stmt::ValReduce { access, field, idx, op, value, .. } => {
+            Stmt::ValWrite { field, idx, value, .. } => {
                 let i = frame.ivals[idx.0 as usize];
                 let v = eval_expr(value, frame);
-                ctx.reduce_f64(*access, *field, i, *op, v);
+                ctx.write_f64(*field, i, v);
             }
-            Stmt::ForEach { range_access, var, f, src, body } => {
+            Stmt::ValReduce { field, idx, op, value, .. } => {
+                let i = frame.ivals[idx.0 as usize];
+                let v = eval_expr(value, frame);
+                ctx.reduce_f64(*field, i, *op, v);
+            }
+            Stmt::ForEach { var, f, src, body, .. } => {
                 if scratch.len() <= depth {
                     scratch.resize_with(depth + 1, Vec::new);
                 }
                 let mut items = std::mem::take(&mut scratch[depth]);
                 items.clear();
                 let i = frame.ivals[src.0 as usize];
-                ctx.eval_multi(*range_access, *f, i, &mut items);
+                ctx.eval_multi(*f, i, &mut items);
                 for &k in &items {
                     frame.ivals[var.0 as usize] = k;
                     exec_body(body, ctx, frame, scratch, depth + 1);
@@ -171,7 +161,7 @@ fn exec_body<C: DataCtx>(
 }
 
 /// Runs one loop body over the given iteration indices.
-pub fn run_loop_over<C: DataCtx>(lp: &Loop, ctx: &mut C, iter: impl Iterator<Item = Idx>) {
+pub fn run_loop_over(lp: &Loop, ctx: &mut SeqCtx<'_>, iter: impl Iterator<Item = Idx>) {
     let mut frame =
         Frame { ivals: vec![0; lp.num_ivars as usize], vvals: vec![0.0; lp.num_vvars as usize] };
     let mut scratch: Vec<Vec<Idx>> = Vec::new();

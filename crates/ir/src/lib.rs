@@ -7,9 +7,10 @@
 //! * [`analysis`] — the syntactic parallelizability check of Section 2 and
 //!   the per-access-site summaries (derivation paths from the loop variable)
 //!   that constraint inference consumes;
-//! * [`interp`] — a reference interpreter parameterized by a [`interp::DataCtx`],
-//!   shared between sequential ground-truth execution and the parallel
-//!   executor in `partir-runtime`.
+//! * [`interp`] — the sequential reference interpreter: a plain tree walk
+//!   over a [`Store`](partir_dpl::region::Store), the oracle every
+//!   executor in `partir-runtime` is tested against (they run their own
+//!   lowered form of the same loops and share no evaluation code with it).
 
 pub mod analysis;
 pub mod ast;
@@ -22,7 +23,7 @@ pub mod prelude {
     pub use crate::ast::{
         AccessId, BinOp, IVar, Loop, LoopBuilder, Program, ReduceOp, Stmt, UnOp, VExpr, VVar,
     };
-    pub use crate::interp::{run_loop_over, run_loop_seq, run_program_seq, DataCtx, SeqCtx};
+    pub use crate::interp::{run_loop_over, run_loop_seq, run_program_seq, SeqCtx};
 }
 
 pub use prelude::*;

@@ -70,6 +70,7 @@ pub const ERROR_CODES: &[&str] = &[
     "exec.incomplete_iteration",
     "exec.iteration_not_disjoint",
     "exec.reduction_not_disjoint",
+    "exec.variable_out_of_scope",
     "exec.legality",
     "exec.task_panic",
     "exec.task_failed",
@@ -82,6 +83,7 @@ pub const ERROR_CODES: &[&str] = &[
     "dist.incomplete_iteration",
     "dist.iteration_not_disjoint",
     "dist.reduction_not_disjoint",
+    "dist.variable_out_of_scope",
     "dist.legality",
     "dist.plan_illegal",
     "dist.rank_panic",

@@ -436,7 +436,7 @@ pub fn execute_ranks(
     let setups = {
         let _span = partir_obs::span("dist.validate");
         let check_bounds = opts.legality != LegalityMode::Off;
-        plan_loops(program, plan, parts, store.schema(), check_bounds, Some(xplan))?
+        plan_loops(program, plan, parts, store.schema(), fns, check_bounds, Some(xplan))?
     };
     let validate_ns = vt.elapsed().as_nanos() as u64;
     // Plan-level legality: prove `accessed ⊆ owned ∪ ghosts` once, by
@@ -488,12 +488,10 @@ pub fn execute_ranks(
     let outcomes = loop {
         let base_store: &Store = restored.as_ref().unwrap_or(store);
         let attempt = run_attempt(
-            program,
             &setups,
             &cur_xplan,
             base_store,
             &schema,
-            fns,
             opts,
             &alive,
             first_epoch,
@@ -712,12 +710,10 @@ struct AttemptResult {
 /// caller can decide between recovery and propagation.
 #[allow(clippy::too_many_arguments)]
 fn run_attempt(
-    program: &[Loop],
     setups: &[LoopSetup<'_>],
     xplan: &ExchangePlan,
     base_store: &Store,
     schema: &Schema,
-    fns: &FnTable,
     opts: &DistOptions,
     alive: &[bool],
     first_epoch: usize,
@@ -779,11 +775,9 @@ fn run_attempt(
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     rank::rank_main(
                         r,
-                        program,
                         setups,
                         xplan,
                         schema,
-                        fns,
                         rstore,
                         &senders,
                         &mut mailbox,

@@ -16,8 +16,8 @@
 //!    ascending global color order — reproducing the threaded executor's
 //!    deterministic merge bit-for-bit.
 //!
-//! Colors run through the shared data context ([`crate::task`]) over the
-//! rank's [`RankStore`]: a global index that has no slot in the sharded
+//! Colors run through the shared chunked executor ([`crate::task`]) over
+//! the rank's [`RankStore`]: a global index that has no slot in the sharded
 //! store *is* a distributed legality violation — the access escaped
 //! `owned ∪ ghosts`.
 
@@ -25,14 +25,12 @@ use super::fault::{CheckpointPolicy, DistFaultPlan, MAX_SEND_ATTEMPTS};
 use super::mailbox::{Mailbox, MailboxError, Msg, MsgKind};
 use super::store::RankStore;
 use super::{CheckpointStore, DistError};
-use crate::task::{LegalityViolation, LoopSetup, PartCtx, Storage, TaskCounts, TaskEnv};
+use crate::task::{LegalityViolation, LoopSetup, Regs, Storage, Task, TaskCounts, TaskEnv};
 use parking_lot::Mutex;
 use partir_core::exchange::{BufferRoute, ExchangePlan, LoopExchange};
-use partir_dpl::func::FnTable;
 use partir_dpl::index_set::Idx;
 use partir_dpl::region::{FieldId, Schema};
-use partir_ir::ast::{Loop, ReduceOp};
-use partir_ir::interp::run_loop_over;
+use partir_ir::ast::ReduceOp;
 use partir_obs::trace::{RankTracer, SpanKind};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
@@ -97,11 +95,9 @@ fn rec(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rank_main(
     rank: usize,
-    program: &[Loop],
     setups: &[LoopSetup<'_>],
     xplan: &ExchangePlan,
     schema: &Schema,
-    fns: &FnTable,
     mut store: RankStore,
     senders: &[Sender<Msg>],
     mailbox: &mut Mailbox,
@@ -115,8 +111,8 @@ pub(crate) fn rank_main(
     lost: &Mutex<Option<(usize, u64)>>,
 ) -> Result<(OwnedShards, RankStats, Option<RankTracer>), DistError> {
     let mut stats = RankStats::default();
-    let env = TaskEnv { fns, schema, check, rank: Some(rank), abort, violation };
-    for (li, lp) in program.iter().enumerate().skip(first_epoch) {
+    let env = TaskEnv { check, rank: Some(rank), abort, violation };
+    for (li, setup) in setups.iter().enumerate().skip(first_epoch) {
         if abort.load(Ordering::Relaxed) {
             return Err(DistError::Aborted);
         }
@@ -150,8 +146,7 @@ pub(crate) fn rank_main(
         run_epoch(
             rank,
             li,
-            lp,
-            &setups[li],
+            setup,
             xplan,
             &env,
             &mut store,
@@ -189,7 +184,6 @@ pub(crate) fn rank_main(
 fn run_epoch(
     rank: usize,
     li: usize,
-    lp: &Loop,
     setup: &LoopSetup<'_>,
     xplan: &ExchangePlan,
     env: &TaskEnv<'_>,
@@ -213,12 +207,14 @@ fn run_epoch(
         let buf = setup.buffers.iter().position(|b| b.access == route.access);
         buf.expect("route targets a buffered access")
     };
+    // One register file per rank and epoch, not per task.
+    let mut regs = Regs::new(setup);
     let mut run_color = |color: usize, store: &mut RankStore, stats: &mut RankStats| {
-        let mut ctx = PartCtx::new(store, env, setup, color);
-        run_loop_over(lp, &mut ctx, setup.iter.subregion(color).iter());
+        let mut task = Task::new(store, env, setup, color);
+        task.run(&mut regs, None);
         stats.tasks_run += 1;
-        stats.counts.add(&ctx.counts);
-        for (per_color, buf) in bufs.iter_mut().zip(ctx.bufs) {
+        stats.counts.add(&task.counts);
+        for (per_color, buf) in bufs.iter_mut().zip(task.bufs) {
             per_color[color] = buf;
         }
     };

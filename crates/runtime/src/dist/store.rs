@@ -59,15 +59,26 @@ impl LocalMap {
     /// Local position of global element `i`, `None` when not resident.
     #[inline]
     pub(crate) fn pos(&self, i: Idx) -> Option<u64> {
+        self.pos_run(i, 1)
+    }
+
+    /// Local position of the run `[i, i + n)`, `None` unless all of it is
+    /// resident — then it is one local slice, because resident runs are
+    /// laid out densely. The empty run is resident anywhere.
+    #[inline]
+    pub(crate) fn pos_run(&self, i: Idx, n: u64) -> Option<u64> {
+        if n == 0 {
+            return Some(0);
+        }
         if let Some((s, e)) = self.dense {
-            return (i >= s && i < e).then(|| i - s);
+            return (i >= s && i < e && n <= e - i).then(|| i - s);
         }
         let k = self.runs.partition_point(|&(s, _)| s <= i);
         if k == 0 {
             return None;
         }
         let (s, e) = self.runs[k - 1];
-        (i < e).then(|| self.starts[k - 1] + (i - s))
+        (i < e && n <= e - i).then(|| self.starts[k - 1] + (i - s))
     }
 
     /// Total resident elements.
@@ -237,6 +248,40 @@ impl Storage for RankStore {
     }
 
     #[inline]
+    fn load_run(&self, f: FieldId, start: Idx, dst: &mut [f64]) -> bool {
+        let RankField::F64 { local, data } = &self.fields[f.0 as usize] else { return false };
+        match local.pos_run(start, dst.len() as u64) {
+            Some(p) => {
+                dst.copy_from_slice(&data[p as usize..p as usize + dst.len()]);
+                true
+            }
+            None => false,
+        }
+    }
+
+    #[inline]
+    fn store_run(&mut self, f: FieldId, start: Idx, src: &[f64]) -> bool {
+        let RankField::F64 { local, data } = &mut self.fields[f.0 as usize] else { return false };
+        match local.pos_run(start, src.len() as u64) {
+            Some(p) => {
+                data[p as usize..p as usize + src.len()].copy_from_slice(src);
+                true
+            }
+            None => false,
+        }
+    }
+
+    #[inline]
+    fn ptr_run(&self, f: FieldId, start: Idx, dst: &mut [Idx]) {
+        match &self.fields[f.0 as usize] {
+            RankField::Ptr(v) => {
+                dst.copy_from_slice(&v[start as usize..start as usize + dst.len()])
+            }
+            _ => panic!("field {f:?} is not Ptr"),
+        }
+    }
+
+    #[inline]
     fn read_ptr(&self, f: FieldId, i: Idx) -> Idx {
         match &self.fields[f.0 as usize] {
             RankField::Ptr(v) => v[i as usize],
@@ -280,6 +325,15 @@ mod tests {
         assert!(rs.write_f64(f, 3, 9.0));
         assert!(!rs.write_f64(f, 5, 9.0));
         assert_eq!(rs.read_f64(f, 3), Some(9.0));
+        // Runs: resident as a whole or refused untouched.
+        let mut run = [0.0; 3];
+        assert!(rs.load_run(f, 1, &mut run));
+        assert_eq!(run, [1.0, 2.0, 9.0]);
+        assert!(!rs.load_run(f, 2, &mut run), "run leaves the footprint");
+        assert!(!rs.store_run(f, 3, &[5.0, 5.0]));
+        assert_eq!(rs.read_f64(f, 3), Some(9.0), "a refused store wrote nothing");
+        assert!(rs.store_run(f, 0, &[4.0, 5.0]));
+        assert_eq!(rs.read_f64(f, 1), Some(5.0));
     }
 
     #[test]
@@ -296,11 +350,19 @@ mod tests {
         for miss in [0, 1, 4, 9, 13, 19, 21] {
             assert_eq!(m.pos(miss), None, "element {miss} is not resident");
         }
+        // A run is resident only inside one footprint run.
+        assert_eq!(m.pos_run(10, 3), Some(2));
+        assert_eq!(m.pos_run(11, 3), None);
+        assert_eq!(m.pos_run(3, 2), None, "3 and 10 are neighbours locally, not globally");
+        assert_eq!(m.pos_run(u64::MAX, 2), None);
+        assert_eq!(m.pos_run(7, 0), Some(0), "the empty run is resident anywhere");
         // The dense fast path kicks in for one contiguous run.
         let dense = LocalMap::new(&IndexSet::from_range(5, 9));
         assert!(dense.dense.is_some());
         assert_eq!(dense.pos(7), Some(2));
         assert_eq!(dense.pos(9), None);
+        assert_eq!(dense.pos_run(5, 4), Some(0));
+        assert_eq!(dense.pos_run(6, 4), None);
     }
 
     #[test]

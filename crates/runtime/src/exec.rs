@@ -16,7 +16,7 @@
 
 use crate::fault::{FaultPlan, InjectedPanic, RetryPolicy};
 use crate::shared::SharedStore;
-use crate::task::{panic_message, plan_loops, LoopSetup, Mode, PartCtx, Storage};
+use crate::task::{panic_message, plan_loops, LoopSetup, Mode, Regs, Storage, Task};
 use crate::task::{LegalityViolation, PlanError, TaskCounts, TaskEnv};
 use parking_lot::Mutex;
 use partir_core::pipeline::ParallelPlan;
@@ -26,7 +26,6 @@ use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, Store};
 use partir_ir::analysis::AccessKind;
 use partir_ir::ast::{AccessId, Loop, Stmt};
-use partir_ir::interp::run_loop_over;
 use partir_obs::json::Json;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -179,18 +178,11 @@ pub fn execute_program(
 ) -> Result<ExecReport, ExecError> {
     let setups = {
         let _span = partir_obs::span("exec.validate");
-        plan_loops(program, plan, parts, store.schema(), opts.check_legality, None)?
+        plan_loops(program, plan, parts, store.schema(), fns, opts.check_legality, None)?
     };
-    let schema = store.schema().clone();
     let (abort, violation) = (AtomicBool::new(false), Mutex::new(None));
-    let env = TaskEnv {
-        fns,
-        schema: &schema,
-        check: opts.check_legality,
-        rank: None,
-        abort: &abort,
-        violation: &violation,
-    };
+    let env =
+        TaskEnv { check: opts.check_legality, rank: None, abort: &abort, violation: &violation };
     let mut report = ExecReport::default();
     // Cumulative task ordinal (loop-major, color-minor): the deterministic
     // coordinate `FaultPlan::poison_after` thresholds on.
@@ -349,18 +341,19 @@ fn execute_loop(
     let tally = Mutex::new(report);
     let next_color = AtomicUsize::new(0);
     let shared = SharedStore::new(store);
-    // One attempt of `color` through a fresh data context, over its whole
-    // subregion or only the first `survive` iterations.
-    let run_task = |color: usize, survive: Option<u64>| {
-        let mut ctx = PartCtx::new(&shared, env, setup, color);
-        let iters = iter.subregion(color).iter();
-        run_loop_over(lp, &mut ctx, iters.take(survive.map_or(usize::MAX, |n| n as usize)));
-        (ctx.counts, ctx.bufs)
+    // One attempt of `color`, over its whole subregion or only the first
+    // `survive` iterations, in the caller's register file.
+    let run_task = |color: usize, survive: Option<u64>, regs: &mut Regs| {
+        let mut task = Task::new(&shared, env, setup, color);
+        task.run(regs, survive);
+        (task.counts, task.bufs)
     };
 
     let scope_result = crossbeam::scope(|s| {
         for _ in 0..opts.n_threads.max(1) {
             s.spawn(|_| {
+                // One register file per worker and loop, not per task.
+                let mut regs = Regs::new(setup);
                 loop {
                     if env.abort.load(Ordering::Relaxed) {
                         break;
@@ -397,7 +390,8 @@ fn execute_loop(
                         // out only on success, dropped by the unwind).
                         let result = catch_unwind(AssertUnwindSafe(|| {
                             let t_task = tracing.then(Instant::now);
-                            let done = run_task(color, injection.map(|f| f.survive_iters));
+                            let done =
+                                run_task(color, injection.map(|f| f.survive_iters), &mut regs);
                             if injection.is_some_and(|f| f.poison) {
                                 std::panic::panic_any(InjectedPanic);
                             }
@@ -489,8 +483,12 @@ fn execute_loop(
             attempts: opts.retry.max_retries + 1,
         });
     }
+    // Allocated for the first recovery only: a run without exhausted tasks
+    // pays nothing here.
+    let mut regs = None;
     for color in failed_colors {
-        match catch_unwind(AssertUnwindSafe(|| run_task(color, None))) {
+        let regs = regs.get_or_insert_with(|| Regs::new(setup));
+        match catch_unwind(AssertUnwindSafe(|| run_task(color, None, regs))) {
             Ok((counts, bufs)) => {
                 publish(color, bufs);
                 let mut report = tally.lock();

@@ -3,8 +3,9 @@
 //! Two execution back-ends over the plans produced by `partir-core`, one
 //! compute core, and a simulator:
 //!
-//! * [`task`] — the shared compute core: plan/partition validation and
-//!   the partitioned data context implementing the paper's runtime
+//! * [`task`] — the shared compute core: plan/partition validation, loop
+//!   bodies lowered once per run to flat register programs (`lower`), and
+//!   the chunk-at-a-time executor implementing the paper's runtime
 //!   mechanisms (legality checking, two-step buffered reductions,
 //!   relaxation guards, private sub-partitions) over either backend's
 //!   storage;
@@ -21,6 +22,7 @@
 pub mod dist;
 pub mod exec;
 pub mod fault;
+mod lower;
 pub mod shared;
 pub mod sim;
 pub mod task;

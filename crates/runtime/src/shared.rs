@@ -60,6 +60,12 @@ impl SharedStore {
     }
 }
 
+/// True when elements `[start, start + n)` lie inside a field of `len`.
+#[inline]
+fn in_field(start: Idx, n: usize, len: usize) -> bool {
+    usize::try_from(start).ok().and_then(|s| s.checked_add(n)).is_some_and(|end| end <= len)
+}
+
 /// Every worker runs its tasks against the same `&SharedStore`. An index
 /// beyond the field (or a field that is not f64) is "not held", never an
 /// out-of-bounds pointer.
@@ -88,6 +94,57 @@ impl Storage for &SharedStore {
                 true
             },
             _ => false,
+        }
+    }
+
+    #[inline]
+    fn load_run(&self, f: FieldId, start: Idx, dst: &mut [f64]) -> bool {
+        match &self.fields[f.0 as usize] {
+            // SAFETY: the whole run is in bounds (guard) and `dst` is a
+            // register, never part of the store. The run is made of
+            // elements this task reads, and no task writes an element
+            // another reads (module docs), so nothing changes under the
+            // copy.
+            RawField::F64 { ptr, len } if in_field(start, dst.len(), *len) => unsafe {
+                std::ptr::copy_nonoverlapping(ptr.add(start as usize), dst.as_mut_ptr(), dst.len());
+                true
+            },
+            _ => false,
+        }
+    }
+
+    #[inline]
+    fn store_run(&mut self, f: FieldId, start: Idx, src: &[f64]) -> bool {
+        match &self.fields[f.0 as usize] {
+            // SAFETY: the whole run is in bounds (guard) and `src` is a
+            // register, never part of the store. The calling task is the
+            // only one touching the run's elements during this parallel
+            // phase: they are targets of its centered writes or in-place
+            // reductions (module docs).
+            RawField::F64 { ptr, len } if in_field(start, src.len(), *len) => unsafe {
+                std::ptr::copy_nonoverlapping(src.as_ptr(), ptr.add(start as usize), src.len());
+                true
+            },
+            _ => false,
+        }
+    }
+
+    #[inline]
+    fn ptr_run(&self, f: FieldId, start: Idx, dst: &mut [Idx]) {
+        match &self.fields[f.0 as usize] {
+            RawField::Ptr { ptr, len } => {
+                assert!(in_field(start, dst.len(), *len), "ptr read out of bounds");
+                // SAFETY: in bounds (assert), `dst` is a register; pointer
+                // fields are never written during parallel phases.
+                unsafe {
+                    std::ptr::copy_nonoverlapping(
+                        ptr.add(start as usize),
+                        dst.as_mut_ptr(),
+                        dst.len(),
+                    );
+                }
+            }
+            _ => panic!("field {f:?} is not Ptr"),
         }
     }
 
@@ -144,6 +201,20 @@ mod tests {
             assert_eq!(view.read_f64(fv, 4), None);
             assert!(!view.write_f64(fv, 4, 1.0));
             assert_eq!(view.read_f64(fp, 0), None);
+            // Runs move whole or not at all.
+            assert!(view.store_run(fv, 1, &[1.0, 2.0, 3.0]));
+            let mut run = [0.0; 4];
+            assert!(view.load_run(fv, 0, &mut run));
+            assert_eq!(run, [7.5, 1.0, 2.0, 3.0]);
+            assert!(!view.load_run(fv, 1, &mut run), "run ends beyond the field");
+            assert!(!view.store_run(fv, 2, &[0.0; 3]));
+            assert!(!view.load_run(fv, u64::MAX, &mut run[..1]));
+            assert!(!view.load_run(fp, 0, &mut run), "not an f64 field");
+            assert!(view.load_run(fv, 4, &mut []), "the empty run at the end is held");
+            assert_eq!(view.read_f64(fv, 3), Some(3.0), "a refused store wrote nothing");
+            let mut ptrs = [0; 2];
+            view.ptr_run(fp, 2, &mut ptrs);
+            assert_eq!(ptrs, [3, 0]);
         }
         assert_eq!(store.f64s(fv)[0], 7.5);
     }

@@ -1,11 +1,12 @@
 //! The compute core both executors share.
 //!
 //! The paper's Section 5 runtime mechanisms live here once: plan/partition
-//! validation ([`PlanError`]), per-loop access resolution (`LoopSetup`:
-//! access modes, reduction buffer sets, write ownership — resolved once
-//! per run by the driver and shared by reference with every worker and
-//! rank), and the partitioned data context (`PartCtx`) that loop bodies run
-//! against:
+//! validation ([`PlanError`]), per-loop resolution (`LoopSetup`: the loop
+//! body lowered to a flat register program by the `lower` module, access
+//! modes, reduction buffer sets, write ownership — resolved once per run
+//! by the driver and shared by reference with every worker and rank), and
+//! the executor (`Task`) that runs one color of one loop over that program
+//! chunk-at-a-time:
 //!
 //! * **legality checking** — every region access is validated against the
 //!   task's subregion of the corresponding access partition, and an
@@ -25,24 +26,37 @@
 //! The backends differ only in the `Storage` a task runs against (the
 //! threads' shared store, a rank's shard) and in what they do between
 //! tasks (merge buffers, exchange halos).
+//!
+//! The executor shares no code with the sequential interpreter in
+//! `partir-ir`, which stays a plain tree walk: that makes the interpreter
+//! an independent oracle, and bit-identity to it is established by the
+//! differential suites (`tests/prop_lowered.rs`, `tests/prop_backends.rs`,
+//! the app equivalence tests), not by construction.
 
 use crate::fault::InjectedPanic;
+use crate::lower::{lower_loop, Expand, ForEach, IdxStep, Lowered, Op, OutOfScope, ReduceSite};
+use crate::lower::{IReg, VReg, LOOP_VAR};
 use parking_lot::Mutex;
 use partir_core::exchange::ExchangePlan;
 use partir_core::pipeline::{LoopPlan, ParallelPlan, PartId, PlannedReduce};
-use partir_dpl::func::{FnDef, FnId, FnTable, IndexFn, MultiFn};
+use partir_dpl::func::FnTable;
 use partir_dpl::index_set::{Idx, IndexSet};
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, RegionId, Schema};
-use partir_ir::ast::{AccessId, Loop, ReduceOp};
-use partir_ir::interp::DataCtx;
+use partir_ir::ast::{AccessId, BinOp, Loop, ReduceOp, UnOp};
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+/// Lanes (iterations, or `ForEach` elements) a chunk holds at most. Large
+/// enough to amortize per-op dispatch over a tight lane loop, small enough
+/// that a loop's whole register file stays in the L1 cache.
+pub const CHUNK: usize = 256;
+
 /// A plan or partition set that cannot drive the program it was handed
-/// with. Found before any task runs, on either backend.
+/// with, or a loop body no partitioned run can execute faithfully. Found
+/// before any task runs, on either backend.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PlanError {
     /// The plan does not describe this program (loop counts differ).
@@ -59,6 +73,11 @@ pub enum PlanError {
     IterationNotDisjoint { loop_index: usize },
     /// A direct/guarded/private reduction partition is not disjoint.
     ReductionNotDisjoint { loop_index: usize, access: AccessId },
+    /// A loop body reads a variable outside the block that assigns it
+    /// (after the `ForEach` whose body set it, say): sequentially that
+    /// reads what an earlier element or iteration left behind, which no
+    /// partitioned run reproduces.
+    VariableOutOfScope { loop_index: usize },
 }
 
 impl fmt::Display for PlanError {
@@ -88,6 +107,10 @@ impl fmt::Display for PlanError {
             PlanError::ReductionNotDisjoint { loop_index, access } => {
                 write!(f, "loop {loop_index}: reduction partition for {access:?} not disjoint")
             }
+            PlanError::VariableOutOfScope { loop_index } => write!(
+                f,
+                "loop {loop_index}: the body reads a variable outside the block that assigns it"
+            ),
         }
     }
 }
@@ -138,9 +161,18 @@ impl fmt::Display for LegalityViolation {
 pub(crate) trait Storage {
     fn read_f64(&self, f: FieldId, i: Idx) -> Option<f64>;
     fn write_f64(&mut self, f: FieldId, i: Idx, v: f64) -> bool;
+    /// Copies elements `[start, start + dst.len())` of `f` into `dst`;
+    /// `false`, with `dst` unspecified, unless all of them are held (the
+    /// empty run always is).
+    fn load_run(&self, f: FieldId, start: Idx, dst: &mut [f64]) -> bool;
+    /// Writes `src` over elements `[start, start + src.len())` of `f`;
+    /// `false`, with nothing written, unless all of them are held.
+    fn store_run(&mut self, f: FieldId, start: Idx, src: &[f64]) -> bool;
     /// Pointer and range fields are topology: whole, and read-only while
     /// tasks run.
     fn read_ptr(&self, f: FieldId, i: Idx) -> Idx;
+    /// [`Storage::read_ptr`] over the run `[start, start + dst.len())`.
+    fn ptr_run(&self, f: FieldId, start: Idx, dst: &mut [Idx]);
     fn read_range(&self, f: FieldId, i: Idx) -> (Idx, Idx);
 }
 
@@ -154,8 +186,20 @@ impl<S: Storage> Storage for &mut S {
         (**self).write_f64(f, i, v)
     }
     #[inline]
+    fn load_run(&self, f: FieldId, start: Idx, dst: &mut [f64]) -> bool {
+        (**self).load_run(f, start, dst)
+    }
+    #[inline]
+    fn store_run(&mut self, f: FieldId, start: Idx, src: &[f64]) -> bool {
+        (**self).store_run(f, start, src)
+    }
+    #[inline]
     fn read_ptr(&self, f: FieldId, i: Idx) -> Idx {
         (**self).read_ptr(f, i)
+    }
+    #[inline]
+    fn ptr_run(&self, f: FieldId, start: Idx, dst: &mut [Idx]) {
+        (**self).ptr_run(f, start, dst)
     }
     #[inline]
     fn read_range(&self, f: FieldId, i: Idx) -> (Idx, Idx) {
@@ -190,6 +234,12 @@ pub(crate) struct BufferSpec<'a> {
 /// Everything about one loop that is the same for all of its tasks.
 pub(crate) struct LoopSetup<'a> {
     pub lplan: &'a LoopPlan,
+    /// The loop body as the executor runs it.
+    pub code: Lowered,
+    /// Lanes per register: [`CHUNK`], less when no chunk of this loop can
+    /// fill it (tiny stores do not pay for a full-size register file), one
+    /// for a loop that has to run iteration by iteration.
+    pub lanes: usize,
     pub iter: &'a Partition,
     /// The access partition of every access site.
     pub parts: Vec<&'a Partition>,
@@ -208,8 +258,8 @@ fn set_bytes(sets: &[IndexSet]) -> u64 {
     sets.iter().map(|s| s.len() * 8).sum()
 }
 
-/// Validates `plan` and `parts` against `program` and resolves every
-/// loop's [`LoopSetup`]. `parts` must be `plan.evaluate(...)` output
+/// Validates `plan` and `parts` against `program`, lowers every loop body
+/// and resolves every loop's [`LoopSetup`]. `parts` must be `plan.evaluate(...)` output
 /// (indexed by `PartId`), all of one launch width. The element-bounds walk
 /// touches every subregion, so it rides on `check_bounds`. With an
 /// exchange plan at hand its first-owner sets are borrowed instead of
@@ -219,6 +269,7 @@ pub(crate) fn plan_loops<'a>(
     plan: &'a ParallelPlan,
     parts: &'a [Arc<Partition>],
     schema: &Schema,
+    fns: &FnTable,
     check_bounds: bool,
     xplan: Option<&'a ExchangePlan>,
 ) -> Result<Vec<LoopSetup<'a>>, PlanError> {
@@ -260,8 +311,17 @@ pub(crate) fn plan_loops<'a>(
             Some(x) => x.loops[li].write_own.as_deref().map(Cow::Borrowed),
             None => iter.first_owner().map(Cow::Owned),
         };
+        let code = lower_loop(lp, fns, schema)
+            .map_err(|OutOfScope| PlanError::VariableOutOfScope { loop_index: li })?;
+        let longest = iter.iter().map(IndexSet::len).max().unwrap_or(0);
+        let lanes = match code.serial {
+            true => 1,
+            false => longest.max(code.inner_hint).clamp(1, CHUNK as u64) as usize,
+        };
         let mut s = LoopSetup {
             lplan,
+            code,
+            lanes,
             iter,
             parts: Vec::with_capacity(lplan.accesses.len()),
             modes: Vec::with_capacity(lplan.accesses.len()),
@@ -317,13 +377,9 @@ pub(crate) fn plan_loops<'a>(
     Ok(setups)
 }
 
-/// What is the same for every task a worker or rank runs. Each task's data
-/// context carries a copy: `check`, `fns` and `schema` are read on every
-/// access.
+/// What is the same for every task a worker or rank runs.
 #[derive(Clone, Copy)]
 pub(crate) struct TaskEnv<'a> {
-    pub fns: &'a FnTable,
-    pub schema: &'a Schema,
     /// Check every access against its partition subregion.
     pub check: bool,
     /// The rank running the tasks; `None` on the threads backend.
@@ -356,9 +412,177 @@ impl TaskCounts {
     }
 }
 
-/// The partitioned data context: all region traffic of one task (one color
-/// of one loop) against storage `S`.
-pub(crate) struct PartCtx<'a, S> {
+/// What an index register holds in the current chunk.
+#[derive(Clone, Copy)]
+enum IdxForm {
+    /// Lane `l` is `start + l`, wrapping to 0 on reaching `period`: one
+    /// unit-stride run, or two when it wraps. Never more — a sequence has
+    /// at most `period` lanes — and never materialized unless an op needs
+    /// the lanes one by one.
+    Seq { start: Idx, period: u64 },
+    /// The register's lane buffer.
+    Lanes,
+}
+
+/// The register file a loop's tasks run in: one buffer of `lanes` entries
+/// per register of the loop's [`Lowered`] program. A worker thread or rank
+/// allocates it once per loop and reuses it for every task and chunk.
+pub(crate) struct Regs {
+    lanes: usize,
+    vals: Vec<Vec<f64>>,
+    idxs: Vec<Vec<Idx>>,
+    forms: Vec<IdxForm>,
+    /// Per `ForEach` depth: the parent lane of every inner lane.
+    parents: Vec<Vec<u32>>,
+}
+
+impl Regs {
+    pub fn new(setup: &LoopSetup<'_>) -> Regs {
+        let (code, lanes) = (&setup.code, setup.lanes);
+        let mut vals = vec![vec![0.0; lanes]; code.n_vregs];
+        for &(r, c) in &code.consts {
+            vals[r as usize].fill(c);
+        }
+        Regs {
+            lanes,
+            vals,
+            idxs: vec![vec![0; lanes]; code.n_iregs],
+            forms: vec![IdxForm::Lanes; code.n_iregs],
+            parents: vec![vec![0; lanes]; code.depth],
+        }
+    }
+
+    /// Writes out the first `n` lanes of a sequence register.
+    fn materialize(&mut self, r: IReg, n: usize) {
+        if let IdxForm::Seq { start, period } = self.forms[r as usize] {
+            for (l, x) in self.idxs[r as usize][..n].iter_mut().enumerate() {
+                *x = seq_lane(start, period, l as u64);
+            }
+            self.forms[r as usize] = IdxForm::Lanes;
+        }
+    }
+
+    /// The first `n` lanes of `r`, one by one.
+    fn lanes_of(&mut self, r: IReg, n: usize) -> &[Idx] {
+        self.materialize(r, n);
+        &self.idxs[r as usize][..n]
+    }
+
+    /// When the first `n` lanes of `r` are a sequence: its start and how
+    /// many lanes precede the wrap to element 0.
+    fn run_of(&self, r: IReg, n: usize) -> Option<(Idx, usize)> {
+        match self.forms[r as usize] {
+            IdxForm::Seq { start, period } => {
+                Some((start, (period.saturating_sub(start)).min(n as u64) as usize))
+            }
+            IdxForm::Lanes => None,
+        }
+    }
+
+    fn un(&mut self, op: UnOp, dst: VReg, a: VReg, n: usize) {
+        let mut out = std::mem::take(&mut self.vals[dst as usize]);
+        let lanes = out[..n].iter_mut().zip(&self.vals[a as usize][..n]);
+        match op {
+            UnOp::Neg => lanes.for_each(|(o, x)| *o = -x),
+            UnOp::Abs => lanes.for_each(|(o, x)| *o = x.abs()),
+            UnOp::Sqrt => lanes.for_each(|(o, x)| *o = x.sqrt()),
+        }
+        self.vals[dst as usize] = out;
+    }
+
+    fn bin(&mut self, op: BinOp, dst: VReg, a: VReg, b: VReg, n: usize) {
+        let mut out = std::mem::take(&mut self.vals[dst as usize]);
+        let (a, b) = (&self.vals[a as usize][..n], &self.vals[b as usize][..n]);
+        let lanes = out[..n].iter_mut().zip(a.iter().zip(b));
+        // One loop per operator, so each compiles to straight vector code.
+        match op {
+            BinOp::Add => lanes.for_each(|(o, (x, y))| *o = x + y),
+            BinOp::Sub => lanes.for_each(|(o, (x, y))| *o = x - y),
+            BinOp::Mul => lanes.for_each(|(o, (x, y))| *o = x * y),
+            BinOp::Div => lanes.for_each(|(o, (x, y))| *o = x / y),
+            BinOp::Min => lanes.for_each(|(o, (x, y))| *o = x.min(*y)),
+            BinOp::Max => lanes.for_each(|(o, (x, y))| *o = x.max(*y)),
+        }
+        self.vals[dst as usize] = out;
+    }
+
+    /// Gives `inner` the value `outer` has at each lane's parent lane.
+    fn import_idx(&mut self, outer: IReg, inner: IReg, parents: &[u32]) {
+        let mut out = std::mem::take(&mut self.idxs[inner as usize]);
+        let lanes = out.iter_mut().zip(parents);
+        match self.forms[outer as usize] {
+            IdxForm::Seq { start, period } => {
+                lanes.for_each(|(o, &p)| *o = seq_lane(start, period, p as u64))
+            }
+            IdxForm::Lanes => {
+                let src = &self.idxs[outer as usize];
+                lanes.for_each(|(o, &p)| *o = src[p as usize]);
+            }
+        }
+        self.forms[inner as usize] = IdxForm::Lanes;
+        self.idxs[inner as usize] = out;
+    }
+
+    fn import_val(&mut self, outer: VReg, inner: VReg, parents: &[u32]) {
+        let mut out = std::mem::take(&mut self.vals[inner as usize]);
+        let src = &self.vals[outer as usize];
+        out.iter_mut().zip(parents).for_each(|(o, &p)| *o = src[p as usize]);
+        self.vals[inner as usize] = out;
+    }
+}
+
+#[inline]
+fn seq_lane(start: Idx, period: u64, l: u64) -> Idx {
+    let v = start.wrapping_add(l);
+    if v >= period {
+        v - period
+    } else {
+        v
+    }
+}
+
+/// Fills one index register chunk by chunk from pieces `[s, s + take)`,
+/// keeping it a sequence for as long as the pieces join into one run.
+#[derive(Default)]
+struct Pack {
+    fill: usize,
+    start: Idx,
+    one_run: bool,
+}
+
+impl Pack {
+    fn push(&mut self, lanes: &mut [Idx], s: Idx, take: usize) {
+        if self.fill == 0 {
+            (self.start, self.one_run) = (s, true);
+        } else if self.one_run && s != self.start + self.fill as u64 {
+            for (l, x) in lanes[..self.fill].iter_mut().enumerate() {
+                *x = self.start + l as u64;
+            }
+            self.one_run = false;
+        }
+        if !self.one_run {
+            for (k, x) in lanes[self.fill..self.fill + take].iter_mut().enumerate() {
+                *x = s + k as u64;
+            }
+        }
+        self.fill += take;
+    }
+
+    /// Hands the chunk over: its lane count and the register's form.
+    fn take(&mut self) -> (usize, IdxForm) {
+        let form = match self.one_run {
+            true => IdxForm::Seq { start: self.start, period: u64::MAX },
+            false => IdxForm::Lanes,
+        };
+        (std::mem::take(&mut self.fill), form)
+    }
+}
+
+/// One task: one color of one loop, run chunk-at-a-time against storage
+/// `S`. Every op of the loop's [`Lowered`] program executes over all lanes
+/// of a chunk before the next op does; guards, write ownership, reduction
+/// buffers, legality checks and counters apply per lane.
+pub(crate) struct Task<'a, S> {
     store: S,
     env: TaskEnv<'a>,
     setup: &'a LoopSetup<'a>,
@@ -370,9 +594,9 @@ pub(crate) struct PartCtx<'a, S> {
     pub counts: TaskCounts,
 }
 
-impl<'a, S: Storage> PartCtx<'a, S> {
+impl<'a, S: Storage> Task<'a, S> {
     pub fn new(store: S, env: &TaskEnv<'a>, setup: &'a LoopSetup<'a>, color: usize) -> Self {
-        PartCtx {
+        Task {
             store,
             env: *env,
             setup,
@@ -380,6 +604,58 @@ impl<'a, S: Storage> PartCtx<'a, S> {
             write_own: setup.write_own.as_deref().map(|own| &own[color]),
             bufs: vec![None; setup.buffers.len()],
             counts: TaskCounts::default(),
+        }
+    }
+
+    /// Runs the color's iterations in ascending order — all of them, or
+    /// only the first `survive` (an injected fault kills the attempt
+    /// there). Chunks are cut from the runs of the iteration set; short
+    /// runs share a chunk.
+    pub fn run(&mut self, regs: &mut Regs, survive: Option<u64>) {
+        let ops = &self.setup.code.ops;
+        let cap = regs.lanes;
+        let mut left = survive.unwrap_or(u64::MAX);
+        let mut pack = Pack::default();
+        for &(mut s, e) in self.setup.iter.subregion(self.color).runs() {
+            let e = e.min(s.saturating_add(left));
+            left -= e - s;
+            while s < e {
+                let take = (e - s).min((cap - pack.fill) as u64) as usize;
+                pack.push(&mut regs.idxs[LOOP_VAR as usize], s, take);
+                s += take as u64;
+                if pack.fill == cap {
+                    let n;
+                    (n, regs.forms[LOOP_VAR as usize]) = pack.take();
+                    self.block(ops, regs, n, 0);
+                }
+            }
+        }
+        if pack.fill > 0 {
+            let n;
+            (n, regs.forms[LOOP_VAR as usize]) = pack.take();
+            self.block(ops, regs, n, 0);
+        }
+    }
+
+    /// Executes `ops` over the first `n` lanes, op by op.
+    fn block(&mut self, ops: &[Op], regs: &mut Regs, n: usize, depth: usize) {
+        for op in ops {
+            match op {
+                Op::Un { op, dst, a } => regs.un(*op, *dst, *a, n),
+                Op::Bin { op, dst, a, b } => regs.bin(*op, *dst, *a, *b, n),
+                Op::Apply { step, src, dst } => self.apply(step, *src, *dst, regs, n),
+                Op::LoadPtr { access, field, idx, dst } => {
+                    self.load_ptr(*access, *field, *idx, *dst, regs, n)
+                }
+                Op::Load { access, field, idx, dst } => {
+                    self.load(*access, *field, *idx, *dst, regs, n)
+                }
+                Op::Store { access, field, idx, src } => {
+                    self.write(*access, *field, *idx, *src, regs, n)
+                }
+                Op::Reduce { sites, tmp } => self.reduce(sites, *tmp, regs, n),
+                Op::ForEach(fe) => self.for_each(fe, regs, n, depth),
+            }
         }
     }
 
@@ -415,126 +691,284 @@ impl<'a, S: Storage> PartCtx<'a, S> {
         }
     }
 
-    /// In-place reduction on an element exactly one task owns.
-    #[inline]
-    fn in_place(&mut self, a: AccessId, field: FieldId, i: Idx, op: ReduceOp, v: f64) {
-        match self.store.read_f64(field, i) {
-            Some(cur) => {
-                self.store.write_f64(field, i, op.apply(cur, v));
+    fn apply(&mut self, step: &IdxStep, src: IReg, dst: IReg, regs: &mut Regs, n: usize) {
+        let mut out = std::mem::take(&mut regs.idxs[dst as usize]);
+        regs.forms[dst as usize] = IdxForm::Lanes;
+        match (step, regs.run_of(src, n)) {
+            // A run that does not wrap inside the chunk maps to a run.
+            (IdxStep::Affine(a), Some((start, head))) if head == n => {
+                match a.image_of_run(start, n) {
+                    Some((start, period)) => {
+                        regs.forms[dst as usize] = IdxForm::Seq { start, period }
+                    }
+                    None => self.apply_lanes(step, regs.lanes_of(src, n), &mut out),
+                }
             }
-            None => self.fail(a, i),
+            (IdxStep::Ptr(field), Some((start, head))) => {
+                let (a, b) = out[..n].split_at_mut(head);
+                self.store.ptr_run(*field, start, a);
+                self.store.ptr_run(*field, 0, b);
+            }
+            _ => self.apply_lanes(step, regs.lanes_of(src, n), &mut out),
+        }
+        regs.idxs[dst as usize] = out;
+    }
+
+    fn apply_lanes(&self, step: &IdxStep, src: &[Idx], out: &mut [Idx]) {
+        let lanes = out.iter_mut().zip(src);
+        match step {
+            IdxStep::Affine(a) => lanes.for_each(|(o, &i)| *o = a.eval(i)),
+            IdxStep::Ptr(field) => lanes.for_each(|(o, &i)| *o = self.store.read_ptr(*field, i)),
+            IdxStep::MultiValued => panic!("eval_fn on multi-valued function"),
         }
     }
 
-    fn buffer_reduce(&mut self, a: AccessId, buf: usize, i: Idx, op: ReduceOp, v: f64) {
-        let set = &self.setup.buffers[buf].sets[self.color];
-        let Some(slot) = set.rank(i) else { self.fail(a, i) };
-        let values = self.bufs[buf].get_or_insert_with(|| {
-            self.counts.buffer_bytes += set.len() * 8;
-            vec![op.identity(); set.len() as usize]
+    /// A function's image of one index.
+    fn apply_one(&self, steps: &[IdxStep], i: Idx) -> Idx {
+        steps.iter().fold(i, |i, step| {
+            let mut out = [0];
+            self.apply_lanes(step, &[i], &mut out);
+            out[0]
+        })
+    }
+
+    fn load_ptr(
+        &mut self,
+        access: AccessId,
+        field: FieldId,
+        idx: IReg,
+        dst: IReg,
+        regs: &mut Regs,
+        n: usize,
+    ) {
+        let mut out = std::mem::take(&mut regs.idxs[dst as usize]);
+        match regs.run_of(idx, n).filter(|_| !self.env.check) {
+            Some((start, head)) => {
+                let (a, b) = out[..n].split_at_mut(head);
+                self.store.ptr_run(field, start, a);
+                self.store.ptr_run(field, 0, b);
+            }
+            None => {
+                for (o, &i) in out.iter_mut().zip(regs.lanes_of(idx, n)) {
+                    self.check_access(access, i);
+                    *o = self.store.read_ptr(field, i);
+                }
+            }
+        }
+        regs.forms[dst as usize] = IdxForm::Lanes;
+        regs.idxs[dst as usize] = out;
+    }
+
+    fn load(
+        &mut self,
+        access: AccessId,
+        field: FieldId,
+        idx: IReg,
+        dst: VReg,
+        regs: &mut Regs,
+        n: usize,
+    ) {
+        let mut out = std::mem::take(&mut regs.vals[dst as usize]);
+        // Unchecked, a sequence is at most two contiguous copies; should
+        // one not be held, the lanes are walked to name the element.
+        let copied =
+            regs.run_of(idx, n).filter(|_| !self.env.check).is_some_and(|(start, head)| {
+                let (a, b) = out[..n].split_at_mut(head);
+                self.store.load_run(field, start, a) && self.store.load_run(field, 0, b)
+            });
+        if !copied {
+            for (o, &i) in out.iter_mut().zip(regs.lanes_of(idx, n)) {
+                self.check_access(access, i);
+                match self.store.read_f64(field, i) {
+                    Some(v) => *o = v,
+                    None => self.fail(access, i),
+                }
+            }
+        }
+        regs.vals[dst as usize] = out;
+    }
+
+    fn write(
+        &mut self,
+        access: AccessId,
+        field: FieldId,
+        idx: IReg,
+        src: VReg,
+        regs: &mut Regs,
+        n: usize,
+    ) {
+        let whole_run = !self.env.check && self.write_own.is_none();
+        let copied = regs.run_of(idx, n).filter(|_| whole_run).is_some_and(|(start, head)| {
+            let (a, b) = regs.vals[src as usize][..n].split_at(head);
+            self.store.store_run(field, start, a) && self.store.store_run(field, 0, b)
         });
-        values[slot as usize] = op.apply(values[slot as usize], v);
-    }
-
-    fn eval_index_fn(&self, f: &IndexFn, i: Idx, target_size: u64) -> Idx {
-        match f {
-            IndexFn::Identity => i,
-            IndexFn::Affine { mul, add } => {
-                let v = (i as i64) * mul + add;
-                assert!(v >= 0 && (v as u64) < target_size, "affine out of range");
-                v as Idx
-            }
-            IndexFn::AffineMod { mul, add, modulus } => {
-                ((i as i64) * mul + add).rem_euclid(*modulus as i64) as Idx
-            }
-            IndexFn::Ptr { field } => self.store.read_ptr(*field, i),
-            IndexFn::Compose(a, b) => {
-                let mid = self.eval_index_fn(a, i, u64::MAX);
-                self.eval_index_fn(b, mid, target_size)
+        if copied {
+            return;
+        }
+        regs.materialize(idx, n);
+        for (&i, &v) in regs.idxs[idx as usize][..n].iter().zip(&regs.vals[src as usize][..n]) {
+            self.check_access(access, i);
+            if self.write_own.is_some_and(|own| !own.contains(i)) {
+                self.counts.write_skips += 1;
+            } else if !self.store.write_f64(field, i, v) {
+                self.fail(access, i);
             }
         }
     }
-}
 
-impl<S: Storage> DataCtx for PartCtx<'_, S> {
-    #[inline]
-    fn read_f64(&mut self, a: AccessId, field: FieldId, i: Idx) -> f64 {
-        self.check_access(a, i);
-        match self.store.read_f64(field, i) {
-            Some(v) => v,
-            None => self.fail(a, i),
+    fn reduce(&mut self, sites: &[ReduceSite], tmp: VReg, regs: &mut Regs, n: usize) {
+        if let [site] = sites {
+            if self.reduce_run(site, tmp, regs, n) {
+                return;
+            }
+        }
+        for site in sites {
+            regs.materialize(site.idx, n);
+        }
+        for l in 0..n {
+            for site in sites {
+                let (i, v) = (regs.idxs[site.idx as usize][l], regs.vals[site.src as usize][l]);
+                self.reduce_lane(site, i, v);
+            }
         }
     }
 
-    #[inline]
-    fn write_f64(&mut self, a: AccessId, field: FieldId, i: Idx, v: f64) {
-        self.check_access(a, i);
-        if self.write_own.is_some_and(|own| !own.contains(i)) {
-            self.counts.write_skips += 1;
-        } else if !self.store.write_f64(field, i, v) {
-            self.fail(a, i);
+    /// An unchecked in-place reduction through a sequence: the lanes are
+    /// distinct elements, so the run is read, combined and written back
+    /// whole. False when the site needs the per-lane form.
+    fn reduce_run(&mut self, site: &ReduceSite, tmp: VReg, regs: &mut Regs, n: usize) -> bool {
+        let in_place = matches!(self.setup.modes[site.access.0 as usize], Mode::Plain);
+        let Some((start, head)) = regs.run_of(site.idx, n).filter(|_| in_place && !self.env.check)
+        else {
+            return false;
+        };
+        let mut acc = std::mem::take(&mut regs.vals[tmp as usize]);
+        let (a, b) = acc[..n].split_at_mut(head);
+        let held =
+            self.store.load_run(site.field, start, a) && self.store.load_run(site.field, 0, b);
+        if held {
+            let lanes = acc[..n].iter_mut().zip(&regs.vals[site.src as usize][..n]);
+            match site.op {
+                ReduceOp::Add => lanes.for_each(|(o, v)| *o += v),
+                ReduceOp::Mul => lanes.for_each(|(o, v)| *o *= v),
+                ReduceOp::Min => lanes.for_each(|(o, v)| *o = o.min(*v)),
+                ReduceOp::Max => lanes.for_each(|(o, v)| *o = o.max(*v)),
+            }
+            let (a, b) = acc[..n].split_at(head);
+            let stored = self.store.store_run(site.field, start, a)
+                && self.store.store_run(site.field, 0, b);
+            assert!(stored, "a run that was read whole is written whole");
         }
+        regs.vals[tmp as usize] = acc;
+        held
     }
 
     #[inline]
-    fn reduce_f64(&mut self, a: AccessId, field: FieldId, i: Idx, op: ReduceOp, v: f64) {
+    fn reduce_lane(&mut self, site: &ReduceSite, i: Idx, v: f64) {
+        let a = site.access;
         match self.setup.modes[a.0 as usize] {
             Mode::Plain => {
                 self.check_access(a, i);
-                self.in_place(a, field, i, op, v);
+                self.in_place(site, i, v);
             }
             Mode::Guarded => {
                 if self.subregion(a).contains(i) {
                     self.counts.guard_hits += 1;
-                    self.in_place(a, field, i, op, v);
+                    self.in_place(site, i, v);
                 } else {
                     self.counts.guard_skips += 1;
                 }
             }
             Mode::Buffered(buf) => {
                 self.check_access(a, i);
-                self.buffer_reduce(a, buf, i, op, v);
+                self.buffer_reduce(site, buf, i, v);
             }
             Mode::BufferedPrivate { private, buf } => {
                 self.check_access(a, i);
                 if private.subregion(self.color).contains(i) {
-                    self.in_place(a, field, i, op, v);
+                    self.in_place(site, i, v);
                 } else {
-                    self.buffer_reduce(a, buf, i, op, v);
+                    self.buffer_reduce(site, buf, i, v);
                 }
             }
         }
     }
 
+    /// In-place reduction on an element exactly one task owns.
     #[inline]
-    fn read_ptr(&mut self, a: AccessId, field: FieldId, i: Idx) -> Idx {
-        self.check_access(a, i);
-        self.store.read_ptr(field, i)
-    }
-
-    #[inline]
-    fn eval_fn(&mut self, f: FnId, i: Idx) -> Idx {
-        let nf = self.env.fns.get(f);
-        let size = self.env.schema.region_size(nf.range);
-        match &nf.def {
-            FnDef::Index(func) => self.eval_index_fn(func, i, size),
-            FnDef::Multi(_) => panic!("eval_fn on multi-valued function"),
-        }
-    }
-
-    #[inline]
-    fn eval_multi(&mut self, a: AccessId, f: FnId, i: Idx, out: &mut Vec<Idx>) {
-        self.check_access(a, i);
-        let nf = self.env.fns.get(f);
-        let size = self.env.schema.region_size(nf.range);
-        match &nf.def {
-            FnDef::Multi(MultiFn::RangeField { field }) => {
-                let (s, e) = self.store.read_range(*field, i);
-                out.extend(s..e.min(size));
+    fn in_place(&mut self, site: &ReduceSite, i: Idx, v: f64) {
+        match self.store.read_f64(site.field, i) {
+            Some(cur) => {
+                self.store.write_f64(site.field, i, site.op.apply(cur, v));
             }
-            FnDef::Multi(MultiFn::Lift(func)) => out.push(self.eval_index_fn(func, i, size)),
-            FnDef::Index(func) => out.push(self.eval_index_fn(func, i, size)),
+            None => self.fail(site.access, i),
         }
+    }
+
+    fn buffer_reduce(&mut self, site: &ReduceSite, buf: usize, i: Idx, v: f64) {
+        let set = &self.setup.buffers[buf].sets[self.color];
+        let Some(slot) = set.rank(i) else { self.fail(site.access, i) };
+        let values = self.bufs[buf].get_or_insert_with(|| {
+            self.counts.buffer_bytes += set.len() * 8;
+            vec![site.op.identity(); set.len() as usize]
+        });
+        values[slot as usize] = site.op.apply(values[slot as usize], v);
+    }
+
+    /// Expands `F(src)` for every lane, parent lane by parent lane, into
+    /// inner chunks of (parent lane, element) pairs and runs the body over
+    /// each: the interpreter's nested order, flattened.
+    fn for_each(&mut self, fe: &ForEach, regs: &mut Regs, n: usize, depth: usize) {
+        regs.materialize(fe.src, n);
+        let cap = regs.lanes;
+        let mut parents = std::mem::take(&mut regs.parents[depth]);
+        let mut pack = Pack::default();
+        for p in 0..n {
+            let i = regs.idxs[fe.src as usize][p];
+            self.check_access(fe.access, i);
+            let (mut s, e) = match &fe.expand {
+                Expand::Range { field, size } => {
+                    let (s, e) = self.store.read_range(*field, i);
+                    (s, e.min(*size))
+                }
+                Expand::Single(steps) => {
+                    let k = self.apply_one(steps, i);
+                    (k, k.saturating_add(1))
+                }
+            };
+            while s < e {
+                let take = (e - s).min((cap - pack.fill) as u64) as usize;
+                parents[pack.fill..pack.fill + take].fill(p as u32);
+                pack.push(&mut regs.idxs[fe.var as usize], s, take);
+                s += take as u64;
+                if pack.fill == cap {
+                    self.inner_chunk(fe, regs, &parents, &mut pack, depth);
+                }
+            }
+        }
+        if pack.fill > 0 {
+            self.inner_chunk(fe, regs, &parents, &mut pack, depth);
+        }
+        regs.parents[depth] = parents;
+    }
+
+    fn inner_chunk(
+        &mut self,
+        fe: &ForEach,
+        regs: &mut Regs,
+        parents: &[u32],
+        pack: &mut Pack,
+        depth: usize,
+    ) {
+        let n;
+        (n, regs.forms[fe.var as usize]) = pack.take();
+        for &(outer, inner) in &fe.imports_i {
+            regs.import_idx(outer, inner, &parents[..n]);
+        }
+        for &(outer, inner) in &fe.imports_v {
+            regs.import_val(outer, inner, &parents[..n]);
+        }
+        self.block(&fe.body, regs, n, depth + 1);
     }
 }
 

@@ -147,6 +147,9 @@ fn plan_code(e: &PlanError) -> (&'static str, &'static str) {
         PlanError::ReductionNotDisjoint { .. } => {
             ("exec.reduction_not_disjoint", "dist.reduction_not_disjoint")
         }
+        PlanError::VariableOutOfScope { .. } => {
+            ("exec.variable_out_of_scope", "dist.variable_out_of_scope")
+        }
     }
 }
 
@@ -268,6 +271,7 @@ mod tests {
             PlanError::IncompleteIteration { loop_index: 0 },
             PlanError::IterationNotDisjoint { loop_index: 0 },
             PlanError::ReductionNotDisjoint { loop_index: 0, access: AccessId(0) },
+            PlanError::VariableOutOfScope { loop_index: 0 },
         ];
         let mut samples: Vec<Error> = Vec::new();
         for p in plan_defects {

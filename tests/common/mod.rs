@@ -1,8 +1,20 @@
-//! Random-program generator shared by the property-test suites: two-region
-//! programs (pointer chains, affine neighbor maps, centered writes,
-//! uncentered reductions) over randomly populated stores. Every generated
-//! program is parallelizable — the properties assert what the pipeline
-//! does with it, not whether it bails.
+//! Random-program generator shared by the property-test suites: programs
+//! over two to six regions (pointer chains, affine neighbor maps, centered
+//! writes, uncentered reductions, a CSR-style `ForEach`) over randomly
+//! populated stores. Every generated program is parallelizable — the
+//! properties assert what the pipeline does with it, not whether it bails.
+//!
+//! Two kinds of values. The `val` fields hold small integers: they feed
+//! the reductions a plan may run in two steps (per-task buffers merged
+//! afterwards), which re-associates the sum across tasks and so matches
+//! the sequential interpreter bit-for-bit only when every partial sum is
+//! exact. The `wt` fields hold values of mixed magnitude that are not
+//! multiples of a power of two, so any reordering of their sums shows in
+//! the last bits; they feed only reductions that apply in place, in
+//! iteration order: the centered one inside the `ForEach`, and the two
+//! sites of the twin loop, which reduces through two distinct functions
+//! and is alone on its region, so the relaxation heuristic always guards
+//! it.
 #![allow(dead_code)]
 
 use partir::prelude::*;
@@ -19,10 +31,48 @@ pub struct Cfg {
     pub reduce_via_ptr: bool,
     pub reduce_via_affine: bool,
     pub second_loop: bool,
+    /// Seeds the store contents. Bits 8 and 9 ([`OPTIONAL_LOOPS`]) also ask
+    /// for the two optional loops ([`Cfg::rows_loop`], [`Cfg::twin_loop`]),
+    /// so the small seeds of fixed-input tests keep their programs.
     pub ptr_seed: u64,
 }
 
+impl Cfg {
+    /// With the second loop and the pointer chain both present, every
+    /// further loop multiplies the solver's search (measured: 0.4 ms
+    /// without them, 35 s to 6 min for one more loop), so those programs
+    /// get no optional loop.
+    fn room_for_more(&self) -> bool {
+        !(self.second_loop && self.read_ptr_chain)
+    }
+
+    /// `for j in R: for k in rows[j]: R.sum[j] += 0.3·M.wt[k]`, then
+    /// `R.half[j] = 0.5·R.sum[j]`. The rows cut M into consecutive ranges,
+    /// some empty, some longer than a chunk when M is.
+    pub fn rows_loop(&self) -> bool {
+        self.ptr_seed >> 8 & 1 == 1 && self.room_for_more()
+    }
+
+    /// `for c in C`: two uncentered reductions into `T.acc`, through a
+    /// pointer and through an affine map.
+    pub fn twin_loop(&self) -> bool {
+        self.ptr_seed >> 9 & 1 == 1 && self.room_for_more()
+    }
+}
+
+/// Seed bits that ask for the optional loops.
+pub const OPTIONAL_LOOPS: u64 = 0x300;
+
+/// Programs of the two classic loops only.
 pub fn arb_cfg() -> impl Strategy<Value = Cfg> {
+    arb_cfg_with_optional_loops()
+        .prop_map(|cfg| Cfg { ptr_seed: cfg.ptr_seed & !OPTIONAL_LOOPS, ..cfg })
+}
+
+/// Classic programs, with either, both or none of the optional loops. For
+/// suites that solve without hints: with external partitions hinted on
+/// top, the longer programs take the solver minutes.
+pub fn arb_cfg_with_optional_loops() -> impl Strategy<Value = Cfg> {
     (
         20u64..120,
         10u64..60,
@@ -75,6 +125,22 @@ pub fn build(cfg: &Cfg) -> Built {
     let aout = schema.add_field(a_r, "out", FieldKind::F64);
     let bval = schema.add_field(b_r, "val", FieldKind::F64);
     let bacc = schema.add_field(b_r, "acc", FieldKind::F64);
+    // Everything the optional loops use comes after, so the ids above are
+    // the same in every program.
+    // The optional loops live on regions of their own (M and C sized like
+    // A, R and T like B), so what the plan does with them does not depend
+    // on the flags of the two loops above.
+    let m_r = schema.add_region("M", cfg.n_a);
+    let r_r = schema.add_region("R", cfg.n_b);
+    let mwt = schema.add_field(m_r, "wt", FieldKind::F64);
+    let rrows = schema.add_field(r_r, "rows", FieldKind::Range(m_r));
+    let rsum = schema.add_field(r_r, "sum", FieldKind::F64);
+    let rhalf = schema.add_field(r_r, "half", FieldKind::F64);
+    let c_r = schema.add_region("C", cfg.n_a);
+    let t_r = schema.add_region("T", cfg.n_b);
+    let cptr = schema.add_field(c_r, "ptr", FieldKind::Ptr(t_r));
+    let cwt = schema.add_field(c_r, "wt", FieldKind::F64);
+    let tacc = schema.add_field(t_r, "acc", FieldKind::F64);
 
     let mut fns = FnTable::new();
     let fptr = fns.add_ptr_field("A[.].ptr", a_r, b_r, ptr);
@@ -91,6 +157,15 @@ pub fn build(cfg: &Cfg) -> Built {
         FnDef::Index(IndexFn::AffineMod { mul: 1, add: 1, modulus: cfg.n_b }),
     );
 
+    let frows = fns.add_range_field("R[.].rows", r_r, m_r, rrows);
+    let fcptr = fns.add_ptr_field("C[.].ptr", c_r, t_r, cptr);
+    let fwrap_ct = fns.add(
+        "wrapCT",
+        c_r,
+        t_r,
+        FnDef::Index(IndexFn::AffineMod { mul: 1, add: 2, modulus: cfg.n_b }),
+    );
+
     let mut store = Store::new(schema);
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.ptr_seed);
     for v in store.ptrs_mut(ptr).iter_mut() {
@@ -101,6 +176,26 @@ pub fn build(cfg: &Cfg) -> Built {
     }
     for v in store.f64s_mut(bval).iter_mut() {
         *v = rng.gen_range(0..32) as f64;
+    }
+    // Drawn after the fields above, so those keep their values.
+    let inexact = |rng: &mut rand::rngs::StdRng| {
+        let k = rng.gen_range(1..1000u64);
+        k as f64 * 0.37 * [1e-3, 1.0, 1e3][(k % 3) as usize]
+    };
+    for v in store.f64s_mut(mwt).iter_mut() {
+        *v = inexact(&mut rng);
+    }
+    for v in store.f64s_mut(cwt).iter_mut() {
+        *v = inexact(&mut rng);
+    }
+    for v in store.ptrs_mut(cptr).iter_mut() {
+        *v = rng.gen_range(0..cfg.n_b);
+    }
+    let mut cuts: Vec<u64> = (1..cfg.n_b).map(|_| rng.gen_range(0..=cfg.n_a)).collect();
+    cuts.extend([0, cfg.n_a]);
+    cuts.sort_unstable();
+    for (row, cut) in store.ranges_mut(rrows).iter_mut().zip(cuts.windows(2)) {
+        *row = (cut[0], cut[1]);
     }
 
     // Loop 1 over A: centered read, optional uncentered reads of B, a
@@ -141,6 +236,27 @@ pub fn build(cfg: &Cfg) -> Built {
         let nv = bld.idx_apply(faff, j);
         let x = bld.val_read(b_r, bval, nv);
         bld.val_reduce(b_r, bacc, j, ReduceOp::Add, VExpr::var(x));
+        program.push(bld.finish());
+    }
+    if cfg.rows_loop() {
+        let mut bld = LoopBuilder::new("loop_rows", r_r);
+        let j = bld.loop_var();
+        let k = bld.begin_for_each(frows, j);
+        let w = bld.val_read(m_r, mwt, k);
+        bld.val_reduce(r_r, rsum, j, ReduceOp::Add, VExpr::mul(VExpr::Const(0.3), VExpr::var(w)));
+        bld.end_for_each();
+        let sum = bld.val_read(r_r, rsum, j);
+        bld.val_write(r_r, rhalf, j, VExpr::mul(VExpr::Const(0.5), VExpr::var(sum)));
+        program.push(bld.finish());
+    }
+    if cfg.twin_loop() {
+        let mut bld = LoopBuilder::new("loop_twin", c_r);
+        let c = bld.loop_var();
+        let w = bld.val_read(c_r, cwt, c);
+        let p = bld.idx_read(c_r, cptr, c, fcptr);
+        bld.val_reduce(t_r, tacc, p, ReduceOp::Add, VExpr::mul(VExpr::Const(0.3), VExpr::var(w)));
+        let q = bld.idx_apply(fwrap_ct, c);
+        bld.val_reduce(t_r, tacc, q, ReduceOp::Add, VExpr::mul(VExpr::Const(0.7), VExpr::var(w)));
         program.push(bld.finish());
     }
     Built { store, fns, program }

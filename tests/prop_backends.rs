@@ -12,7 +12,7 @@ use partir::runtime::dist::LegalityMode;
 use proptest::prelude::*;
 
 mod common;
-use common::{arb_cfg, assert_f64_fields_eq, build, Cfg};
+use common::{arb_cfg_with_optional_loops, assert_f64_fields_eq, build, Cfg};
 
 /// Solves `cfg`'s program once and runs the plan on `Threads(width)` and
 /// `Ranks(width)`; returns the plan and both reports.
@@ -62,7 +62,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn all_backends_agree(cfg in arb_cfg(), width in 1usize..5) {
+    fn all_backends_agree(cfg in arb_cfg_with_optional_loops(), width in 1usize..5) {
         run_on_both(&cfg, Options::default(), width)?;
     }
 }
