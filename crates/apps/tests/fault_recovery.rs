@@ -138,7 +138,11 @@ fn all_apps_bit_identical_under_faults_with_deterministic_replay() {
     for fx in fixtures() {
         for seed in [1u64, 42] {
             let opts = ExecOptions {
-                fault: Some(FaultPlan { seed, task_failure_rate: 0.5, poison_after: Some(4) }),
+                fault: Some(FaultPlan {
+                    task_failure_rate: 0.5,
+                    poison_after: Some(4),
+                    ..FaultPlan::quiescent(seed)
+                }),
                 retry: RetryPolicy { max_retries: 1, ..RetryPolicy::default() },
                 ..ExecOptions::default()
             };
@@ -165,7 +169,7 @@ fn all_apps_bit_identical_under_faults_with_deterministic_replay() {
 fn all_apps_survive_total_failure_via_recovery() {
     for fx in fixtures() {
         let opts = ExecOptions {
-            fault: Some(FaultPlan { seed: 9, task_failure_rate: 1.0, poison_after: None }),
+            fault: Some(FaultPlan { task_failure_rate: 1.0, ..FaultPlan::quiescent(9) }),
             retry: RetryPolicy { max_retries: 0, ..RetryPolicy::default() },
             ..ExecOptions::default()
         };

@@ -22,14 +22,14 @@
 //! one thread per rank).
 //! Overhead gate: `... --bin fig_dist -- --check-obs-skew` re-runs the
 //! largest Stencil point with metrics on vs off and fails when the median
-//! walltime skew exceeds `PARTIR_OBS_SKEW_MAX_PCT` (default 5%).
+//! walltime skew exceeds 5%.
 //! Scaling gate: `... --bin fig_dist -- --assert-scaling [--max-ratio X]`
 //! fails when the largest rank count's median wall-clock exceeds 1-rank
 //! by more than the allowed ratio on Stencil and SpMV (the CI perf gate;
-//! `PARTIR_SCALING_MAX_RATIO` overrides the parallelism-aware default —
-//! strict `1.0` on multi-core hosts, relaxed on single-core ones where
-//! thread-per-rank SPMD cannot beat one rank).
-//! Rank counts: `PARTIR_RANKS=2,4,8` overrides the default `1,2,4,8`.
+//! `--max-ratio` overrides the parallelism-aware default — strict `1.0`
+//! on multi-core hosts, relaxed on single-core ones where thread-per-rank
+//! SPMD cannot beat one rank).
+//! Rank counts: `--ranks 2,4,8` overrides the default `1,2,4,8`.
 //! Fault tolerance: `... --bin fig_dist -- --fault-seed N` crashes a
 //! seeded rank mid-program in every app at the largest rank count (with
 //! mild seeded message loss and duplication on top), verifies the
@@ -37,12 +37,10 @@
 //! rank's owned shard, and emits a `dist_recovery` section: recovery
 //! wall-clock, bytes migrated vs a full re-shard, and the fault-free
 //! checkpoint overhead at the Young/Daly interval — the latter gated
-//! under `PARTIR_CKPT_OVERHEAD_MAX_PCT` (default 5%;
-//! `PARTIR_DIST_MTBF_S` sets the assumed mean time between failures,
-//! default one hour).
+//! under 5%, for an assumed mean time between failures of one hour.
 //! Placement: `... --bin fig_dist -- --placement block|cost|compare`.
 //! `block`/`cost` pick the owner-mapping policy for the normal scaling
-//! table (via `PARTIR_PLACEMENT`, so the env path is exercised);
+//! table;
 //! `compare` runs only the placement axis — block vs cost-driven on
 //! placement-adversarial inputs (SpMV with an antipodal band shift,
 //! Circuit with strided cross-cluster wires) over-decomposed to
@@ -71,8 +69,15 @@ use partir_obs::json::Json;
 use partir_obs::profile::DistProfile;
 use partir_obs::trace::chrome_trace_doc;
 use partir_obs::{MemorySink, ObsConfig};
-use partir_runtime::dist::{CheckpointPolicy, DistFaultPlan, DistReport, RankCrash};
+use partir_runtime::dist::DistReport;
+use partir_runtime::fault::{CheckpointPolicy, FaultPlan, RankCrash};
 use std::time::Instant;
+
+/// Budget for the two overhead gates (`--check-obs-skew`, and fault-free
+/// Young/Daly checkpointing under `--fault-seed`), percent of wall-clock.
+const OVERHEAD_MAX_PCT: f64 = 5.0;
+/// Mean time between failures the Young/Daly interval assumes, seconds.
+const MTBF_S: f64 = 3600.0;
 
 struct Case {
     name: &'static str,
@@ -116,8 +121,9 @@ fn solve_at(case: &Case, colors: usize) -> Plan {
         .unwrap_or_else(|e| panic!("{} auto-parallelizes: {e}", case.name))
 }
 
-fn on_ranks(ranks: usize, obs: ObsConfig) -> Run {
-    Run::new().backend(Backend::Ranks(ranks)).obs(obs)
+/// `base` (the sweep's placement policy) on `ranks` ranks with `obs`.
+fn on_ranks(base: &Run, ranks: usize, obs: ObsConfig) -> Run {
+    base.clone().backend(Backend::Ranks(ranks)).obs(obs)
 }
 
 fn ranks_report(report: RunReport) -> DistReport {
@@ -141,10 +147,10 @@ struct Point {
 /// strong-scaling number proper. The plan (solve + exchange derivation)
 /// is built once and amortized, exactly how a production caller would run
 /// repeated epochs.
-fn time_point(case: &Case, ranks: usize) -> u64 {
+fn time_point(base: &Run, case: &Case, ranks: usize) -> u64 {
     const REPS: usize = 5;
     let plan = solve_at(case, ranks.max(4));
-    let run = on_ranks(ranks, ObsConfig::disabled());
+    let run = on_ranks(base, ranks, ObsConfig::disabled());
     let mut times: Vec<u64> = (0..REPS)
         .map(|_| {
             let mut par = case.store.clone();
@@ -157,11 +163,18 @@ fn time_point(case: &Case, ranks: usize) -> u64 {
     times[REPS / 2]
 }
 
-fn run_point(case: &Case, seq: &Store, ranks: usize, pid: u64, want_trace: bool) -> Point {
+fn run_point(
+    base: &Run,
+    case: &Case,
+    seq: &Store,
+    ranks: usize,
+    pid: u64,
+    want_trace: bool,
+) -> Point {
     let obs = ObsConfig { timeline: true, strict_volume: true, ..ObsConfig::disabled() };
     let plan = solve_at(case, ranks.max(4));
     let mut par = case.store.clone();
-    let outcome = on_ranks(ranks, obs)
+    let outcome = on_ranks(base, ranks, obs)
         .run(&plan, &mut par)
         .unwrap_or_else(|e| panic!("{} on {ranks} ranks: {e}", case.name));
     let schema = case.store.schema();
@@ -210,20 +223,16 @@ fn run_point(case: &Case, seq: &Store, ranks: usize, pid: u64, want_trace: bool)
     } else {
         Vec::new()
     };
-    let wall_ns = time_point(case, ranks);
+    let wall_ns = time_point(base, case, ranks);
     Point { rep, profile: profile.to_json(), pairs: volume.to_json(), wall_ns, events }
 }
 
 /// Obs-overhead gate (`--check-obs-skew`): median walltime of the largest
 /// Stencil point with metrics routed to an in-memory sink vs everything
 /// off. The sharded atomic counters must keep the skew under
-/// `PARTIR_OBS_SKEW_MAX_PCT` (default 5%).
-fn check_obs_skew(case: &Case, ranks: usize) {
+/// [`OVERHEAD_MAX_PCT`].
+fn check_obs_skew(base: &Run, case: &Case, ranks: usize) {
     const REPS: usize = 5;
-    let max_pct: f64 = std::env::var("PARTIR_OBS_SKEW_MAX_PCT")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(5.0);
 
     // Metrics on/off is process-global sink state; the runs themselves
     // are configured identically (ObsConfig::disabled() never uninstalls a
@@ -234,7 +243,7 @@ fn check_obs_skew(case: &Case, ranks: usize) {
                 let plan = solve_at(case, ranks.max(4));
                 let mut par = case.store.clone();
                 let t0 = Instant::now();
-                on_ranks(ranks, ObsConfig::disabled())
+                on_ranks(base, ranks, ObsConfig::disabled())
                     .run(&plan, &mut par)
                     .unwrap_or_else(|e| panic!("skew run: {e}"));
                 t0.elapsed().as_secs_f64()
@@ -259,14 +268,15 @@ fn check_obs_skew(case: &Case, ranks: usize) {
         on * 1e3
     );
     assert!(
-        skew_pct <= max_pct,
-        "metrics overhead {skew_pct:.2}% exceeds the {max_pct:.1}% budget"
+        skew_pct <= OVERHEAD_MAX_PCT,
+        "metrics overhead {skew_pct:.2}% exceeds the {OVERHEAD_MAX_PCT:.1}% budget"
     );
 }
 
 /// Median wall-clock (and last report) of `reps` fault-free runs at a
 /// given checkpoint cadence, observability off.
 fn time_checkpointed(
+    base: &Run,
     case: &Case,
     ranks: usize,
     ckpt: Option<CheckpointPolicy>,
@@ -276,7 +286,7 @@ fn time_checkpointed(
     let mut last = None;
     for _ in 0..reps {
         let plan = solve_at(case, ranks.max(4));
-        let mut run = on_ranks(ranks, ObsConfig::disabled());
+        let mut run = on_ranks(base, ranks, ObsConfig::disabled());
         if let Some(p) = ckpt {
             run = run.checkpoint(p);
         }
@@ -294,17 +304,9 @@ fn time_checkpointed(
 /// at the Young/Daly interval (gated), then crashes a seeded rank
 /// mid-program — with mild seeded message loss and duplication on top —
 /// and reports what recovery cost and moved.
-fn run_fault_point(case: &Case, ranks: usize, seed: u64) -> Json {
+fn run_fault_point(base: &Run, case: &Case, ranks: usize, seed: u64) -> Json {
     const REPS: usize = 5;
     let n_epochs = (case.program.len() as u64).max(1);
-    let max_pct: f64 = std::env::var("PARTIR_CKPT_OVERHEAD_MAX_PCT")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(5.0);
-    let mtbf_s: f64 = std::env::var("PARTIR_DIST_MTBF_S")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(3600.0);
 
     // Fault-free baseline, then an every-epoch probe to price a snapshot;
     // Young/Daly turns (epoch cost, snapshot cost, MTBF) into the
@@ -312,9 +314,9 @@ fn run_fault_point(case: &Case, ranks: usize, seed: u64) -> Json {
     // than the interval the optimum is genuinely "no checkpoint within
     // this horizon" — the gated run then prices exactly that policy (the
     // every-epoch overhead stays in the report as the worst case).
-    let (base_wall, _) = time_checkpointed(case, ranks, None, REPS);
+    let (base_wall, _) = time_checkpointed(base, case, ranks, None, REPS);
     let (every_wall, probe) =
-        time_checkpointed(case, ranks, Some(CheckpointPolicy::every(1)), REPS);
+        time_checkpointed(base, case, ranks, Some(CheckpointPolicy::every(1)), REPS);
     let every_pct = (every_wall as f64 - base_wall as f64) / base_wall as f64 * 100.0;
     let epoch_cost_s = base_wall as f64 / 1e9 / n_epochs as f64;
     let snap_cost_s = if probe.checkpoints > 0 {
@@ -324,8 +326,8 @@ fn run_fault_point(case: &Case, ranks: usize, seed: u64) -> Json {
     } else {
         0.0
     };
-    let policy = CheckpointPolicy::young_daly(epoch_cost_s, snap_cost_s, mtbf_s);
-    let (ckpt_wall, ckpt_rep) = time_checkpointed(case, ranks, Some(policy), REPS);
+    let policy = CheckpointPolicy::young_daly(epoch_cost_s, snap_cost_s, MTBF_S);
+    let (ckpt_wall, ckpt_rep) = time_checkpointed(base, case, ranks, Some(policy), REPS);
     // The gated number is the snapshot time the ranks themselves clocked,
     // on the critical path (ranks snapshot concurrently, so the per-rank
     // average — sum / ranks — is what the run's wall-clock absorbs).
@@ -345,9 +347,9 @@ fn run_fault_point(case: &Case, ranks: usize, seed: u64) -> Json {
         (ckpt_wall as f64 - base_wall as f64) / base_wall as f64 * 100.0,
     );
     assert!(
-        overhead_pct <= max_pct,
+        overhead_pct <= OVERHEAD_MAX_PCT,
         "{}: Young/Daly checkpointing costs {overhead_pct:.2}% fault-free \
-         (budget {max_pct:.1}%)",
+         (budget {OVERHEAD_MAX_PCT:.1}%)",
         case.name
     );
 
@@ -356,19 +358,19 @@ fn run_fault_point(case: &Case, ranks: usize, seed: u64) -> Json {
     // volume accounting across the recovery.
     let crash_rank = (seed as usize) % ranks;
     let crash_epoch = (seed / 7) % n_epochs;
-    let fault = DistFaultPlan {
+    let fault = FaultPlan {
         drop_rate: 0.02,
         dup_rate: 0.02,
         crash: Some(RankCrash { rank: crash_rank, epoch: crash_epoch, silent: false }),
-        ..DistFaultPlan::quiescent(seed)
+        ..FaultPlan::quiescent(seed)
     };
     let mut seq = case.store.clone();
     run_program_seq(&case.program, &mut seq, &case.fns);
     let schema = case.store.schema().clone();
     let plan = solve_at(case, ranks.max(4));
-    let run = on_ranks(ranks, ObsConfig { strict_volume: true, ..ObsConfig::disabled() })
+    let run = on_ranks(base, ranks, ObsConfig { strict_volume: true, ..ObsConfig::disabled() })
         .check_legality(true)
-        .dist_fault(fault)
+        .fault(fault)
         .checkpoint(CheckpointPolicy::every(1));
     let parts = plan.evaluate(&case.store);
     let xplan = derive_exchange(plan.parallel_plan(), &parts, &schema, ranks).unwrap();
@@ -511,8 +513,8 @@ fn run_placement_policy(
     // misses alone. One unmeasured warm-up (solved *and* run — placement
     // happens inside `run`) keeps the measured timings about the solver,
     // not the process's cache state.
-    let run = on_ranks(ranks, ObsConfig { strict_volume: true, ..ObsConfig::disabled() })
-        .placement(policy);
+    let base = Run::new().placement(policy);
+    let run = on_ranks(&base, ranks, ObsConfig { strict_volume: true, ..ObsConfig::disabled() });
     run.run(&solve_at(case, 4 * ranks), &mut case.store.clone())
         .unwrap_or_else(|e| panic!("{} ({label}) warm-up on {ranks} ranks: {e}", case.name));
     let t_build = std::time::Instant::now();
@@ -710,17 +712,11 @@ fn main() {
         run_placement_compare(&args);
         return;
     }
-    match args.placement {
-        // The env route, not the typed builder route, deliberately: the
-        // normal table then exercises `PARTIR_PLACEMENT` end to end.
-        Some(PlacementMode::Block) => std::env::set_var("PARTIR_PLACEMENT", "block"),
-        Some(PlacementMode::Cost) => std::env::set_var("PARTIR_PLACEMENT", "cost"),
-        _ => {}
-    }
-    let mut ranks = partir_obs::config::ranks_env();
-    if ranks.is_empty() {
-        ranks = vec![1, 2, 4, 8];
-    }
+    let base = &Run::new().placement(match args.placement {
+        Some(PlacementMode::Cost) => PlacementPolicy::CostDriven,
+        _ => PlacementPolicy::Block,
+    });
+    let ranks = args.ranks.clone().unwrap_or_else(|| vec![1, 2, 4, 8]);
 
     let mut apps = Json::array();
     let mut human = String::new();
@@ -750,7 +746,7 @@ fn main() {
         let mut series: Vec<(usize, u64)> = Vec::new();
         for &r in &ranks {
             pid += 1;
-            let point = run_point(&case, &seq, r, pid, args.trace_out.is_some());
+            let point = run_point(base, &case, &seq, r, pid, args.trace_out.is_some());
             let rep = &point.rep;
             series.push((r, point.wall_ns));
             // Speedup vs the smallest rank count in the series (1 by
@@ -821,7 +817,7 @@ fn main() {
     if args.check_obs_skew {
         let cs = cases();
         // Stencil: the densest exchange pattern.
-        check_obs_skew(&cs[0], ranks.iter().copied().max().unwrap_or(4));
+        check_obs_skew(base, &cs[0], ranks.iter().copied().max().unwrap_or(4));
     }
 
     let host_parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -832,10 +828,7 @@ fn main() {
         // genuinely parallelize so we demand strict improvement (<= 1.0);
         // on a single core the ranks time-slice and only overlap can help,
         // so the bound just caps the protocol overhead.
-        let max_ratio = args
-            .max_ratio
-            .or_else(partir_obs::config::scaling_max_ratio_env)
-            .unwrap_or(if host_parallelism >= 2 { 1.0 } else { 2.0 });
+        let max_ratio = args.max_ratio.unwrap_or(if host_parallelism >= 2 { 1.0 } else { 2.0 });
         for (name, series) in &walls {
             if !matches!(*name, "Stencil" | "SpMV") {
                 continue;
@@ -867,7 +860,7 @@ fn main() {
         let r = ranks.iter().copied().max().unwrap_or(4).max(2);
         let mut arr = Json::array();
         for case in cases() {
-            arr = arr.push(run_fault_point(&case, r, seed));
+            arr = arr.push(run_fault_point(base, &case, r, seed));
         }
         dist_recovery = Some(arr);
     }

@@ -22,21 +22,21 @@ use std::path::PathBuf;
 ///   per-rank timelines (honored by `fig_dist`; harnesses without
 ///   timelines ignore it);
 /// * `--check-obs-skew` — measure the observability overhead (obs-on vs
-///   obs-off walltime) and fail if it exceeds `PARTIR_OBS_SKEW_MAX_PCT`
-///   (default 5%; honored by `fig_dist`);
+///   obs-off walltime) and fail if it exceeds 5% (honored by `fig_dist`);
 /// * `--assert-scaling` — fail when the largest rank count's wall-clock
 ///   exceeds 1-rank wall-clock by more than the allowed ratio on the
 ///   scaling-critical apps (honored by `fig_dist`; the CI perf gate);
 /// * `--max-ratio X` — the allowed `wall(max ranks) / wall(1 rank)` ratio
-///   for `--assert-scaling` (overrides `PARTIR_SCALING_MAX_RATIO` and the
-///   parallelism-aware default);
+///   for `--assert-scaling` (overrides the parallelism-aware default);
+/// * `--ranks N[,N…]` — the rank counts `fig_dist` sweeps (default
+///   `1,2,4,8`);
 /// * `--fault-seed N` — run the fault-tolerance measurement: inject a
 ///   seeded rank crash (plus mild message loss and duplication) into every
 ///   app at the largest rank count, verify survivor-side recovery, and
 ///   emit a `dist_recovery` report section with recovery wall-clock,
 ///   migrated bytes vs a full re-shard, and the fault-free checkpoint
-///   overhead at the Young/Daly interval, gated under
-///   `PARTIR_CKPT_OVERHEAD_MAX_PCT` (default 5%; honored by `fig_dist`);
+///   overhead at the Young/Daly interval, gated under 5% (honored by
+///   `fig_dist`);
 /// * `--assert` — fail when the harness's built-in acceptance gates do
 ///   not hold (honored by `fig_serve`: warm hit rate must be 100% and
 ///   warm plan acquisition at least 10x faster than the cold median);
@@ -56,6 +56,7 @@ pub struct BenchArgs {
     pub assert_scaling: bool,
     pub assert_gates: bool,
     pub max_ratio: Option<f64>,
+    pub ranks: Option<Vec<usize>>,
     pub fault_seed: Option<u64>,
     pub placement: Option<PlacementMode>,
 }
@@ -128,6 +129,19 @@ impl BenchArgs {
                     }
                     args.max_ratio = Some(ratio);
                 }
+                "--ranks" => {
+                    let v = it
+                        .next()
+                        .ok_or_else(|| "--ranks requires a comma-separated list".to_string())?;
+                    let ranks: Vec<usize> = v
+                        .split(',')
+                        .map(|p| p.trim().parse().ok().filter(|&n| n > 0))
+                        .collect::<Option<_>>()
+                        .ok_or_else(|| {
+                            format!("--ranks: '{v}' is not a list of positive integers")
+                        })?;
+                    args.ranks = Some(ranks);
+                }
                 "--placement" => {
                     let v = it
                         .next()
@@ -157,7 +171,7 @@ impl BenchArgs {
                     return Err(format!(
                         "unknown argument '{other}' (expected --json [--out PATH] \
                          [--trace-out PATH] [--check-obs-skew] [--assert-scaling] [--assert] \
-                         [--max-ratio X] [--fault-seed N] \
+                         [--max-ratio X] [--ranks N,N] [--fault-seed N] \
                          [--placement block|cost|compare])"
                     ));
                 }
@@ -333,6 +347,18 @@ mod tests {
         assert!(err.contains("not a number"), "{err}");
         let err = BenchArgs::parse_from(argv(&["--max-ratio", "-2"])).unwrap_err();
         assert!(err.contains("positive"), "{err}");
+    }
+
+    #[test]
+    fn parse_from_accepts_rank_lists() {
+        let a = BenchArgs::parse_from(argv(&["--ranks", "1, 8"])).unwrap();
+        assert_eq!(a.ranks, Some(vec![1, 8]));
+        assert_eq!(BenchArgs::parse_from(argv(&[])).unwrap().ranks, None);
+        for bad in ["", "2,x", "0", "4,"] {
+            let err = BenchArgs::parse_from(argv(&["--ranks", bad])).unwrap_err();
+            assert!(err.contains("--ranks"), "{err}");
+        }
+        assert!(BenchArgs::parse_from(argv(&["--ranks"])).is_err());
     }
 
     #[test]

@@ -57,8 +57,8 @@ use std::time::Instant;
 /// Per-rank compute speed and bandwidth tiers of a heterogeneous machine.
 ///
 /// Speeds and bandwidths are *relative* factors (1.0 = the reference rank);
-/// non-finite or non-positive entries sanitize to 1.0 so a malformed env
-/// override degrades to homogeneity instead of dividing by zero.
+/// non-finite or non-positive entries sanitize to 1.0 so a malformed model
+/// degrades to homogeneity instead of dividing by zero.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MachineModel {
     speed: Vec<f64>,
@@ -186,32 +186,6 @@ impl Default for PlacementConfig {
 impl PlacementConfig {
     pub fn cost_driven() -> PlacementConfig {
         PlacementConfig { policy: PlacementPolicy::CostDriven, ..PlacementConfig::default() }
-    }
-
-    /// Defaults from the `PARTIR_PLACEMENT*` environment variables (parsed
-    /// in [`partir_obs::config::placement_env`], the single env-reading
-    /// site). `None` when no placement variable is set at all — the
-    /// builder then falls back to [`PlacementConfig::default`].
-    pub fn from_env() -> Option<PlacementConfig> {
-        let e = partir_obs::config::placement_env()?;
-        let mut c = PlacementConfig {
-            policy: if e.cost_driven {
-                PlacementPolicy::CostDriven
-            } else {
-                PlacementPolicy::Block
-            },
-            ..PlacementConfig::default()
-        };
-        if let Some(i) = e.imbalance {
-            c.imbalance = i;
-        }
-        if let Some(p) = e.max_passes {
-            c.max_passes = p;
-        }
-        if !e.speeds.is_empty() || !e.bandwidths.is_empty() {
-            c.machine = Some(MachineModel::new(e.speeds, e.bandwidths));
-        }
-        Some(c)
     }
 
     fn resolved_machine(&self, n_ranks: usize) -> MachineModel {

@@ -168,9 +168,9 @@ pub fn init_from_env() {
     });
 }
 
-/// Installs `sink` only when no sink is installed yet — the env-default
-/// path, which must never clobber a sink a test or report harness
-/// installed programmatically.
+/// Installs `sink` only when no sink is installed yet — the
+/// [`ObsConfig::apply`] path, which must never clobber a sink a test or
+/// report harness installed programmatically.
 pub fn install_default_sink(sink: Arc<dyn EventSink>, trace: bool, metrics: bool) {
     let mut slot = sink_slot().write().unwrap_or_else(|e| e.into_inner());
     if slot.is_none() {

@@ -16,16 +16,15 @@
 //! in ascending global color order with the same presence/skip semantics
 //! as the threaded merge.
 
-pub mod fault;
 mod mailbox;
 mod rank;
 mod store;
 
-pub use fault::{CheckpointPolicy, DistFaultPlan, RankCrash};
 pub use store::RankStore;
 
 use crate::dist::mailbox::build_fabric;
 use crate::dist::rank::{OwnedShards, RankStats};
+use crate::fault::{CheckpointPolicy, FaultPlan};
 use crate::task::{panic_message, plan_loops, LegalityViolation, LoopSetup, PlanError};
 use parking_lot::Mutex;
 use partir_core::exchange::{
@@ -104,12 +103,14 @@ pub struct DistOptions {
     /// not a perf one.
     pub strict_volume: bool,
     /// Deterministic fabric/rank fault injection (message drops,
-    /// duplication, whole-rank crash). Configuring a plan also enables
+    /// duplication, whole-rank crash; the plan's task-attempt fields are
+    /// the threaded executor's and are not read here). Configuring a plan
+    /// also enables
     /// survivor-side recovery: a lost rank's colors are evacuated to the
     /// survivors, state restores from the last consistent checkpoint (or
     /// the pristine input), and the run resumes bit-identical to the
     /// sequential interpreter.
-    pub fault: Option<DistFaultPlan>,
+    pub fault: Option<FaultPlan>,
     /// Epoch-interval checkpointing of each rank's owned shard, the
     /// restore points recovery rolls back to. Without a policy, recovery
     /// restarts from epoch 0.
@@ -717,7 +718,7 @@ fn run_attempt(
     opts: &DistOptions,
     alive: &[bool],
     first_epoch: usize,
-    fault: Option<&DistFaultPlan>,
+    fault: Option<&FaultPlan>,
     ckpt: Option<(&CheckpointPolicy, &CheckpointStore)>,
     recovery: Option<(u64, u64)>,
 ) -> Result<AttemptResult, DistError> {

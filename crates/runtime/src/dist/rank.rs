@@ -21,10 +21,10 @@
 //! store *is* a distributed legality violation — the access escaped
 //! `owned ∪ ghosts`.
 
-use super::fault::{CheckpointPolicy, DistFaultPlan, MAX_SEND_ATTEMPTS};
 use super::mailbox::{Mailbox, MailboxError, Msg, MsgKind};
 use super::store::RankStore;
 use super::{CheckpointStore, DistError};
+use crate::fault::{CheckpointPolicy, FaultPlan, MAX_SEND_ATTEMPTS};
 use crate::task::{LegalityViolation, LoopSetup, Regs, Storage, Task, TaskCounts, TaskEnv};
 use parking_lot::Mutex;
 use partir_core::exchange::{BufferRoute, ExchangePlan, LoopExchange};
@@ -106,7 +106,7 @@ pub(crate) fn rank_main(
     violation: &Mutex<Option<LegalityViolation>>,
     mut tracer: Option<RankTracer>,
     first_epoch: usize,
-    fault: Option<&DistFaultPlan>,
+    fault: Option<&FaultPlan>,
     ckpt: Option<(&CheckpointPolicy, &CheckpointStore)>,
     lost: &Mutex<Option<(usize, u64)>>,
 ) -> Result<(OwnedShards, RankStats, Option<RankTracer>), DistError> {
@@ -192,7 +192,7 @@ fn run_epoch(
     mailbox: &mut Mailbox,
     stats: &mut RankStats,
     tracer: &mut Option<RankTracer>,
-    fault: Option<&DistFaultPlan>,
+    fault: Option<&FaultPlan>,
 ) -> Result<(), DistError> {
     let n_ranks = xplan.n_ranks;
     let lx: &LoopExchange = &xplan.loops[li];
@@ -512,7 +512,7 @@ fn mb_err(e: MailboxError, suspect: usize, epoch: u64) -> DistError {
 /// channel, so the receiver's protocol meter stays comparable to the
 /// plan's predicted volume; duplicates are metered separately on arrival.
 fn send_faulty(
-    fault: Option<&DistFaultPlan>,
+    fault: Option<&FaultPlan>,
     senders: &[Sender<Msg>],
     dst: usize,
     msg: Msg,

@@ -40,7 +40,9 @@ pub struct ExecOptions {
     /// Validate every access against its partition subregion (dynamic proof
     /// that the solver's output is legal). On for tests, off for benches.
     pub check_legality: bool,
-    /// Deterministic fault injection; `None` runs on a perfect machine.
+    /// Deterministic task-attempt fault injection (the plan's fabric and
+    /// rank-crash fields are the rank backend's and are not read here);
+    /// `None` runs on a perfect machine.
     pub fault: Option<FaultPlan>,
     /// Recovery policy for failed task attempts (only consulted when
     /// attempts actually fail).

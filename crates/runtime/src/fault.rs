@@ -1,39 +1,65 @@
-//! Deterministic fault injection and recovery policy for the executor.
+//! Deterministic fault injection, recovery and checkpoint policy — the one
+//! fault plane both executors take.
 //!
 //! Long-running distributed executions lose nodes; the paper's target
-//! (Legion on a production cluster) treats task failure as routine. This
-//! module gives the threaded executor the same discipline in a testable
-//! form: a seeded *fault plan* decides — as a pure function of the task's
-//! coordinates — which task attempts die and where in their iteration
-//! subregion, so every failure schedule replays bit-identically from its
-//! seed. Two failure flavours cover the interesting recovery paths:
+//! (Legion on a production cluster) treats task failure as routine. A
+//! seeded [`FaultPlan`] decides — as a pure hash of the coordinates of the
+//! thing it attacks — what fails, so every failure schedule replays
+//! bit-identically from its seed regardless of thread interleaving. One
+//! plan names three kinds of fault; each backend injects the kinds it can
+//! (`partir::Run` rejects a plan that requests one its backend cannot):
 //!
-//! * a **clean kill** stops the task mid-loop after a deterministic number
+//! * **task attempts** (threads backend, `(seed, loop, color, attempt)`):
+//!   a *clean kill* stops the task mid-loop after a deterministic number
 //!   of iterations, leaving partial effects behind (the executor rolls
-//!   them back from a pre-attempt snapshot);
-//! * a **poison** additionally panics inside the task body, exercising the
-//!   `catch_unwind` isolation barrier that keeps one poisoned worker from
-//!   taking down the run.
+//!   them back from a pre-attempt snapshot); a *poison* additionally
+//!   panics inside the task body, exercising the `catch_unwind` isolation
+//!   barrier. Recovery is bounded per-task retries with linear backoff
+//!   ([`RetryPolicy`]), then sequential re-execution of the failed
+//!   subregion on the main thread; `ExecReport::degraded` records that the
+//!   slow path ran.
+//! * **the fabric** (rank backend, `(seed, epoch, src, dst, kind,
+//!   attempt)`): seeded message drops force the bounded retransmit path
+//!   ([`MAX_SEND_ATTEMPTS`]), seeded duplication forces receiver-side
+//!   dedup.
+//! * **a whole rank** (rank backend, [`RankCrash`]): the victim stops at
+//!   the top of a chosen epoch, forcing detection, checkpoint restore
+//!   ([`CheckpointPolicy`]) and survivor-side shard migration.
 //!
-//! Recovery is layered: bounded per-task retries with linear backoff
-//! first, then — if a task exhausts its retries — sequential re-execution
-//! on the main thread through the same task context, which is exactly the
-//! reference-interpreter semantics restricted to the failed subregion.
-//! Results are therefore always bit-identical to the sequential ground
-//! truth, merely slower; `ExecReport::degraded` records that the slow
-//! path ran.
+//! Results are always bit-identical to the sequential interpreter, merely
+//! slower.
+//!
+//! Checkpoint cadence comes from the same Young/Daly first-order optimum
+//! the simulator prices (`sim::FailureModel`): the optimal interval is
+//! `τ = sqrt(2 · C · MTBF)` for checkpoint cost `C`; translated into
+//! whole epochs here since the rank backend checkpoints at epoch
+//! boundaries (the only globally consistent cut the protocol has).
 
 use std::time::Duration;
 
-/// Deterministic, seedable description of which task attempts fail.
+/// Whole-rank crash injection: the victim stops at the top of `epoch`,
+/// before sending or computing anything for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RankCrash {
+    pub rank: usize,
+    /// Epoch (loop index) at whose start the rank dies.
+    pub epoch: u64,
+    /// A silent crash sends no notice; peers detect it only when their
+    /// epoch deadline expires. A loud crash (the default) broadcasts a
+    /// crash notice, the fast detection path.
+    pub silent: bool,
+}
+
+/// Deterministic, seedable description of what fails: task attempts, the
+/// fabric, a rank.
 ///
-/// Decisions are pure functions of `(seed, loop, color, attempt)`, so they
+/// Decisions are pure functions of the seed and the coordinates, so they
 /// do not depend on thread scheduling: replaying with the same plan yields
-/// the same injected-fault schedule, the same retry counts, and the same
-/// final stores.
+/// the same injected-fault schedule, the same retry and retransmit counts,
+/// and the same final stores.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultPlan {
-    /// Seed for the per-attempt hash; the whole schedule derives from it.
+    /// Seed for every decision hash; the whole schedule derives from it.
     pub seed: u64,
     /// Probability in `[0, 1]` that any given task *attempt* is killed.
     /// `1.0` kills every attempt (recovery then handles every task).
@@ -43,27 +69,40 @@ pub struct FaultPlan {
     /// with a panic instead of dying cleanly. `None` means clean kills
     /// only.
     pub poison_after: Option<u64>,
+    /// Probability in `[0, 1]` that any given send *attempt* is dropped
+    /// before delivery (the sender retransmits with seeded backoff).
+    pub drop_rate: f64,
+    /// Probability in `[0, 1]` that a delivered message is sent twice
+    /// (the receiver must dedup; duplicate traffic is metered separately
+    /// so strict volume accounting still balances).
+    pub dup_rate: f64,
+    /// Optional whole-rank crash.
+    pub crash: Option<RankCrash>,
 }
 
 impl FaultPlan {
     /// A plan that injects nothing (useful as a base for struct update).
     pub fn quiescent(seed: u64) -> FaultPlan {
-        FaultPlan { seed, task_failure_rate: 0.0, poison_after: None }
+        FaultPlan {
+            seed,
+            task_failure_rate: 0.0,
+            poison_after: None,
+            drop_rate: 0.0,
+            dup_rate: 0.0,
+            crash: None,
+        }
     }
 
-    /// Builds a plan from `PARTIR_FAULT_SEED` / `PARTIR_FAULT_RATE` /
-    /// `PARTIR_FAULT_POISON_AFTER` — parsed in exactly one place,
-    /// [`partir_obs::config::fault_env`] — for CI fault-matrix runs.
-    /// Returns `None` when `PARTIR_FAULT_SEED` is unset or unparsable; the
-    /// rate defaults to `0.3` when only the seed is given. New code should
-    /// pass a `FaultPlan` explicitly through the `partir::Partir` builder.
-    pub fn from_env() -> Option<FaultPlan> {
-        let env = partir_obs::config::fault_env()?;
-        Some(FaultPlan {
-            seed: env.seed,
-            task_failure_rate: env.rate,
-            poison_after: env.poison_after,
-        })
+    /// Does this plan kill task attempts (injectable on the threads
+    /// backend only)?
+    pub fn attacks_tasks(&self) -> bool {
+        self.task_failure_rate > 0.0
+    }
+
+    /// Does this plan drop or duplicate messages or crash a rank
+    /// (injectable on the rank backend only)?
+    pub fn attacks_ranks(&self) -> bool {
+        self.drop_rate > 0.0 || self.dup_rate > 0.0 || self.crash.is_some()
     }
 
     /// Decides the fate of one task attempt. `ordinal` is the cumulative
@@ -92,6 +131,40 @@ impl FaultPlan {
             poison: self.poison_after.is_some_and(|t| ordinal >= t),
             survive_iters,
         })
+    }
+
+    /// Should `rank` crash at the top of `epoch`?
+    pub fn crashes(&self, rank: usize, epoch: u64) -> Option<RankCrash> {
+        self.crash.filter(|c| c.rank == rank && c.epoch == epoch)
+    }
+
+    /// Is send attempt `attempt` of the `(epoch, src, dst, kind)` message
+    /// dropped in flight?
+    pub fn drops(&self, epoch: u64, src: usize, dst: usize, kind: u64, attempt: u32) -> bool {
+        if self.drop_rate <= 0.0 {
+            return false;
+        }
+        let h = hash4(self.seed, hash4(epoch, src as u64, dst as u64, kind), attempt as u64, 1);
+        unit(h) < self.drop_rate
+    }
+
+    /// Is the delivered `(epoch, src, dst, kind)` message sent a second
+    /// time?
+    pub fn duplicates(&self, epoch: u64, src: usize, dst: usize, kind: u64) -> bool {
+        if self.dup_rate <= 0.0 {
+            return false;
+        }
+        let h = hash4(self.seed, hash4(epoch, src as u64, dst as u64, kind), 0, 2);
+        unit(h) < self.dup_rate
+    }
+
+    /// Seeded retransmit backoff for attempt `attempt`, in microseconds:
+    /// linear in the attempt number with a hashed jitter so retransmit
+    /// storms from different ranks decorrelate deterministically.
+    pub fn backoff_us(&self, epoch: u64, src: usize, dst: usize, attempt: u32) -> u64 {
+        let jitter =
+            hash4(self.seed, epoch, hash4(src as u64, dst as u64, 0, 3), attempt as u64) % 40;
+        (attempt as u64) * 20 + jitter
     }
 }
 
@@ -141,17 +214,56 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Hashes four coordinates into one well-mixed word: the decision hash of
-/// both fault planes (this one and [`crate::dist::fault`]).
+/// Hashes four coordinates into one well-mixed word: the decision hash.
 #[inline]
-pub(crate) fn hash4(a: u64, b: u64, c: u64, d: u64) -> u64 {
+fn hash4(a: u64, b: u64, c: u64, d: u64) -> u64 {
     mix(mix(mix(mix(a) ^ b) ^ c) ^ d)
 }
 
 /// 53 uniform bits → a unit float in `[0, 1)`, compared against a rate.
 #[inline]
-pub(crate) fn unit(h: u64) -> f64 {
+fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// Retransmit bound: a message dropped this many times in a row makes the
+/// sender declare the pair dead (`DistError::RankLost`). At drop rate
+/// `p < 1` the chance of a spurious declaration is `p^24` — negligible
+/// for any rate the chaos matrix uses.
+pub const MAX_SEND_ATTEMPTS: u32 = 24;
+
+/// When to snapshot each rank's owned shard, in whole epochs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CheckpointPolicy {
+    /// A checkpoint is taken after every `interval_epochs`-th epoch
+    /// completes (and the store restore point advances with it).
+    pub interval_epochs: u64,
+}
+
+impl CheckpointPolicy {
+    /// Checkpoint after every `n` epochs (`n ≥ 1`).
+    pub fn every(n: u64) -> CheckpointPolicy {
+        CheckpointPolicy { interval_epochs: n.max(1) }
+    }
+
+    /// The Young/Daly first-order optimum, `τ = sqrt(2 · C · MTBF)`,
+    /// rounded to whole epochs of `epoch_cost_s` seconds each — the same
+    /// formula the simulator's `FailureModel` prices. Degenerate inputs
+    /// (zero epoch cost, zero MTBF) clamp to a 1-epoch interval.
+    pub fn young_daly(epoch_cost_s: f64, checkpoint_cost_s: f64, mtbf_s: f64) -> CheckpointPolicy {
+        let tau = (2.0 * checkpoint_cost_s * mtbf_s).sqrt();
+        let epochs = if epoch_cost_s > 0.0 && tau.is_finite() {
+            (tau / epoch_cost_s).round() as u64
+        } else {
+            1
+        };
+        CheckpointPolicy::every(epochs)
+    }
+
+    /// Is a checkpoint due after epoch `epoch` completes?
+    pub fn due(&self, epoch: u64) -> bool {
+        (epoch + 1).is_multiple_of(self.interval_epochs)
+    }
 }
 
 #[cfg(test)]
@@ -170,7 +282,7 @@ mod tests {
 
     #[test]
     fn unit_rate_always_fires_and_dies_mid_loop() {
-        let plan = FaultPlan { seed: 7, task_failure_rate: 1.0, poison_after: None };
+        let plan = FaultPlan { task_failure_rate: 1.0, ..FaultPlan::quiescent(7) };
         for c in 0..64 {
             let f = plan.decide(0, c, 0, c, 10).expect("rate 1.0 fires");
             assert!(f.survive_iters < 10);
@@ -180,7 +292,11 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic() {
-        let plan = FaultPlan { seed: 1234, task_failure_rate: 0.5, poison_after: Some(3) };
+        let plan = FaultPlan {
+            task_failure_rate: 0.5,
+            poison_after: Some(3),
+            ..FaultPlan::quiescent(1234)
+        };
         for li in 0..4 {
             for c in 0..32 {
                 for attempt in 0..3 {
@@ -194,8 +310,8 @@ mod tests {
 
     #[test]
     fn seed_changes_schedule() {
-        let a = FaultPlan { seed: 1, task_failure_rate: 0.5, poison_after: None };
-        let b = FaultPlan { seed: 2, task_failure_rate: 0.5, poison_after: None };
+        let a = FaultPlan { task_failure_rate: 0.5, ..FaultPlan::quiescent(1) };
+        let b = FaultPlan { task_failure_rate: 0.5, ..FaultPlan::quiescent(2) };
         let fire = |p: &FaultPlan| {
             (0..256).filter(|&c| p.decide(0, c, 0, c, 8).is_some()).collect::<Vec<_>>()
         };
@@ -204,7 +320,7 @@ mod tests {
 
     #[test]
     fn rate_is_roughly_respected() {
-        let plan = FaultPlan { seed: 99, task_failure_rate: 0.25, poison_after: None };
+        let plan = FaultPlan { task_failure_rate: 0.25, ..FaultPlan::quiescent(99) };
         let fired = (0..4096).filter(|&c| plan.decide(0, c, 0, c, 8).is_some()).count();
         let frac = fired as f64 / 4096.0;
         assert!((frac - 0.25).abs() < 0.05, "observed failure rate {frac}");
@@ -212,9 +328,73 @@ mod tests {
 
     #[test]
     fn poison_after_thresholds_on_ordinal() {
-        let plan = FaultPlan { seed: 5, task_failure_rate: 1.0, poison_after: Some(10) };
+        let plan =
+            FaultPlan { task_failure_rate: 1.0, poison_after: Some(10), ..FaultPlan::quiescent(5) };
         assert!(!plan.decide(0, 0, 0, 9, 4).unwrap().poison);
         assert!(plan.decide(0, 0, 0, 10, 4).unwrap().poison);
         assert!(plan.decide(0, 0, 0, 11, 4).unwrap().poison);
+    }
+
+    #[test]
+    fn quiescent_plan_injects_nothing() {
+        let plan = FaultPlan::quiescent(42);
+        assert!(!plan.attacks_ranks() && !plan.attacks_tasks());
+        for e in 0..8u64 {
+            for s in 0..4 {
+                for d in 0..4 {
+                    assert!(!plan.drops(e, s, d, 0, 0));
+                    assert!(!plan.duplicates(e, s, d, 0));
+                }
+            }
+        }
+        assert_eq!(plan.crashes(0, 0), None);
+    }
+
+    #[test]
+    fn decisions_are_deterministic_and_seed_sensitive() {
+        let a = FaultPlan { drop_rate: 0.5, dup_rate: 0.5, ..FaultPlan::quiescent(1) };
+        let b = FaultPlan { seed: 2, ..a };
+        let schedule =
+            |p: &FaultPlan| (0..256u64).map(|e| p.drops(e, 0, 1, 0, 0)).collect::<Vec<_>>();
+        assert_eq!(schedule(&a), schedule(&a), "pure function of coordinates");
+        assert_ne!(schedule(&a), schedule(&b), "seed changes the schedule");
+    }
+
+    #[test]
+    fn drop_rate_is_roughly_respected() {
+        let plan = FaultPlan { drop_rate: 0.25, ..FaultPlan::quiescent(99) };
+        let fired = (0..4096u64).filter(|&e| plan.drops(e, 0, 1, 0, 0)).count();
+        let frac = fired as f64 / 4096.0;
+        assert!((frac - 0.25).abs() < 0.05, "observed drop rate {frac}");
+    }
+
+    #[test]
+    fn crash_matches_only_its_coordinates() {
+        let crash = RankCrash { rank: 2, epoch: 3, silent: false };
+        let plan = FaultPlan { crash: Some(crash), ..FaultPlan::quiescent(7) };
+        assert!(plan.attacks_ranks());
+        assert_eq!(plan.crashes(2, 3), Some(crash));
+        assert_eq!(plan.crashes(2, 4), None);
+        assert_eq!(plan.crashes(1, 3), None);
+    }
+
+    #[test]
+    fn backoff_grows_with_attempt_and_stays_bounded() {
+        let plan = FaultPlan::quiescent(11);
+        let b1 = plan.backoff_us(0, 0, 1, 1);
+        let b8 = plan.backoff_us(0, 0, 1, 8);
+        assert!(b1 < 20 + 40);
+        assert!((160..160 + 40).contains(&b8), "linear base with bounded jitter: {b8}");
+    }
+
+    #[test]
+    fn young_daly_interval_follows_the_formula() {
+        // C = 2s, MTBF = 100s → τ = 20s; 4s epochs → 5-epoch interval.
+        let p = CheckpointPolicy::young_daly(4.0, 2.0, 100.0);
+        assert_eq!(p.interval_epochs, 5);
+        assert!(p.due(4) && !p.due(3), "due after the 5th epoch completes");
+        // Degenerate inputs clamp to every epoch.
+        assert_eq!(CheckpointPolicy::young_daly(0.0, 2.0, 100.0).interval_epochs, 1);
+        assert_eq!(CheckpointPolicy::young_daly(4.0, 0.0, 100.0).interval_epochs, 1);
     }
 }

@@ -28,12 +28,9 @@ pub mod sim;
 pub mod task;
 
 pub mod prelude {
-    pub use crate::dist::{
-        execute_ranks, CheckpointPolicy, DistError, DistFaultPlan, DistOptions, DistReport,
-        RankCrash, RankStore,
-    };
+    pub use crate::dist::{execute_ranks, DistError, DistOptions, DistReport, RankStore};
     pub use crate::exec::{execute_program, ExecError, ExecOptions, ExecReport};
-    pub use crate::fault::{FaultPlan, RetryPolicy};
+    pub use crate::fault::{CheckpointPolicy, FaultPlan, RankCrash, RetryPolicy};
     pub use crate::shared::SharedStore;
     pub use crate::sim::{
         simulate, FailureModel, FailureSummary, MachineModel, NodeBreakdown, SimAccess, SimError,

@@ -117,7 +117,7 @@ fn run_and_compare(
 fn clean_kills_retry_and_match_sequential() {
     let (program, fns, store) = figure1_fixture();
     let opts = ExecOptions {
-        fault: Some(FaultPlan { seed: 11, task_failure_rate: 0.6, poison_after: None }),
+        fault: Some(FaultPlan { task_failure_rate: 0.6, ..FaultPlan::quiescent(11) }),
         ..ExecOptions::default()
     };
     let (report, _) = run_and_compare(&program, &fns, &store, 8, &opts);
@@ -130,7 +130,11 @@ fn clean_kills_retry_and_match_sequential() {
 fn identical_seeds_replay_identically() {
     let (program, fns, store) = figure1_fixture();
     let opts = ExecOptions {
-        fault: Some(FaultPlan { seed: 7, task_failure_rate: 0.5, poison_after: Some(8) }),
+        fault: Some(FaultPlan {
+            task_failure_rate: 0.5,
+            poison_after: Some(8),
+            ..FaultPlan::quiescent(7)
+        }),
         ..ExecOptions::default()
     };
     quiet_injected_panics();
@@ -162,7 +166,7 @@ fn identical_seeds_replay_identically() {
 fn rate_one_exhausts_retries_and_recovers_sequentially() {
     let (program, fns, store) = figure1_fixture();
     let opts = ExecOptions {
-        fault: Some(FaultPlan { seed: 3, task_failure_rate: 1.0, poison_after: None }),
+        fault: Some(FaultPlan { task_failure_rate: 1.0, ..FaultPlan::quiescent(3) }),
         retry: RetryPolicy { max_retries: 1, ..RetryPolicy::default() },
         ..ExecOptions::default()
     };
@@ -180,7 +184,11 @@ fn poison_panics_are_isolated_and_recovered() {
     quiet_injected_panics();
     let (program, fns, store) = figure1_fixture();
     let opts = ExecOptions {
-        fault: Some(FaultPlan { seed: 21, task_failure_rate: 0.5, poison_after: Some(0) }),
+        fault: Some(FaultPlan {
+            task_failure_rate: 0.5,
+            poison_after: Some(0),
+            ..FaultPlan::quiescent(21)
+        }),
         ..ExecOptions::default()
     };
     let (report, _) = run_and_compare(&program, &fns, &store, 8, &opts);
@@ -200,7 +208,7 @@ fn exhaustion_without_recovery_is_a_typed_error() {
     let parts = plan.evaluate(&store, &fns, 4, &ExtBindings::new());
     let mut par_store = store.clone();
     let opts = ExecOptions {
-        fault: Some(FaultPlan { seed: 5, task_failure_rate: 1.0, poison_after: None }),
+        fault: Some(FaultPlan { task_failure_rate: 1.0, ..FaultPlan::quiescent(5) }),
         retry: RetryPolicy { sequential_recovery: false, ..RetryPolicy::default() },
         ..ExecOptions::default()
     };
@@ -244,33 +252,9 @@ fn legality_violation_is_not_masked_by_faults() {
     ));
     let opts = ExecOptions {
         n_threads: 2,
-        fault: Some(FaultPlan { seed: 9, task_failure_rate: 0.8, poison_after: None }),
+        fault: Some(FaultPlan { task_failure_rate: 0.8, ..FaultPlan::quiescent(9) }),
         ..ExecOptions::default()
     };
     let err = execute_program(&program, &plan, &parts, &mut store, &fns, &opts).unwrap_err();
     assert!(matches!(err, ExecError::Legality(_)), "expected a legality violation, got {err}");
-}
-
-#[test]
-fn fault_plan_from_env_round_trips() {
-    // Env mutation is process-global; this is the only test touching these
-    // variables. Clear all three up front so the test is hermetic even when
-    // the CI fault-matrix exports a plan for the whole process.
-    std::env::remove_var("PARTIR_FAULT_SEED");
-    std::env::remove_var("PARTIR_FAULT_RATE");
-    std::env::remove_var("PARTIR_FAULT_POISON_AFTER");
-    assert_eq!(FaultPlan::from_env(), None);
-    std::env::set_var("PARTIR_FAULT_SEED", "42");
-    let plan = FaultPlan::from_env().expect("seed set");
-    assert_eq!(plan.seed, 42);
-    assert_eq!(plan.task_failure_rate, 0.3);
-    assert_eq!(plan.poison_after, None);
-    std::env::set_var("PARTIR_FAULT_RATE", "0.75");
-    std::env::set_var("PARTIR_FAULT_POISON_AFTER", "6");
-    let plan = FaultPlan::from_env().expect("seed set");
-    assert_eq!(plan.task_failure_rate, 0.75);
-    assert_eq!(plan.poison_after, Some(6));
-    std::env::remove_var("PARTIR_FAULT_SEED");
-    std::env::remove_var("PARTIR_FAULT_RATE");
-    std::env::remove_var("PARTIR_FAULT_POISON_AFTER");
 }

@@ -171,8 +171,8 @@ mod tests {
     use partir_ir::interp::run_program_seq;
     use partir_obs::profile::DistProfile;
     use partir_obs::ObsConfig;
-    use partir_runtime::dist::{CheckpointPolicy, DistFaultPlan, LegalityMode, RankCrash};
-    use partir_runtime::fault::FaultPlan;
+    use partir_runtime::dist::LegalityMode;
+    use partir_runtime::fault::{CheckpointPolicy, FaultPlan, RankCrash, RetryPolicy};
 
     /// Figure 7's scatter: `for i in R: S[g(i)] += R[i]`.
     fn scatter() -> (Vec<Loop>, FnTable, Schema, Store) {
@@ -226,10 +226,10 @@ mod tests {
         assert_eq!(err.error_code(), "session.invalid", "{run:?}");
     }
 
-    fn crash(rank: usize, seed: u64) -> DistFaultPlan {
-        DistFaultPlan {
+    fn crash(rank: usize, seed: u64) -> FaultPlan {
+        FaultPlan {
             crash: Some(RankCrash { rank, epoch: 0, silent: false }),
-            ..DistFaultPlan::quiescent(seed)
+            ..FaultPlan::quiescent(seed)
         }
     }
 
@@ -330,17 +330,35 @@ mod tests {
         invalid(Run::new().backend(Backend::Threads(0)), &plan, &seed);
         // Fewer colors than ranks.
         invalid(Run::new().backend(Backend::Ranks(4)), &plan, &seed);
-        invalid(Run::new().backend(Backend::Ranks(2)).fault(FaultPlan::quiescent(7)), &plan, &seed);
     }
 
+    /// A plan is invalid exactly where it *requests* a fault the backend
+    /// cannot inject; the other backend-specific settings likewise.
     #[test]
-    fn dist_fault_and_checkpoint_are_ranks_only() {
-        let (plan, seed, _) = solved_scatter(4);
+    fn settings_a_backend_cannot_honour_are_session_errors() {
+        let (plan, seed, seq) = solved_scatter(4);
+        let quiet = FaultPlan::quiescent(7);
         let threads = || Run::new().backend(Backend::Threads(2));
-        invalid(threads().dist_fault(DistFaultPlan::quiescent(1)), &plan, &seed);
+        let ranks = || Run::new().backend(Backend::Ranks(2));
+        invalid(threads().fault(FaultPlan { drop_rate: 0.1, ..quiet }), &plan, &seed);
+        invalid(threads().fault(FaultPlan { dup_rate: 0.1, ..quiet }), &plan, &seed);
+        invalid(threads().fault(crash(0, 1)), &plan, &seed);
         invalid(threads().checkpoint(CheckpointPolicy::every(1)), &plan, &seed);
+        invalid(threads().chaos_seed(3), &plan, &seed);
+        invalid(ranks().fault(FaultPlan { task_failure_rate: 0.5, ..quiet }), &plan, &seed);
+        invalid(
+            ranks().retry(RetryPolicy { max_retries: 5, ..RetryPolicy::default() }),
+            &plan,
+            &seed,
+        );
         // A crash of a rank the backend does not have.
-        invalid(Run::new().backend(Backend::Ranks(2)).dist_fault(crash(5, 1)), &plan, &seed);
+        invalid(ranks().fault(crash(5, 1)), &plan, &seed);
+        // A plan that requests nothing is valid on both, and injects nothing.
+        let on_threads = run_identical(&threads().fault(quiet), &plan, &seed, &seq);
+        assert_eq!(on_threads.report.as_threads().unwrap().faults_injected, 0);
+        let on_ranks = run_identical(&ranks().fault(quiet), &plan, &seed, &seq);
+        let dist = on_ranks.report.as_ranks().unwrap();
+        assert_eq!((dist.retransmits, dist.duplicates, dist.recoveries), (0, 0, 0));
     }
 
     #[test]
@@ -348,7 +366,7 @@ mod tests {
         let (plan, seed, seq) = solved_scatter(6);
         let run = Run::new()
             .backend(Backend::Ranks(3))
-            .dist_fault(crash(1, 9))
+            .fault(crash(1, 9))
             .checkpoint(CheckpointPolicy::every(1));
         let outcome = run_identical(&run, &plan, &seed, &seq);
         let dist = outcome.report.as_ranks().expect("ranks report");
@@ -418,7 +436,7 @@ mod tests {
         let run = Run::new()
             .backend(Backend::Ranks(3))
             .placement(PlacementPolicy::CostDriven)
-            .dist_fault(crash(2, 13))
+            .fault(crash(2, 13))
             .checkpoint(CheckpointPolicy::every(1));
         let outcome = run_identical(&run, &plan, &seed, &seq);
         assert_eq!(outcome.report.as_ranks().unwrap().recoveries, 1);
@@ -430,11 +448,9 @@ mod tests {
     #[test]
     fn fault_plan_flows_through_the_threads_backend() {
         let (plan, seed, seq) = solved_scatter(4);
-        let run = Run::new().backend(Backend::Threads(2)).fault(FaultPlan {
-            seed: 11,
-            task_failure_rate: 1.0,
-            poison_after: None,
-        });
+        let run = Run::new()
+            .backend(Backend::Threads(2))
+            .fault(FaultPlan { task_failure_rate: 1.0, ..FaultPlan::quiescent(11) });
         let outcome = run_identical(&run, &plan, &seed, &seq);
         let exec = outcome.report.as_threads().expect("threads report");
         assert!(exec.faults_injected > 0);

@@ -31,11 +31,10 @@ use partir_obs::json::Json;
 use partir_obs::trace::Trace;
 use partir_obs::ObsConfig;
 use partir_runtime::dist::{
-    execute_ranks, CheckpointPolicy, DistFaultPlan, DistOptions, DistReport, LegalityMode,
-    VolumeAccounting,
+    execute_ranks, DistOptions, DistReport, LegalityMode, VolumeAccounting,
 };
 use partir_runtime::exec::{execute_program, ExecOptions, ExecReport};
-use partir_runtime::fault::{FaultPlan, RetryPolicy};
+use partir_runtime::fault::{CheckpointPolicy, FaultPlan, RetryPolicy};
 use std::sync::Arc;
 
 /// Which executor a run uses.
@@ -142,17 +141,18 @@ impl Plan {
 
 /// Per-run execution configuration: backend, legality, faults,
 /// observability. Everything here can differ between runs of one shared
-/// [`Plan`].
+/// [`Plan`], and it is *all* of a run's configuration: [`Run::run`] is a
+/// function of `(Run, Plan, Store)` and reads no environment variable. A
+/// setting left unset is the constant default its setter documents.
 #[derive(Clone, Debug, Default)]
 pub struct Run {
     backend: Backend,
     legality: LegalityMode,
     chaos_seed: Option<u64>,
-    obs: Option<ObsConfig>,
+    obs: ObsConfig,
     fault: Option<FaultPlan>,
-    dist_fault: Option<DistFaultPlan>,
     checkpoint: Option<CheckpointPolicy>,
-    placement: Option<PlacementConfig>,
+    placement: PlacementConfig,
     retry: RetryPolicy,
 }
 
@@ -174,70 +174,74 @@ impl Run {
         self
     }
 
-    /// Explicit legality mode (see [`LegalityMode`]).
+    /// Explicit legality mode (see [`LegalityMode`]; default: `Element`
+    /// in debug builds, `Plan` in release builds).
     pub fn legality_mode(mut self, mode: LegalityMode) -> Self {
         self.legality = mode;
         self
     }
 
     /// Deterministic delivery-order chaos for the rank backend's
-    /// mailboxes.
+    /// mailboxes (rank backend only; default: none).
     pub fn chaos_seed(mut self, seed: u64) -> Self {
         self.chaos_seed = Some(seed);
         self
     }
 
-    /// Explicit observability configuration. When unset, the
-    /// `PARTIR_TRACE` / `PARTIR_METRICS` environment defaults apply.
+    /// Observability for this run (default: [`ObsConfig::disabled`]).
+    /// `trace`/`metrics` install the process-wide stderr sink unless one
+    /// is installed already; `timeline` and `strict_volume` apply to this
+    /// run on the rank backend.
     pub fn obs(mut self, config: ObsConfig) -> Self {
-        self.obs = Some(config);
+        self.obs = config;
         self
     }
 
-    /// Deterministic fault injection (threads backend only).
+    /// Deterministic fault injection (default: none). The plan's
+    /// task-attempt faults are injected by the threads backend, its
+    /// fabric and rank-crash faults by the rank backend; a plan that
+    /// requests a fault the chosen backend cannot inject is
+    /// `session.invalid`, and one that requests nothing
+    /// ([`FaultPlan::quiescent`]) is valid on both.
     pub fn fault(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
         self
     }
 
-    /// Deterministic fabric/rank fault injection (rank backend only).
-    pub fn dist_fault(mut self, plan: DistFaultPlan) -> Self {
-        self.dist_fault = Some(plan);
-        self
-    }
-
     /// Epoch-interval checkpointing of each rank's owned shard (rank
-    /// backend only).
+    /// backend only; default: none).
     pub fn checkpoint(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint = Some(policy);
         self
     }
 
-    /// Owner-mapping policy for the rank backend, keeping the current
-    /// config's tuning knobs.
+    /// Owner-mapping policy for the rank backend (default: `Block`),
+    /// keeping the current config's tuning knobs.
     pub fn placement(mut self, policy: PlacementPolicy) -> Self {
-        let mut c = self.placement.take().unwrap_or_default();
-        c.policy = policy;
-        self.placement = Some(c);
+        self.placement.policy = policy;
         self
     }
 
-    /// Full placement configuration.
+    /// Full placement configuration (default:
+    /// [`PlacementConfig::default`]).
     pub fn placement_config(mut self, config: PlacementConfig) -> Self {
-        self.placement = Some(config);
+        self.placement = config;
         self
     }
 
-    /// Recovery policy for failed task attempts (threads backend).
+    /// Recovery policy for failed task attempts (threads backend only;
+    /// default: [`RetryPolicy::default`]).
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = policy;
         self
     }
 
     /// Checks the configuration against the backend it names and the color
-    /// count of the plan it is to run.
+    /// count of the plan it is to run: every setting the backend cannot
+    /// honour is an error, never silently ignored.
     fn validate(&self, n_colors: usize) -> Result<(), Error> {
         let invalid = |m: String| Err(Error::Session(m));
+        let fault = self.fault.unwrap_or(FaultPlan::quiescent(0));
         match self.backend {
             Backend::Threads(0) | Backend::Ranks(0) => {
                 return invalid(format!("backend {:?} has zero width", self.backend));
@@ -248,28 +252,39 @@ impl Run {
                         "rank backend needs colors >= ranks (got {n_colors} colors for {r} ranks)"
                     ));
                 }
-                if self.fault.is_some() {
+                if fault.attacks_tasks() {
                     return invalid(
-                        "task fault injection is only supported on the Threads backend; \
-                         use dist_fault for the Ranks backend"
+                        "task-attempt faults (task_failure_rate > 0) are injected by the \
+                         Threads backend only"
                             .into(),
                     );
                 }
+                if let Some(crash) = fault.crash.filter(|c| c.rank >= r) {
+                    return invalid(format!(
+                        "fault plan crashes rank {} but the backend has only {r} ranks",
+                        crash.rank
+                    ));
+                }
+                if self.retry != RetryPolicy::default() {
+                    return invalid("retry policies apply to the Threads backend only".into());
+                }
             }
             Backend::Threads(_) => {
-                if self.dist_fault.is_some() {
+                if fault.attacks_ranks() {
                     return invalid(
-                        "dist_fault injection is only supported on the Ranks backend; \
-                         use fault for the Threads backend"
+                        "message drops, duplication and rank crashes are injected by the \
+                         Ranks backend only"
                             .into(),
                     );
                 }
                 if self.checkpoint.is_some() {
                     return invalid("checkpointing is only supported on the Ranks backend".into());
                 }
-                // The threads backend has no owner mapping; an explicitly
-                // configured non-default placement would be silently dead.
-                if self.placement.as_ref().is_some_and(|p| p.policy != PlacementPolicy::Block) {
+                if self.chaos_seed.is_some() {
+                    return invalid("chaos seeds apply to the Ranks backend only".into());
+                }
+                // The threads backend has no owner mapping.
+                if self.placement.policy != PlacementPolicy::Block {
                     return invalid("placement policies apply to the Ranks backend only".into());
                 }
             }
@@ -279,25 +294,23 @@ impl Run {
         // `derive_exchange_with`, whose `ExchangeError::BadAssignment`
         // carries the precise defect — the builder path surfaces the same
         // typed error as the core API.
-        match &self.placement {
-            Some(p) if !p.imbalance.is_finite() || p.imbalance < 1.0 => {
-                invalid(format!("placement imbalance factor must be >= 1.0, got {}", p.imbalance))
-            }
-            _ => Ok(()),
+        let imbalance = self.placement.imbalance;
+        if !imbalance.is_finite() || imbalance < 1.0 {
+            return invalid(format!("placement imbalance factor must be >= 1.0, got {imbalance}"));
         }
+        Ok(())
     }
 
     /// Validates this configuration against `plan` and executes, mutating
     /// `store` in place. Results are bit-identical to the sequential
     /// interpreter on both backends, for any backend width, placement, or
-    /// chaos seed. Settings left unset take their `PARTIR_*` environment
-    /// defaults, resolved per backend, so a threads `FaultPlan` never
-    /// silently attaches to (and gets ignored by) a `Ranks` run, and vice
-    /// versa.
+    /// chaos seed. The outcome is a function of this value, `plan` and
+    /// `store` alone: no environment variable is read, and a setting the
+    /// chosen backend cannot honour is `session.invalid`, never silently
+    /// ignored.
     pub fn run(&self, plan: &Plan, store: &mut Store) -> Result<RunOutcome, Error> {
         self.validate(plan.colors())?;
-        let obs = self.obs.unwrap_or_else(ObsConfig::from_env);
-        obs.apply();
+        self.obs.apply();
         let schema = plan.schema();
         if store.schema().num_fields() != schema.num_fields()
             || store.schema().num_regions() != schema.num_regions()
@@ -310,7 +323,7 @@ impl Run {
                 let opts = ExecOptions {
                     n_threads,
                     check_legality: self.legality != LegalityMode::Off,
-                    fault: self.fault.or_else(FaultPlan::from_env),
+                    fault: self.fault,
                     retry: self.retry,
                 };
                 let report = execute_program(
@@ -329,28 +342,19 @@ impl Run {
                 })
             }
             Backend::Ranks(n_ranks) => {
-                let fault = self.dist_fault.or_else(DistFaultPlan::from_env);
-                if let Some(crash) = fault.and_then(|f| f.crash).filter(|c| c.rank >= n_ranks) {
-                    return Err(Error::Session(format!(
-                        "dist_fault crashes rank {} but the backend has only {n_ranks} ranks",
-                        crash.rank
-                    )));
-                }
-                let placement =
-                    self.placement.clone().or_else(PlacementConfig::from_env).unwrap_or_default();
                 // The memoized distributed artifacts: evaluated partitions,
                 // owner assignment, exchange plan, and the legality proof.
                 // A memo hit skips evaluation, exchange derivation,
                 // placement, and (via `preproved`) re-proving.
-                let artifacts = plan.solved().dist_artifacts(store, n_ranks, &placement)?;
+                let artifacts = plan.solved().dist_artifacts(store, n_ranks, &self.placement)?;
                 let opts = DistOptions {
                     legality: self.legality,
                     chaos_seed: self.chaos_seed,
-                    collect_timeline: obs.timeline,
-                    strict_volume: obs.strict_volume,
-                    fault,
-                    checkpoint: self.checkpoint.or_else(CheckpointPolicy::from_env),
-                    placement,
+                    collect_timeline: self.obs.timeline,
+                    strict_volume: self.obs.strict_volume,
+                    fault: self.fault,
+                    checkpoint: self.checkpoint,
+                    placement: self.placement.clone(),
                     preproved: artifacts.proof_facts,
                 };
                 let outcome = execute_ranks(

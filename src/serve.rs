@@ -4,7 +4,7 @@
 //! solver.
 //!
 //! ```text
-//! let server = Server::new(ServeConfig::from_env());
+//! let server = Server::new(ServeConfig { workers: 8, ..ServeConfig::default() });
 //! let reply = server.solve(Partir::new(program, fns, schema).colors(8))?;
 //! reply.plan.run(&mut store)?;          // a normal shareable Plan
 //! println!("{}", reply.report);         // partir-report-v1 envelope
@@ -40,8 +40,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Serving-pool configuration. Environment defaults (`PARTIR_SERVE_*`)
-/// are parsed in exactly one place, [`partir_obs::config::serve_env`].
+/// Serving-pool configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Worker threads solving requests (default 4).
@@ -70,23 +69,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The defaults overlaid with `PARTIR_SERVE_WORKERS`,
-    /// `PARTIR_SERVE_QUEUE_CAP`, and `PARTIR_SERVE_CACHE_BYTES`.
-    pub fn from_env() -> Self {
-        let env = partir_obs::config::serve_env();
-        let mut c = ServeConfig::default();
-        if let Some(w) = env.workers {
-            c.workers = w;
-        }
-        if let Some(q) = env.queue_cap {
-            c.queue_cap = q;
-        }
-        if let Some(b) = env.cache_bytes {
-            c.cache_bytes = b;
-        }
-        c
-    }
-
     /// Sets the admission budget (see
     /// [`admission_budget`](Self::admission_budget)).
     pub fn budget(mut self, budget: SolveBudget) -> Self {

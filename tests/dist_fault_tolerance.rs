@@ -25,7 +25,6 @@ use partir::apps::spmv::{Spmv, SpmvParams};
 use partir::apps::stencil::{Stencil, StencilParams};
 use partir::core::exchange::derive_exchange;
 use partir::prelude::*;
-use partir::runtime::dist::DistReport;
 
 /// A rank-backend run with legality checking on and strict volume
 /// accounting.
@@ -58,9 +57,9 @@ fn assert_crash_recovers(
         .solve()
         .unwrap_or_else(|e| panic!("{name} auto-parallelizes: {e}"));
     let run = strict_ranks(ranks)
-        .dist_fault(DistFaultPlan {
+        .fault(FaultPlan {
             crash: Some(RankCrash { rank: crash_rank, epoch: crash_epoch, silent }),
-            ..DistFaultPlan::quiescent(0xFA17)
+            ..FaultPlan::quiescent(0xFA17)
         })
         .checkpoint(CheckpointPolicy::every(1));
 
@@ -171,7 +170,7 @@ fn message_drop_storm_retransmits_and_stays_bit_identical() {
     let plan = Partir::new(a.program, a.fns, schema.clone()).colors(4).solve().unwrap();
     let mut par = a.store.clone();
     let outcome = strict_ranks(4)
-        .dist_fault(DistFaultPlan { drop_rate: 0.4, ..DistFaultPlan::quiescent(21) })
+        .fault(FaultPlan { drop_rate: 0.4, ..FaultPlan::quiescent(21) })
         .run(&plan, &mut par)
         .expect("retransmits absorb the drops");
     let rep = outcome.report.as_ranks().unwrap();
@@ -195,7 +194,7 @@ fn message_duplication_is_deduped_and_metered_out_of_plan() {
     let plan = Partir::new(a.program, a.fns, schema.clone()).colors(4).solve().unwrap();
     let mut par = a.store.clone();
     let outcome = strict_ranks(4)
-        .dist_fault(DistFaultPlan { dup_rate: 0.5, ..DistFaultPlan::quiescent(33) })
+        .fault(FaultPlan { dup_rate: 0.5, ..FaultPlan::quiescent(33) })
         .run(&plan, &mut par)
         .expect("dedup keeps strict accounting clean");
     let rep = outcome.report.as_ranks().unwrap();
@@ -221,12 +220,7 @@ fn fault_free_checkpointing_rounds_trip_and_sizes_add_up() {
     let n_loops = a.program.len() as u64;
 
     let plan = Partir::new(a.program, a.fns, schema.clone()).colors(4).solve().unwrap();
-    let run = strict_ranks(4)
-        // Explicitly quiescent so a CI-wide `PARTIR_DIST_FAULT_*`
-        // environment (the dist-fault-matrix job) cannot leak faults into
-        // a test whose point is the fault-free cost of checkpointing.
-        .dist_fault(DistFaultPlan::quiescent(0))
-        .checkpoint(CheckpointPolicy::every(1));
+    let run = strict_ranks(4).checkpoint(CheckpointPolicy::every(1));
     let parts = plan.evaluate(&a.store);
     let xplan = derive_exchange(plan.parallel_plan(), &parts, &schema, 4).unwrap();
     let owned_total: u64 = (0..4).map(|r| xplan.owned_field_bytes(&schema, r)).sum();

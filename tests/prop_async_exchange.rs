@@ -101,7 +101,7 @@ proptest! {
             .check_legality(true)
             .chaos_seed(chaos_seed)
             .obs(ObsConfig { strict_volume: true, ..ObsConfig::disabled() })
-            .dist_fault(DistFaultPlan { seed: fault_seed, drop_rate, dup_rate, crash })
+            .fault(FaultPlan { drop_rate, dup_rate, crash, ..FaultPlan::quiescent(fault_seed) })
             .checkpoint(CheckpointPolicy::every(ckpt_interval));
 
         let mut par = built.store.clone();

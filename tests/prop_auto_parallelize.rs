@@ -142,11 +142,7 @@ proptest! {
         let opts = ExecOptions {
             n_threads: 3,
             check_legality: true,
-            fault: Some(FaultPlan {
-                seed: fault_seed,
-                task_failure_rate: rate_pct as f64 / 100.0,
-                poison_after: None,
-            }),
+            fault: Some(FaultPlan { task_failure_rate: rate_pct as f64 / 100.0, ..FaultPlan::quiescent(fault_seed) }),
             retry: RetryPolicy { max_retries: 1, ..RetryPolicy::default() },
         };
         let run = |label: &str| -> Result<(ExecReport, Store), TestCaseError> {

@@ -31,12 +31,8 @@ fn run_on_both(
         .options(options)
         .solve()
         .expect("generated programs are parallelizable");
-    // Counts are comparable on fault-free runs only, whatever fault plan
-    // the environment carries.
-    let runs = [
-        Run::new().backend(Backend::Threads(width)).fault(FaultPlan::quiescent(0)),
-        Run::new().backend(Backend::Ranks(width)).dist_fault(DistFaultPlan::quiescent(0)),
-    ];
+    let runs =
+        [Run::new().backend(Backend::Threads(width)), Run::new().backend(Backend::Ranks(width))];
     let mut reports = Vec::new();
     for (run, backend) in runs.into_iter().zip(["threads", "ranks"]) {
         let mut par = built.store.clone();

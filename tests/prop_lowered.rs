@@ -66,13 +66,9 @@ fn check(cfg: &Cfg, built: &Built, width: usize) -> Result<(Plan, u64), TestCase
         );
     }
     let mut write_skips = 0;
-    // Fault-free whatever fault plan the environment carries.
     for (backend, run) in [
-        ("threads", Run::new().backend(Backend::Threads(width)).fault(FaultPlan::quiescent(0))),
-        (
-            "ranks",
-            Run::new().backend(Backend::Ranks(width)).dist_fault(DistFaultPlan::quiescent(0)),
-        ),
+        ("threads", Run::new().backend(Backend::Threads(width))),
+        ("ranks", Run::new().backend(Backend::Ranks(width))),
     ] {
         for mode in [LegalityMode::Element, LegalityMode::Off] {
             let mut par = built.store.clone();
@@ -179,10 +175,10 @@ fn a_kill_in_the_middle_of_a_chunk_rolls_back_and_retries_bit_identically() {
 
     let parts = plan.evaluate(&built.store);
     for (fault, retries) in [
-        (FaultPlan { seed: 3, task_failure_rate: 0.7, poison_after: None }, 2),
-        (FaultPlan { seed: 9, task_failure_rate: 0.7, poison_after: Some(2) }, 2),
+        (FaultPlan { task_failure_rate: 0.7, ..FaultPlan::quiescent(3) }, 2),
+        (FaultPlan { task_failure_rate: 0.7, poison_after: Some(2), ..FaultPlan::quiescent(9) }, 2),
         // Every attempt dies: all tasks end on the sequential recovery.
-        (FaultPlan { seed: 5, task_failure_rate: 1.0, poison_after: None }, 1),
+        (FaultPlan { task_failure_rate: 1.0, ..FaultPlan::quiescent(5) }, 1),
     ] {
         // What the plan will decide for first attempts, from its own
         // decision function: at least one kill strictly inside a chunk.
