@@ -19,7 +19,8 @@
 //! sub-partitions, beating the manual version up to 64 nodes because the
 //! manual code always buffers the whole shared-node block.
 
-use crate::support::{sim_spec_from_plan, LoopWeights, ScalePoint, ScaleSeries, SimSummary};
+use crate::sim::{MachineModel, SimAccess, SimKind, SimLoop, SimSpec};
+use crate::support::{sim_spec_from_plan, weak_scaling, LoopWeights, ScaleSeries};
 use partir_core::eval::ExtBindings;
 use partir_core::lang::{FnRef, PExpr};
 use partir_core::pipeline::{auto_parallelize, Hints, Options, ParallelPlan};
@@ -28,7 +29,6 @@ use partir_dpl::index_set::IndexSet;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, FieldKind, RegionId, Schema, Store};
 use partir_ir::ast::{Loop, LoopBuilder, ReduceOp, VExpr};
-use partir_runtime::sim::{simulate, MachineModel, SimAccess, SimKind, SimLoop, SimSpec};
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
@@ -458,10 +458,7 @@ pub fn fig14d_series(
     wires_per_cluster: u64,
     nodes_list: &[usize],
 ) -> Vec<ScaleSeries> {
-    let mut manual = Vec::new();
-    let mut hinted = Vec::new();
-    let mut auto_ = Vec::new();
-    for &n in nodes_list {
+    weak_scaling(nodes_list, |n| {
         let app = Circuit::generate(&CircuitParams {
             clusters: n,
             nodes_per_cluster,
@@ -470,43 +467,19 @@ pub fn fig14d_series(
             cross_stride: None,
             seed: 20190817 + n as u64,
         });
-        let items = app.n_wires as f64;
-        let machine = MachineModel::gpu_cluster(n);
         let weights = LoopWeights(vec![6.0, 4.0, 4.0]);
-
-        let res =
-            simulate(&app.manual_sim_spec(n), &machine).expect("manual sim spec is well-formed");
-        manual.push(ScalePoint {
-            nodes: n,
-            throughput_per_node: res.throughput_per_node(items, n),
-            sim: SimSummary::from_result(&res, &machine),
-        });
-
-        let (plan, _, exts) = app.hinted_plan(n);
-        let parts = plan.evaluate(&app.store, &app.fns, n, &exts);
-        let spec = sim_spec_from_plan(&app.program, &plan, &parts, &app.store, &weights);
-        let res = simulate(&spec, &machine).expect("sim spec is well-formed");
-        hinted.push(ScalePoint {
-            nodes: n,
-            throughput_per_node: res.throughput_per_node(items, n),
-            sim: SimSummary::from_result(&res, &machine),
-        });
-
-        let plan = app.auto_plan();
-        let parts = plan.evaluate(&app.store, &app.fns, n, &ExtBindings::new());
-        let spec = sim_spec_from_plan(&app.program, &plan, &parts, &app.store, &weights);
-        let res = simulate(&spec, &machine).expect("sim spec is well-formed");
-        auto_.push(ScalePoint {
-            nodes: n,
-            throughput_per_node: res.throughput_per_node(items, n),
-            sim: SimSummary::from_result(&res, &machine),
-        });
-    }
-    vec![
-        ScaleSeries { label: "Manual".into(), points: manual },
-        ScaleSeries { label: "Auto+Hint".into(), points: hinted },
-        ScaleSeries { label: "Auto".into(), points: auto_ },
-    ]
+        let spec = |plan: &ParallelPlan, exts: &ExtBindings| {
+            let parts = plan.evaluate(&app.store, &app.fns, n, exts);
+            sim_spec_from_plan(&app.program, plan, &parts, &app.store, &weights)
+        };
+        let (hinted, _, exts) = app.hinted_plan(n);
+        let specs = vec![
+            ("Manual", app.manual_sim_spec(n)),
+            ("Auto+Hint", spec(&hinted, &exts)),
+            ("Auto", spec(&app.auto_plan(), &ExtBindings::new())),
+        ];
+        (app.n_wires as f64, MachineModel::gpu_cluster(n), specs)
+    })
 }
 
 #[cfg(test)]

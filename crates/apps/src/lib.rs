@@ -4,11 +4,13 @@
 //! sequential loop IR that the auto-parallelizer consumes, the app's hint
 //! sets (Section 6's Auto+Hint configurations), a hand-optimized simulation
 //! strategy mirroring the published manual implementations, and the weak-
-//! scaling series of its Figure 14 subplot.
+//! scaling series of its Figure 14 subplot, priced by the analytic
+//! distributed-memory simulator in [`sim`].
 
 pub mod circuit;
 pub mod miniaero;
 pub mod pennant;
+pub mod sim;
 pub mod spmv;
 pub mod stencil;
 pub mod support;

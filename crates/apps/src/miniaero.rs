@@ -13,8 +13,10 @@
 //! whose face subregions are fragmented at block boundaries — the source of
 //! the paper's ~2% average gap.
 
-use crate::support::{sim_spec_from_plan, LoopWeights, ScalePoint, ScaleSeries, SimSummary};
+use crate::sim::{MachineModel, SimAccess, SimKind, SimLoop, SimSpec};
+use crate::support::{sim_spec_from_plan, weak_scaling, LoopWeights, ScaleSeries};
 use partir_core::eval::ExtBindings;
+use partir_core::optimize::RelaxPolicy;
 use partir_core::pipeline::{auto_parallelize, Hints, Options, ParallelPlan};
 use partir_dpl::func::{FnId, FnTable};
 use partir_dpl::index_set::IndexSet;
@@ -22,7 +24,6 @@ use partir_dpl::ops::equal;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, FieldKind, RegionId, Schema, Store};
 use partir_ir::ast::{Loop, LoopBuilder, ReduceOp, VExpr};
-use partir_runtime::sim::{simulate, MachineModel, SimAccess, SimKind, SimLoop, SimSpec};
 use std::collections::HashMap;
 
 /// A generated MiniAero instance.
@@ -316,38 +317,32 @@ impl MiniAero {
     }
 }
 
-/// Figure 14c: Manual vs Auto weak scaling; the mesh grows in z.
+/// Figure 14c: Manual vs Auto weak scaling, plus the ablation with the
+/// Section 5.1 relaxation off (buffered flux reductions); the mesh grows
+/// in z.
 pub fn fig14c_series(nx: u64, ny: u64, nz_per_node: u64, nodes_list: &[usize]) -> Vec<ScaleSeries> {
-    let mut manual = Vec::new();
-    let mut auto_ = Vec::new();
-    for &n in nodes_list {
+    weak_scaling(nodes_list, |n| {
         let app = MiniAero::generate(&MiniAeroParams { nx, ny, nz: nz_per_node * n as u64 });
-        let items = app.n_cells as f64;
-        let machine = MachineModel::gpu_cluster(n);
-
-        let res =
-            simulate(&app.manual_sim_spec(n), &machine).expect("manual sim spec is well-formed");
-        manual.push(ScalePoint {
-            nodes: n,
-            throughput_per_node: res.throughput_per_node(items, n),
-            sim: SimSummary::from_result(&res, &machine),
-        });
-
-        let plan = app.auto_plan();
-        let parts = plan.evaluate(&app.store, &app.fns, n, &ExtBindings::new());
-        let weights = LoopWeights(vec![12.0, 4.0, 4.0]);
-        let spec = sim_spec_from_plan(&app.program, &plan, &parts, &app.store, &weights);
-        let res = simulate(&spec, &machine).expect("sim spec is well-formed");
-        auto_.push(ScalePoint {
-            nodes: n,
-            throughput_per_node: res.throughput_per_node(items, n),
-            sim: SimSummary::from_result(&res, &machine),
-        });
-    }
-    vec![
-        ScaleSeries { label: "Manual".into(), points: manual },
-        ScaleSeries { label: "Auto".into(), points: auto_ },
-    ]
+        let auto_spec = |relax| {
+            let plan = auto_parallelize(
+                &app.program,
+                &app.fns,
+                app.store.schema(),
+                &Hints::new(),
+                Options { relax, ..Options::default() },
+            )
+            .expect("MiniAero auto-parallelizes");
+            let parts = plan.evaluate(&app.store, &app.fns, n, &ExtBindings::new());
+            let weights = LoopWeights(vec![12.0, 4.0, 4.0]);
+            sim_spec_from_plan(&app.program, &plan, &parts, &app.store, &weights)
+        };
+        let specs = vec![
+            ("Manual", app.manual_sim_spec(n)),
+            ("Auto", auto_spec(RelaxPolicy::Auto)),
+            ("Auto(no-relax)", auto_spec(RelaxPolicy::Off)),
+        ];
+        (app.n_cells as f64, MachineModel::gpu_cluster(n), specs)
+    })
 }
 
 #[cfg(test)]

@@ -23,7 +23,8 @@
 //!   noticeable difference from Manual;
 //! * **Manual** — the hand-optimized strategy.
 
-use crate::support::{sim_spec_from_plan, LoopWeights, ScalePoint, ScaleSeries, SimSummary};
+use crate::sim::{MachineModel, SimAccess, SimKind, SimLoop, SimSpec};
+use crate::support::{sim_spec_from_plan, weak_scaling, LoopWeights, ScaleSeries};
 use partir_core::eval::ExtBindings;
 use partir_core::lang::{FnRef, PExpr};
 use partir_core::pipeline::{auto_parallelize, Hints, Options, ParallelPlan};
@@ -32,7 +33,6 @@ use partir_dpl::index_set::IndexSet;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, FieldKind, RegionId, Schema, Store};
 use partir_ir::ast::{Loop, LoopBuilder, ReduceOp, VExpr};
-use partir_runtime::sim::{simulate, MachineModel, SimAccess, SimKind, SimLoop, SimSpec};
 use std::collections::HashMap;
 
 /// Which hint set to use (the four Figure 14e configurations).
@@ -595,39 +595,24 @@ pub struct PieceParts {
 
 /// Figure 14e: Manual vs Auto+Hint2 vs Auto+Hint1 vs Auto (pieces = nodes).
 pub fn fig14e_series(zw: u64, zy: u64, nodes_list: &[usize]) -> Vec<ScaleSeries> {
-    let weights = LoopWeights(vec![6.0, 8.0, 8.0, 4.0, 4.0]);
-    let mut series: Vec<ScaleSeries> = ["Manual", "Auto+Hint2", "Auto+Hint1", "Auto"]
-        .iter()
-        .map(|l| ScaleSeries { label: l.to_string(), points: Vec::new() })
-        .collect();
-    for &n in nodes_list {
+    weak_scaling(nodes_list, |n| {
         let app = Pennant::generate(&PennantParams { pieces: n, zw, zy });
-        let items = app.items();
-        let machine = MachineModel::gpu_cluster(n);
-
-        let res =
-            simulate(&app.manual_sim_spec(n), &machine).expect("manual sim spec is well-formed");
-        series[0].points.push(ScalePoint {
-            nodes: n,
-            throughput_per_node: res.throughput_per_node(items, n),
-            sim: SimSummary::from_result(&res, &machine),
-        });
-
-        for (si, config) in
-            [(1, PennantConfig::Hint2), (2, PennantConfig::Hint1), (3, PennantConfig::Auto)]
-        {
+        let weights = LoopWeights(vec![6.0, 8.0, 8.0, 4.0, 4.0]);
+        let mut specs = vec![("Manual", app.manual_sim_spec(n))];
+        for (label, config) in [
+            ("Auto+Hint2", PennantConfig::Hint2),
+            ("Auto+Hint1", PennantConfig::Hint1),
+            ("Auto", PennantConfig::Auto),
+        ] {
             let (plan, exts) = app.plan(config);
             let parts = plan.evaluate(&app.store, &app.fns, n, &exts);
-            let spec = sim_spec_from_plan(&app.program, &plan, &parts, &app.store, &weights);
-            let res = simulate(&spec, &machine).expect("sim spec is well-formed");
-            series[si].points.push(ScalePoint {
-                nodes: n,
-                throughput_per_node: res.throughput_per_node(items, n),
-                sim: SimSummary::from_result(&res, &machine),
-            });
+            specs.push((
+                label,
+                sim_spec_from_plan(&app.program, &plan, &parts, &app.store, &weights),
+            ));
         }
-    }
-    series
+        (app.items(), MachineModel::gpu_cluster(n), specs)
+    })
 }
 
 #[cfg(test)]

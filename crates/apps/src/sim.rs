@@ -222,22 +222,6 @@ impl NodeBreakdown {
             + self.runs as f64 * m.run_overhead
             + self.meta_units * m.meta_overhead
     }
-
-    /// JSON form for machine-readable reports: raw cost inputs plus the
-    /// derived per-component seconds under the given machine model.
-    pub fn to_json(&self, m: &MachineModel) -> partir_obs::json::Json {
-        partir_obs::json::Json::object()
-            .with("compute_s", self.compute)
-            .with("comm_bytes", self.comm_bytes)
-            .with("messages", self.messages)
-            .with("runs", self.runs)
-            .with("meta_units", self.meta_units)
-            .with("comm_s", self.comm_bytes / m.bandwidth)
-            .with("latency_s", self.messages as f64 * m.latency)
-            .with("run_overhead_s", self.runs as f64 * m.run_overhead)
-            .with("meta_s", self.meta_units * m.meta_overhead)
-            .with("total_s", self.time(m))
-    }
 }
 
 /// Failure-aware cost summary, derived from the solved partitions'
@@ -274,20 +258,6 @@ pub struct FailureSummary {
     pub incomplete_loops: usize,
 }
 
-impl FailureSummary {
-    pub fn to_json(&self) -> partir_obs::json::Json {
-        partir_obs::json::Json::object()
-            .with("failure_free_time_s", self.failure_free_time_s)
-            .with("expected_iteration_time_s", self.expected_iteration_time_s)
-            .with("checkpoint_overhead_frac", self.checkpoint_overhead_frac)
-            .with("expected_failures_per_iteration", self.expected_failures_per_iteration)
-            .with("mean_recompute_s", self.mean_recompute_s)
-            .with("max_recompute_s", self.max_recompute_s)
-            .with("aliased_loops", self.aliased_loops)
-            .with("incomplete_loops", self.incomplete_loops)
-    }
-}
-
 /// Simulation output.
 #[derive(Clone, Debug)]
 pub struct SimResult {
@@ -314,36 +284,6 @@ impl SimResult {
     /// otherwise.
     pub fn effective_time(&self) -> f64 {
         self.failure.map_or(self.iteration_time, |f| f.expected_iteration_time_s)
-    }
-
-    /// JSON form for machine-readable reports: scalar totals plus the
-    /// bottleneck node's breakdown (the node whose time *is* the iteration
-    /// time) and the full per-node array.
-    pub fn to_json(&self, m: &MachineModel) -> partir_obs::json::Json {
-        use partir_obs::json::Json;
-        let bottleneck = self
-            .per_node
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.time(m).total_cmp(&b.time(m)))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let mut nodes = Json::array();
-        for b in &self.per_node {
-            nodes = nodes.push(b.to_json(m));
-        }
-        Json::object()
-            .with("iteration_time_s", self.iteration_time)
-            .with("effective_time_s", self.effective_time())
-            .with("total_bytes", self.total_bytes)
-            .with("total_work", self.total_work)
-            .with("bottleneck_node", bottleneck)
-            .with(
-                "bottleneck",
-                self.per_node.get(bottleneck).map(|b| b.to_json(m)).unwrap_or(Json::Null),
-            )
-            .with("failure", self.failure.map(|f| f.to_json()).unwrap_or(Json::Null))
-            .with("per_node", nodes)
     }
 }
 

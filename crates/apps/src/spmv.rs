@@ -10,13 +10,13 @@
 //! inner loop's iteration space is the CSR row range, a set-valued function
 //! of the outer index.
 
-use crate::support::{sim_spec_from_plan, LoopWeights, ScalePoint, ScaleSeries, SimSummary};
+use crate::sim::{FailureModel, MachineModel};
+use crate::support::{sim_spec_from_plan, weak_scaling, LoopWeights, ScaleSeries};
 use partir_core::eval::ExtBindings;
 use partir_core::pipeline::{auto_parallelize, Hints, Options, ParallelPlan};
 use partir_dpl::func::{FnId, FnTable};
 use partir_dpl::region::{FieldId, FieldKind, RegionId, Schema, Store};
 use partir_ir::ast::{Loop, LoopBuilder, ReduceOp, VExpr};
-use partir_runtime::sim::{simulate, MachineModel};
 
 /// A generated SpMV instance.
 pub struct Spmv {
@@ -173,54 +173,32 @@ impl Spmv {
     }
 }
 
-/// Figure 14a: weak-scaling of the Auto configuration. `rows_per_node`
-/// scales the matrix with node count (the paper used 0.4e9 nnz/node on
-/// real hardware; the simulator default is scaled down — shapes, not
-/// magnitudes, are the target).
-pub fn fig14a_series(rows_per_node: u64, nodes_list: &[usize]) -> ScaleSeries {
-    fig14a_series_with(rows_per_node, nodes_list, "Auto", None)
-}
-
-/// Figure 14a overlay: the same Auto configuration priced under a
-/// node-failure model (checkpoint overhead + expected recompute of lost
-/// subregions), showing how much of the weak-scaling headroom failures
-/// consume at large node counts.
-pub fn fig14a_faults_series(
-    rows_per_node: u64,
-    nodes_list: &[usize],
-    fm: partir_runtime::sim::FailureModel,
-) -> ScaleSeries {
-    fig14a_series_with(rows_per_node, nodes_list, "Auto+faults", Some(fm))
-}
-
-fn fig14a_series_with(
-    rows_per_node: u64,
-    nodes_list: &[usize],
-    label: &str,
-    fm: Option<partir_runtime::sim::FailureModel>,
-) -> ScaleSeries {
-    let mut points = Vec::new();
-    for &n in nodes_list {
-        let app = Spmv::generate(&SpmvParams {
-            rows: rows_per_node * n as u64,
-            halo: 2,
-            ..SpmvParams::default()
-        });
-        let plan = app.auto_plan();
-        let parts = plan.evaluate(&app.store, &app.fns, n, &ExtBindings::new());
-        let flops_per_row = 2.0 * (app.nnz as f64) / (app.rows as f64);
-        let weights = LoopWeights::uniform(app.program.len(), flops_per_row);
-        let spec = sim_spec_from_plan(&app.program, &plan, &parts, &app.store, &weights);
-        let mut m = MachineModel::gpu_cluster(n);
-        m.failure = fm;
-        let res = simulate(&spec, &m).expect("SpMV sim spec is well-formed");
-        points.push(ScalePoint {
-            nodes: n,
-            throughput_per_node: res.throughput_per_node(app.nnz as f64, n),
-            sim: SimSummary::from_result(&res, &m),
-        });
-    }
-    ScaleSeries { label: label.into(), points }
+/// Figure 14a: weak scaling of the Auto configuration, and the same
+/// configuration priced under a node-failure model (checkpoint overhead +
+/// expected recompute of lost subregions), showing how much of the
+/// weak-scaling headroom failures consume at large node counts.
+/// `rows_per_node` scales the matrix with node count (the paper used 0.4e9
+/// nnz/node on real hardware; the simulator default is scaled down —
+/// shapes, not magnitudes, are the target).
+pub fn fig14a_series(rows_per_node: u64, nodes_list: &[usize]) -> Vec<ScaleSeries> {
+    let line = |label, failure| {
+        weak_scaling(nodes_list, |n| {
+            let app = Spmv::generate(&SpmvParams {
+                rows: rows_per_node * n as u64,
+                halo: 2,
+                ..SpmvParams::default()
+            });
+            let plan = app.auto_plan();
+            let parts = plan.evaluate(&app.store, &app.fns, n, &ExtBindings::new());
+            let flops_per_row = 2.0 * (app.nnz as f64) / (app.rows as f64);
+            let weights = LoopWeights::uniform(app.program.len(), flops_per_row);
+            let spec = sim_spec_from_plan(&app.program, &plan, &parts, &app.store, &weights);
+            let machine = MachineModel { failure, ..MachineModel::gpu_cluster(n) };
+            (app.nnz as f64, machine, vec![(label, spec)])
+        })
+        .remove(0)
+    };
+    vec![line("Auto", None), line("Auto+faults", Some(FailureModel::commodity()))]
 }
 
 #[cfg(test)]
@@ -284,9 +262,8 @@ mod tests {
 
     #[test]
     fn fig14a_faults_overlay_costs_throughput() {
-        let fm = partir_runtime::sim::FailureModel::commodity();
-        let plain = fig14a_series(20_000, &[1, 16]);
-        let faulty = fig14a_faults_series(20_000, &[1, 16], fm);
+        let series = fig14a_series(20_000, &[1, 16]);
+        let (plain, faulty) = (&series[0], &series[1]);
         assert_eq!(faulty.label, "Auto+faults");
         for (p, f) in plain.points.iter().zip(&faulty.points) {
             assert!(
@@ -301,7 +278,7 @@ mod tests {
 
     #[test]
     fn fig14a_scales_nearly_flat() {
-        let series = fig14a_series(20_000, &[1, 4, 16]);
+        let series = &fig14a_series(20_000, &[1, 4, 16])[0];
         // The banded matrix makes Auto essentially perfectly scalable
         // (99% efficiency in the paper; the simulator should stay >90%
         // even at modest per-node sizes).

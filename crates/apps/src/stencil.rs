@@ -14,7 +14,8 @@
 //! need two transfers per direction. We model that with the simulator's
 //! message-consolidation groups; both versions move the same bytes.
 
-use crate::support::{sim_spec_from_plan, LoopWeights, ScalePoint, ScaleSeries, SimSummary};
+use crate::sim::{MachineModel, SimAccess, SimKind, SimLoop, SimSpec};
+use crate::support::{sim_spec_from_plan, weak_scaling, LoopWeights, ScaleSeries};
 use partir_core::eval::ExtBindings;
 use partir_core::pipeline::{auto_parallelize, Hints, Options, ParallelPlan};
 use partir_dpl::func::{FnDef, FnTable, IndexFn};
@@ -23,7 +24,6 @@ use partir_dpl::ops::equal;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, FieldKind, RegionId, Schema, Store};
 use partir_ir::ast::{Loop, LoopBuilder, ReduceOp, VExpr};
-use partir_runtime::sim::{simulate, MachineModel, SimAccess, SimKind, SimLoop, SimSpec};
 use std::collections::HashMap;
 
 /// The 8 neighbor offsets of a 9-point stencil on an `nx`-wide row-major
@@ -224,36 +224,15 @@ fn wrap_range(start: u64, len: u64, n: u64) -> IndexSet {
 /// Figure 14b: Manual vs Auto weak scaling. `rows_per_node` grid rows per
 /// node (weak scaling grows `ny`).
 pub fn fig14b_series(nx: u64, rows_per_node: u64, nodes_list: &[usize]) -> Vec<ScaleSeries> {
-    let mut manual = Vec::new();
-    let mut auto_ = Vec::new();
-    for &n in nodes_list {
+    weak_scaling(nodes_list, |n| {
         let app = Stencil::generate(&StencilParams { nx, ny: rows_per_node * n as u64 });
-        let points = app.n_points() as f64;
-        let machine = MachineModel::gpu_cluster(n);
-
-        let spec = app.manual_sim_spec(n);
-        let res = simulate(&spec, &machine).expect("sim spec is well-formed");
-        manual.push(ScalePoint {
-            nodes: n,
-            throughput_per_node: res.throughput_per_node(points, n),
-            sim: SimSummary::from_result(&res, &machine),
-        });
-
         let plan = app.auto_plan();
         let parts = plan.evaluate(&app.store, &app.fns, n, &ExtBindings::new());
         let weights = LoopWeights(vec![9.0, 1.0]);
-        let spec = sim_spec_from_plan(&app.program, &plan, &parts, &app.store, &weights);
-        let res = simulate(&spec, &machine).expect("sim spec is well-formed");
-        auto_.push(ScalePoint {
-            nodes: n,
-            throughput_per_node: res.throughput_per_node(points, n),
-            sim: SimSummary::from_result(&res, &machine),
-        });
-    }
-    vec![
-        ScaleSeries { label: "Manual".into(), points: manual },
-        ScaleSeries { label: "Auto".into(), points: auto_ },
-    ]
+        let auto_ = sim_spec_from_plan(&app.program, &plan, &parts, &app.store, &weights);
+        let specs = vec![("Manual", app.manual_sim_spec(n)), ("Auto", auto_)];
+        (app.n_points() as f64, MachineModel::gpu_cluster(n), specs)
+    })
 }
 
 #[cfg(test)]

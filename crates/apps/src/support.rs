@@ -2,14 +2,14 @@
 //! auto-parallelization plan plus evaluated partitions into a simulator
 //! spec, and small helpers for weak-scaling studies.
 
+use crate::sim::{
+    simulate, MachineModel, NodeBreakdown, SimAccess, SimKind, SimLoop, SimResult, SimSpec,
+};
 use partir_core::pipeline::{ParallelPlan, PlannedReduce};
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{RegionId, Store};
 use partir_ir::analysis::AccessKind;
 use partir_ir::ast::Loop;
-use partir_runtime::sim::{
-    MachineModel, NodeBreakdown, SimAccess, SimKind, SimLoop, SimResult, SimSpec,
-};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -224,6 +224,32 @@ impl ScaleSeries {
             .with("efficiency", self.efficiency())
             .with("points", points)
     }
+}
+
+/// The one weak-scaling driver behind every Figure 14 subplot: for each
+/// node count, `configs` builds the instance and returns its item count,
+/// the machine, and one labelled spec per plotted line; each spec is
+/// simulated into one point of its line.
+pub fn weak_scaling(
+    nodes_list: &[usize],
+    mut configs: impl FnMut(usize) -> (f64, MachineModel, Vec<(&'static str, SimSpec)>),
+) -> Vec<ScaleSeries> {
+    let mut series: Vec<ScaleSeries> = Vec::new();
+    for &n in nodes_list {
+        let (items, machine, specs) = configs(n);
+        for (i, (label, spec)) in specs.into_iter().enumerate() {
+            if i == series.len() {
+                series.push(ScaleSeries { label: label.into(), points: Vec::new() });
+            }
+            let res = simulate(&spec, &machine).expect("sim spec is well-formed");
+            series[i].points.push(ScalePoint {
+                nodes: n,
+                throughput_per_node: res.throughput_per_node(items, n),
+                sim: SimSummary::from_result(&res, &machine),
+            });
+        }
+    }
+    series
 }
 
 /// Renders series as the rows a Figure 14 subplot plots.

@@ -20,9 +20,6 @@
 //! Chrome trace: `... --bin fig_dist -- --trace-out trace.json` (load in
 //! Perfetto / `chrome://tracing`; one process per app×rank-count combo,
 //! one thread per rank).
-//! Overhead gate: `... --bin fig_dist -- --check-obs-skew` re-runs the
-//! largest Stencil point with metrics on vs off and fails when the median
-//! walltime skew exceeds 5%.
 //! Scaling gate: `... --bin fig_dist -- --assert-scaling [--max-ratio X]`
 //! fails when the largest rank count's median wall-clock exceeds 1-rank
 //! by more than the allowed ratio on Stencil and SpMV (the CI perf gate;
@@ -53,7 +50,7 @@
 
 use partir::core::exchange::derive_exchange;
 use partir::core::placement::{
-    cost_driven_assignment, CommGraph, MachineModel, PlacementPolicy, PlacementReport,
+    cost_driven_assignment, CommGraph, PlacementPolicy, PlacementReport,
 };
 use partir::{Backend, Partir, Plan, Run, RunReport};
 use partir_apps::circuit::{Circuit, CircuitParams};
@@ -68,13 +65,13 @@ use partir_ir::interp::run_program_seq;
 use partir_obs::json::Json;
 use partir_obs::profile::DistProfile;
 use partir_obs::trace::chrome_trace_doc;
-use partir_obs::{MemorySink, ObsConfig};
+use partir_obs::ObsConfig;
 use partir_runtime::dist::DistReport;
 use partir_runtime::fault::{CheckpointPolicy, FaultPlan, RankCrash};
 use std::time::Instant;
 
-/// Budget for the two overhead gates (`--check-obs-skew`, and fault-free
-/// Young/Daly checkpointing under `--fault-seed`), percent of wall-clock.
+/// Budget for fault-free Young/Daly checkpointing under `--fault-seed`,
+/// percent of wall-clock.
 const OVERHEAD_MAX_PCT: f64 = 5.0;
 /// Mean time between failures the Young/Daly interval assumes, seconds.
 const MTBF_S: f64 = 3600.0;
@@ -225,52 +222,6 @@ fn run_point(
     };
     let wall_ns = time_point(base, case, ranks);
     Point { rep, profile: profile.to_json(), pairs: volume.to_json(), wall_ns, events }
-}
-
-/// Obs-overhead gate (`--check-obs-skew`): median walltime of the largest
-/// Stencil point with metrics routed to an in-memory sink vs everything
-/// off. The sharded atomic counters must keep the skew under
-/// [`OVERHEAD_MAX_PCT`].
-fn check_obs_skew(base: &Run, case: &Case, ranks: usize) {
-    const REPS: usize = 5;
-
-    // Metrics on/off is process-global sink state; the runs themselves
-    // are configured identically (ObsConfig::disabled() never uninstalls a
-    // programmatic sink).
-    let median_walltime = || -> f64 {
-        let mut times: Vec<f64> = (0..REPS)
-            .map(|_| {
-                let plan = solve_at(case, ranks.max(4));
-                let mut par = case.store.clone();
-                let t0 = Instant::now();
-                on_ranks(base, ranks, ObsConfig::disabled())
-                    .run(&plan, &mut par)
-                    .unwrap_or_else(|e| panic!("skew run: {e}"));
-                t0.elapsed().as_secs_f64()
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        times[REPS / 2]
-    };
-
-    let off = median_walltime();
-    let sink = MemorySink::new();
-    partir_obs::install_sink(sink.clone(), false, true);
-    let on = median_walltime();
-    partir_obs::uninstall_sink();
-    assert!(!sink.take().is_empty(), "metrics sink saw no counter events");
-
-    let skew_pct = (on - off) / off * 100.0;
-    eprintln!(
-        "obs skew: {} at {ranks} ranks: off {:.1} ms, metrics-on {:.1} ms ({skew_pct:+.2}%)",
-        case.name,
-        off * 1e3,
-        on * 1e3
-    );
-    assert!(
-        skew_pct <= OVERHEAD_MAX_PCT,
-        "metrics overhead {skew_pct:.2}% exceeds the {OVERHEAD_MAX_PCT:.1}% budget"
-    );
 }
 
 /// Median wall-clock (and last report) of `reps` fault-free runs at a
@@ -486,11 +437,10 @@ fn steady_solve_ns(case: &Case, ranks: usize) -> u64 {
     let parts = plan.evaluate(&case.store);
     let graph = CommGraph::build(plan.parallel_plan(), &parts, case.store.schema())
         .unwrap_or_else(|e| panic!("{} (steady solve) graph: {e}", case.name));
-    let machine = MachineModel::homogeneous(ranks);
     let mut best = u64::MAX;
     for _ in 0..64 {
         let t = std::time::Instant::now();
-        std::hint::black_box(cost_driven_assignment(&graph, &machine, 1.10, 8, ranks));
+        std::hint::black_box(cost_driven_assignment(&graph, ranks));
         best = best.min(t.elapsed().as_nanos() as u64);
     }
     best
@@ -812,12 +762,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-    }
-
-    if args.check_obs_skew {
-        let cs = cases();
-        // Stencil: the densest exchange pattern.
-        check_obs_skew(base, &cs[0], ranks.iter().copied().max().unwrap_or(4));
     }
 
     let host_parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);

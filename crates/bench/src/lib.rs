@@ -5,7 +5,6 @@
 //! (see `partir_obs::report`) instead of the human tables, so experiment
 //! results are machine-readable and diffable across PRs.
 
-use partir_apps::support::ScaleSeries;
 use partir_core::pipeline::ParallelPlan;
 use partir_core::solve::BindRule;
 use partir_dpl::func::FnTable;
@@ -21,8 +20,6 @@ use std::path::PathBuf;
 /// * `--trace-out PATH` — write a Chrome `trace_event` JSON file of the
 ///   per-rank timelines (honored by `fig_dist`; harnesses without
 ///   timelines ignore it);
-/// * `--check-obs-skew` — measure the observability overhead (obs-on vs
-///   obs-off walltime) and fail if it exceeds 5% (honored by `fig_dist`);
 /// * `--assert-scaling` — fail when the largest rank count's wall-clock
 ///   exceeds 1-rank wall-clock by more than the allowed ratio on the
 ///   scaling-critical apps (honored by `fig_dist`; the CI perf gate);
@@ -52,7 +49,6 @@ pub struct BenchArgs {
     pub json: bool,
     pub out: Option<PathBuf>,
     pub trace_out: Option<PathBuf>,
-    pub check_obs_skew: bool,
     pub assert_scaling: bool,
     pub assert_gates: bool,
     pub max_ratio: Option<f64>,
@@ -70,16 +66,6 @@ pub enum PlacementMode {
     Cost,
     /// Run only the block-vs-cost placement comparison axis.
     Compare,
-}
-
-impl PlacementMode {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PlacementMode::Block => "block",
-            PlacementMode::Cost => "cost",
-            PlacementMode::Compare => "compare",
-        }
-    }
 }
 
 impl BenchArgs {
@@ -113,7 +99,6 @@ impl BenchArgs {
                         .ok_or_else(|| "--trace-out requires a path argument".to_string())?;
                     args.trace_out = Some(PathBuf::from(path));
                 }
-                "--check-obs-skew" => args.check_obs_skew = true,
                 "--assert-scaling" => args.assert_scaling = true,
                 "--assert" => args.assert_gates = true,
                 "--max-ratio" => {
@@ -170,7 +155,7 @@ impl BenchArgs {
                 other => {
                     return Err(format!(
                         "unknown argument '{other}' (expected --json [--out PATH] \
-                         [--trace-out PATH] [--check-obs-skew] [--assert-scaling] [--assert] \
+                         [--trace-out PATH] [--assert-scaling] [--assert] \
                          [--max-ratio X] [--ranks N,N] [--fault-seed N] \
                          [--placement block|cost|compare])"
                     ));
@@ -301,16 +286,6 @@ pub fn plan_json(name: &str, plan: &ParallelPlan, loops: usize, fns: &FnTable) -
         .with("provenance", provenance)
 }
 
-/// JSON form of a Figure 14 experiment: one entry per plotted line, each
-/// with per-point throughput and simulator cost breakdowns.
-pub fn series_json(series: &[ScaleSeries]) -> Json {
-    let mut arr = Json::array();
-    for s in series {
-        arr = arr.push(s.to_json());
-    }
-    arr
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,12 +304,10 @@ mod tests {
     }
 
     #[test]
-    fn parse_from_accepts_trace_out_and_skew_check() {
-        let a = BenchArgs::parse_from(argv(&["--trace-out", "/tmp/t.json", "--check-obs-skew"]))
-            .unwrap();
+    fn parse_from_accepts_trace_out() {
+        let a = BenchArgs::parse_from(argv(&["--trace-out", "/tmp/t.json"])).unwrap();
         assert!(!a.json, "--trace-out alone does not imply --json");
         assert_eq!(a.trace_out.as_deref(), Some(std::path::Path::new("/tmp/t.json")));
-        assert!(a.check_obs_skew);
     }
 
     #[test]
@@ -382,7 +355,6 @@ mod tests {
         assert_eq!(a.placement, Some(PlacementMode::Cost));
         let a = BenchArgs::parse_from(argv(&["--placement", "compare"])).unwrap();
         assert_eq!(a.placement, Some(PlacementMode::Compare));
-        assert_eq!(a.placement.unwrap().as_str(), "compare");
         let err = BenchArgs::parse_from(argv(&["--placement", "greedy"])).unwrap_err();
         assert!(err.contains("block|cost|compare"), "{err}");
         let err = BenchArgs::parse_from(argv(&["--placement"])).unwrap_err();

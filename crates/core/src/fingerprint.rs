@@ -228,19 +228,6 @@ pub fn placement_fingerprint(cfg: &PlacementConfig) -> Fingerprint {
             }
         }
     }
-    h.write_f64(cfg.imbalance);
-    h.write_usize(cfg.max_passes);
-    match &cfg.machine {
-        None => h.tag(0),
-        Some(m) => {
-            h.tag(1);
-            h.write_usize(m.n_ranks());
-            for r in 0..m.n_ranks() {
-                h.write_f64(m.speed(r));
-                h.write_f64(m.bandwidth(r));
-            }
-        }
-    }
     h.finish()
 }
 
@@ -671,16 +658,7 @@ mod tests {
     #[test]
     fn placement_fingerprint_sees_every_knob() {
         let base = placement_fingerprint(&PlacementConfig::default());
-        let cost =
-            PlacementConfig { policy: PlacementPolicy::CostDriven, ..PlacementConfig::default() };
+        let cost = PlacementConfig { policy: PlacementPolicy::CostDriven };
         assert_ne!(base, placement_fingerprint(&cost));
-        let mut imb = PlacementConfig::default();
-        imb.imbalance += 0.25;
-        assert_ne!(base, placement_fingerprint(&imb));
-        let mach = PlacementConfig {
-            machine: Some(crate::placement::MachineModel::with_speeds(&[1.0, 2.0])),
-            ..PlacementConfig::default()
-        };
-        assert_ne!(base, placement_fingerprint(&mach));
     }
 }

@@ -19,21 +19,21 @@
 //!    and the node weight `load(c)` is the color's owned f64 bytes. Exact by
 //!    construction: no traffic model is guessed from the loop text.
 //! 2. **Greedy k-way seeding.** Colors in descending (load + affinity)
-//!    order; the heaviest `k` seed distinct ranks (fastest ranks first),
-//!    the rest join the rank with the strongest affinity to their already
-//!    placed neighbors, subject to the load-balance cap.
+//!    order; the heaviest `k` seed distinct ranks, the rest join the rank
+//!    with the strongest affinity to their already placed neighbors,
+//!    subject to the load-balance cap.
 //! 3. **KL/FM refinement.** Bounded gain passes: a color moves to another
-//!    rank when the move strictly reduces the bandwidth-priced cut and the
-//!    destination stays under its capacity (FM), and two colors on
-//!    different ranks exchange places when the swap does (KL) — the swap
-//!    half matters because under a tight balance cap with uniform color
-//!    loads every rank sits at capacity and single moves are all blocked.
+//!    rank when the move strictly reduces the cut and the destination
+//!    stays under its capacity (FM), and two colors on different ranks
+//!    exchange places when the swap does (KL) — the swap half matters
+//!    because under a tight balance cap with uniform color loads every
+//!    rank sits at capacity and single moves are all blocked.
 //!    Deterministic (index-order sweeps, lowest-rank tie-breaks), so a
 //!    placement replays bit-identically.
 //!
-//! **Load balance** is speed-weighted: rank `r` may own at most
-//! `imbalance · total_load · speed(r) / Σ speed` bytes, so slow ranks of a
-//! heterogeneous [`MachineModel`] get proportionally smaller shards.
+//! **Load balance**: the ranks are identical (as the paper's Piz Daint
+//! nodes are), so each may own at most [`IMBALANCE`]` · total_load / ranks`
+//! bytes.
 //!
 //! The graph objective is a surrogate — two co-ranked colors fetching the
 //! same remote element are charged twice in the graph but once by the real
@@ -54,88 +54,12 @@ use partir_dpl::region::Schema;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-rank compute speed and bandwidth tiers of a heterogeneous machine.
-///
-/// Speeds and bandwidths are *relative* factors (1.0 = the reference rank);
-/// non-finite or non-positive entries sanitize to 1.0 so a malformed model
-/// degrades to homogeneity instead of dividing by zero.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MachineModel {
-    speed: Vec<f64>,
-    bandwidth: Vec<f64>,
-}
+/// Load-balance cap: a rank's owned bytes may exceed the fair share
+/// `total_load / ranks` by at most this factor.
+pub const IMBALANCE: f64 = 1.10;
 
-impl MachineModel {
-    /// All ranks identical (speed 1.0, bandwidth 1.0).
-    pub fn homogeneous(n_ranks: usize) -> MachineModel {
-        MachineModel { speed: vec![1.0; n_ranks], bandwidth: vec![1.0; n_ranks] }
-    }
-
-    /// Per-rank speeds, bandwidth 1.0 everywhere.
-    pub fn with_speeds(speeds: &[f64]) -> MachineModel {
-        MachineModel::new(speeds.to_vec(), vec![1.0; speeds.len()])
-    }
-
-    /// Per-rank speeds and bandwidths; the shorter list pads with 1.0.
-    pub fn new(mut speed: Vec<f64>, mut bandwidth: Vec<f64>) -> MachineModel {
-        let n = speed.len().max(bandwidth.len());
-        speed.resize(n, 1.0);
-        bandwidth.resize(n, 1.0);
-        let sane = |v: &mut Vec<f64>| {
-            for x in v.iter_mut() {
-                if !x.is_finite() || *x <= 0.0 {
-                    *x = 1.0;
-                }
-            }
-        };
-        sane(&mut speed);
-        sane(&mut bandwidth);
-        MachineModel { speed, bandwidth }
-    }
-
-    /// The model resized to exactly `n_ranks` ranks (extra ranks are
-    /// reference-speed); placement always works against a model of the
-    /// backend's width.
-    pub fn resized(&self, n_ranks: usize) -> MachineModel {
-        let mut m = self.clone();
-        m.speed.resize(n_ranks, 1.0);
-        m.bandwidth.resize(n_ranks, 1.0);
-        m.speed.truncate(n_ranks);
-        m.bandwidth.truncate(n_ranks);
-        m
-    }
-
-    pub fn n_ranks(&self) -> usize {
-        self.speed.len()
-    }
-
-    pub fn speed(&self, rank: usize) -> f64 {
-        self.speed.get(rank).copied().unwrap_or(1.0)
-    }
-
-    pub fn bandwidth(&self, rank: usize) -> f64 {
-        self.bandwidth.get(rank).copied().unwrap_or(1.0)
-    }
-
-    /// Rank `r`'s fair share of the total load: `speed(r) / Σ speed`.
-    pub fn share(&self, rank: usize) -> f64 {
-        let total: f64 = self.speed.iter().sum();
-        if total <= 0.0 {
-            return 1.0 / self.n_ranks().max(1) as f64;
-        }
-        self.speed(rank) / total
-    }
-
-    /// Effective link bandwidth between two ranks: the slower endpoint.
-    pub fn link(&self, a: usize, b: usize) -> f64 {
-        self.bandwidth(a).min(self.bandwidth(b))
-    }
-
-    /// Is any rank non-reference? (Homogeneous models skip hetero pricing.)
-    pub fn is_heterogeneous(&self) -> bool {
-        self.speed.iter().chain(&self.bandwidth).any(|&x| x != 1.0)
-    }
-}
+/// Upper bound on KL/FM refinement sweeps.
+pub const MAX_PASSES: usize = 8;
 
 /// How colors map to ranks.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -159,40 +83,22 @@ impl PlacementPolicy {
     }
 }
 
-/// Placement inputs: the policy plus the solver's knobs.
-#[derive(Clone, Debug, PartialEq)]
+/// Placement inputs: the policy. The balance cap and the refinement
+/// bound are the constants [`IMBALANCE`] and [`MAX_PASSES`].
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlacementConfig {
     pub policy: PlacementPolicy,
-    /// Load-balance cap: each rank's owned bytes may exceed its
-    /// speed-weighted fair share by at most this factor (≥ 1.0).
-    pub imbalance: f64,
-    /// Upper bound on KL/FM refinement sweeps.
-    pub max_passes: usize,
-    /// Per-rank speeds/bandwidths; `None` is homogeneous.
-    pub machine: Option<MachineModel>,
 }
 
 impl Default for PlacementConfig {
     fn default() -> Self {
-        PlacementConfig {
-            policy: PlacementPolicy::Block,
-            imbalance: 1.10,
-            max_passes: 8,
-            machine: None,
-        }
+        PlacementConfig { policy: PlacementPolicy::Block }
     }
 }
 
 impl PlacementConfig {
     pub fn cost_driven() -> PlacementConfig {
-        PlacementConfig { policy: PlacementPolicy::CostDriven, ..PlacementConfig::default() }
-    }
-
-    fn resolved_machine(&self, n_ranks: usize) -> MachineModel {
-        match &self.machine {
-            Some(m) => m.resized(n_ranks),
-            None => MachineModel::homogeneous(n_ranks),
-        }
+        PlacementConfig { policy: PlacementPolicy::CostDriven }
     }
 }
 
@@ -302,42 +208,17 @@ impl Adjacency {
         &self.edges[self.offsets[c] as usize..self.offsets[c + 1] as usize]
     }
 
-    /// Bandwidth-priced cost color `c` pays at rank `r` under `cur`:
-    /// `Σ_d affinity(c,d) / link(r, rank(d))` over cross-rank neighbors.
-    fn cost_at(&self, c: usize, r: usize, cur: &[usize], li: &LinkInv) -> f64 {
+    /// Cut color `c` pays at rank `r` under `cur`: `Σ_d affinity(c,d)`
+    /// over its placed neighbors on other ranks.
+    fn cost_at(&self, c: usize, r: usize, cur: &[usize]) -> f64 {
         let mut cost = 0.0;
         for &(d, aff) in self.neighbors(c) {
             let s = cur[d as usize];
             if s != usize::MAX && s != r {
-                cost += aff * li.inv(r, s);
+                cost += aff;
             }
         }
         cost
-    }
-}
-
-/// Reciprocal link bandwidths, tabulated once per solve (`n_ranks²`
-/// entries): every edge pricing in the refinement loops is a multiply
-/// instead of a divide plus two bandwidth lookups.
-struct LinkInv {
-    n_ranks: usize,
-    inv: Vec<f64>,
-    /// All links reference-speed (the homogeneous case): pricing a row
-    /// collapses to a subtraction instead of a dot product.
-    uniform: bool,
-}
-
-impl LinkInv {
-    fn build(m: &MachineModel, n_ranks: usize) -> LinkInv {
-        let inv: Vec<f64> =
-            (0..n_ranks * n_ranks).map(|i| 1.0 / m.link(i / n_ranks, i % n_ranks)).collect();
-        let uniform = inv.iter().all(|&x| x == 1.0);
-        LinkInv { n_ranks, inv, uniform }
-    }
-
-    #[inline]
-    fn inv(&self, r: usize, s: usize) -> f64 {
-        self.inv[r * self.n_ranks + s]
     }
 }
 
@@ -411,26 +292,20 @@ pub struct Placement {
     pub report: PlacementReport,
 }
 
-/// Achieved speed-weighted imbalance of an assignment's rank loads.
-fn achieved_imbalance(loads: &[u64], m: &MachineModel) -> f64 {
+/// Achieved imbalance of an assignment's rank loads: `max_r load_r` over
+/// the fair share.
+fn achieved_imbalance(loads: &[u64]) -> f64 {
     let total: u64 = loads.iter().sum();
     if total == 0 {
         return 1.0;
     }
-    loads
-        .iter()
-        .enumerate()
-        .map(|(r, &l)| {
-            let ideal = total as f64 * m.share(r);
-            if ideal > 0.0 {
-                l as f64 / ideal
-            } else if l > 0 {
-                f64::INFINITY
-            } else {
-                0.0
-            }
-        })
-        .fold(0.0, f64::max)
+    let max = loads.iter().copied().max().unwrap_or(0);
+    max as f64 / fair_share(total, loads.len())
+}
+
+/// Each of `n_ranks` identical ranks' share of `total` bytes.
+fn fair_share(total: u64, n_ranks: usize) -> f64 {
+    total as f64 / n_ranks as f64
 }
 
 fn rank_loads(g: &CommGraph, assignment: &[usize], n_ranks: usize) -> Vec<u64> {
@@ -441,47 +316,27 @@ fn rank_loads(g: &CommGraph, assignment: &[usize], n_ranks: usize) -> Vec<u64> {
     loads
 }
 
-/// Greedy k-way seeding: heaviest colors seed distinct ranks (fastest
-/// first), the rest join their strongest-affinity rank under the capacity
-/// cap, falling back to the least relatively loaded rank.
-fn seed_assignment(
-    g: &CommGraph,
-    adj: &Adjacency,
-    m: &MachineModel,
-    imbalance: f64,
-    n_ranks: usize,
-) -> Vec<usize> {
+/// Greedy k-way seeding: heaviest colors seed distinct ranks, the rest
+/// join their strongest-affinity rank under the capacity cap, falling back
+/// to the least loaded rank.
+fn seed_assignment(g: &CommGraph, adj: &Adjacency, n_ranks: usize) -> Vec<usize> {
     let n = g.n_colors;
     let strength: Vec<u64> = (0..n)
         .map(|c| g.load[c] + adj.neighbors(c).iter().map(|&(_, a)| a).sum::<f64>() as u64)
         .collect();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&c| (std::cmp::Reverse(strength[c]), c));
-    let mut rank_order: Vec<usize> = (0..n_ranks).collect();
-    rank_order.sort_by(|&a, &b| {
-        m.speed(b).partial_cmp(&m.speed(a)).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-    });
-    let total = g.total_load();
-    let ideals: Vec<f64> = (0..n_ranks).map(|r| total as f64 * m.share(r)).collect();
-    let caps: Vec<f64> = ideals.iter().map(|i| imbalance * i).collect();
-    let cap = |r: usize| caps[r];
-    let rel = |load_r: u64, c: usize, r: usize| -> f64 {
-        if ideals[r] > 0.0 {
-            (load_r + g.load[c]) as f64 / ideals[r]
-        } else {
-            f64::INFINITY
-        }
-    };
+    let cap = IMBALANCE * fair_share(g.total_load(), n_ranks);
     let mut cur = vec![usize::MAX; n];
     let mut loads = vec![0u64; n_ranks];
     for (i, &c) in order.iter().enumerate() {
         let r = if i < n_ranks.min(n) {
-            rank_order[i]
+            i
         } else {
-            // Strongest priced affinity among ranks with room; ties go to
-            // the least relatively loaded, then the lowest index. One pass
-            // over the neighbors buckets affinity per rank, rather than
-            // rescanning every color once per rank.
+            // Strongest affinity among ranks with room; ties go to the
+            // least loaded, then the lowest index. One pass over the
+            // neighbors buckets affinity per rank, rather than rescanning
+            // every color once per rank.
             let mut aff_by_rank = vec![0.0f64; n_ranks];
             for &(d, a) in adj.neighbors(c) {
                 if cur[d as usize] != usize::MAX {
@@ -490,29 +345,17 @@ fn seed_assignment(
             }
             let mut best: Option<(f64, usize)> = None;
             for s in 0..n_ranks {
-                if (loads[s] + g.load[c]) as f64 > cap(s) {
+                if (loads[s] + g.load[c]) as f64 > cap {
                     continue;
                 }
-                let aff = aff_by_rank[s] * m.bandwidth(s);
-                let better = match best {
-                    None => true,
-                    Some((ba, bs)) => {
-                        aff > ba || (aff == ba && rel(loads[s], c, s) < rel(loads[bs], c, bs))
-                    }
-                };
-                if better {
+                let aff = aff_by_rank[s];
+                if best.is_none_or(|(ba, bs)| aff > ba || (aff == ba && loads[s] < loads[bs])) {
                     best = Some((aff, s));
                 }
             }
             match best {
                 Some((_, s)) => s,
-                None => (0..n_ranks)
-                    .min_by(|&a, &b| {
-                        rel(loads[a], c, a)
-                            .partial_cmp(&rel(loads[b], c, b))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .unwrap_or(0),
+                None => (0..n_ranks).min_by_key(|&s| loads[s]).unwrap_or(0),
             }
         };
         cur[c] = r;
@@ -521,28 +364,24 @@ fn seed_assignment(
     cur
 }
 
-/// KL/FM gain passes over `movable` colors. Each sweep first applies every
-/// strictly positive bandwidth-priced gain *move* whose destination stays
-/// under its cap, then every strictly positive pairwise *swap* of two
+/// KL/FM gain passes over `movable` colors, which may move to any of
+/// `ranks` (every rank they sit on is one of them). Each sweep first
+/// applies every strictly positive gain *move* whose destination stays
+/// under the cap, then every strictly positive pairwise *swap* of two
 /// movable colors on different ranks — the KL half: under a tight balance
 /// cap with uniform color loads every rank sits at capacity, single moves
 /// are all blocked, and only an exchange can improve the cut. Stops at a
-/// fixpoint or after `max_passes` sweeps. Returns (passes, moves); a swap
+/// fixpoint or after [`MAX_PASSES`] sweeps. Returns (passes, moves); a swap
 /// counts as two moves.
-#[allow(clippy::too_many_arguments)]
 fn refine(
     g: &CommGraph,
     adj: &Adjacency,
-    m: &MachineModel,
-    li: &LinkInv,
-    imbalance: f64,
     n_ranks: usize,
+    ranks: &[usize],
     cur: &mut [usize],
     movable: &[usize],
-    max_passes: usize,
 ) -> (u64, u64) {
-    let total = g.total_load();
-    let caps: Vec<f64> = (0..n_ranks).map(|r| imbalance * total as f64 * m.share(r)).collect();
+    let cap = IMBALANCE * fair_share(g.total_load(), ranks.len());
     let mut loads = rank_loads(g, cur, n_ranks);
     let mut in_movable = vec![false; g.n_colors];
     for &c in movable {
@@ -556,7 +395,7 @@ fn refine(
     let mut snapshot = vec![0usize; cur.len()];
     let mut cost = vec![0.0f64; g.n_colors * n_ranks];
     let mut bucket = vec![0.0f64; n_ranks];
-    for _ in 0..max_passes {
+    for _ in 0..MAX_PASSES {
         snapshot.copy_from_slice(cur);
         let moves_at_pass_start = moves;
         let mut moved = false;
@@ -567,12 +406,12 @@ fn refine(
             // degenerates to capacity checks.
             let mut priced = false;
             let mut best: Option<(f64, usize)> = None;
-            for s in 0..n_ranks {
-                if s == r || (loads[s] + g.load[c]) as f64 > caps[s] {
+            for &s in ranks {
+                if s == r || (loads[s] + g.load[c]) as f64 > cap {
                     continue;
                 }
                 if !priced {
-                    tabulate_rank_costs(adj, li, n_ranks, cur, c, &mut cost, &mut bucket);
+                    tabulate_rank_costs(adj, n_ranks, cur, c, &mut cost, &mut bucket);
                     priced = true;
                 }
                 let gain = cost[c * n_ranks + r] - cost[c * n_ranks + s];
@@ -603,7 +442,7 @@ fn refine(
         const SWAP_EPS: f64 = 1e-6;
         if !moved {
             for &c in movable {
-                tabulate_rank_costs(adj, li, n_ranks, cur, c, &mut cost, &mut bucket);
+                tabulate_rank_costs(adj, n_ranks, cur, c, &mut cost, &mut bucket);
             }
             for &c in movable {
                 let r = cur[c];
@@ -618,13 +457,13 @@ fn refine(
                     }
                     let lr = loads[r] - g.load[c] + g.load[d];
                     let ls = loads[s] - g.load[d] + g.load[c];
-                    if lr as f64 > caps[r] || ls as f64 > caps[s] {
+                    if lr as f64 > cap || ls as f64 > cap {
                         continue;
                     }
                     let gain = cost[c * n_ranks + r] - cost[c * n_ranks + s]
                         + cost[d * n_ranks + s]
                         - cost[d * n_ranks + r]
-                        - 2.0 * g.affinity(c, d) as f64 * li.inv(r, s);
+                        - 2.0 * g.affinity(c, d) as f64;
                     if gain > SWAP_EPS && best.is_none_or(|(bg, _)| gain > bg) {
                         best = Some((gain, d));
                     }
@@ -635,17 +474,17 @@ fn refine(
                     // swaps land, and a stale "gain" can undo real
                     // progress; re-price the winning pair against the live
                     // assignment and only commit a still-positive swap.
-                    let fresh = adj.cost_at(c, r, cur, li) - adj.cost_at(c, s, cur, li)
-                        + adj.cost_at(d, s, cur, li)
-                        - adj.cost_at(d, r, cur, li)
-                        - 2.0 * g.affinity(c, d) as f64 * li.inv(r, s);
+                    let fresh = adj.cost_at(c, r, cur) - adj.cost_at(c, s, cur)
+                        + adj.cost_at(d, s, cur)
+                        - adj.cost_at(d, r, cur)
+                        - 2.0 * g.affinity(c, d) as f64;
                     if fresh > SWAP_EPS {
                         cur[c] = s;
                         cur[d] = r;
                         loads[r] = loads[r] - g.load[c] + g.load[d];
                         loads[s] = loads[s] - g.load[d] + g.load[c];
-                        tabulate_rank_costs(adj, li, n_ranks, cur, c, &mut cost, &mut bucket);
-                        tabulate_rank_costs(adj, li, n_ranks, cur, d, &mut cost, &mut bucket);
+                        tabulate_rank_costs(adj, n_ranks, cur, c, &mut cost, &mut bucket);
+                        tabulate_rank_costs(adj, n_ranks, cur, d, &mut cost, &mut bucket);
                         moves += 2;
                         moved = true;
                     }
@@ -661,8 +500,8 @@ fn refine(
         // oscillating swaps whose table gains cancel once rows refresh.
         // Re-pricing the whole cut once per pass is the ground truth: a
         // pass that fails to strictly lower it is undone and ends refinement.
-        let before = cut_before.unwrap_or_else(|| priced_cut(adj, li, &snapshot));
-        let cut_after = priced_cut(adj, li, cur);
+        let before = cut_before.unwrap_or_else(|| priced_cut(adj, &snapshot));
+        let cut_after = priced_cut(adj, cur);
         if cut_after + SWAP_EPS >= before {
             cur.copy_from_slice(&snapshot);
             moves = moves_at_pass_start;
@@ -675,13 +514,10 @@ fn refine(
 
 /// Fills `cost[c·n_ranks + t]` with [`Adjacency::cost_at`]`(c, t)` for
 /// every rank `t`: one pass over `c`'s neighbors buckets affinity by
-/// owner rank, then the row prices bucket sums instead of edges —
-/// O(deg + ranks²) instead of O(deg · ranks), and O(deg + ranks) on
-/// uniform links where row `t` is just `total − bucket[t]`.
-#[allow(clippy::too_many_arguments)]
+/// owner rank, and row `t` is `total − bucket[t]` — O(deg + ranks)
+/// instead of O(deg · ranks).
 fn tabulate_rank_costs(
     adj: &Adjacency,
-    li: &LinkInv,
     n_ranks: usize,
     cur: &[usize],
     c: usize,
@@ -698,26 +534,20 @@ fn tabulate_rank_costs(
             total += aff;
         }
     }
-    if li.uniform {
-        for (t, slot) in row.iter_mut().enumerate() {
-            *slot = total - bucket[t];
-        }
-    } else {
-        for (t, slot) in row.iter_mut().enumerate() {
-            *slot = (0..n_ranks).filter(|&u| u != t).map(|u| bucket[u] * li.inv(t, u)).sum();
-        }
+    for (t, slot) in row.iter_mut().enumerate() {
+        *slot = total - bucket[t];
     }
 }
 
-/// Bandwidth-priced cut of an assignment: `Σ affinity(a,b) / link` over
-/// cross-rank pairs (the objective [`refine`] descends).
-fn priced_cut(adj: &Adjacency, li: &LinkInv, assignment: &[usize]) -> f64 {
+/// Cut of an assignment: `Σ affinity(a,b)` over cross-rank pairs (the
+/// objective [`refine`] descends).
+fn priced_cut(adj: &Adjacency, assignment: &[usize]) -> f64 {
     let mut cut = 0.0;
     for a in 0..assignment.len() {
         for &(b, aff) in adj.neighbors(a) {
             let b = b as usize;
             if b > a && assignment[a] != assignment[b] {
-                cut += aff * li.inv(assignment[a], assignment[b]);
+                cut += aff;
             }
         }
     }
@@ -733,29 +563,18 @@ fn priced_cut(adj: &Adjacency, li: &LinkInv, assignment: &[usize]) -> f64 {
 /// graphs (stencils), where refining a scrambled greedy seed back to an
 /// equal-cut assignment would waste sweeps; greedy wins when the affinity
 /// structure is non-contiguous (pairwise bands, strided interconnects).
-pub fn cost_driven_assignment(
-    g: &CommGraph,
-    m: &MachineModel,
-    imbalance: f64,
-    max_passes: usize,
-    n_ranks: usize,
-) -> (Vec<usize>, u64, u64) {
-    let imbalance = imbalance.max(1.0);
+pub fn cost_driven_assignment(g: &CommGraph, n_ranks: usize) -> (Vec<usize>, u64, u64) {
     let adj = Adjacency::build(g);
-    let li = LinkInv::build(m, n_ranks);
-    let mut cur = seed_assignment(g, &adj, m, imbalance, n_ranks);
+    let mut cur = seed_assignment(g, &adj, n_ranks);
     let block = block_assignment(g.n_colors, n_ranks);
-    let total = g.total_load();
-    let block_fits = rank_loads(g, &block, n_ranks)
-        .iter()
-        .enumerate()
-        .all(|(r, &l)| l as f64 <= imbalance * total as f64 * m.share(r));
-    if block_fits && priced_cut(&adj, &li, &block) < priced_cut(&adj, &li, &cur) {
+    let cap = IMBALANCE * fair_share(g.total_load(), n_ranks);
+    let block_fits = rank_loads(g, &block, n_ranks).iter().all(|&l| l as f64 <= cap);
+    if block_fits && priced_cut(&adj, &block) < priced_cut(&adj, &cur) {
         cur = block;
     }
+    let ranks: Vec<usize> = (0..n_ranks).collect();
     let movable: Vec<usize> = (0..g.n_colors).collect();
-    let (passes, moves) =
-        refine(g, &adj, m, &li, imbalance, n_ranks, &mut cur, &movable, max_passes);
+    let (passes, moves) = refine(g, &adj, n_ranks, &ranks, &mut cur, &movable);
     (cur, passes, moves)
 }
 
@@ -776,8 +595,6 @@ pub fn place(
         return Err(ExchangeError::NoRanks);
     }
     let n_colors = parts.first().map(|p| p.num_subregions()).unwrap_or(0);
-    let machine = config.resolved_machine(n_ranks);
-    let imbalance = config.imbalance.max(1.0);
     let sp = partir_obs::span_with(
         "placement.solve",
         vec![
@@ -792,7 +609,7 @@ pub fn place(
         policy: config.policy.name().into(),
         n_colors,
         n_ranks,
-        imbalance_limit: imbalance,
+        imbalance_limit: IMBALANCE,
         ..PlacementReport::default()
     };
 
@@ -801,7 +618,7 @@ pub fn place(
                   mut report: PlacementReport|
      -> Result<Placement, ExchangeError> {
         let loads: Vec<u64> = (0..n_ranks).map(|r| xplan.owned_field_bytes(schema, r)).collect();
-        report.imbalance = achieved_imbalance(&loads, &machine);
+        report.imbalance = achieved_imbalance(&loads);
         report.place_ns = t_place.elapsed().as_nanos() as u64;
         report.predicted_bytes = xplan.stats.total_bytes();
         report.gain_bytes = report.predicted_block_bytes.saturating_sub(report.predicted_bytes);
@@ -828,8 +645,7 @@ pub fn place(
             let graph = CommGraph::build(plan, parts, schema)?;
             report.graph_ns = t_graph.elapsed().as_nanos() as u64;
             let t_solve = Instant::now();
-            let (cand, passes, moves) =
-                cost_driven_assignment(&graph, &machine, imbalance, config.max_passes, n_ranks);
+            let (cand, passes, moves) = cost_driven_assignment(&graph, n_ranks);
             report.solve_ns = t_solve.elapsed().as_nanos() as u64;
             report.passes = passes;
             report.moves = moves;
@@ -861,8 +677,8 @@ pub fn place(
 /// Gain-based evacuation of a dead rank: survivors keep every color they
 /// had (the migration-minimality invariant — nothing a survivor owns ever
 /// moves), and only the dead rank's colors are re-placed, greedily by
-/// affinity then refined by restricted KL/FM passes over survivor ranks
-/// with survivor-speed-weighted capacity. Replaces the round-robin deal of
+/// affinity then refined by restricted KL/FM passes over the survivor
+/// ranks under the survivors' capacity. Replaces the round-robin deal of
 /// [`crate::exchange::evacuate_assignment`], which balanced counts but not
 /// bytes or traffic.
 pub fn evacuate_placement(
@@ -872,94 +688,56 @@ pub fn evacuate_placement(
     owner: &[usize],
     dead: usize,
     n_ranks: usize,
-    config: &PlacementConfig,
 ) -> Result<Vec<usize>, ExchangeError> {
     let graph = CommGraph::build(plan, parts, schema)?;
-    Ok(evacuate_with_graph(
-        &graph,
-        &config.resolved_machine(n_ranks),
-        config.imbalance.max(1.0),
-        config.max_passes,
-        owner,
-        dead,
-        n_ranks,
-    ))
+    Ok(evacuate_with_graph(&graph, owner, dead, n_ranks))
 }
 
 /// [`evacuate_placement`] on a prebuilt graph.
 pub fn evacuate_with_graph(
     g: &CommGraph,
-    m: &MachineModel,
-    imbalance: f64,
-    max_passes: usize,
     owner: &[usize],
     dead: usize,
     n_ranks: usize,
 ) -> Vec<usize> {
     let survivors: Vec<usize> = (0..n_ranks).filter(|&r| r != dead).collect();
     assert!(!survivors.is_empty(), "cannot evacuate the last rank");
-    // Capacity over survivors only: the dead rank's share redistributes by
-    // surviving speed.
-    let sspeed: f64 = survivors.iter().map(|&r| m.speed(r)).sum();
-    let total = g.total_load();
-    let ideal = |r: usize| total as f64 * m.speed(r) / sspeed;
-    let cap = |r: usize| imbalance * ideal(r);
+    // Capacity over survivors only: the dead rank's share is theirs now.
+    let cap = IMBALANCE * fair_share(g.total_load(), survivors.len());
 
     let adj = Adjacency::build(g);
-    let li = LinkInv::build(m, n_ranks);
     let mut cur = owner.to_vec();
     let mut loads = rank_loads(g, &cur, n_ranks);
     let mut dead_colors: Vec<usize> =
         (0..g.n_colors.min(owner.len())).filter(|&c| owner[c] == dead).collect();
     dead_colors.sort_by_key(|&c| (std::cmp::Reverse(g.load[c]), c));
     // Greedy: each dead color joins the survivor where it costs least,
-    // under the survivor cap; fallback is the least relatively loaded.
+    // under the survivor cap; fallback is the least loaded.
     for &c in &dead_colors {
         loads[dead] -= g.load[c];
         cur[c] = usize::MAX;
         let mut best: Option<(f64, usize)> = None;
         for &s in &survivors {
-            if (loads[s] + g.load[c]) as f64 > cap(s) {
+            if (loads[s] + g.load[c]) as f64 > cap {
                 continue;
             }
-            let cost = adj.cost_at(c, s, &cur, &li);
+            let cost = adj.cost_at(c, s, &cur);
             if best.is_none_or(|(bc, _)| cost < bc) {
                 best = Some((cost, s));
             }
         }
         let s = match best {
             Some((_, s)) => s,
-            None => *survivors
-                .iter()
-                .min_by(|&&a, &&b| {
-                    let ra = (loads[a] + g.load[c]) as f64 / ideal(a).max(f64::MIN_POSITIVE);
-                    let rb = (loads[b] + g.load[c]) as f64 / ideal(b).max(f64::MIN_POSITIVE);
-                    ra.partial_cmp(&rb).unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .unwrap_or(&survivors[0]),
+            None => *survivors.iter().min_by_key(|&&s| loads[s]).expect("a survivor exists"),
         };
         cur[c] = s;
         loads[s] += g.load[c];
     }
     // Restricted refinement: only the evacuated colors may move, and only
     // between survivors — survivor-owned shards stay put by construction.
-    let sm = survivor_model(m, dead, n_ranks);
-    refine(g, &adj, &sm, &li, imbalance, n_ranks, &mut cur, &dead_colors, max_passes);
+    refine(g, &adj, n_ranks, &survivors, &mut cur, &dead_colors);
     debug_assert!(cur.iter().all(|&r| r != dead));
     cur
-}
-
-/// The machine with the dead rank's speed zeroed, so shares and caps are
-/// computed over survivors and no move targets the dead rank (zero share
-/// means zero capacity).
-fn survivor_model(m: &MachineModel, dead: usize, n_ranks: usize) -> MachineModel {
-    let mut speed: Vec<f64> = (0..n_ranks).map(|r| m.speed(r)).collect();
-    let bandwidth: Vec<f64> = (0..n_ranks).map(|r| m.bandwidth(r)).collect();
-    speed[dead] = 0.0;
-    // Bypass `new`'s sanitization for the deliberate zero.
-    let mut out = MachineModel::new(speed.clone(), bandwidth);
-    out.speed = speed;
-    out
 }
 
 #[cfg(test)]
@@ -1016,20 +794,6 @@ mod tests {
         let store = Store::new(schema.clone());
         let parts = plan.evaluate(&store, &fns, colors, &ExtBindings::new());
         (plan, parts, schema)
-    }
-
-    #[test]
-    fn machine_model_sanitizes_and_shares() {
-        let m = MachineModel::new(vec![2.0, 1.0, f64::NAN, -3.0], vec![1.0]);
-        assert_eq!(m.n_ranks(), 4);
-        assert_eq!(m.speed(2), 1.0, "NaN sanitizes to reference speed");
-        assert_eq!(m.speed(3), 1.0, "negative sanitizes to reference speed");
-        assert!((m.share(0) - 0.4).abs() < 1e-12, "2 / (2+1+1+1)");
-        assert_eq!(m.bandwidth(3), 1.0, "short bandwidth list pads");
-        assert!(m.is_heterogeneous());
-        assert!(!MachineModel::homogeneous(3).is_heterogeneous());
-        assert_eq!(m.resized(2).n_ranks(), 2);
-        assert_eq!(m.resized(6).speed(5), 1.0);
     }
 
     #[test]
@@ -1098,26 +862,17 @@ mod tests {
     #[test]
     fn explicit_policy_validates_like_the_core_api() {
         let (plan, parts, schema) = planned(32, 0, 4);
-        let short = PlacementConfig {
-            policy: PlacementPolicy::Explicit(vec![0, 1]),
-            ..PlacementConfig::default()
-        };
+        let short = PlacementConfig { policy: PlacementPolicy::Explicit(vec![0, 1]) };
         assert!(matches!(
             place(&plan, &parts, &schema, 2, &short),
             Err(ExchangeError::BadAssignment { bad_rank: None, .. })
         ));
-        let oob = PlacementConfig {
-            policy: PlacementPolicy::Explicit(vec![0, 1, 9, 0]),
-            ..PlacementConfig::default()
-        };
+        let oob = PlacementConfig { policy: PlacementPolicy::Explicit(vec![0, 1, 9, 0]) };
         assert!(matches!(
             place(&plan, &parts, &schema, 2, &oob),
             Err(ExchangeError::BadAssignment { bad_rank: Some(9), .. })
         ));
-        let ok = PlacementConfig {
-            policy: PlacementPolicy::Explicit(vec![1, 0, 1, 0]),
-            ..PlacementConfig::default()
-        };
+        let ok = PlacementConfig { policy: PlacementPolicy::Explicit(vec![1, 0, 1, 0]) };
         let p = place(&plan, &parts, &schema, 2, &ok).unwrap();
         assert_eq!(p.assignment, vec![1, 0, 1, 0]);
         assert_eq!(p.report.policy, "explicit");
@@ -1125,28 +880,10 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_shares_shrink_the_slow_ranks_shard() {
-        // Rank 0 is 3× faster: it must own about 3/4 of the bytes.
-        let (plan, parts, schema) = planned(64, 32, 8);
-        let cfg = PlacementConfig {
-            policy: PlacementPolicy::CostDriven,
-            machine: Some(MachineModel::with_speeds(&[3.0, 1.0])),
-            imbalance: 1.25,
-            ..PlacementConfig::default()
-        };
-        let p = place(&plan, &parts, &schema, 2, &cfg).unwrap();
-        let fast = p.xplan.owned_field_bytes(&schema, 0);
-        let slow = p.xplan.owned_field_bytes(&schema, 1);
-        assert!(fast > slow, "the fast rank must own the larger shard: fast {fast} slow {slow}");
-        assert!(p.report.imbalance <= 1.25 + 1e-9, "cap respected: {}", p.report.imbalance);
-    }
-
-    #[test]
     fn evacuation_moves_only_the_dead_ranks_colors() {
         let (plan, parts, schema) = planned(64, 32, 8);
         let p = place(&plan, &parts, &schema, 4, &PlacementConfig::cost_driven()).unwrap();
-        let cfg = PlacementConfig::cost_driven();
-        let after = evacuate_placement(&plan, &parts, &schema, &p.assignment, 2, 4, &cfg).unwrap();
+        let after = evacuate_placement(&plan, &parts, &schema, &p.assignment, 2, 4).unwrap();
         assert!(!after.contains(&2), "the dead rank owns nothing");
         for (c, (&b, &a)) in p.assignment.iter().zip(&after).enumerate() {
             if b != 2 {
@@ -1161,9 +898,8 @@ mod tests {
         let loads = vec![100, 10, 10, 10, 100, 10, 10, 10];
         let g = CommGraph::from_raw(8, &[], loads);
         let owner = vec![0, 0, 1, 1, 2, 2, 3, 3];
-        let m = MachineModel::homogeneous(4);
         let rr = evacuate_assignment(&owner, 2, 4);
-        let refined = evacuate_with_graph(&g, &m, 1.10, 8, &owner, 2, 4);
+        let refined = evacuate_with_graph(&g, &owner, 2, 4);
         let max_load = |a: &[usize]| -> u64 {
             let mut l = vec![0u64; 4];
             for (c, &r) in a.iter().enumerate() {
@@ -1193,10 +929,32 @@ mod tests {
         let edges = vec![(2usize, 5usize, 1000u64), (3, 0, 1000)];
         let g = CommGraph::from_raw(6, &edges, vec![8; 6]);
         let owner = vec![0, 0, 1, 1, 2, 2];
-        let m = MachineModel::homogeneous(3);
-        let refined = evacuate_with_graph(&g, &m, 1.5, 8, &owner, 1, 3);
+        let refined = evacuate_with_graph(&g, &owner, 1, 3);
         assert_eq!(refined[2], 2, "color 2 joins its neighbor color 5: {refined:?}");
         assert_eq!(refined[3], 0, "color 3 joins its neighbor color 0: {refined:?}");
+    }
+
+    #[test]
+    fn evacuation_places_on_survivors_only_under_the_survivors_cap() {
+        // 12 equal colors, 3 per rank. Every color talks to color 3 only,
+        // so by gain alone all of a dead rank's colors would join rank 1.
+        // The cap over the three survivors (1.1 · 120/3 = 44) admits one
+        // more color per rank; a cap over all four ranks (33) would admit
+        // none, and the fallback would stack them by load alone.
+        let edges: Vec<_> = (0..12).filter(|&c| c != 3).map(|c| (c, 3usize, 1000u64)).collect();
+        let g = CommGraph::from_raw(12, &edges, vec![10; 12]);
+        let owner = block_assignment(12, 4);
+        for dead in 0..4 {
+            let after = evacuate_with_graph(&g, &owner, dead, 4);
+            assert!(!after.contains(&dead), "dead rank {dead} still owns a color: {after:?}");
+            for (c, (&b, &a)) in owner.iter().zip(&after).enumerate() {
+                assert!(b == dead || a == b, "dead {dead}: survivor color {c} moved {b} -> {a}");
+            }
+            let loads = rank_loads(&g, &after, 4);
+            for (r, &l) in loads.iter().enumerate() {
+                assert_eq!(l, if r == dead { 0 } else { 40 }, "dead {dead}: loads {loads:?}");
+            }
+        }
     }
 
     #[test]

@@ -402,15 +402,63 @@ fn node_desc(n: GNode, system: &System) -> String {
     }
 }
 
+/// What the stages share: the committed union-find and the running
+/// account of the search.
+struct State<'a> {
+    system: &'a System,
+    fns: &'a FnTable,
+    uf: Uf,
+    check_stats: SolveStats,
+    stats: UnifyStats,
+    merge_log: Vec<MergeEntry>,
+}
+
+impl State<'_> {
+    /// A copy of the committed union-find to build a tentative merge on.
+    fn trial(&self) -> Uf {
+        Uf { parent: self.uf.parent.clone() }
+    }
+
+    /// Commits `trial` if the system rewritten under it is still solvable
+    /// (Algorithm 2, with symbols bound to externals held fixed), logging
+    /// it as a `stage` merge; otherwise counts it as refuted.
+    fn try_merge(
+        &mut self,
+        trial: Uf,
+        stage: &'static str,
+        detail: impl FnOnce() -> String,
+    ) -> bool {
+        let trial_system = rewrite_system(self.system, &trial);
+        let forced = forced_bindings(self.system, &trial);
+        match solve_with(&trial_system, self.fns, &forced, &SolveBudget::unlimited()) {
+            Ok(sol) => {
+                self.check_stats.absorb(&sol.stats);
+                self.stats.merges_accepted += 1;
+                self.merge_log.push(MergeEntry { stage, detail: detail() });
+                self.uf = trial;
+                true
+            }
+            Err(_) => {
+                self.stats.rejected_unsolvable += 1;
+                false
+            }
+        }
+    }
+}
+
 /// Runs both unification stages over an inference result.
 pub fn unify(inference: &Inference, fns: &FnTable) -> Unified {
     let system = &inference.system;
     let arena = system.arena.clone();
     let n = system.num_syms();
-    let mut uf = Uf::new(n);
-    let mut check_stats = SolveStats::default();
-    let mut ustats = UnifyStats::default();
-    let mut merge_log: Vec<MergeEntry> = Vec::new();
+    let mut st = State {
+        system,
+        fns,
+        uf: Uf::new(n),
+        check_stats: SolveStats::default(),
+        stats: UnifyStats::default(),
+        merge_log: Vec::new(),
+    };
 
     // ---- Stage 1: chain collapse (Example 4). ----
     // Count lower bounds per symbol.
@@ -426,17 +474,17 @@ pub fn unify(inference: &Inference, fns: &FnTable) -> Unified {
         if bs.len() == 1 {
             if let Expr::Sym(base) = arena.node(bs[0]) {
                 if system.sym_region(base) == system.sym_region(*p) {
-                    let rep = uf.find(base);
+                    let rep = st.uf.find(base);
                     // Avoid self-merge cycles.
                     if rep != Rep::Sym(*p) {
-                        uf.union(rep, *p);
-                        ustats.chain_collapses += 1;
+                        st.uf.union(rep, *p);
+                        st.stats.chain_collapses += 1;
                         let dst = match rep {
                             Rep::Sym(t) => node_desc(GNode::Sym(t), system),
                             Rep::Ext(x) => node_desc(GNode::Ext(x), system),
                             Rep::SelfSym => unreachable!(),
                         };
-                        merge_log
+                        st.merge_log
                             .push(MergeEntry { stage: "chain", detail: format!("{p:?} -> {dst}") });
                     }
                 }
@@ -465,16 +513,16 @@ pub fn unify(inference: &Inference, fns: &FnTable) -> Unified {
             break;
         }
         loop {
-            let ga = build_graph(&acc, system, &uf);
-            let gb = build_graph(&groups[gi], system, &uf);
-            ustats.max_graph_nodes = ustats.max_graph_nodes.max(ga.nodes.len() as u64);
-            ustats.max_graph_edges = ustats.max_graph_edges.max(ga.edges.len() as u64);
+            let ga = build_graph(&acc, system, &st.uf);
+            let gb = build_graph(&groups[gi], system, &st.uf);
+            st.stats.max_graph_nodes = st.stats.max_graph_nodes.max(ga.nodes.len() as u64);
+            st.stats.max_graph_edges = st.stats.max_graph_edges.max(ga.edges.len() as u64);
             let candidates = candidate_matches(&ga, &gb);
             let mut committed = false;
             for m in candidates.into_iter().take(MAX_TRIES) {
-                ustats.candidates_considered += 1;
+                st.stats.candidates_considered += 1;
                 // Build the tentative union.
-                let mut trial = Uf { parent: uf.parent.clone() };
+                let mut trial = st.trial();
                 let mut any = false;
                 let mut ok = true;
                 for (na, nb) in &m.pairs {
@@ -496,28 +544,12 @@ pub fn unify(inference: &Inference, fns: &FnTable) -> Unified {
                     }
                 }
                 if !ok || !any {
-                    ustats.rejected_structural += 1;
+                    st.stats.rejected_structural += 1;
                     continue;
                 }
-                // Consistency: the rewritten system must still be solvable.
-                let trial_system = rewrite_system(system, &trial);
-                let forced = forced_bindings(system, &trial);
-                match solve_with(&trial_system, fns, &forced, &SolveBudget::unlimited()) {
-                    Ok(sol) => {
-                        check_stats.absorb(&sol.stats);
-                        ustats.merges_accepted += 1;
-                        merge_log.push(MergeEntry {
-                            stage: "graph",
-                            detail: describe_pairs(&m.pairs, system),
-                        });
-                        uf = trial;
-                        committed = true;
-                        break;
-                    }
-                    Err(_) => {
-                        ustats.rejected_unsolvable += 1;
-                        continue;
-                    }
+                if st.try_merge(trial, "graph", || describe_pairs(&m.pairs, system)) {
+                    committed = true;
+                    break;
                 }
             }
             if !committed {
@@ -532,15 +564,15 @@ pub fn unify(inference: &Inference, fns: &FnTable) -> Unified {
     // only one group.
     if groups.len() == 1 && !system.subset_facts.is_empty() {
         loop {
-            let ga = build_graph(&system.subset_facts, system, &uf);
-            let gb = build_graph(&groups[0], system, &uf);
-            ustats.max_graph_nodes = ustats.max_graph_nodes.max(ga.nodes.len() as u64);
-            ustats.max_graph_edges = ustats.max_graph_edges.max(ga.edges.len() as u64);
+            let ga = build_graph(&system.subset_facts, system, &st.uf);
+            let gb = build_graph(&groups[0], system, &st.uf);
+            st.stats.max_graph_nodes = st.stats.max_graph_nodes.max(ga.nodes.len() as u64);
+            st.stats.max_graph_edges = st.stats.max_graph_edges.max(ga.edges.len() as u64);
             let candidates = candidate_matches(&ga, &gb);
             let mut committed = false;
             for m in candidates.into_iter().take(MAX_TRIES) {
-                ustats.candidates_considered += 1;
-                let mut trial = Uf { parent: uf.parent.clone() };
+                st.stats.candidates_considered += 1;
+                let mut trial = st.trial();
                 let mut any = false;
                 for (na, nb) in &m.pairs {
                     match (na, nb) {
@@ -559,24 +591,12 @@ pub fn unify(inference: &Inference, fns: &FnTable) -> Unified {
                     }
                 }
                 if !any {
-                    ustats.rejected_structural += 1;
+                    st.stats.rejected_structural += 1;
                     continue;
                 }
-                let trial_system = rewrite_system(system, &trial);
-                let forced = forced_bindings(system, &trial);
-                if let Ok(sol) = solve_with(&trial_system, fns, &forced, &SolveBudget::unlimited())
-                {
-                    check_stats.absorb(&sol.stats);
-                    ustats.merges_accepted += 1;
-                    merge_log.push(MergeEntry {
-                        stage: "graph",
-                        detail: describe_pairs(&m.pairs, system),
-                    });
-                    uf = trial;
+                if st.try_merge(trial, "graph", || describe_pairs(&m.pairs, system)) {
                     committed = true;
                     break;
-                } else {
-                    ustats.rejected_unsolvable += 1;
                 }
             }
             if !committed {
@@ -599,7 +619,10 @@ pub fn unify(inference: &Inference, fns: &FnTable) -> Unified {
         let obligations: Vec<Subset> = system
             .subset_obligations
             .iter()
-            .map(|s| Subset { lhs: uf.rewrite(system, s.lhs), rhs: uf.rewrite(system, s.rhs) })
+            .map(|s| Subset {
+                lhs: st.uf.rewrite(system, s.lhs),
+                rhs: st.uf.rewrite(system, s.rhs),
+            })
             .collect();
         for o in &obligations {
             let Expr::Sym(p) = arena.node(o.rhs) else { continue };
@@ -607,32 +630,21 @@ pub fn unify(inference: &Inference, fns: &FnTable) -> Unified {
                 continue;
             }
             for fact in &system.subset_facts {
-                let fact_lhs = uf.rewrite(system, fact.lhs);
+                let fact_lhs = st.uf.rewrite(system, fact.lhs);
                 if fact_lhs != o.lhs {
                     continue;
                 }
-                let Expr::Ext(y) = arena.node(uf.rewrite(system, fact.rhs)) else { continue };
+                let Expr::Ext(y) = arena.node(st.uf.rewrite(system, fact.rhs)) else { continue };
                 if system.ext_region(y) != system.sym_region(p) {
                     continue;
                 }
-                let mut trial = Uf { parent: uf.parent.clone() };
+                let mut trial = st.trial();
                 trial.union(Rep::Ext(y), p);
-                ustats.candidates_considered += 1;
-                let trial_system = rewrite_system(system, &trial);
-                let forced = forced_bindings(system, &trial);
-                if let Ok(sol) = solve_with(&trial_system, fns, &forced, &SolveBudget::unlimited())
-                {
-                    check_stats.absorb(&sol.stats);
-                    ustats.merges_accepted += 1;
-                    merge_log.push(MergeEntry {
-                        stage: "fact",
-                        detail: format!("{p:?} -> {}", node_desc(GNode::Ext(y), system)),
-                    });
-                    uf = trial;
+                st.stats.candidates_considered += 1;
+                let detail = || format!("{p:?} -> {}", node_desc(GNode::Ext(y), system));
+                if st.try_merge(trial, "fact", detail) {
                     changed = true;
                     break;
-                } else {
-                    ustats.rejected_unsolvable += 1;
                 }
             }
             if changed {
@@ -654,7 +666,7 @@ pub fn unify(inference: &Inference, fns: &FnTable) -> Unified {
     // satisfies COMP — and DISJ where required — from the declared facts).
     for il in &inference.loops {
         let s = il.iter_sym;
-        if uf.find(s) != Rep::Sym(s) {
+        if st.uf.find(s) != Rep::Sym(s) {
             continue; // already unified
         }
         let region = system.sym_region(s);
@@ -674,26 +686,17 @@ pub fn unify(inference: &Inference, fns: &FnTable) -> Unified {
                     continue;
                 }
             }
-            let mut trial = Uf { parent: uf.parent.clone() };
+            let mut trial = st.trial();
             trial.union(Rep::Ext(x), s);
-            ustats.candidates_considered += 1;
-            let trial_system = rewrite_system(system, &trial);
-            let forced = forced_bindings(system, &trial);
-            if let Ok(sol) = solve_with(&trial_system, fns, &forced, &SolveBudget::unlimited()) {
-                check_stats.absorb(&sol.stats);
-                ustats.merges_accepted += 1;
-                merge_log.push(MergeEntry {
-                    stage: "iter-ext",
-                    detail: format!("{s:?} -> {}", node_desc(GNode::Ext(x), system)),
-                });
-                uf = trial;
+            st.stats.candidates_considered += 1;
+            let detail = || format!("{s:?} -> {}", node_desc(GNode::Ext(x), system));
+            if st.try_merge(trial, "iter-ext", detail) {
                 break;
-            } else {
-                ustats.rejected_unsolvable += 1;
             }
         }
     }
 
+    let State { uf, check_stats, stats: ustats, merge_log, .. } = st;
     let rewritten = rewrite_system(system, &uf);
     let rep: Vec<Rep> = (0..n)
         .map(|i| {

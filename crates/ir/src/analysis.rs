@@ -14,7 +14,7 @@
 //! for every access site, the *path* of function symbols through which its
 //! index variable derives from the loop variable (empty path = centered).
 
-use crate::ast::{AccessId, IVar, Loop, ReduceOp, Stmt};
+use crate::ast::{AccessId, IVar, Loop, ReduceOp, Stmt, VExpr, VVar};
 use partir_dpl::func::{FnId, FnTable};
 use partir_dpl::region::{FieldId, RegionId};
 use std::collections::HashMap;
@@ -91,8 +91,12 @@ pub enum NotParallelizable {
     ConflictOnReducedRegion { region: RegionId, offending: AccessId },
     /// A region with an uncentered read also has a write or reduction.
     WriteOnUncenteredReadRegion { region: RegionId, offending: AccessId },
-    /// An index variable used before definition (malformed IR).
+    /// An index variable used before its definition or outside the
+    /// `ForEach` block that defines it (malformed IR).
     UndefinedIndexVar { var: IVar },
+    /// A value variable read before its definition or outside the `ForEach`
+    /// block that defines it (malformed IR).
+    UndefinedValueVar { var: VVar },
 }
 
 impl fmt::Display for NotParallelizable {
@@ -110,7 +114,10 @@ impl fmt::Display for NotParallelizable {
                 "region {region:?} is read uncentered but written by access {offending:?}"
             ),
             NotParallelizable::UndefinedIndexVar { var } => {
-                write!(f, "index variable {var:?} used before definition")
+                write!(f, "index variable {var:?} used before definition or out of scope")
+            }
+            NotParallelizable::UndefinedValueVar { var } => {
+                write!(f, "value variable {var:?} used before definition or out of scope")
             }
         }
     }
@@ -125,7 +132,7 @@ pub fn analyze(lp: &Loop, _fns: &FnTable) -> Result<LoopSummary, NotParallelizab
     paths.insert(lp.var, Vec::new());
     let mut accesses: Vec<AccessInfo> = Vec::new();
 
-    collect(&lp.body, &mut paths, &mut accesses)?;
+    collect(&lp.body, &mut paths, &mut Vec::new(), &mut accesses)?;
     accesses.sort_by_key(|a| a.id);
     debug_assert!(accesses.iter().enumerate().all(|(i, a)| a.id.0 as usize == i));
 
@@ -178,11 +185,26 @@ pub fn analyze(lp: &Loop, _fns: &FnTable) -> Result<LoopSummary, NotParallelizab
     Ok(LoopSummary { iter_region: lp.region, accesses, has_uncentered_reduce })
 }
 
+/// Walks one block. A variable is in scope from its definition to the end
+/// of the block defining it: `paths` and `values` hold the index and value
+/// variables visible at the current statement, and a `ForEach` body's
+/// additions are dropped when it ends (`LoopBuilder` hands them out for
+/// use after `end_for_each`; no partitioned run can reproduce what the
+/// interpreter's frame would still hold there).
 fn collect(
     body: &[Stmt],
     paths: &mut HashMap<IVar, Vec<FnId>>,
+    values: &mut Vec<VVar>,
     accesses: &mut Vec<AccessInfo>,
 ) -> Result<(), NotParallelizable> {
+    let check = |value: &VExpr, values: &[VVar]| {
+        let mut read = Vec::new();
+        value.vars(&mut read);
+        match read.into_iter().find(|v| !values.contains(v)) {
+            Some(var) => Err(NotParallelizable::UndefinedValueVar { var }),
+            None => Ok(()),
+        }
+    };
     for s in body {
         match s {
             Stmt::IdxRead { access, dst, region, field, src, f } => {
@@ -216,7 +238,8 @@ fn collect(
                     .ok_or(NotParallelizable::UndefinedIndexVar { var: *src })?;
                 paths.insert(*dst, p);
             }
-            Stmt::ValRead { access, region, field, idx, .. } => {
+            Stmt::ValRead { access, dst, region, field, idx } => {
+                values.push(*dst);
                 let p = paths
                     .get(idx)
                     .cloned()
@@ -229,7 +252,8 @@ fn collect(
                     path: p,
                 });
             }
-            Stmt::ValWrite { access, region, field, idx, .. } => {
+            Stmt::ValWrite { access, region, field, idx, value } => {
+                check(value, values)?;
                 let p = paths
                     .get(idx)
                     .cloned()
@@ -242,7 +266,8 @@ fn collect(
                     path: p,
                 });
             }
-            Stmt::ValReduce { access, region, field, idx, op, .. } => {
+            Stmt::ValReduce { access, region, field, idx, op, value } => {
+                check(value, values)?;
                 let p = paths
                     .get(idx)
                     .cloned()
@@ -281,8 +306,11 @@ fn collect(
                 });
                 let mut var_path = src_path;
                 var_path.push(*f);
-                paths.insert(*var, var_path);
-                collect(body, paths, accesses)?;
+                let mut inner = paths.clone();
+                inner.insert(*var, var_path);
+                let outer_values = values.len();
+                collect(body, &mut inner, values, accesses)?;
+                values.truncate(outer_values);
             }
         }
     }

@@ -92,10 +92,6 @@ pub const ERROR_CODES: &[&str] = &[
     "dist.internal",
     "dist.volume_mismatch",
     "dist.rank_lost",
-    // machine-model simulator
-    "sim.missing_region_size",
-    "sim.home_width_mismatch",
-    "sim.iter_width_mismatch",
     // builder
     "session.invalid",
     // serving layer (`partir::serve`)

@@ -31,7 +31,7 @@ use partir_core::exchange::{
     derive_exchange_with, prove_plan_legality, ExchangeError, ExchangePlan, PlanLegalityError,
 };
 use partir_core::pipeline::ParallelPlan;
-use partir_core::placement::{evacuate_placement, PlacementConfig};
+use partir_core::placement::evacuate_placement;
 use partir_dpl::func::FnTable;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{Schema, Store};
@@ -115,12 +115,6 @@ pub struct DistOptions {
     /// restore points recovery rolls back to. Without a policy, recovery
     /// restarts from epoch 0.
     pub checkpoint: Option<CheckpointPolicy>,
-    /// How solved colors map onto ranks: naive blocking (the default),
-    /// cost-driven graph partitioning over the exchange plan's predicted
-    /// pair volumes, or an explicit caller-supplied assignment. Also
-    /// drives placement-aware crash recovery (the dead rank's colors are
-    /// re-placed by communication gain instead of round-robin).
-    pub placement: PlacementConfig,
     /// Plan-legality facts already proved for *this* exchange plan and
     /// partition set (e.g. by `partir-core`'s plan cache, which bundles
     /// the proof with the cached artifacts). When set and legality is not
@@ -529,7 +523,6 @@ pub fn execute_ranks(
                     cur_xplan.owner_assignment(),
                     dead,
                     n_ranks,
-                    &opts.placement,
                 )?;
                 let nx = derive_exchange_with(plan, parts, &schema, n_ranks, &assignment)?;
                 if opts.legality != LegalityMode::Off {
@@ -838,7 +831,7 @@ mod tests {
     use super::*;
     use partir_core::eval::ExtBindings;
     use partir_core::pipeline::{auto_parallelize, Hints, Options};
-    use partir_core::placement::place;
+    use partir_core::placement::{place, PlacementConfig};
     use partir_dpl::func::{FnDef, FnTable, IndexFn};
     use partir_dpl::region::{FieldId, FieldKind, Schema};
     use partir_ir::ast::{LoopBuilder, ReduceOp, VExpr};
@@ -890,7 +883,7 @@ mod tests {
         let plan =
             auto_parallelize(&program, &fns, &schema, &Hints::new(), Options::default()).unwrap();
         let parts = plan.evaluate(&store, &fns, colors, &ExtBindings::new());
-        let placed = place(&plan, &parts, &schema, ranks, &opts.placement).unwrap();
+        let placed = place(&plan, &parts, &schema, ranks, &PlacementConfig::default()).unwrap();
         let outcome =
             execute_ranks(&program, &plan, &parts, &placed.xplan, &mut store, &fns, opts).unwrap();
         (outcome, store)

@@ -30,10 +30,10 @@
 //! slower.
 //!
 //! Checkpoint cadence comes from the same Young/Daly first-order optimum
-//! the simulator prices (`sim::FailureModel`): the optimal interval is
-//! `τ = sqrt(2 · C · MTBF)` for checkpoint cost `C`; translated into
-//! whole epochs here since the rank backend checkpoints at epoch
-//! boundaries (the only globally consistent cut the protocol has).
+//! the Figure 14 simulator prices (`FailureModel` in `partir-apps`): the
+//! optimal interval is `τ = sqrt(2 · C · MTBF)` for checkpoint cost `C`;
+//! translated into whole epochs here since the rank backend checkpoints at
+//! epoch boundaries (the only globally consistent cut the protocol has).
 
 use std::time::Duration;
 

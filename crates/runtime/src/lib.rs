@@ -1,7 +1,7 @@
 //! # partir-runtime — executing auto-parallelized programs
 //!
-//! Two execution back-ends over the plans produced by `partir-core`, one
-//! compute core, and a simulator:
+//! Two execution back-ends over the plans produced by `partir-core` and
+//! one compute core:
 //!
 //! * [`task`] — the shared compute core: plan/partition validation, loop
 //!   bodies lowered once per run to flat register programs (`lower`), and
@@ -11,9 +11,6 @@
 //!   storage;
 //! * [`exec`] — a real threaded executor (one task per subregion on a
 //!   worker pool, all over one shared store);
-//! * [`sim`] — a distributed-memory simulator with an explicit machine
-//!   model (nodes, bandwidth, latency, per-node ingress/egress) used to
-//!   reproduce the weak-scaling experiments of Figure 14;
 //! * [`dist`] — an SPMD rank-sharded backend: each rank holds only its
 //!   shard of every region plus ghost cells derived from the constraint
 //!   solution, exchanging over in-process mailboxes with results
@@ -24,7 +21,6 @@ pub mod exec;
 pub mod fault;
 mod lower;
 pub mod shared;
-pub mod sim;
 pub mod task;
 
 pub mod prelude {
@@ -32,10 +28,6 @@ pub mod prelude {
     pub use crate::exec::{execute_program, ExecError, ExecOptions, ExecReport};
     pub use crate::fault::{CheckpointPolicy, FaultPlan, RankCrash, RetryPolicy};
     pub use crate::shared::SharedStore;
-    pub use crate::sim::{
-        simulate, FailureModel, FailureSummary, MachineModel, NodeBreakdown, SimAccess, SimError,
-        SimLoop, SimResult, SimSpec,
-    };
     pub use crate::task::{LegalityViolation, PlanError};
 }
 

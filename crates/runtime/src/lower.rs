@@ -276,11 +276,12 @@ pub(crate) struct OutOfScope;
 
 /// Lowers `lp`. The body must be in the single-assignment form
 /// `LoopBuilder` produces. A variable is in scope from its assignment to
-/// the end of the block (loop body, `ForEach` body) that assigns it;
-/// nothing before the runtime checks that — `LoopBuilder` hands out a
-/// `ForEach` body's variables for use after `end_for_each`, and the
-/// parallelizability analysis does not scope them — so a read outside is
-/// found here. The interpreter would read what its frame still holds from
+/// the end of the block (loop body, `ForEach` body) that assigns it.
+/// `LoopBuilder` hands out a `ForEach` body's variables for use after
+/// `end_for_each`; the parallelizability analysis refuses such a body, so
+/// no solve plans one, but `execute_program` / `execute_ranks` take any
+/// program with any plan, so a read outside is found here too.
+/// The interpreter would read what its frame still holds from
 /// the last element or, past an empty range, from the previous iteration,
 /// which a partitioned run cannot reproduce.
 pub(crate) fn lower_loop(lp: &Loop, fns: &FnTable, schema: &Schema) -> Result<Lowered, OutOfScope> {

@@ -8,7 +8,7 @@
 //! variables after it, which must be refused before anything runs.
 
 use partir_core::eval::ExtBindings;
-use partir_core::pipeline::{auto_parallelize, Hints, Options};
+use partir_core::pipeline::{auto_parallelize, AutoError, Hints, Options};
 use partir_core::placement::{place, PlacementConfig};
 use partir_dpl::func::{FnDef, FnTable, IndexFn, MultiFn};
 use partir_dpl::region::{FieldData, FieldId, FieldKind, RegionId, Schema, Store};
@@ -299,10 +299,13 @@ fn an_index_function_leaving_its_target_fails_as_before() {
 }
 
 /// A value read inside a `ForEach` and used after it, and the `ForEach`
-/// variable itself used after it: the analysis lets both through, the
-/// interpreter reads whatever its frame still holds (the last element's
-/// value, or the previous iteration's past an empty range). Both backends
-/// refuse the program as a plan defect naming the loop, before loop 0 runs.
+/// variable itself used after it: the interpreter reads whatever its frame
+/// still holds (the last element's value, or the previous iteration's past
+/// an empty range). The analysis refuses both, so no solve yields a plan
+/// for them; a caller that brings its own plan (here: the plan of the twin
+/// whose block ends after the uses, which has the same accesses) is
+/// refused by both backends as a plan defect naming the loop, before loop 0
+/// runs.
 #[test]
 fn a_for_each_variable_read_after_the_block_is_refused_up_front() {
     for index_variable in [false, true] {
@@ -325,17 +328,31 @@ fn a_for_each_variable_read_after_the_block_is_refused_up_front() {
         let w = first.val_read(cols, cw, i);
         first.val_write(cols, cw, i, VExpr::mul(VExpr::var(w), VExpr::Const(2.0)));
 
-        let mut b = LoopBuilder::new("leak", rows);
-        let i = b.loop_var();
-        let k = b.begin_for_each(f_rows, i);
-        let inside = b.val_read(cols, cw, k);
-        b.end_for_each();
-        let v = if index_variable { b.val_read(cols, cw, k) } else { inside };
-        b.val_write(rows, out, i, VExpr::var(v));
-        let program = [first.finish(), b.finish()];
+        let leak = |scoped: bool| {
+            let mut b = LoopBuilder::new("leak", rows);
+            let i = b.loop_var();
+            let k = b.begin_for_each(f_rows, i);
+            let inside = b.val_read(cols, cw, k);
+            if !scoped {
+                b.end_for_each();
+            }
+            let v = if index_variable { b.val_read(cols, cw, k) } else { inside };
+            b.val_write(rows, out, i, VExpr::var(v));
+            if scoped {
+                b.end_for_each();
+            }
+            b.finish()
+        };
+        let first = first.finish();
+        let program = [first.clone(), leak(false)];
 
-        let plan = auto_parallelize(&program, &fns, &schema, &Hints::new(), Options::default())
-            .expect("the analysis does not scope ForEach variables");
+        assert!(matches!(
+            auto_parallelize(&program, &fns, &schema, &Hints::new(), Options::default()),
+            Err(AutoError::NotParallelizable(_))
+        ));
+        let twin = [first, leak(true)];
+        let plan = auto_parallelize(&twin, &fns, &schema, &Hints::new(), Options::default())
+            .expect("the twin is well scoped");
         let parts = plan.evaluate(&store, &fns, 3, &ExtBindings::new());
         let want = PlanError::VariableOutOfScope { loop_index: 1 };
 

@@ -1,5 +1,6 @@
 //! Weak-scaling study on the distributed-memory simulator: the Stencil
-//! benchmark's Manual vs Auto comparison (a miniature Figure 14b).
+//! benchmark's Manual vs Auto comparison (a miniature Figure 14b, through
+//! the same `weak_scaling` driver the `fig14` bin uses).
 //!
 //! The auto-parallelized stencil uses eight affine image partitions (one
 //! per neighbor); the hand-optimized version consolidates the halo exchange

@@ -164,7 +164,7 @@ impl Partir {
 mod tests {
     use super::*;
     use crate::{Backend, Run, RunOutcome};
-    use partir_core::placement::{PlacementConfig, PlacementPolicy};
+    use partir_core::placement::PlacementPolicy;
     use partir_dpl::func::{FnDef, IndexFn};
     use partir_dpl::region::{FieldId, FieldKind, Store};
     use partir_ir::ast::{LoopBuilder, ReduceOp, VExpr};
@@ -410,10 +410,6 @@ mod tests {
         let on_threads =
             Run::new().backend(Backend::Threads(2)).placement(PlacementPolicy::CostDriven);
         invalid(on_threads, &plan, &seed);
-        let bad_imbalance = Run::new()
-            .backend(Backend::Ranks(2))
-            .placement_config(PlacementConfig { imbalance: 0.5, ..PlacementConfig::cost_driven() });
-        invalid(bad_imbalance, &plan, &seed);
     }
 
     #[test]

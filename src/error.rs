@@ -1,8 +1,8 @@
 //! The unified `partir::Error`.
 //!
 //! Every layer of the pipeline has its own typed error (pipeline,
-//! solver, exchange derivation, threaded executor, distributed executor,
-//! simulator). The builder API surfaces them all as one enum so callers
+//! solver, exchange derivation, threaded executor, distributed
+//! executor). The builder API surfaces them all as one enum so callers
 //! match on a single type, and [`Error::error_code`] gives each failure a
 //! stable string from the `partir-report-v1` registry
 //! ([`partir_obs::report::ERROR_CODES`]) for machine-readable failure
@@ -14,7 +14,6 @@ use partir_core::pipeline::AutoError;
 use partir_core::solve::SolveError;
 use partir_runtime::dist::DistError;
 use partir_runtime::exec::ExecError;
-use partir_runtime::sim::SimError;
 use partir_runtime::task::PlanError;
 use std::fmt;
 
@@ -66,8 +65,6 @@ pub enum Error {
     Exec(ExecError),
     /// Distributed-executor failure (`dist.*`).
     Dist(DistError),
-    /// Machine-model simulator failure (`sim.*`).
-    Sim(SimError),
     /// Builder misuse: an inconsistent or impossible solve or run
     /// configuration (`session.invalid`).
     Session(String),
@@ -107,11 +104,6 @@ impl Error {
                 DistError::Internal(_) => "dist.internal",
                 DistError::VolumeMismatch { .. } => "dist.volume_mismatch",
                 DistError::RankLost { .. } => "dist.rank_lost",
-            },
-            Error::Sim(e) => match e {
-                SimError::MissingRegionSize { .. } => "sim.missing_region_size",
-                SimError::HomeWidthMismatch { .. } => "sim.home_width_mismatch",
-                SimError::IterWidthMismatch { .. } => "sim.iter_width_mismatch",
             },
             Error::Session(_) => "session.invalid",
             Error::Serve(e) => match e {
@@ -169,7 +161,6 @@ impl fmt::Display for Error {
             Error::Exchange(e) => write!(f, "{e}"),
             Error::Exec(e) => write!(f, "{e}"),
             Error::Dist(e) => write!(f, "{e}"),
-            Error::Sim(e) => write!(f, "{e}"),
             Error::Session(m) => write!(f, "invalid session configuration: {m}"),
             Error::Serve(e) => write!(f, "{e}"),
             Error::Cache(e) => write!(f, "{e}"),
@@ -185,7 +176,6 @@ impl std::error::Error for Error {
             Error::Exchange(e) => Some(e),
             Error::Exec(e) => Some(e),
             Error::Dist(e) => Some(e),
-            Error::Sim(e) => Some(e),
             Error::Session(_) => None,
             Error::Serve(e) => Some(e),
             Error::Cache(e) => Some(e),
@@ -220,12 +210,6 @@ impl From<ExecError> for Error {
 impl From<DistError> for Error {
     fn from(e: DistError) -> Self {
         Error::Dist(e)
-    }
-}
-
-impl From<SimError> for Error {
-    fn from(e: SimError) -> Self {
-        Error::Sim(e)
     }
 }
 
@@ -314,9 +298,6 @@ mod tests {
                 measured_bytes: 0,
             }),
             Error::Dist(DistError::RankLost { rank: 2, epoch: 5 }),
-            Error::Sim(SimError::MissingRegionSize { region: RegionId(0) }),
-            Error::Sim(SimError::HomeWidthMismatch { region: RegionId(0), expected: 2, got: 3 }),
-            Error::Sim(SimError::IterWidthMismatch { loop_name: "l".into(), expected: 2, got: 3 }),
             Error::Session("bad".into()),
             Error::Serve(ServeError::OverBudget),
             Error::Serve(ServeError::QueueFull { cap: 64 }),

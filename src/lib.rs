@@ -27,9 +27,9 @@
 //! * [`runtime`] — one compute core (legality checking, reduction
 //!   buffers, relaxation guards, private sub-partitions) under two
 //!   backends — a threaded executor and an SPMD rank-sharded distributed
-//!   backend with constraint-derived ghost exchange — and a
-//!   distributed-memory simulator for the weak-scaling experiments;
-//! * [`apps`] — the five benchmark applications of the paper's evaluation.
+//!   backend with constraint-derived ghost exchange;
+//! * [`apps`] — the five benchmark applications of the paper's evaluation
+//!   and the distributed-memory simulator that prices their weak scaling.
 //!
 //! ## Quickstart
 //!

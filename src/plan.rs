@@ -215,15 +215,14 @@ impl Run {
         self
     }
 
-    /// Owner-mapping policy for the rank backend (default: `Block`),
-    /// keeping the current config's tuning knobs.
+    /// Owner-mapping policy for the rank backend (default: `Block`).
     pub fn placement(mut self, policy: PlacementPolicy) -> Self {
         self.placement.policy = policy;
         self
     }
 
-    /// Full placement configuration (default:
-    /// [`PlacementConfig::default`]).
+    /// The same policy, as the [`PlacementConfig`] the core API takes
+    /// (default: [`PlacementConfig::default`]).
     pub fn placement_config(mut self, config: PlacementConfig) -> Self {
         self.placement = config;
         self
@@ -294,10 +293,6 @@ impl Run {
         // `derive_exchange_with`, whose `ExchangeError::BadAssignment`
         // carries the precise defect — the builder path surfaces the same
         // typed error as the core API.
-        let imbalance = self.placement.imbalance;
-        if !imbalance.is_finite() || imbalance < 1.0 {
-            return invalid(format!("placement imbalance factor must be >= 1.0, got {imbalance}"));
-        }
         Ok(())
     }
 
@@ -354,7 +349,6 @@ impl Run {
                     strict_volume: self.obs.strict_volume,
                     fault: self.fault,
                     checkpoint: self.checkpoint,
-                    placement: self.placement.clone(),
                     preproved: artifacts.proof_facts,
                 };
                 let outcome = execute_ranks(

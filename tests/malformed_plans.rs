@@ -1,7 +1,9 @@
 //! Plan/partition validation, pinned per backend: each of the seven
 //! malformed shapes the executors reject before running anything is fed to
 //! the threaded executor and to the rank backend, and must come back with
-//! the same registered `exec.*` / `dist.*` code it always had.
+//! the same registered `exec.*` / `dist.*` code it always had. The eighth
+//! shape they reject, a body reading a `ForEach`'s variable after the
+//! block, never gets that far through the facade: `solve()` refuses it.
 
 use partir::core::eval::ExtBindings;
 use partir::core::exchange::ExchangePlan;
@@ -174,5 +176,37 @@ fn every_malformed_shape_keeps_its_code_on_both_backends() {
         assert_eq!(exec, format!("exec.{name}"));
         assert_eq!(dist, format!("dist.{name}"));
         assert!(is_known_error_code(exec) && is_known_error_code(dist), "{name}");
+    }
+}
+
+/// A value read inside a `ForEach` and used after it, and the `ForEach`
+/// variable itself used after it: `solve()` refuses both where the program
+/// is first seen, so neither reaches a backend's
+/// `*.variable_out_of_scope`.
+#[test]
+fn a_for_each_variable_read_after_the_block_is_not_parallelizable() {
+    for index_variable in [false, true] {
+        let mut schema = Schema::new();
+        let rows = schema.add_region("Rows", 16);
+        let cols = schema.add_region("Cols", 16);
+        let range = schema.add_field(rows, "range", FieldKind::Range(cols));
+        let out = schema.add_field(rows, "out", FieldKind::F64);
+        let cw = schema.add_field(cols, "w", FieldKind::F64);
+        let mut fns = FnTable::new();
+        let f_rows = fns.add_range_field("rows", rows, cols, range);
+
+        let mut b = LoopBuilder::new("leak", rows);
+        let i = b.loop_var();
+        let k = b.begin_for_each(f_rows, i);
+        let inside = b.val_read(cols, cw, k);
+        b.end_for_each();
+        let v = if index_variable { b.val_read(cols, cw, k) } else { inside };
+        b.val_write(rows, out, i, VExpr::var(v));
+
+        let err = Partir::new(vec![b.finish()], fns, schema)
+            .colors(COLORS)
+            .solve()
+            .expect_err("a read outside the assigning block must not be planned");
+        assert_eq!(err.error_code(), "auto.not_parallelizable", "{err}");
     }
 }
