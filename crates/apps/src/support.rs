@@ -5,7 +5,8 @@
 use crate::sim::{
     simulate, MachineModel, NodeBreakdown, SimAccess, SimKind, SimLoop, SimResult, SimSpec,
 };
-use partir_core::pipeline::{ParallelPlan, PlannedReduce};
+use partir_core::exchange::access_sets;
+use partir_core::pipeline::ParallelPlan;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{RegionId, Store};
 use partir_ir::analysis::AccessKind;
@@ -47,17 +48,15 @@ pub fn sim_spec_from_plan(
         // Accesses sharing one partition share one physical instance (and
         // thus one data movement): deduplicate by (partition, access
         // class), like the runtime would.
-        let mut seen: Vec<(u32, u8, Option<u32>)> = Vec::new();
+        let mut seen: Vec<(u32, u8, Option<*const Partition>)> = Vec::new();
         for ap in &loop_plan.accesses {
-            let class: u8 = match (&ap.kind, &ap.reduce) {
-                (AccessKind::Read, _) => 0,
-                (AccessKind::Write, _) => 1,
-                _ => 2,
+            let class: u8 = match ap.kind {
+                AccessKind::Read => 0,
+                AccessKind::Write => 1,
+                AccessKind::Reduce(_) => 2,
             };
-            let private = match &ap.reduce {
-                Some(PlannedReduce::BufferedPrivate { private }) => Some(private.0),
-                _ => None,
-            };
+            let buffered = access_sets(ap, &iter, parts, schema).and_then(|sets| sets.buffered);
+            let private = buffered.as_ref().and_then(|b| b.private).map(std::ptr::from_ref);
             let key = (ap.part.0, class, private);
             if seen.contains(&key) {
                 continue;
@@ -65,24 +64,12 @@ pub fn sim_spec_from_plan(
             seen.push(key);
             let part = Partition::clone(&parts[ap.part.0 as usize]);
             let region = part.region;
-            let kind = match (&ap.kind, &ap.reduce) {
+            let kind = match (ap.kind, buffered) {
                 (AccessKind::Read, _) => SimKind::Read,
                 (AccessKind::Write, _) => SimKind::Write,
-                (AccessKind::Reduce(_), None) => SimKind::ReduceDirect, // centered
-                (AccessKind::Reduce(_), Some(PlannedReduce::Direct))
-                | (AccessKind::Reduce(_), Some(PlannedReduce::Guarded)) => SimKind::ReduceDirect,
-                (AccessKind::Reduce(_), Some(PlannedReduce::Buffered)) => {
-                    SimKind::ReduceBuffered { buffer_sets: part.subregions().to_vec() }
-                }
-                (AccessKind::Reduce(_), Some(PlannedReduce::BufferedPrivate { private })) => {
-                    let ppart = &parts[private.0 as usize];
-                    let sets = part
-                        .subregions()
-                        .iter()
-                        .zip(ppart.subregions())
-                        .map(|(a, p)| a.difference(p))
-                        .collect();
-                    SimKind::ReduceBuffered { buffer_sets: sets }
+                (AccessKind::Reduce(_), None) => SimKind::ReduceDirect,
+                (AccessKind::Reduce(_), Some(b)) => {
+                    SimKind::ReduceBuffered { buffer_sets: b.sets().into_owned() }
                 }
             };
             let expr_weight = pexpr_weight(&plan.partition_exprs[ap.part.0 as usize]);

@@ -1,76 +1,199 @@
 //! Constraint-derived communication plans for rank-sharded execution.
 //!
 //! The SPMD backend (`partir-runtime::dist`) shards every region across
-//! ranks by a *block owner mapping* of partition colors to ranks. What each
+//! ranks by an *owner mapping* of partition colors to ranks. What each
 //! rank must communicate is not guessed from the loop text — it is derived
-//! from the same solved partitions the threaded executor uses:
+//! from the same solved partitions the threaded executor uses, and stated
+//! once, as two tables every consumer reads:
+//!
+//! * **What an access touches** — [`access_sets`], the one place the
+//!   `(AccessKind, PlannedReduce)` pair is interpreted. Per `(loop,
+//!   access)` it names the partition whose subregions must be *resident*
+//!   on the executing rank, the per-color sets mutated *in place*, and the
+//!   per-color sets of a two-step reduction's task-local *buffer*. The
+//!   derivation below, the legality proof ([`prove_plan_legality`]), both
+//!   executors (`partir-runtime::task`, the threaded executor's rollback
+//!   snapshots) and the simulator specs (`partir-apps`) read it.
+//! * **What an epoch sends** — [`LoopExchange::pairs`], per ordered rank
+//!   pair `[src][dst]` the loop's two messages in wire order: the
+//!   pre-loop `ghost` values and the post-loop write-backs plus routed
+//!   partial-buffer slices. The rank protocol packs, awaits, unpacks and
+//!   merges by walking this table; the volume prediction
+//!   ([`ExchangePlan::predicted_pair_volume_from`]), the totals
+//!   ([`ExchangePlan::stats`]) and placement's edge weights are one fold
+//!   over it.
+//!
+//! The derivation that fills the second table from the first:
 //!
 //! * **owned(rank)** — the union of the owner partition's subregions over
-//!   the rank's color block, for each region. The owner partition is any
+//!   the rank's colors, for each region. The owner partition is any
 //!   solved partition of the region that is disjoint *and* complete
 //!   (iteration partitions are preferred); when the plan produced none, a
 //!   block `equal` partition is synthesized — exactly the fallback the
 //!   paper's solver uses for unconstrained symbols.
 //! * **needed(rank, loop)** — per f64 field, the union over the rank's
-//!   colors of the access-partition subregions of every access to that
-//!   field. This is the `COMP`-verdict data: the access partitions *are*
-//!   the solver's description of which elements each color touches.
+//!   colors of the resident sets of every access to that field. This is
+//!   the `COMP`-verdict data: the access partitions *are* the solver's
+//!   description of which elements each color touches.
 //! * **ghosts** — `needed − owned`, split by the owner map into per-source
 //!   fetch sets. All fields of one `(src, dst)` pair batch into a single
 //!   message per loop ("epoch").
-//! * **write-backs** — elements a rank mutates in place (centered writes,
-//!   direct/guarded reductions, the private slice of `BufferedPrivate`)
-//!   but does not own; after the loop they are sent to the owner, which
-//!   installs them verbatim (each element has exactly one in-place writer,
-//!   by the same disjointness argument the threaded executor relies on).
-//! * **buffer routes** — for two-step (`Buffered`/`BufferedPrivate`)
-//!   reductions, each color's buffer set is split by owner; non-owner
-//!   portions travel with the write-back message and the owner merges all
-//!   partial buffers in ascending color order, reproducing the threaded
-//!   executor's deterministic merge bit-for-bit.
+//! * **write-backs** — in-place sets a rank does not own; after the loop
+//!   they are sent to the owner, which installs them verbatim (each
+//!   element has exactly one in-place writer, by disjointness).
+//! * **partial slices** — each color's buffer set is split by owner; the
+//!   pieces travel with the write-back message (the owner's own pieces
+//!   sit on the self pair) and the owner merges all of them in ascending
+//!   color order, which is the threaded executor's merge order.
 //!
 //! Everything is precomputed once per plan into an [`ExchangePlan`] and
 //! reused across executions (the sets depend only on the plan, the
-//! evaluated partitions, and the rank count — not on field values).
+//! evaluated partitions, and the owner mapping — not on field values).
 
-use crate::pipeline::{ParallelPlan, PlannedReduce};
+use crate::pipeline::{AccessPlan, ParallelPlan, PlannedReduce};
 use partir_dpl::index_set::{Idx, IndexSet};
 use partir_dpl::ops::equal;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, FieldKind, RegionId, Schema};
 use partir_ir::analysis::AccessKind;
 use partir_ir::ast::ReduceOp;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
+
+/// What one access to an f64 field touches, per color.
+pub struct AccessSets<'a> {
+    pub field: FieldId,
+    /// `resident.subregion(c)`: the store elements color `c` reads or
+    /// mutates in place — they need a slot on the executing rank (and, for
+    /// in-place reductions, the owner's pre-loop value). `None` for a
+    /// `Buffered` reduction, which touches no store element until the
+    /// owner's merge.
+    pub resident: Option<&'a Partition>,
+    /// The task-local buffer of a two-step reduction.
+    pub buffered: Option<BufferedSets<'a>>,
+    /// See [`AccessSets::in_place`].
+    in_place: Option<&'a [IndexSet]>,
+    /// A centered write: over an aliased iteration partition it applies
+    /// only in the first color owning the iteration.
+    first_owner_only: bool,
+}
+
+impl<'a> AccessSets<'a> {
+    /// `in_place(..)?[c]`: the store elements color `c` may mutate. Each
+    /// element has one in-place writer: the sets are disjoint across
+    /// colors. `write_own` is the iteration partition's first-owner
+    /// narrowing ([`Partition::first_owner`]).
+    pub fn in_place(&self, write_own: Option<&'a [IndexSet]>) -> Option<&'a [IndexSet]> {
+        match write_own {
+            Some(own) if self.first_owner_only => Some(own),
+            _ => self.in_place,
+        }
+    }
+}
+
+/// The element sets a two-step (`Buffered` / `BufferedPrivate`) reduction
+/// accumulates in task-local buffers.
+pub struct BufferedSets<'a> {
+    pub op: ReduceOp,
+    /// The access partition: everything the reduction may target.
+    pub part: &'a Partition,
+    /// The private sub-partition reduced in place instead (Section 5.2).
+    pub private: Option<&'a Partition>,
+}
+
+impl<'a> BufferedSets<'a> {
+    /// `sets()[c]`: the elements color `c`'s buffer covers, in buffer order.
+    pub fn sets(&self) -> Cow<'a, [IndexSet]> {
+        match self.private {
+            None => Cow::Borrowed(self.part.subregions()),
+            Some(p) => self.part.iter().zip(p.iter()).map(|(a, p)| a.difference(p)).collect(),
+        }
+    }
+}
+
+/// The element sets of one access, or `None` when it has no f64 footprint:
+/// `Ptr`/`Range` topology fields are replicated on every rank, and a
+/// `ForEach` header over a single-valued function reads no field at all.
+/// `parts[ap.part]` and a private sub-partition must exist.
+pub fn access_sets<'a>(
+    ap: &AccessPlan,
+    iter: &'a Partition,
+    parts: &'a [Arc<Partition>],
+    schema: &Schema,
+) -> Option<AccessSets<'a>> {
+    let field = ap.field.filter(|&f| matches!(schema.field(f).kind, FieldKind::F64))?;
+    let part: &Partition = &parts[ap.part.0 as usize];
+    let (resident, in_place, buffered) = match (ap.kind, &ap.reduce) {
+        (AccessKind::Read, _) => (Some(part), None, None),
+        (AccessKind::Write, _) => (Some(part), Some(iter.subregions()), None),
+        // A centered reduction: the iteration partition is disjoint.
+        (AccessKind::Reduce(_), None) => (Some(part), Some(iter.subregions()), None),
+        (AccessKind::Reduce(_), Some(PlannedReduce::Direct | PlannedReduce::Guarded)) => {
+            (Some(part), Some(part.subregions()), None)
+        }
+        (AccessKind::Reduce(op), Some(PlannedReduce::Buffered)) => {
+            (None, None, Some(BufferedSets { op, part, private: None }))
+        }
+        (AccessKind::Reduce(op), Some(PlannedReduce::BufferedPrivate { private })) => {
+            let private: &Partition = &parts[private.0 as usize];
+            let buffered = BufferedSets { op, part, private: Some(private) };
+            (Some(private), Some(private.subregions()), Some(buffered))
+        }
+    };
+    let first_owner_only = ap.kind.is_write();
+    Some(AccessSets { field, resident, buffered, in_place, first_owner_only })
+}
 
 /// Per-field transfer sets of one `(src, dst)` pair, ascending by field id;
 /// only non-empty sets are stored.
 pub type FieldSets = Vec<(FieldId, IndexSet)>;
 
-/// Routing of one two-step reduction access: who owns which slice of each
-/// color's buffer set.
+/// One two-step reduction access of a loop and its per-color buffer sets.
 #[derive(Clone, Debug)]
 pub struct BufferRoute {
     /// Access index within the loop plan.
     pub access: usize,
     pub field: FieldId,
     pub op: ReduceOp,
-    /// For every color `c`: the owner split of the color's buffer set,
-    /// ascending by destination rank. The union of the slices is exactly
-    /// the buffer set, because the owner map is complete.
-    pub by_color: Vec<Vec<(usize, IndexSet)>>,
+    /// `sets[c]`: the elements color `c`'s buffer covers ([`BufferedSets::sets`]).
+    pub sets: Vec<IndexSet>,
+}
+
+/// The post-loop message of one `(src, dst)` pair.
+#[derive(Clone, Debug, Default)]
+pub struct PostMessage {
+    /// Elements `src` mutates in place but `dst` owns; installed verbatim.
+    pub write_back: FieldSets,
+    /// `(route, color, set)`: the part of `src`'s color's buffer of
+    /// `routes[route]` that `dst` owns, in wire order — route-major,
+    /// ascending color. A slice whose buffer was never allocated travels
+    /// as a cleared presence flag and no values.
+    pub slices: Vec<(usize, usize, IndexSet)>,
+}
+
+impl PostMessage {
+    pub fn is_empty(&self) -> bool {
+        self.write_back.is_empty() && self.slices.is_empty()
+    }
+}
+
+/// What `src` sends `dst` in one epoch. An empty message is not sent. On
+/// the self pair only `post.slices` can be non-empty: the partial slices an
+/// owner merges from its own colors, which never cross the wire.
+#[derive(Clone, Debug, Default)]
+pub struct PairMessages {
+    /// Pre-loop: elements `dst` needs that `src` owns, per f64 field.
+    pub ghost: FieldSets,
+    pub post: PostMessage,
 }
 
 /// Communication structure of one loop (one exchange epoch).
 #[derive(Clone, Debug, Default)]
 pub struct LoopExchange {
-    /// `ghost_fetch[dst][src]`: elements `dst` needs that `src` owns,
-    /// per f64 field. `src` packs and pushes them before the loop runs.
-    pub ghost_fetch: Vec<Vec<FieldSets>>,
-    /// `write_back[src][dst]`: elements `src` mutates in place but `dst`
-    /// owns; sent after the loop, installed verbatim by the owner.
-    pub write_back: Vec<Vec<FieldSets>>,
-    /// Two-step reduction routes, in loop-plan access order.
+    /// `pairs[src][dst]`: the epoch's message table.
+    pub pairs: Vec<Vec<PairMessages>>,
+    /// Two-step reduction accesses, in loop-plan access order.
     pub routes: Vec<BufferRoute>,
     /// Per rank: colors whose every in-place f64 access stays inside the
     /// rank's owned sets — safe to run *before* ghosts arrive (overlapping
@@ -134,79 +257,82 @@ pub struct ExchangePlan {
     ghosts: Vec<Vec<IndexSet>>,
     /// `locals[region][rank] = owned ∪ ghosts` (rank-store footprint).
     locals: Vec<Vec<IndexSet>>,
+    /// See [`ExchangeStats::replication_bytes`].
+    replication_bytes: u64,
     pub loops: Vec<LoopExchange>,
-    pub stats: ExchangeStats,
 }
 
-/// Statically predicted traffic of one `(src, dst)` rank pair over a full
-/// program pass: what the runtime *must* move if it follows the plan.
+/// Statically predicted traffic of one `(src, dst)` rank pair: what the
+/// runtime moves when it walks the message table.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PairVolume {
-    pub bytes: u64,
+    pub ghost_bytes: u64,
+    pub write_back_bytes: u64,
+    pub partial_bytes: u64,
     pub messages: u64,
 }
 
+impl PairVolume {
+    pub fn bytes(&self) -> u64 {
+        self.ghost_bytes + self.write_back_bytes + self.partial_bytes
+    }
+
+    /// Adds one epoch's messages. Partial slices are counted as present: a
+    /// slice is non-empty only when the source color's access partition
+    /// touches elements outside its private slice, and the evaluated access
+    /// partitions are exact images of the iteration sets, so the color's
+    /// buffer always allocates.
+    fn add(&mut self, m: &PairMessages) {
+        let bytes = |sets: &FieldSets| sets.iter().map(|(_, s)| s.len() * 8).sum::<u64>();
+        self.ghost_bytes += bytes(&m.ghost);
+        self.write_back_bytes += bytes(&m.post.write_back);
+        self.partial_bytes += m.post.slices.iter().map(|(_, _, s)| s.len() * 8).sum::<u64>();
+        self.messages += u64::from(!m.ghost.is_empty()) + u64::from(!m.post.is_empty());
+    }
+}
+
 impl ExchangePlan {
-    /// Predicts bytes and messages per `(src, dst)` pair, indexed
-    /// `[src][dst]`, purely from the plan — mirroring the rank epoch
-    /// protocol's send decisions (`dist/rank.rs` phases 1 and 5) exactly:
-    /// one ghost message per non-empty `ghost_fetch[dst][src]`, one post
-    /// message per pair with write-backs or routed partial slices. The
+    /// Bytes and messages per `(src, dst)` pair over a full program pass,
+    /// indexed `[src][dst]`: the fold of every loop's message table. The
     /// mailbox layer measures the same quantities at receive time;
     /// `partir-runtime::dist` reports any per-pair delta (and errors on it
     /// in strict mode), because a runtime that moves different bytes than
     /// the constraint solution predicts is unsound, not just slow.
-    ///
-    /// Partial-buffer slices are counted as present: a route slice is
-    /// non-empty only when the source color's access partition touches
-    /// elements outside its private slice, and the evaluated access
-    /// partitions are exact images of the iteration sets, so the color's
-    /// buffer always allocates.
     pub fn predicted_pair_volume(&self) -> Vec<Vec<PairVolume>> {
         self.predicted_pair_volume_from(0)
     }
 
-    /// [`predicted_pair_volume`](Self::predicted_pair_volume) restricted to
-    /// the loops `first_loop..` — the prediction for a run resumed from a
-    /// checkpoint at epoch `first_loop` (the epochs before it never execute
-    /// on the recovered topology, so they must not be charged).
+    /// The fold from loop `first_loop` on — the prediction for a run
+    /// resumed from a checkpoint at that epoch (the epochs before it never
+    /// execute on the recovered topology, so they must not be charged).
     pub fn predicted_pair_volume_from(&self, first_loop: usize) -> Vec<Vec<PairVolume>> {
         let n = self.n_ranks;
         let mut vol = vec![vec![PairVolume::default(); n]; n];
         for lx in &self.loops[first_loop.min(self.loops.len())..] {
-            for (src, row) in vol.iter_mut().enumerate() {
-                for (dst, cell) in row.iter_mut().enumerate() {
-                    if src == dst {
-                        continue;
-                    }
-                    // Phase 1: ghosts `dst` needs that `src` owns.
-                    let ghost = &lx.ghost_fetch[dst][src];
-                    if !ghost.is_empty() {
-                        cell.messages += 1;
-                        cell.bytes += ghost.iter().map(|(_, s)| s.len() * 8).sum::<u64>();
-                    }
-                    // Phase 5: write-backs plus routed partial slices.
-                    let wb = &lx.write_back[src][dst];
-                    let mut bytes: u64 = wb.iter().map(|(_, s)| s.len() * 8).sum();
-                    let mut any_slice = false;
-                    for route in &lx.routes {
-                        for &c in self.colors_of(src) {
-                            if let Some((_, set)) =
-                                route.by_color[c].iter().find(|(d, _)| *d == dst)
-                            {
-                                any_slice = true;
-                                bytes += set.len() * 8;
-                            }
-                        }
-                    }
-                    if !wb.is_empty() || any_slice {
-                        cell.messages += 1;
-                        cell.bytes += bytes;
-                    }
+            for (src, row) in lx.pairs.iter().enumerate() {
+                for (dst, m) in row.iter().enumerate().filter(|&(dst, _)| dst != src) {
+                    vol[src][dst].add(m);
                 }
             }
         }
         vol
+    }
+
+    /// Volume totals of one program pass: the pair volumes summed, plus
+    /// the footprint facts.
+    pub fn stats(&self) -> ExchangeStats {
+        let mut stats = ExchangeStats {
+            ghost_elements: self.ghosts.iter().flatten().map(IndexSet::len).sum(),
+            replication_bytes: self.replication_bytes,
+            ..ExchangeStats::default()
+        };
+        for v in self.predicted_pair_volume().iter().flatten() {
+            stats.ghost_fetch_bytes += v.ghost_bytes;
+            stats.write_back_bytes += v.write_back_bytes;
+            stats.partial_bytes += v.partial_bytes;
+            stats.messages += v.messages;
+        }
+        stats
     }
 
     pub fn owned(&self, region: RegionId, rank: usize) -> &IndexSet {
@@ -241,19 +367,13 @@ impl ExchangePlan {
     /// shard, and the upper bound on what recovery may migrate when this
     /// rank is lost (the minimal-migration criterion).
     pub fn owned_field_bytes(&self, schema: &Schema, rank: usize) -> u64 {
-        (0..schema.num_fields())
-            .filter_map(|fi| {
-                let f = schema.field(FieldId(fi as u32));
-                matches!(f.kind, FieldKind::F64)
-                    .then(|| self.owned[f.region.0 as usize][rank].len() * 8)
-            })
-            .sum()
+        f64_field_regions(schema).map(|r| self.owned[r.0 as usize][rank].len() * 8).sum()
     }
 
     /// Deliberately removes one ghost element from the first non-empty
     /// ghost set, shrinking the owning rank's `owned ∪ ghosts` footprint
     /// below what the program touches — and strips it from every
-    /// ghost-fetch set headed to that rank, so the plan consistently
+    /// ghost message headed to that rank, so the plan consistently
     /// *lies* that the element is not needed (it is never shipped, never
     /// resident, yet still read). Exists only so tests can prove the
     /// legality machinery (plan-level proof and the runtime's residency
@@ -267,21 +387,28 @@ impl ExchangePlan {
                 let hole = IndexSet::from_indices([g]);
                 self.ghosts[ri][rank] = self.ghosts[ri][rank].difference(&hole);
                 self.locals[ri][rank] = self.locals[ri][rank].difference(&hole);
-                for lx in &mut self.loops {
-                    for sets in &mut lx.ghost_fetch[rank] {
-                        for (field, set) in sets.iter_mut() {
-                            if schema.field(*field).region.0 as usize == ri {
-                                *set = set.difference(&hole);
-                            }
+                for row in self.loops.iter_mut().flat_map(|lx| &mut lx.pairs) {
+                    let sets = &mut row[rank].ghost;
+                    for (field, set) in sets.iter_mut() {
+                        if schema.field(*field).region.0 as usize == ri {
+                            *set = set.difference(&hole);
                         }
-                        sets.retain(|(_, s)| !s.is_empty());
                     }
+                    sets.retain(|(_, s)| !s.is_empty());
                 }
                 return true;
             }
         }
         false
     }
+}
+
+/// The region of every f64 field, one entry per field.
+fn f64_field_regions(schema: &Schema) -> impl Iterator<Item = RegionId> + '_ {
+    (0..schema.num_fields()).filter_map(|fi| {
+        let f = schema.field(FieldId(fi as u32));
+        matches!(f.kind, FieldKind::F64).then_some(f.region)
+    })
 }
 
 /// Proof that every access of every loop stays inside its executing rank's
@@ -328,19 +455,18 @@ impl std::error::Error for PlanLegalityError {}
 /// `check_access` asks whether one index sits inside its access-partition
 /// subregion, and every store translation asks whether it sits inside the
 /// rank footprint. The constraint solution already states both as sets —
-/// the access partitions *are* the solver's description of what each color
-/// touches, and `derive_exchange` built the footprints from them — so the
-/// containment can be discharged per `(loop, access, color)` instead of
-/// per element. The proof is still an independent check of the derivation
-/// (it recomputes containment from the partitions, not from the ghost
-/// construction), which is what lets it catch a corrupted or hand-edited
-/// plan.
+/// the resident sets of [`access_sets`] *are* the solver's description of
+/// what each color touches in the store, and `derive_exchange` built the
+/// footprints from them — so the containment can be discharged per `(loop,
+/// access, color)` instead of per element. The proof is still an
+/// independent check of the derivation (it recomputes containment from the
+/// partitions, not from the ghost construction), which is what lets it
+/// catch a corrupted or hand-edited plan.
 ///
-/// Two-step (`Buffered`) reduction accesses are excluded: their values go
-/// to rank-local partial buffers whose index translation failure is itself
-/// the residency check, and their buffer sets are not part of the rank
-/// footprint by design. The private slice of `BufferedPrivate` *is*
-/// proved (it mutates the store in place).
+/// `Buffered` reduction accesses have no resident set: their values go to
+/// rank-local partial buffers whose index translation failure is itself
+/// the residency check. The private slice of `BufferedPrivate` *is* proved
+/// (it mutates the store in place).
 pub fn prove_plan_legality(
     xplan: &ExchangePlan,
     plan: &ParallelPlan,
@@ -350,15 +476,10 @@ pub fn prove_plan_legality(
     let sp = partir_obs::span("exchange.prove_legality");
     let mut proof = LegalityProof::default();
     for (li, lp) in plan.loops.iter().enumerate() {
+        let iter = &parts[lp.iter.0 as usize];
         for (ai, ap) in lp.accesses.iter().enumerate() {
-            if !matches!(schema.field(ap.field).kind, FieldKind::F64) {
-                continue;
-            }
-            let part: &Partition = match &ap.reduce {
-                Some(PlannedReduce::Buffered) => continue,
-                Some(PlannedReduce::BufferedPrivate { private }) => &parts[private.0 as usize],
-                _ => &parts[ap.part.0 as usize],
-            };
+            let sets = access_sets(ap, iter, parts, schema);
+            let Some(part) = sets.and_then(|s| s.resident) else { continue };
             for c in 0..xplan.n_colors.min(part.num_subregions()) {
                 let rank = xplan.rank_of_color(c);
                 let touched = part.subregion(c);
@@ -525,11 +646,20 @@ pub fn derive_exchange_with(
     for (c, &r) in color_owner.iter().enumerate() {
         rank_colors[r].push(c);
     }
-    let rank_of_color = |c: usize| -> usize { color_owner[c] };
+    // `acc[rank] ∪= sets[c]` over each rank's colors.
+    let union_colors = |acc: &mut [IndexSet], sets: &[IndexSet]| {
+        for (acc, colors) in acc.iter_mut().zip(&rank_colors) {
+            for &c in colors {
+                *acc = acc.union(&sets[c]);
+            }
+        }
+    };
 
     // ---- Owner partitions per region. ----
     let n_regions = schema.num_regions();
-    let owner_parts: Vec<Partition> = (0..n_regions)
+    // owned[region][rank] = union of the owner partition over the rank's
+    // colors.
+    let owned: Vec<Vec<IndexSet>> = (0..n_regions)
         .map(|ri| {
             let region = RegionId(ri as u32);
             let size = schema.region_size(region);
@@ -540,171 +670,76 @@ pub fn derive_exchange_with(
                     let p = &parts[pi];
                     p.region == region && p.is_disjoint() && p.is_complete(size)
                 });
+            let mut owned = vec![IndexSet::new(); n_ranks];
             match candidate {
-                Some(pi) => (*parts[pi]).clone(),
-                None => equal(region, size, n_colors.max(1)),
+                Some(pi) => union_colors(&mut owned, parts[pi].subregions()),
+                None => union_colors(&mut owned, equal(region, size, n_colors.max(1)).subregions()),
             }
-        })
-        .collect();
-
-    // owned[region][rank] = union of the owner partition over the rank's
-    // colors.
-    let owned: Vec<Vec<IndexSet>> = owner_parts
-        .iter()
-        .map(|op| {
-            rank_colors
-                .iter()
-                .map(|colors| {
-                    let mut acc = IndexSet::new();
-                    for &c in colors.iter().filter(|&&c| c < op.num_subregions()) {
-                        acc = acc.union(op.subregion(c));
-                    }
-                    acc
-                })
-                .collect()
+            owned
         })
         .collect();
 
     // ---- Per-loop exchange sets. ----
-    let mut stats = ExchangeStats::default();
-    // needed_acc[region][rank] accumulates across loops for ghost storage.
+    // ghost_acc[region][rank] accumulates across loops for ghost storage.
     let mut ghost_acc: Vec<Vec<IndexSet>> = vec![vec![IndexSet::new(); n_ranks]; n_regions];
     let mut loops = Vec::with_capacity(plan.loops.len());
     for lp in &plan.loops {
         let iter = &parts[lp.iter.0 as usize];
         let write_own = iter.first_owner();
+        // (access index, region, sets) of every access with an f64 footprint.
+        let sets: Vec<(usize, RegionId, AccessSets<'_>)> = lp
+            .accesses
+            .iter()
+            .enumerate()
+            .filter_map(|(ai, ap)| Some((ai, ap.region, access_sets(ap, iter, parts, schema)?)))
+            .collect();
 
-        // Per-rank, per-field needed and in-place-mutated sets.
-        let is_f64 = |f: FieldId| matches!(schema.field(f).kind, FieldKind::F64);
-        // (field, rank) -> set, kept sparse by field.
-        let mut needed: Vec<(FieldId, Vec<IndexSet>)> = Vec::new();
-        let mut mutated: Vec<(FieldId, Vec<IndexSet>)> = Vec::new();
-        let slot = |table: &mut Vec<(FieldId, Vec<IndexSet>)>, f: FieldId| -> usize {
-            match table.iter().position(|(g, _)| *g == f) {
-                Some(i) => i,
-                None => {
-                    table.push((f, vec![IndexSet::new(); n_ranks]));
-                    table.len() - 1
-                }
-            }
+        // Per-field, per-rank needed and in-place-mutated sets, kept
+        // sparse by field.
+        type PerRank = Vec<(FieldId, Vec<IndexSet>)>;
+        let slot = |table: &mut PerRank, f: FieldId| -> usize {
+            table.iter().position(|(g, _)| *g == f).unwrap_or_else(|| {
+                table.push((f, vec![IndexSet::new(); n_ranks]));
+                table.len() - 1
+            })
         };
-        let mut interior: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
-        let mut boundary: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
+        let (mut needed, mut mutated): (PerRank, PerRank) = (Vec::new(), Vec::new());
         let mut routes: Vec<BufferRoute> = Vec::new();
-
-        for (ai, ap) in lp.accesses.iter().enumerate() {
-            if !is_f64(ap.field) {
-                continue; // Ptr/Range topology fields are replicated.
+        for (ai, _, s) in &sets {
+            if let Some(part) = s.resident {
+                let ni = slot(&mut needed, s.field);
+                union_colors(&mut needed[ni].1, part.subregions());
             }
-            let part = &parts[ap.part.0 as usize];
-            let region = ap.region.0 as usize;
-            // Everything an access touches must be locally resident:
-            // reads need the value, in-place effects need a slot (and the
-            // owner's pre-loop value, for exact in-place reduce order).
-            let buffered = matches!(
-                ap.reduce,
-                Some(PlannedReduce::Buffered) | Some(PlannedReduce::BufferedPrivate { .. })
-            );
-            if !buffered {
-                let ni = slot(&mut needed, ap.field);
-                for (rank, colors) in rank_colors.iter().enumerate() {
-                    let mut acc = needed[ni].1[rank].clone();
-                    for &c in colors {
-                        acc = acc.union(part.subregion(c));
-                    }
-                    needed[ni].1[rank] = acc;
-                }
+            if let Some(in_place) = s.in_place(write_own.as_deref()) {
+                let mi = slot(&mut mutated, s.field);
+                union_colors(&mut mutated[mi].1, in_place);
             }
-            // In-place mutated sets, per the threaded executor's effect
-            // sets (see `exec::effect_set` in `partir-runtime`).
-            let is_in_place = matches!(
-                (&ap.kind, &ap.reduce),
-                (AccessKind::Write, _)
-                    | (AccessKind::Reduce(_), None)
-                    | (AccessKind::Reduce(_), Some(PlannedReduce::Direct))
-                    | (AccessKind::Reduce(_), Some(PlannedReduce::Guarded))
-            );
-            if is_in_place {
-                let mi = slot(&mut mutated, ap.field);
-                for (rank, colors) in rank_colors.iter().enumerate() {
-                    let mut acc = mutated[mi].1[rank].clone();
-                    for &c in colors {
-                        let set = match (&ap.kind, &ap.reduce) {
-                            (AccessKind::Write, _) => match &write_own {
-                                Some(own) => &own[c],
-                                None => iter.subregion(c),
-                            },
-                            (AccessKind::Reduce(_), None) => iter.subregion(c),
-                            _ => part.subregion(c),
-                        };
-                        acc = acc.union(set);
-                    }
-                    mutated[mi].1[rank] = acc;
-                }
-            }
-            match &ap.reduce {
-                Some(PlannedReduce::BufferedPrivate { private }) => {
-                    // The private slice is mutated in place and needs the
-                    // owner's pre-value; the remainder goes through a route.
-                    let ppart = &parts[private.0 as usize];
-                    let ni = slot(&mut needed, ap.field);
-                    let mi = slot(&mut mutated, ap.field);
-                    for (rank, colors) in rank_colors.iter().enumerate() {
-                        let mut nacc = needed[ni].1[rank].clone();
-                        let mut macc = mutated[mi].1[rank].clone();
-                        for &c in colors {
-                            nacc = nacc.union(ppart.subregion(c));
-                            macc = macc.union(ppart.subregion(c));
-                        }
-                        needed[ni].1[rank] = nacc;
-                        mutated[mi].1[rank] = macc;
-                    }
-                    let AccessKind::Reduce(op) = ap.kind else { unreachable!() };
-                    let by_color = (0..n_colors)
-                        .map(|c| {
-                            let set = part.subregion(c).difference(ppart.subregion(c));
-                            split_by_owner(&set, &owned[region])
-                        })
-                        .collect();
-                    routes.push(BufferRoute { access: ai, field: ap.field, op, by_color });
-                }
-                Some(PlannedReduce::Buffered) => {
-                    let AccessKind::Reduce(op) = ap.kind else { unreachable!() };
-                    let by_color = (0..n_colors)
-                        .map(|c| split_by_owner(part.subregion(c), &owned[region]))
-                        .collect();
-                    routes.push(BufferRoute { access: ai, field: ap.field, op, by_color });
-                }
-                _ => {}
+            if let Some(b) = &s.buffered {
+                routes.push(BufferRoute {
+                    access: *ai,
+                    field: s.field,
+                    op: b.op,
+                    sets: b.sets().into_owned(),
+                });
             }
         }
 
-        // Interior/boundary split: a color is interior when every non-route
-        // f64 access set it touches lies inside its rank's owned sets.
-        // Boundary colors also record *which* peers' ghosts they depend on
-        // (the owners of their foreign touches), so the runtime can run
-        // each one as soon as those specific messages are installed.
+        // Interior/boundary split: a color is interior when every resident
+        // set it touches lies inside its rank's owned sets. Boundary colors
+        // also record *which* peers' ghosts they depend on (the owners of
+        // their foreign touches), so the runtime can run each one as soon
+        // as those specific messages are installed.
+        let mut interior: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
+        let mut boundary: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
         let mut boundary_deps: Vec<Vec<Vec<usize>>> = vec![Vec::new(); n_ranks];
         for (rank, colors) in rank_colors.iter().enumerate() {
             for &c in colors {
                 let mut deps: Vec<usize> = Vec::new();
-                for ap in &lp.accesses {
-                    if !is_f64(ap.field) {
-                        continue;
-                    }
-                    let region = ap.region.0 as usize;
-                    let touched: &IndexSet = match &ap.reduce {
-                        Some(PlannedReduce::Buffered) => continue,
-                        Some(PlannedReduce::BufferedPrivate { private }) => {
-                            parts[private.0 as usize].subregion(c)
-                        }
-                        _ => parts[ap.part.0 as usize].subregion(c),
-                    };
-                    let foreign = touched.difference(&owned[region][rank]);
-                    if foreign.is_empty() {
-                        continue;
-                    }
-                    for (src, _) in split_by_owner(&foreign, &owned[region]) {
+                for (_, region, s) in &sets {
+                    let Some(part) = s.resident else { continue };
+                    let owned = &owned[region.0 as usize];
+                    let foreign = part.subregion(c).difference(&owned[rank]);
+                    for (src, _) in split_by_owner(&foreign, owned) {
                         if !deps.contains(&src) {
                             deps.push(src);
                         }
@@ -720,10 +755,11 @@ pub fn derive_exchange_with(
             }
         }
 
-        // Ghost fetch: needed − owned, split by owner; write-back:
-        // mutated − owned, split by owner. Fields batch per (src, dst).
-        let mut ghost_fetch: Vec<Vec<FieldSets>> = vec![vec![Vec::new(); n_ranks]; n_ranks];
-        let mut write_back: Vec<Vec<FieldSets>> = vec![vec![Vec::new(); n_ranks]; n_ranks];
+        // The message table. Ghosts: needed − owned, split by owner;
+        // write-backs: mutated − owned, split by owner; fields batch per
+        // pair in ascending field order. Partial slices: each color's
+        // buffer set split by owner.
+        let mut pairs = vec![vec![PairMessages::default(); n_ranks]; n_ranks];
         needed.sort_by_key(|(f, _)| *f);
         mutated.sort_by_key(|(f, _)| *f);
         for (field, per_rank) in &needed {
@@ -735,8 +771,7 @@ pub fn derive_exchange_with(
                 }
                 ghost_acc[region][dst] = ghost_acc[region][dst].union(&ghost);
                 for (src, piece) in split_by_owner(&ghost, &owned[region]) {
-                    stats.ghost_fetch_bytes += piece.len() * 8;
-                    ghost_fetch[dst][src].push((*field, piece));
+                    pairs[src][dst].ghost.push((*field, piece));
                 }
             }
         }
@@ -744,52 +779,21 @@ pub fn derive_exchange_with(
             let region = schema.field(*field).region.0 as usize;
             for (src, set) in per_rank.iter().enumerate() {
                 let foreign = set.difference(&owned[region][src]);
-                if foreign.is_empty() {
-                    continue;
-                }
                 for (dst, piece) in split_by_owner(&foreign, &owned[region]) {
-                    stats.write_back_bytes += piece.len() * 8;
-                    write_back[src][dst].push((*field, piece));
+                    pairs[src][dst].post.write_back.push((*field, piece));
                 }
             }
         }
-        for route in &routes {
-            for (c, slices) in route.by_color.iter().enumerate() {
-                let src = rank_of_color(c);
-                for (dst, piece) in slices {
-                    if *dst != src {
-                        stats.partial_bytes += piece.len() * 8;
-                    }
+        for (ri, route) in routes.iter().enumerate() {
+            let region = schema.field(route.field).region.0 as usize;
+            for (c, set) in route.sets.iter().enumerate() {
+                for (dst, piece) in split_by_owner(set, &owned[region]) {
+                    pairs[color_owner[c]][dst].post.slices.push((ri, c, piece));
                 }
             }
         }
-        // Message count: one ghost message per non-empty (src, dst) pair,
-        // one post-loop message per pair with write-backs or partials.
-        for dst in 0..n_ranks {
-            for src in 0..n_ranks {
-                if !ghost_fetch[dst][src].is_empty() {
-                    stats.messages += 1;
-                }
-                let partials = routes.iter().any(|r| {
-                    r.by_color.iter().enumerate().any(|(c, slices)| {
-                        rank_of_color(c) == src
-                            && slices.iter().any(|(d, _)| *d == dst && *d != src)
-                    })
-                });
-                if !write_back[src][dst].is_empty() || partials {
-                    stats.messages += 1;
-                }
-            }
-        }
-        loops.push(LoopExchange {
-            ghost_fetch,
-            write_back,
-            routes,
-            interior,
-            boundary,
-            boundary_deps,
-            write_own,
-        });
+        drop(sets);
+        loops.push(LoopExchange { pairs, routes, interior, boundary, boundary_deps, write_own });
     }
 
     let locals: Vec<Vec<IndexSet>> = owned
@@ -797,15 +801,21 @@ pub fn derive_exchange_with(
         .zip(&ghost_acc)
         .map(|(o, g)| o.iter().zip(g).map(|(os, gs)| os.union(gs)).collect())
         .collect();
-    stats.ghost_elements = ghost_acc.iter().flatten().map(IndexSet::len).sum();
-    stats.replication_bytes = (n_ranks as u64 - 1)
-        * (0..schema.num_fields())
-            .filter_map(|fi| {
-                let f = schema.field(FieldId(fi as u32));
-                matches!(f.kind, FieldKind::F64).then(|| schema.region_size(f.region) * 8)
-            })
-            .sum::<u64>();
+    let replication_bytes = (n_ranks as u64 - 1)
+        * f64_field_regions(schema).map(|r| schema.region_size(r) * 8).sum::<u64>();
+    let xplan = ExchangePlan {
+        n_ranks,
+        n_colors,
+        color_owner,
+        rank_colors,
+        owned,
+        ghosts: ghost_acc,
+        locals,
+        replication_bytes,
+        loops,
+    };
 
+    let stats = xplan.stats();
     if partir_obs::metrics_enabled() {
         partir_obs::counter("exchange.ghost_elements", stats.ghost_elements);
         partir_obs::counter("exchange.ghost_fetch_bytes", stats.ghost_fetch_bytes);
@@ -817,17 +827,7 @@ pub fn derive_exchange_with(
         ("ghost_elements", stats.ghost_elements.into()),
         ("messages", stats.messages.into()),
     ]);
-    Ok(ExchangePlan {
-        n_ranks,
-        n_colors,
-        color_owner,
-        rank_colors,
-        owned,
-        ghosts: ghost_acc,
-        locals,
-        loops,
-        stats,
-    })
+    Ok(xplan)
 }
 
 /// Splits `set` by the (disjoint, complete) owner sets, ascending by rank;
@@ -906,16 +906,28 @@ mod tests {
         let lx = &x.loops[0];
         for rank in 0..ranks {
             let mut total = 0u64;
-            for src in 0..ranks {
-                for (_, set) in &lx.ghost_fetch[rank][src] {
+            for row in &lx.pairs {
+                for (_, set) in &row[rank].ghost {
                     total += set.len();
                 }
             }
             assert_eq!(total, 2, "rank {rank} fetches exactly its ±1 halo");
         }
+        // So the only traffic is one ghost message (one 8-byte element)
+        // from each rank to each of its two neighbors.
+        for (src, row) in x.predicted_pair_volume().iter().enumerate() {
+            for (dst, v) in row.iter().enumerate() {
+                let neighbor = dst == (src + 1) % ranks || dst == (src + ranks - 1) % ranks;
+                let want = match neighbor {
+                    true => PairVolume { ghost_bytes: 8, messages: 1, ..PairVolume::default() },
+                    false => PairVolume::default(),
+                };
+                assert_eq!(*v, want, "pair ({src},{dst})");
+            }
+        }
         // Centered writes to owned elements: nothing to write back.
-        assert_eq!(x.stats.write_back_bytes, 0);
-        assert!(x.stats.ghost_fetch_bytes < x.stats.replication_bytes);
+        assert_eq!(x.stats().write_back_bytes, 0);
+        assert!(x.stats().ghost_fetch_bytes < x.stats().replication_bytes);
     }
 
     #[test]
@@ -926,8 +938,8 @@ mod tests {
         let store = Store::new(schema.clone());
         let parts = plan.evaluate(&store, &fns, 1, &ExtBindings::new());
         let x = derive_exchange(&plan, &parts, &schema, 1).unwrap();
-        assert_eq!(x.stats.messages, 0);
-        assert_eq!(x.stats.ghost_elements, 0);
+        assert_eq!(x.stats().messages, 0);
+        assert_eq!(x.stats().ghost_elements, 0);
         let r = schema.region_by_name("R").unwrap();
         assert_eq!(x.owned(r, 0), &IndexSet::from_range(0, 24));
     }
@@ -1040,44 +1052,11 @@ mod tests {
         let store = Store::new(schema.clone());
         let parts = plan.evaluate(&store, &fns, 4, &ExtBindings::new());
         let x = derive_exchange(&plan, &parts, &schema, 4).unwrap();
-        let full: u64 = x.predicted_pair_volume().iter().flatten().map(|v| v.bytes).sum();
-        let tail: u64 = x.predicted_pair_volume_from(1).iter().flatten().map(|v| v.bytes).sum();
+        let full: u64 = x.predicted_pair_volume().iter().flatten().map(|v| v.bytes()).sum();
+        let tail: u64 = x.predicted_pair_volume_from(1).iter().flatten().map(|v| v.bytes()).sum();
         assert_eq!(tail * 2, full);
-        let none: u64 = x.predicted_pair_volume_from(99).iter().flatten().map(|v| v.bytes).sum();
+        let none: u64 = x.predicted_pair_volume_from(99).iter().flatten().map(|v| v.bytes()).sum();
         assert_eq!(none, 0);
-    }
-
-    #[test]
-    fn predicted_pair_volume_agrees_with_stats() {
-        let (program, fns, schema) = stencil_1d(40);
-        let plan =
-            auto_parallelize(&program, &fns, &schema, &Hints::new(), Options::default()).unwrap();
-        let store = Store::new(schema.clone());
-        let ranks = 4usize;
-        let parts = plan.evaluate(&store, &fns, ranks, &ExtBindings::new());
-        let x = derive_exchange(&plan, &parts, &schema, ranks).unwrap();
-        let vol = x.predicted_pair_volume();
-        let bytes: u64 = vol.iter().flatten().map(|v| v.bytes).sum();
-        let messages: u64 = vol.iter().flatten().map(|v| v.messages).sum();
-        assert_eq!(bytes, x.stats.total_bytes(), "per-pair bytes must sum to the stats total");
-        assert_eq!(messages, x.stats.messages, "per-pair messages must sum to the stats total");
-        // The diagonal never carries traffic.
-        for (r, row) in vol.iter().enumerate() {
-            assert_eq!(row[r], PairVolume::default());
-        }
-        // Periodic stencil at 4 ranks: each rank sends one ghost message
-        // (one 8-byte element) to each of its two neighbors.
-        for (src, row) in vol.iter().enumerate() {
-            for (dst, v) in row.iter().enumerate() {
-                let neighbor = dst == (src + 1) % ranks || dst == (src + ranks - 1) % ranks;
-                let want = if neighbor {
-                    PairVolume { bytes: 8, messages: 1 }
-                } else {
-                    PairVolume::default()
-                };
-                assert_eq!(*v, want, "pair ({src},{dst})");
-            }
-        }
     }
 
     #[test]
@@ -1109,7 +1088,7 @@ mod tests {
             for deps in &lx.boundary_deps[rank] {
                 for &src in deps {
                     assert!(
-                        !lx.ghost_fetch[rank][src].is_empty(),
+                        !lx.pairs[src][rank].ghost.is_empty(),
                         "rank {rank} dep on {src} without a ghost message"
                     );
                 }

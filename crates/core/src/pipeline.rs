@@ -130,8 +130,8 @@ pub struct AccessPlan {
     /// Region the access targets (for diagnostics).
     pub region: RegionId,
     /// Field the access targets (drives per-field exchange sets on the
-    /// distributed backend).
-    pub field: FieldId,
+    /// distributed backend); `None` for a `ForEach` header no field backs.
+    pub field: Option<FieldId>,
     /// Reduction strategy; `None` for reads/writes and centered reductions.
     pub reduce: Option<PlannedReduce>,
 }

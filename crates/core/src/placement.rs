@@ -134,7 +134,7 @@ impl CommGraph {
         let mut w = vec![0u64; n * n];
         for (src, row) in vol.iter().enumerate() {
             for (dst, v) in row.iter().enumerate() {
-                w[src * n + dst] = v.bytes;
+                w[src * n + dst] = v.bytes();
             }
         }
         let load = (0..n).map(|c| x.owned_field_bytes(schema, c)).collect();
@@ -615,12 +615,13 @@ pub fn place(
 
     let finish = |assignment: Vec<usize>,
                   xplan: ExchangePlan,
+                  predicted_bytes: u64,
                   mut report: PlacementReport|
      -> Result<Placement, ExchangeError> {
         let loads: Vec<u64> = (0..n_ranks).map(|r| xplan.owned_field_bytes(schema, r)).collect();
         report.imbalance = achieved_imbalance(&loads);
         report.place_ns = t_place.elapsed().as_nanos() as u64;
-        report.predicted_bytes = xplan.stats.total_bytes();
+        report.predicted_bytes = predicted_bytes;
         report.gain_bytes = report.predicted_block_bytes.saturating_sub(report.predicted_bytes);
         if partir_obs::metrics_enabled() {
             partir_obs::counter("placement.predicted_bytes", report.predicted_bytes);
@@ -633,12 +634,14 @@ pub fn place(
         PlacementPolicy::Block => {
             let a = block_assignment(n_colors, n_ranks);
             let x = derive_exchange_with(plan, parts, schema, n_ranks, &a)?;
-            report.predicted_block_bytes = x.stats.total_bytes();
-            finish(a, x, report)
+            let bytes = x.stats().total_bytes();
+            report.predicted_block_bytes = bytes;
+            finish(a, x, bytes, report)
         }
         PlacementPolicy::Explicit(a) => {
             let x = derive_exchange_with(plan, parts, schema, n_ranks, a)?;
-            finish(a.clone(), x, report)
+            let bytes = x.stats().total_bytes();
+            finish(a.clone(), x, bytes, report)
         }
         PlacementPolicy::CostDriven => {
             let t_graph = Instant::now();
@@ -654,13 +657,14 @@ pub fn place(
             report.cut_bytes = graph.cut_bytes(&cand);
             let xb = derive_exchange_with(plan, parts, schema, n_ranks, &block)?;
             let xc = derive_exchange_with(plan, parts, schema, n_ranks, &cand)?;
-            report.predicted_block_bytes = xb.stats.total_bytes();
-            if xc.stats.total_bytes() < xb.stats.total_bytes() {
-                finish(cand, xc, report)
+            let (block_bytes, cand_bytes) = (xb.stats().total_bytes(), xc.stats().total_bytes());
+            report.predicted_block_bytes = block_bytes;
+            if cand_bytes < block_bytes {
+                finish(cand, xc, cand_bytes, report)
             } else {
                 report.fell_back_to_block = true;
                 report.cut_bytes = report.cut_block_bytes;
-                finish(block, xb, report)
+                finish(block, xb, block_bytes, report)
             }
         }
     };
@@ -876,7 +880,7 @@ mod tests {
         let p = place(&plan, &parts, &schema, 2, &ok).unwrap();
         assert_eq!(p.assignment, vec![1, 0, 1, 0]);
         assert_eq!(p.report.policy, "explicit");
-        assert_eq!(p.report.predicted_bytes, p.xplan.stats.total_bytes());
+        assert_eq!(p.report.predicted_bytes, p.xplan.stats().total_bytes());
     }
 
     #[test]

@@ -45,7 +45,9 @@ impl AccessKind {
 pub struct AccessInfo {
     pub id: AccessId,
     pub region: RegionId,
-    pub field: FieldId,
+    /// The field read or written; `None` for the header of a `ForEach` over
+    /// a function no field backs (a single-valued one).
+    pub field: Option<FieldId>,
     pub kind: AccessKind,
     /// Function symbols applied to the loop variable to form this access's
     /// index, outermost first; `[]` means the index *is* the loop variable.
@@ -146,7 +148,7 @@ pub fn analyze(lp: &Loop, _fns: &FnTable) -> Result<LoopSummary, NotParallelizab
     // Group per (region, field) for the exclusivity rules — Regent
     // privileges are field-granular, which is what lets Figure 1a's second
     // loop reduce `Cells[c].vel` while reading `Cells[h(c)].acc`.
-    let mut by_field: HashMap<(RegionId, FieldId), Vec<&AccessInfo>> = HashMap::new();
+    let mut by_field: HashMap<(RegionId, Option<FieldId>), Vec<&AccessInfo>> = HashMap::new();
     for a in &accesses {
         by_field.entry((a.region, a.field)).or_default().push(a);
     }
@@ -215,7 +217,7 @@ fn collect(
                 accesses.push(AccessInfo {
                     id: *access,
                     region: *region,
-                    field: *field,
+                    field: Some(*field),
                     kind: AccessKind::Read,
                     path: src_path.clone(),
                 });
@@ -247,7 +249,7 @@ fn collect(
                 accesses.push(AccessInfo {
                     id: *access,
                     region: *region,
-                    field: *field,
+                    field: Some(*field),
                     kind: AccessKind::Read,
                     path: p,
                 });
@@ -261,7 +263,7 @@ fn collect(
                 accesses.push(AccessInfo {
                     id: *access,
                     region: *region,
-                    field: *field,
+                    field: Some(*field),
                     kind: AccessKind::Write,
                     path: p,
                 });
@@ -275,7 +277,7 @@ fn collect(
                 accesses.push(AccessInfo {
                     id: *access,
                     region: *region,
-                    field: *field,
+                    field: Some(*field),
                     kind: AccessKind::Reduce(*op),
                     path: p,
                 });
@@ -300,7 +302,7 @@ fn collect(
                 accesses.push(AccessInfo {
                     id: *range_access,
                     region: RegionId(u32::MAX), // patched below by fixup
-                    field: FieldId(u32::MAX),
+                    field: None,
                     kind: AccessKind::Read,
                     path: src_path.clone(),
                 });
@@ -330,7 +332,7 @@ fn fixup_foreach_regions(lp: &Loop, fns: &FnTable, accesses: &mut [AccessInfo]) 
                     field,
                 }) = &nf.def
                 {
-                    a.field = *field;
+                    a.field = Some(*field);
                 }
                 walk(body, fns, accesses);
             }

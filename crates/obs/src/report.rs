@@ -74,7 +74,6 @@ pub const ERROR_CODES: &[&str] = &[
     "exec.legality",
     "exec.task_panic",
     "exec.task_failed",
-    "exec.buffer_state_corrupt",
     // distributed (rank) executor
     "dist.plan_mismatch",
     "dist.partition_index_out_of_bounds",

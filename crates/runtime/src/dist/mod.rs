@@ -292,9 +292,9 @@ impl PairDelta {
 }
 
 /// Per-pair predicted-vs-measured communication accounting of one run:
-/// predictions are computed statically from the exchange plan
-/// ([`ExchangePlan::predicted_pair_volume`]), measurements at the mailbox
-/// layer as messages arrive.
+/// predictions are the fold of the exchange plan's message tables
+/// ([`ExchangePlan::predicted_pair_volume_from`]), measurements are taken
+/// at the mailbox layer as messages arrive.
 #[derive(Clone, Debug, Default)]
 pub struct VolumeAccounting {
     /// Every pair with any predicted or measured traffic, ascending
@@ -573,14 +573,15 @@ pub fn execute_ranks(
     // caller's store. Under the final (possibly evacuated) owner
     // assignment the survivors' shards cover every region completely.
     let xp: &ExchangePlan = &cur_xplan;
+    let planned = xp.stats();
     let mut report = DistReport {
         ranks: n_ranks as u64,
         plan_proved,
-        ghost_elements: xp.stats.ghost_elements,
-        ghost_fetch_bytes: xp.stats.ghost_fetch_bytes,
-        write_back_bytes: xp.stats.write_back_bytes,
-        partial_bytes: xp.stats.partial_bytes,
-        replication_bytes: xp.stats.replication_bytes,
+        ghost_elements: planned.ghost_elements,
+        ghost_fetch_bytes: planned.ghost_fetch_bytes,
+        write_back_bytes: planned.write_back_bytes,
+        partial_bytes: planned.partial_bytes,
+        replication_bytes: planned.replication_bytes,
         recoveries,
         bytes_migrated,
         recovery_ns,
@@ -631,13 +632,13 @@ pub fn execute_ranks(
         for dst in 0..n_ranks {
             let p = predicted[src][dst];
             let (m_bytes, m_msgs) = measured[src][dst];
-            if p.bytes == 0 && p.messages == 0 && m_bytes == 0 && m_msgs == 0 {
+            if p.bytes() == 0 && p.messages == 0 && m_bytes == 0 && m_msgs == 0 {
                 continue;
             }
             pairs.push(PairDelta {
                 src,
                 dst,
-                predicted_bytes: p.bytes,
+                predicted_bytes: p.bytes(),
                 measured_bytes: m_bytes,
                 predicted_messages: p.messages,
                 measured_messages: m_msgs,

@@ -1,20 +1,21 @@
 //! Per-rank SPMD execution: the epoch protocol and the rank data context.
 //!
-//! Every rank runs the same program over its own color block, one *epoch*
-//! per loop:
+//! Every rank runs the same program over its own colors, one *epoch* per
+//! loop, sending and receiving what the loop's message table
+//! (`LoopExchange::pairs`) lists for its row and column:
 //!
-//! 1. **push ghosts** — pack owner-fresh values of every `ghost_fetch`
-//!    set destined to a peer and send them (one coalesced message per
+//! 1. **push ghosts** — pack owner-fresh values of every `ghost` set
+//!    destined to a peer and send them (one coalesced message per
 //!    destination);
 //! 2. **interior compute** — run the colors whose accesses stay inside the
 //!    rank's owned sets, overlapping with the ghost traffic in flight;
 //! 3. **pull ghosts** — receive and install the rank's own ghost values;
 //! 4. **boundary compute** — run the remaining colors;
 //! 5. **post** — send in-place write-backs (installed verbatim by the
-//!    owner) and partial-reduction buffer slices (with per-color presence
+//!    owner) and partial-reduction buffer slices (with per-slice presence
 //!    flags) to the owners; receive the same, then merge partials in
-//!    ascending global color order — reproducing the threaded executor's
-//!    deterministic merge bit-for-bit.
+//!    ascending global color order — the threaded executor's deterministic
+//!    merge order, so results agree bit-for-bit.
 //!
 //! Colors run through the shared chunked executor ([`crate::task`]) over
 //! the rank's [`RankStore`]: a global index that has no slot in the sharded
@@ -27,10 +28,9 @@ use super::{CheckpointStore, DistError};
 use crate::fault::{CheckpointPolicy, FaultPlan, MAX_SEND_ATTEMPTS};
 use crate::task::{LegalityViolation, LoopSetup, Regs, Storage, Task, TaskCounts, TaskEnv};
 use parking_lot::Mutex;
-use partir_core::exchange::{BufferRoute, ExchangePlan, LoopExchange};
-use partir_dpl::index_set::Idx;
+use partir_core::exchange::{ExchangePlan, LoopExchange, PostMessage};
+use partir_dpl::index_set::IndexSet;
 use partir_dpl::region::{FieldId, Schema};
-use partir_ir::ast::ReduceOp;
 use partir_obs::trace::{RankTracer, SpanKind};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
@@ -202,11 +202,6 @@ fn run_epoch(
     // reductions), present once a task contributed.
     let mut bufs: Vec<Vec<Option<Vec<f64>>>> =
         setup.buffers.iter().map(|_| vec![None; xplan.n_colors]).collect();
-    // A route moves the buffers of the access it names.
-    let buf_of = |route: &BufferRoute| {
-        let buf = setup.buffers.iter().position(|b| b.access == route.access);
-        buf.expect("route targets a buffered access")
-    };
     // One register file per rank and epoch, not per task.
     let mut regs = Regs::new(setup);
     let mut run_color = |color: usize, store: &mut RankStore, stats: &mut RankStats| {
@@ -221,12 +216,9 @@ fn run_epoch(
 
     // Phase 1: pack and push ghosts (owner-fresh loop-start values).
     let t = Instant::now();
-    for dst in 0..n_ranks {
-        if dst == rank {
-            continue;
-        }
-        let sets = &lx.ghost_fetch[dst][rank];
-        if sets.is_empty() {
+    for (dst, out) in lx.pairs[rank].iter().enumerate() {
+        let sets = &out.ghost;
+        if dst == rank || sets.is_empty() {
             continue;
         }
         let t0 = tracer.is_some().then(Instant::now);
@@ -274,7 +266,7 @@ fn run_epoch(
     let mut installed = vec![false; n_ranks];
     installed[rank] = true;
     let mut wanted: Vec<usize> =
-        (0..n_ranks).filter(|&src| src != rank && !lx.ghost_fetch[rank][src].is_empty()).collect();
+        (0..n_ranks).filter(|&src| src != rank && !lx.pairs[src][rank].ghost.is_empty()).collect();
     let mut halo_spans = 0usize;
     loop {
         // Run every boundary color whose halos are all resident.
@@ -310,7 +302,7 @@ fn run_epoch(
             tr.record(SpanKind::RecvWait, li, t0, wait, bytes, Some(msg.src));
         }
         let t1 = Instant::now();
-        let rest = store.unpack(&lx.ghost_fetch[rank][msg.src], &msg.values);
+        let rest = store.unpack(&lx.pairs[msg.src][rank].ghost, &msg.values);
         debug_assert!(rest.is_empty(), "ghost message longer than its plan sets");
         let un = t1.elapsed().as_nanos() as u64;
         stats.unpack_ns += un;
@@ -328,39 +320,18 @@ fn run_epoch(
         }
     }
 
-    // Phase 5: post traffic out — write-backs first, then partial-buffer
-    // slices (route-major, own-color-minor) with presence flags.
+    // Phase 5: post traffic out — write-backs first, then the pair's
+    // partial-buffer slices with presence flags.
     let t = Instant::now();
-    let my_colors = xplan.colors_of(rank);
-    for dst in 0..n_ranks {
-        if dst == rank {
+    for (dst, out) in lx.pairs[rank].iter().enumerate() {
+        let post = &out.post;
+        if dst == rank || post.is_empty() {
             continue;
         }
         let t0 = tracer.is_some().then(Instant::now);
-        let wb = &lx.write_back[rank][dst];
         let mut values = Vec::new();
-        store.pack(wb, &mut values);
-        let mut flags = Vec::new();
-        for route in &lx.routes {
-            let bi = buf_of(route);
-            for &c in my_colors {
-                let Some((_, set)) = route.by_color[c].iter().find(|(d, _)| *d == dst) else {
-                    continue;
-                };
-                let present = bufs[bi][c].is_some();
-                flags.push(present);
-                if present {
-                    let buf = bufs[bi][c].as_ref().expect("checked above");
-                    let buf_set = &setup.buffers[bi].sets[c];
-                    values.extend(set.iter().map(|i| {
-                        buf[buf_set.rank(i).expect("route slice within buffer set") as usize]
-                    }));
-                }
-            }
-        }
-        if wb.is_empty() && flags.is_empty() {
-            continue;
-        }
+        store.pack(&post.write_back, &mut values);
+        let flags = pack_slices(post, setup, &bufs, &mut values);
         let bytes = values.len() as u64 * 8;
         rec(tracer, SpanKind::Pack, li, t0, elapsed(t0), bytes, dst);
         stats.bytes_sent += bytes;
@@ -379,22 +350,12 @@ fn run_epoch(
     stats.pack_ns += t.elapsed().as_nanos() as u64;
 
     // Phase 6: receive post traffic in arrival order — install write-backs
-    // verbatim (disjoint per source, so order is immaterial), stash partial
-    // slices per route and source color; the merge below re-sorts them into
-    // the deterministic ascending-color order.
-    let mut remote: Vec<Vec<(usize, Vec<f64>)>> = vec![Vec::new(); lx.routes.len()];
-    let mut post_wanted: Vec<usize> = (0..n_ranks)
-        .filter(|&src| {
-            src != rank
-                && (!lx.write_back[src][rank].is_empty()
-                    || lx.routes.iter().any(|r| {
-                        xplan
-                            .colors_of(src)
-                            .iter()
-                            .any(|&c| r.by_color[c].iter().any(|(d, _)| *d == rank))
-                    }))
-        })
-        .collect();
+    // verbatim (disjoint per source, so order is immaterial), stash the
+    // partial slices that came with values; the merge below sorts them
+    // into the deterministic order.
+    let mut partials: Vec<Partial<'_>> = Vec::new();
+    let mut post_wanted: Vec<usize> =
+        (0..n_ranks).filter(|&src| src != rank && !lx.pairs[src][rank].post.is_empty()).collect();
     while !post_wanted.is_empty() {
         let t0 = Instant::now();
         let msg = mailbox
@@ -408,23 +369,9 @@ fn run_epoch(
             tr.record(SpanKind::RecvWait, li, t0, wait, bytes, Some(src));
         }
         let t1 = Instant::now();
-        let mut vals: &[f64] = store.unpack(&lx.write_back[src][rank], &msg.values);
-        let mut fc = 0usize;
-        for (ri, route) in lx.routes.iter().enumerate() {
-            for &c in xplan.colors_of(src) {
-                let Some((_, set)) = route.by_color[c].iter().find(|(d, _)| *d == rank) else {
-                    continue;
-                };
-                let present = msg.partials_present[fc];
-                fc += 1;
-                if present {
-                    let take = set.len() as usize;
-                    remote[ri].push((c, vals[..take].to_vec()));
-                    vals = &vals[take..];
-                }
-            }
-        }
-        debug_assert!(vals.is_empty(), "post message longer than its plan sets");
+        let post = &lx.pairs[src][rank].post;
+        let vals = store.unpack(&post.write_back, &msg.values);
+        unpack_slices(post, &msg.partials_present, vals, &mut partials);
         let un = t1.elapsed().as_nanos() as u64;
         stats.unpack_ns += un;
         if let Some(tr) = tracer.as_mut() {
@@ -435,27 +382,19 @@ fn run_epoch(
     // Owner merge of partial reductions: route order, ascending *global*
     // color order, skipping colors whose buffer was never allocated — the
     // threaded executor's merge, restricted to the elements this rank owns.
+    // The slices of the rank's own colors sit on the self pair and take the
+    // same pack/unpack path, minus the mailbox.
     let t = Instant::now();
-    for (ri, route) in lx.routes.iter().enumerate() {
-        let bi = buf_of(route);
-        remote[ri].sort_by_key(|(c, _)| *c);
-        for (c, slices) in route.by_color.iter().enumerate() {
-            let Some((_, set)) = slices.iter().find(|(d, _)| *d == rank) else {
-                continue;
-            };
-            if xplan.rank_of_color(c) == rank {
-                let Some(buf) = bufs[bi][c].as_ref() else { continue };
-                let buf_set = &setup.buffers[bi].sets[c];
-                for i in set.iter() {
-                    let v = buf[buf_set.rank(i).expect("route slice within buffer set") as usize];
-                    merge_apply(store, route.field, i, route.op, v);
-                }
-            } else if let Ok(pos) = remote[ri].binary_search_by_key(&c, |&(cc, _)| cc) {
-                let (_, vals) = &remote[ri][pos];
-                for (k, i) in set.iter().enumerate() {
-                    merge_apply(store, route.field, i, route.op, vals[k]);
-                }
-            }
+    let own = &lx.pairs[rank][rank].post;
+    let mut own_values = Vec::new();
+    let own_flags = pack_slices(own, setup, &bufs, &mut own_values);
+    unpack_slices(own, &own_flags, &own_values, &mut partials);
+    partials.sort_by_key(|&(route, color, ..)| (route, color));
+    for (route, _, set, vals) in partials {
+        let (field, op) = (lx.routes[route].field, lx.routes[route].op);
+        for (i, v) in set.iter().zip(vals) {
+            let cur = store.read_f64(field, i).expect("owner merge target is resident");
+            store.write_f64(field, i, op.apply(cur, v));
         }
     }
     let d = t.elapsed().as_nanos() as u64;
@@ -466,15 +405,49 @@ fn run_epoch(
     Ok(())
 }
 
+/// A partial-buffer slice that arrived with values: `(route, color, the
+/// elements, one value each)`.
+type Partial<'a> = (usize, usize, &'a IndexSet, Vec<f64>);
+
+/// Appends the values of `post`'s partial slices to `values`, in table
+/// order, and returns one presence flag per slice: a color whose buffer
+/// was never allocated contributes a cleared flag and no values.
+fn pack_slices(
+    post: &PostMessage,
+    setup: &LoopSetup<'_>,
+    bufs: &[Vec<Option<Vec<f64>>>],
+    values: &mut Vec<f64>,
+) -> Vec<bool> {
+    let pack = |(route, color, set): &(usize, usize, IndexSet)| {
+        let Some(buf) = &bufs[*route][*color] else { return false };
+        let buf_set = &setup.buffers[*route].sets[*color];
+        let slot = |i| buf_set.rank(i).expect("route slice within buffer set") as usize;
+        values.extend(set.iter().map(|i| buf[slot(i)]));
+        true
+    };
+    post.slices.iter().map(pack).collect()
+}
+
+/// Splits the slice values of a post message (what follows its
+/// write-backs) back into `post`'s slices, in table order.
+fn unpack_slices<'a>(
+    post: &'a PostMessage,
+    present: &[bool],
+    mut values: &[f64],
+    out: &mut Vec<Partial<'a>>,
+) {
+    for ((route, color, set), _) in post.slices.iter().zip(present).filter(|(_, &p)| p) {
+        let (head, rest) = values.split_at(set.len() as usize);
+        out.push((*route, *color, set, head.to_vec()));
+        values = rest;
+    }
+    debug_assert!(values.is_empty(), "post message longer than its plan sets");
+}
+
 /// Elapsed nanoseconds of a gated instant (0 when tracing is off).
 #[inline]
 fn elapsed(start: Option<Instant>) -> u64 {
     start.map_or(0, |t| t.elapsed().as_nanos() as u64)
-}
-
-fn merge_apply(store: &mut RankStore, field: FieldId, i: Idx, op: ReduceOp, v: f64) {
-    let cur = store.read_f64(field, i).expect("owner merge target is resident");
-    store.write_f64(field, i, op.apply(cur, v));
 }
 
 fn send(

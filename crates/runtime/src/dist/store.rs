@@ -210,7 +210,7 @@ impl RankStore {
     ) {
         for (f, vals) in shards {
             let region = store.schema().field(f).region;
-            let owned = xplan.owned(region, rank).clone();
+            let owned = xplan.owned(region, rank);
             let fs = store.f64s_mut(f);
             let mut p = 0usize;
             for &(s, e) in owned.runs() {

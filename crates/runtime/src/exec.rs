@@ -16,16 +16,16 @@
 
 use crate::fault::{FaultPlan, InjectedPanic, RetryPolicy};
 use crate::shared::SharedStore;
-use crate::task::{panic_message, plan_loops, LoopSetup, Mode, Regs, Storage, Task};
+use crate::task::{panic_message, plan_loops, LoopSetup, Regs, Storage, Task};
 use crate::task::{LegalityViolation, PlanError, TaskCounts, TaskEnv};
 use parking_lot::Mutex;
+use partir_core::exchange::access_sets;
 use partir_core::pipeline::ParallelPlan;
 use partir_dpl::func::FnTable;
 use partir_dpl::index_set::IndexSet;
 use partir_dpl::partition::Partition;
-use partir_dpl::region::{FieldId, Store};
-use partir_ir::analysis::AccessKind;
-use partir_ir::ast::{AccessId, Loop, Stmt};
+use partir_dpl::region::{FieldId, Schema, Store};
+use partir_ir::ast::Loop;
 use partir_obs::json::Json;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -132,9 +132,6 @@ pub enum ExecError {
     TaskPanic(String),
     /// A task exhausted its retries and sequential recovery was disabled.
     TaskFailed { loop_index: usize, color: usize, attempts: u32 },
-    /// A task buffered contributions for an access the plan does not list
-    /// as a reduction.
-    BufferStateCorrupt { loop_index: usize },
 }
 
 impl fmt::Display for ExecError {
@@ -148,9 +145,6 @@ impl fmt::Display for ExecError {
                     f,
                     "loop {loop_index}: task {color} failed all {attempts} attempts and sequential recovery is disabled"
                 )
-            }
-            ExecError::BufferStateCorrupt { loop_index } => {
-                write!(f, "loop {loop_index}: buffered reduction recorded an op without a field")
             }
         }
     }
@@ -190,7 +184,7 @@ pub fn execute_program(
     // coordinate `FaultPlan::poison_after` thresholds on.
     let mut ordinal_base = 0u64;
     for (li, (lp, setup)) in program.iter().zip(&setups).enumerate() {
-        execute_loop(li, lp, setup, store, &env, opts, &mut report, ordinal_base)?;
+        execute_loop(li, lp, setup, parts, store, &env, opts, &mut report, ordinal_base)?;
         ordinal_base += setup.iter.num_subregions() as u64;
     }
     partir_obs::counter("exec.tasks_run", report.tasks_run);
@@ -205,68 +199,40 @@ pub fn execute_program(
     Ok(report)
 }
 
-/// Mutating access sites of a loop body: `(access, field, is_write)`.
-/// These determine which store elements a task attempt may have dirtied,
-/// and hence what a pre-attempt snapshot must save.
-fn collect_mut_sites(body: &[Stmt], out: &mut Vec<(AccessId, FieldId, bool)>) {
-    for s in body {
-        match s {
-            Stmt::ValWrite { access, field, .. } => out.push((*access, *field, true)),
-            Stmt::ValReduce { access, field, .. } => out.push((*access, *field, false)),
-            Stmt::ForEach { body, .. } => collect_mut_sites(body, out),
-            _ => {}
-        }
-    }
-}
-
 /// Saved pre-attempt values of one task's exclusive effect sets. Restoring
 /// is race-free: every saved element is owned by exactly this task (the
 /// same ownership argument that makes the direct effects race-free).
 type TaskSnapshot<'a> = Vec<(FieldId, &'a IndexSet, Vec<f64>)>;
 
-/// Resolves the store elements one mutating site may touch for `color`, or
-/// `None` when the site's effects are task-local (buffered reductions).
-fn effect_set<'a>(
-    site: &(AccessId, FieldId, bool),
+/// The store elements each color of a loop may mutate in place, per
+/// mutating access: what a pre-attempt snapshot must save. Buffered
+/// contributions are not among them — they live in task-local buffers
+/// until the post-scope merge, and a failed attempt just drops them.
+fn effect_sets<'a>(
     setup: &'a LoopSetup<'a>,
-    color: usize,
-) -> Option<&'a IndexSet> {
-    let (access, _, is_write) = site;
-    let ai = access.0 as usize;
-    if *is_write {
-        // Centered write: the task's iterations, narrowed to first-owner
-        // elements when the iteration partition aliases.
-        return Some(match &setup.write_own {
-            Some(own) => &own[color],
-            None => setup.iter.subregion(color),
-        });
-    }
-    match (&setup.lplan.accesses[ai].reduce, setup.modes[ai]) {
-        // Centered reduction: disjoint iteration partition enforced.
-        (None, _) => Some(setup.iter.subregion(color)),
-        // Buffered contributions live in task-local buffers until the
-        // post-scope merge; a failed attempt just drops them.
-        (_, Mode::Buffered(_)) => None,
-        // Only the private (disjoint) slice is mutated in place.
-        (_, Mode::BufferedPrivate { private, .. }) => Some(private.subregion(color)),
-        // Direct/guarded effects land in the (disjoint) access partition.
-        _ => Some(setup.parts[ai].subregion(color)),
-    }
+    parts: &'a [Arc<Partition>],
+    schema: &Schema,
+) -> Vec<(FieldId, &'a [IndexSet])> {
+    let accesses = setup.lplan.accesses.iter();
+    accesses
+        .filter_map(|ap| {
+            let sets = access_sets(ap, setup.iter, parts, schema)?;
+            Some((sets.field, sets.in_place(setup.write_own.as_deref())?))
+        })
+        .collect()
 }
 
 /// Saves the pre-attempt values of every element the task may mutate.
 /// Reads race with nothing: each saved element is exclusively owned by
-/// this task during the parallel phase (see `effect_set` and shared.rs).
+/// this task during the parallel phase (see `effect_sets` and shared.rs).
 fn take_snapshot<'a>(
     shared: &SharedStore,
-    sites: &[(AccessId, FieldId, bool)],
-    setup: &'a LoopSetup<'a>,
+    effects: &[(FieldId, &'a [IndexSet])],
     color: usize,
 ) -> TaskSnapshot<'a> {
     let mut saved: TaskSnapshot<'a> = Vec::new();
-    for site in sites {
-        let Some(set) = effect_set(site, setup, color) else { continue };
-        let field = site.1;
+    for &(field, sets) in effects {
+        let set = &sets[color];
         if saved.iter().any(|(f, s, _)| *f == field && std::ptr::eq(*s, set)) {
             continue; // site already covered (same field, same element set)
         }
@@ -301,6 +267,7 @@ fn execute_loop(
     li: usize,
     lp: &Loop,
     setup: &LoopSetup<'_>,
+    parts: &[Arc<Partition>],
     store: &mut Store,
     env: &TaskEnv<'_>,
     opts: &ExecOptions,
@@ -321,11 +288,11 @@ fn execute_loop(
     report.buffer_bytes += setup.planned_buffer_bytes;
     report.private_buffer_bytes_saved += setup.private_bytes_saved;
 
-    // Mutating sites (for effect-set snapshots); only needed under faults.
-    let mut mut_sites = Vec::new();
-    if opts.fault.is_some() {
-        collect_mut_sites(&lp.body, &mut mut_sites);
-    }
+    // Effect sets for rollback snapshots; only needed under faults.
+    let effects = match opts.fault {
+        Some(_) => effect_sets(setup, parts, store.schema()),
+        None => Vec::new(),
+    };
 
     // Buffers published by completed tasks: buffers[buf][color].
     let buffers: Vec<Vec<Mutex<Option<Vec<f64>>>>> =
@@ -366,8 +333,7 @@ fn execute_loop(
                     }
                     // Pre-attempt snapshot of the task's exclusive effect
                     // sets, so any failed attempt can roll back.
-                    let snapshot =
-                        opts.fault.map(|_| take_snapshot(&shared, &mut_sites, setup, color));
+                    let snapshot = opts.fault.map(|_| take_snapshot(&shared, &effects, color));
                     let coords = |attempt: u32| -> Vec<(&'static str, partir_obs::Value)> {
                         vec![
                             ("loop", li.into()),
@@ -522,14 +488,10 @@ fn execute_loop(
         if bufs.iter().all(Option::is_none) {
             continue; // no contributions at all
         }
-        let ap = &setup.lplan.accesses[spec.access];
-        let AccessKind::Reduce(op) = ap.kind else {
-            return Err(ExecError::BufferStateCorrupt { loop_index: li });
-        };
-        let fs = store.f64s_mut(ap.field);
+        let fs = store.f64s_mut(spec.field);
         for (set, buf) in spec.sets.iter().zip(bufs) {
             for (t, v) in set.iter().zip(buf.into_iter().flatten()) {
-                fs[t as usize] = op.apply(fs[t as usize], v);
+                fs[t as usize] = spec.op.apply(fs[t as usize], v);
             }
         }
     }

@@ -37,7 +37,7 @@ use crate::fault::InjectedPanic;
 use crate::lower::{lower_loop, Expand, ForEach, IdxStep, Lowered, Op, OutOfScope, ReduceSite};
 use crate::lower::{IReg, VReg, LOOP_VAR};
 use parking_lot::Mutex;
-use partir_core::exchange::ExchangePlan;
+use partir_core::exchange::{access_sets, ExchangePlan};
 use partir_core::pipeline::{LoopPlan, ParallelPlan, PartId, PlannedReduce};
 use partir_dpl::func::FnTable;
 use partir_dpl::index_set::{Idx, IndexSet};
@@ -224,8 +224,8 @@ pub(crate) enum Mode<'a> {
 
 /// The per-color element sets of one two-step reduction access.
 pub(crate) struct BufferSpec<'a> {
-    /// Access index within the loop plan.
-    pub access: usize,
+    pub field: FieldId,
+    pub op: ReduceOp,
     /// `sets[color]`: the elements the color's buffer covers, in buffer
     /// order.
     pub sets: Cow<'a, [IndexSet]>,
@@ -244,6 +244,7 @@ pub(crate) struct LoopSetup<'a> {
     /// The access partition of every access site.
     pub parts: Vec<&'a Partition>,
     pub modes: Vec<Mode<'a>>,
+    /// One per two-step reduction access, in access order.
     pub buffers: Vec<BufferSpec<'a>>,
     /// With an aliased iteration partition, a centered write applies only
     /// in the first task owning the iteration; `None` when it is disjoint.
@@ -262,8 +263,8 @@ fn set_bytes(sets: &[IndexSet]) -> u64 {
 /// and resolves every loop's [`LoopSetup`]. `parts` must be `plan.evaluate(...)` output
 /// (indexed by `PartId`), all of one launch width. The element-bounds walk
 /// touches every subregion, so it rides on `check_bounds`. With an
-/// exchange plan at hand its first-owner sets are borrowed instead of
-/// derived again.
+/// exchange plan at hand its first-owner and buffer sets are borrowed
+/// instead of derived again.
 pub(crate) fn plan_loops<'a>(
     program: &[Loop],
     plan: &'a ParallelPlan,
@@ -332,42 +333,40 @@ pub(crate) fn plan_loops<'a>(
         };
         for (access, ap) in lplan.accesses.iter().enumerate() {
             let part = resolve(li, ap.part, ap.region)?;
-            let disjoint = |p: &Partition| {
-                if p.is_disjoint() {
-                    return Ok(());
-                }
-                Err(PlanError::ReductionNotDisjoint {
+            if let Some(PlannedReduce::BufferedPrivate { private }) = &ap.reduce {
+                resolve(li, *private, ap.region)?;
+            }
+            let sets = access_sets(ap, iter, parts, schema);
+            // An uncentered reduction applied in place needs every element
+            // to have one writer.
+            let reduced = sets.as_ref().and_then(|a| a.resident).filter(|_| ap.reduce.is_some());
+            if reduced.is_some_and(|p| !p.is_disjoint()) {
+                return Err(PlanError::ReductionNotDisjoint {
                     loop_index: li,
                     access: AccessId(access as u32),
-                })
-            };
-            let buf = s.buffers.len();
-            let mode = match &ap.reduce {
+                });
+            }
+            let mode = match sets.and_then(|a| Some((a.field, a.buffered?))) {
+                Some((field, b)) => {
+                    let buf = s.buffers.len();
+                    let sets = match xplan.map(|x| &x.loops[li].routes[buf]) {
+                        Some(route) => {
+                            debug_assert_eq!(route.access, access, "routes follow access order");
+                            Cow::Borrowed(&route.sets[..])
+                        }
+                        None => b.sets(),
+                    };
+                    let bytes = set_bytes(&sets);
+                    s.planned_buffer_bytes += bytes;
+                    s.private_bytes_saved += set_bytes(b.part.subregions()) - bytes;
+                    s.buffers.push(BufferSpec { field, op: b.op, sets });
+                    match b.private {
+                        Some(private) => Mode::BufferedPrivate { private, buf },
+                        None => Mode::Buffered(buf),
+                    }
+                }
+                None if matches!(ap.reduce, Some(PlannedReduce::Guarded)) => Mode::Guarded,
                 None => Mode::Plain,
-                Some(PlannedReduce::Direct) => {
-                    disjoint(part)?;
-                    Mode::Plain
-                }
-                Some(PlannedReduce::Guarded) => {
-                    disjoint(part)?;
-                    Mode::Guarded
-                }
-                Some(PlannedReduce::Buffered) => {
-                    s.planned_buffer_bytes += set_bytes(part.subregions());
-                    s.buffers.push(BufferSpec { access, sets: Cow::Borrowed(part.subregions()) });
-                    Mode::Buffered(buf)
-                }
-                Some(PlannedReduce::BufferedPrivate { private }) => {
-                    let private = resolve(li, *private, ap.region)?;
-                    disjoint(private)?;
-                    let sets: Vec<IndexSet> =
-                        part.iter().zip(private.iter()).map(|(a, p)| a.difference(p)).collect();
-                    let shared_bytes = set_bytes(&sets);
-                    s.planned_buffer_bytes += shared_bytes;
-                    s.private_bytes_saved += set_bytes(part.subregions()) - shared_bytes;
-                    s.buffers.push(BufferSpec { access, sets: Cow::Owned(sets) });
-                    Mode::BufferedPrivate { private, buf }
-                }
             };
             s.parts.push(part);
             s.modes.push(mode);

@@ -10,7 +10,7 @@
 use partir_core::eval::ExtBindings;
 use partir_core::pipeline::{auto_parallelize, AutoError, Hints, Options};
 use partir_core::placement::{place, PlacementConfig};
-use partir_dpl::func::{FnDef, FnTable, IndexFn, MultiFn};
+use partir_dpl::func::{FnDef, FnTable, IndexFn};
 use partir_dpl::region::{FieldData, FieldId, FieldKind, RegionId, Schema, Store};
 use partir_ir::ast::{BinOp, Loop, LoopBuilder, ReduceOp, UnOp, VExpr};
 use partir_ir::interp::run_program_seq;
@@ -18,28 +18,18 @@ use partir_runtime::dist::{execute_ranks, DistError, DistOptions, LegalityMode};
 use partir_runtime::exec::{execute_program, ExecError, ExecOptions};
 use partir_runtime::task::{PlanError, CHUNK};
 
+mod shapes;
+use shapes::{fill, nested_for_each};
+
 /// Several chunks and a ragged tail per color.
 const N: u64 = 2 * CHUNK as u64 + 37;
 
-/// Values whose sums and products round: `k · 0.37` at three magnitudes.
-fn inexact(i: usize) -> f64 {
-    let k = (i * 7919 + 13) % 997 + 1;
-    k as f64 * 0.37 * [1e-3, 1.0, 1e3][k % 3]
-}
-
-fn fill(store: &mut Store, f: FieldId) {
-    for (i, v) in store.f64s_mut(f).iter_mut().enumerate() {
-        *v = inexact(i);
-    }
-}
-
 type Failure = (Result<(), ExecError>, Result<(), DistError>);
 
-/// Runs `program` sequentially, on 2 threads and — unless `threads_only` —
-/// on 2 ranks (3 colors), checked and unchecked. Returns the first failure
-/// of each backend, after asserting that every run that succeeded matches
-/// the interpreter.
-fn run_everywhere(program: &[Loop], fns: &FnTable, store: &Store, threads_only: bool) -> Failure {
+/// Runs `program` sequentially, on 2 threads and on 2 ranks (3 colors),
+/// checked and unchecked. Returns the first failure of each backend, after
+/// asserting that every run that succeeded matches the interpreter.
+fn run_everywhere(program: &[Loop], fns: &FnTable, store: &Store) -> Failure {
     let schema = store.schema().clone();
     let plan = auto_parallelize(program, fns, &schema, &Hints::new(), Options::default())
         .expect("the loop auto-parallelizes");
@@ -65,9 +55,6 @@ fn run_everywhere(program: &[Loop], fns: &FnTable, store: &Store, threads_only: 
             Ok(_) => same(&par, "threads"),
             Err(e) => exec_result = Err(e),
         }
-        if threads_only {
-            continue;
-        }
         let xplan = place(&plan, &parts, &schema, 2, &PlacementConfig::default()).unwrap().xplan;
         let mut par = store.clone();
         let legality = if check { LegalityMode::Element } else { LegalityMode::Off };
@@ -82,7 +69,7 @@ fn run_everywhere(program: &[Loop], fns: &FnTable, store: &Store, threads_only: 
 }
 
 fn assert_runs(program: &[Loop], fns: &FnTable, store: &Store) {
-    let (exec, dist) = run_everywhere(program, fns, store, false);
+    let (exec, dist) = run_everywhere(program, fns, store);
     exec.expect("threads run");
     dist.expect("ranks run");
 }
@@ -161,75 +148,16 @@ fn affine_maps_beyond_the_unit_stride_modular_one() {
     assert_runs(&[b.finish()], &fns, &store);
 }
 
-/// CSR rows over `cols`, and per column a second range — and, where the
-/// backend takes them, a single-valued "diagonal" map and a lifted one:
-/// nested `ForEach` two deep, with the outer loop variable, an outer value
-/// and the middle variable all read in the innermost body. Exchange
-/// derivation has no field to attribute a header over a single-valued
-/// function to, so that variant runs on the threads only.
+/// CSR rows over `cols`, and per column a second range — and a
+/// single-valued "diagonal" map and a lifted one, headers that read no
+/// field: nested `ForEach` two deep, with the outer loop variable, an
+/// outer value and the middle variable all read in the innermost body.
 #[test]
 fn nested_and_single_valued_for_each() {
-    nested_for_each(false);
-    nested_for_each(true);
-}
-
-fn nested_for_each(single_valued_headers: bool) {
-    let (n_rows, n_cols) = (CHUNK as u64 + 3, 3 * CHUNK as u64);
-    let mut schema = Schema::new();
-    let rows = schema.add_region("Rows", n_rows);
-    let cols = schema.add_region("Cols", n_cols);
-    let leaf = schema.add_region("Leaf", n_cols + 9);
-    let row_range = schema.add_field(rows, "range", FieldKind::Range(cols));
-    let scale = schema.add_field(rows, "scale", FieldKind::F64);
-    // One output per inner header: three sites on one field inside the
-    // outer `ForEach` would conflict and run serially.
-    let outs = ["o0", "o1", "o2"].map(|name| schema.add_field(rows, name, FieldKind::F64));
-    let col_range = schema.add_field(cols, "range", FieldKind::Range(leaf));
-    let cw = schema.add_field(cols, "w", FieldKind::F64);
-    let lw = schema.add_field(leaf, "w", FieldKind::F64);
-    let mut fns = FnTable::new();
-    let f_rows = fns.add_range_field("rows", rows, cols, row_range);
-    let f_cols = fns.add_range_field("cols", cols, leaf, col_range);
-    let diag = fns.add("diag", cols, leaf, FnDef::Index(IndexFn::Affine { mul: 1, add: 9 }));
-    let lifted = fns.add(
-        "lifted",
-        cols,
-        leaf,
-        FnDef::Multi(MultiFn::Lift(IndexFn::AffineMod { mul: 1, add: 4, modulus: n_cols })),
-    );
-    let mut store = Store::new(schema);
-    for f in [scale, cw, lw] {
-        fill(&mut store, f);
+    for single_valued_headers in [false, true] {
+        let (lp, fns, store) = nested_for_each(single_valued_headers);
+        assert_runs(&[lp], &fns, &store);
     }
-    // Rows of 0, 1, 2, … columns until they run out; the last takes the
-    // rest (more than a chunk). Columns own 0–4 leaves each, overlapping.
-    let mut next = 0;
-    for (r, range) in store.ranges_mut(row_range).iter_mut().enumerate() {
-        let end = if r as u64 == n_rows - 1 { n_cols } else { (next + r as u64 % 5).min(n_cols) };
-        *range = (next, end);
-        next = end;
-    }
-    for (c, range) in store.ranges_mut(col_range).iter_mut().enumerate() {
-        *range = (c as u64, c as u64 + c as u64 % 5);
-    }
-
-    let mut b = LoopBuilder::new("nested", rows);
-    let i = b.loop_var();
-    let s = b.val_read(rows, scale, i);
-    let c = b.begin_for_each(f_rows, i);
-    let w = b.val_read(cols, cw, c);
-    let inner = if single_valued_headers { vec![f_cols, diag, lifted] } else { vec![f_cols] };
-    for (f, out) in inner.into_iter().zip(outs) {
-        let l = b.begin_for_each(f, c);
-        let v = b.val_read(leaf, lw, l);
-        let term = VExpr::mul(VExpr::mul(VExpr::var(s), VExpr::var(w)), VExpr::var(v));
-        b.val_reduce(rows, out, i, ReduceOp::Add, term);
-        b.end_for_each();
-    }
-    b.end_for_each();
-    let (exec, dist) = run_everywhere(&[b.finish()], &fns, &store, single_valued_headers);
-    exec.expect("threads run");
-    dist.expect("ranks run");
 }
 
 /// Inside a `ForEach`, a read and a write of the loop-invariant element
@@ -292,7 +220,7 @@ fn an_index_function_leaving_its_target_fails_as_before() {
         let j = b.idx_apply(g, i);
         let v = b.val_read(r, f[0], j);
         b.val_write(r, f[1], i, VExpr::var(v));
-        let (exec, dist) = codes(run_everywhere(&[b.finish()], &fns, &store, false));
+        let (exec, dist) = codes(run_everywhere(&[b.finish()], &fns, &store));
         assert_eq!(exec, "task panicked: affine out of range", "({mul}, {add})");
         assert!(dist.contains("affine out of range"), "({mul}, {add}): {dist}");
     }

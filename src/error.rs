@@ -89,7 +89,6 @@ impl Error {
                 ExecError::Legality(_) => "exec.legality",
                 ExecError::TaskPanic(_) => "exec.task_panic",
                 ExecError::TaskFailed { .. } => "exec.task_failed",
-                ExecError::BufferStateCorrupt { .. } => "exec.buffer_state_corrupt",
             },
             Error::Dist(e) => match e {
                 // Exchange derivation keeps its own code family even when
@@ -276,7 +275,6 @@ mod tests {
             Error::Exec(ExecError::Legality(violation(None))),
             Error::Exec(ExecError::TaskPanic("boom".into())),
             Error::Exec(ExecError::TaskFailed { loop_index: 0, color: 0, attempts: 3 }),
-            Error::Exec(ExecError::BufferStateCorrupt { loop_index: 0 }),
             Error::Dist(DistError::Exchange(ExchangeError::NoRanks)),
             Error::Dist(DistError::Legality(violation(Some(0)))),
             Error::Dist(DistError::PlanIllegal(partir_core::exchange::PlanLegalityError {

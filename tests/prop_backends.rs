@@ -4,7 +4,9 @@
 //! rank-sharded SPMD backend — with dynamic legality checking on
 //! everywhere. Both backends run the same plan through the same compute
 //! core, so they must also agree on what that core counted: tasks, guard
-//! hits and skips, skipped non-owner writes.
+//! hits and skips, skipped non-owner writes. The rank side runs with strict
+//! volume accounting, which pins on generated programs what the volume
+//! prediction assumes: every routed buffer slice is allocated and sent.
 
 use partir::core::pipeline::{Options, PlannedReduce};
 use partir::prelude::*;
@@ -31,8 +33,11 @@ fn run_on_both(
         .options(options)
         .solve()
         .expect("generated programs are parallelizable");
-    let runs =
-        [Run::new().backend(Backend::Threads(width)), Run::new().backend(Backend::Ranks(width))];
+    let strict = ObsConfig { strict_volume: true, ..ObsConfig::disabled() };
+    let runs = [
+        Run::new().backend(Backend::Threads(width)),
+        Run::new().backend(Backend::Ranks(width)).obs(strict),
+    ];
     let mut reports = Vec::new();
     for (run, backend) in runs.into_iter().zip(["threads", "ranks"]) {
         let mut par = built.store.clone();

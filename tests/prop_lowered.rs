@@ -24,6 +24,8 @@ use std::collections::BTreeSet;
 
 mod common;
 use common::{assert_f64_fields_eq, build, Built, Cfg, OPTIONAL_LOOPS};
+#[path = "../crates/runtime/tests/shapes/mod.rs"]
+mod shapes;
 
 /// A configuration asking for both optional loops; the generator grants
 /// them unless the flags have the second loop and the pointer chain
@@ -209,4 +211,18 @@ fn a_kill_in_the_middle_of_a_chunk_rolls_back_and_retries_bit_identically() {
         assert!(first.faults_injected > 0 && first.task_retries > 0, "{first:?}");
         assert_eq!(first.to_json().to_string(), replay.to_json().to_string());
     }
+}
+
+/// `ForEach` headers over single-valued functions read no field; the rank
+/// backend's exchange derivation and legality proof must give them no
+/// footprint instead of looking one up.
+#[test]
+fn for_each_headers_no_field_backs_run_on_ranks() {
+    let (lp, fns, store) = shapes::nested_for_each(true);
+    let mut seq = store.clone();
+    run_program_seq(std::slice::from_ref(&lp), &mut seq, &fns);
+    let plan = Partir::new(vec![lp], fns, store.schema().clone()).colors(3).solve().unwrap();
+    let mut par = store.clone();
+    Run::new().backend(Backend::Ranks(2)).run(&plan, &mut par).expect("ranks run");
+    assert_f64_fields_eq(&seq, &par, "ranks").unwrap();
 }
