@@ -265,7 +265,11 @@ impl SolvedPlan {
     /// evaluation (the evaluator reads pointer/range fields and region
     /// sizes, never values).
     pub fn parts_for(&self, store: &Store) -> Arc<Vec<Arc<Partition>>> {
-        let key = store_index_fingerprint(store);
+        self.parts_keyed(store_index_fingerprint(store), store)
+    }
+
+    /// [`Self::parts_for`] for a caller that has read `store`'s key already.
+    fn parts_keyed(&self, key: Fingerprint, store: &Store) -> Arc<Vec<Arc<Partition>>> {
         if let Ok(mut memos) = self.memos.lock() {
             if let Some(parts) = memos.parts.get(&key) {
                 partir_obs::counter("plan.parts_memo_hit", 1);
@@ -300,7 +304,7 @@ impl SolvedPlan {
                 return Ok(artifacts);
             }
         }
-        let parts = self.parts_for(store);
+        let parts = self.parts_keyed(key.store_fp, store);
         let placed = place(&self.plan, &parts, &self.schema, n_ranks, placement)?;
         let proof_facts = prove_plan_legality(&placed.xplan, &self.plan, &parts, &self.schema)
             .ok()

@@ -27,7 +27,9 @@
 //!   evaluation reads nothing else — f64 payloads never influence where an
 //!   element lives — so evaluated partitions and everything derived from
 //!   them (exchange plans, placements, legality proofs) are memoizable per
-//!   index-structure, surviving arbitrary value updates between runs.
+//!   index-structure, surviving arbitrary value updates between runs. The
+//!   store keeps the value ([`Store::index_digest`]) until an index column
+//!   is written, so a structure is hashed once per process, not per call.
 //! * [`placement_fingerprint`] — the placement-config component of the
 //!   per-rank-count artifact memo inside [`crate::cache::SolvedPlan`].
 
@@ -172,12 +174,24 @@ pub fn solve_fingerprint(
     h.finish()
 }
 
-/// Hashes the index structure of a store: region sizes plus the contents
-/// of every `Ptr` and `Range` field. f64 fields are skipped — partition
-/// evaluation never reads them, so two stores that differ only in values
-/// share evaluated partitions, exchange plans, placements, and legality
-/// proofs.
+/// The fingerprint of a store's index structure: region sizes plus the
+/// contents of every `Ptr` and `Range` field. f64 fields are skipped —
+/// partition evaluation never reads them, so two stores that differ only in
+/// values share evaluated partitions, exchange plans, placements, and
+/// legality proofs.
+///
+/// It is a content hash — two stores built apart with equal structure agree
+/// — that the store remembers: the columns are hashed (and the obs counter
+/// `plan.store_hash` emitted) only when no clone of this store has been
+/// asked since its index columns were last written.
 pub fn store_index_fingerprint(store: &Store) -> Fingerprint {
+    Fingerprint(store.index_digest(|| {
+        partir_obs::counter("plan.store_hash", 1);
+        hash_index_structure(store).0
+    }))
+}
+
+fn hash_index_structure(store: &Store) -> Fingerprint {
     let mut h = FpHasher::new();
     let schema = store.schema();
     h.write_usize(schema.num_regions());
@@ -197,14 +211,14 @@ pub fn store_index_fingerprint(store: &Store) -> Fingerprint {
             FieldData::Ptr(v) => {
                 h.tag(1);
                 h.write_usize(v.len());
-                for &p in v {
+                for &p in v.iter() {
                     h.write_u64(p);
                 }
             }
             FieldData::Range(v) => {
                 h.tag(2);
                 h.write_usize(v.len());
-                for &(s, e) in v {
+                for &(s, e) in v.iter() {
                     h.write_u64(s);
                     h.write_u64(e);
                 }
@@ -653,6 +667,35 @@ mod tests {
 
         store.ptrs_mut(px)[3] = 5;
         assert_ne!(base, store_index_fingerprint(&store), "pointer fields are index structure");
+    }
+
+    /// The store remembers its fingerprint; what it remembers is the content
+    /// hash, at the value it had before stores remembered anything.
+    #[test]
+    fn store_fingerprint_is_the_content_hash_at_its_pinned_value() {
+        let mut schema = Schema::new();
+        let r = schema.add_region("R", 8);
+        let m = schema.add_region("M", 5);
+        schema.add_field(r, "x", FieldKind::F64);
+        let px = schema.add_field(r, "p", FieldKind::Ptr(m));
+        let rx = schema.add_field(m, "rows", FieldKind::Range(r));
+        let build = || {
+            let mut store = Store::new(schema.clone());
+            for i in 0..8 {
+                store.ptrs_mut(px)[i] = (i as u64 * 3) % 5;
+            }
+            for i in 0..5 {
+                store.ranges_mut(rx)[i] = (i as u64, i as u64 + 3);
+            }
+            store
+        };
+        let (a, b) = (build(), build());
+        let fp = store_index_fingerprint(&a);
+        assert_eq!(fp.to_string(), "53e7e3b364d623f42f2534a9663f4a2f");
+        assert_eq!(fp, hash_index_structure(&a), "the remembered value is the hash");
+        assert_eq!(fp, store_index_fingerprint(&a), "and stays it");
+        assert_eq!(fp, store_index_fingerprint(&b), "stores built apart agree");
+        assert_eq!(fp, store_index_fingerprint(&a.clone()));
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! ascending global index order, with global→local translation through a
 //! precomputed [`LocalMap`] (prefix-summed interval runs, with a
 //! zero-search fast path when the footprint is one contiguous run).
-//! Ptr/Range topology fields are replicated in full: they describe the
-//! mesh/matrix structure, are never written during parallel phases, and
-//! partitioning functions read them at arbitrary indices.
+//! Ptr/Range topology fields are not sharded — they describe the
+//! mesh/matrix structure and partitioning functions read them at arbitrary
+//! indices — and not copied either: every rank holds an `Arc` clone of the
+//! global store's column, which nothing writes during parallel phases
+//! ([`Storage`] has no operation that could).
 //!
 //! Failing to translate an index *is* the distributed legality check: an
 //! access that reaches an element outside `owned ∪ ghosts` has no local
@@ -25,7 +27,8 @@
 use crate::task::Storage;
 use partir_core::exchange::{ExchangePlan, FieldSets};
 use partir_dpl::index_set::{Idx, IndexSet};
-use partir_dpl::region::{FieldId, FieldKind, Store};
+use partir_dpl::region::{FieldData, FieldId, FieldKind, Store};
+use std::sync::Arc;
 
 /// Precomputed global→local translation for one field's footprint:
 /// the canonical runs of the footprint set plus the prefix-summed local
@@ -97,9 +100,9 @@ enum RankField {
         local: LocalMap,
         data: Vec<f64>,
     },
-    /// Replicated topology.
-    Ptr(Vec<Idx>),
-    Range(Vec<(Idx, Idx)>),
+    /// Topology, whole and shared with the global store.
+    Ptr(Arc<Vec<Idx>>),
+    Range(Arc<Vec<(Idx, Idx)>>),
 }
 
 /// The shard of the global [`Store`] resident on one rank.
@@ -115,20 +118,18 @@ impl RankStore {
         let fields = (0..schema.num_fields())
             .map(|fi| {
                 let f = FieldId(fi as u32);
-                let decl = schema.field(f);
-                match decl.kind {
-                    FieldKind::F64 => {
-                        let set = xplan.local(decl.region, rank);
+                match store.field_data(f) {
+                    FieldData::F64(global) => {
+                        let set = xplan.local(schema.field(f).region, rank);
                         let local = LocalMap::new(set);
-                        let global = store.f64s(f);
                         let mut data = Vec::with_capacity(local.len() as usize);
                         for &(s, e) in set.runs() {
                             data.extend_from_slice(&global[s as usize..e as usize]);
                         }
                         RankField::F64 { local, data }
                     }
-                    FieldKind::Ptr(_) => RankField::Ptr(store.ptrs(f).to_vec()),
-                    FieldKind::Range(_) => RankField::Range(store.ranges(f).to_vec()),
+                    FieldData::Ptr(column) => RankField::Ptr(Arc::clone(column)),
+                    FieldData::Range(column) => RankField::Range(Arc::clone(column)),
                 }
             })
             .collect();
@@ -301,7 +302,71 @@ impl Storage for RankStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use partir_core::eval::ExtBindings;
+    use partir_core::pipeline::{auto_parallelize, Hints, Options};
+    use partir_core::placement::{place, PlacementConfig};
+    use partir_dpl::func::FnTable;
     use partir_dpl::region::Schema;
+    use partir_ir::ast::{LoopBuilder, ReduceOp, VExpr};
+
+    /// Every rank's shard holds the global store's own topology columns.
+    #[test]
+    fn ranks_share_topology_columns_with_the_global_store() {
+        // CSR row sums: for i in Y: for k in row(i): Y[i].y += X[col(k)].x
+        let mut schema = Schema::new();
+        let mat = schema.add_region("Mat", 32);
+        let x = schema.add_region("X", 8);
+        let y = schema.add_region("Y", 8);
+        let fx = schema.add_field(x, "x", FieldKind::F64);
+        let fy = schema.add_field(y, "y", FieldKind::F64);
+        let col = schema.add_field(mat, "col", FieldKind::Ptr(x));
+        let row = schema.add_field(y, "row", FieldKind::Range(mat));
+        let mut fns = FnTable::new();
+        let f_row = fns.add_range_field("row", y, mat, row);
+        let f_col = fns.add_ptr_field("col", mat, x, col);
+        let mut b = LoopBuilder::new("spmv", y);
+        let i = b.loop_var();
+        let k = b.begin_for_each(f_row, i);
+        let c = b.idx_read(mat, col, k, f_col);
+        let v = b.val_read(x, fx, c);
+        b.val_reduce(y, fy, i, ReduceOp::Add, VExpr::var(v));
+        b.end_for_each();
+        let program = vec![b.finish()];
+        let mut store = Store::new(schema.clone());
+        for r in 0..8 {
+            store.ranges_mut(row)[r] = (4 * r as u64, 4 * r as u64 + 4);
+        }
+        for k in 0..32 {
+            store.ptrs_mut(col)[k] = (k as u64 * 5) % 8;
+        }
+
+        let n_ranks = 4;
+        let plan =
+            auto_parallelize(&program, &fns, &schema, &Hints::new(), Options::default()).unwrap();
+        let parts = plan.evaluate(&store, &fns, n_ranks, &ExtBindings::new());
+        let xplan =
+            place(&plan, &parts, &schema, n_ranks, &PlacementConfig::default()).unwrap().xplan;
+        let (FieldData::Ptr(cols), FieldData::Range(rows)) =
+            (store.field_data(col), store.field_data(row))
+        else {
+            panic!("col is Ptr and row is Range");
+        };
+        assert_eq!((Arc::strong_count(cols), Arc::strong_count(rows)), (1, 1));
+        let shards: Vec<_> = (0..n_ranks).map(|r| RankStore::shard(&store, &xplan, r)).collect();
+        assert_eq!((Arc::strong_count(cols), Arc::strong_count(rows)), (1 + n_ranks, 1 + n_ranks));
+        for shard in &shards {
+            let (RankField::Ptr(c), RankField::Range(r)) =
+                (&shard.fields[col.0 as usize], &shard.fields[row.0 as usize])
+            else {
+                panic!("a shard keeps each field's kind");
+            };
+            assert!(Arc::ptr_eq(c, cols) && Arc::ptr_eq(r, rows), "no column is copied");
+            assert_eq!(shard.read_ptr(col, 7), store.ptrs(col)[7]);
+            assert_eq!(shard.read_range(row, 3), store.ranges(row)[3]);
+        }
+        drop(shards);
+        assert_eq!((Arc::strong_count(cols), Arc::strong_count(rows)), (1, 1));
+    }
 
     #[test]
     fn non_resident_access_is_detected() {

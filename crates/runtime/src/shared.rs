@@ -43,19 +43,23 @@ unsafe impl Send for SharedStore {}
 impl SharedStore {
     /// Captures raw views of every field. The borrow of `store` must outlive
     /// the parallel phase (the executor keeps `&mut Store` frozen while the
-    /// crossbeam scope is alive).
+    /// crossbeam scope is alive). Only f64 columns are borrowed mutably:
+    /// index columns are read-only here, and a `&mut` to one would un-share
+    /// it from the store's clones and forget the store's digest.
     pub fn new(store: &mut Store) -> Self {
-        let n = store.schema().num_fields();
-        let mut fields = Vec::with_capacity(n);
-        for i in 0..n {
-            let fid = FieldId(i as u32);
-            let raw = match store.field_data_mut(fid) {
-                FieldData::F64(v) => RawField::F64 { ptr: v.as_mut_ptr(), len: v.len() },
-                FieldData::Ptr(v) => RawField::Ptr { ptr: v.as_ptr(), len: v.len() },
-                FieldData::Range(v) => RawField::Range { ptr: v.as_ptr(), len: v.len() },
-            };
-            fields.push(raw);
-        }
+        let fields = (0..store.schema().num_fields())
+            .map(|i| {
+                let fid = FieldId(i as u32);
+                match store.field_data(fid) {
+                    FieldData::F64(_) => {
+                        let v = store.f64s_mut(fid);
+                        RawField::F64 { ptr: v.as_mut_ptr(), len: v.len() }
+                    }
+                    FieldData::Ptr(v) => RawField::Ptr { ptr: v.as_ptr(), len: v.len() },
+                    FieldData::Range(v) => RawField::Range { ptr: v.as_ptr(), len: v.len() },
+                }
+            })
+            .collect();
         SharedStore { fields }
     }
 }

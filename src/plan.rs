@@ -306,11 +306,14 @@ impl Run {
     pub fn run(&self, plan: &Plan, store: &mut Store) -> Result<RunOutcome, Error> {
         self.validate(plan.colors())?;
         self.obs.apply();
-        let schema = plan.schema();
-        if store.schema().num_fields() != schema.num_fields()
-            || store.schema().num_regions() != schema.num_regions()
-        {
-            return Err(Error::Session("store schema does not match the plan's schema".into()));
+        // The plan's partitions, footprints and lowered loops are sized and
+        // typed by the schema it was solved over.
+        if !plan.schema().same_shape(store.schema()) {
+            return Err(Error::Session(
+                "store schema does not match the plan's schema (region sizes, or a field's \
+                 region or kind)"
+                    .into(),
+            ));
         }
         match self.backend {
             Backend::Threads(n_threads) => {

@@ -4,6 +4,8 @@
 //! the same registered `exec.*` / `dist.*` code it always had. The eighth
 //! shape they reject, a body reading a `ForEach`'s variable after the
 //! block, never gets that far through the facade: `solve()` refuses it.
+//! Nor does a store laid out otherwise than the plan's schema: `Run::run`
+//! answers `session.invalid` before either backend sees it.
 
 use partir::core::eval::ExtBindings;
 use partir::core::exchange::ExchangePlan;
@@ -208,5 +210,60 @@ fn a_for_each_variable_read_after_the_block_is_not_parallelizable() {
             .solve()
             .expect_err("a read outside the assigning block must not be planned");
         assert_eq!(err.error_code(), "auto.not_parallelizable", "{err}");
+    }
+}
+
+/// A plan is sized and typed by the schema it was solved over. A store with
+/// as many regions and fields but other region sizes, or the same sizes and
+/// other field kinds, is refused on both backends before anything indexes a
+/// column by the plan's sizes or reads it as the plan's kind.
+#[test]
+fn a_store_shaped_otherwise_than_the_plan_is_session_invalid_on_both_backends() {
+    let cfg = Cfg {
+        n_a: 48,
+        n_b: 24,
+        colors: COLORS,
+        read_ptr_chain: true,
+        read_affine: true,
+        reduce_via_ptr: false,
+        reduce_via_affine: false,
+        second_loop: false,
+        ptr_seed: 5,
+    };
+    let built = build(&cfg);
+    let schema = built.store.schema().clone();
+    let plan = Partir::new(built.program, built.fns, schema.clone())
+        .colors(COLORS)
+        .solve()
+        .expect("generated programs are parallelizable");
+
+    // The plan's schema with every field's kind taken from its successor.
+    let mut permuted = Schema::new();
+    for (_, decl) in schema.regions() {
+        permuted.add_region(decl.name.clone(), decl.size);
+    }
+    let n = schema.num_fields() as u32;
+    for f in 0..n {
+        let (decl, next) = (schema.field(FieldId(f)), schema.field(FieldId((f + 1) % n)));
+        permuted.add_field(decl.region, decl.name.clone(), next.kind);
+    }
+    assert!(!schema.same_shape(&permuted));
+
+    let misfits = [
+        ("smaller", build(&Cfg { n_a: 12, n_b: 6, ..cfg.clone() }).store),
+        ("larger", build(&Cfg { n_a: 96, n_b: 48, ..cfg.clone() }).store),
+        ("permuted kinds", Store::new(permuted)),
+    ];
+    for backend in [Backend::Threads(2), Backend::Ranks(2)] {
+        let run = Run::new().backend(backend);
+        for (what, store) in &misfits {
+            assert_eq!(store.schema().num_fields(), schema.num_fields(), "{what}");
+            assert_eq!(store.schema().num_regions(), schema.num_regions(), "{what}");
+            let err = run
+                .run(&plan, &mut store.clone())
+                .expect_err("a store of another shape must not run");
+            assert_eq!(err.error_code(), "session.invalid", "{what} on {backend:?}: {err}");
+        }
+        run.run(&plan, &mut built.store.clone()).expect("the store the plan was solved for runs");
     }
 }
