@@ -239,6 +239,30 @@ mod tests {
         assert!(p.subregion(1).is_empty());
     }
 
+    /// Identity and shifts are run algebra all the way through the
+    /// evaluator: regions of 2^40 elements, which nothing could visit.
+    #[test]
+    fn regions_too_large_to_visit_evaluate_in_closed_form() {
+        const N: u64 = 1 << 40;
+        let mut schema = Schema::new();
+        let r = schema.add_region("R", N);
+        let half = schema.add_region("Half", N / 2);
+        let store = Store::new(schema);
+        let mut fns = FnTable::new();
+        let next = FnRef::Fn(fns.add_affine("next", r, r, 1, 1));
+        let exts = ExtBindings::new();
+        let mut ev = Evaluator::new(&store, &fns, 4, &exts);
+        let clipped = ev.eval(&PExpr::image(PExpr::Equal(r), FnRef::Identity, half));
+        let runs = |p: &Partition| p.iter().map(|s| s.runs().to_vec()).collect::<Vec<_>>();
+        assert_eq!(runs(&clipped), [vec![(0, N / 4)], vec![(N / 4, N / 2)], vec![], vec![]]);
+        let widened = ev.eval(&PExpr::preimage(r, FnRef::Identity, PExpr::Equal(half)));
+        assert_eq!(*widened, ops::equal(r, N / 2, 4));
+        let shifted = ev.eval(&PExpr::image(PExpr::Equal(r), next, r));
+        assert_eq!(shifted.subregion(3).runs(), [(3 * (N / 4) + 1, N)]);
+        let back = ev.eval(&PExpr::preimage(r, next, PExpr::Equal(r)));
+        assert_eq!(back.subregion(0).runs(), [(0, N / 4 - 1)]);
+    }
+
     #[test]
     fn empty_normal_form_evaluates_to_empty_subregions() {
         let (store, fns, r, _s, _) = setup();

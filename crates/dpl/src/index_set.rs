@@ -62,21 +62,16 @@ impl IndexSet {
         IndexSet { runs }
     }
 
-    /// Builds directly from runs that are already sorted and disjoint;
-    /// merges adjacent runs to restore canonical form.
-    pub fn from_sorted_runs(runs: Vec<(Idx, Idx)>) -> Self {
-        let mut out: Vec<(Idx, Idx)> = Vec::with_capacity(runs.len());
+    /// Builds from runs sorted by start; drops empty ones and merges
+    /// adjacent and overlapping ones to restore canonical form.
+    pub fn from_sorted_runs(runs: impl IntoIterator<Item = (Idx, Idx)>) -> Self {
+        let mut out: Vec<(Idx, Idx)> = Vec::new();
         for (s, e) in runs {
             if s >= e {
                 continue;
             }
             match out.last_mut() {
-                Some((_, pe)) if *pe >= s => {
-                    debug_assert!(*pe <= e || *pe >= e, "overlap allowed, merged");
-                    if e > *pe {
-                        *pe = e;
-                    }
-                }
+                Some((_, pe)) if *pe >= s => *pe = (*pe).max(e),
                 _ => out.push((s, e)),
             }
         }

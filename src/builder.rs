@@ -25,7 +25,7 @@ use partir_core::fingerprint::solve_fingerprint;
 use partir_core::optimize::RelaxPolicy;
 use partir_core::pipeline::{Hints, Options};
 use partir_core::solve::SolveBudget;
-use partir_dpl::func::FnTable;
+use partir_dpl::func::{FnDef, FnId, FnTable, IndexFn, MultiFn};
 use partir_dpl::region::Schema;
 use partir_ir::ast::Loop;
 use std::sync::Arc;
@@ -115,7 +115,10 @@ impl Partir {
 
     /// Solves the partitioning constraints (inference → unification →
     /// solving → plan construction) into a shareable [`Plan`], consulting
-    /// the configured [`PlanCache`] first.
+    /// the configured [`PlanCache`] first. A request no plan could serve —
+    /// zero colors, a miscounted externals list, an `AffineMod` modulus
+    /// outside `1..=i64::MAX` anywhere in the function table — is
+    /// `session.invalid` before either.
     pub fn solve(self) -> Result<Plan, Error> {
         if self.colors == 0 {
             return Err(Error::Session("color count must be at least 1".into()));
@@ -126,6 +129,19 @@ impl Partir {
                 self.externals.len(),
                 self.hints.num_externals()
             )));
+        }
+        for id in 0..self.fns.len() {
+            let named = self.fns.get(FnId(id as u32));
+            let modulus = match &named.def {
+                FnDef::Index(f) | FnDef::Multi(MultiFn::Lift(f)) => unusable_modulus(f),
+                FnDef::Multi(MultiFn::RangeField { .. }) => None,
+            };
+            if let Some(m) = modulus {
+                return Err(Error::Session(format!(
+                    "function `{}` reduces modulo {m}, outside 1..=i64::MAX",
+                    named.name
+                )));
+            }
         }
         let cache = self.cache;
         if let Some(cache) = &cache {
@@ -157,6 +173,20 @@ impl Partir {
             cache.insert(solved.clone())?;
         }
         Ok(Plan::from_solved(solved, false))
+    }
+}
+
+/// The first modulus in `f` (through `Compose`) that `IndexFn::eval`, which
+/// reduces in `i64`, cannot divide by.
+fn unusable_modulus(f: &IndexFn) -> Option<u64> {
+    match f {
+        IndexFn::AffineMod { modulus, .. } if !(1..=i64::MAX as u64).contains(modulus) => {
+            Some(*modulus)
+        }
+        IndexFn::Compose(first, second) => {
+            unusable_modulus(first).or_else(|| unusable_modulus(second))
+        }
+        _ => None,
     }
 }
 

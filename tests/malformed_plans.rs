@@ -267,3 +267,56 @@ fn a_store_shaped_otherwise_than_the_plan_is_session_invalid_on_both_backends() 
         run.run(&plan, &mut built.store.clone()).expect("the store the plan was solved for runs");
     }
 }
+
+/// `IndexFn::eval` reduces `AffineMod` in `i64`: a modulus of 0 divides by
+/// zero and one past `i64::MAX` turns negative. Wherever the function sits —
+/// on its own, inside a `Compose`, lifted to a set-valued one — `solve()`
+/// answers `session.invalid` before solving or touching the cache, directly
+/// and through a server, so no plan exists whose evaluation would panic.
+#[test]
+fn a_modulus_eval_cannot_reduce_by_is_session_invalid_and_never_cached() {
+    type Embed = fn(IndexFn) -> FnDef;
+    let request = |wrap: Embed, modulus: u64| {
+        let mut schema = Schema::new();
+        let r = schema.add_region("R", 32);
+        let s = schema.add_region("S", 32);
+        let out = schema.add_field(r, "out", FieldKind::F64);
+        let sx = schema.add_field(s, "x", FieldKind::F64);
+        let mut fns = FnTable::new();
+        let g = fns.add("g", r, s, wrap(IndexFn::AffineMod { mul: 1, add: 3, modulus }));
+        let mut b = LoopBuilder::new("gather", r);
+        let i = b.loop_var();
+        let j = b.begin_for_each(g, i);
+        let v = b.val_read(s, sx, j);
+        b.val_reduce(r, out, i, ReduceOp::Add, VExpr::var(v));
+        b.end_for_each();
+        let store = Store::new(schema.clone());
+        (Partir::new(vec![b.finish()], fns, schema).colors(COLORS), store)
+    };
+    let embeddings: [(&str, Embed); 3] = [
+        ("top level", FnDef::Index),
+        ("inside Compose", |f| {
+            FnDef::Index(IndexFn::Compose(Box::new(IndexFn::Identity), Box::new(f)))
+        }),
+        ("inside Lift", |f| FnDef::Multi(MultiFn::Lift(f))),
+    ];
+    for (place, wrap) in embeddings {
+        // The same request with a modulus `eval` can use solves and runs.
+        let (good, mut store) = request(wrap, 32);
+        let plan = good.solve().unwrap_or_else(|e| panic!("{place}: {e}"));
+        Run::new().run(&plan, &mut store).unwrap_or_else(|e| panic!("{place}: {e}"));
+
+        for modulus in [0, u64::MAX, i64::MAX as u64 + 1] {
+            let cache = PlanCache::new(1 << 20);
+            let err = request(wrap, modulus).0.cache(&cache).solve().expect_err(place);
+            assert_eq!(err.error_code(), "session.invalid", "{place}, modulus {modulus}: {err}");
+            let stats = cache.stats().unwrap();
+            assert_eq!((stats.entries, stats.misses), (0, 0), "{place}: the cache was consulted");
+
+            let server = Server::new(ServeConfig { workers: 1, ..Default::default() });
+            let err = server.solve(request(wrap, modulus).0).expect_err(place);
+            assert_eq!(err.error_code(), "session.invalid", "{place}, modulus {modulus}: {err}");
+            assert_eq!(server.cache_stats().unwrap().entries, 0, "{place}: something was cached");
+        }
+    }
+}
