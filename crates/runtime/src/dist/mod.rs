@@ -591,13 +591,13 @@ pub fn execute_ranks(
     let mut measured = vec![vec![(0u64, 0u64); n_ranks]; n_ranks];
     let mut done_tracers: Vec<RankTracer> = Vec::new();
     for (r, out) in outcomes.into_iter().enumerate() {
-        let Some((owned, rstats, tracer)) = out else {
+        let Some((rstore, rstats, tracer)) = out else {
             if alive[r] {
                 return Err(DistError::Internal(format!("rank {r} produced no result")));
             }
             continue;
         };
-        RankStore::install_owned(store, xp, r, owned);
+        rstore.gather_into(store, xp, r);
         report.tasks_run += rstats.tasks_run;
         report.messages += rstats.messages_sent;
         report.bytes_sent += rstats.bytes_sent;
@@ -684,8 +684,9 @@ pub fn execute_ranks(
     Ok(DistOutcome { report, trace, volume, validate_ns, lost_ranks })
 }
 
-/// One rank's gathered result: owned shards, stats, and its timeline.
-type RankOutcome = (OwnedShards, RankStats, Option<RankTracer>);
+/// One rank's result: its shard (owned elements final), stats, and its
+/// timeline.
+type RankOutcome = (RankStore, RankStats, Option<RankTracer>);
 
 /// Everything one SPMD attempt produced, success or not.
 struct AttemptResult {
@@ -730,9 +731,6 @@ fn run_attempt(
             mb.set_deadline(EPOCH_DEADLINE);
         }
     }
-    let shards: Vec<Option<RankStore>> =
-        (0..n_ranks).map(|r| alive[r].then(|| RankStore::shard(base_store, xplan, r))).collect();
-
     // One shared time base, taken before any rank spawns, so spans of
     // different ranks land on the same clock. Survivors of a recovery
     // open their timeline with a Recovery span covering the re-shard +
@@ -758,10 +756,10 @@ fn run_attempt(
 
     let check = opts.legality == LegalityMode::Element;
     let scope_result = crossbeam::scope(|s| {
-        for (r, ((mut mailbox, rstore), tracer)) in
-            mailboxes.into_iter().zip(shards).zip(tracers).enumerate()
-        {
-            let Some(rstore) = rstore else { continue };
+        for (r, (mut mailbox, tracer)) in mailboxes.into_iter().zip(tracers).enumerate() {
+            if !alive[r] {
+                continue;
+            }
             let senders = senders.clone();
             let abort = Arc::clone(&abort);
             let (violation, first_error, outcomes, lost) =
@@ -773,7 +771,10 @@ fn run_attempt(
                         setups,
                         xplan,
                         schema,
-                        rstore,
+                        // Built here, on the rank's thread: ranks copy in
+                        // parallel and the run's largest buffers never
+                        // sit on the driver's heap.
+                        RankStore::shard(base_store, xplan, r),
                         &senders,
                         &mut mailbox,
                         check,

@@ -36,8 +36,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 
-/// A rank's gathered result: its owned shard of every F64 field, ready to
-/// be written back into the caller's unified store.
+/// A copy of a rank's owned shard of every F64 field (a checkpoint), ready
+/// to be written back into a unified store.
 pub(crate) type OwnedShards = Vec<(FieldId, Vec<f64>)>;
 
 /// Per-rank execution statistics, aggregated into the caller's report.
@@ -91,7 +91,8 @@ fn rec(
     }
 }
 
-/// One rank's whole run: every loop in order, then the owned-shard gather.
+/// One rank's whole run: every loop in order; the shard it returns is what
+/// the driver gathers from.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rank_main(
     rank: usize,
@@ -109,7 +110,7 @@ pub(crate) fn rank_main(
     fault: Option<&FaultPlan>,
     ckpt: Option<(&CheckpointPolicy, &CheckpointStore)>,
     lost: &Mutex<Option<(usize, u64)>>,
-) -> Result<(OwnedShards, RankStats, Option<RankTracer>), DistError> {
+) -> Result<(RankStore, RankStats, Option<RankTracer>), DistError> {
     let mut stats = RankStats::default();
     let env = TaskEnv { check, rank: Some(rank), abort, violation };
     for (li, setup) in setups.iter().enumerate().skip(first_epoch) {
@@ -177,7 +178,7 @@ pub(crate) fn rank_main(
     }
     stats.recv_by_src = mailbox.measured().to_vec();
     stats.recv_aux_by_src = mailbox.measured_aux().to_vec();
-    Ok((store.extract_owned(xplan, rank, schema), stats, tracer))
+    Ok((store, stats, tracer))
 }
 
 #[allow(clippy::too_many_arguments)]

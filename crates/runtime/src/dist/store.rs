@@ -172,8 +172,24 @@ impl RankStore {
         values
     }
 
-    /// The rank's owned f64 shards, for the final gather into the caller's
-    /// store: `(field, values over xplan.owned(region, rank))`.
+    /// Writes the rank's owned elements of every f64 field into the global
+    /// store (main thread, after the SPMD scope ends) — one contiguous copy
+    /// per owned run, straight from the shard.
+    pub fn gather_into(&self, store: &mut Store, xplan: &ExchangePlan, rank: usize) {
+        for (fi, field) in self.fields.iter().enumerate() {
+            let RankField::F64 { local, data } = field else { continue };
+            let f = FieldId(fi as u32);
+            let owned = xplan.owned(store.schema().field(f).region, rank);
+            let fs = store.f64s_mut(f);
+            for &(s, e) in owned.runs() {
+                let p = local.pos(s).expect("owned ⊆ local") as usize;
+                fs[s as usize..e as usize].copy_from_slice(&data[p..p + (e - s) as usize]);
+            }
+        }
+    }
+
+    /// A copy of the rank's owned f64 shards, for a checkpoint:
+    /// `(field, values over xplan.owned(region, rank))`.
     pub fn extract_owned(
         &self,
         xplan: &ExchangePlan,
@@ -201,8 +217,8 @@ impl RankStore {
             .collect()
     }
 
-    /// Installs a gathered shard into the global store (main thread, after
-    /// the SPMD scope ends) — one contiguous copy per owned run.
+    /// Installs a checkpointed shard into the global store — one
+    /// contiguous copy per owned run.
     pub fn install_owned(
         store: &mut Store,
         xplan: &ExchangePlan,
@@ -309,10 +325,10 @@ mod tests {
     use partir_dpl::region::Schema;
     use partir_ir::ast::{LoopBuilder, ReduceOp, VExpr};
 
-    /// Every rank's shard holds the global store's own topology columns.
-    #[test]
-    fn ranks_share_topology_columns_with_the_global_store() {
-        // CSR row sums: for i in Y: for k in row(i): Y[i].y += X[col(k)].x
+    /// CSR row sums on 8 rows of 4 entries, placed on `n_ranks` ranks:
+    /// `for i in Y: for k in row(i): Y[i].y += X[col(k)].x`. Returns the
+    /// store, its exchange plan and the fields `[x, y, col, row]`.
+    fn csr_row_sums(n_ranks: usize) -> (Store, ExchangePlan, [FieldId; 4]) {
         let mut schema = Schema::new();
         let mat = schema.add_region("Mat", 32);
         let x = schema.add_region("X", 8);
@@ -339,13 +355,19 @@ mod tests {
         for k in 0..32 {
             store.ptrs_mut(col)[k] = (k as u64 * 5) % 8;
         }
-
-        let n_ranks = 4;
         let plan =
             auto_parallelize(&program, &fns, &schema, &Hints::new(), Options::default()).unwrap();
         let parts = plan.evaluate(&store, &fns, n_ranks, &ExtBindings::new());
         let xplan =
             place(&plan, &parts, &schema, n_ranks, &PlacementConfig::default()).unwrap().xplan;
+        (store, xplan, [fx, fy, col, row])
+    }
+
+    /// Every rank's shard holds the global store's own topology columns.
+    #[test]
+    fn ranks_share_topology_columns_with_the_global_store() {
+        let n_ranks = 4;
+        let (store, xplan, [_, _, col, row]) = csr_row_sums(n_ranks);
         let (FieldData::Ptr(cols), FieldData::Range(rows)) =
             (store.field_data(col), store.field_data(row))
         else {
@@ -366,6 +388,31 @@ mod tests {
         }
         drop(shards);
         assert_eq!((Arc::strong_count(cols), Arc::strong_count(rows)), (1, 1));
+    }
+
+    /// The gather writes what a rank owns and nothing it merely holds: a
+    /// ghost copy never reaches the global store.
+    #[test]
+    fn gather_writes_owned_elements_only() {
+        let n_ranks = 4;
+        let (mut store, xplan, [fx, ..]) = csr_row_sums(n_ranks);
+        let x = store.schema().field(fx).region;
+        let mut ghosts = 0;
+        for r in 0..n_ranks {
+            let mut shard = RankStore::shard(&store, &xplan, r);
+            // Mark every element the rank holds, owned or ghost.
+            for i in xplan.local(x, r).iter() {
+                assert!(shard.write_f64(fx, i, 1.0 + r as f64));
+            }
+            ghosts += xplan.local(x, r).len() - xplan.owned(x, r).len();
+            shard.gather_into(&mut store, &xplan, r);
+        }
+        assert!(ghosts > 0, "the fixture has ghost elements to get wrong");
+        for r in 0..n_ranks {
+            for i in xplan.owned(x, r).iter() {
+                assert_eq!(store.f64s(fx)[i as usize], 1.0 + r as f64, "element {i}");
+            }
+        }
     }
 
     #[test]
