@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 /// Concrete partitions for the external symbols of a system (indexed by
 /// [`ExtId`]).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct ExtBindings {
     parts: Vec<Partition>,
 }

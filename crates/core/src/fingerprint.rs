@@ -9,14 +9,23 @@
 //! [`crate::pipeline::ParallelPlan`] is bit-identical to what a cold solve
 //! would produce — the invariant the property tests in the facade pin.
 //!
-//! `std::hash` is deliberately not used: `DefaultHasher` is seeded per
-//! process (fingerprints must be stable across runs, so they can be logged,
-//! compared across ranks, and baked into reports), and several fingerprinted
-//! types carry `f64`s ([`VExpr::Const`], the placement imbalance cap) or
-//! don't implement `Hash` at all. Instead every structure is traversed
-//! explicitly into a pair of independent 64-bit FNV-1a streams, with
-//! variant tags and length prefixes so distinct shapes can't alias byte-wise
-//! (`["ab","c"]` vs `["a","bc"]`, `Union(a,b)` vs `Intersect(a,b)`).
+//! The key is `std::hash::Hash`, derived on every input type, fed to
+//! `FpHasher` instead of `DefaultHasher`. Two properties of that hasher
+//! make the derived byte stream a key that can be logged, compared across
+//! ranks and baked into reports:
+//!
+//! * no per-process seed (`DefaultHasher` has one): a fingerprint is the
+//!   same in every process;
+//! * fixed-width, little-endian integer writes, with `usize` / `isize` as
+//!   64 bits, so derived enum discriminants and `Vec` length prefixes are
+//!   the same bytes on every platform.
+//!
+//! Derived `Hash` writes a discriminant before every enum variant and a
+//! length before every sequence and string, so distinct shapes cannot alias
+//! byte-wise (`["ab","c"]` vs `["a","bc"]`, `Union(a,b)` vs
+//! `Intersect(a,b)`). The one hand-written `Hash` is that of
+//! [`VExpr`](partir_ir::ast::VExpr), which hashes `f64` constants by bit
+//! pattern.
 //!
 //! Three fingerprints exist, at three reuse granularities:
 //!
@@ -34,20 +43,19 @@
 //!   per-rank-count artifact memo inside [`crate::cache::SolvedPlan`].
 
 use crate::eval::ExtBindings;
-use crate::lang::{FnRef, PExpr};
-use crate::optimize::RelaxPolicy;
-use crate::pipeline::{Hints, Options, PredFact};
+use crate::pipeline::{Hints, Options};
 use crate::placement::PlacementConfig;
 use crate::placement::PlacementPolicy;
-use partir_dpl::func::{FnDef, FnTable, IndexFn, MultiFn};
-use partir_dpl::partition::Partition;
-use partir_dpl::region::{FieldData, FieldKind, Schema, Store};
-use partir_ir::ast::{Loop, Stmt, VExpr};
+use partir_dpl::func::FnTable;
+use partir_dpl::region::{FieldData, Schema, Store};
+use partir_ir::ast::Loop;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
-/// Bump when the traversal below changes shape: old fingerprints must not
+/// Bump when the byte stream of any key changes: a field added to a key
+/// type, a new variant, a reordered walk. Old fingerprints must not
 /// accidentally match new ones across a cache that outlives a version.
-const FP_VERSION: u8 = 1;
+const FP_VERSION: u8 = 2;
 
 /// A 128-bit structural hash, stable across processes and platforms.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -69,7 +77,14 @@ impl fmt::Display for Fingerprint {
 /// alone is weak against birthday collisions at service scale; the second
 /// stream (distinct offset basis, bytes pre-whitened) pushes the effective
 /// width to 128 bits for structurally generated (non-adversarial) inputs.
-pub struct FpHasher {
+///
+/// Every fixed-width `write_*` is little-endian, and `usize` / `isize` are
+/// written as 64 bits. One rule keeps that true of derived `Hash`: no key
+/// type may hold a `Vec` or slice of a primitive integer, because
+/// `hash_slice` on those writes the raw native-endian bytes through
+/// [`Hasher::write`] and bypasses the overrides. A newtype (`FieldId`) or a
+/// tuple (`IndexSet` runs) is hashed element by element, and is fine.
+struct FpHasher {
     a: u64,
     b: u64,
 }
@@ -77,70 +92,50 @@ pub struct FpHasher {
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl FpHasher {
-    pub fn new() -> FpHasher {
+    fn new() -> FpHasher {
         let mut h = FpHasher { a: 0xcbf2_9ce4_8422_2325, b: 0x6c62_272e_07bb_0142 };
         h.write_u8(FP_VERSION);
         h
     }
 
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    /// Both streams, as one 128-bit value.
+    fn fingerprint(self) -> Fingerprint {
+        Fingerprint([self.a, self.b])
+    }
+}
+
+macro_rules! little_endian_writes {
+    ($($write:ident: $t:ty),*) => {
+        $(fn $write(&mut self, v: $t) {
+            self.write(&v.to_le_bytes());
+        })*
+    };
+}
+
+impl Hasher for FpHasher {
+    fn write(&mut self, bytes: &[u8]) {
         for &byte in bytes {
             self.a = (self.a ^ byte as u64).wrapping_mul(FNV_PRIME);
             self.b = (self.b ^ (byte ^ 0xa5) as u64).wrapping_mul(FNV_PRIME);
         }
     }
 
-    pub fn write_u8(&mut self, v: u8) {
-        self.write_bytes(&[v]);
-    }
+    little_endian_writes!(
+        write_u8: u8, write_u16: u16, write_u32: u32, write_u64: u64, write_u128: u128,
+        write_i8: i8, write_i16: i16, write_i32: i32, write_i64: i64, write_i128: i128
+    );
 
-    /// Variant discriminant; kept distinct from `write_u8` in the call
-    /// sites for readability, identical on the wire.
-    pub fn tag(&mut self, t: u8) {
-        self.write_u8(t);
-    }
-
-    pub fn write_u32(&mut self, v: u32) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    pub fn write_usize(&mut self, v: usize) {
+    fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
     }
 
-    pub fn write_i64(&mut self, v: i64) {
-        self.write_bytes(&v.to_le_bytes());
+    fn write_isize(&mut self, v: isize) {
+        self.write_i64(v as i64);
     }
 
-    /// Bit-exact: `-0.0` and `0.0` hash differently, every NaN payload is
-    /// its own value. Fingerprints must never conflate stores or configs
-    /// that could behave differently.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_bytes(&v.to_bits().to_le_bytes());
-    }
-
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_u8(v as u8);
-    }
-
-    /// Length-prefixed, so adjacent strings can't alias.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_usize(s.len());
-        self.write_bytes(s.as_bytes());
-    }
-
-    pub fn finish(self) -> Fingerprint {
-        Fingerprint([self.a, self.b])
-    }
-}
-
-impl Default for FpHasher {
-    fn default() -> Self {
-        FpHasher::new()
+    /// The first stream; [`FpHasher::fingerprint`] has both.
+    fn finish(&self) -> u64 {
+        self.a
     }
 }
 
@@ -164,14 +159,8 @@ pub fn solve_fingerprint(
     n_colors: usize,
 ) -> Fingerprint {
     let mut h = FpHasher::new();
-    fp_program(&mut h, program);
-    fp_fns(&mut h, fns);
-    fp_schema(&mut h, schema);
-    fp_hints(&mut h, hints);
-    fp_options(&mut h, opts);
-    fp_exts(&mut h, exts);
-    h.write_usize(n_colors);
-    h.finish()
+    (program, fns, schema, hints, opts, exts, n_colors).hash(&mut h);
+    h.fingerprint()
 }
 
 /// The fingerprint of a store's index structure: region sizes plus the
@@ -205,18 +194,18 @@ fn hash_index_structure(store: &Store) -> Fingerprint {
         match store.field_data(fid) {
             FieldData::F64(v) => {
                 // Only the length (an index-structure fact), never values.
-                h.tag(0);
+                h.write_u8(0);
                 h.write_usize(v.len());
             }
             FieldData::Ptr(v) => {
-                h.tag(1);
+                h.write_u8(1);
                 h.write_usize(v.len());
                 for &p in v.iter() {
                     h.write_u64(p);
                 }
             }
             FieldData::Range(v) => {
-                h.tag(2);
+                h.write_u8(2);
                 h.write_usize(v.len());
                 for &(s, e) in v.iter() {
                     h.write_u64(s);
@@ -225,356 +214,36 @@ fn hash_index_structure(store: &Store) -> Fingerprint {
             }
         }
     }
-    h.finish()
+    h.fingerprint()
 }
 
 /// The placement-config component of the distributed-artifact memo key.
 pub fn placement_fingerprint(cfg: &PlacementConfig) -> Fingerprint {
     let mut h = FpHasher::new();
     match &cfg.policy {
-        PlacementPolicy::Block => h.tag(0),
-        PlacementPolicy::CostDriven => h.tag(1),
+        PlacementPolicy::Block => h.write_u8(0),
+        PlacementPolicy::CostDriven => h.write_u8(1),
         PlacementPolicy::Explicit(assignment) => {
-            h.tag(2);
+            h.write_u8(2);
             h.write_usize(assignment.len());
             for &r in assignment {
                 h.write_usize(r);
             }
         }
     }
-    h.finish()
-}
-
-fn fp_program(h: &mut FpHasher, program: &[Loop]) {
-    h.write_usize(program.len());
-    for l in program {
-        h.write_str(&l.name);
-        h.write_u32(l.var.0);
-        h.write_u32(l.region.0);
-        h.write_u32(l.num_ivars);
-        h.write_u32(l.num_vvars);
-        h.write_u32(l.num_accesses);
-        fp_body(h, &l.body);
-    }
-}
-
-fn fp_body(h: &mut FpHasher, body: &[Stmt]) {
-    h.write_usize(body.len());
-    for s in body {
-        fp_stmt(h, s);
-    }
-}
-
-fn fp_stmt(h: &mut FpHasher, s: &Stmt) {
-    match s {
-        Stmt::IdxRead { access, dst, region, field, src, f } => {
-            h.tag(0);
-            h.write_u32(access.0);
-            h.write_u32(dst.0);
-            h.write_u32(region.0);
-            h.write_u32(field.0);
-            h.write_u32(src.0);
-            h.write_u32(f.0);
-        }
-        Stmt::IdxApply { dst, f, src } => {
-            h.tag(1);
-            h.write_u32(dst.0);
-            h.write_u32(f.0);
-            h.write_u32(src.0);
-        }
-        Stmt::IdxCopy { dst, src } => {
-            h.tag(2);
-            h.write_u32(dst.0);
-            h.write_u32(src.0);
-        }
-        Stmt::ValRead { access, dst, region, field, idx } => {
-            h.tag(3);
-            h.write_u32(access.0);
-            h.write_u32(dst.0);
-            h.write_u32(region.0);
-            h.write_u32(field.0);
-            h.write_u32(idx.0);
-        }
-        Stmt::ValWrite { access, region, field, idx, value } => {
-            h.tag(4);
-            h.write_u32(access.0);
-            h.write_u32(region.0);
-            h.write_u32(field.0);
-            h.write_u32(idx.0);
-            fp_vexpr(h, value);
-        }
-        Stmt::ValReduce { access, region, field, idx, op, value } => {
-            h.tag(5);
-            h.write_u32(access.0);
-            h.write_u32(region.0);
-            h.write_u32(field.0);
-            h.write_u32(idx.0);
-            h.write_u8(*op as u8);
-            fp_vexpr(h, value);
-        }
-        Stmt::ForEach { range_access, var, f, src, body } => {
-            h.tag(6);
-            h.write_u32(range_access.0);
-            h.write_u32(var.0);
-            h.write_u32(f.0);
-            h.write_u32(src.0);
-            fp_body(h, body);
-        }
-    }
-}
-
-fn fp_vexpr(h: &mut FpHasher, e: &VExpr) {
-    match e {
-        VExpr::Const(c) => {
-            h.tag(0);
-            h.write_f64(*c);
-        }
-        VExpr::Var(v) => {
-            h.tag(1);
-            h.write_u32(v.0);
-        }
-        VExpr::Un(op, a) => {
-            h.tag(2);
-            h.write_u8(*op as u8);
-            fp_vexpr(h, a);
-        }
-        VExpr::Bin(op, a, b) => {
-            h.tag(3);
-            h.write_u8(*op as u8);
-            fp_vexpr(h, a);
-            fp_vexpr(h, b);
-        }
-    }
-}
-
-fn fp_fns(h: &mut FpHasher, fns: &FnTable) {
-    h.write_usize(fns.len());
-    for i in 0..fns.len() {
-        let f = fns.get(partir_dpl::func::FnId(i as u32));
-        h.write_str(&f.name);
-        h.write_u32(f.domain.0);
-        h.write_u32(f.range.0);
-        match &f.def {
-            FnDef::Index(ix) => {
-                h.tag(0);
-                fp_index_fn(h, ix);
-            }
-            FnDef::Multi(m) => {
-                h.tag(1);
-                fp_multi_fn(h, m);
-            }
-        }
-    }
-}
-
-fn fp_index_fn(h: &mut FpHasher, f: &IndexFn) {
-    match f {
-        IndexFn::Identity => h.tag(0),
-        IndexFn::Affine { mul, add } => {
-            h.tag(1);
-            h.write_i64(*mul);
-            h.write_i64(*add);
-        }
-        IndexFn::AffineMod { mul, add, modulus } => {
-            h.tag(2);
-            h.write_i64(*mul);
-            h.write_i64(*add);
-            h.write_u64(*modulus);
-        }
-        IndexFn::Ptr { field } => {
-            h.tag(3);
-            h.write_u32(field.0);
-        }
-        IndexFn::Compose(first, second) => {
-            h.tag(4);
-            fp_index_fn(h, first);
-            fp_index_fn(h, second);
-        }
-    }
-}
-
-fn fp_multi_fn(h: &mut FpHasher, f: &MultiFn) {
-    match f {
-        MultiFn::RangeField { field } => {
-            h.tag(0);
-            h.write_u32(field.0);
-        }
-        MultiFn::Lift(ix) => {
-            h.tag(1);
-            fp_index_fn(h, ix);
-        }
-    }
-}
-
-fn fp_schema(h: &mut FpHasher, schema: &Schema) {
-    h.write_usize(schema.num_regions());
-    for (rid, decl) in schema.regions() {
-        h.write_u32(rid.0);
-        h.write_str(&decl.name);
-        h.write_u64(decl.size);
-        h.write_usize(decl.fields.len());
-        for f in &decl.fields {
-            h.write_u32(f.0);
-        }
-    }
-    h.write_usize(schema.num_fields());
-    for fi in 0..schema.num_fields() {
-        let fd = schema.field(partir_dpl::region::FieldId(fi as u32));
-        h.write_str(&fd.name);
-        h.write_u32(fd.region.0);
-        match fd.kind {
-            FieldKind::F64 => h.tag(0),
-            FieldKind::Ptr(r) => {
-                h.tag(1);
-                h.write_u32(r.0);
-            }
-            FieldKind::Range(r) => {
-                h.tag(2);
-                h.write_u32(r.0);
-            }
-        }
-    }
-}
-
-fn fp_hints(h: &mut FpHasher, hints: &Hints) {
-    h.write_usize(hints.externals.len());
-    for (name, region) in &hints.externals {
-        h.write_str(name);
-        h.write_u32(region.0);
-    }
-    h.write_usize(hints.subset_facts.len());
-    for (a, b) in &hints.subset_facts {
-        fp_pexpr(h, a);
-        fp_pexpr(h, b);
-    }
-    h.write_usize(hints.pred_facts.len());
-    for f in &hints.pred_facts {
-        match f {
-            PredFact::Disj(e) => {
-                h.tag(0);
-                fp_pexpr(h, e);
-            }
-            PredFact::Comp(e, r) => {
-                h.tag(1);
-                fp_pexpr(h, e);
-                h.write_u32(r.0);
-            }
-        }
-    }
-    h.write_usize(hints.private_subs.len());
-    for (r, e) in &hints.private_subs {
-        h.write_u32(r.0);
-        fp_pexpr(h, e);
-    }
-}
-
-fn fp_pexpr(h: &mut FpHasher, e: &PExpr) {
-    match e {
-        PExpr::Sym(s) => {
-            h.tag(0);
-            h.write_u32(s.0);
-        }
-        PExpr::Ext(x) => {
-            h.tag(1);
-            h.write_u32(x.0);
-        }
-        PExpr::Equal(r) => {
-            h.tag(2);
-            h.write_u32(r.0);
-        }
-        PExpr::Image { src, f, target } => {
-            h.tag(3);
-            fp_pexpr(h, src);
-            fp_fn_ref(h, f);
-            h.write_u32(target.0);
-        }
-        PExpr::Preimage { domain, f, src } => {
-            h.tag(4);
-            h.write_u32(domain.0);
-            fp_fn_ref(h, f);
-            fp_pexpr(h, src);
-        }
-        PExpr::Union(a, b) => {
-            h.tag(5);
-            fp_pexpr(h, a);
-            fp_pexpr(h, b);
-        }
-        PExpr::Intersect(a, b) => {
-            h.tag(6);
-            fp_pexpr(h, a);
-            fp_pexpr(h, b);
-        }
-        PExpr::Difference(a, b) => {
-            h.tag(7);
-            fp_pexpr(h, a);
-            fp_pexpr(h, b);
-        }
-    }
-}
-
-fn fp_fn_ref(h: &mut FpHasher, f: &FnRef) {
-    match f {
-        FnRef::Identity => h.tag(0),
-        FnRef::Fn(id) => {
-            h.tag(1);
-            h.write_u32(id.0);
-        }
-    }
-}
-
-fn fp_options(h: &mut FpHasher, opts: &Options) {
-    h.write_bool(opts.unify);
-    match opts.relax {
-        RelaxPolicy::Off => h.tag(0),
-        RelaxPolicy::Auto => h.tag(1),
-    }
-    h.write_bool(opts.disj_preference);
-    h.write_bool(opts.private_subs);
-    let b = &opts.solve_budget;
-    fp_opt_u64(h, b.max_nodes);
-    fp_opt_u64(h, b.max_backtracks);
-    fp_opt_u64(h, b.deadline.map(|d| d.as_nanos() as u64));
-}
-
-fn fp_opt_u64(h: &mut FpHasher, v: Option<u64>) {
-    match v {
-        None => h.tag(0),
-        Some(x) => {
-            h.tag(1);
-            h.write_u64(x);
-        }
-    }
-}
-
-fn fp_exts(h: &mut FpHasher, exts: &ExtBindings) {
-    h.write_usize(exts.len());
-    for i in 0..exts.len() {
-        fp_partition(h, exts.get(crate::lang::ExtId(i as u32)));
-    }
-}
-
-fn fp_partition(h: &mut FpHasher, p: &Partition) {
-    h.write_u32(p.region.0);
-    let subs = p.subregions();
-    h.write_usize(subs.len());
-    for s in subs {
-        let runs = s.runs();
-        h.write_usize(runs.len());
-        for &(a, b) in runs {
-            h.write_u64(a);
-            h.write_u64(b);
-        }
-    }
+    h.fingerprint()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lang::PSym;
-    use partir_dpl::func::FnDef;
+    use crate::exchange::block_assignment;
+    use crate::lang::{PExpr, PSym};
+    use partir_dpl::func::{FnDef, IndexFn};
     use partir_dpl::index_set::IndexSet;
+    use partir_dpl::partition::Partition;
     use partir_dpl::region::FieldKind;
-    use partir_ir::ast::{LoopBuilder, ReduceOp};
+    use partir_ir::ast::{LoopBuilder, ReduceOp, VExpr};
 
     fn scatter() -> (Vec<Loop>, FnTable, Schema) {
         let mut schema = Schema::new();
@@ -595,6 +264,25 @@ mod tests {
 
     fn fp(program: &[Loop], fns: &FnTable, schema: &Schema, hints: &Hints) -> Fingerprint {
         solve_fingerprint(program, fns, schema, hints, &Options::default(), &ExtBindings::new(), 4)
+    }
+
+    /// `usize` / `isize` go out as 64 bits on both streams, so derived
+    /// discriminants (`isize`) and length prefixes (`usize`) are the same
+    /// bytes on every platform.
+    #[test]
+    fn pointer_sized_writes_are_64_bit() {
+        for x in [0, 1, 0x0123_4567, usize::MAX] {
+            let (mut a, mut b) = (FpHasher::new(), FpHasher::new());
+            a.write_usize(x);
+            b.write_u64(x as u64);
+            assert_eq!(a.fingerprint(), b.fingerprint(), "usize {x}");
+        }
+        for x in [0, -1, 0x0123_4567, isize::MIN, isize::MAX] {
+            let (mut a, mut b) = (FpHasher::new(), FpHasher::new());
+            a.write_isize(x);
+            b.write_i64(x as i64);
+            assert_eq!(a.fingerprint(), b.fingerprint(), "isize {x}");
+        }
     }
 
     #[test]
@@ -670,7 +358,7 @@ mod tests {
     }
 
     /// The store remembers its fingerprint; what it remembers is the content
-    /// hash, at the value it had before stores remembered anything.
+    /// hash, at its pinned value (which moves only with `FP_VERSION`).
     #[test]
     fn store_fingerprint_is_the_content_hash_at_its_pinned_value() {
         let mut schema = Schema::new();
@@ -691,17 +379,30 @@ mod tests {
         };
         let (a, b) = (build(), build());
         let fp = store_index_fingerprint(&a);
-        assert_eq!(fp.to_string(), "53e7e3b364d623f42f2534a9663f4a2f");
+        assert_eq!(fp.to_string(), "c3bfb4b88db28d6fadfde726928ab5c4");
         assert_eq!(fp, hash_index_structure(&a), "the remembered value is the hash");
         assert_eq!(fp, store_index_fingerprint(&a), "and stays it");
         assert_eq!(fp, store_index_fingerprint(&b), "stores built apart agree");
         assert_eq!(fp, store_index_fingerprint(&a.clone()));
     }
 
+    /// The plan-cache key's byte stream, pinned: a change to it is a
+    /// deliberate `FP_VERSION` bump.
+    #[test]
+    fn solve_fingerprint_is_pinned() {
+        let (p, f, s) = scatter();
+        assert_eq!(fp(&p, &f, &s, &Hints::new()).to_string(), "c24eb62f219eae9bb5c9d39ec7ab1702");
+    }
+
     #[test]
     fn placement_fingerprint_sees_every_knob() {
-        let base = placement_fingerprint(&PlacementConfig::default());
-        let cost = PlacementConfig { policy: PlacementPolicy::CostDriven };
-        assert_ne!(base, placement_fingerprint(&cost));
+        let key = |policy| placement_fingerprint(&PlacementConfig { policy });
+        let explicit = |a: &[usize]| key(PlacementPolicy::Explicit(a.to_vec()));
+        assert_eq!(key(PlacementPolicy::Block), placement_fingerprint(&PlacementConfig::default()));
+        assert_ne!(key(PlacementPolicy::Block), key(PlacementPolicy::CostDriven));
+        assert_ne!(explicit(&[0, 1, 0, 1]), explicit(&[0, 1, 1, 1]), "one color moved");
+        let block = block_assignment(4, 2);
+        assert_ne!(key(PlacementPolicy::Block), explicit(&block), "the policy is keyed");
+        assert_ne!(explicit(&[0, 1]), explicit(&[0, 1, 0]), "the length is keyed");
     }
 }

@@ -27,7 +27,7 @@ pub mod prelude {
         LoopExchange, PairMessages, PairVolume, PostMessage,
     };
     pub use crate::fingerprint::{
-        placement_fingerprint, solve_fingerprint, store_index_fingerprint, Fingerprint, FpHasher,
+        placement_fingerprint, solve_fingerprint, store_index_fingerprint, Fingerprint,
     };
     pub use crate::infer::{infer, Inference, InferredLoop};
     pub use crate::lang::{ExtId, ExternalDecl, FnRef, PExpr, PSym, Pred, Subset, System};

@@ -29,7 +29,7 @@ use crate::lemmas::{prove_disj, FactCtx};
 use partir_ir::ast::AccessId;
 
 /// Relaxation policy.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum RelaxPolicy {
     /// Never relax (ablation baseline).
     Off,

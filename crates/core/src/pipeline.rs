@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 /// A predicate fact in tree form (hints are built before any `System` — and
 /// its interning arena — exists; they are interned at install time).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub(crate) enum PredFact {
     Disj(PExpr),
     Comp(PExpr, RegionId),
@@ -37,7 +37,7 @@ pub(crate) enum PredFact {
 /// User-provided hints: external partitions and invariants on them
 /// (Section 3.3), plus candidate private sub-partitions (Section 6.5's
 /// third PENNANT hint).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct Hints {
     pub(crate) externals: Vec<(String, RegionId)>,
     pub(crate) subset_facts: Vec<(PExpr, PExpr)>,
@@ -84,7 +84,7 @@ impl Hints {
 }
 
 /// Pipeline options (ablation knobs for the evaluation).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Hash)]
 pub struct Options {
     pub unify: bool,
     pub relax: RelaxPolicy,

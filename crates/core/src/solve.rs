@@ -67,7 +67,7 @@ pub struct Solution {
 /// so exhausting a budget degrades to that solution instead of erroring:
 /// under any budget — including zero — `solve_with` terminates with a
 /// usable [`Solution`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct SolveBudget {
     /// Maximum search nodes to explore (`Some(0)` forbids searching at all).
     pub max_nodes: Option<u64>,

@@ -113,7 +113,7 @@ pub enum FnDef {
 }
 
 /// A named, declared partitioning function.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct NamedFn {
     pub name: String,
     /// The region the function maps *from* (its domain).
@@ -124,7 +124,7 @@ pub struct NamedFn {
 }
 
 /// Registry of partitioning functions used by a program.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct FnTable {
     fns: Vec<NamedFn>,
 }

@@ -12,7 +12,7 @@ use crate::index_set::{Idx, IndexSet};
 use crate::region::RegionId;
 
 /// An indexed collection of subregions of `region`.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Partition {
     pub region: RegionId,
     subregions: Vec<IndexSet>,

@@ -36,7 +36,7 @@ impl fmt::Debug for FieldId {
 }
 
 /// The runtime type of a field.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum FieldKind {
     /// Double-precision values (positions, velocities, matrix entries, ...).
     F64,
@@ -50,7 +50,7 @@ pub enum FieldKind {
 }
 
 /// Static description of one region.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct RegionDecl {
     pub name: String,
     pub size: u64,
@@ -59,7 +59,7 @@ pub struct RegionDecl {
 }
 
 /// Static description of one field.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct FieldDecl {
     pub name: String,
     pub region: RegionId,
@@ -67,7 +67,7 @@ pub struct FieldDecl {
 }
 
 /// The static shape of a program's data: regions and their fields.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct Schema {
     regions: Vec<RegionDecl>,
     fields: Vec<FieldDecl>,

@@ -20,6 +20,8 @@
 use partir_dpl::func::FnId;
 use partir_dpl::region::{FieldId, RegionId};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::mem;
 
 /// An index-typed local variable (loop variables, pointer values).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -83,7 +85,7 @@ impl ReduceOp {
 }
 
 /// Unary math on values.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum UnOp {
     Neg,
     Abs,
@@ -91,7 +93,7 @@ pub enum UnOp {
 }
 
 /// Binary math on values.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum BinOp {
     Add,
     Sub,
@@ -108,6 +110,25 @@ pub enum VExpr {
     Var(VVar),
     Un(UnOp, Box<VExpr>),
     Bin(BinOp, Box<VExpr>, Box<VExpr>),
+}
+
+/// `Const` hashes its bit pattern, so `0.0` and `-0.0` hash apart and each
+/// NaN payload is its own value. That is stricter than the derived `==`,
+/// under which `Const(0.0) == Const(-0.0)`; no std map can meet the
+/// mismatch, since maps need `Eq` and `VExpr` is only `PartialEq`. For the
+/// plan-cache key it is the safe direction: the cached plan carries its
+/// program, `x / 0.0` and `x / -0.0` differ, and the worst a stricter hash
+/// costs is a cache miss.
+impl Hash for VExpr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        mem::discriminant(self).hash(state);
+        match self {
+            VExpr::Const(c) => c.to_bits().hash(state),
+            VExpr::Var(v) => v.hash(state),
+            VExpr::Un(op, a) => (op, a).hash(state),
+            VExpr::Bin(op, a, b) => (op, a, b).hash(state),
+        }
+    }
 }
 
 // The arithmetic names are DSL constructors taking two operands by value,
@@ -146,7 +167,7 @@ impl VExpr {
 }
 
 /// One statement of a loop body.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum Stmt {
     /// `dst = region[src].field` where `field` is a pointer field; `f` is the
     /// declared function symbol for `region[·].field`. This is a region
@@ -178,7 +199,7 @@ pub enum Stmt {
 }
 
 /// A parallelizable-candidate loop: `for var in region: body`.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Loop {
     pub name: String,
     pub var: IVar,

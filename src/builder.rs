@@ -203,6 +203,7 @@ mod tests {
     use partir_obs::ObsConfig;
     use partir_runtime::dist::LegalityMode;
     use partir_runtime::fault::{CheckpointPolicy, FaultPlan, RankCrash, RetryPolicy};
+    use std::time::Duration;
 
     /// Figure 7's scatter: `for i in R: S[g(i)] += R[i]`.
     fn scatter() -> (Vec<Loop>, FnTable, Schema, Store) {
@@ -320,6 +321,45 @@ mod tests {
         assert_eq!(cold.fingerprint(), warm.fingerprint());
         let stats = cache.stats().unwrap();
         assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    /// Exactly 2^64 ns, about 585 years: a key holding a deadline in 64 bits
+    /// of nanoseconds would take it for zero.
+    const FAR: Duration = Duration::new(18_446_744_073, 709_551_616);
+
+    fn deadline(d: Duration) -> SolveBudget {
+        SolveBudget { deadline: Some(d), ..SolveBudget::unlimited() }
+    }
+
+    #[test]
+    fn deadlines_2_pow_64_ns_apart_key_apart() {
+        let (program, fns, schema, _) = scatter();
+        let key = |d| {
+            let opts = Options { solve_budget: deadline(d), ..Options::default() };
+            solve_fingerprint(&program, &fns, &schema, &Hints::new(), &opts, &ExtBindings::new(), 4)
+        };
+        assert_ne!(key(FAR), key(Duration::ZERO));
+    }
+
+    /// A zero deadline degrades a solve at its first node, and a degraded
+    /// plan is never cached: such a request is not served the plan a far
+    /// deadline solved.
+    #[test]
+    fn a_zero_deadline_is_not_served_a_far_deadlines_plan() {
+        let (program, fns, schema, _) = scatter();
+        let cache = PlanCache::default();
+        let solve = |d| {
+            Partir::new(program.clone(), fns.clone(), schema.clone())
+                .budget(deadline(d))
+                .cache(&cache)
+                .solve()
+                .unwrap()
+        };
+        let far = solve(FAR);
+        assert!(!far.cache_hit() && !far.degraded());
+        let zero = solve(Duration::ZERO);
+        assert!(!zero.cache_hit(), "a zero deadline is another key");
+        assert!(zero.degraded(), "a cold solve under a zero deadline degrades");
     }
 
     #[test]
