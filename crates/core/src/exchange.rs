@@ -23,32 +23,44 @@
 //!   ([`ExchangePlan::stats`]) and placement's edge weights are one fold
 //!   over it.
 //!
-//! The derivation that fills the second table from the first:
+//! The derivation that fills the second table from the first runs in two
+//! steps, because which rank a color lands on changes none of the set
+//! algebra:
 //!
-//! * **owned(rank)** — the union of the owner partition's subregions over
-//!   the rank's colors, for each region. The owner partition is any
-//!   solved partition of the region that is disjoint *and* complete
-//!   (iteration partitions are preferred); when the plan produced none, a
-//!   block `equal` partition is synthesized — exactly the fallback the
-//!   paper's solver uses for unconstrained symbols.
-//! * **needed(rank, loop)** — per f64 field, the union over the rank's
-//!   colors of the resident sets of every access to that field. This is
-//!   the `COMP`-verdict data: the access partitions *are* the solver's
-//!   description of which elements each color touches.
-//! * **ghosts** — `needed − owned`, split by the owner map into per-source
-//!   fetch sets. All fields of one `(src, dst)` pair batch into a single
-//!   message per loop ("epoch").
-//! * **write-backs** — in-place sets a rank does not own; after the loop
-//!   they are sent to the owner, which installs them verbatim (each
-//!   element has exactly one in-place writer, by disjointness).
-//! * **partial slices** — each color's buffer set is split by owner; the
-//!   pieces travel with the write-back message (the owner's own pieces
-//!   sit on the self pair) and the owner merges all of them in ascending
-//!   color order, which is the threaded executor's merge order.
+//! 1. **The color footprint** ([`Footprint::build`], once per call site)
+//!    works at color granularity. Per region it picks the *owner
+//!    partition*: any solved partition of the region that is disjoint
+//!    *and* complete (iteration partitions are preferred), or, when the
+//!    plan produced none, a block `equal` partition — exactly the fallback
+//!    the paper's solver uses for unconstrained symbols. Per loop it
+//!    splits three per-color families by the owner of each element, one
+//!    merge walk over the region's owner runs per set: *ghost pieces*
+//!    `resident(c) ∩ owner(d)` and *write-back pieces* `in_place(c) ∩
+//!    owner(d)` per f64 field and `d ≠ c`, and *slice pieces*
+//!    `buffer(c) ∩ owner(d)` per two-step reduction, the self pair
+//!    included. The resident sets are the `COMP`-verdict data: the access
+//!    partitions *are* the solver's description of which elements each
+//!    color touches.
+//! 2. **The fold** ([`Footprint::fold`], once per owner assignment) maps
+//!    colors to ranks and unions pieces. `owned(rank)` is the union of its
+//!    colors' owner subregions. A ghost piece `(c, d)` whose colors sit on
+//!    different ranks is part of what `rank(d)` sends `rank(c)` before the
+//!    loop; all fields of one pair batch into a single message per loop
+//!    ("epoch"). A write-back piece is what `rank(c)` sends `rank(d)`
+//!    after the loop, installed verbatim (each element has exactly one
+//!    in-place writer, by disjointness). Slice pieces travel with the
+//!    write-back message (the owner's own on the self pair), and the owner
+//!    merges them in ascending color order, which is the threaded
+//!    executor's merge order. A color is interior when none of its ghost
+//!    pieces lies on another rank.
 //!
-//! Everything is precomputed once per plan into an [`ExchangePlan`] and
-//! reused across executions (the sets depend only on the plan, the
-//! evaluated partitions, and the owner mapping — not on field values).
+//! So a rank-granular plan is never derived twice from the partitions:
+//! [`derive_exchange_with`] is one footprint and one fold, and placement
+//! and crash recovery fold one footprint as often as they need. The
+//! footprint is not memoized: the plan cache already memoizes the folded
+//! [`ExchangePlan`] per `(store, ranks, placement)`, and reuses it across
+//! executions (the sets depend only on the plan, the evaluated partitions
+//! and the owner mapping — not on field values).
 
 use crate::pipeline::{AccessPlan, ParallelPlan, PlannedReduce};
 use partir_dpl::index_set::{Idx, IndexSet};
@@ -150,7 +162,7 @@ pub fn access_sets<'a>(
 pub type FieldSets = Vec<(FieldId, IndexSet)>;
 
 /// One two-step reduction access of a loop and its per-color buffer sets.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BufferRoute {
     /// Access index within the loop plan.
     pub access: usize,
@@ -161,7 +173,7 @@ pub struct BufferRoute {
 }
 
 /// The post-loop message of one `(src, dst)` pair.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PostMessage {
     /// Elements `src` mutates in place but `dst` owns; installed verbatim.
     pub write_back: FieldSets,
@@ -181,7 +193,7 @@ impl PostMessage {
 /// What `src` sends `dst` in one epoch. An empty message is not sent. On
 /// the self pair only `post.slices` can be non-empty: the partial slices an
 /// owner merges from its own colors, which never cross the wire.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PairMessages {
     /// Pre-loop: elements `dst` needs that `src` owns, per f64 field.
     pub ghost: FieldSets,
@@ -189,7 +201,7 @@ pub struct PairMessages {
 }
 
 /// Communication structure of one loop (one exchange epoch).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LoopExchange {
     /// `pairs[src][dst]`: the epoch's message table.
     pub pairs: Vec<Vec<PairMessages>>,
@@ -209,8 +221,8 @@ pub struct LoopExchange {
     pub boundary_deps: Vec<Vec<Vec<usize>>>,
     /// First-owner narrowing of centered writes for aliased iteration
     /// partitions ([`Partition::first_owner`]), `None` when the iteration
-    /// partition is disjoint.
-    pub write_own: Option<Vec<IndexSet>>,
+    /// partition is disjoint. Shared by the footprint and all its folds.
+    pub write_own: Option<Arc<[IndexSet]>>,
 }
 
 /// Volume accounting for one full pass over the program.
@@ -245,8 +257,8 @@ pub struct ExchangePlan {
     pub n_ranks: usize,
     pub n_colors: usize,
     /// Owning rank of each color. The default derivation blocks colors
-    /// contiguously; recovery re-derivations may assign arbitrarily (a
-    /// rank may own no colors at all — e.g. one that crashed and was
+    /// contiguously; placement and recovery folds may assign arbitrarily
+    /// (a rank may own no colors at all — e.g. one that crashed and was
     /// evacuated).
     color_owner: Vec<usize>,
     /// Colors of each rank, ascending; inverse of `color_owner`.
@@ -553,31 +565,6 @@ pub fn block_assignment(n_colors: usize, n_ranks: usize) -> Vec<usize> {
     owner
 }
 
-/// Survivor-side owner assignment after losing `dead`: every surviving
-/// rank keeps exactly the colors it had, and the dead rank's colors are
-/// dealt round-robin across the survivors in ascending rank order. Because
-/// survivors keep their colors, re-deriving the exchange moves only the
-/// dead rank's owned shard — the minimal migration set (`needed − owned`
-/// of the new topology is nonzero only where the dead rank's data must
-/// land). The dead rank stays in the rank space but owns nothing.
-pub fn evacuate_assignment(owner: &[usize], dead: usize, n_ranks: usize) -> Vec<usize> {
-    let survivors: Vec<usize> = (0..n_ranks).filter(|&r| r != dead).collect();
-    assert!(!survivors.is_empty(), "cannot evacuate the last rank");
-    let mut next = 0usize;
-    owner
-        .iter()
-        .map(|&r| {
-            if r == dead {
-                let s = survivors[next % survivors.len()];
-                next += 1;
-                s
-            } else {
-                r
-            }
-        })
-        .collect()
-}
-
 /// Derives the full exchange structure for `n_ranks` ranks from a plan and
 /// its evaluated partitions under the default block owner mapping. Pure
 /// set algebra over the solver's output; no field values are read.
@@ -595,10 +582,9 @@ pub fn derive_exchange(
 }
 
 /// [`derive_exchange`] under an explicit color → rank owner assignment
-/// (`assignment[color] = rank`). Used by recovery to rebuild the exchange
-/// for the post-crash topology, where the lost rank's colors have been
-/// redistributed to survivors (see [`evacuate_assignment`]); a rank may
-/// own no colors, in which case it sources and sinks no traffic.
+/// (`assignment[color] = rank`): one [`Footprint`] and one fold of it. A
+/// rank may own no colors (one that crashed and was evacuated), in which
+/// case it sources and sinks no traffic.
 pub fn derive_exchange_with(
     plan: &ParallelPlan,
     parts: &[Arc<Partition>],
@@ -609,238 +595,297 @@ pub fn derive_exchange_with(
     if n_ranks == 0 {
         return Err(ExchangeError::NoRanks);
     }
-    let n_colors = parts.first().map(|p| p.num_subregions()).unwrap_or(0);
-    for (pi, p) in parts.iter().enumerate() {
-        if p.num_subregions() != n_colors {
-            return Err(ExchangeError::WidthMismatch {
-                part: pi,
-                expected: n_colors,
-                got: p.num_subregions(),
-            });
-        }
-    }
-    if assignment.len() != n_colors {
-        return Err(ExchangeError::BadAssignment {
-            colors: n_colors,
-            got: assignment.len(),
-            n_ranks,
-            bad_rank: None,
-        });
-    }
-    if let Some(&bad) = assignment.iter().find(|&&r| r >= n_ranks) {
-        return Err(ExchangeError::BadAssignment {
-            colors: n_colors,
-            got: assignment.len(),
-            n_ranks,
-            bad_rank: Some(bad),
-        });
-    }
-    let sp = partir_obs::span_with(
-        "exchange.derive",
-        vec![("ranks", n_ranks.into()), ("colors", n_colors.into())],
-    );
-
-    // Owner mapping of colors to ranks, and its inverse.
-    let color_owner: Vec<usize> = assignment.to_vec();
-    let mut rank_colors: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
-    for (c, &r) in color_owner.iter().enumerate() {
-        rank_colors[r].push(c);
-    }
-    // `acc[rank] ∪= sets[c]` over each rank's colors.
-    let union_colors = |acc: &mut [IndexSet], sets: &[IndexSet]| {
-        for (acc, colors) in acc.iter_mut().zip(&rank_colors) {
-            for &c in colors {
-                *acc = acc.union(&sets[c]);
-            }
-        }
-    };
-
-    // ---- Owner partitions per region. ----
-    let n_regions = schema.num_regions();
-    // owned[region][rank] = union of the owner partition over the rank's
-    // colors.
-    let owned: Vec<Vec<IndexSet>> = (0..n_regions)
-        .map(|ri| {
-            let region = RegionId(ri as u32);
-            let size = schema.region_size(region);
-            // Prefer iteration partitions (the natural compute placement),
-            // then any disjoint + complete solved partition.
-            let candidate =
-                plan.loops.iter().map(|lp| lp.iter.0 as usize).chain(0..parts.len()).find(|&pi| {
-                    let p = &parts[pi];
-                    p.region == region && p.is_disjoint() && p.is_complete(size)
-                });
-            let mut owned = vec![IndexSet::new(); n_ranks];
-            match candidate {
-                Some(pi) => union_colors(&mut owned, parts[pi].subregions()),
-                None => union_colors(&mut owned, equal(region, size, n_colors.max(1)).subregions()),
-            }
-            owned
-        })
-        .collect();
-
-    // ---- Per-loop exchange sets. ----
-    // ghost_acc[region][rank] accumulates across loops for ghost storage.
-    let mut ghost_acc: Vec<Vec<IndexSet>> = vec![vec![IndexSet::new(); n_ranks]; n_regions];
-    let mut loops = Vec::with_capacity(plan.loops.len());
-    for lp in &plan.loops {
-        let iter = &parts[lp.iter.0 as usize];
-        let write_own = iter.first_owner();
-        // (access index, region, sets) of every access with an f64 footprint.
-        let sets: Vec<(usize, RegionId, AccessSets<'_>)> = lp
-            .accesses
-            .iter()
-            .enumerate()
-            .filter_map(|(ai, ap)| Some((ai, ap.region, access_sets(ap, iter, parts, schema)?)))
-            .collect();
-
-        // Per-field, per-rank needed and in-place-mutated sets, kept
-        // sparse by field.
-        type PerRank = Vec<(FieldId, Vec<IndexSet>)>;
-        let slot = |table: &mut PerRank, f: FieldId| -> usize {
-            table.iter().position(|(g, _)| *g == f).unwrap_or_else(|| {
-                table.push((f, vec![IndexSet::new(); n_ranks]));
-                table.len() - 1
-            })
-        };
-        let (mut needed, mut mutated): (PerRank, PerRank) = (Vec::new(), Vec::new());
-        let mut routes: Vec<BufferRoute> = Vec::new();
-        for (ai, _, s) in &sets {
-            if let Some(part) = s.resident {
-                let ni = slot(&mut needed, s.field);
-                union_colors(&mut needed[ni].1, part.subregions());
-            }
-            if let Some(in_place) = s.in_place(write_own.as_deref()) {
-                let mi = slot(&mut mutated, s.field);
-                union_colors(&mut mutated[mi].1, in_place);
-            }
-            if let Some(b) = &s.buffered {
-                routes.push(BufferRoute {
-                    access: *ai,
-                    field: s.field,
-                    op: b.op,
-                    sets: b.sets().into_owned(),
-                });
-            }
-        }
-
-        // Interior/boundary split: a color is interior when every resident
-        // set it touches lies inside its rank's owned sets. Boundary colors
-        // also record *which* peers' ghosts they depend on (the owners of
-        // their foreign touches), so the runtime can run each one as soon
-        // as those specific messages are installed.
-        let mut interior: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
-        let mut boundary: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
-        let mut boundary_deps: Vec<Vec<Vec<usize>>> = vec![Vec::new(); n_ranks];
-        for (rank, colors) in rank_colors.iter().enumerate() {
-            for &c in colors {
-                let mut deps: Vec<usize> = Vec::new();
-                for (_, region, s) in &sets {
-                    let Some(part) = s.resident else { continue };
-                    let owned = &owned[region.0 as usize];
-                    let foreign = part.subregion(c).difference(&owned[rank]);
-                    for (src, _) in split_by_owner(&foreign, owned) {
-                        if !deps.contains(&src) {
-                            deps.push(src);
-                        }
-                    }
-                }
-                if deps.is_empty() {
-                    interior[rank].push(c);
-                } else {
-                    deps.sort_unstable();
-                    boundary[rank].push(c);
-                    boundary_deps[rank].push(deps);
-                }
-            }
-        }
-
-        // The message table. Ghosts: needed − owned, split by owner;
-        // write-backs: mutated − owned, split by owner; fields batch per
-        // pair in ascending field order. Partial slices: each color's
-        // buffer set split by owner.
-        let mut pairs = vec![vec![PairMessages::default(); n_ranks]; n_ranks];
-        needed.sort_by_key(|(f, _)| *f);
-        mutated.sort_by_key(|(f, _)| *f);
-        for (field, per_rank) in &needed {
-            let region = schema.field(*field).region.0 as usize;
-            for (dst, set) in per_rank.iter().enumerate() {
-                let ghost = set.difference(&owned[region][dst]);
-                if ghost.is_empty() {
-                    continue;
-                }
-                ghost_acc[region][dst] = ghost_acc[region][dst].union(&ghost);
-                for (src, piece) in split_by_owner(&ghost, &owned[region]) {
-                    pairs[src][dst].ghost.push((*field, piece));
-                }
-            }
-        }
-        for (field, per_rank) in &mutated {
-            let region = schema.field(*field).region.0 as usize;
-            for (src, set) in per_rank.iter().enumerate() {
-                let foreign = set.difference(&owned[region][src]);
-                for (dst, piece) in split_by_owner(&foreign, &owned[region]) {
-                    pairs[src][dst].post.write_back.push((*field, piece));
-                }
-            }
-        }
-        for (ri, route) in routes.iter().enumerate() {
-            let region = schema.field(route.field).region.0 as usize;
-            for (c, set) in route.sets.iter().enumerate() {
-                for (dst, piece) in split_by_owner(set, &owned[region]) {
-                    pairs[color_owner[c]][dst].post.slices.push((ri, c, piece));
-                }
-            }
-        }
-        drop(sets);
-        loops.push(LoopExchange { pairs, routes, interior, boundary, boundary_deps, write_own });
-    }
-
-    let locals: Vec<Vec<IndexSet>> = owned
-        .iter()
-        .zip(&ghost_acc)
-        .map(|(o, g)| o.iter().zip(g).map(|(os, gs)| os.union(gs)).collect())
-        .collect();
-    let replication_bytes = (n_ranks as u64 - 1)
-        * f64_field_regions(schema).map(|r| schema.region_size(r) * 8).sum::<u64>();
-    let xplan = ExchangePlan {
-        n_ranks,
-        n_colors,
-        color_owner,
-        rank_colors,
-        owned,
-        ghosts: ghost_acc,
-        locals,
-        replication_bytes,
-        loops,
-    };
-
-    let stats = xplan.stats();
-    if partir_obs::metrics_enabled() {
-        partir_obs::counter("exchange.ghost_elements", stats.ghost_elements);
-        partir_obs::counter("exchange.ghost_fetch_bytes", stats.ghost_fetch_bytes);
-        partir_obs::counter("exchange.write_back_bytes", stats.write_back_bytes);
-        partir_obs::counter("exchange.partial_bytes", stats.partial_bytes);
-        partir_obs::counter("exchange.messages", stats.messages);
-    }
-    sp.close_with(vec![
-        ("ghost_elements", stats.ghost_elements.into()),
-        ("messages", stats.messages.into()),
-    ]);
-    Ok(xplan)
+    Footprint::build(plan, parts, schema)?.fold(n_ranks, assignment)
 }
 
-/// Splits `set` by the (disjoint, complete) owner sets, ascending by rank;
-/// empty slices are dropped.
-fn split_by_owner(set: &IndexSet, owned: &[IndexSet]) -> Vec<(usize, IndexSet)> {
-    owned
-        .iter()
-        .enumerate()
-        .filter_map(|(rank, o)| {
-            let piece = set.intersect(o);
-            (!piece.is_empty()).then_some((rank, piece))
-        })
-        .collect()
+/// The color footprint table: everything the exchange derivation computes
+/// that does not depend on the owner assignment, at color granularity
+/// (the module docs list what). Every rank-granular [`ExchangePlan`] is a
+/// [`Footprint::fold`] of it.
+#[derive(Debug)]
+pub struct Footprint {
+    /// The launch width the table was built at.
+    pub n_colors: usize,
+    schema: Schema,
+    /// Per region: the owner partition's runs, `(start, end, color)`,
+    /// ascending.
+    owners: Vec<Vec<(Idx, Idx, usize)>>,
+    loops: Vec<LoopFootprint>,
+}
+
+/// The elements the rank of color `src` sends the rank of color `dst`
+/// for one per-color set family: `of` is the field (ghost and write-back
+/// pieces) or the route (slice pieces).
+#[derive(Debug)]
+struct Piece {
+    of: usize,
+    src: usize,
+    dst: usize,
+    set: IndexSet,
+}
+
+/// One loop's footprint; pieces are non-empty and grouped by `of`, then
+/// `src` for slices.
+#[derive(Debug)]
+struct LoopFootprint {
+    write_own: Option<Arc<[IndexSet]>>,
+    routes: Vec<BufferRoute>,
+    /// `resident(dst) ∩ owner(src)` per f64 field, `src ≠ dst`.
+    ghost: Vec<Piece>,
+    /// `in_place(src) ∩ owner(dst)` per f64 field, `src ≠ dst`.
+    write_back: Vec<Piece>,
+    /// `routes[of].sets[src] ∩ owner(dst)`, the self pair included.
+    slices: Vec<Piece>,
+}
+
+impl Footprint {
+    /// Builds the table from a plan and its evaluated partitions. Pure set
+    /// algebra over the solver's output; no field values are read.
+    pub fn build(
+        plan: &ParallelPlan,
+        parts: &[Arc<Partition>],
+        schema: &Schema,
+    ) -> Result<Footprint, ExchangeError> {
+        let n_colors = parts.first().map(|p| p.num_subregions()).unwrap_or(0);
+        if let Some(part) = parts.iter().position(|p| p.num_subregions() != n_colors) {
+            let got = parts[part].num_subregions();
+            return Err(ExchangeError::WidthMismatch { part, expected: n_colors, got });
+        }
+        let _sp = partir_obs::span_with("exchange.footprint", vec![("colors", n_colors.into())]);
+        let owners = (0..schema.num_regions() as u32).map(RegionId).map(|region| {
+            let size = schema.region_size(region);
+            let fallback = equal(region, size, n_colors.max(1));
+            // Prefer iteration partitions (the natural compute placement),
+            // then any disjoint + complete solved partition (complete, and
+            // no larger than the region: disjoint).
+            let solved = plan.loops.iter().map(|lp| lp.iter.0 as usize).chain(0..parts.len());
+            let owner = solved
+                .map(|pi| &*parts[pi])
+                .find(|p| p.region == region && p.total_elements() == size && p.is_complete(size));
+            let colors = owner.unwrap_or(&fallback).iter().take(n_colors).enumerate();
+            let mut runs: Vec<_> =
+                colors.flat_map(|(c, s)| s.runs().iter().map(move |&(a, b)| (a, b, c))).collect();
+            runs.sort_unstable();
+            runs
+        });
+        let owners: Vec<Vec<(Idx, Idx, usize)>> = owners.collect();
+
+        let mut loops = Vec::with_capacity(plan.loops.len());
+        for lp in &plan.loops {
+            let iter = &parts[lp.iter.0 as usize];
+            let write_own = iter.first_owner().map(Arc::from);
+            // (access index, sets) of every access with an f64 footprint.
+            let sets = lp.accesses.iter().enumerate();
+            let sets: Vec<_> = sets
+                .filter_map(|(ai, ap)| Some((ai, access_sets(ap, iter, parts, schema)?)))
+                .collect();
+            let (mut ghost, mut write_back, mut slices) = (Vec::new(), Vec::new(), Vec::new());
+            for field in (0..schema.num_fields() as u32).map(FieldId) {
+                let owner = &owners[schema.field(field).region.0 as usize];
+                let of_field = sets.iter().filter(|(_, s)| s.field == field).map(|(_, s)| s);
+                let resident = of_field.clone().filter_map(|s| Some(s.resident?.subregions()));
+                let in_place = of_field.filter_map(|s| s.in_place(write_own.as_deref()));
+                // A ghost travels from the owner to the reader.
+                let at = ghost.len();
+                split_colors(resident.collect(), owner, field.0 as usize, false, &mut ghost);
+                ghost[at..].iter_mut().for_each(|p| (p.src, p.dst) = (p.dst, p.src));
+                split_colors(in_place.collect(), owner, field.0 as usize, false, &mut write_back);
+            }
+            let routes: Vec<BufferRoute> = sets
+                .iter()
+                .filter_map(|(ai, s)| {
+                    let b = s.buffered.as_ref()?;
+                    let (access, field, op, sets) = (*ai, s.field, b.op, b.sets().into_owned());
+                    Some(BufferRoute { access, field, op, sets })
+                })
+                .collect();
+            for (r, route) in routes.iter().enumerate() {
+                let owner = &owners[schema.field(route.field).region.0 as usize];
+                split_colors(vec![&route.sets], owner, r, true, &mut slices);
+            }
+            loops.push(LoopFootprint { write_own, routes, ghost, write_back, slices });
+        }
+        Ok(Footprint { n_colors, schema: schema.clone(), owners, loops })
+    }
+
+    /// The rank-granular exchange under `rank_of[color] = rank`: owned
+    /// sets, the message table, the interior/boundary split and the ghost
+    /// footprints, by unions of the table's pieces. Same errors and
+    /// `exchange.*` counters as [`derive_exchange_with`].
+    pub fn fold(&self, n_ranks: usize, rank_of: &[usize]) -> Result<ExchangePlan, ExchangeError> {
+        let (n_colors, got) = (self.n_colors, rank_of.len());
+        let bad_rank = rank_of.iter().copied().find(|&r| r >= n_ranks);
+        if n_ranks == 0 {
+            return Err(ExchangeError::NoRanks);
+        } else if got != n_colors || bad_rank.is_some() {
+            let bad_rank = bad_rank.filter(|_| got == n_colors);
+            return Err(ExchangeError::BadAssignment { colors: n_colors, got, n_ranks, bad_rank });
+        }
+        let sp = partir_obs::span_with(
+            "exchange.fold",
+            vec![("ranks", n_ranks.into()), ("colors", n_colors.into())],
+        );
+        let region_of = |field: usize| self.schema.field(FieldId(field as u32)).region.0 as usize;
+        let mut rank_colors: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
+        for (c, &r) in rank_of.iter().enumerate() {
+            rank_colors[r].push(c);
+        }
+        // owned[region][rank]: the owner runs of the rank's colors.
+        let owned: Vec<Vec<IndexSet>> = self
+            .owners
+            .iter()
+            .map(|runs| {
+                let mut per_rank = vec![Vec::new(); n_ranks];
+                for &(s, e, c) in runs {
+                    per_rank[rank_of[c]].push((s, e));
+                }
+                per_rank.into_iter().map(IndexSet::from_sorted_runs).collect()
+            })
+            .collect();
+
+        // ghosts[region][rank]: everything the rank is sent before a loop.
+        let mut ghosts = vec![vec![IndexSet::new(); n_ranks]; owned.len()];
+        let mut lxs = Vec::with_capacity(self.loops.len());
+        for lf in &self.loops {
+            let mut pairs = vec![vec![PairMessages::default(); n_ranks]; n_ranks];
+            for (s, d, p, set) in fold_pieces(&lf.ghost, rank_of, false) {
+                let ghost = &mut ghosts[region_of(p.of)][d];
+                *ghost = ghost.union(&set);
+                pairs[s][d].ghost.push((FieldId(p.of as u32), set));
+            }
+            for (s, d, p, set) in fold_pieces(&lf.write_back, rank_of, false) {
+                pairs[s][d].post.write_back.push((FieldId(p.of as u32), set));
+            }
+            for (s, d, p, set) in fold_pieces(&lf.slices, rank_of, true) {
+                pairs[s][d].post.slices.push((p.of, p.src, set));
+            }
+            // A boundary color waits for the owners of its foreign pieces.
+            let mut deps = vec![Vec::new(); n_colors];
+            for p in lf.ghost.iter().filter(|p| rank_of[p.src] != rank_of[p.dst]) {
+                deps[p.dst].push(rank_of[p.src]);
+            }
+            for d in &mut deps {
+                d.sort_unstable();
+                d.dedup();
+            }
+            // Interior colors need no ghost; boundary colors wait on theirs.
+            let split = |interior: bool| -> Vec<Vec<usize>> {
+                let pick = |cs: &Vec<usize>| {
+                    cs.iter().copied().filter(|&c| deps[c].is_empty() == interior).collect()
+                };
+                rank_colors.iter().map(pick).collect()
+            };
+            let (interior, boundary) = (split(true), split(false));
+            let boundary_deps = boundary.iter().map(|cs| cs.iter().map(|&c| deps[c].clone()));
+            let boundary_deps = boundary_deps.map(Iterator::collect).collect();
+            let (routes, write_own) = (lf.routes.clone(), lf.write_own.clone());
+            lxs.push(LoopExchange { pairs, routes, interior, boundary, boundary_deps, write_own });
+        }
+
+        let locals: Vec<Vec<IndexSet>> = owned
+            .iter()
+            .zip(&ghosts)
+            .map(|(o, g)| o.iter().zip(g).map(|(os, gs)| os.union(gs)).collect())
+            .collect();
+        let f64_bytes: u64 =
+            f64_field_regions(&self.schema).map(|r| self.schema.region_size(r) * 8).sum();
+        let xplan = ExchangePlan {
+            n_ranks,
+            n_colors,
+            color_owner: rank_of.to_vec(),
+            rank_colors,
+            owned,
+            ghosts,
+            locals,
+            replication_bytes: (n_ranks as u64 - 1) * f64_bytes,
+            loops: lxs,
+        };
+
+        let stats = xplan.stats();
+        if partir_obs::metrics_enabled() {
+            partir_obs::counter("exchange.ghost_elements", stats.ghost_elements);
+            partir_obs::counter("exchange.ghost_fetch_bytes", stats.ghost_fetch_bytes);
+            partir_obs::counter("exchange.write_back_bytes", stats.write_back_bytes);
+            partir_obs::counter("exchange.partial_bytes", stats.partial_bytes);
+            partir_obs::counter("exchange.messages", stats.messages);
+        }
+        sp.close_with(vec![
+            ("ghost_elements", stats.ghost_elements.into()),
+            ("messages", stats.messages.into()),
+        ]);
+        Ok(xplan)
+    }
+}
+
+/// Appends the piece `(of, c, d, (∪ lists[..][c]) ∩ owner(d))` for every
+/// color pair with one, ascending by `(c, d)`; `d = c` only when `same`.
+fn split_colors(
+    mut lists: Vec<&[IndexSet]>,
+    owner: &[(Idx, Idx, usize)],
+    of: usize,
+    same: bool,
+    out: &mut Vec<Piece>,
+) {
+    lists.sort_by_key(|l| l.as_ptr());
+    lists.dedup_by_key(|l| l.as_ptr());
+    let n_colors = lists.first().map_or(0, |l| l.len());
+    let mut by_owner: Vec<Vec<(Idx, Idx)>> = vec![Vec::new(); n_colors];
+    for c in 0..n_colors {
+        let set = union_all(&lists.iter().map(|l| &l[c]).collect::<Vec<_>>());
+        // A merge walk that skips by binary search: past set runs before an
+        // owner run, owner runs before a set run, and a color's own runs.
+        let (runs, mut i, mut j) = (set.runs(), 0, 0);
+        while i < runs.len() && j < owner.len() {
+            let ((s, e), (os, oe, d)) = (runs[i], owner[j]);
+            if e <= os {
+                i += runs[i..].partition_point(|&(_, e)| e <= os);
+            } else if oe <= s {
+                j += owner[j..].partition_point(|&(_, oe, _)| oe <= s);
+            } else if d == c && !same {
+                i += runs[i..].partition_point(|&(_, e)| e <= oe);
+                j += 1;
+            } else {
+                by_owner[d].push((s.max(os), e.min(oe)));
+                (i, j) = if e <= oe { (i + 1, j) } else { (i, j + 1) };
+            }
+        }
+        for (d, runs) in by_owner.iter_mut().enumerate().filter(|(_, r)| !r.is_empty()) {
+            out.push(Piece { of, src: c, dst: d, set: IndexSet::from_sorted_runs(runs.drain(..)) });
+        }
+    }
+}
+
+/// `(src rank, dst rank, first piece, union)` of the pieces each rank
+/// pair exchanges, per group of pieces with one `of` (and one `src` when
+/// `same`). A piece within one rank is dropped unless `same`.
+fn fold_pieces<'a>(
+    pieces: &'a [Piece],
+    rank_of: &[usize],
+    same: bool,
+) -> Vec<(usize, usize, &'a Piece, IndexSet)> {
+    let mut out = Vec::new();
+    for group in pieces.chunk_by(|a, b| a.of == b.of && (!same || a.src == b.src)) {
+        let cells = group.iter().map(|p| (rank_of[p.src], rank_of[p.dst], &p.set));
+        let mut cells: Vec<_> = cells.filter(|&(s, d, _)| same || s != d).collect();
+        cells.sort_by_key(|&(s, d, _)| (s, d));
+        for cell in cells.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let sets: Vec<&IndexSet> = cell.iter().map(|c| c.2).collect();
+            out.push((cell[0].0, cell[0].1, &group[0], union_all(&sets).into_owned()));
+        }
+    }
+    out
+}
+
+/// `∪ sets`, by pairwise unions in a balanced tree.
+fn union_all<'a>(sets: &[&'a IndexSet]) -> Cow<'a, IndexSet> {
+    match sets {
+        [] => Cow::Owned(IndexSet::new()),
+        [s] => Cow::Borrowed(s),
+        _ => {
+            let (a, b) = sets.split_at(sets.len() / 2);
+            Cow::Owned(union_all(a).union(&union_all(b)))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -968,22 +1013,6 @@ mod tests {
     }
 
     #[test]
-    fn evacuated_assignment_moves_only_the_dead_ranks_colors() {
-        let owner = block_assignment(8, 4);
-        assert_eq!(owner, &[0, 0, 1, 1, 2, 2, 3, 3]);
-        let after = evacuate_assignment(&owner, 1, 4);
-        // Survivors keep their colors; rank 1's two colors deal out
-        // round-robin over the survivors [0, 2, 3].
-        assert_eq!(after, &[0, 0, 0, 2, 2, 2, 3, 3]);
-        assert!(!after.contains(&1), "the dead rank owns nothing");
-        for (c, (&b, &a)) in owner.iter().zip(&after).enumerate() {
-            if b != 1 {
-                assert_eq!(b, a, "survivor color {c} moved");
-            }
-        }
-    }
-
-    #[test]
     fn evacuated_exchange_is_still_disjoint_complete_and_legal() {
         let (program, fns, schema) = stencil_1d(40);
         let plan =
@@ -991,8 +1020,9 @@ mod tests {
         let store = Store::new(schema.clone());
         let parts = plan.evaluate(&store, &fns, 4, &ExtBindings::new());
         let x = derive_exchange(&plan, &parts, &schema, 4).unwrap();
-        let after = evacuate_assignment(x.owner_assignment(), 2, 4);
-        let y = derive_exchange_with(&plan, &parts, &schema, 4, &after).unwrap();
+        // Rank 2 lost: its one color moves to rank 0, the others stay.
+        assert_eq!(x.owner_assignment(), &[0, 1, 2, 3]);
+        let y = derive_exchange_with(&plan, &parts, &schema, 4, &[0, 1, 0, 3]).unwrap();
         let r = schema.region_by_name("R").unwrap();
         assert!(y.owned(r, 2).is_empty(), "the evacuated rank owns nothing");
         assert!(y.colors_of(2).is_empty());

@@ -22,9 +22,9 @@ pub mod prelude {
     pub use crate::cache::{CacheError, CacheStats, DistArtifacts, PlanCache, SolvedPlan};
     pub use crate::eval::{Evaluator, ExtBindings};
     pub use crate::exchange::{
-        access_sets, block_assignment, derive_exchange, derive_exchange_with, evacuate_assignment,
-        AccessSets, BufferRoute, BufferedSets, ExchangeError, ExchangePlan, ExchangeStats,
-        LoopExchange, PairMessages, PairVolume, PostMessage,
+        access_sets, block_assignment, derive_exchange, derive_exchange_with, AccessSets,
+        BufferRoute, BufferedSets, ExchangeError, ExchangePlan, ExchangeStats, LoopExchange,
+        PairMessages, PairVolume, PostMessage,
     };
     pub use crate::fingerprint::{
         placement_fingerprint, solve_fingerprint, store_index_fingerprint, Fingerprint,

@@ -10,13 +10,13 @@
 //!
 //! The placement pipeline:
 //!
-//! 1. **Communication graph.** [`CommGraph::build`] derives the exchange at
-//!    *color* granularity — [`crate::exchange::derive_exchange_with`] under
-//!    the identity assignment (every color its own rank) — so the edge
-//!    weight `w(c, d)` is the exact `needed − owned` byte volume between
-//!    colors `c` and `d` (ghost fetches, write-backs, and routed partial
-//!    buffers, via [`crate::exchange::ExchangePlan::predicted_pair_volume`]),
-//!    and the node weight `load(c)` is the color's owned f64 bytes. Exact by
+//! 1. **Communication graph.** [`CommGraph::of`] folds the plan's color
+//!    footprint ([`crate::exchange::Footprint`]) under the identity
+//!    assignment (every color its own rank), so the edge weight `w(c, d)`
+//!    is the exact `needed − owned` byte volume between colors `c` and `d`
+//!    (ghost fetches, write-backs, and routed partial buffers, via
+//!    [`crate::exchange::ExchangePlan::predicted_pair_volume`]), and the
+//!    node weight `load(c)` is the color's owned f64 bytes. Exact by
 //!    construction: no traffic model is guessed from the loop text.
 //! 2. **Greedy k-way seeding.** Colors in descending (load + affinity)
 //!    order; the heaviest `k` seed distinct ranks, the rest join the rank
@@ -37,17 +37,17 @@
 //!
 //! The graph objective is a surrogate — two co-ranked colors fetching the
 //! same remote element are charged twice in the graph but once by the real
-//! rank-level exchange — so [`place`] always re-derives the candidate and
-//! the block baseline at rank granularity and keeps whichever moves fewer
+//! rank-level exchange — so [`place`] also folds the candidate and the
+//! block baseline at rank granularity and keeps whichever moves fewer
 //! *exact* bytes. Cost-driven placement therefore never regresses below
-//! block, by construction.
+//! block, by construction. All three folds are of one footprint: `place`
+//! builds it once per call, whatever the policy.
 //!
 //! **Recovery** reuses the same machinery: [`evacuate_placement`] re-places
-//! only a dead rank's colors onto survivors by gain (replacing the old
-//! round-robin deal), preserving the migration-minimality invariant that
-//! survivor-owned shards never move.
+//! only the lost ranks' colors onto the live ranks by gain, preserving the
+//! migration-minimality invariant that survivor-owned shards never move.
 
-use crate::exchange::{block_assignment, derive_exchange_with, ExchangeError, ExchangePlan};
+use crate::exchange::{block_assignment, ExchangeError, ExchangePlan, Footprint, PairVolume};
 use crate::pipeline::ParallelPlan;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::Schema;
@@ -69,7 +69,8 @@ pub enum PlacementPolicy {
     /// Greedy seeding + KL/FM refinement on the communication graph.
     CostDriven,
     /// A caller-supplied `assignment[color] = rank` (validated like
-    /// [`derive_exchange_with`]'s assignment: full coverage, in-range ranks).
+    /// [`crate::exchange::derive_exchange_with`]'s assignment: full
+    /// coverage, in-range ranks).
     Explicit(Vec<usize>),
 }
 
@@ -115,28 +116,27 @@ pub struct CommGraph {
 }
 
 impl CommGraph {
-    /// Builds the graph by deriving the exchange at color granularity: the
-    /// identity assignment makes `predicted_pair_volume` *be* the per-color
-    /// traffic matrix, so edges are exact `needed − owned` set-algebra bytes
-    /// (same derivation the runtime executes), not a model.
+    /// The plan's graph: [`CommGraph::of`] its footprint.
     pub fn build(
         plan: &ParallelPlan,
         parts: &[Arc<Partition>],
         schema: &Schema,
     ) -> Result<CommGraph, ExchangeError> {
-        let n = parts.first().map(|p| p.num_subregions()).unwrap_or(0);
-        if n == 0 {
+        if parts.is_empty() {
             return Ok(CommGraph { n_colors: 0, w: Vec::new(), load: Vec::new() });
         }
-        let identity: Vec<usize> = (0..n).collect();
-        let x = derive_exchange_with(plan, parts, schema, n, &identity)?;
+        CommGraph::of(&Footprint::build(plan, parts, schema)?, schema)
+    }
+
+    /// The graph is the footprint's fold under the identity assignment:
+    /// with every color its own rank, `predicted_pair_volume` *is* the
+    /// per-color traffic matrix, so edges are exact `needed − owned`
+    /// set-algebra bytes (the same sets the runtime moves), not a model.
+    pub fn of(fp: &Footprint, schema: &Schema) -> Result<CommGraph, ExchangeError> {
+        let n = fp.n_colors;
+        let x = fp.fold(n.max(1), &(0..n).collect::<Vec<_>>())?;
         let vol = x.predicted_pair_volume();
-        let mut w = vec![0u64; n * n];
-        for (src, row) in vol.iter().enumerate() {
-            for (dst, v) in row.iter().enumerate() {
-                w[src * n + dst] = v.bytes();
-            }
-        }
+        let w = vol.iter().flatten().map(PairVolume::bytes).take(n * n).collect();
         let load = (0..n).map(|c| x.owned_field_bytes(schema, c)).collect();
         Ok(CommGraph { n_colors: n, w, load })
     }
@@ -247,14 +247,15 @@ pub struct PlacementReport {
     pub moves: u64,
     /// `predicted_block_bytes − predicted_bytes` (saturating).
     pub gain_bytes: u64,
-    /// Color-granular graph derivation time.
+    /// Time to build the color footprint and fold it under the identity
+    /// assignment into the graph (zero for non-cost policies).
     pub graph_ns: u64,
     /// Seeding + KL/FM refinement time (the "refinement solve time" the
     /// bench gates below 5% of end-to-end plan time).
     pub solve_ns: u64,
-    /// Wall-clock of the whole placement stage: graph build, solve, and
-    /// the rank-granular exchange derivations of every candidate. Part of
-    /// the end-to-end plan time the solve gate divides by.
+    /// Wall-clock of the whole placement stage: footprint, graph, solve,
+    /// and the rank-granular folds of every candidate. Part of the
+    /// end-to-end plan time the solve gate divides by.
     pub place_ns: u64,
     /// The refined candidate moved no fewer exact bytes than block, so the
     /// block assignment was kept.
@@ -578,12 +579,14 @@ pub fn cost_driven_assignment(g: &CommGraph, n_ranks: usize) -> (Vec<usize>, u64
     (cur, passes, moves)
 }
 
-/// Solves the owner mapping for `n_ranks` ranks under `config` and derives
-/// the rank-granular exchange for it.
+/// Solves the owner mapping for `n_ranks` ranks under `config` and folds
+/// the plan's one [`Footprint`] into the rank-granular exchange for it.
 ///
-/// For `CostDriven`, both the refined candidate and the block baseline are
-/// derived exactly and the cheaper one (by `ExchangeStats::total_bytes`)
-/// wins — the graph guides the search, the set algebra decides.
+/// For `CostDriven`, the footprint is folded three times: under the
+/// identity assignment for the graph, then under the refined candidate and
+/// the block baseline, and the cheaper of those two (by
+/// `ExchangeStats::total_bytes`) wins — the graph guides the search, the
+/// set algebra decides.
 pub fn place(
     plan: &ParallelPlan,
     parts: &[Arc<Partition>],
@@ -613,15 +616,11 @@ pub fn place(
         ..PlacementReport::default()
     };
 
-    let finish = |assignment: Vec<usize>,
-                  xplan: ExchangePlan,
-                  predicted_bytes: u64,
-                  mut report: PlacementReport|
-     -> Result<Placement, ExchangeError> {
+    let finish = |assignment: Vec<usize>, xplan: ExchangePlan, mut report: PlacementReport| {
         let loads: Vec<u64> = (0..n_ranks).map(|r| xplan.owned_field_bytes(schema, r)).collect();
         report.imbalance = achieved_imbalance(&loads);
         report.place_ns = t_place.elapsed().as_nanos() as u64;
-        report.predicted_bytes = predicted_bytes;
+        report.predicted_bytes = xplan.stats().total_bytes();
         report.gain_bytes = report.predicted_block_bytes.saturating_sub(report.predicted_bytes);
         if partir_obs::metrics_enabled() {
             partir_obs::counter("placement.predicted_bytes", report.predicted_bytes);
@@ -630,23 +629,18 @@ pub fn place(
         Ok(Placement { assignment, xplan, report })
     };
 
+    let fp = Footprint::build(plan, parts, schema)?;
     let out = match &config.policy {
         PlacementPolicy::Block => {
             let a = block_assignment(n_colors, n_ranks);
-            let x = derive_exchange_with(plan, parts, schema, n_ranks, &a)?;
-            let bytes = x.stats().total_bytes();
-            report.predicted_block_bytes = bytes;
-            finish(a, x, bytes, report)
+            let x = fp.fold(n_ranks, &a)?;
+            report.predicted_block_bytes = x.stats().total_bytes();
+            finish(a, x, report)
         }
-        PlacementPolicy::Explicit(a) => {
-            let x = derive_exchange_with(plan, parts, schema, n_ranks, a)?;
-            let bytes = x.stats().total_bytes();
-            finish(a.clone(), x, bytes, report)
-        }
+        PlacementPolicy::Explicit(a) => finish(a.clone(), fp.fold(n_ranks, a)?, report),
         PlacementPolicy::CostDriven => {
-            let t_graph = Instant::now();
-            let graph = CommGraph::build(plan, parts, schema)?;
-            report.graph_ns = t_graph.elapsed().as_nanos() as u64;
+            let graph = CommGraph::of(&fp, schema)?;
+            report.graph_ns = t_place.elapsed().as_nanos() as u64;
             let t_solve = Instant::now();
             let (cand, passes, moves) = cost_driven_assignment(&graph, n_ranks);
             report.solve_ns = t_solve.elapsed().as_nanos() as u64;
@@ -655,16 +649,16 @@ pub fn place(
             let block = block_assignment(n_colors, n_ranks);
             report.cut_block_bytes = graph.cut_bytes(&block);
             report.cut_bytes = graph.cut_bytes(&cand);
-            let xb = derive_exchange_with(plan, parts, schema, n_ranks, &block)?;
-            let xc = derive_exchange_with(plan, parts, schema, n_ranks, &cand)?;
+            let xb = fp.fold(n_ranks, &block)?;
+            let xc = fp.fold(n_ranks, &cand)?;
             let (block_bytes, cand_bytes) = (xb.stats().total_bytes(), xc.stats().total_bytes());
             report.predicted_block_bytes = block_bytes;
             if cand_bytes < block_bytes {
-                finish(cand, xc, cand_bytes, report)
+                finish(cand, xc, report)
             } else {
                 report.fell_back_to_block = true;
                 report.cut_bytes = report.cut_block_bytes;
-                finish(block, xb, block_bytes, report)
+                finish(block, xb, report)
             }
         }
     };
@@ -678,47 +672,28 @@ pub fn place(
     out
 }
 
-/// Gain-based evacuation of a dead rank: survivors keep every color they
-/// had (the migration-minimality invariant — nothing a survivor owns ever
-/// moves), and only the dead rank's colors are re-placed, greedily by
-/// affinity then refined by restricted KL/FM passes over the survivor
-/// ranks under the survivors' capacity. Replaces the round-robin deal of
-/// [`crate::exchange::evacuate_assignment`], which balanced counts but not
-/// bytes or traffic.
-pub fn evacuate_placement(
-    plan: &ParallelPlan,
-    parts: &[Arc<Partition>],
-    schema: &Schema,
-    owner: &[usize],
-    dead: usize,
-    n_ranks: usize,
-) -> Result<Vec<usize>, ExchangeError> {
-    let graph = CommGraph::build(plan, parts, schema)?;
-    Ok(evacuate_with_graph(&graph, owner, dead, n_ranks))
-}
-
-/// [`evacuate_placement`] on a prebuilt graph.
-pub fn evacuate_with_graph(
-    g: &CommGraph,
-    owner: &[usize],
-    dead: usize,
-    n_ranks: usize,
-) -> Vec<usize> {
-    let survivors: Vec<usize> = (0..n_ranks).filter(|&r| r != dead).collect();
+/// Gain-based evacuation onto the live ranks (`alive[rank]`): survivors
+/// keep every color they had (the migration-minimality invariant — nothing
+/// a survivor owns ever moves), and only the colors `owner` puts on a lost
+/// rank are re-placed, greedily by affinity then refined by restricted
+/// KL/FM passes over the live ranks under the live ranks' capacity. A rank
+/// lost in an earlier recovery owns nothing and receives nothing.
+pub fn evacuate_placement(g: &CommGraph, owner: &[usize], alive: &[bool]) -> Vec<usize> {
+    let survivors: Vec<usize> = (0..alive.len()).filter(|&r| alive[r]).collect();
     assert!(!survivors.is_empty(), "cannot evacuate the last rank");
-    // Capacity over survivors only: the dead rank's share is theirs now.
+    // Capacity over survivors only: the lost ranks' share is theirs now.
     let cap = IMBALANCE * fair_share(g.total_load(), survivors.len());
 
     let adj = Adjacency::build(g);
     let mut cur = owner.to_vec();
-    let mut loads = rank_loads(g, &cur, n_ranks);
+    let mut loads = rank_loads(g, &cur, alive.len());
     let mut dead_colors: Vec<usize> =
-        (0..g.n_colors.min(owner.len())).filter(|&c| owner[c] == dead).collect();
+        (0..g.n_colors.min(owner.len())).filter(|&c| !alive[owner[c]]).collect();
     dead_colors.sort_by_key(|&c| (std::cmp::Reverse(g.load[c]), c));
     // Greedy: each dead color joins the survivor where it costs least,
     // under the survivor cap; fallback is the least loaded.
     for &c in &dead_colors {
-        loads[dead] -= g.load[c];
+        loads[owner[c]] -= g.load[c];
         cur[c] = usize::MAX;
         let mut best: Option<(f64, usize)> = None;
         for &s in &survivors {
@@ -739,8 +714,8 @@ pub fn evacuate_with_graph(
     }
     // Restricted refinement: only the evacuated colors may move, and only
     // between survivors — survivor-owned shards stay put by construction.
-    refine(g, &adj, n_ranks, &survivors, &mut cur, &dead_colors);
-    debug_assert!(cur.iter().all(|&r| r != dead));
+    refine(g, &adj, alive.len(), &survivors, &mut cur, &dead_colors);
+    debug_assert!(cur.iter().all(|&r| alive[r]));
     cur
 }
 
@@ -748,7 +723,6 @@ pub fn evacuate_with_graph(
 mod tests {
     use super::*;
     use crate::eval::ExtBindings;
-    use crate::exchange::evacuate_assignment;
     use crate::pipeline::{auto_parallelize, Hints, Options};
     use partir_dpl::func::{FnDef, FnTable, IndexFn};
     use partir_dpl::region::{FieldKind, Schema, Store};
@@ -883,11 +857,36 @@ mod tests {
         assert_eq!(p.report.predicted_bytes, p.xplan.stats().total_bytes());
     }
 
+    /// Live ranks after losing `dead` out of `n_ranks`.
+    fn alive_without(n_ranks: usize, dead: &[usize]) -> Vec<bool> {
+        (0..n_ranks).map(|r| !dead.contains(&r)).collect()
+    }
+
+    /// The round-robin deal gain-based evacuation replaced, kept as its
+    /// comparator: survivors keep their colors, and the dead rank's colors
+    /// are dealt across the survivors in ascending rank order.
+    fn evacuate_assignment(owner: &[usize], dead: usize, n_ranks: usize) -> Vec<usize> {
+        let survivors: Vec<usize> = (0..n_ranks).filter(|&r| r != dead).collect();
+        let mut dealt = survivors.iter().cycle();
+        owner.iter().map(|&r| if r == dead { *dealt.next().unwrap() } else { r }).collect()
+    }
+
+    #[test]
+    fn evacuated_assignment_moves_only_the_dead_ranks_colors() {
+        let owner = block_assignment(8, 4);
+        assert_eq!(owner, &[0, 0, 1, 1, 2, 2, 3, 3]);
+        let after = evacuate_assignment(&owner, 1, 4);
+        // Survivors keep their colors; rank 1's two colors deal out
+        // round-robin over the survivors [0, 2, 3].
+        assert_eq!(after, &[0, 0, 0, 2, 2, 2, 3, 3]);
+    }
+
     #[test]
     fn evacuation_moves_only_the_dead_ranks_colors() {
         let (plan, parts, schema) = planned(64, 32, 8);
         let p = place(&plan, &parts, &schema, 4, &PlacementConfig::cost_driven()).unwrap();
-        let after = evacuate_placement(&plan, &parts, &schema, &p.assignment, 2, 4).unwrap();
+        let g = CommGraph::build(&plan, &parts, &schema).unwrap();
+        let after = evacuate_placement(&g, &p.assignment, &alive_without(4, &[2]));
         assert!(!after.contains(&2), "the dead rank owns nothing");
         for (c, (&b, &a)) in p.assignment.iter().zip(&after).enumerate() {
             if b != 2 {
@@ -903,7 +902,7 @@ mod tests {
         let g = CommGraph::from_raw(8, &[], loads);
         let owner = vec![0, 0, 1, 1, 2, 2, 3, 3];
         let rr = evacuate_assignment(&owner, 2, 4);
-        let refined = evacuate_with_graph(&g, &owner, 2, 4);
+        let refined = evacuate_placement(&g, &owner, &alive_without(4, &[2]));
         let max_load = |a: &[usize]| -> u64 {
             let mut l = vec![0u64; 4];
             for (c, &r) in a.iter().enumerate() {
@@ -922,6 +921,7 @@ mod tests {
         for (c, &o) in owner.iter().enumerate() {
             if o != 2 {
                 assert_eq!(refined[c], o);
+                assert_eq!(rr[c], o);
             }
         }
     }
@@ -933,7 +933,7 @@ mod tests {
         let edges = vec![(2usize, 5usize, 1000u64), (3, 0, 1000)];
         let g = CommGraph::from_raw(6, &edges, vec![8; 6]);
         let owner = vec![0, 0, 1, 1, 2, 2];
-        let refined = evacuate_with_graph(&g, &owner, 1, 3);
+        let refined = evacuate_placement(&g, &owner, &alive_without(3, &[1]));
         assert_eq!(refined[2], 2, "color 2 joins its neighbor color 5: {refined:?}");
         assert_eq!(refined[3], 0, "color 3 joins its neighbor color 0: {refined:?}");
     }
@@ -949,7 +949,7 @@ mod tests {
         let g = CommGraph::from_raw(12, &edges, vec![10; 12]);
         let owner = block_assignment(12, 4);
         for dead in 0..4 {
-            let after = evacuate_with_graph(&g, &owner, dead, 4);
+            let after = evacuate_placement(&g, &owner, &alive_without(4, &[dead]));
             assert!(!after.contains(&dead), "dead rank {dead} still owns a color: {after:?}");
             for (c, (&b, &a)) in owner.iter().zip(&after).enumerate() {
                 assert!(b == dead || a == b, "dead {dead}: survivor color {c} moved {b} -> {a}");
@@ -959,6 +959,23 @@ mod tests {
                 assert_eq!(l, if r == dead { 0 } else { 40 }, "dead {dead}: loads {loads:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_second_loss_evacuates_onto_live_ranks_only() {
+        // Rank 1 was lost before and is already empty; now rank 2 dies.
+        // With rank 1 counted as a survivor it would have zero load, the
+        // cap would be 1.1 · 80/3 over one rank too many, and color 3
+        // would land on it — a rank the next attempt never spawns.
+        let g = CommGraph::from_raw(8, &[], vec![10; 8]);
+        let owner = vec![0, 0, 0, 2, 2, 2, 3, 3];
+        let after = evacuate_placement(&g, &owner, &alive_without(4, &[1, 2]));
+        assert!(after.iter().all(|&r| r == 0 || r == 3), "placed on a lost rank: {after:?}");
+        assert_eq!(&after[..3], &[0, 0, 0], "survivor colors stay");
+        assert_eq!(&after[6..], &[3, 3], "survivor colors stay");
+        // The cap over the two live ranks (1.1 · 80/2 = 44) holds.
+        let loads = rank_loads(&g, &after, 4);
+        assert!(loads.iter().all(|&l| l <= 44), "loads {loads:?}");
     }
 
     #[test]

@@ -28,10 +28,10 @@ use crate::fault::{CheckpointPolicy, FaultPlan};
 use crate::task::{panic_message, plan_loops, LegalityViolation, LoopSetup, PlanError};
 use parking_lot::Mutex;
 use partir_core::exchange::{
-    derive_exchange_with, prove_plan_legality, ExchangeError, ExchangePlan, PlanLegalityError,
+    prove_plan_legality, ExchangeError, ExchangePlan, Footprint, PlanLegalityError,
 };
 use partir_core::pipeline::ParallelPlan;
-use partir_core::placement::evacuate_placement;
+use partir_core::placement::{evacuate_placement, CommGraph};
 use partir_dpl::func::FnTable;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{Schema, Store};
@@ -505,9 +505,10 @@ pub fn execute_ranks(
         });
         match (dead, attempt.error) {
             (Some(dead), err) if recovery_enabled && alive[dead] => {
-                // Survivor-side recovery: evacuate the dead rank's colors,
-                // re-derive + re-prove the exchange plan, restore the last
-                // consistent checkpoint, resume on the survivors.
+                // Survivor-side recovery: evacuate the dead rank's colors
+                // onto the live ranks, re-fold + re-prove the exchange plan,
+                // restore the last consistent checkpoint, resume on the
+                // survivors.
                 let t = Instant::now();
                 recoveries += 1;
                 lost_ranks.push(dead);
@@ -516,15 +517,12 @@ pub fn execute_ranks(
                 if !alive.iter().any(|&a| a) {
                     return Err(err.unwrap_or(DistError::RankLost { rank: dead, epoch: 0 }));
                 }
-                let assignment = evacuate_placement(
-                    plan,
-                    parts,
-                    &schema,
-                    cur_xplan.owner_assignment(),
-                    dead,
-                    n_ranks,
-                )?;
-                let nx = derive_exchange_with(plan, parts, &schema, n_ranks, &assignment)?;
+                // One footprint: its identity fold is the graph the
+                // evacuation places by, and the new plan is one more fold.
+                let fp = Footprint::build(plan, parts, &schema)?;
+                let graph = CommGraph::of(&fp, &schema)?;
+                let assignment = evacuate_placement(&graph, cur_xplan.owner_assignment(), &alive);
+                let nx = fp.fold(n_ranks, &assignment)?;
                 if opts.legality != LegalityMode::Off {
                     plan_proved = prove_plan_legality(&nx, plan, parts, &schema)
                         .map_err(DistError::PlanIllegal)?

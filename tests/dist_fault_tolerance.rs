@@ -157,6 +157,40 @@ fn silent_crash_is_detected_by_deadline_and_recovered() {
     assert_eq!(rep.recoveries, 1);
 }
 
+/// A second loss evacuates onto live ranks only. Seed 0 crashes rank 1 at
+/// epoch 1 and, under a 90% drop rate, makes one more destination exhaust
+/// its retransmits: two recoveries in one run. Had the second evacuation
+/// counted the rank lost first as a survivor (it has no load, so it wins
+/// the least-loaded fallback), colors would land on a rank the next
+/// attempt never spawns, and their owned elements would keep the restored
+/// checkpoint's values.
+#[test]
+fn two_rank_losses_recover_bit_identical() {
+    let a = Stencil::generate(&StencilParams { nx: 32, ny: 24 });
+    let mut seq = a.store.clone();
+    run_program_seq(&a.program, &mut seq, &a.fns);
+    let schema = a.store.schema().clone();
+    let epoch = a.program.len() as u64 / 2;
+
+    let plan = Partir::new(a.program, a.fns, schema.clone()).colors(4).solve().unwrap();
+    let mut par = a.store.clone();
+    let outcome = strict_ranks(4)
+        .fault(FaultPlan {
+            drop_rate: 0.9,
+            crash: Some(RankCrash { rank: 1, epoch, silent: false }),
+            ..FaultPlan::quiescent(0)
+        })
+        .checkpoint(CheckpointPolicy::every(1))
+        .run(&plan, &mut par)
+        .expect("two losses leave two survivors to finish on");
+    let rep = outcome.report.as_ranks().unwrap();
+    assert_eq!(rep.recoveries, 2, "the seed loses exactly two ranks");
+    for f in 0..schema.num_fields() {
+        let fid = partir::dpl::region::FieldId(f as u32);
+        assert_eq!(seq.field_data(fid), par.field_data(fid), "field {fid:?} diverged");
+    }
+}
+
 /// Seeded drop storm: every dropped attempt forces a retransmit with
 /// seeded backoff, the delivered copy is the only one metered, and the
 /// result stays bit-identical with strict volume accounting on.
