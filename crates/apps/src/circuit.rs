@@ -19,18 +19,20 @@
 //! sub-partitions, beating the manual version up to 64 nodes because the
 //! manual code always buffers the whole shared-node block.
 
-use crate::sim::{MachineModel, SimAccess, SimKind, SimLoop, SimSpec};
-use crate::support::{sim_spec_from_plan, weak_scaling, LoopWeights, ScaleSeries};
+use crate::sim::MachineModel;
+use crate::support::{weak_scaling, Instance, ScaleSeries};
 use partir_core::eval::ExtBindings;
 use partir_core::lang::{FnRef, PExpr};
-use partir_core::pipeline::{auto_parallelize, Hints, Options, ParallelPlan};
+use partir_core::pipeline::{
+    auto_parallelize, Hints, Options, ParallelPlan, PartId, PlannedReduce,
+};
 use partir_dpl::func::{FnId, FnTable};
 use partir_dpl::index_set::IndexSet;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, FieldKind, RegionId, Schema, Store};
+use partir_ir::analysis::AccessInfo;
 use partir_ir::ast::{Loop, LoopBuilder, ReduceOp, VExpr};
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// A generated circuit instance.
 pub struct Circuit {
@@ -359,84 +361,32 @@ impl Circuit {
         (plan, hints, exts)
     }
 
-    /// The hand-optimized strategy: cluster partitions, but reduction
-    /// buffers always cover the *entire* shared-node block (Section 6.4
-    /// explains this is why Auto+Hint beats Manual below 64 nodes).
-    pub fn manual_sim_spec(&self, colors: usize) -> SimSpec {
+    /// The hand-optimized strategy as a plan: the cluster partitions, with
+    /// both charge reductions through `private ∪ shared` and the private
+    /// nodes reduced in place, so the buffer always covers the *entire*
+    /// shared-node block (Section 6.4 explains this is why Auto+Hint beats
+    /// Manual below 64 nodes). Partitions: `[wires, access, owned, private,
+    /// private ∪ shared]`.
+    pub fn manual_plan(&self, colors: usize) -> (ParallelPlan, ExtBindings) {
         let parts = self.cluster_partitions(colors);
-        let shared_block = IndexSet::from_range(0, self.n_shared);
-        let buffer_sets: Vec<IndexSet> = (0..colors).map(|_| shared_block.clone()).collect();
-        let mut region_sizes = HashMap::new();
-        region_sizes.insert(self.rn, self.n_nodes);
-        region_sizes.insert(self.rw, self.n_wires);
-        let mut initial_home = HashMap::new();
-        initial_home.insert(self.rn, parts.owned.clone());
-        initial_home.insert(self.rw, parts.wires.clone());
-        SimSpec {
-            loops: vec![
-                SimLoop {
-                    name: "calc_new_currents".into(),
-                    iter: parts.wires.clone(),
-                    work_per_iter: 6.0,
-                    accesses: vec![
-                        SimAccess {
-                            region: self.rn,
-                            part: parts.access.clone(),
-                            kind: SimKind::Read,
-                            bytes_per_elem: 8.0,
-                            group: None,
-                            expr_weight: 1.0,
-                        },
-                        SimAccess {
-                            region: self.rw,
-                            part: parts.wires.clone(),
-                            kind: SimKind::Write,
-                            bytes_per_elem: 8.0,
-                            group: None,
-                            expr_weight: 1.0,
-                        },
-                    ],
-                },
-                SimLoop {
-                    name: "distribute_charge".into(),
-                    iter: parts.wires.clone(),
-                    work_per_iter: 4.0,
-                    accesses: vec![
-                        SimAccess {
-                            region: self.rw,
-                            part: parts.wires.clone(),
-                            kind: SimKind::Read,
-                            bytes_per_elem: 8.0,
-                            group: None,
-                            expr_weight: 1.0,
-                        },
-                        SimAccess {
-                            region: self.rn,
-                            part: parts.access.clone(),
-                            kind: SimKind::ReduceBuffered { buffer_sets },
-                            bytes_per_elem: 8.0,
-                            group: None,
-                            expr_weight: 1.0,
-                        },
-                    ],
-                },
-                SimLoop {
-                    name: "update_voltages".into(),
-                    iter: parts.owned.clone(),
-                    work_per_iter: 4.0,
-                    accesses: vec![SimAccess {
-                        region: self.rn,
-                        part: parts.owned.clone(),
-                        kind: SimKind::Write,
-                        bytes_per_elem: 16.0,
-                        group: None,
-                        expr_weight: 1.0,
-                    }],
-                },
-            ],
-            region_sizes,
-            initial_home,
+        let shared = IndexSet::from_range(0, self.n_shared);
+        let buffered = parts.private.iter().map(|s| s.union(&shared)).collect();
+        let mut exts = ExtBindings::new();
+        for p in [parts.wires, parts.access, parts.owned, parts.private] {
+            exts.push(p);
         }
+        exts.push(Partition::new(self.rn, buffered));
+        // Loops: calc_new_currents and distribute_charge over wires,
+        // update_voltages over nodes.
+        let bind = |l, a: &AccessInfo| match (l, a.region == self.rn) {
+            (_, false) => (PartId(0), None),
+            (0, true) => (PartId(1), None),
+            (1, true) => (PartId(4), Some(PlannedReduce::BufferedPrivate { private: PartId(3) })),
+            (_, true) => (PartId(2), None),
+        };
+        let iters = [PartId(0), PartId(0), PartId(2)];
+        let plan = ParallelPlan::from_bindings(&self.program, &self.fns, &exts, &iters, bind);
+        (plan.expect("the circuit program is parallelizable"), exts)
     }
 }
 
@@ -467,25 +417,30 @@ pub fn fig14d_series(
             cross_stride: None,
             seed: 20190817 + n as u64,
         });
-        let weights = LoopWeights(vec![6.0, 4.0, 4.0]);
-        let spec = |plan: &ParallelPlan, exts: &ExtBindings| {
-            let parts = plan.evaluate(&app.store, &app.fns, n, exts);
-            sim_spec_from_plan(&app.program, plan, &parts, &app.store, &weights)
+        let machine = MachineModel::gpu_cluster(n);
+        let line = |label, (plan, exts): (ParallelPlan, ExtBindings)| {
+            let parts = plan.evaluate(&app.store, &app.fns, n, &exts);
+            (label, plan, parts, machine)
         };
         let (hinted, _, exts) = app.hinted_plan(n);
-        let specs = vec![
-            ("Manual", app.manual_sim_spec(n)),
-            ("Auto+Hint", spec(&hinted, &exts)),
-            ("Auto", spec(&app.auto_plan(), &ExtBindings::new())),
+        let lines = vec![
+            line("Manual", app.manual_plan(n)),
+            line("Auto+Hint", (hinted, exts)),
+            line("Auto", (app.auto_plan(), ExtBindings::new())),
         ];
-        (app.n_wires as f64, MachineModel::gpu_cluster(n), specs)
+        Instance {
+            items: app.n_wires as f64,
+            weights: vec![6.0, 4.0, 4.0],
+            lines,
+            program: app.program,
+            store: app.store,
+        }
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partir_core::pipeline::PlannedReduce;
     use partir_runtime::exec::{execute_program, ExecOptions};
 
     fn small() -> Circuit {

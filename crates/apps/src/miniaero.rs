@@ -13,18 +13,20 @@
 //! whose face subregions are fragmented at block boundaries — the source of
 //! the paper's ~2% average gap.
 
-use crate::sim::{MachineModel, SimAccess, SimKind, SimLoop, SimSpec};
-use crate::support::{sim_spec_from_plan, weak_scaling, LoopWeights, ScaleSeries};
+use crate::sim::MachineModel;
+use crate::support::{weak_scaling, Instance, ScaleSeries};
 use partir_core::eval::ExtBindings;
 use partir_core::optimize::RelaxPolicy;
-use partir_core::pipeline::{auto_parallelize, Hints, Options, ParallelPlan};
+use partir_core::pipeline::{
+    auto_parallelize, Hints, Options, ParallelPlan, PartId, PlannedReduce,
+};
 use partir_dpl::func::{FnId, FnTable};
 use partir_dpl::index_set::IndexSet;
-use partir_dpl::ops::equal;
+use partir_dpl::ops::{equal, image, union_pointwise};
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, FieldKind, RegionId, Schema, Store};
+use partir_ir::analysis::AccessInfo;
 use partir_ir::ast::{Loop, LoopBuilder, ReduceOp, VExpr};
-use std::collections::HashMap;
 
 /// A generated MiniAero instance.
 pub struct MiniAero {
@@ -36,6 +38,8 @@ pub struct MiniAero {
     pub q: FieldId,
     pub res: FieldId,
     pub flux: FieldId,
+    pub f_left: FnId,
+    pub f_right: FnId,
     pub n_cells: u64,
     pub n_faces: u64,
     pub nx: u64,
@@ -110,6 +114,8 @@ impl MiniAero {
             q,
             res,
             flux,
+            f_left,
+            f_right,
             n_cells: n,
             n_faces,
             nx: p.nx,
@@ -193,127 +199,44 @@ impl MiniAero {
         .expect("MiniAero auto-parallelizes")
     }
 
-    /// The hand-optimized strategy (Section 6.3): the mesh generator
-    /// duplicates boundary faces so each node's faces and cells are
-    /// contiguous blocks; flux reductions become node-local (direct), with
-    /// one consolidated ghost-cell exchange per neighbor.
-    pub fn manual_sim_spec(&self, nodes: usize) -> SimSpec {
+    /// The hand-optimized strategy (Section 6.3) as a plan: the mesh
+    /// generator duplicates boundary faces so each node's faces and cells
+    /// are contiguous — cells in `equal` blocks, faces in the three axis
+    /// groups restricted to the node's cells. Cell reads and flux
+    /// reductions go through one ghost partition, `block ∪ image(faces,
+    /// left) ∪ image(faces, right)`; the reductions buffer only cells
+    /// another node's faces also touch (`private[c] = block[c] −
+    /// ⋃_{d≠c} touched[d]`). Partitions: `[ghost, faces, block, private]`.
+    pub fn manual_plan(&self, nodes: usize) -> (ParallelPlan, ExtBindings) {
         let n = self.n_cells;
-        let cell_block = equal(self.cells, n, nodes);
-        // Faces of each node: the three axis groups restricted to the
-        // node's cells — contiguous in each group (3 runs).
-        let face_part = Partition::new(
-            self.faces,
-            cell_block
-                .subregions()
-                .iter()
-                .map(|s| {
-                    let mut acc = IndexSet::new();
-                    for axis in 0..3u64 {
-                        for &(lo, hi) in s.runs() {
-                            acc = acc.union(&IndexSet::from_range(axis * n + lo, axis * n + hi));
-                        }
-                    }
-                    acc
-                })
-                .collect(),
-        );
-        // Ghost cells: the +z face of the last plane crosses the block
-        // boundary; model one plane per side, consolidated.
-        let plane = (self.nx * self.ny).min(n);
-        let ghost = Partition::new(
-            self.cells,
-            cell_block
-                .subregions()
-                .iter()
-                .map(|s| {
-                    let hi = s.max().unwrap_or(0);
-                    let start = (hi + 1) % n;
-                    let end = (start + plane).min(n);
-                    let wrapped = if start + plane > n { (start + plane) % n } else { 0 };
-                    s.union(&IndexSet::from_range(start, end))
-                        .union(&IndexSet::from_range(0, wrapped))
-                })
-                .collect(),
-        );
-        let mut region_sizes = HashMap::new();
-        region_sizes.insert(self.cells, n);
-        region_sizes.insert(self.faces, self.n_faces);
-        SimSpec {
-            loops: vec![
-                SimLoop {
-                    name: "compute_flux".into(),
-                    iter: face_part.clone(),
-                    work_per_iter: 12.0,
-                    accesses: vec![
-                        SimAccess {
-                            region: self.faces,
-                            part: face_part.clone(),
-                            kind: SimKind::Read,
-                            bytes_per_elem: 16.0,
-                            group: None,
-                            expr_weight: 1.0,
-                        },
-                        SimAccess {
-                            region: self.cells,
-                            part: ghost.clone(),
-                            kind: SimKind::Read,
-                            bytes_per_elem: 8.0,
-                            group: Some(1),
-                            expr_weight: 1.0,
-                        },
-                        SimAccess {
-                            region: self.faces,
-                            part: face_part.clone(),
-                            kind: SimKind::Write,
-                            bytes_per_elem: 8.0,
-                            group: None,
-                            expr_weight: 1.0,
-                        },
-                    ],
-                },
-                SimLoop {
-                    name: "apply_flux".into(),
-                    iter: face_part.clone(),
-                    work_per_iter: 4.0,
-                    accesses: vec![
-                        SimAccess {
-                            region: self.faces,
-                            part: face_part,
-                            kind: SimKind::Read,
-                            bytes_per_elem: 8.0,
-                            group: None,
-                            expr_weight: 1.0,
-                        },
-                        // Duplicated boundary faces make the reduction
-                        // node-local up to one ghost plane merged back.
-                        SimAccess {
-                            region: self.cells,
-                            part: ghost,
-                            kind: SimKind::ReduceDirect,
-                            bytes_per_elem: 8.0,
-                            group: Some(2),
-                            expr_weight: 1.0,
-                        },
-                    ],
-                },
-                SimLoop {
-                    name: "update".into(),
-                    iter: cell_block.clone(),
-                    work_per_iter: 4.0,
-                    accesses: vec![SimAccess {
-                        region: self.cells,
-                        part: cell_block,
-                        kind: SimKind::Write,
-                        bytes_per_elem: 16.0,
-                        group: None,
-                        expr_weight: 1.0,
-                    }],
-                },
-            ],
-            region_sizes,
-            initial_home: HashMap::new(),
-        }
+        let block = equal(self.cells, n, nodes);
+        let faces = block.iter().map(|s| {
+            let shifted =
+                |axis| s.runs().iter().map(move |&(lo, hi)| (axis * n + lo, axis * n + hi));
+            IndexSet::from_sorted_runs((0..3u64).flat_map(shifted))
+        });
+        let faces = Partition::new(self.faces, faces.collect());
+        let touched_by = |f| image(&self.store, &self.fns, &faces, f, self.cells);
+        let touched = union_pointwise(&touched_by(self.f_left), &touched_by(self.f_right));
+        let private = block.iter().enumerate().map(|(c, s)| {
+            let others = touched.iter().enumerate().filter(|&(d, _)| d != c);
+            others.fold(s.clone(), |own, (_, t)| own.difference(t))
+        });
+        let private = Partition::new(self.cells, private.collect());
+        let mut exts = ExtBindings::new();
+        exts.push(union_pointwise(&block, &touched));
+        exts.push(faces);
+        exts.push(block);
+        exts.push(private);
+        // Loops: compute_flux and apply_flux over faces, update over cells.
+        let bind = |l, a: &AccessInfo| match (l, a.region == self.cells) {
+            (_, false) => (PartId(1), None),
+            (2, true) => (PartId(2), None),
+            (_, true) => (PartId(0), Some(PlannedReduce::BufferedPrivate { private: PartId(3) })),
+        };
+        let iters = [PartId(1), PartId(1), PartId(2)];
+        let plan = ParallelPlan::from_bindings(&self.program, &self.fns, &exts, &iters, bind);
+        (plan.expect("the MiniAero program is parallelizable"), exts)
     }
 }
 
@@ -323,32 +246,35 @@ impl MiniAero {
 pub fn fig14c_series(nx: u64, ny: u64, nz_per_node: u64, nodes_list: &[usize]) -> Vec<ScaleSeries> {
     weak_scaling(nodes_list, |n| {
         let app = MiniAero::generate(&MiniAeroParams { nx, ny, nz: nz_per_node * n as u64 });
-        let auto_spec = |relax| {
-            let plan = auto_parallelize(
-                &app.program,
-                &app.fns,
-                app.store.schema(),
-                &Hints::new(),
-                Options { relax, ..Options::default() },
-            )
-            .expect("MiniAero auto-parallelizes");
+        let machine = MachineModel::gpu_cluster(n);
+        let (manual, exts) = app.manual_plan(n);
+        let manual_parts = manual.evaluate(&app.store, &app.fns, n, &exts);
+        let auto_line = |label, relax| {
+            let schema = app.store.schema();
+            let opts = Options { relax, ..Options::default() };
+            let plan = auto_parallelize(&app.program, &app.fns, schema, &Hints::new(), opts)
+                .expect("MiniAero auto-parallelizes");
             let parts = plan.evaluate(&app.store, &app.fns, n, &ExtBindings::new());
-            let weights = LoopWeights(vec![12.0, 4.0, 4.0]);
-            sim_spec_from_plan(&app.program, &plan, &parts, &app.store, &weights)
+            (label, plan, parts, machine)
         };
-        let specs = vec![
-            ("Manual", app.manual_sim_spec(n)),
-            ("Auto", auto_spec(RelaxPolicy::Auto)),
-            ("Auto(no-relax)", auto_spec(RelaxPolicy::Off)),
+        let lines = vec![
+            ("Manual", manual, manual_parts, machine),
+            auto_line("Auto", RelaxPolicy::Auto),
+            auto_line("Auto(no-relax)", RelaxPolicy::Off),
         ];
-        (app.n_cells as f64, MachineModel::gpu_cluster(n), specs)
+        Instance {
+            items: app.n_cells as f64,
+            weights: vec![12.0, 4.0, 4.0],
+            lines,
+            program: app.program,
+            store: app.store,
+        }
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partir_core::pipeline::PlannedReduce;
     use partir_runtime::exec::{execute_program, ExecOptions};
 
     #[test]

@@ -23,15 +23,18 @@
 //!   noticeable difference from Manual;
 //! * **Manual** — the hand-optimized strategy.
 
-use crate::sim::{MachineModel, SimAccess, SimKind, SimLoop, SimSpec};
-use crate::support::{sim_spec_from_plan, weak_scaling, LoopWeights, ScaleSeries};
+use crate::sim::MachineModel;
+use crate::support::{weak_scaling, Instance, ScaleSeries};
 use partir_core::eval::ExtBindings;
 use partir_core::lang::{FnRef, PExpr};
-use partir_core::pipeline::{auto_parallelize, Hints, Options, ParallelPlan};
+use partir_core::pipeline::{
+    auto_parallelize, Hints, Options, ParallelPlan, PartId, PlannedReduce,
+};
 use partir_dpl::func::{FnId, FnTable};
 use partir_dpl::index_set::IndexSet;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, FieldKind, RegionId, Schema, Store};
+use partir_ir::analysis::AccessInfo;
 use partir_ir::ast::{Loop, LoopBuilder, ReduceOp, VExpr};
 use std::collections::HashMap;
 
@@ -476,88 +479,31 @@ impl Pennant {
         (plan, exts)
     }
 
-    /// The hand-optimized strategy: piece partitions everywhere, ghost
-    /// point exchange consolidated, zone reductions local, point reductions
-    /// buffered over the boundary points only.
-    pub fn manual_sim_spec(&self, nodes: usize) -> SimSpec {
-        assert_eq!(nodes, self.pieces);
-        let parts = self.piece_parts();
-        let boundary_sets: Vec<IndexSet> = parts
-            .points_access
-            .subregions()
-            .iter()
-            .zip(parts.points_private.subregions())
-            .map(|(a, p)| a.difference(p))
-            .collect();
-        let mut region_sizes = HashMap::new();
-        region_sizes.insert(self.rz, self.n_zones);
-        region_sizes.insert(self.rs, self.n_sides);
-        region_sizes.insert(self.rp, self.n_points);
-        let mut initial_home = HashMap::new();
-        initial_home.insert(self.rz, parts.zones.clone());
-        initial_home.insert(self.rs, parts.sides.clone());
-        initial_home.insert(self.rp, parts.points_owned.clone());
-        let acc = |region, part: &Partition, kind, group| SimAccess {
-            region,
-            part: part.clone(),
-            kind,
-            bytes_per_elem: 8.0,
-            group,
-            expr_weight: 1.0,
-        };
-        SimSpec {
-            loops: vec![
-                SimLoop {
-                    name: "calc_lengths".into(),
-                    iter: parts.sides.clone(),
-                    work_per_iter: 6.0,
-                    accesses: vec![
-                        acc(self.rp, &parts.points_access, SimKind::Read, Some(1)),
-                        acc(self.rs, &parts.sides, SimKind::Write, None),
-                    ],
-                },
-                SimLoop {
-                    name: "calc_zone_vol".into(),
-                    iter: parts.sides.clone(),
-                    work_per_iter: 8.0,
-                    accesses: vec![
-                        acc(self.rs, &parts.sides, SimKind::Read, None),
-                        acc(self.rs, &parts.sides, SimKind::Write, None),
-                        acc(self.rz, &parts.zones, SimKind::ReduceDirect, None),
-                    ],
-                },
-                SimLoop {
-                    name: "point_force".into(),
-                    iter: parts.sides.clone(),
-                    work_per_iter: 8.0,
-                    accesses: vec![
-                        acc(self.rs, &parts.sides, SimKind::Read, None),
-                        SimAccess {
-                            region: self.rp,
-                            part: parts.points_access.clone(),
-                            kind: SimKind::ReduceBuffered { buffer_sets: boundary_sets },
-                            bytes_per_elem: 8.0,
-                            group: Some(2),
-                            expr_weight: 1.0,
-                        },
-                    ],
-                },
-                SimLoop {
-                    name: "update_points".into(),
-                    iter: parts.points_owned.clone(),
-                    work_per_iter: 4.0,
-                    accesses: vec![acc(self.rp, &parts.points_owned, SimKind::Write, None)],
-                },
-                SimLoop {
-                    name: "update_zones".into(),
-                    iter: parts.zones.clone(),
-                    work_per_iter: 4.0,
-                    accesses: vec![acc(self.rz, &parts.zones, SimKind::Write, None)],
-                },
-            ],
-            region_sizes,
-            initial_home,
+    /// The hand-optimized strategy as a plan: Hint2's bindings — piece
+    /// partitions of sides and zones, the ghosted point access partition,
+    /// point reductions buffered over the boundary points only (the
+    /// private points reduce in place) — with the points each piece owns
+    /// as `update_points`' iteration and access partition. Partitions:
+    /// `[sides, points_access, zones, points_private, points_owned]`.
+    pub fn manual_plan(&self, nodes: usize) -> (ParallelPlan, ExtBindings) {
+        assert_eq!(nodes, self.pieces, "one piece per node");
+        let p = self.piece_parts();
+        let mut exts = ExtBindings::new();
+        for part in [p.sides, p.points_access, p.zones, p.points_private, p.points_owned] {
+            exts.push(part);
         }
+        // Loops: calc_lengths, calc_zone_vol and point_force over sides,
+        // update_points over points, update_zones over zones.
+        let private = Some(PlannedReduce::BufferedPrivate { private: PartId(3) });
+        let bind = |l, a: &AccessInfo| match a.region {
+            r if r == self.rs => (PartId(0), None),
+            r if r == self.rz => (PartId(2), None),
+            _ if l == 3 => (PartId(4), None),
+            _ => (PartId(1), private.clone()),
+        };
+        let iters = [PartId(0), PartId(0), PartId(0), PartId(4), PartId(2)];
+        let plan = ParallelPlan::from_bindings(&self.program, &self.fns, &exts, &iters, bind);
+        (plan.expect("the PENNANT program is parallelizable"), exts)
     }
 }
 
@@ -597,28 +543,30 @@ pub struct PieceParts {
 pub fn fig14e_series(zw: u64, zy: u64, nodes_list: &[usize]) -> Vec<ScaleSeries> {
     weak_scaling(nodes_list, |n| {
         let app = Pennant::generate(&PennantParams { pieces: n, zw, zy });
-        let weights = LoopWeights(vec![6.0, 8.0, 8.0, 4.0, 4.0]);
-        let mut specs = vec![("Manual", app.manual_sim_spec(n))];
-        for (label, config) in [
-            ("Auto+Hint2", PennantConfig::Hint2),
-            ("Auto+Hint1", PennantConfig::Hint1),
-            ("Auto", PennantConfig::Auto),
-        ] {
-            let (plan, exts) = app.plan(config);
+        let machine = MachineModel::gpu_cluster(n);
+        let line = |label, (plan, exts): (ParallelPlan, ExtBindings)| {
             let parts = plan.evaluate(&app.store, &app.fns, n, &exts);
-            specs.push((
-                label,
-                sim_spec_from_plan(&app.program, &plan, &parts, &app.store, &weights),
-            ));
+            (label, plan, parts, machine)
+        };
+        let lines = vec![
+            line("Manual", app.manual_plan(n)),
+            line("Auto+Hint2", app.plan(PennantConfig::Hint2)),
+            line("Auto+Hint1", app.plan(PennantConfig::Hint1)),
+            line("Auto", app.plan(PennantConfig::Auto)),
+        ];
+        Instance {
+            items: app.items(),
+            weights: vec![6.0, 8.0, 8.0, 4.0, 4.0],
+            lines,
+            program: app.program,
+            store: app.store,
         }
-        (app.items(), MachineModel::gpu_cluster(n), specs)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partir_core::pipeline::PlannedReduce;
     use partir_runtime::exec::{execute_program, ExecOptions};
 
     fn small() -> Pennant {
@@ -714,7 +662,7 @@ mod tests {
         let (p1, _) = app.plan(PennantConfig::Hint1);
         let (p2, _) = app.plan(PennantConfig::Hint2);
         let derived_ops = |p: &partir_core::pipeline::ParallelPlan| -> usize {
-            p.partition_exprs.iter().map(|e| crate::support::pexpr_weight(e) as usize - 1).sum()
+            p.partition_exprs.iter().map(|e| crate::sim::pexpr_weight(e) as usize - 1).sum()
         };
         assert!(derived_ops(&p1) > 0, "{}", p1.render_dpl(&app.fns));
         assert_eq!(

@@ -2,19 +2,22 @@
 //!
 //! The paper's evaluation (Figure 14) measures weak scaling on up to 256
 //! GPU nodes of Piz Daint. We reproduce the *shape* of those curves with an
-//! explicit machine model driven by the actual partitions the solver (or a
-//! manual strategy) produces:
+//! explicit machine model driven by a plan's evaluated partitions — the
+//! solver's, or a hand-written strategy's built with
+//! `ParallelPlan::from_bindings`; the simulator takes nothing else:
 //!
 //! * one task per node (`color == node`, as in the paper's one-rank-per-GPU
 //!   configuration);
 //! * per-node compute time proportional to the task's iteration-subregion
 //!   size;
-//! * a *home* (owner) distribution per region, updated to the writing
-//!   partition after each loop — reads of elements outside the home
-//!   subregion cost ingress on the reader and egress on the owner;
+//! * a *home* (owner) distribution per region, `equal` blocks at first and
+//!   updated to the writing partition after each loop — reads of elements
+//!   outside the home subregion cost ingress on the reader and egress on
+//!   the owner;
 //! * reduction-buffer merges ship the buffered extent back to the owners;
-//! * per-message latency (with optional consolidation groups, modeling the
-//!   hand-optimized halo exchange of Section 6.2) and a per-run overhead
+//! * one message per access per peer pair (accesses of a loop through one
+//!   partition share one instance, so a halo read through one shared
+//!   partition pays one message per neighbour), and a per-run overhead
 //!   modeling the runtime's handling of fragmented index sets (the
 //!   sparsity-pattern issue of Section 6.5).
 //!
@@ -23,12 +26,20 @@
 //! is what makes a single hot owner (Circuit's shared nodes on node 0) a
 //! scaling bottleneck exactly as in Figure 14d.
 
+use partir_core::exchange::access_sets;
+use partir_core::lang::PExpr;
+use partir_core::pipeline::ParallelPlan;
 use partir_dpl::index_set::IndexSet;
 use partir_dpl::ops;
 use partir_dpl::partition::Partition;
-use partir_dpl::region::RegionId;
-use std::collections::HashMap;
+use partir_dpl::region::Store;
+use partir_ir::ast::Loop;
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
+
+/// Bytes moved per element (every simulated field is one `f64`).
+const BYTES_PER_ELEM: f64 = 8.0;
 
 /// The machine model.
 #[derive(Clone, Copy, Debug)]
@@ -115,92 +126,98 @@ impl FailureModel {
     }
 }
 
-/// Simulation failure: the spec is inconsistent (these were panics before
-/// the executor/simulator error audit).
+/// Simulation failure: the plan does not fit the machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// An access targets a region absent from `SimSpec::region_sizes`.
-    MissingRegionSize { region: RegionId },
-    /// A home partition's width differs from the node count.
-    HomeWidthMismatch { region: RegionId, expected: usize, got: usize },
     /// A loop's iteration partition width differs from the node count.
     IterWidthMismatch { loop_name: String, expected: usize, got: usize },
 }
 
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimError::MissingRegionSize { region } => {
-                write!(f, "region r{} missing from region_sizes", region.0)
-            }
-            SimError::HomeWidthMismatch { region, expected, got } => {
-                write!(
-                    f,
-                    "home partition for region r{} has {got} subregions, node count is {expected}",
-                    region.0
-                )
-            }
-            SimError::IterWidthMismatch { loop_name, expected, got } => {
-                write!(
-                    f,
-                    "loop '{loop_name}': iteration width {got} does not match node count {expected}"
-                )
-            }
-        }
+        let SimError::IterWidthMismatch { loop_name, expected, got } = self;
+        write!(f, "loop '{loop_name}': iteration width {got} does not match node count {expected}")
     }
 }
 
 impl std::error::Error for SimError {}
 
-/// How an access participates in communication.
-#[derive(Clone, Debug, PartialEq)]
-pub enum SimKind {
-    Read,
-    /// Centered write: updates the region's home to the access partition.
-    Write,
-    /// Reduction applied in place (disjoint / guarded): write-back traffic
-    /// for remote elements, then home update.
-    ReduceDirect,
-    /// Buffered reduction: each task ships its buffered extent to owners.
-    ReduceBuffered {
-        buffer_sets: Vec<IndexSet>,
-    },
-}
-
 /// One region access of a simulated loop.
-#[derive(Clone, Debug)]
-pub struct SimAccess {
-    pub region: RegionId,
-    pub part: Partition,
-    pub kind: SimKind,
-    pub bytes_per_elem: f64,
-    /// Accesses sharing a consolidation group pay at most one message per
-    /// peer per loop (the hand-optimized halo exchange).
-    pub group: Option<u32>,
-    /// Complexity of the DPL expression that constructed this partition
-    /// (operator-node count; 1.0 for externally provided partitions).
-    pub expr_weight: f64,
+struct SimAccess<'a> {
+    part: &'a Partition,
+    /// What each node moves against the homes: the partition's subregions
+    /// (read, write-back, in-place reduction), or a buffered reduction's
+    /// buffer extents.
+    sets: Cow<'a, [IndexSet]>,
+    /// A write moves the region's home to `part`.
+    writes: bool,
+    /// Operator-node count of the partition's expression (runtime metadata
+    /// weight, see [`pexpr_weight`]).
+    expr_weight: f64,
 }
 
 /// One parallel loop.
-#[derive(Clone, Debug)]
-pub struct SimLoop {
-    pub name: String,
-    pub iter: Partition,
+struct SimLoop<'a> {
+    iter: &'a Partition,
     /// Work units per iteration element.
-    pub work_per_iter: f64,
-    pub accesses: Vec<SimAccess>,
+    work_per_iter: f64,
+    accesses: Vec<SimAccess<'a>>,
 }
 
-/// A whole main-loop iteration.
-#[derive(Clone, Debug, Default)]
-pub struct SimSpec {
-    pub loops: Vec<SimLoop>,
-    /// Region sizes (for default block homes).
-    pub region_sizes: HashMap<RegionId, u64>,
-    /// Optional initial home distribution per region (default: equal
-    /// blocks).
-    pub initial_home: HashMap<RegionId, Partition>,
+/// A plan's loops as the simulator prices them: the partitions are exactly
+/// the plan's, so the simulated communication reflects what the plan
+/// would move. Accesses of a loop sharing one partition share one physical
+/// instance (and thus one data movement): they are deduplicated by
+/// (partition, access class, private sub-partition), like the runtime
+/// would.
+fn sim_loops<'a>(
+    program: &[Loop],
+    plan: &ParallelPlan,
+    parts: &'a [Arc<Partition>],
+    store: &Store,
+    weights: &[f64],
+    nodes: usize,
+) -> Result<Vec<SimLoop<'a>>, SimError> {
+    let schema = store.schema();
+    let mut loops = Vec::with_capacity(program.len());
+    for ((lp, loop_plan), &work_per_iter) in program.iter().zip(&plan.loops).zip(weights) {
+        let iter: &Partition = &parts[loop_plan.iter.0 as usize];
+        if iter.num_subregions() != nodes {
+            let (loop_name, got) = (lp.name.clone(), iter.num_subregions());
+            return Err(SimError::IterWidthMismatch { loop_name, expected: nodes, got });
+        }
+        let mut accesses = Vec::new();
+        let mut seen = Vec::new();
+        for ap in &loop_plan.accesses {
+            let buffered = access_sets(ap, iter, parts, schema).and_then(|sets| sets.buffered);
+            let private = buffered.as_ref().and_then(|b| b.private).map(std::ptr::from_ref);
+            let key = (ap.part, std::mem::discriminant(&ap.kind), private);
+            if seen.contains(&key) {
+                continue;
+            }
+            seen.push(key);
+            let part: &Partition = &parts[ap.part.0 as usize];
+            let sets = buffered.map_or(Cow::Borrowed(part.subregions()), |b| b.sets());
+            let writes = ap.kind.is_write();
+            let expr_weight = pexpr_weight(&plan.partition_exprs[ap.part.0 as usize]);
+            accesses.push(SimAccess { part, sets, writes, expr_weight });
+        }
+        loops.push(SimLoop { iter, work_per_iter, accesses });
+    }
+    Ok(loops)
+}
+
+/// Operator-node count of a partition expression — the complexity weight
+/// the simulator charges for runtime metadata. Externally provided
+/// partitions weigh 1.
+pub fn pexpr_weight(e: &PExpr) -> f64 {
+    match e {
+        PExpr::Sym(_) | PExpr::Ext(_) | PExpr::Equal(_) => 1.0,
+        PExpr::Image { src, .. } | PExpr::Preimage { src, .. } => 1.0 + pexpr_weight(src),
+        PExpr::Union(a, b) | PExpr::Intersect(a, b) | PExpr::Difference(a, b) => {
+            1.0 + pexpr_weight(a) + pexpr_weight(b)
+        }
+    }
 }
 
 /// Per-node cost breakdown (seconds).
@@ -287,41 +304,33 @@ impl SimResult {
     }
 }
 
-/// Runs the simulation to steady state (two iterations: the first settles
-/// region homes, the second is measured — matching the paper's
-/// "measured once programs reached a steady state").
-pub fn simulate(spec: &SimSpec, machine: &MachineModel) -> Result<SimResult, SimError> {
+/// Prices one main-loop iteration of `plan` over its evaluated partitions
+/// `parts` (`weights[l]`: work units per iteration element of loop `l`).
+/// Runs two iterations — the first settles region homes, the second is
+/// measured — matching the paper's "measured once programs reached a
+/// steady state".
+pub fn simulate(
+    program: &[Loop],
+    plan: &ParallelPlan,
+    parts: &[Arc<Partition>],
+    store: &Store,
+    weights: &[f64],
+    machine: &MachineModel,
+) -> Result<SimResult, SimError> {
     let n = machine.nodes;
-    // Initial homes.
-    let mut home: HashMap<RegionId, Vec<IndexSet>> = HashMap::new();
-    for (&r, &size) in &spec.region_sizes {
-        let h = spec.initial_home.get(&r).cloned().unwrap_or_else(|| ops::equal(r, size, n));
-        if h.num_subregions() != n {
-            return Err(SimError::HomeWidthMismatch {
-                region: r,
-                expected: n,
-                got: h.num_subregions(),
-            });
-        }
-        home.insert(r, h.subregions().to_vec());
-    }
+    let loops = sim_loops(program, plan, parts, store, weights, n)?;
+    let schema = store.schema();
+    let mut home: Vec<Vec<IndexSet>> = schema
+        .regions()
+        .map(|(r, decl)| ops::equal(r, decl.size, n).subregions().to_vec())
+        .collect();
 
     let mut result = None;
     for _round in 0..2 {
         let mut per_node = vec![NodeBreakdown::default(); n];
         let mut total_bytes = 0.0;
         let mut total_work = 0.0;
-        // Message dedup per (loop, group, src, dst).
-        for lp in &spec.loops {
-            if lp.iter.num_subregions() != n {
-                return Err(SimError::IterWidthMismatch {
-                    loop_name: lp.name.clone(),
-                    expected: n,
-                    got: lp.iter.num_subregions(),
-                });
-            }
-            let mut peer_msgs: HashMap<(u32, usize, usize), ()> = HashMap::new();
-            let mut next_group = 1_000_000u32;
+        for lp in &loops {
             for (p, b) in per_node.iter_mut().enumerate() {
                 let w = lp.iter.subregion(p).len() as f64 * lp.work_per_iter;
                 b.compute += w * machine.compute_per_unit;
@@ -340,58 +349,16 @@ pub fn simulate(spec: &SimSpec, machine: &MachineModel) -> Result<SimResult, Sim
                 b.meta_units += meta;
             }
             for acc in &lp.accesses {
-                let h = home
-                    .get(&acc.region)
-                    .ok_or(SimError::MissingRegionSize { region: acc.region })?;
-                let group = acc.group.unwrap_or_else(|| {
-                    next_group += 1;
-                    next_group
-                });
-                match &acc.kind {
-                    SimKind::Read => {
-                        gather(
-                            &acc.part,
-                            h,
-                            acc.bytes_per_elem,
-                            group,
-                            &mut per_node,
-                            &mut peer_msgs,
-                            &mut total_bytes,
-                        );
-                    }
-                    SimKind::Write | SimKind::ReduceDirect => {
-                        // Write-back of remote elements to their owners.
-                        scatter(
-                            acc.part.subregions(),
-                            h,
-                            acc.bytes_per_elem,
-                            group,
-                            &mut per_node,
-                            &mut peer_msgs,
-                            &mut total_bytes,
-                        );
-                    }
-                    SimKind::ReduceBuffered { buffer_sets } => {
-                        scatter(
-                            buffer_sets,
-                            h,
-                            acc.bytes_per_elem,
-                            group,
-                            &mut per_node,
-                            &mut peer_msgs,
-                            &mut total_bytes,
-                        );
-                    }
-                }
+                let h = &home[acc.part.region.0 as usize];
+                transfer(&acc.sets, h, &mut per_node, &mut total_bytes);
             }
             // Home updates: *writes* move ownership to the accessing
             // partition (the "most recent writer" rule). Reductions merge
             // into the owners' existing instances, so they do not move
             // ownership.
-            for acc in &lp.accesses {
-                if matches!(acc.kind, SimKind::Write) {
-                    home.insert(acc.region, disjointify(&acc.part));
-                }
+            for acc in lp.accesses.iter().filter(|a| a.writes) {
+                home[acc.part.region.0 as usize] =
+                    acc.part.first_owner().unwrap_or_else(|| acc.part.subregions().to_vec());
             }
         }
         result = Some(SimResult {
@@ -404,7 +371,7 @@ pub fn simulate(spec: &SimSpec, machine: &MachineModel) -> Result<SimResult, Sim
     }
     let mut result = result.expect("two rounds ran");
     if let Some(fm) = &machine.failure {
-        result.failure = Some(failure_summary(spec, machine, fm, &result, &home));
+        result.failure = Some(failure_summary(&loops, store, machine, fm, &result, &home));
     }
     if partir_obs::trace_enabled() {
         partir_obs::instant(
@@ -424,22 +391,22 @@ pub fn simulate(spec: &SimSpec, machine: &MachineModel) -> Result<SimResult, Sim
 /// Prices failure recovery from the solved partitions' verdicts and the
 /// steady-state home distribution (see [`FailureSummary`]).
 fn failure_summary(
-    spec: &SimSpec,
+    loops: &[SimLoop<'_>],
+    store: &Store,
     machine: &MachineModel,
     fm: &FailureModel,
     result: &SimResult,
-    home: &HashMap<RegionId, Vec<IndexSet>>,
+    home: &[Vec<IndexSet>],
 ) -> FailureSummary {
     let n = machine.nodes;
     let mut recompute = vec![0.0f64; n];
     let mut aliased_loops = 0usize;
     let mut incomplete_loops = 0usize;
-    for lp in &spec.loops {
+    for lp in loops {
         // The disjoint/complete verdicts of the iteration partition decide
         // how a lost color's work is priced.
         let disjoint = lp.iter.is_disjoint();
-        let complete =
-            spec.region_sizes.get(&lp.iter.region).is_none_or(|&size| lp.iter.is_complete(size));
+        let complete = lp.iter.is_complete(store.schema().region_size(lp.iter.region));
         if !disjoint {
             aliased_loops += 1;
         }
@@ -472,9 +439,9 @@ fn failure_summary(
         }
     }
     // Re-staging the lost node's owned data from the checkpoint.
-    for sets in home.values() {
+    for sets in home {
         for (p, s) in sets.iter().enumerate() {
-            recompute[p] += s.len() as f64 * 8.0 / machine.bandwidth;
+            recompute[p] += s.len() as f64 * BYTES_PER_ELEM / machine.bandwidth;
         }
     }
     let mean_recompute = recompute.iter().sum::<f64>() / n.max(1) as f64;
@@ -496,103 +463,115 @@ fn failure_summary(
     }
 }
 
-/// Read traffic: node `p` pulls `part[p] − home[p]` from the owners.
-fn gather(
-    part: &Partition,
-    home: &[IndexSet],
-    bytes: f64,
-    group: u32,
-    per_node: &mut [NodeBreakdown],
-    peer_msgs: &mut HashMap<(u32, usize, usize), ()>,
-    total_bytes: &mut f64,
-) {
-    let n = per_node.len();
-    for p in 0..n {
-        let needed = part.subregion(p).difference(&home[p]);
-        if needed.is_empty() {
-            continue;
-        }
-        for (q, hq) in home.iter().enumerate() {
-            if q == p {
-                continue;
-            }
-            let from_q = needed.intersect(hq);
-            if from_q.is_empty() {
-                continue;
-            }
-            let b = from_q.len() as f64 * bytes;
-            per_node[p].comm_bytes += b;
-            per_node[q].comm_bytes += b;
-            *total_bytes += b;
-            per_node[p].runs += from_q.run_count() as u64;
-            per_node[q].runs += from_q.run_count() as u64;
-            if peer_msgs.insert((group, q, p), ()).is_none() {
-                per_node[p].messages += 1;
-                per_node[q].messages += 1;
-            }
-        }
-    }
-}
-
-/// Write-back / merge traffic: node `p` ships `sets[p] − home[p]` to the
-/// owners.
-fn scatter(
+/// The traffic of one access: node `p` pulls (a read) or ships (a
+/// write-back or buffer merge) `sets[p] − home[p]` from or to the owners,
+/// one message per peer it exchanges elements with. Both directions cost
+/// the two ends alike.
+fn transfer(
     sets: &[IndexSet],
     home: &[IndexSet],
-    bytes: f64,
-    group: u32,
     per_node: &mut [NodeBreakdown],
-    peer_msgs: &mut HashMap<(u32, usize, usize), ()>,
     total_bytes: &mut f64,
 ) {
-    let _n = per_node.len();
     for (p, set) in sets.iter().enumerate() {
         let remote = set.difference(&home[p]);
         if remote.is_empty() {
             continue;
         }
-        for (q, hq) in home.iter().enumerate() {
-            if q == p {
+        for (q, hq) in home.iter().enumerate().filter(|&(q, _)| q != p) {
+            let moved = remote.intersect(hq);
+            if moved.is_empty() {
                 continue;
             }
-            let to_q = remote.intersect(hq);
-            if to_q.is_empty() {
-                continue;
-            }
-            let b = to_q.len() as f64 * bytes;
-            per_node[p].comm_bytes += b;
-            per_node[q].comm_bytes += b;
+            let b = moved.len() as f64 * BYTES_PER_ELEM;
             *total_bytes += b;
-            per_node[p].runs += to_q.run_count() as u64;
-            per_node[q].runs += to_q.run_count() as u64;
-            if peer_msgs.insert((group, p, q), ()).is_none() {
-                per_node[p].messages += 1;
-                per_node[q].messages += 1;
+            for node in [p, q] {
+                per_node[node].comm_bytes += b;
+                per_node[node].runs += moved.run_count() as u64;
+                per_node[node].messages += 1;
             }
         }
     }
 }
 
-/// Makes a (possibly aliased) partition disjoint by first-owner claim, so
-/// it can serve as a home distribution.
-fn disjointify(p: &Partition) -> Vec<IndexSet> {
-    let mut seen = IndexSet::new();
-    p.iter()
-        .map(|s| {
-            let mine = s.difference(&seen);
-            seen = seen.union(s);
-            mine
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use partir_core::eval::ExtBindings;
+    use partir_core::pipeline::{PartId, PlannedReduce};
+    use partir_dpl::func::{FnDef, FnTable, IndexFn};
     use partir_dpl::ops::equal;
+    use partir_dpl::region::{FieldKind, RegionId, Schema};
+    use partir_ir::analysis::AccessInfo;
+    use partir_ir::ast::{LoopBuilder, ReduceOp, VExpr};
 
     fn r0() -> RegionId {
         RegionId(0)
+    }
+
+    /// How one access of [`price`]'s loop touches the region.
+    enum Acc {
+        Read,
+        Write,
+        Reduce(PlannedReduce),
+    }
+
+    /// Prices one loop over `r0` (`size` elements, work 1 per element)
+    /// iterating `iter`, with one access per entry of `accesses` through
+    /// the given partition: reads and reductions index through a shift of
+    /// the loop variable (uncentered), writes are centered. Equal
+    /// partitions are one plan partition, as the solver's canonical
+    /// deduplication would make them.
+    fn price(
+        size: u64,
+        iter: Partition,
+        accesses: Vec<(Acc, Partition)>,
+        machine: MachineModel,
+    ) -> Result<SimResult, SimError> {
+        let mut schema = Schema::new();
+        let r = schema.add_region("r", size);
+        let (a, b) =
+            (schema.add_field(r, "a", FieldKind::F64), schema.add_field(r, "b", FieldKind::F64));
+        let mut fns = FnTable::new();
+        let shift = IndexFn::AffineMod { mul: 1, add: 1, modulus: size };
+        let shift = fns.add("shift", r, r, FnDef::Index(shift));
+        let mut builder = LoopBuilder::new("l", r);
+        let i = builder.loop_var();
+        let j = builder.idx_apply(shift, i);
+        let mut exts = ExtBindings::new();
+        let mut parts = vec![iter];
+        let mut bound = Vec::new();
+        for (acc, part) in accesses {
+            let id = parts.iter().position(|p| *p == part).unwrap_or_else(|| {
+                parts.push(part);
+                parts.len() - 1
+            });
+            let reduce = match acc {
+                Acc::Read => {
+                    builder.val_read(r, a, j);
+                    None
+                }
+                Acc::Write => {
+                    builder.val_write(r, b, i, VExpr::Const(1.0));
+                    None
+                }
+                Acc::Reduce(mode) => {
+                    builder.val_reduce(r, a, j, ReduceOp::Add, VExpr::Const(1.0));
+                    Some(mode)
+                }
+            };
+            bound.push((PartId(id as u32), reduce));
+        }
+        for p in parts {
+            exts.push(p);
+        }
+        let program = vec![builder.finish()];
+        let bind = |_, x: &AccessInfo| bound[x.id.0 as usize].clone();
+        let plan = ParallelPlan::from_bindings(&program, &fns, &exts, &[PartId(0)], bind)
+            .expect("a parallelizable loop");
+        let store = Store::new(schema);
+        let parts = plan.evaluate(&store, &fns, machine.nodes, &exts);
+        simulate(&program, &plan, &parts, &store, &[1.0], &machine)
     }
 
     /// A perfectly local loop scales flat: doubling nodes with workload
@@ -604,24 +583,8 @@ mod tests {
             .map(|&n| {
                 let size = 20_000 * n as u64;
                 let iter = equal(r0(), size, n);
-                let spec = SimSpec {
-                    loops: vec![SimLoop {
-                        name: "local".into(),
-                        iter: iter.clone(),
-                        work_per_iter: 1.0,
-                        accesses: vec![SimAccess {
-                            region: r0(),
-                            part: iter.clone(),
-                            kind: SimKind::Write,
-                            bytes_per_elem: 8.0,
-                            group: None,
-                            expr_weight: 1.0,
-                        }],
-                    }],
-                    region_sizes: [(r0(), size)].into_iter().collect(),
-                    initial_home: Default::default(),
-                };
-                simulate(&spec, &MachineModel::gpu_cluster(n)).unwrap().iteration_time
+                let accesses = vec![(Acc::Write, iter.clone())];
+                price(size, iter, accesses, MachineModel::gpu_cluster(n)).unwrap().iteration_time
             })
             .collect();
         let ratio = times[2] / times[0];
@@ -641,27 +604,10 @@ mod tests {
             let shared = IndexSet::from_range(0, 1000);
             let read =
                 Partition::new(r0(), iter.subregions().iter().map(|s| s.union(&shared)).collect());
-            let spec = SimSpec {
-                loops: vec![SimLoop {
-                    name: "hot".into(),
-                    iter: iter.clone(),
-                    work_per_iter: 1.0,
-                    accesses: vec![SimAccess {
-                        region: r0(),
-                        part: read,
-                        kind: SimKind::Read,
-                        bytes_per_elem: 8.0,
-                        group: None,
-                        expr_weight: 1.0,
-                    }],
-                }],
-                region_sizes: [(r0(), size)].into_iter().collect(),
-                initial_home: Default::default(),
-            };
-            let res = simulate(&spec, &MachineModel::gpu_cluster(n)).unwrap();
+            let res = price(size, iter, vec![(Acc::Read, read)], MachineModel::gpu_cluster(n));
             // Weak-scaling efficiency vs the 1-node case is proportional to
             // 1/iteration_time here (constant per-node work).
-            1.0 / res.iteration_time
+            1.0 / res.unwrap().iteration_time
         };
         let e1 = eff_at(1);
         let e16 = eff_at(16);
@@ -670,64 +616,32 @@ mod tests {
         assert!(e64 < e16, "decay continues with node count");
     }
 
-    /// Consolidation groups reduce message counts (the Stencil manual
-    /// optimization): same bytes, fewer messages, lower time.
+    /// Reads through one shared halo partition (the Stencil manual
+    /// strategy) pay one message per neighbour: same bytes as the same
+    /// reads through two partitions, fewer messages, lower time.
     #[test]
     fn consolidated_messages_cost_less() {
         let n = 16usize;
         let size = 1000 * n as u64;
         let iter = equal(r0(), size, n);
-        // Two halo accesses reading one element from each neighbor.
-        let halo = |off: i64| -> Partition {
-            Partition::new(
-                r0(),
-                iter.subregions()
-                    .iter()
-                    .map(|s| {
-                        let lo = s.min().unwrap() as i64;
-                        let hi = s.max().unwrap() as i64;
-                        let probe = if off < 0 { lo + off } else { hi + off };
-                        if probe >= 0 && (probe as u64) < size {
-                            s.union(&IndexSet::from_range(probe as u64, probe as u64 + 1))
-                        } else {
-                            s.clone()
-                        }
-                    })
-                    .collect(),
-            )
-        };
-        let mk_spec = |group: [Option<u32>; 2]| SimSpec {
-            loops: vec![SimLoop {
-                name: "halo".into(),
-                iter: iter.clone(),
-                work_per_iter: 1.0,
-                accesses: vec![
-                    SimAccess {
-                        region: r0(),
-                        part: halo(-1),
-                        kind: SimKind::Read,
-                        bytes_per_elem: 8.0,
-                        group: group[0],
-                        expr_weight: 1.0,
-                    },
-                    SimAccess {
-                        region: r0(),
-                        part: halo(-2),
-                        kind: SimKind::Read,
-                        bytes_per_elem: 8.0,
-                        group: group[1],
-                        expr_weight: 1.0,
-                    },
-                ],
-            }],
-            region_sizes: [(r0(), size)].into_iter().collect(),
-            initial_home: Default::default(),
+        // Each task's block plus the elements `offs` before it.
+        let halo = |offs: &[u64]| -> Partition {
+            let grow = |s: &IndexSet| {
+                let lo = s.min().unwrap();
+                let before = offs.iter().filter(|&&o| o <= lo).map(|&o| lo - o);
+                s.union(&IndexSet::from_indices(before))
+            };
+            Partition::new(r0(), iter.subregions().iter().map(grow).collect())
         };
         let m = MachineModel::gpu_cluster(n);
-        let separate = simulate(&mk_spec([None, None]), &m).unwrap();
-        let consolidated = simulate(&mk_spec([Some(1), Some(1)]), &m).unwrap();
-        assert!(consolidated.iteration_time < separate.iteration_time);
-        assert_eq!(consolidated.total_bytes, separate.total_bytes);
+        let separate = vec![(Acc::Read, halo(&[1])), (Acc::Read, halo(&[2]))];
+        let separate = price(size, iter.clone(), separate, m).unwrap();
+        let shared = vec![(Acc::Read, halo(&[1, 2])), (Acc::Read, halo(&[1, 2]))];
+        let shared = price(size, iter, shared, m).unwrap();
+        let messages = |r: &SimResult| r.per_node.iter().map(|b| b.messages).sum::<u64>();
+        assert!(messages(&shared) < messages(&separate));
+        assert!(shared.iteration_time < separate.iteration_time);
+        assert_eq!(shared.total_bytes, separate.total_bytes);
     }
 
     /// Buffered reductions ship buffer extents; a disjoint (direct)
@@ -737,49 +651,16 @@ mod tests {
         let n = 8usize;
         let size = 800u64;
         let iter = equal(r0(), size, n);
+        let m = MachineModel::gpu_cluster(n);
         // Buffered: every task's buffer covers its block plus 10 remote
         // elements.
         let foreign = IndexSet::from_range(0, 10);
-        let bufs: Vec<IndexSet> = iter.subregions().iter().map(|s| s.union(&foreign)).collect();
-        let spec = SimSpec {
-            loops: vec![SimLoop {
-                name: "reduce".into(),
-                iter: iter.clone(),
-                work_per_iter: 1.0,
-                accesses: vec![SimAccess {
-                    region: r0(),
-                    part: Partition::new(r0(), bufs.clone()),
-                    kind: SimKind::ReduceBuffered { buffer_sets: bufs },
-                    bytes_per_elem: 8.0,
-                    group: None,
-                    expr_weight: 1.0,
-                }],
-            }],
-            region_sizes: [(r0(), size)].into_iter().collect(),
-            initial_home: Default::default(),
-        };
-        let res = simulate(&spec, &MachineModel::gpu_cluster(n)).unwrap();
-        assert!(res.total_bytes > 0.0);
+        let bufs = Partition::new(r0(), iter.iter().map(|s| s.union(&foreign)).collect());
+        let buffered = vec![(Acc::Reduce(PlannedReduce::Buffered), bufs)];
+        assert!(price(size, iter.clone(), buffered, m).unwrap().total_bytes > 0.0);
         // Direct aligned reduction: no traffic.
-        let spec2 = SimSpec {
-            loops: vec![SimLoop {
-                name: "reduce".into(),
-                iter: iter.clone(),
-                work_per_iter: 1.0,
-                accesses: vec![SimAccess {
-                    region: r0(),
-                    part: iter.clone(),
-                    kind: SimKind::ReduceDirect,
-                    bytes_per_elem: 8.0,
-                    group: None,
-                    expr_weight: 1.0,
-                }],
-            }],
-            region_sizes: [(r0(), size)].into_iter().collect(),
-            initial_home: Default::default(),
-        };
-        let res2 = simulate(&spec2, &MachineModel::gpu_cluster(n)).unwrap();
-        assert_eq!(res2.total_bytes, 0.0);
+        let direct = vec![(Acc::Reduce(PlannedReduce::Direct), iter.clone())];
+        assert_eq!(price(size, iter, direct, m).unwrap().total_bytes, 0.0);
     }
 
     /// Fragmented remote sets cost more than contiguous ones of equal size.
@@ -791,50 +672,19 @@ mod tests {
         let contiguous: IndexSet = IndexSet::from_range(0, 100);
         let fragmented: IndexSet = IndexSet::from_indices((0..200).step_by(2));
         assert_eq!(contiguous.len(), fragmented.len());
-        let mk = |extra: &IndexSet| SimSpec {
-            loops: vec![SimLoop {
-                name: "frag".into(),
-                iter: iter.clone(),
-                work_per_iter: 1.0,
-                accesses: vec![SimAccess {
-                    region: r0(),
-                    part: Partition::new(
-                        r0(),
-                        iter.subregions().iter().map(|s| s.union(extra)).collect(),
-                    ),
-                    kind: SimKind::Read,
-                    bytes_per_elem: 8.0,
-                    group: None,
-                    expr_weight: 1.0,
-                }],
-            }],
-            region_sizes: [(r0(), size)].into_iter().collect(),
-            initial_home: Default::default(),
+        let t = |extra: &IndexSet| {
+            let read = Partition::new(r0(), iter.iter().map(|s| s.union(extra)).collect());
+            let res =
+                price(size, iter.clone(), vec![(Acc::Read, read)], MachineModel::gpu_cluster(n));
+            res.unwrap().iteration_time
         };
-        let m = MachineModel::gpu_cluster(n);
-        let t_cont = simulate(&mk(&contiguous), &m).unwrap().iteration_time;
-        let t_frag = simulate(&mk(&fragmented), &m).unwrap().iteration_time;
+        let (t_cont, t_frag) = (t(&contiguous), t(&fragmented));
         assert!(t_frag > t_cont, "{t_frag} vs {t_cont}");
     }
 
-    fn local_spec(_n: usize, iter: Partition, size: u64) -> SimSpec {
-        SimSpec {
-            loops: vec![SimLoop {
-                name: "local".into(),
-                iter: iter.clone(),
-                work_per_iter: 1.0,
-                accesses: vec![SimAccess {
-                    region: r0(),
-                    part: iter,
-                    kind: SimKind::ReduceDirect,
-                    bytes_per_elem: 8.0,
-                    group: None,
-                    expr_weight: 1.0,
-                }],
-            }],
-            region_sizes: [(r0(), size)].into_iter().collect(),
-            initial_home: Default::default(),
-        }
+    /// A loop reducing in place through its own iteration partition.
+    fn local(size: u64, iter: Partition, machine: MachineModel) -> Result<SimResult, SimError> {
+        price(size, iter.clone(), vec![(Acc::Reduce(PlannedReduce::Direct), iter)], machine)
     }
 
     /// The failure model inflates expected time, and more failure-prone
@@ -843,11 +693,11 @@ mod tests {
     fn failure_model_prices_recovery() {
         let n = 16usize;
         let size = 16_000u64;
-        let spec = local_spec(n, equal(r0(), size, n), size);
-        let perfect = simulate(&spec, &MachineModel::gpu_cluster(n)).unwrap();
+        let iter = equal(r0(), size, n);
+        let perfect = local(size, iter.clone(), MachineModel::gpu_cluster(n)).unwrap();
         assert!(perfect.failure.is_none());
         let m = MachineModel::gpu_cluster(n).with_failure(FailureModel::commodity());
-        let res = simulate(&spec, &m).unwrap();
+        let res = local(size, iter.clone(), m).unwrap();
         let f = res.failure.expect("failure summary present");
         assert!(f.expected_iteration_time_s > res.iteration_time);
         assert_eq!(f.failure_free_time_s, res.iteration_time);
@@ -859,7 +709,7 @@ mod tests {
             node_mtbf_s: FailureModel::commodity().node_mtbf_s / 10.0,
             ..FailureModel::commodity()
         };
-        let res2 = simulate(&spec, &MachineModel::gpu_cluster(n).with_failure(flaky)).unwrap();
+        let res2 = local(size, iter, MachineModel::gpu_cluster(n).with_failure(flaky)).unwrap();
         assert!(res2.failure.unwrap().expected_iteration_time_s > f.expected_iteration_time_s);
     }
 
@@ -875,44 +725,21 @@ mod tests {
         let aliased =
             Partition::new(r0(), disjoint.subregions().iter().map(|s| s.union(&overlap)).collect());
         let m = MachineModel::gpu_cluster(n).with_failure(FailureModel::commodity());
-        let f_dis = simulate(&local_spec(n, disjoint, size), &m).unwrap().failure.unwrap();
-        let f_ali = simulate(&local_spec(n, aliased, size), &m).unwrap().failure.unwrap();
+        let f_dis = local(size, disjoint, m).unwrap().failure.unwrap();
+        let f_ali = local(size, aliased, m).unwrap().failure.unwrap();
         assert_eq!(f_dis.aliased_loops, 0);
         assert_eq!(f_ali.aliased_loops, 1);
         assert!(f_ali.mean_recompute_s > f_dis.mean_recompute_s);
     }
 
-    /// Spec inconsistencies surface as typed errors, not panics.
+    /// A plan that does not fit the machine surfaces as a typed error, not
+    /// a panic.
     #[test]
     fn typed_errors_for_bad_specs() {
         let n = 4usize;
         let size = 400u64;
-        let iter = equal(r0(), size, n);
-        // Access to a region that has no size entry.
-        let spec = SimSpec {
-            loops: vec![SimLoop {
-                name: "bad".into(),
-                iter: iter.clone(),
-                work_per_iter: 1.0,
-                accesses: vec![SimAccess {
-                    region: RegionId(9),
-                    part: iter.clone(),
-                    kind: SimKind::Read,
-                    bytes_per_elem: 8.0,
-                    group: None,
-                    expr_weight: 1.0,
-                }],
-            }],
-            region_sizes: [(r0(), size)].into_iter().collect(),
-            initial_home: Default::default(),
-        };
-        match simulate(&spec, &MachineModel::gpu_cluster(n)) {
-            Err(SimError::MissingRegionSize { region }) => assert_eq!(region, RegionId(9)),
-            other => panic!("expected MissingRegionSize, got {other:?}"),
-        }
         // Iteration width that disagrees with the node count.
-        let spec2 = local_spec(n, equal(r0(), size, n + 1), size);
-        match simulate(&spec2, &MachineModel::gpu_cluster(n)) {
+        match local(size, equal(r0(), size, n + 1), MachineModel::gpu_cluster(n)) {
             Err(SimError::IterWidthMismatch { expected, got, .. }) => {
                 assert_eq!((expected, got), (n, n + 1));
             }

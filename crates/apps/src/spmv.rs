@@ -11,7 +11,7 @@
 //! of the outer index.
 
 use crate::sim::{FailureModel, MachineModel};
-use crate::support::{sim_spec_from_plan, weak_scaling, LoopWeights, ScaleSeries};
+use crate::support::{weak_scaling, Instance, ScaleSeries};
 use partir_core::eval::ExtBindings;
 use partir_core::pipeline::{auto_parallelize, Hints, Options, ParallelPlan};
 use partir_dpl::func::{FnId, FnTable};
@@ -181,24 +181,27 @@ impl Spmv {
 /// nnz/node on real hardware; the simulator default is scaled down —
 /// shapes, not magnitudes, are the target).
 pub fn fig14a_series(rows_per_node: u64, nodes_list: &[usize]) -> Vec<ScaleSeries> {
-    let line = |label, failure| {
-        weak_scaling(nodes_list, |n| {
-            let app = Spmv::generate(&SpmvParams {
-                rows: rows_per_node * n as u64,
-                halo: 2,
-                ..SpmvParams::default()
-            });
-            let plan = app.auto_plan();
-            let parts = plan.evaluate(&app.store, &app.fns, n, &ExtBindings::new());
-            let flops_per_row = 2.0 * (app.nnz as f64) / (app.rows as f64);
-            let weights = LoopWeights::uniform(app.program.len(), flops_per_row);
-            let spec = sim_spec_from_plan(&app.program, &plan, &parts, &app.store, &weights);
-            let machine = MachineModel { failure, ..MachineModel::gpu_cluster(n) };
-            (app.nnz as f64, machine, vec![(label, spec)])
-        })
-        .remove(0)
-    };
-    vec![line("Auto", None), line("Auto+faults", Some(FailureModel::commodity()))]
+    weak_scaling(nodes_list, |n| {
+        let app = Spmv::generate(&SpmvParams {
+            rows: rows_per_node * n as u64,
+            halo: 2,
+            ..SpmvParams::default()
+        });
+        let plan = app.auto_plan();
+        let parts = plan.evaluate(&app.store, &app.fns, n, &ExtBindings::new());
+        let machine = MachineModel::gpu_cluster(n);
+        let faulty = machine.with_failure(FailureModel::commodity());
+        Instance {
+            items: app.nnz as f64,
+            weights: vec![2.0 * (app.nnz as f64) / (app.rows as f64); app.program.len()],
+            lines: vec![
+                ("Auto", plan.clone(), parts.clone(), machine),
+                ("Auto+faults", plan, parts, faulty),
+            ],
+            program: app.program,
+            store: app.store,
+        }
+    })
 }
 
 #[cfg(test)]

@@ -11,20 +11,21 @@
 //! The hand-optimized comparator differs in one way (Section 6.2): it keeps
 //! an explicit halo copy so all inter-node movement in each direction is
 //! one transfer, where the auto-parallelized version's eight partitions
-//! need two transfers per direction. We model that with the simulator's
-//! message-consolidation groups; both versions move the same bytes.
+//! need two transfers per direction. Its plan reads each direction's four
+//! neighbours through one halo partition; both versions move the same
+//! bytes.
 
-use crate::sim::{MachineModel, SimAccess, SimKind, SimLoop, SimSpec};
-use crate::support::{sim_spec_from_plan, weak_scaling, LoopWeights, ScaleSeries};
+use crate::sim::MachineModel;
+use crate::support::{weak_scaling, Instance, ScaleSeries};
 use partir_core::eval::ExtBindings;
-use partir_core::pipeline::{auto_parallelize, Hints, Options, ParallelPlan};
-use partir_dpl::func::{FnDef, FnTable, IndexFn};
+use partir_core::pipeline::{auto_parallelize, Hints, Options, ParallelPlan, PartId};
+use partir_dpl::func::{FnDef, FnId, FnTable, IndexFn};
 use partir_dpl::index_set::IndexSet;
 use partir_dpl::ops::equal;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, FieldKind, RegionId, Schema, Store};
+use partir_ir::analysis::AccessInfo;
 use partir_ir::ast::{Loop, LoopBuilder, ReduceOp, VExpr};
-use std::collections::HashMap;
 
 /// The 8 neighbor offsets of a 9-point stencil on an `nx`-wide row-major
 /// grid (the center point is the ninth).
@@ -118,97 +119,31 @@ impl Stencil {
         self.nx * self.ny
     }
 
-    /// The hand-optimized strategy: identical block partitioning, but halo
-    /// reads consolidated into one transfer per direction.
-    pub fn manual_sim_spec(&self, nodes: usize) -> SimSpec {
+    /// The hand-optimized strategy as a plan: the solver's block
+    /// partitioning, but the four neighbour reads of each direction go
+    /// through one halo partition, `block ∪ up` or `block ∪ down` (the row
+    /// above or below each block, periodic, widened by one element for the
+    /// corner offsets), so each direction is one transfer. Partitions:
+    /// `[block, block ∪ up, block ∪ down]`.
+    pub fn manual_plan(&self, nodes: usize) -> (ParallelPlan, ExtBindings) {
         let n = self.n_points();
         let block = equal(self.grid, n, nodes);
-        // Halo partitions: the row above and below each block (periodic),
-        // extended by one element for the corner offsets.
-        let width = self.nx;
-        let up = Partition::new(
-            self.grid,
-            block
-                .subregions()
-                .iter()
-                .map(|s| {
-                    let lo = s.min().unwrap_or(0);
-                    let start = (lo + n - width - 1) % n;
-                    wrap_range(start, width + 1, n)
-                })
-                .collect(),
-        );
-        let down = Partition::new(
-            self.grid,
-            block
-                .subregions()
-                .iter()
-                .map(|s| {
-                    let hi = s.max().unwrap_or(0);
-                    wrap_range((hi + 1) % n, width + 1, n)
-                })
-                .collect(),
-        );
-        let mut region_sizes = HashMap::new();
-        region_sizes.insert(self.grid, n);
-        SimSpec {
-            loops: vec![
-                SimLoop {
-                    name: "stencil".into(),
-                    iter: block.clone(),
-                    work_per_iter: 9.0,
-                    accesses: vec![
-                        SimAccess {
-                            region: self.grid,
-                            part: block.clone(),
-                            kind: SimKind::Read,
-                            bytes_per_elem: 8.0,
-                            group: None,
-                            expr_weight: 1.0,
-                        },
-                        SimAccess {
-                            region: self.grid,
-                            part: up,
-                            kind: SimKind::Read,
-                            bytes_per_elem: 8.0,
-                            group: Some(1),
-                            expr_weight: 1.0,
-                        },
-                        SimAccess {
-                            region: self.grid,
-                            part: down,
-                            kind: SimKind::Read,
-                            bytes_per_elem: 8.0,
-                            group: Some(2),
-                            expr_weight: 1.0,
-                        },
-                        SimAccess {
-                            region: self.grid,
-                            part: block.clone(),
-                            kind: SimKind::Write,
-                            bytes_per_elem: 8.0,
-                            group: None,
-                            expr_weight: 1.0,
-                        },
-                    ],
-                },
-                SimLoop {
-                    name: "increment".into(),
-                    iter: block.clone(),
-                    work_per_iter: 1.0,
-                    accesses: vec![SimAccess {
-                        region: self.grid,
-                        part: block,
-                        kind: SimKind::ReduceDirect,
-                        bytes_per_elem: 8.0,
-                        group: None,
-                        expr_weight: 1.0,
-                    }],
-                },
-            ],
-            region_sizes,
-            initial_home: HashMap::new(),
+        let halo = |start: u64, s: &IndexSet| s.union(&wrap_range(start % n, self.nx + 1, n));
+        let up = block.iter().map(|s| halo(s.min().unwrap_or(0) + n - self.nx - 1, s)).collect();
+        let down = block.iter().map(|s| halo(s.max().unwrap_or(0) + 1, s)).collect();
+        let (up, down) = (Partition::new(self.grid, up), Partition::new(self.grid, down));
+        let mut exts = ExtBindings::new();
+        for p in [block, up, down] {
+            exts.push(p);
         }
+        let upward = |f: FnId| matches!(self.fns.get(f).def, FnDef::Index(IndexFn::AffineMod { add, .. }) if add < 0);
+        let bind = |_, a: &AccessInfo| match a.path.first() {
+            None => (PartId(0), None),
+            Some(&f) => (PartId(if upward(f) { 1 } else { 2 }), None),
+        };
+        let plan =
+            ParallelPlan::from_bindings(&self.program, &self.fns, &exts, &[PartId(0); 2], bind);
+        (plan.expect("the stencil program is parallelizable"), exts)
     }
 }
 
@@ -226,12 +161,21 @@ fn wrap_range(start: u64, len: u64, n: u64) -> IndexSet {
 pub fn fig14b_series(nx: u64, rows_per_node: u64, nodes_list: &[usize]) -> Vec<ScaleSeries> {
     weak_scaling(nodes_list, |n| {
         let app = Stencil::generate(&StencilParams { nx, ny: rows_per_node * n as u64 });
-        let plan = app.auto_plan();
-        let parts = plan.evaluate(&app.store, &app.fns, n, &ExtBindings::new());
-        let weights = LoopWeights(vec![9.0, 1.0]);
-        let auto_ = sim_spec_from_plan(&app.program, &plan, &parts, &app.store, &weights);
-        let specs = vec![("Manual", app.manual_sim_spec(n)), ("Auto", auto_)];
-        (app.n_points() as f64, MachineModel::gpu_cluster(n), specs)
+        let machine = MachineModel::gpu_cluster(n);
+        let (manual, exts) = app.manual_plan(n);
+        let manual_parts = manual.evaluate(&app.store, &app.fns, n, &exts);
+        let auto_ = app.auto_plan();
+        let auto_parts = auto_.evaluate(&app.store, &app.fns, n, &ExtBindings::new());
+        Instance {
+            items: app.n_points() as f64,
+            weights: vec![9.0, 1.0],
+            lines: vec![
+                ("Manual", manual, manual_parts, machine),
+                ("Auto", auto_, auto_parts, machine),
+            ],
+            program: app.program,
+            store: app.store,
+        }
     })
 }
 

@@ -1,106 +1,12 @@
-//! Shared plumbing for the benchmark applications: turning an
-//! auto-parallelization plan plus evaluated partitions into a simulator
-//! spec, and small helpers for weak-scaling studies.
+//! Shared plumbing for the benchmark applications: the weak-scaling driver
+//! behind every Figure 14 subplot, its series, and their rendering.
 
-use crate::sim::{
-    simulate, MachineModel, NodeBreakdown, SimAccess, SimKind, SimLoop, SimResult, SimSpec,
-};
-use partir_core::exchange::access_sets;
+use crate::sim::{simulate, MachineModel, NodeBreakdown, SimResult};
 use partir_core::pipeline::ParallelPlan;
 use partir_dpl::partition::Partition;
-use partir_dpl::region::{RegionId, Store};
-use partir_ir::analysis::AccessKind;
+use partir_dpl::region::Store;
 use partir_ir::ast::Loop;
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Per-loop simulation weights (work units per iteration element).
-#[derive(Clone, Debug)]
-pub struct LoopWeights(pub Vec<f64>);
-
-impl LoopWeights {
-    pub fn uniform(n: usize, w: f64) -> Self {
-        LoopWeights(vec![w; n])
-    }
-}
-
-/// Builds a simulator spec from an auto-parallelization plan: the spec's
-/// partitions are exactly the solver's partitions, so the simulated
-/// communication reflects what the synthesized DPL program would move.
-pub fn sim_spec_from_plan(
-    program: &[Loop],
-    plan: &ParallelPlan,
-    parts: &[Arc<Partition>],
-    store: &Store,
-    weights: &LoopWeights,
-) -> SimSpec {
-    let schema = store.schema();
-    let mut region_sizes: HashMap<RegionId, u64> = HashMap::new();
-    for (rid, decl) in schema.regions() {
-        region_sizes.insert(rid, decl.size);
-    }
-
-    let mut loops = Vec::with_capacity(program.len());
-    for (li, lp) in program.iter().enumerate() {
-        let loop_plan = &plan.loops[li];
-        let iter = Partition::clone(&parts[loop_plan.iter.0 as usize]);
-        let mut accesses = Vec::new();
-        // Accesses sharing one partition share one physical instance (and
-        // thus one data movement): deduplicate by (partition, access
-        // class), like the runtime would.
-        let mut seen: Vec<(u32, u8, Option<*const Partition>)> = Vec::new();
-        for ap in &loop_plan.accesses {
-            let class: u8 = match ap.kind {
-                AccessKind::Read => 0,
-                AccessKind::Write => 1,
-                AccessKind::Reduce(_) => 2,
-            };
-            let buffered = access_sets(ap, &iter, parts, schema).and_then(|sets| sets.buffered);
-            let private = buffered.as_ref().and_then(|b| b.private).map(std::ptr::from_ref);
-            let key = (ap.part.0, class, private);
-            if seen.contains(&key) {
-                continue;
-            }
-            seen.push(key);
-            let part = Partition::clone(&parts[ap.part.0 as usize]);
-            let region = part.region;
-            let kind = match (ap.kind, buffered) {
-                (AccessKind::Read, _) => SimKind::Read,
-                (AccessKind::Write, _) => SimKind::Write,
-                (AccessKind::Reduce(_), None) => SimKind::ReduceDirect,
-                (AccessKind::Reduce(_), Some(b)) => {
-                    SimKind::ReduceBuffered { buffer_sets: b.sets().into_owned() }
-                }
-            };
-            let expr_weight = pexpr_weight(&plan.partition_exprs[ap.part.0 as usize]);
-            accesses.push(SimAccess {
-                region,
-                part,
-                kind,
-                bytes_per_elem: 8.0,
-                group: None,
-                expr_weight,
-            });
-        }
-        loops.push(SimLoop { name: lp.name.clone(), iter, work_per_iter: weights.0[li], accesses });
-    }
-
-    SimSpec { loops, region_sizes, initial_home: HashMap::new() }
-}
-
-/// Operator-node count of a partition expression — the complexity weight
-/// the simulator charges for runtime metadata. Externally provided
-/// partitions weigh 1.
-pub fn pexpr_weight(e: &partir_core::lang::PExpr) -> f64 {
-    use partir_core::lang::PExpr;
-    match e {
-        PExpr::Sym(_) | PExpr::Ext(_) | PExpr::Equal(_) => 1.0,
-        PExpr::Image { src, .. } | PExpr::Preimage { src, .. } => 1.0 + pexpr_weight(src),
-        PExpr::Union(a, b) | PExpr::Intersect(a, b) | PExpr::Difference(a, b) => {
-            1.0 + pexpr_weight(a) + pexpr_weight(b)
-        }
-    }
-}
 
 /// The node counts of the Figure 14 x-axes.
 pub const FIG14_NODES: [usize; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
@@ -213,22 +119,38 @@ impl ScaleSeries {
     }
 }
 
+/// One plotted line at one node count: its label, its plan (the solver's
+/// or a hand-written strategy's), the plan's evaluated partitions, and the
+/// machine that prices it.
+pub type Line = (&'static str, ParallelPlan, Vec<Arc<Partition>>, MachineModel);
+
+/// One app instance of a weak-scaling study: the program and store every
+/// line's plan runs over, each loop's work units per iteration element,
+/// the items one iteration processes, and the plotted lines.
+pub struct Instance {
+    pub program: Vec<Loop>,
+    pub store: Store,
+    pub weights: Vec<f64>,
+    pub items: f64,
+    pub lines: Vec<Line>,
+}
+
 /// The one weak-scaling driver behind every Figure 14 subplot: for each
-/// node count, `configs` builds the instance and returns its item count,
-/// the machine, and one labelled spec per plotted line; each spec is
-/// simulated into one point of its line.
+/// node count, `instance` builds the app and its lines; each line is
+/// simulated into one point of its series.
 pub fn weak_scaling(
     nodes_list: &[usize],
-    mut configs: impl FnMut(usize) -> (f64, MachineModel, Vec<(&'static str, SimSpec)>),
+    mut instance: impl FnMut(usize) -> Instance,
 ) -> Vec<ScaleSeries> {
     let mut series: Vec<ScaleSeries> = Vec::new();
     for &n in nodes_list {
-        let (items, machine, specs) = configs(n);
-        for (i, (label, spec)) in specs.into_iter().enumerate() {
+        let Instance { program, store, weights, items, lines } = instance(n);
+        for (i, (label, plan, parts, machine)) in lines.into_iter().enumerate() {
             if i == series.len() {
                 series.push(ScaleSeries { label: label.into(), points: Vec::new() });
             }
-            let res = simulate(&spec, &machine).expect("sim spec is well-formed");
+            let res = simulate(&program, &plan, &parts, &store, &weights, &machine)
+                .expect("every line is evaluated at the machine's node count");
             series[i].points.push(ScalePoint {
                 nodes: n,
                 throughput_per_node: res.throughput_per_node(items, n),

@@ -5,8 +5,9 @@
 //!   efficiency at 256 nodes), plus the same line priced under a
 //!   node-failure model;
 //! * `b` — Stencil, Manual vs Auto (paper: 0.9e9 points/node; Manual 98%,
-//!   Auto 93%, Auto ~3% slower on average because the manual version
-//!   consolidates halo exchanges into one transfer per direction);
+//!   Auto 93%, Auto ~3% slower on average because the manual version reads
+//!   each direction's neighbours through one halo partition, one transfer
+//!   per direction, where Auto's eight image partitions need two);
 //! * `c` — MiniAero, Manual vs Auto (paper: 2.1e6 cells/node; both ~98%,
 //!   Auto ~2% slower: sequential mesh numbering fragments its face
 //!   subregions), plus the ablation with the Section 5.1 relaxation off,
@@ -23,6 +24,8 @@
 //!   its solver-derived partitions, Hint2 shows no noticeable difference);
 //! * `all` — the five in order.
 //!
+//! Every line, Manual included, is a plan over the app's program and its
+//! evaluated partitions; the Manual ones are each app's `manual_plan`.
 //! The simulator reproduces the curve shapes at the scaled-down per-node
 //! sizes in [`FIGURES`] (EXPERIMENTS.md documents them next to the
 //! paper's).

@@ -20,7 +20,7 @@ use crate::unify::{unify, Rep, Unified};
 use partir_dpl::func::FnTable;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, RegionId, Schema, Store};
-use partir_ir::analysis::{AccessKind, NotParallelizable};
+use partir_ir::analysis::{analyze_with_table, AccessInfo, AccessKind, NotParallelizable};
 use partir_ir::ast::Loop;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -157,7 +157,7 @@ pub struct LoopPlan {
 }
 
 /// The complete auto-parallelization result.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ParallelPlan {
     /// Distinct closed partition expressions, deduplicated canonically
     /// (interned ids: `a ∪ b` and `b ∪ a` are one plan partition).
@@ -219,6 +219,44 @@ impl ParallelPlan {
             partir_obs::flush_counters();
         }
         (parts, stats)
+    }
+
+    /// A plan the solver did not produce (a hand-written strategy): plan
+    /// partition `k` is the external `Ext(k)` bound by `exts`, loop `l`
+    /// iterates `iters[l]`, and `bind(l, access)` names each access's
+    /// partition and, for an uncentered reduction, its strategy (`None` is
+    /// `Direct`). Kinds, regions and fields come from the program's
+    /// analysis, as inference takes them; the executors' `plan_loops` and
+    /// `prove_plan_legality` check the rest exactly as for a solved plan.
+    pub fn from_bindings(
+        program: &[Loop],
+        fns: &FnTable,
+        exts: &ExtBindings,
+        iters: &[PartId],
+        mut bind: impl FnMut(usize, &AccessInfo) -> (PartId, Option<PlannedReduce>),
+    ) -> Result<ParallelPlan, NotParallelizable> {
+        let mut system = System::new();
+        let partition_exprs: Vec<PExpr> = (0..exts.len() as u32)
+            .map(|k| PExpr::ext(system.add_external(format!("X{k}"), exts.get(ExtId(k)).region)))
+            .collect();
+        let partition_ids = partition_exprs.iter().map(|e| system.intern(e)).collect();
+        let mut loops = Vec::with_capacity(program.len());
+        for (loop_index, (lp, &iter)) in program.iter().zip(iters).enumerate() {
+            let summary = analyze_with_table(lp, fns)?;
+            let mut accesses = Vec::with_capacity(summary.accesses.len());
+            for a in &summary.accesses {
+                let (part, reduce) = bind(loop_index, a);
+                let reduce = (a.kind.is_reduce() && !a.is_centered())
+                    .then(|| reduce.unwrap_or(PlannedReduce::Direct));
+                let (kind, region, field) = (a.kind, a.region, a.field);
+                accesses.push(AccessPlan { part, kind, region, field, reduce });
+            }
+            let iter_must_be_disjoint =
+                summary.accesses.iter().any(|a| a.kind.is_reduce() && a.is_centered());
+            let relaxed = accesses.iter().any(|a| a.reduce == Some(PlannedReduce::Guarded));
+            loops.push(LoopPlan { loop_index, iter, iter_must_be_disjoint, relaxed, accesses });
+        }
+        Ok(ParallelPlan { partition_ids, partition_exprs, loops, system, ..Default::default() })
     }
 
     /// Renders the synthesized DPL program.

@@ -41,7 +41,7 @@ use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 
 /// A complete assignment of closed expressions to partition symbols.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Solution {
     /// Fully-inlined closed expression per symbol (materialized from
     /// `binding_ids` for display and API compatibility).

@@ -91,7 +91,7 @@ pub struct MergeEntry {
 }
 
 /// The result of unification: a rewritten system plus the symbol mapping.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Unified {
     pub system: System,
     pub rep: Vec<Rep>,

@@ -3,9 +3,10 @@
 //! the same `weak_scaling` driver the `fig14` bin uses).
 //!
 //! The auto-parallelized stencil uses eight affine image partitions (one
-//! per neighbor); the hand-optimized version consolidates the halo exchange
-//! into one transfer per direction. Same bytes, fewer messages — a small,
-//! persistent gap, just like the paper reports.
+//! per neighbor); the hand-optimized version is a plan too
+//! (`Stencil::manual_plan`) that reads each direction's four neighbors
+//! through one halo partition, one transfer per direction. Same bytes,
+//! fewer messages — a small, persistent gap, just like the paper reports.
 //!
 //! Run: `cargo run --release --example stencil_scaling`
 
