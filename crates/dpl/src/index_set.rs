@@ -6,7 +6,8 @@
 //! sorted vector of disjoint half-open intervals `[start, end)`. This keeps
 //! `equal`-style partitions O(1) in space and makes union / intersection /
 //! difference linear in the number of runs rather than the number of
-//! elements.
+//! elements. Where a caller needs an element's position within a set on
+//! every access, [`Positions`] answers in constant time.
 
 use std::fmt;
 
@@ -21,6 +22,9 @@ pub type Idx = u64;
 /// * `start < end` for every run,
 /// * consecutive runs are separated by a gap (`prev.end < next.start`), so
 ///   the representation of a set is unique.
+///
+/// Membership is a binary search over the runs; an element's position in
+/// the set, on every access, is a [`Positions`] index built once.
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct IndexSet {
     runs: Vec<(Idx, Idx)>,
@@ -119,22 +123,6 @@ impl IndexSet {
     /// Iterates over all member indices in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = Idx> + '_ {
         self.runs.iter().flat_map(|&(s, e)| s..e)
-    }
-
-    /// Rank of `i` within the set (its position in ascending iteration
-    /// order), or `None` when `i` is not a member. O(log runs); used to
-    /// index dense per-subregion reduction buffers.
-    pub fn rank(&self, i: Idx) -> Option<u64> {
-        let pos = self.runs.partition_point(|&(s, _)| s <= i);
-        if pos == 0 {
-            return None;
-        }
-        let (s, e) = self.runs[pos - 1];
-        if i >= e {
-            return None;
-        }
-        let before: u64 = self.runs[..pos - 1].iter().map(|&(rs, re)| re - rs).sum();
-        Some(before + (i - s))
     }
 
     /// Set union.
@@ -292,6 +280,97 @@ impl FromIterator<Idx> for IndexSet {
     }
 }
 
+/// Constant-time position index over an [`IndexSet`]: the position of an
+/// element in ascending iteration order, `None` for a non-member.
+///
+/// A one-run set translates by subtraction and allocates nothing. Any
+/// other set keeps one bit per element of its span `[min, max]` and, with
+/// each 64-bit word, the count of set bits in the words before it, so a
+/// lookup is one word load and one popcount. That is 16 bytes per 64
+/// elements of the span, a quarter byte per element.
+#[derive(Clone, Debug, Default)]
+pub struct Positions {
+    /// `[s, e)` when the set is one run: position `i - s`.
+    dense: Option<(Idx, Idx)>,
+    /// The set's smallest element; word `w` covers `lo + 64w ..`.
+    lo: Idx,
+    /// `(set bits in earlier words, this word's bits)`.
+    words: Vec<(u64, u64)>,
+    len: u64,
+}
+
+impl Positions {
+    /// Indexes `set`, in time and memory linear in its span.
+    pub fn new(set: &IndexSet) -> Self {
+        let len = set.len();
+        let (Some(lo), Some(max)) = (set.min(), set.max()) else { return Positions::default() };
+        if let [one] = set.runs() {
+            return Positions { dense: Some(*one), lo, words: Vec::new(), len };
+        }
+        let n_words = usize::try_from((max - lo) / 64 + 1).expect("the span fits in memory");
+        let mut words = vec![(0, 0); n_words];
+        for &(s, e) in set.runs() {
+            let (mut a, b) = (s - lo, e - lo);
+            while a < b {
+                let (w, bit) = ((a / 64) as usize, a % 64);
+                let n = (b - a).min(64 - bit);
+                words[w].1 |= (u64::MAX >> (64 - n)) << bit;
+                a += n;
+            }
+        }
+        let mut before = 0;
+        for (base, bits) in &mut words {
+            *base = before;
+            before += u64::from(bits.count_ones());
+        }
+        Positions { dense: None, lo, words, len }
+    }
+
+    /// Number of elements in the set.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// True when the set has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bytes the index holds on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<(u64, u64)>()
+    }
+
+    /// Position of `i` in the set, `None` when it is not a member.
+    #[inline]
+    pub fn pos(&self, i: Idx) -> Option<u64> {
+        if let Some((s, e)) = self.dense {
+            return (i >= s && i < e).then(|| i - s);
+        }
+        let off = i.checked_sub(self.lo)?;
+        let &(base, bits) = self.words.get(usize::try_from(off / 64).ok()?)?;
+        let bit = 1u64 << (off % 64);
+        (bits & bit != 0).then(|| base + u64::from((bits & (bit - 1)).count_ones()))
+    }
+
+    /// Position of the run `[i, i + n)`, `None` unless every element of it
+    /// is a member. Positions grow by one per member, so the run is whole
+    /// exactly when its two ends are members `n - 1` positions apart. The
+    /// empty run is a member anywhere.
+    #[inline]
+    pub fn pos_run(&self, i: Idx, n: u64) -> Option<u64> {
+        if n == 0 {
+            return Some(0);
+        }
+        if let Some((s, e)) = self.dense {
+            return (i >= s && i < e && n <= e - i).then(|| i - s);
+        }
+        let p = self.pos(i)?;
+        let q = self.pos(i.checked_add(n - 1)?)?;
+        (q - p == n - 1).then_some(p)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,18 +491,20 @@ mod tests {
     #[test]
     fn rank_positions() {
         let s = IndexSet::from_sorted_runs(vec![(10, 13), (20, 22)]);
-        assert_eq!(s.rank(10), Some(0));
-        assert_eq!(s.rank(12), Some(2));
-        assert_eq!(s.rank(13), None);
-        assert_eq!(s.rank(20), Some(3));
-        assert_eq!(s.rank(21), Some(4));
-        assert_eq!(s.rank(22), None);
-        assert_eq!(s.rank(0), None);
-        assert_eq!(IndexSet::new().rank(5), None);
-        // rank agrees with iteration order.
+        let p = Positions::new(&s);
+        assert_eq!(p.pos(10), Some(0));
+        assert_eq!(p.pos(12), Some(2));
+        assert_eq!(p.pos(13), None);
+        assert_eq!(p.pos(20), Some(3));
+        assert_eq!(p.pos(21), Some(4));
+        assert_eq!(p.pos(22), None);
+        assert_eq!(p.pos(0), None);
+        assert_eq!(Positions::new(&IndexSet::new()).pos(5), None);
+        // Positions agree with iteration order.
         for (k, i) in s.iter().enumerate() {
-            assert_eq!(s.rank(i), Some(k as u64));
+            assert_eq!(p.pos(i), Some(k as u64));
         }
+        assert_eq!(p.len(), s.len());
     }
 
     #[test]

@@ -421,8 +421,8 @@ fn pack_slices(
 ) -> Vec<bool> {
     let pack = |(route, color, set): &(usize, usize, IndexSet)| {
         let Some(buf) = &bufs[*route][*color] else { return false };
-        let buf_set = &setup.buffers[*route].sets[*color];
-        let slot = |i| buf_set.rank(i).expect("route slice within buffer set") as usize;
+        let spec = &setup.buffers[*route];
+        let slot = |i| spec.slot(*color, i).expect("route slice within buffer set");
         values.extend(set.iter().map(|i| buf[slot(i)]));
         true
     };

@@ -3,8 +3,9 @@
 //! Each rank holds only its shard of every f64 field — the elements of
 //! `owned ∪ ghosts` from the [`ExchangePlan`] — laid out densely in
 //! ascending global index order, with global→local translation through a
-//! precomputed [`LocalMap`] (prefix-summed interval runs, with a
-//! zero-search fast path when the footprint is one contiguous run).
+//! [`LocalMap`]: one [`Positions`] index per region, shared by the region's
+//! f64 fields, so an access is one bitmap word and one popcount (or one
+//! subtraction when the footprint is one contiguous run).
 //! Ptr/Range topology fields are not sharded — they describe the
 //! mesh/matrix structure and partitioning functions read them at arbitrary
 //! indices — and not copied either: every rank holds an `Arc` clone of the
@@ -26,70 +27,29 @@
 
 use crate::task::Storage;
 use partir_core::exchange::{ExchangePlan, FieldSets};
-use partir_dpl::index_set::{Idx, IndexSet};
+use partir_dpl::index_set::{Idx, IndexSet, Positions};
 use partir_dpl::region::{FieldData, FieldId, FieldKind, Store};
+use std::ops::Deref;
 use std::sync::Arc;
 
-/// Precomputed global→local translation for one field's footprint:
-/// the canonical runs of the footprint set plus the prefix-summed local
-/// position of each run's first element.
-pub(crate) struct LocalMap {
-    /// `(start, end)` global runs, ascending and non-adjacent.
-    runs: Vec<(Idx, Idx)>,
-    /// `starts[k]`: local position of `runs[k].0`.
-    starts: Vec<u64>,
-    /// When the footprint is a single run `[s, e)`, translation is just
-    /// `i - s` — the common case for block-owned interiors.
-    dense: Option<(Idx, Idx)>,
-}
+/// Global→local translation for one region's footprint on one rank: a
+/// [`Positions`] index over the footprint, built once per shard and shared
+/// by every f64 field of the region.
+#[derive(Clone)]
+pub(crate) struct LocalMap(Arc<Positions>);
 
 impl LocalMap {
     pub(crate) fn new(set: &IndexSet) -> Self {
-        let runs = set.runs().to_vec();
-        let mut starts = Vec::with_capacity(runs.len());
-        let mut acc = 0u64;
-        for &(s, e) in &runs {
-            starts.push(acc);
-            acc += e - s;
-        }
-        let dense = match runs.as_slice() {
-            [one] => Some(*one),
-            _ => None,
-        };
-        LocalMap { runs, starts, dense }
+        LocalMap(Arc::new(Positions::new(set)))
     }
+}
 
-    /// Local position of global element `i`, `None` when not resident.
+impl Deref for LocalMap {
+    type Target = Positions;
+
     #[inline]
-    pub(crate) fn pos(&self, i: Idx) -> Option<u64> {
-        self.pos_run(i, 1)
-    }
-
-    /// Local position of the run `[i, i + n)`, `None` unless all of it is
-    /// resident — then it is one local slice, because resident runs are
-    /// laid out densely. The empty run is resident anywhere.
-    #[inline]
-    pub(crate) fn pos_run(&self, i: Idx, n: u64) -> Option<u64> {
-        if n == 0 {
-            return Some(0);
-        }
-        if let Some((s, e)) = self.dense {
-            return (i >= s && i < e && n <= e - i).then(|| i - s);
-        }
-        let k = self.runs.partition_point(|&(s, _)| s <= i);
-        if k == 0 {
-            return None;
-        }
-        let (s, e) = self.runs[k - 1];
-        (i < e && n <= e - i).then(|| self.starts[k - 1] + (i - s))
-    }
-
-    /// Total resident elements.
-    fn len(&self) -> u64 {
-        match (self.runs.last(), self.starts.last()) {
-            (Some(&(s, e)), Some(&p)) => p + (e - s),
-            _ => 0,
-        }
+    fn deref(&self) -> &Positions {
+        &self.0
     }
 }
 
@@ -112,16 +72,21 @@ pub struct RankStore {
 
 impl RankStore {
     /// Shards `store` for `rank` per the exchange plan's local footprints,
-    /// copying each footprint run with one `extend_from_slice`.
+    /// copying each footprint run with one `extend_from_slice`. The fields
+    /// of one region share one [`LocalMap`].
     pub fn shard(store: &Store, xplan: &ExchangePlan, rank: usize) -> Self {
         let schema = store.schema();
+        let mut maps: Vec<Option<LocalMap>> = vec![None; schema.num_regions()];
         let fields = (0..schema.num_fields())
             .map(|fi| {
                 let f = FieldId(fi as u32);
                 match store.field_data(f) {
                     FieldData::F64(global) => {
-                        let set = xplan.local(schema.field(f).region, rank);
-                        let local = LocalMap::new(set);
+                        let region = schema.field(f).region;
+                        let set = xplan.local(region, rank);
+                        let local = maps[region.0 as usize]
+                            .get_or_insert_with(|| LocalMap::new(set))
+                            .clone();
                         let mut data = Vec::with_capacity(local.len() as usize);
                         for &(s, e) in set.runs() {
                             data.extend_from_slice(&global[s as usize..e as usize]);
@@ -322,18 +287,31 @@ mod tests {
     use partir_core::pipeline::{auto_parallelize, Hints, Options};
     use partir_core::placement::{place, PlacementConfig};
     use partir_dpl::func::FnTable;
-    use partir_dpl::region::Schema;
+    use partir_dpl::region::{RegionId, Schema};
     use partir_ir::ast::{LoopBuilder, ReduceOp, VExpr};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// CSR row sums on 8 rows of 4 entries, placed on `n_ranks` ranks:
     /// `for i in Y: for k in row(i): Y[i].y += X[col(k)].x`. Returns the
     /// store, its exchange plan and the fields `[x, y, col, row]`.
     fn csr_row_sums(n_ranks: usize) -> (Store, ExchangePlan, [FieldId; 4]) {
+        csr_rows(8, |k| (k * 5) % 8, n_ranks)
+    }
+
+    /// [`csr_row_sums`] on `rows` rows with entry `k` in column `col_of(k)`;
+    /// `X` carries a second f64 field the loop never touches.
+    fn csr_rows(
+        rows: u64,
+        col_of: impl Fn(u64) -> u64,
+        n_ranks: usize,
+    ) -> (Store, ExchangePlan, [FieldId; 4]) {
         let mut schema = Schema::new();
-        let mat = schema.add_region("Mat", 32);
-        let x = schema.add_region("X", 8);
-        let y = schema.add_region("Y", 8);
+        let mat = schema.add_region("Mat", 4 * rows);
+        let x = schema.add_region("X", rows);
+        let y = schema.add_region("Y", rows);
         let fx = schema.add_field(x, "x", FieldKind::F64);
+        schema.add_field(x, "x_prev", FieldKind::F64);
         let fy = schema.add_field(y, "y", FieldKind::F64);
         let col = schema.add_field(mat, "col", FieldKind::Ptr(x));
         let row = schema.add_field(y, "row", FieldKind::Range(mat));
@@ -349,11 +327,11 @@ mod tests {
         b.end_for_each();
         let program = vec![b.finish()];
         let mut store = Store::new(schema.clone());
-        for r in 0..8 {
-            store.ranges_mut(row)[r] = (4 * r as u64, 4 * r as u64 + 4);
+        for r in 0..rows {
+            store.ranges_mut(row)[r as usize] = (4 * r, 4 * r + 4);
         }
-        for k in 0..32 {
-            store.ptrs_mut(col)[k] = (k as u64 * 5) % 8;
+        for k in 0..4 * rows {
+            store.ptrs_mut(col)[k as usize] = col_of(k);
         }
         let plan =
             auto_parallelize(&program, &fns, &schema, &Hints::new(), Options::default()).unwrap();
@@ -388,6 +366,37 @@ mod tests {
         }
         drop(shards);
         assert_eq!((Arc::strong_count(cols), Arc::strong_count(rows)), (1, 1));
+    }
+
+    /// The f64 fields of a region share one position index per rank, and
+    /// the index holds at most a quarter byte per element of its span
+    /// (rounded up to whole 64-element words).
+    #[test]
+    fn region_fields_share_one_position_index() {
+        let (rows, n_ranks) = (1024, 4);
+        let (store, xplan, _) =
+            csr_rows(rows, |k| (k / 4 + [0, 1, 97, 300][k as usize % 4]) % rows, n_ranks);
+        let schema = store.schema();
+        let mut bitmaps = 0;
+        for r in 0..n_ranks {
+            let shard = RankStore::shard(&store, &xplan, r);
+            for region in (0..schema.num_regions()).map(|g| RegionId(g as u32)) {
+                let maps: Vec<&LocalMap> = (0..schema.num_fields())
+                    .filter(|&fi| schema.field(FieldId(fi as u32)).region == region)
+                    .filter_map(|fi| match &shard.fields[fi] {
+                        RankField::F64 { local, .. } => Some(local),
+                        _ => None,
+                    })
+                    .collect();
+                let Some(first) = maps.first() else { continue };
+                assert!(maps.iter().all(|m| Arc::ptr_eq(&m.0, &first.0)), "one index per region");
+                let set = xplan.local(region, r);
+                let span = set.max().map_or(0, |max| max + 1 - set.min().unwrap());
+                assert!(first.heap_bytes() as u64 <= span.next_multiple_of(64) / 4);
+                bitmaps += usize::from(maps.len() == 2 && first.heap_bytes() > 0);
+            }
+        }
+        assert!(bitmaps > 0, "some two-field footprint is more than one run");
     }
 
     /// The gather writes what a rank owns and nothing it merely holds: a
@@ -470,11 +479,91 @@ mod tests {
         assert_eq!(m.pos_run(7, 0), Some(0), "the empty run is resident anywhere");
         // The dense fast path kicks in for one contiguous run.
         let dense = LocalMap::new(&IndexSet::from_range(5, 9));
-        assert!(dense.dense.is_some());
+        assert_eq!(dense.heap_bytes(), 0, "one run needs no bitmap");
         assert_eq!(dense.pos(7), Some(2));
         assert_eq!(dense.pos(9), None);
         assert_eq!(dense.pos_run(5, 4), Some(0));
         assert_eq!(dense.pos_run(6, 4), None);
+    }
+
+    /// The run search the position index replaced, kept as its oracle:
+    /// the position of `[i, i + n)` when one run of `set` holds all of it.
+    fn run_search(set: &IndexSet, i: Idx, n: u64) -> Option<u64> {
+        if n == 0 {
+            return Some(0);
+        }
+        let runs = set.runs();
+        let k = runs.partition_point(|&(s, _)| s <= i);
+        let (s, e) = *runs.get(k.checked_sub(1)?)?;
+        let before: u64 = runs[..k - 1].iter().map(|&(s, e)| e - s).sum();
+        (i < e && n <= e - i).then(|| before + (i - s))
+    }
+
+    /// Every `pos(i)` and `pos_run(i, n)` with `i` in a window around the
+    /// span (and at `u64::MAX`) and `n ≤ 130` against the oracle.
+    fn agrees_with_run_search(set: &IndexSet) {
+        let m = Positions::new(set);
+        assert_eq!(m.len(), set.len());
+        let (lo, hi) = (set.min().unwrap_or(0), set.max().map_or(0, |max| max + 1));
+        let window = lo.saturating_sub(70)..hi.saturating_add(70);
+        for i in window.chain([u64::MAX]) {
+            assert_eq!(m.pos(i), run_search(set, i, 1), "{set:?}: pos({i})");
+            for n in 0..=130 {
+                assert_eq!(m.pos_run(i, n), run_search(set, i, n), "{set:?}: pos_run({i}, {n})");
+            }
+        }
+    }
+
+    /// Canonical runs from `lo` up: lengths around and at one 64-bit word,
+    /// some starting word-aligned relative to `lo`, stopping short of
+    /// `u64::MAX`.
+    fn arb_footprint(r: &mut StdRng) -> IndexSet {
+        let lo = match r.gen_range(0..4u32) {
+            0 => r.gen_range(0..200u64),
+            1 => (1u64 << 40) + r.gen_range(0..64u64),
+            2 => u64::MAX - r.gen_range(100..600u64),
+            _ => 64 * r.gen_range(0..4u64),
+        };
+        let mut runs = Vec::new();
+        let mut at = lo;
+        for _ in 0..r.gen_range(0..12u32) {
+            let len = match r.gen_range(0..4u32) {
+                0 => r.gen_range(1..4u64),
+                1 => 64,
+                2 => r.gen_range(60..70u64),
+                _ => r.gen_range(1..150u64),
+            };
+            if len == 64 && r.gen_bool(0.5) {
+                at = lo + (at - lo).next_multiple_of(64);
+            }
+            let Some(end) = at.checked_add(len) else { break };
+            runs.push((at, end));
+            match end.checked_add(r.gen_range(1..80u64)) {
+                Some(next) => at = next,
+                None => break,
+            }
+        }
+        IndexSet::from_sorted_runs(runs)
+    }
+
+    #[test]
+    fn position_index_matches_run_search() {
+        // The empty set, one run (the dense path), runs straddling a word,
+        // whole aligned words, a gap between words, a span near the top.
+        let (big, top) = (1 << 40, u64::MAX);
+        let fixed = [
+            IndexSet::new(),
+            IndexSet::from_range(5, 300),
+            IndexSet::from_sorted_runs([(0, 3), (60, 70), (128, 192), (200, 201)]),
+            IndexSet::from_sorted_runs([(64, 128), (192, 256), (256 + 63, 256 + 65)]),
+            IndexSet::from_sorted_runs([(big, big + 2), (big + 190, big + 400)]),
+            IndexSet::from_sorted_runs([(top - 200, top - 100), (top - 2, top)]),
+        ];
+        fixed.iter().for_each(agrees_with_run_search);
+        const CASES: u64 = if cfg!(debug_assertions) { 40 } else { 2000 };
+        for seed in 0..CASES {
+            agrees_with_run_search(&arb_footprint(&mut StdRng::seed_from_u64(seed)));
+        }
     }
 
     #[test]

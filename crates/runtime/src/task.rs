@@ -40,14 +40,14 @@ use parking_lot::Mutex;
 use partir_core::exchange::{access_sets, ExchangePlan};
 use partir_core::pipeline::{LoopPlan, ParallelPlan, PartId, PlannedReduce};
 use partir_dpl::func::FnTable;
-use partir_dpl::index_set::{Idx, IndexSet};
+use partir_dpl::index_set::{Idx, IndexSet, Positions};
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, RegionId, Schema};
 use partir_ir::ast::{AccessId, BinOp, Loop, ReduceOp, UnOp};
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Lanes (iterations, or `ForEach` elements) a chunk holds at most. Large
 /// enough to amortize per-op dispatch over a tight lane loop, small enough
@@ -229,6 +229,18 @@ pub(crate) struct BufferSpec<'a> {
     /// `sets[color]`: the elements the color's buffer covers, in buffer
     /// order.
     pub sets: Cow<'a, [IndexSet]>,
+    /// `slots[color]`: the index of `sets[color]`, built with the color's
+    /// buffer.
+    slots: Vec<OnceLock<Positions>>,
+}
+
+impl BufferSpec<'_> {
+    /// The slot of element `i` in `color`'s buffer, `None` outside its set.
+    #[inline]
+    pub fn slot(&self, color: usize, i: Idx) -> Option<usize> {
+        let index = self.slots[color].get_or_init(|| Positions::new(&self.sets[color]));
+        index.pos(i).map(|p| p as usize)
+    }
 }
 
 /// Everything about one loop that is the same for all of its tasks.
@@ -359,7 +371,8 @@ pub(crate) fn plan_loops<'a>(
                     let bytes = set_bytes(&sets);
                     s.planned_buffer_bytes += bytes;
                     s.private_bytes_saved += set_bytes(b.part.subregions()) - bytes;
-                    s.buffers.push(BufferSpec { field, op: b.op, sets });
+                    let slots = sets.iter().map(|_| OnceLock::new()).collect();
+                    s.buffers.push(BufferSpec { field, op: b.op, sets, slots });
                     match b.private {
                         Some(private) => Mode::BufferedPrivate { private, buf },
                         None => Mode::Buffered(buf),
@@ -905,13 +918,14 @@ impl<'a, S: Storage> Task<'a, S> {
     }
 
     fn buffer_reduce(&mut self, site: &ReduceSite, buf: usize, i: Idx, v: f64) {
-        let set = &self.setup.buffers[buf].sets[self.color];
-        let Some(slot) = set.rank(i) else { self.fail(site.access, i) };
+        let spec = &self.setup.buffers[buf];
+        let Some(slot) = spec.slot(self.color, i) else { self.fail(site.access, i) };
+        let set = &spec.sets[self.color];
         let values = self.bufs[buf].get_or_insert_with(|| {
             self.counts.buffer_bytes += set.len() * 8;
             vec![site.op.identity(); set.len() as usize]
         });
-        values[slot as usize] = site.op.apply(values[slot as usize], v);
+        values[slot] = site.op.apply(values[slot], v);
     }
 
     /// Expands `F(src)` for every lane, parent lane by parent lane, into
