@@ -441,7 +441,7 @@ pub fn fig14d_series(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partir_runtime::exec::{execute_program, ExecOptions};
+    use partir_runtime::dist::{execute_ranks, DistOptions, Layout};
 
     fn small() -> Circuit {
         Circuit::generate(&CircuitParams {
@@ -518,13 +518,14 @@ mod tests {
         let plan = app.auto_plan();
         let parts = plan.evaluate(&app.store, &app.fns, 4, &ExtBindings::new());
         let mut par = app.store.clone();
-        execute_program(
+        execute_ranks(
             &app.program,
             &plan,
             &parts,
+            Layout::InPlace { workers: 4 },
             &mut par,
             &app.fns,
-            &ExecOptions { n_threads: 4, check_legality: true, ..ExecOptions::default() },
+            &DistOptions::default(),
         )
         .expect("strided circuit runs");
         assert_eq!(seq.f64s(app.voltage), par.f64s(app.voltage));
@@ -541,13 +542,14 @@ mod tests {
         let parts = plan.evaluate(&app.store, &app.fns, 4, &ExtBindings::new());
         let mut par = app.store.clone();
         for _ in 0..2 {
-            execute_program(
+            execute_ranks(
                 &app.program,
                 &plan,
                 &parts,
+                Layout::InPlace { workers: 4 },
                 &mut par,
                 &app.fns,
-                &ExecOptions { n_threads: 4, check_legality: true, ..ExecOptions::default() },
+                &DistOptions::default(),
             )
             .expect("parallel circuit");
         }
@@ -577,15 +579,17 @@ mod tests {
         partir_ir::interp::run_program_seq(&app.program, &mut seq, &app.fns);
         let parts = plan.evaluate(&app.store, &app.fns, 4, &exts);
         let mut par = app.store.clone();
-        let report = execute_program(
+        let report = execute_ranks(
             &app.program,
             &plan,
             &parts,
+            Layout::InPlace { workers: 4 },
             &mut par,
             &app.fns,
-            &ExecOptions { n_threads: 4, check_legality: true, ..ExecOptions::default() },
+            &DistOptions::default(),
         )
-        .expect("parallel hinted circuit");
+        .expect("parallel hinted circuit")
+        .report;
         assert_eq!(seq.f64s(app.voltage), par.f64s(app.voltage));
         assert!(report.buffer_bytes > 0, "buffered reductions present");
         assert!(

@@ -275,7 +275,7 @@ pub fn fig14c_series(nx: u64, ny: u64, nz_per_node: u64, nodes_list: &[usize]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partir_runtime::exec::{execute_program, ExecOptions};
+    use partir_runtime::dist::{execute_ranks, DistOptions, Layout};
 
     #[test]
     fn relaxation_applies_to_flux_reductions() {
@@ -312,15 +312,17 @@ mod tests {
         let mut buffer_bytes = 0u64;
         let mut guard_hits = 0u64;
         for _ in 0..3 {
-            let r = execute_program(
+            let r = execute_ranks(
                 &app.program,
                 &plan,
                 &parts,
+                Layout::InPlace { workers: 4 },
                 &mut par,
                 &app.fns,
-                &ExecOptions { n_threads: 4, check_legality: true, ..ExecOptions::default() },
+                &DistOptions::default(),
             )
-            .expect("parallel miniaero");
+            .expect("parallel miniaero")
+            .report;
             buffer_bytes += r.buffer_bytes;
             guard_hits += r.guard_hits;
         }

@@ -567,7 +567,7 @@ pub fn fig14e_series(zw: u64, zy: u64, nodes_list: &[usize]) -> Vec<ScaleSeries>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partir_runtime::exec::{execute_program, ExecOptions};
+    use partir_runtime::dist::{execute_ranks, DistOptions, Layout};
 
     fn small() -> Pennant {
         Pennant::generate(&PennantParams { pieces: 4, zw: 4, zy: 5 })
@@ -599,7 +599,7 @@ mod tests {
         app: &Pennant,
         config: PennantConfig,
         colors: usize,
-    ) -> partir_runtime::exec::ExecReport {
+    ) -> partir_runtime::dist::DistReport {
         let mut seq = app.store.clone();
         for _ in 0..2 {
             partir_ir::interp::run_program_seq(&app.program, &mut seq, &app.fns);
@@ -607,17 +607,19 @@ mod tests {
         let (plan, exts) = app.plan(config);
         let parts = plan.evaluate(&app.store, &app.fns, colors, &exts);
         let mut par = app.store.clone();
-        let mut report = partir_runtime::exec::ExecReport::default();
+        let mut report = partir_runtime::dist::DistReport::default();
         for _ in 0..2 {
-            let r = execute_program(
+            let r = execute_ranks(
                 &app.program,
                 &plan,
                 &parts,
+                Layout::InPlace { workers: 4 },
                 &mut par,
                 &app.fns,
-                &ExecOptions { n_threads: 4, check_legality: true, ..ExecOptions::default() },
+                &DistOptions::default(),
             )
-            .expect("parallel pennant");
+            .expect("parallel pennant")
+            .report;
             report.buffer_bytes += r.buffer_bytes;
             report.guard_hits += r.guard_hits;
         }

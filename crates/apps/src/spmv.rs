@@ -207,7 +207,7 @@ pub fn fig14a_series(rows_per_node: u64, nodes_list: &[usize]) -> Vec<ScaleSerie
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partir_runtime::exec::{execute_program, ExecOptions};
+    use partir_runtime::dist::{execute_ranks, DistOptions, Layout};
 
     #[test]
     fn spmv_parallel_matches_sequential() {
@@ -216,13 +216,14 @@ mod tests {
         let plan = app.auto_plan();
         let parts = plan.evaluate(&app.store, &app.fns, 4, &ExtBindings::new());
         let mut store = app.store.clone();
-        execute_program(
+        execute_ranks(
             &app.program,
             &plan,
             &parts,
+            Layout::InPlace { workers: 4 },
             &mut store,
             &app.fns,
-            &ExecOptions { n_threads: 4, check_legality: true, ..ExecOptions::default() },
+            &DistOptions::default(),
         )
         .expect("parallel execution");
         assert_eq!(store.f64s(app.yv), &expected[..]);
@@ -237,13 +238,14 @@ mod tests {
         let plan = app.auto_plan();
         let parts = plan.evaluate(&app.store, &app.fns, 4, &ExtBindings::new());
         let mut store = app.store.clone();
-        execute_program(
+        execute_ranks(
             &app.program,
             &plan,
             &parts,
+            Layout::InPlace { workers: 4 },
             &mut store,
             &app.fns,
-            &ExecOptions { n_threads: 4, check_legality: true, ..ExecOptions::default() },
+            &DistOptions::default(),
         )
         .expect("shifted-band parallel execution");
         assert_eq!(store.f64s(app.yv), &expected[..]);

@@ -182,7 +182,7 @@ pub fn fig14b_series(nx: u64, rows_per_node: u64, nodes_list: &[usize]) -> Vec<S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partir_runtime::exec::{execute_program, ExecOptions};
+    use partir_runtime::dist::{execute_ranks, DistOptions, Layout};
 
     #[test]
     fn stencil_parallel_matches_sequential() {
@@ -196,13 +196,14 @@ mod tests {
         let parts = plan.evaluate(&app.store, &app.fns, 4, &ExtBindings::new());
         let mut par = app.store.clone();
         for _ in 0..2 {
-            execute_program(
+            execute_ranks(
                 &app.program,
                 &plan,
                 &parts,
+                Layout::InPlace { workers: 4 },
                 &mut par,
                 &app.fns,
-                &ExecOptions { n_threads: 4, check_legality: true, ..ExecOptions::default() },
+                &DistOptions::default(),
             )
             .expect("parallel stencil");
         }

@@ -2,7 +2,7 @@
 //! executing each app's auto-parallelized plan under an injected fault
 //! schedule must produce final stores bit-identical to the sequential
 //! interpreter, and replaying the same `FaultPlan` seed must reproduce the
-//! identical `ExecReport` retry/recovery counts.
+//! identical retry/recovery counts.
 
 use partir_core::eval::ExtBindings;
 use partir_core::pipeline::ParallelPlan;
@@ -10,7 +10,7 @@ use partir_dpl::func::FnTable;
 use partir_dpl::region::{FieldData, FieldId, Store};
 use partir_ir::ast::Loop;
 use partir_ir::interp::run_program_seq;
-use partir_runtime::exec::{execute_program, ExecOptions, ExecReport};
+use partir_runtime::dist::{execute_ranks, DistOptions, DistReport, Layout};
 use partir_runtime::fault::{FaultPlan, InjectedPanic, RetryPolicy};
 
 fn quiet_injected_panics() {
@@ -110,17 +110,19 @@ fn fixtures() -> Vec<Fixture> {
     out
 }
 
-/// Executes the fixture under `opts` and asserts bit-identity with the
-/// sequential interpreter on every f64 field.
-fn run_against_seq(fx: &Fixture, opts: &ExecOptions) -> (ExecReport, Store) {
+/// Executes the fixture on four threads under `opts` and asserts
+/// bit-identity with the sequential interpreter on every f64 field.
+fn run_against_seq(fx: &Fixture, opts: &DistOptions) -> (DistReport, Store) {
     let parts = fx.plan.evaluate(&fx.store, &fx.fns, fx.n_colors, &fx.exts);
 
     let mut seq = fx.store.clone();
     run_program_seq(&fx.program, &mut seq, &fx.fns);
 
     let mut par = fx.store.clone();
-    let report = execute_program(&fx.program, &fx.plan, &parts, &mut par, &fx.fns, opts)
-        .unwrap_or_else(|e| panic!("{}: execution under faults failed: {e}", fx.name));
+    let layout = Layout::InPlace { workers: 4 };
+    let report = execute_ranks(&fx.program, &fx.plan, &parts, layout, &mut par, &fx.fns, opts)
+        .unwrap_or_else(|e| panic!("{}: execution under faults failed: {e}", fx.name))
+        .report;
 
     for f in 0..fx.store.schema().num_fields() {
         let fid = FieldId(f as u32);
@@ -137,20 +139,27 @@ fn all_apps_bit_identical_under_faults_with_deterministic_replay() {
     quiet_injected_panics();
     for fx in fixtures() {
         for seed in [1u64, 42] {
-            let opts = ExecOptions {
+            let opts = DistOptions {
                 fault: Some(FaultPlan {
                     task_failure_rate: 0.5,
                     poison_after: Some(4),
                     ..FaultPlan::quiescent(seed)
                 }),
                 retry: RetryPolicy { max_retries: 1, ..RetryPolicy::default() },
-                ..ExecOptions::default()
+                ..DistOptions::default()
             };
             let (r1, s1) = run_against_seq(&fx, &opts);
             let (r2, s2) = run_against_seq(&fx, &opts);
+            // Every count; the timings are the only fields that may differ.
+            let counts = |r: &DistReport| {
+                let mut r = *r;
+                (r.pack_ns, r.exchange_wait_ns, r.unpack_ns, r.compute_ns, r.merge_ns) =
+                    (0, 0, 0, 0, 0);
+                r.to_json().to_string()
+            };
             assert_eq!(
-                format!("{}", r1.to_json()),
-                format!("{}", r2.to_json()),
+                counts(&r1),
+                counts(&r2),
                 "{} seed {seed}: replay must reproduce the exact report",
                 fx.name
             );
@@ -168,13 +177,13 @@ fn all_apps_bit_identical_under_faults_with_deterministic_replay() {
 #[test]
 fn all_apps_survive_total_failure_via_recovery() {
     for fx in fixtures() {
-        let opts = ExecOptions {
+        let opts = DistOptions {
             fault: Some(FaultPlan { task_failure_rate: 1.0, ..FaultPlan::quiescent(9) }),
             retry: RetryPolicy { max_retries: 0, ..RetryPolicy::default() },
-            ..ExecOptions::default()
+            ..DistOptions::default()
         };
         let (report, _) = run_against_seq(&fx, &opts);
-        assert!(report.degraded, "{}: full failure must degrade", fx.name);
+        assert!(report.degraded(), "{}: full failure must degrade", fx.name);
         assert_eq!(
             report.tasks_recovered, report.tasks_run,
             "{}: every task re-runs sequentially",

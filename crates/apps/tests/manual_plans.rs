@@ -21,8 +21,7 @@ use partir_dpl::func::FnTable;
 use partir_dpl::region::{FieldData, FieldId, Store};
 use partir_ir::ast::Loop;
 use partir_ir::interp::run_program_seq;
-use partir_runtime::dist::{execute_ranks, DistError, DistOptions, LegalityMode};
-use partir_runtime::exec::{execute_program, ExecError, ExecOptions};
+use partir_runtime::dist::{execute_ranks, DistError, DistOptions, Layout, LegalityMode};
 
 /// One app instance with its Manual plan at `n` colors.
 struct Case {
@@ -87,18 +86,17 @@ fn manual_plans_are_legal_and_bit_identical_on_both_backends() {
             let mut seq = c.store.clone();
             run_program_seq(&c.program, &mut seq, &c.fns);
 
-            let mut threads = c.store.clone();
-            let opts = ExecOptions { n_threads: 2, check_legality: true, ..ExecOptions::default() };
-            execute_program(&c.program, &c.plan, &parts, &mut threads, &c.fns, &opts)
-                .unwrap_or_else(|e| panic!("{name} at {n} on 2 threads: {e}"));
-            assert_bit_identical(&c, &seq, &threads, "Threads(2)");
-
-            for legality in [LegalityMode::Element, LegalityMode::Plan] {
-                let mut ranks = c.store.clone();
+            let runs = [
+                (Layout::InPlace { workers: 2 }, LegalityMode::Element),
+                (Layout::Sharded(&xplan), LegalityMode::Element),
+                (Layout::Sharded(&xplan), LegalityMode::Plan),
+            ];
+            for (layout, legality) in runs {
+                let mut out = c.store.clone();
                 let opts = DistOptions { legality, strict_volume: true, ..DistOptions::default() };
-                execute_ranks(&c.program, &c.plan, &parts, &xplan, &mut ranks, &c.fns, &opts)
-                    .unwrap_or_else(|e| panic!("{name} at {n} on {n} ranks, {legality:?}: {e}"));
-                assert_bit_identical(&c, &seq, &ranks, &format!("Ranks({n}), {legality:?}"));
+                execute_ranks(&c.program, &c.plan, &parts, layout, &mut out, &c.fns, &opts)
+                    .unwrap_or_else(|e| panic!("{name} at {n} on {layout:?}, {legality:?}: {e}"));
+                assert_bit_identical(&c, &seq, &out, &format!("{layout:?}, {legality:?}"));
             }
         }
     }
@@ -121,15 +119,17 @@ fn a_lying_manual_plan_is_rejected_with_a_typed_error() {
     let proved = prove_plan_legality(&xplan, &c.plan, &parts, schema).is_ok();
 
     let mut threads = c.store.clone();
-    let opts = ExecOptions { n_threads: 2, check_legality: true, ..ExecOptions::default() };
-    match execute_program(&c.program, &c.plan, &parts, &mut threads, &c.fns, &opts) {
-        Err(ExecError::Legality(_)) => {}
+    let opts = DistOptions { legality: LegalityMode::Element, ..DistOptions::default() };
+    let threads_run = Layout::InPlace { workers: 2 };
+    match execute_ranks(&c.program, &c.plan, &parts, threads_run, &mut threads, &c.fns, &opts) {
+        Err(DistError::Legality(v)) => assert_eq!(v.rank, None, "one rank in place"),
         other => panic!("Threads(2) must report a legality violation, got {other:?}"),
     }
     for legality in [LegalityMode::Element, LegalityMode::Plan] {
         let mut ranks = c.store.clone();
         let opts = DistOptions { legality, strict_volume: true, ..DistOptions::default() };
-        match execute_ranks(&c.program, &c.plan, &parts, &xplan, &mut ranks, &c.fns, &opts) {
+        let layout = Layout::Sharded(&xplan);
+        match execute_ranks(&c.program, &c.plan, &parts, layout, &mut ranks, &c.fns, &opts) {
             Err(DistError::Legality(_)) => {}
             Err(DistError::PlanIllegal(_)) => assert!(!proved),
             other => panic!("Ranks(4), {legality:?} must report a legality error, got {other:?}"),

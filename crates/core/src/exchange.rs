@@ -3,7 +3,7 @@
 //! The SPMD backend (`partir-runtime::dist`) shards every region across
 //! ranks by an *owner mapping* of partition colors to ranks. What each
 //! rank must communicate is not guessed from the loop text — it is derived
-//! from the same solved partitions the threaded executor uses, and stated
+//! from the same solved partitions every run executes, and stated
 //! once, as two tables every consumer reads:
 //!
 //! * **What an access touches** — [`access_sets`], the one place the
@@ -11,8 +11,8 @@
 //!   access)` it names the partition whose subregions must be *resident*
 //!   on the executing rank, the per-color sets mutated *in place*, and the
 //!   per-color sets of a two-step reduction's task-local *buffer*. The
-//!   derivation below, the legality proof ([`prove_plan_legality`]), both
-//!   executors (`partir-runtime::task`, the threaded executor's rollback
+//!   derivation below, the legality proof ([`prove_plan_legality`]), the
+//!   runtime (`partir-runtime::task`, and the task attempts' rollback
 //!   snapshots) and the simulator specs (`partir-apps`) read it.
 //! * **What an epoch sends** — [`LoopExchange::pairs`], per ordered rank
 //!   pair `[src][dst]` the loop's two messages in wire order: the
@@ -50,8 +50,8 @@
 //!    after the loop, installed verbatim (each element has exactly one
 //!    in-place writer, by disjointness). Slice pieces travel with the
 //!    write-back message (the owner's own on the self pair), and the owner
-//!    merges them in ascending color order, which is the threaded
-//!    executor's merge order. A color is interior when none of its ghost
+//!    merges them in ascending color order, the order a run in place
+//!    merges whole buffers in. A color is interior when none of its ghost
 //!    pieces lies on another rank.
 //!
 //! So a rank-granular plan is never derived twice from the partitions:

@@ -62,19 +62,7 @@ pub const ERROR_CODES: &[&str] = &[
     "exchange.no_ranks",
     "exchange.width_mismatch",
     "exchange.bad_assignment",
-    // threaded executor
-    "exec.plan_mismatch",
-    "exec.partition_index_out_of_bounds",
-    "exec.partition_width_mismatch",
-    "exec.partition_exceeds_region",
-    "exec.incomplete_iteration",
-    "exec.iteration_not_disjoint",
-    "exec.reduction_not_disjoint",
-    "exec.variable_out_of_scope",
-    "exec.legality",
-    "exec.task_panic",
-    "exec.task_failed",
-    // distributed (rank) executor
+    // the driver (`partir-runtime::dist`), on either backend
     "dist.plan_mismatch",
     "dist.partition_index_out_of_bounds",
     "dist.partition_width_mismatch",
@@ -91,6 +79,7 @@ pub const ERROR_CODES: &[&str] = &[
     "dist.internal",
     "dist.volume_mismatch",
     "dist.rank_lost",
+    "dist.task_failed",
     // builder
     "session.invalid",
     // serving layer (`partir::serve`)

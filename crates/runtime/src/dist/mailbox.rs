@@ -51,8 +51,8 @@ pub struct Msg {
     pub values: Vec<f64>,
     /// For `Post`: one flag per routed (route, color) slice destined to the
     /// receiver — `false` means the color never contributed to that buffer
-    /// and the receiver must skip its merge (mirroring the threaded
-    /// executor, which skips unallocated buffers entirely).
+    /// and the receiver must skip its merge (as a run in place skips
+    /// unallocated buffers entirely).
     pub partials_present: Vec<bool>,
 }
 
@@ -168,12 +168,6 @@ impl Mailbox {
     /// Measured `(bytes, messages)` received so far, indexed by source rank.
     pub fn measured(&self) -> &[(u64, u64)] {
         &self.meter
-    }
-
-    /// Measured out-of-plan `(bytes, messages)`: deduplicated duplicates
-    /// plus crash notices, indexed by source rank.
-    pub fn measured_aux(&self) -> &[(u64, u64)] {
-        &self.aux_meter
     }
 
     /// Blocks until *some* message of `epoch` and `kind` from one of the
@@ -387,7 +381,7 @@ mod tests {
         assert!(matches!(boxes[0].recv_from(1, MsgKind::Ghost, 1), Err(MailboxError::Deadline)));
         // Main meter saw the message once; the duplicate went to aux.
         assert_eq!(boxes[0].measured(), &[(0, 0), (8, 1)]);
-        assert_eq!(boxes[0].measured_aux(), &[(0, 0), (8, 1)]);
+        assert_eq!(boxes[0].aux_meter, &[(0, 0), (8, 1)]);
     }
 
     #[test]
@@ -409,7 +403,7 @@ mod tests {
         }
         // Crash notices never touch the protocol meter.
         assert_eq!(boxes[0].measured(), &[(0, 0), (0, 0)]);
-        assert_eq!(boxes[0].measured_aux(), &[(0, 0), (0, 1)]);
+        assert_eq!(boxes[0].aux_meter, &[(0, 0), (0, 1)]);
     }
 
     #[test]

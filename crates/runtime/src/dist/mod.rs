@@ -1,34 +1,38 @@
-//! SPMD rank-sharded distributed backend.
+//! The driver: SPMD execution over ranks, the only way a plan runs.
 //!
 //! Each rank owns the subregions assigned to it by the solved disjoint
-//! partitions (a block owner mapping of colors → ranks), holds only its
-//! shard of every f64 region plus ghost cells, and exchanges data over
+//! partitions (an owner mapping of colors → ranks), holds only its shard
+//! of every f64 region plus ghost cells, and exchanges data over
 //! in-process channels — one mailbox pair per rank. Every send/recv set is
 //! derived from the constraint solution by
 //! [`partir_core::exchange::derive_exchange`] once per plan; execution
-//! just moves the payloads.
+//! just moves the payloads. The threads backend is this driver at one
+//! rank in place on the caller's store ([`Layout::InPlace`]), its colors
+//! run by several workers.
 //!
-//! Results are bit-identical to the sequential interpreter (and the
-//! threaded executor): ghost copies carry owner-fresh loop-start values so
-//! in-place floating-point effects happen in the exact local order, owners
-//! install written-back values verbatim (each element has exactly one
-//! in-place writer, by disjointness), and partial reduction buffers merge
-//! in ascending global color order with the same presence/skip semantics
-//! as the threaded merge.
+//! Results are bit-identical to the sequential interpreter: ghost copies
+//! carry owner-fresh loop-start values so in-place floating-point effects
+//! happen in the exact local order, owners install written-back values
+//! verbatim (each element has exactly one in-place writer, by
+//! disjointness), and partial reduction buffers merge in ascending global
+//! color order.
 
+mod colors;
 mod mailbox;
 mod rank;
 mod store;
 
 pub use store::RankStore;
 
+use crate::dist::colors::{Effects, RankData, TaskFaults};
 use crate::dist::mailbox::build_fabric;
-use crate::dist::rank::{OwnedShards, RankStats};
-use crate::fault::{CheckpointPolicy, FaultPlan};
+use crate::dist::rank::{OwnedShards, RunCx};
+use crate::fault::{CheckpointPolicy, FaultPlan, RetryPolicy};
+use crate::shared::SharedStore;
 use crate::task::{panic_message, plan_loops, LegalityViolation, LoopSetup, PlanError};
 use parking_lot::Mutex;
 use partir_core::exchange::{
-    prove_plan_legality, ExchangeError, ExchangePlan, Footprint, PlanLegalityError,
+    access_sets, prove_plan_legality, ExchangeError, ExchangePlan, Footprint, PlanLegalityError,
 };
 use partir_core::pipeline::ParallelPlan;
 use partir_core::placement::{evacuate_placement, CommGraph};
@@ -50,10 +54,12 @@ use std::time::{Duration, Instant};
 /// still-awaited source lost. Only silent crashes need it (loud crashes
 /// broadcast notices), but it is a harmless backstop either way — epochs
 /// complete in microseconds-to-milliseconds, so a healthy peer never
-/// comes close.
+/// comes close. What task retries may sleep in backoff is added on top.
 const EPOCH_DEADLINE: Duration = Duration::from_secs(2);
 
-/// How access legality (`accessed ⊆ owned ∪ ghosts`) is established.
+/// How access legality (`accessed ⊆ owned ∪ ghosts`) is established. A
+/// run in place has no footprint to prove against: every mode but `Off`
+/// checks every access there.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LegalityMode {
     /// Prove containment once per plan by interval set-containment over
@@ -79,8 +85,8 @@ impl Default for LegalityMode {
     }
 }
 
-/// Distributed executor configuration. The rank count is not part of it:
-/// it is the [`ExchangePlan`]'s.
+/// Run configuration. The rank and worker counts are not part of it: they
+/// are the [`Layout`]'s.
 #[derive(Clone, Debug, Default)]
 pub struct DistOptions {
     /// How access legality is established (see [`LegalityMode`]).
@@ -102,15 +108,16 @@ pub struct DistOptions {
     /// disagree about the communication footprint — a correctness smell,
     /// not a perf one.
     pub strict_volume: bool,
-    /// Deterministic fabric/rank fault injection (message drops,
-    /// duplication, whole-rank crash; the plan's task-attempt fields are
-    /// the threaded executor's and are not read here). Configuring a plan
-    /// also enables
-    /// survivor-side recovery: a lost rank's colors are evacuated to the
-    /// survivors, state restores from the last consistent checkpoint (or
-    /// the pristine input), and the run resumes bit-identical to the
-    /// sequential interpreter.
+    /// Deterministic fault injection: task attempts on every rank; message
+    /// drops, duplication and a whole-rank crash on sharded ranks. On a
+    /// sharded layout a plan also enables survivor-side recovery: a lost
+    /// rank's colors are evacuated to the survivors, state restores from
+    /// the last consistent checkpoint (or the pristine input), and the run
+    /// resumes bit-identical to the sequential interpreter.
     pub fault: Option<FaultPlan>,
+    /// Recovery policy for failed task attempts (only consulted when
+    /// attempts actually fail).
+    pub retry: RetryPolicy,
     /// Epoch-interval checkpointing of each rank's owned shard, the
     /// restore points recovery rolls back to. Without a policy, recovery
     /// restarts from epoch 0.
@@ -176,88 +183,104 @@ impl CheckpointStore {
     }
 }
 
-/// Distributed execution statistics: compute, communication volume, and
-/// per-phase timings summed over ranks.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DistReport {
-    pub ranks: u64,
-    pub tasks_run: u64,
-    /// Coalesced messages actually sent (ghost + post).
-    pub messages: u64,
-    /// Payload bytes actually sent between ranks.
-    pub bytes_sent: u64,
-    /// Ghost elements resident across ranks (from the exchange plan).
-    pub ghost_elements: u64,
-    pub ghost_fetch_bytes: u64,
-    pub write_back_bytes: u64,
-    pub partial_bytes: u64,
-    /// Bytes full replication would have moved — the baseline sharding
-    /// beats (from the exchange plan).
-    pub replication_bytes: u64,
-    pub legality_checks: u64,
-    /// Containment facts established by the plan-level legality proof
-    /// (one per `(loop, access, color)`), 0 when the proof did not run.
-    pub plan_proved: u64,
-    pub buffer_bytes: u64,
-    pub guard_hits: u64,
-    pub guard_skips: u64,
-    pub write_skips: u64,
-    /// Summed per-rank phase timings (nanoseconds).
-    pub pack_ns: u64,
-    pub exchange_wait_ns: u64,
-    pub unpack_ns: u64,
-    pub compute_ns: u64,
-    pub merge_ns: u64,
-    /// Rank losses recovered from (each one re-sharded and resumed).
-    pub recoveries: u64,
-    /// Bytes of owned state the survivors adopted from lost ranks —
-    /// recovery's minimality claim is `bytes_migrated ≤` the lost ranks'
-    /// owned-shard size (nothing already owned by a survivor ever moves).
-    pub bytes_migrated: u64,
-    /// Driver time spent re-sharding + restoring checkpoints.
-    pub recovery_ns: u64,
-    /// Owned-shard checkpoints taken (final attempt), and their cost.
-    pub checkpoints: u64,
-    pub checkpoint_bytes: u64,
-    pub checkpoint_ns: u64,
-    /// Send attempts the fault plan dropped in flight (sender retried).
-    pub retransmits: u64,
-    /// Duplicate copies the fault plan injected (receivers deduped them).
-    pub duplicates: u64,
+/// Declares the run report: `u64` counters, each summed over tasks and
+/// ranks by `add` and named in `to_json` as it is declared.
+macro_rules! counters {
+    ($(#[$doc:meta])* pub struct $name:ident { $($(#[$fdoc:meta])* pub $field:ident,)* }) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, Default)]
+        pub struct $name { $($(#[$fdoc])* pub $field: u64,)* }
+
+        impl $name {
+            /// Adds every counter of `o` (a task's, a rank's) to this one.
+            pub(crate) fn add(&mut self, o: &$name) {
+                $(self.$field += o.$field;)*
+            }
+
+            /// Machine-readable form, for the JSON report envelopes.
+            pub fn to_json(&self) -> Json {
+                Json::object()$(.with(stringify!($field), self.$field))*
+                    .with("degraded", self.degraded())
+            }
+        }
+    };
+}
+
+counters! {
+    /// Execution statistics: compute, communication volume, and per-phase
+    /// timings summed over ranks — of a whole run, and of each rank and
+    /// task on the way there.
+    pub struct DistReport {
+        pub ranks,
+        pub tasks_run,
+        /// Coalesced messages actually sent (ghost + post).
+        pub messages,
+        /// Payload bytes actually sent between ranks.
+        pub bytes_sent,
+        /// Ghost elements resident across ranks (from the exchange plan).
+        pub ghost_elements,
+        pub ghost_fetch_bytes,
+        pub write_back_bytes,
+        pub partial_bytes,
+        /// Bytes full replication would have moved — the baseline sharding
+        /// beats (from the exchange plan).
+        pub replication_bytes,
+        /// Per-access legality checks performed (0 when checking is off).
+        pub legality_checks,
+        /// Containment facts established by the plan-level legality proof
+        /// (one per `(loop, access, color)`), 0 when the proof did not run.
+        pub plan_proved,
+        /// Bytes of every planned reduction buffer set, summed over loops.
+        pub buffer_bytes,
+        /// Buffer bytes avoided by private sub-partitions (Section 5.2): the
+        /// difference between full-subregion buffers and the shared remainder
+        /// actually planned.
+        pub private_buffer_bytes_saved,
+        /// Guarded-reduction applications / skips (relaxed loops).
+        pub guard_hits,
+        pub guard_skips,
+        /// Centered writes skipped because another color owns the iteration.
+        pub write_skips,
+        /// Task attempts killed by the fault plan (clean kills and poisons).
+        pub faults_injected,
+        /// Re-attempts after a failed attempt (bounded by the retry policy).
+        pub task_retries,
+        /// Colors that exhausted their retries and were re-run sequentially
+        /// on their rank's thread.
+        pub tasks_recovered,
+        /// Task panics contained by the per-attempt `catch_unwind` barrier.
+        pub panics_isolated,
+        /// Summed per-rank phase timings (nanoseconds).
+        pub pack_ns,
+        pub exchange_wait_ns,
+        pub unpack_ns,
+        pub compute_ns,
+        pub merge_ns,
+        /// Rank losses recovered from (each one re-sharded and resumed).
+        pub recoveries,
+        /// Bytes of owned state the survivors adopted from lost ranks —
+        /// recovery's minimality claim is `bytes_migrated ≤` the lost ranks'
+        /// owned-shard size (nothing already owned by a survivor ever moves).
+        pub bytes_migrated,
+        /// Driver time spent re-sharding + restoring checkpoints.
+        pub recovery_ns,
+        /// Owned-shard checkpoints taken (final attempt), and their cost.
+        pub checkpoints,
+        pub checkpoint_bytes,
+        pub checkpoint_ns,
+        /// Send attempts the fault plan dropped in flight (sender retried).
+        pub retransmits,
+        /// Duplicate copies the fault plan injected (receivers deduped them).
+        pub duplicates,
+    }
 }
 
 impl DistReport {
-    /// Machine-readable form, for the JSON report envelopes.
-    pub fn to_json(&self) -> Json {
-        Json::object()
-            .with("ranks", self.ranks)
-            .with("tasks_run", self.tasks_run)
-            .with("messages", self.messages)
-            .with("bytes_sent", self.bytes_sent)
-            .with("ghost_elements", self.ghost_elements)
-            .with("ghost_fetch_bytes", self.ghost_fetch_bytes)
-            .with("write_back_bytes", self.write_back_bytes)
-            .with("partial_bytes", self.partial_bytes)
-            .with("replication_bytes", self.replication_bytes)
-            .with("legality_checks", self.legality_checks)
-            .with("plan_proved", self.plan_proved)
-            .with("buffer_bytes", self.buffer_bytes)
-            .with("guard_hits", self.guard_hits)
-            .with("guard_skips", self.guard_skips)
-            .with("write_skips", self.write_skips)
-            .with("pack_ns", self.pack_ns)
-            .with("exchange_wait_ns", self.exchange_wait_ns)
-            .with("unpack_ns", self.unpack_ns)
-            .with("compute_ns", self.compute_ns)
-            .with("merge_ns", self.merge_ns)
-            .with("recoveries", self.recoveries)
-            .with("bytes_migrated", self.bytes_migrated)
-            .with("recovery_ns", self.recovery_ns)
-            .with("checkpoints", self.checkpoints)
-            .with("checkpoint_bytes", self.checkpoint_bytes)
-            .with("checkpoint_ns", self.checkpoint_ns)
-            .with("retransmits", self.retransmits)
-            .with("duplicates", self.duplicates)
+    /// True when the sequential-recovery slow path ran for any color:
+    /// results are still bit-identical to the sequential interpreter, but
+    /// part of the run was not parallel.
+    pub fn degraded(&self) -> bool {
+        self.tasks_recovered > 0
     }
 }
 
@@ -329,9 +352,6 @@ pub struct DistOutcome {
     /// was on.
     pub trace: Option<Trace>,
     pub volume: VolumeAccounting,
-    /// Time spent in up-front plan validation (the explicit legality
-    /// pass), nanoseconds.
-    pub validate_ns: u64,
     /// Ranks declared lost and recovered from, in loss order.
     pub lost_ranks: Vec<usize>,
 }
@@ -348,8 +368,11 @@ pub enum DistError {
     /// The plan-level legality proof failed: some `(loop, access, color)`
     /// can reach an element outside its rank's `owned ∪ ghosts` footprint.
     PlanIllegal(PlanLegalityError),
-    /// A rank thread panicked (a genuine bug, not a legality report).
+    /// A task or a rank thread panicked (a genuine bug, not an injected
+    /// fault or a legality report).
     RankPanic { rank: usize, message: String },
+    /// A task exhausted its retries and sequential recovery was disabled.
+    TaskFailed { loop_index: usize, color: usize, attempts: u32 },
     /// A peer's mailbox hung up mid-run.
     Disconnected { rank: usize },
     /// A rank was declared lost at `epoch` — it crashed (detected by a
@@ -378,6 +401,10 @@ impl fmt::Display for DistError {
             DistError::RankPanic { rank, message } => {
                 write!(f, "rank {rank} panicked: {message}")
             }
+            DistError::TaskFailed { loop_index, color, attempts } => write!(
+                f,
+                "loop {loop_index}: task {color} failed all {attempts} attempts and sequential recovery is disabled"
+            ),
             DistError::Disconnected { rank } => {
                 write!(f, "rank {rank} hung up mid-run")
             }
@@ -410,240 +437,119 @@ impl From<PlanError> for DistError {
     }
 }
 
+/// Where a run's data lives and who runs its colors.
+#[derive(Clone, Copy, Debug)]
+pub enum Layout<'a> {
+    /// One rank, in place on the caller's store, its colors claimed by
+    /// `workers` threads (at most one per color). Nothing is sharded,
+    /// sent or gathered, and no exchange plan is derived.
+    InPlace { workers: usize },
+    /// The ranks of an exchange plan, each on its own shard of the store
+    /// plus ghosts, with one worker.
+    Sharded(&'a ExchangePlan),
+}
+
 /// Executes every loop of `program` in SPMD fashion over the ranks of
-/// `xplan` and gathers the owned shards back into `store`. Results are
-/// bit-identical to the sequential interpreter.
+/// `layout` — sharded ranks gather their owned shards back into `store`,
+/// the in-place rank works on it directly. Results are bit-identical to
+/// the sequential interpreter.
 ///
-/// `parts` must be `plan.evaluate(...)` output, exactly as for the
-/// threaded executor, and `xplan` the exchange plan derived from them
-/// (`partir_core::placement::place`); it depends only on the partitions
-/// and the owner mapping, so repeated executions reuse it.
+/// `parts` must be `plan.evaluate(...)` output (indexed by `PartId`, all
+/// of one launch width), and a sharded layout's exchange plan the one
+/// derived from them (`partir_core::placement::place`); it depends only
+/// on the partitions and the owner mapping, so repeated executions reuse
+/// it. The plan and partitions are validated up front, before any loop
+/// runs, and defects are reported as typed errors.
 pub fn execute_ranks(
     program: &[Loop],
     plan: &ParallelPlan,
     parts: &[Arc<Partition>],
-    xplan: &ExchangePlan,
+    layout: Layout<'_>,
     store: &mut Store,
     fns: &FnTable,
     opts: &DistOptions,
 ) -> Result<DistOutcome, DistError> {
-    let vt = Instant::now();
+    let (xplan, workers) = match layout {
+        Layout::InPlace { workers } => (None, workers),
+        Layout::Sharded(xplan) => (Some(xplan), 1),
+    };
+    let legality = opts.legality != LegalityMode::Off;
     let setups = {
         let _span = partir_obs::span("dist.validate");
-        let check_bounds = opts.legality != LegalityMode::Off;
-        plan_loops(program, plan, parts, store.schema(), fns, check_bounds, Some(xplan))?
+        plan_loops(program, plan, parts, store.schema(), fns, legality, xplan)?
     };
-    let validate_ns = vt.elapsed().as_nanos() as u64;
+    let schema = store.schema().clone();
     // Plan-level legality: prove `accessed ⊆ owned ∪ ghosts` once, by
     // interval set-containment, instead of re-deriving it per element on
     // the hot path. Element mode proves too — the per-element checks then
-    // double as the negative test's corruption detector.
-    let mut plan_proved = if opts.legality != LegalityMode::Off {
-        match opts.preproved {
-            // A cached proof for this exact (xplan, parts) pair: skip the
-            // containment pass, keep the fact count in the report.
-            Some(facts) => facts,
-            None => {
-                let proof = prove_plan_legality(xplan, plan, parts, store.schema())
-                    .map_err(DistError::PlanIllegal)?;
-                proof.facts
-            }
+    // double as the negative test's corruption detector. In place there is
+    // no footprint to prove against, so every access is checked instead.
+    let plan_proved = match (xplan, opts.preproved) {
+        (Some(_), _) if !legality => 0,
+        // A cached proof for this exact (xplan, parts) pair: skip the
+        // containment pass, keep the fact count in the report.
+        (Some(_), Some(facts)) => facts,
+        (Some(x), None) => {
+            prove_plan_legality(x, plan, parts, &schema).map_err(DistError::PlanIllegal)?.facts
         }
-    } else {
-        0
+        (None, _) => 0,
     };
-    let n_ranks = xplan.n_ranks;
+    let check = match xplan {
+        Some(_) => opts.legality == LegalityMode::Element,
+        None => legality,
+    };
+    let faults = TaskFaults {
+        plan: opts.fault,
+        retry: opts.retry,
+        effects: match opts.fault.is_some_and(|f| f.attacks_tasks()) {
+            true => setups.iter().map(|s| effect_sets(s, parts, &schema)).collect(),
+            false => Vec::new(),
+        },
+    };
+    let n_ranks = xplan.map_or(1, |x| x.n_ranks);
     let span = partir_obs::span_with(
         "dist.execute",
         vec![("ranks", n_ranks.into()), ("loops", program.len().into())],
     );
-    let schema = store.schema().clone();
-
-    // Fault plane. A configured fault plan (or checkpoint policy) enables
-    // survivor-side recovery, which needs the pristine input state as the
-    // epoch-0 restore point.
-    let fault = opts.fault;
-    let policy = opts.checkpoint;
-    let recovery_enabled = fault.is_some() || policy.is_some();
-    let initial: Option<Store> = recovery_enabled.then(|| store.clone());
-    let ckpts = CheckpointStore::new(n_ranks);
-
-    let mut alive = vec![true; n_ranks];
-    let mut cur_xplan: Cow<'_, ExchangePlan> = Cow::Borrowed(xplan);
-    let mut first_epoch = 0usize;
-    let mut restored: Option<Store> = None;
-    let mut lost_ranks: Vec<usize> = Vec::new();
-    let mut recoveries = 0u64;
-    let mut bytes_migrated = 0u64;
-    let mut recovery_ns = 0u64;
-    // `(ns, bytes)` of the recovery that launched the current attempt, so
-    // its survivors' timelines carry a Recovery span.
-    let mut last_recovery: Option<(u64, u64)> = None;
-
-    let outcomes = loop {
-        let base_store: &Store = restored.as_ref().unwrap_or(store);
-        let attempt = run_attempt(
-            &setups,
-            &cur_xplan,
-            base_store,
-            &schema,
-            opts,
-            &alive,
-            first_epoch,
-            fault.as_ref(),
-            policy.as_ref().map(|p| (p, &ckpts)),
-            last_recovery,
-        )?;
-        if let Some(v) = attempt.violation {
-            return Err(DistError::Legality(v));
-        }
-        // The crash slot is ground truth; a peer's RankLost (from a notice,
-        // a deadline expiry, or retransmit exhaustion) is the fallback.
-        let dead = attempt.lost.map(|(r, _)| r).or(match &attempt.error {
-            Some(DistError::RankLost { rank, .. }) => Some(*rank),
-            _ => None,
-        });
-        match (dead, attempt.error) {
-            (Some(dead), err) if recovery_enabled && alive[dead] => {
-                // Survivor-side recovery: evacuate the dead rank's colors
-                // onto the live ranks, re-fold + re-prove the exchange plan,
-                // restore the last consistent checkpoint, resume on the
-                // survivors.
-                let t = Instant::now();
-                recoveries += 1;
-                lost_ranks.push(dead);
-                let spawned = alive.clone();
-                alive[dead] = false;
-                if !alive.iter().any(|&a| a) {
-                    return Err(err.unwrap_or(DistError::RankLost { rank: dead, epoch: 0 }));
-                }
-                // One footprint: its identity fold is the graph the
-                // evacuation places by, and the new plan is one more fold.
-                let fp = Footprint::build(plan, parts, &schema)?;
-                let graph = CommGraph::of(&fp, &schema)?;
-                let assignment = evacuate_placement(&graph, cur_xplan.owner_assignment(), &alive);
-                let nx = fp.fold(n_ranks, &assignment)?;
-                if opts.legality != LegalityMode::Off {
-                    plan_proved = prove_plan_legality(&nx, plan, parts, &schema)
-                        .map_err(DistError::PlanIllegal)?
-                        .facts;
-                }
-                // Minimal migration: survivors keep every color they had,
-                // so the only owned bytes that move are the dead rank's.
-                let migrated: u64 = (0..n_ranks)
-                    .filter(|&r| alive[r])
-                    .map(|r| {
-                        nx.owned_field_bytes(&schema, r)
-                            .saturating_sub(cur_xplan.owned_field_bytes(&schema, r))
-                    })
-                    .sum();
-                bytes_migrated += migrated;
-                let mut base = initial.clone().expect("recovery implies a saved initial store");
-                first_epoch = match ckpts.consistent_epoch(&spawned) {
-                    Some(ce) => {
-                        ckpts.restore_into(&mut base, &cur_xplan, ce);
-                        (ce + 1) as usize
-                    }
-                    None => 0,
-                };
-                ckpts.clear();
-                restored = Some(base);
-                cur_xplan = Cow::Owned(nx);
-                let d = t.elapsed().as_nanos() as u64;
-                recovery_ns += d;
-                last_recovery = Some((d, migrated));
-                continue;
-            }
-            (_, Some(e)) => return Err(e),
-            (Some(dead), None) => {
-                // A crash was observed but recovery is impossible (e.g.
-                // every peer finished before needing the dead rank and
-                // recovery is disabled) — never silently return results
-                // missing the dead rank's epochs.
-                let epoch = attempt.lost.map(|(_, e)| e).unwrap_or(0);
-                return Err(DistError::RankLost { rank: dead, epoch });
-            }
-            (None, None) => break attempt.outcomes,
-        }
+    let in_place = RunCx {
+        setups: &setups,
+        xplan: None,
+        schema: &schema,
+        check,
+        faults: &faults,
+        ckpt: None,
+        first_epoch: 0,
     };
 
-    // Gather: install every surviving rank's owned shards into the
-    // caller's store. Under the final (possibly evacuated) owner
-    // assignment the survivors' shards cover every region completely.
-    let xp: &ExchangePlan = &cur_xplan;
-    let planned = xp.stats();
     let mut report = DistReport {
         ranks: n_ranks as u64,
         plan_proved,
-        ghost_elements: planned.ghost_elements,
-        ghost_fetch_bytes: planned.ghost_fetch_bytes,
-        write_back_bytes: planned.write_back_bytes,
-        partial_bytes: planned.partial_bytes,
-        replication_bytes: planned.replication_bytes,
-        recoveries,
-        bytes_migrated,
-        recovery_ns,
+        buffer_bytes: setups.iter().map(|s| s.planned_buffer_bytes).sum(),
+        private_buffer_bytes_saved: setups.iter().map(|s| s.private_bytes_saved).sum(),
         ..DistReport::default()
     };
-    // measured[src][dst]: what dst's mailbox metered against src.
-    let mut measured = vec![vec![(0u64, 0u64); n_ranks]; n_ranks];
-    let mut done_tracers: Vec<RankTracer> = Vec::new();
-    for (r, out) in outcomes.into_iter().enumerate() {
-        let Some((rstore, rstats, tracer)) = out else {
-            if alive[r] {
-                return Err(DistError::Internal(format!("rank {r} produced no result")));
+    let mut lost_ranks: Vec<usize> = Vec::new();
+    let (outcomes, volume, first_epoch) = match xplan {
+        None => {
+            let shared = SharedStore::new(store);
+            let sync = AttemptSync::default();
+            let attempt = run_attempt(&in_place, &sync, opts, &[true], |_| &shared, workers, None)?;
+            if let Some(e) = attempt.error {
+                return Err(e);
             }
-            continue;
-        };
-        rstore.gather_into(store, xp, r);
-        report.tasks_run += rstats.tasks_run;
-        report.messages += rstats.messages_sent;
-        report.bytes_sent += rstats.bytes_sent;
-        report.legality_checks += rstats.counts.legality_checks;
-        report.buffer_bytes += rstats.counts.buffer_bytes;
-        report.guard_hits += rstats.counts.guard_hits;
-        report.guard_skips += rstats.counts.guard_skips;
-        report.write_skips += rstats.counts.write_skips;
-        report.pack_ns += rstats.pack_ns;
-        report.exchange_wait_ns += rstats.exchange_wait_ns;
-        report.unpack_ns += rstats.unpack_ns;
-        report.compute_ns += rstats.compute_ns;
-        report.merge_ns += rstats.merge_ns;
-        report.retransmits += rstats.retransmits;
-        report.duplicates += rstats.duplicates_sent;
-        report.checkpoints += rstats.checkpoints;
-        report.checkpoint_bytes += rstats.checkpoint_bytes;
-        report.checkpoint_ns += rstats.checkpoint_ns;
-        for (src, &cell) in rstats.recv_by_src.iter().enumerate() {
-            measured[src][r] = cell;
+            let run = |(_, (stats, _, tracer)): RankOutcome<_>| (stats, tracer);
+            let runs = attempt.outcomes.into_iter().map(|o| o.map(run)).collect();
+            (runs, VolumeAccounting::default(), 0)
         }
+        Some(x) => {
+            run_sharded(&in_place, plan, parts, x, store, opts, &mut report, &mut lost_ranks)?
+        }
+    };
+    let mut done_tracers: Vec<RankTracer> = Vec::new();
+    for (stats, tracer) in outcomes.into_iter().flatten() {
+        report.add(&stats);
         done_tracers.extend(tracer);
     }
-
-    // Predicted-vs-measured accounting per (src, dst) pair. A recovered
-    // run predicts only the epochs it actually re-executed; duplicate
-    // deliveries and crash notices were metered separately by the
-    // mailboxes and never pollute these pairs.
-    let predicted = xp.predicted_pair_volume_from(first_epoch);
-    let mut pairs = Vec::new();
-    for src in 0..n_ranks {
-        for dst in 0..n_ranks {
-            let p = predicted[src][dst];
-            let (m_bytes, m_msgs) = measured[src][dst];
-            if p.bytes() == 0 && p.messages == 0 && m_bytes == 0 && m_msgs == 0 {
-                continue;
-            }
-            pairs.push(PairDelta {
-                src,
-                dst,
-                predicted_bytes: p.bytes(),
-                measured_bytes: m_bytes,
-                predicted_messages: p.messages,
-                measured_messages: m_msgs,
-            });
-        }
-    }
-    let volume = VolumeAccounting { pairs };
     if opts.strict_volume {
         if let Some(d) = volume.first_mismatch() {
             return Err(DistError::VolumeMismatch {
@@ -666,6 +572,14 @@ pub fn execute_ranks(
     partir_obs::counter("dist.bytes_sent", report.bytes_sent);
     partir_obs::counter("dist.ghost_elements", report.ghost_elements);
     partir_obs::counter("dist.legality_checks", report.legality_checks);
+    partir_obs::counter("dist.buffer_bytes", report.buffer_bytes);
+    partir_obs::counter("dist.private_buffer_bytes_saved", report.private_buffer_bytes_saved);
+    if report.faults_injected > 0 {
+        partir_obs::counter("dist.faults_injected", report.faults_injected);
+        partir_obs::counter("dist.task_retries", report.task_retries);
+        partir_obs::counter("dist.tasks_recovered", report.tasks_recovered);
+        partir_obs::counter("dist.panics_isolated", report.panics_isolated);
+    }
     if report.recoveries > 0 {
         partir_obs::counter("dist.recovery_count", report.recoveries);
         partir_obs::counter("dist.recovery_bytes_migrated", report.bytes_migrated);
@@ -679,54 +593,253 @@ pub fn execute_ranks(
         ("messages", report.messages.into()),
         ("bytes_sent", report.bytes_sent.into()),
     ]);
-    Ok(DistOutcome { report, trace, volume, validate_ns, lost_ranks })
+    Ok(DistOutcome { report, trace, volume, lost_ranks })
 }
 
-/// One rank's result: its shard (owned elements final), stats, and its
-/// timeline.
-type RankOutcome = (RankStore, RankStats, Option<RankTracer>);
+/// Runs the sharded ranks of `xplan` to completion and gathers their
+/// owned shards into `store`, recovering from rank losses (into `report`
+/// and `lost_ranks`) when a fault plan or checkpoint policy is set.
+/// Returns every rank's share of the report and timeline, the volume
+/// accounting, and the epoch the last attempt started at.
+#[allow(clippy::too_many_arguments)]
+fn run_sharded(
+    cx: &RunCx<'_, '_>,
+    plan: &ParallelPlan,
+    parts: &[Arc<Partition>],
+    xplan: &ExchangePlan,
+    store: &mut Store,
+    opts: &DistOptions,
+    report: &mut DistReport,
+    lost_ranks: &mut Vec<usize>,
+) -> Result<(Vec<Option<RankShare>>, VolumeAccounting, usize), DistError> {
+    let (n_ranks, schema) = (xplan.n_ranks, cx.schema);
+    // Fault plane. A configured fault plan (or checkpoint policy) enables
+    // survivor-side recovery, which needs the pristine input state as the
+    // epoch-0 restore point.
+    let policy = opts.checkpoint;
+    let recovery_enabled = opts.fault.is_some() || policy.is_some();
+    let initial: Option<Store> = recovery_enabled.then(|| store.clone());
+    let ckpts = CheckpointStore::new(n_ranks);
+
+    let mut alive = vec![true; n_ranks];
+    let mut cur_xplan: Cow<'_, ExchangePlan> = Cow::Borrowed(xplan);
+    let mut first_epoch = 0usize;
+    let mut restored: Option<Store> = None;
+    // `(ns, bytes)` of the recovery that launched the current attempt, so
+    // its survivors' timelines carry a Recovery span.
+    let mut last_recovery: Option<(u64, u64)> = None;
+
+    let outcomes = loop {
+        let base_store: &Store = restored.as_ref().unwrap_or(store);
+        let xp: &ExchangePlan = &cur_xplan;
+        let sync = AttemptSync::default();
+        let ckpt = policy.as_ref().map(|p| (p, &ckpts));
+        let cx = RunCx { xplan: Some(xp), ckpt, first_epoch, ..*cx };
+        // Each rank builds its shard on its own thread: ranks copy in
+        // parallel and the run's largest buffers never sit on the driver's
+        // heap.
+        let shard = |r| RankStore::shard(base_store, xp, r);
+        let attempt = run_attempt(&cx, &sync, opts, &alive, shard, 1, last_recovery)?;
+        // The crash slot is ground truth; a peer's RankLost (from a notice,
+        // a deadline expiry, or retransmit exhaustion) is the fallback.
+        let lost = sync.lost.into_inner();
+        let dead = lost.map(|(r, _)| r).or(match &attempt.error {
+            Some(DistError::RankLost { rank, .. }) => Some(*rank),
+            _ => None,
+        });
+        match (dead, attempt.error) {
+            (Some(dead), err) if recovery_enabled && alive[dead] => {
+                // Survivor-side recovery: evacuate the dead rank's colors
+                // onto the live ranks, re-fold + re-prove the exchange plan,
+                // restore the last consistent checkpoint, resume on the
+                // survivors.
+                let t = Instant::now();
+                report.recoveries += 1;
+                lost_ranks.push(dead);
+                let spawned = alive.clone();
+                alive[dead] = false;
+                if !alive.iter().any(|&a| a) {
+                    return Err(err.unwrap_or(DistError::RankLost { rank: dead, epoch: 0 }));
+                }
+                // One footprint: its identity fold is the graph the
+                // evacuation places by, and the new plan is one more fold.
+                let fp = Footprint::build(plan, parts, schema)?;
+                let graph = CommGraph::of(&fp, schema)?;
+                let assignment = evacuate_placement(&graph, xp.owner_assignment(), &alive);
+                let nx = fp.fold(n_ranks, &assignment)?;
+                if opts.legality != LegalityMode::Off {
+                    report.plan_proved = prove_plan_legality(&nx, plan, parts, schema)
+                        .map_err(DistError::PlanIllegal)?
+                        .facts;
+                }
+                // Minimal migration: survivors keep every color they had,
+                // so the only owned bytes that move are the dead rank's.
+                let migrated: u64 = (0..n_ranks)
+                    .filter(|&r| alive[r])
+                    .map(|r| {
+                        nx.owned_field_bytes(schema, r)
+                            .saturating_sub(xp.owned_field_bytes(schema, r))
+                    })
+                    .sum();
+                report.bytes_migrated += migrated;
+                let mut base = initial.clone().expect("recovery implies a saved initial store");
+                first_epoch = match ckpts.consistent_epoch(&spawned) {
+                    Some(ce) => {
+                        ckpts.restore_into(&mut base, xp, ce);
+                        (ce + 1) as usize
+                    }
+                    None => 0,
+                };
+                ckpts.clear();
+                restored = Some(base);
+                cur_xplan = Cow::Owned(nx);
+                let d = t.elapsed().as_nanos() as u64;
+                report.recovery_ns += d;
+                last_recovery = Some((d, migrated));
+                continue;
+            }
+            (_, Some(e)) => return Err(e),
+            (Some(dead), None) => {
+                // A crash was observed but recovery is impossible (e.g.
+                // every peer finished before needing the dead rank and
+                // recovery is disabled) — never silently return results
+                // missing the dead rank's epochs.
+                let epoch = lost.map(|(_, e)| e).unwrap_or(0);
+                return Err(DistError::RankLost { rank: dead, epoch });
+            }
+            (None, None) => break attempt.outcomes,
+        }
+    };
+
+    // Gather: install every surviving rank's owned shards into the
+    // caller's store. Under the final (possibly evacuated) owner
+    // assignment the survivors' shards cover every region completely.
+    // measured[src][dst]: what dst's mailbox metered against src.
+    let mut measured = vec![vec![(0u64, 0u64); n_ranks]; n_ranks];
+    let mut runs = Vec::with_capacity(n_ranks);
+    for (r, out) in outcomes.into_iter().enumerate() {
+        match out {
+            Some((rstore, (stats, received, tracer))) => {
+                rstore.gather_into(store, &cur_xplan, r);
+                for (src, &cell) in received.iter().enumerate() {
+                    measured[src][r] = cell;
+                }
+                runs.push(Some((stats, tracer)));
+            }
+            None if alive[r] => {
+                return Err(DistError::Internal(format!("rank {r} produced no result")));
+            }
+            None => runs.push(None),
+        }
+    }
+    let planned = cur_xplan.stats();
+    report.ghost_elements = planned.ghost_elements;
+    report.ghost_fetch_bytes = planned.ghost_fetch_bytes;
+    report.write_back_bytes = planned.write_back_bytes;
+    report.partial_bytes = planned.partial_bytes;
+    report.replication_bytes = planned.replication_bytes;
+
+    // Predicted-vs-measured accounting per (src, dst) pair. A recovered
+    // run predicts only the epochs it actually re-executed; duplicate
+    // deliveries and crash notices were metered separately by the
+    // mailboxes and never pollute these pairs.
+    let predicted = cur_xplan.predicted_pair_volume_from(first_epoch);
+    let mut pairs = Vec::new();
+    for src in 0..n_ranks {
+        for dst in 0..n_ranks {
+            let p = predicted[src][dst];
+            let (m_bytes, m_msgs) = measured[src][dst];
+            if p.bytes() == 0 && p.messages == 0 && m_bytes == 0 && m_msgs == 0 {
+                continue;
+            }
+            pairs.push(PairDelta {
+                src,
+                dst,
+                predicted_bytes: p.bytes(),
+                measured_bytes: m_bytes,
+                predicted_messages: p.messages,
+                measured_messages: m_msgs,
+            });
+        }
+    }
+    Ok((runs, VolumeAccounting { pairs }, first_epoch))
+}
+
+/// The in-place writes of every color of a loop, per mutating access:
+/// what a task attempt's snapshot saves.
+fn effect_sets<'s>(
+    setup: &'s LoopSetup<'s>,
+    parts: &'s [Arc<Partition>],
+    schema: &Schema,
+) -> Effects<'s> {
+    let accesses = setup.lplan.accesses.iter();
+    accesses
+        .filter_map(|ap| {
+            let sets = access_sets(ap, setup.iter, parts, schema)?;
+            Some((sets.field, sets.in_place(setup.write_own.as_deref())?))
+        })
+        .collect()
+}
+
+/// What the ranks of one attempt share to stop together and report.
+#[derive(Default)]
+pub(crate) struct AttemptSync {
+    pub abort: Arc<AtomicBool>,
+    /// The first legality violation.
+    pub violation: Mutex<Option<LegalityViolation>>,
+    /// Injected-crash ground truth: `(rank, epoch)` of the victim.
+    pub lost: Mutex<Option<(usize, u64)>>,
+}
+
+/// What a rank ran: its share of the report, the `(bytes, messages)` its
+/// mailbox received from each source, and its timeline.
+type RankRun = (DistReport, Vec<(u64, u64)>, Option<RankTracer>);
+
+/// A rank's share of the run's report, and its timeline.
+type RankShare = (DistReport, Option<RankTracer>);
+
+/// One rank's result: its storage (owned elements final) and its run.
+type RankOutcome<D> = (D, RankRun);
 
 /// Everything one SPMD attempt produced, success or not.
-struct AttemptResult {
+struct AttemptResult<D> {
     /// Per-rank outcomes; `None` for ranks that were not spawned (already
     /// dead) or did not finish.
-    outcomes: Vec<Option<RankOutcome>>,
+    outcomes: Vec<Option<RankOutcome<D>>>,
     /// The first hard error any rank hit (secondary aborts excluded).
     error: Option<DistError>,
-    violation: Option<LegalityViolation>,
-    /// Injected-crash ground truth: `(rank, epoch)` of the victim.
-    lost: Option<(usize, u64)>,
 }
 
-/// Runs one SPMD attempt over the currently-alive ranks, resuming at
-/// `first_epoch`. Returns `Err` only for driver-level failures (a scope
-/// panic); rank-level failures come back inside [`AttemptResult`] so the
-/// caller can decide between recovery and propagation.
-#[allow(clippy::too_many_arguments)]
-fn run_attempt(
-    setups: &[LoopSetup<'_>],
-    xplan: &ExchangePlan,
-    base_store: &Store,
-    schema: &Schema,
+/// Runs one SPMD attempt over the currently-alive ranks, each on the
+/// storage `data` builds for it on the rank's own thread. Returns `Err`
+/// for a legality violation and driver-level failures (a scope panic);
+/// rank-level failures come back inside [`AttemptResult`] and `sync` so
+/// the caller can decide between recovery and propagation.
+fn run_attempt<D: RankData + Send>(
+    cx: &RunCx<'_, '_>,
+    sync: &AttemptSync,
     opts: &DistOptions,
     alive: &[bool],
-    first_epoch: usize,
-    fault: Option<&FaultPlan>,
-    ckpt: Option<(&CheckpointPolicy, &CheckpointStore)>,
+    data: impl Fn(usize) -> D + Sync,
+    workers: usize,
     recovery: Option<(u64, u64)>,
-) -> Result<AttemptResult, DistError> {
-    let n_ranks = xplan.n_ranks;
-    let abort = Arc::new(AtomicBool::new(false));
-    let (senders, mut mailboxes) = build_fabric(n_ranks, &abort);
+) -> Result<AttemptResult<D>, DistError> {
+    let n_ranks = alive.len();
+    let (senders, mut mailboxes) = build_fabric(n_ranks, &sync.abort);
     if let Some(seed) = opts.chaos_seed {
         for (r, mb) in mailboxes.iter_mut().enumerate() {
             // Per-rank decorrelated streams from one user seed.
             mb.set_chaos(seed ^ (r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         }
     }
-    if fault.is_some_and(|f| f.crash.is_some()) {
+    if cx.faults.plan.is_some_and(|f| f.crash.is_some()) {
+        // A rank sleeps between task attempts; peers must not take that
+        // for a loss, so the deadline also covers every color of the
+        // widest loop exhausting its retries on one rank.
+        let widest = cx.setups.iter().map(|s| s.iter.num_subregions()).max().unwrap_or(0);
+        let deadline = EPOCH_DEADLINE.saturating_add(cx.faults.retry_sleep(widest));
         for mb in mailboxes.iter_mut() {
-            mb.set_deadline(EPOCH_DEADLINE);
+            mb.set_deadline(deadline);
         }
     }
     // One shared time base, taken before any rank spawns, so spans of
@@ -739,77 +852,44 @@ fn run_attempt(
             (opts.collect_timeline && alive[r]).then(|| {
                 let mut tr = RankTracer::new(r, base);
                 if let Some((ns, bytes)) = recovery {
-                    tr.record(SpanKind::Recovery, first_epoch, base, ns, bytes, None);
+                    tr.record(SpanKind::Recovery, cx.first_epoch, base, ns, bytes, None);
                 }
                 tr
             })
         })
         .collect();
 
-    let violation: Mutex<Option<LegalityViolation>> = Mutex::new(None);
     let first_error: Mutex<Option<DistError>> = Mutex::new(None);
-    let lost: Mutex<Option<(usize, u64)>> = Mutex::new(None);
-    let outcomes: Mutex<Vec<Option<RankOutcome>>> =
+    let outcomes: Mutex<Vec<Option<RankOutcome<D>>>> =
         Mutex::new((0..n_ranks).map(|_| None).collect());
-
-    let check = opts.legality == LegalityMode::Element;
     let scope_result = crossbeam::scope(|s| {
         for (r, (mut mailbox, tracer)) in mailboxes.into_iter().zip(tracers).enumerate() {
             if !alive[r] {
                 continue;
             }
             let senders = senders.clone();
-            let abort = Arc::clone(&abort);
-            let (violation, first_error, outcomes, lost) =
-                (&violation, &first_error, &outcomes, &lost);
+            let (data, first_error, outcomes) = (&data, &first_error, &outcomes);
             s.spawn(move |_| {
                 let result = catch_unwind(AssertUnwindSafe(|| {
-                    rank::rank_main(
-                        r,
-                        setups,
-                        xplan,
-                        schema,
-                        // Built here, on the rank's thread: ranks copy in
-                        // parallel and the run's largest buffers never
-                        // sit on the driver's heap.
-                        RankStore::shard(base_store, xplan, r),
-                        &senders,
-                        &mut mailbox,
-                        check,
-                        &abort,
-                        violation,
-                        tracer,
-                        first_epoch,
-                        fault,
-                        ckpt,
-                        lost,
-                    )
+                    rank::rank_main(r, cx, sync, data(r), workers, &senders, &mut mailbox, tracer)
                 }));
                 match result {
-                    Ok(Ok(out)) => outcomes.lock()[r] = Some(out),
+                    Ok(Ok((data, stats, tracer))) => {
+                        let received = mailbox.measured().to_vec();
+                        outcomes.lock()[r] = Some((data, (stats, received, tracer)));
+                    }
                     // A secondary failure; the first failure has the cause.
                     Ok(Err(DistError::Aborted)) => {}
                     Ok(Err(e)) => {
-                        let mut slot = first_error.lock();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        drop(slot);
-                        abort.store(true, Ordering::Relaxed);
+                        first_error.lock().get_or_insert(e);
+                        sync.abort.store(true, Ordering::Relaxed);
                     }
                     Err(p) => {
-                        // Legality panics already recorded their structured
-                        // violation; anything else is a genuine bug.
-                        if violation.lock().is_none() {
-                            let mut slot = first_error.lock();
-                            if slot.is_none() {
-                                *slot = Some(DistError::RankPanic {
-                                    rank: r,
-                                    message: panic_message(p),
-                                });
-                            }
-                        }
-                        abort.store(true, Ordering::Relaxed);
+                        // Tasks catch their own panics; this is the
+                        // protocol's own bookkeeping.
+                        let message = panic_message(p);
+                        first_error.lock().get_or_insert(DistError::RankPanic { rank: r, message });
+                        sync.abort.store(true, Ordering::Relaxed);
                     }
                 }
             });
@@ -818,12 +898,10 @@ fn run_attempt(
     if let Err(p) = scope_result {
         return Err(DistError::Internal(panic_message(p)));
     }
-    Ok(AttemptResult {
-        outcomes: outcomes.into_inner(),
-        error: first_error.into_inner(),
-        violation: violation.into_inner(),
-        lost: lost.into_inner(),
-    })
+    if let Some(v) = sync.violation.lock().take() {
+        return Err(DistError::Legality(v));
+    }
+    Ok(AttemptResult { outcomes: outcomes.into_inner(), error: first_error.into_inner() })
 }
 
 #[cfg(test)]
@@ -884,8 +962,16 @@ mod tests {
             auto_parallelize(&program, &fns, &schema, &Hints::new(), Options::default()).unwrap();
         let parts = plan.evaluate(&store, &fns, colors, &ExtBindings::new());
         let placed = place(&plan, &parts, &schema, ranks, &PlacementConfig::default()).unwrap();
-        let outcome =
-            execute_ranks(&program, &plan, &parts, &placed.xplan, &mut store, &fns, opts).unwrap();
+        let outcome = execute_ranks(
+            &program,
+            &plan,
+            &parts,
+            Layout::Sharded(&placed.xplan),
+            &mut store,
+            &fns,
+            opts,
+        )
+        .unwrap();
         (outcome, store)
     }
 

@@ -1,4 +1,4 @@
-//! Per-rank SPMD execution: the epoch protocol and the rank data context.
+//! Per-rank SPMD execution: the epoch protocol.
 //!
 //! Every rank runs the same program over its own colors, one *epoch* per
 //! loop, sending and receiving what the loop's message table
@@ -14,20 +14,24 @@
 //! 5. **post** — send in-place write-backs (installed verbatim by the
 //!    owner) and partial-reduction buffer slices (with per-slice presence
 //!    flags) to the owners; receive the same, then merge partials in
-//!    ascending global color order — the threaded executor's deterministic
-//!    merge order, so results agree bit-for-bit.
+//!    ascending global color order, so results agree bit-for-bit with the
+//!    sequential interpreter.
 //!
-//! Colors run through the shared chunked executor ([`crate::task`]) over
-//! the rank's [`RankStore`]: a global index that has no slot in the sharded
-//! store *is* a distributed legality violation — the access escaped
-//! `owned ∪ ghosts`.
+//! A rank without an exchange plan is the whole run in place (the threads
+//! backend): every color is interior, nothing is sent, and every buffer
+//! merges whole.
+//!
+//! Colors run through the shared chunked executor ([`crate::task`]) and the
+//! attempt loop of [`super::colors`]. On a shard ([`super::RankStore`]) a
+//! global index that has no slot *is* a distributed legality violation —
+//! the access escaped `owned ∪ ghosts`.
 
+use super::colors::{Buffers, Colors, RankData, TaskFaults};
 use super::mailbox::{Mailbox, MailboxError, Msg, MsgKind};
-use super::store::RankStore;
-use super::{CheckpointStore, DistError};
+use super::store::{extract_owned, pack, unpack};
+use super::{AttemptSync, CheckpointStore, DistError, DistReport};
 use crate::fault::{CheckpointPolicy, FaultPlan, MAX_SEND_ATTEMPTS};
-use crate::task::{LegalityViolation, LoopSetup, Regs, Storage, Task, TaskCounts, TaskEnv};
-use parking_lot::Mutex;
+use crate::task::{LoopSetup, Regs, TaskEnv};
 use partir_core::exchange::{ExchangePlan, LoopExchange, PostMessage};
 use partir_dpl::index_set::IndexSet;
 use partir_dpl::region::{FieldId, Schema};
@@ -39,38 +43,6 @@ use std::time::{Duration, Instant};
 /// A copy of a rank's owned shard of every F64 field (a checkpoint), ready
 /// to be written back into a unified store.
 pub(crate) type OwnedShards = Vec<(FieldId, Vec<f64>)>;
-
-/// Per-rank execution statistics, aggregated into the caller's report.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct RankStats {
-    pub tasks_run: u64,
-    /// Summed over the rank's tasks; `buffer_bytes` is what they allocated.
-    pub counts: TaskCounts,
-    pub bytes_sent: u64,
-    pub messages_sent: u64,
-    pub pack_ns: u64,
-    pub exchange_wait_ns: u64,
-    pub unpack_ns: u64,
-    pub compute_ns: u64,
-    pub merge_ns: u64,
-    /// Send attempts the fault plan dropped in flight (each one slept a
-    /// seeded backoff and was retried).
-    pub retransmits: u64,
-    /// Extra copies the fault plan injected (the receiver dedups them).
-    pub duplicates_sent: u64,
-    /// Owned-shard checkpoints taken, and their cost.
-    pub checkpoints: u64,
-    pub checkpoint_bytes: u64,
-    pub checkpoint_ns: u64,
-    /// Measured `(bytes, messages)` received, indexed by source rank —
-    /// copied from the mailbox meter at the end of the run for the
-    /// predicted-vs-measured accounting.
-    pub recv_by_src: Vec<(u64, u64)>,
-    /// Measured out-of-plan `(bytes, messages)` — deduplicated duplicate
-    /// deliveries and crash notices — kept out of `recv_by_src` so strict
-    /// volume accounting still balances under fault injection.
-    pub recv_aux_by_src: Vec<(u64, u64)>,
-}
 
 /// Records a completed communication span when timeline collection is on.
 /// `start` is `None` exactly when the tracer is — the per-peer `Instant`s
@@ -91,30 +63,45 @@ fn rec(
     }
 }
 
-/// One rank's whole run: every loop in order; the shard it returns is what
-/// the driver gathers from.
+/// What every rank of an attempt shares.
+#[derive(Clone, Copy)]
+pub(crate) struct RunCx<'r, 'a> {
+    pub setups: &'r [LoopSetup<'a>],
+    /// `None` in place: one rank that exchanges nothing.
+    pub xplan: Option<&'r ExchangePlan>,
+    pub schema: &'r Schema,
+    /// Check every access against its partition subregion.
+    pub check: bool,
+    pub faults: &'r TaskFaults<'a>,
+    pub ckpt: Option<(&'r CheckpointPolicy, &'r CheckpointStore)>,
+    /// The epoch the attempt starts at (after a recovery, the one after
+    /// the restored checkpoint).
+    pub first_epoch: usize,
+}
+
+/// One rank's whole run: every loop in order, its colors on `workers`
+/// workers; the storage it returns is what the driver gathers from.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn rank_main(
+pub(crate) fn rank_main<D: RankData>(
     rank: usize,
-    setups: &[LoopSetup<'_>],
-    xplan: &ExchangePlan,
-    schema: &Schema,
-    mut store: RankStore,
+    cx: &RunCx<'_, '_>,
+    sync: &AttemptSync,
+    mut store: D,
+    workers: usize,
     senders: &[Sender<Msg>],
     mailbox: &mut Mailbox,
-    check: bool,
-    abort: &AtomicBool,
-    violation: &Mutex<Option<LegalityViolation>>,
     mut tracer: Option<RankTracer>,
-    first_epoch: usize,
-    fault: Option<&FaultPlan>,
-    ckpt: Option<(&CheckpointPolicy, &CheckpointStore)>,
-    lost: &Mutex<Option<(usize, u64)>>,
-) -> Result<(RankStore, RankStats, Option<RankTracer>), DistError> {
-    let mut stats = RankStats::default();
-    let env = TaskEnv { check, rank: Some(rank), abort, violation };
-    for (li, setup) in setups.iter().enumerate().skip(first_epoch) {
-        if abort.load(Ordering::Relaxed) {
+) -> Result<(D, DistReport, Option<RankTracer>), DistError> {
+    let mut stats = DistReport::default();
+    let env = TaskEnv {
+        check: cx.check,
+        rank: cx.xplan.map(|_| rank),
+        abort: &sync.abort,
+        violation: &sync.violation,
+    };
+    let fault = cx.faults.plan.as_ref();
+    for (li, setup) in cx.setups.iter().enumerate().skip(cx.first_epoch) {
+        if sync.abort.load(Ordering::Relaxed) {
             return Err(DistError::Aborted);
         }
         // Injected whole-rank crash: die at the top of the epoch, before
@@ -122,7 +109,7 @@ pub(crate) fn rank_main(
         // the driver's ground truth; a loud crash also broadcasts notices
         // so peers detect the loss without waiting out their deadline.
         if let Some(crash) = fault.and_then(|f| f.crashes(rank, li as u64)) {
-            let mut slot = lost.lock();
+            let mut slot = sync.lost.lock();
             if slot.is_none() {
                 *slot = Some((rank, li as u64));
             }
@@ -147,9 +134,9 @@ pub(crate) fn rank_main(
         run_epoch(
             rank,
             li,
-            setup,
-            xplan,
-            &env,
+            Colors::new(li, setup, &env, cx.faults),
+            cx.xplan.map(|x| &x.loops[li]),
+            workers,
             &mut store,
             senders,
             mailbox,
@@ -158,12 +145,11 @@ pub(crate) fn rank_main(
             fault,
         )?;
         // Checkpoint hook: snapshot the owned shard (never ghosts) after
-        // every `interval_epochs`-th completed epoch. Reuses the
-        // contiguous-run `copy_from_slice` gather of `extract_owned`.
-        if let Some((policy, ckpts)) = ckpt {
+        // every `interval_epochs`-th completed epoch.
+        if let (Some((policy, ckpts)), Some(xplan)) = (cx.ckpt, cx.xplan) {
             if policy.due(li as u64) {
                 let t = Instant::now();
-                let shard = store.extract_owned(xplan, rank, schema);
+                let shard = extract_owned(&store, xplan, rank, cx.schema);
                 let bytes: u64 = shard.iter().map(|(_, v)| v.len() as u64 * 8).sum();
                 ckpts.put(rank, li as u64, shard);
                 let d = t.elapsed().as_nanos() as u64;
@@ -176,59 +162,54 @@ pub(crate) fn rank_main(
             }
         }
     }
-    stats.recv_by_src = mailbox.measured().to_vec();
-    stats.recv_aux_by_src = mailbox.measured_aux().to_vec();
     Ok((store, stats, tracer))
 }
 
+/// One epoch of one rank: one loop, exchanging what the loop's message
+/// table `lx` lists when the rank has peers.
 #[allow(clippy::too_many_arguments)]
-fn run_epoch(
+fn run_epoch<D: RankData>(
     rank: usize,
     li: usize,
-    setup: &LoopSetup<'_>,
-    xplan: &ExchangePlan,
-    env: &TaskEnv<'_>,
-    store: &mut RankStore,
+    colors: Colors<'_, '_>,
+    lx: Option<&LoopExchange>,
+    workers: usize,
+    store: &mut D,
     senders: &[Sender<Msg>],
     mailbox: &mut Mailbox,
-    stats: &mut RankStats,
+    stats: &mut DistReport,
     tracer: &mut Option<RankTracer>,
     fault: Option<&FaultPlan>,
 ) -> Result<(), DistError> {
-    let n_ranks = xplan.n_ranks;
-    let lx: &LoopExchange = &xplan.loops[li];
+    let setup = colors.setup;
     let epoch = li as u64;
-    let abort = env.abort;
-    // bufs[buf][color]: the partial buffers of the rank's tasks (two-step
-    // reductions), present once a task contributed.
-    let mut bufs: Vec<Vec<Option<Vec<f64>>>> =
-        setup.buffers.iter().map(|_| vec![None; xplan.n_colors]).collect();
+    let abort = colors.env.abort;
     // One register file per rank and epoch, not per task.
     let mut regs = Regs::new(setup);
-    let mut run_color = |color: usize, store: &mut RankStore, stats: &mut RankStats| {
-        let mut task = Task::new(store, env, setup, color);
-        task.run(&mut regs, None);
-        stats.tasks_run += 1;
-        stats.counts.add(&task.counts);
-        for (per_color, buf) in bufs.iter_mut().zip(task.bufs) {
-            per_color[color] = buf;
+    let all: Vec<usize>;
+    let (interior, pairs) = match lx {
+        Some(lx) => (&lx.interior[rank][..], &lx.pairs[..]),
+        None => {
+            all = (0..setup.iter.num_subregions()).collect();
+            (&all[..], &[][..])
         }
     };
+    let n_ranks = pairs.len();
 
     // Phase 1: pack and push ghosts (owner-fresh loop-start values).
     let t = Instant::now();
-    for (dst, out) in lx.pairs[rank].iter().enumerate() {
+    for (dst, out) in pairs.get(rank).into_iter().flatten().enumerate() {
         let sets = &out.ghost;
         if dst == rank || sets.is_empty() {
             continue;
         }
         let t0 = tracer.is_some().then(Instant::now);
         let mut values = Vec::new();
-        let packed = store.pack(sets, &mut values);
+        let packed = pack(store, sets, &mut values);
         let bytes = packed as u64 * 8;
         rec(tracer, SpanKind::Pack, li, t0, elapsed(t0), bytes, dst);
         stats.bytes_sent += bytes;
-        stats.messages_sent += 1;
+        stats.messages += 1;
         let t1 = tracer.is_some().then(Instant::now);
         send_faulty(
             fault,
@@ -244,9 +225,7 @@ fn run_epoch(
 
     // Phase 2: interior compute, overlapping the ghost traffic in flight.
     let t = Instant::now();
-    for &c in &lx.interior[rank] {
-        run_color(c, store, stats);
-    }
+    colors.run(store, interior, workers, &mut regs);
     let d = t.elapsed().as_nanos() as u64;
     stats.compute_ns += d;
     // Interior/halo/merge spans are recorded unconditionally (even with no
@@ -261,23 +240,24 @@ fn run_epoch(
     // peers *it* depends on (`boundary_deps`) have installed — the rank
     // waits only for the halos a color actually reads, never for the whole
     // exchange, and never in a fixed source order a slow peer could stall.
-    let boundary = &lx.boundary[rank];
-    let deps = &lx.boundary_deps[rank];
+    let (boundary, deps) = match lx {
+        Some(lx) => (&lx.boundary[rank][..], &lx.boundary_deps[rank][..]),
+        None => (&[][..], &[][..]),
+    };
     let mut color_done = vec![false; boundary.len()];
     let mut installed = vec![false; n_ranks];
-    installed[rank] = true;
     let mut wanted: Vec<usize> =
-        (0..n_ranks).filter(|&src| src != rank && !lx.pairs[src][rank].ghost.is_empty()).collect();
+        (0..n_ranks).filter(|&src| src != rank && !pairs[src][rank].ghost.is_empty()).collect();
     let mut halo_spans = 0usize;
     loop {
         // Run every boundary color whose halos are all resident.
         let t = Instant::now();
         let mut ran = false;
         for (k, &c) in boundary.iter().enumerate() {
-            if color_done[k] || !deps[k].iter().all(|&s| installed[s]) {
+            if color_done[k] || !deps[k].iter().all(|&s| s == rank || installed[s]) {
                 continue;
             }
-            run_color(c, store, stats);
+            colors.run(store, &[c], 1, &mut regs);
             color_done[k] = true;
             ran = true;
         }
@@ -289,7 +269,7 @@ fn run_epoch(
                 tr.record(SpanKind::HaloCompute, li, t, d, 0, None);
             }
         }
-        if wanted.is_empty() {
+        if wanted.is_empty() || abort.load(Ordering::Relaxed) {
             break;
         }
         let t0 = Instant::now();
@@ -303,7 +283,7 @@ fn run_epoch(
             tr.record(SpanKind::RecvWait, li, t0, wait, bytes, Some(msg.src));
         }
         let t1 = Instant::now();
-        let rest = store.unpack(&lx.pairs[msg.src][rank].ghost, &msg.values);
+        let rest = unpack(store, &pairs[msg.src][rank].ghost, &msg.values);
         debug_assert!(rest.is_empty(), "ghost message longer than its plan sets");
         let un = t1.elapsed().as_nanos() as u64;
         stats.unpack_ns += un;
@@ -312,7 +292,6 @@ fn run_epoch(
         }
         installed[msg.src] = true;
     }
-    debug_assert!(color_done.iter().all(|&d| d), "every boundary color ran");
     // Keep the halo phase visible on every rank's timeline even when the
     // epoch had no boundary colors.
     if halo_spans == 0 {
@@ -320,23 +299,26 @@ fn run_epoch(
             tr.record(SpanKind::HaloCompute, li, Instant::now(), 0, 0, None);
         }
     }
+    let (bufs, counts) = colors.finish(store, &mut regs)?;
+    debug_assert!(color_done.iter().all(|&d| d), "every boundary color ran");
+    stats.add(&counts);
 
     // Phase 5: post traffic out — write-backs first, then the pair's
     // partial-buffer slices with presence flags.
     let t = Instant::now();
-    for (dst, out) in lx.pairs[rank].iter().enumerate() {
+    for (dst, out) in pairs.get(rank).into_iter().flatten().enumerate() {
         let post = &out.post;
         if dst == rank || post.is_empty() {
             continue;
         }
         let t0 = tracer.is_some().then(Instant::now);
         let mut values = Vec::new();
-        store.pack(&post.write_back, &mut values);
+        pack(store, &post.write_back, &mut values);
         let flags = pack_slices(post, setup, &bufs, &mut values);
         let bytes = values.len() as u64 * 8;
         rec(tracer, SpanKind::Pack, li, t0, elapsed(t0), bytes, dst);
         stats.bytes_sent += bytes;
-        stats.messages_sent += 1;
+        stats.messages += 1;
         let t1 = tracer.is_some().then(Instant::now);
         send_faulty(
             fault,
@@ -356,7 +338,7 @@ fn run_epoch(
     // into the deterministic order.
     let mut partials: Vec<Partial<'_>> = Vec::new();
     let mut post_wanted: Vec<usize> =
-        (0..n_ranks).filter(|&src| src != rank && !lx.pairs[src][rank].post.is_empty()).collect();
+        (0..n_ranks).filter(|&src| src != rank && !pairs[src][rank].post.is_empty()).collect();
     while !post_wanted.is_empty() {
         let t0 = Instant::now();
         let msg = mailbox
@@ -370,8 +352,8 @@ fn run_epoch(
             tr.record(SpanKind::RecvWait, li, t0, wait, bytes, Some(src));
         }
         let t1 = Instant::now();
-        let post = &lx.pairs[src][rank].post;
-        let vals = store.unpack(&post.write_back, &msg.values);
+        let post = &pairs[src][rank].post;
+        let vals = unpack(store, &post.write_back, &msg.values);
         unpack_slices(post, &msg.partials_present, vals, &mut partials);
         let un = t1.elapsed().as_nanos() as u64;
         stats.unpack_ns += un;
@@ -380,19 +362,32 @@ fn run_epoch(
         }
     }
 
-    // Owner merge of partial reductions: route order, ascending *global*
-    // color order, skipping colors whose buffer was never allocated — the
-    // threaded executor's merge, restricted to the elements this rank owns.
-    // The slices of the rank's own colors sit on the self pair and take the
-    // same pack/unpack path, minus the mailbox.
+    // Owner merge of partial reductions: buffer order, ascending
+    // *global* color order, skipping colors whose buffer was never
+    // allocated — restricted to the elements this rank owns. The slices
+    // of a sharded rank's own colors sit on the self pair and take the
+    // same pack/unpack path, minus the mailbox; in place, every buffer
+    // merges whole.
     let t = Instant::now();
-    let own = &lx.pairs[rank][rank].post;
-    let mut own_values = Vec::new();
-    let own_flags = pack_slices(own, setup, &bufs, &mut own_values);
-    unpack_slices(own, &own_flags, &own_values, &mut partials);
+    match pairs.get(rank) {
+        Some(own) => {
+            let own = &own[rank].post;
+            let mut own_values = Vec::new();
+            let own_flags = pack_slices(own, setup, &bufs, &mut own_values);
+            unpack_slices(own, &own_flags, &own_values, &mut partials);
+        }
+        None => {
+            for (route, per_color) in bufs.into_iter().enumerate() {
+                let sets = &setup.buffers[route].sets;
+                for (color, buf) in per_color.into_iter().enumerate() {
+                    partials.extend(buf.map(|vals| (route, color, &sets[color], vals)));
+                }
+            }
+        }
+    }
     partials.sort_by_key(|&(route, color, ..)| (route, color));
     for (route, _, set, vals) in partials {
-        let (field, op) = (lx.routes[route].field, lx.routes[route].op);
+        let (field, op) = (setup.buffers[route].field, setup.buffers[route].op);
         for (i, v) in set.iter().zip(vals) {
             let cur = store.read_f64(field, i).expect("owner merge target is resident");
             store.write_f64(field, i, op.apply(cur, v));
@@ -416,7 +411,7 @@ type Partial<'a> = (usize, usize, &'a IndexSet, Vec<f64>);
 fn pack_slices(
     post: &PostMessage,
     setup: &LoopSetup<'_>,
-    bufs: &[Vec<Option<Vec<f64>>>],
+    bufs: &[Buffers],
     values: &mut Vec<f64>,
 ) -> Vec<bool> {
     let pack = |(route, color, set): &(usize, usize, IndexSet)| {
@@ -491,7 +486,7 @@ fn send_faulty(
     dst: usize,
     msg: Msg,
     abort: &AtomicBool,
-    stats: &mut RankStats,
+    stats: &mut DistReport,
 ) -> Result<(), DistError> {
     let Some(f) = fault.filter(|f| f.drop_rate > 0.0 || f.dup_rate > 0.0) else {
         return send(senders, dst, msg, abort);
@@ -510,7 +505,7 @@ fn send_faulty(
         std::thread::sleep(Duration::from_micros(f.backoff_us(epoch, src, dst, attempt)));
     }
     if f.duplicates(epoch, src, dst, kind) {
-        stats.duplicates_sent += 1;
+        stats.duplicates += 1;
         // The real copy goes first: the receiver always waits for the
         // first arrival, so this send cannot race with its shutdown. The
         // trailing duplicate can — a receiver that already got everything

@@ -28,7 +28,7 @@
 use crate::task::Storage;
 use partir_core::exchange::{ExchangePlan, FieldSets};
 use partir_dpl::index_set::{Idx, IndexSet, Positions};
-use partir_dpl::region::{FieldData, FieldId, FieldKind, Store};
+use partir_dpl::region::{FieldData, FieldId, FieldKind, Schema, Store};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -73,7 +73,7 @@ pub struct RankStore {
 impl RankStore {
     /// Shards `store` for `rank` per the exchange plan's local footprints,
     /// copying each footprint run with one `extend_from_slice`. The fields
-    /// of one region share one [`LocalMap`].
+    /// of one region share one `LocalMap`.
     pub fn shard(store: &Store, xplan: &ExchangePlan, rank: usize) -> Self {
         let schema = store.schema();
         let mut maps: Vec<Option<LocalMap>> = vec![None; schema.num_regions()];
@@ -101,42 +101,6 @@ impl RankStore {
         RankStore { fields }
     }
 
-    /// Packs the values of `sets` (plan order: ascending field, ascending
-    /// element) into `out`, returning how many elements were packed — one
-    /// contiguous copy per run. Every run must be locally resident: the
-    /// exchange plan only asks a rank to pack what it holds.
-    pub fn pack(&self, sets: &FieldSets, out: &mut Vec<f64>) -> usize {
-        let before = out.len();
-        for (f, set) in sets {
-            let RankField::F64 { local, data } = &self.fields[f.0 as usize] else {
-                panic!("exchange set over non-f64 field {f:?}");
-            };
-            for &(s, e) in set.runs() {
-                let p = local.pos(s).expect("packed run is locally resident") as usize;
-                out.extend_from_slice(&data[p..p + (e - s) as usize]);
-            }
-        }
-        out.len() - before
-    }
-
-    /// Installs packed `values` into the elements of `sets` — one
-    /// contiguous copy per run — consuming the prefix and returning the
-    /// rest (messages concatenate several set lists).
-    pub fn unpack<'v>(&mut self, sets: &FieldSets, mut values: &'v [f64]) -> &'v [f64] {
-        for (f, set) in sets {
-            let RankField::F64 { local, data } = &mut self.fields[f.0 as usize] else {
-                panic!("exchange set over non-f64 field {f:?}");
-            };
-            for &(s, e) in set.runs() {
-                let n = (e - s) as usize;
-                let p = local.pos(s).expect("unpacked run is locally resident") as usize;
-                data[p..p + n].copy_from_slice(&values[..n]);
-                values = &values[n..];
-            }
-        }
-        values
-    }
-
     /// Writes the rank's owned elements of every f64 field into the global
     /// store (main thread, after the SPMD scope ends) — one contiguous copy
     /// per owned run, straight from the shard.
@@ -151,35 +115,6 @@ impl RankStore {
                 fs[s as usize..e as usize].copy_from_slice(&data[p..p + (e - s) as usize]);
             }
         }
-    }
-
-    /// A copy of the rank's owned f64 shards, for a checkpoint:
-    /// `(field, values over xplan.owned(region, rank))`.
-    pub fn extract_owned(
-        &self,
-        xplan: &ExchangePlan,
-        rank: usize,
-        store_schema: &partir_dpl::region::Schema,
-    ) -> Vec<(FieldId, Vec<f64>)> {
-        (0..store_schema.num_fields())
-            .filter_map(|fi| {
-                let f = FieldId(fi as u32);
-                let decl = store_schema.field(f);
-                if !matches!(decl.kind, FieldKind::F64) {
-                    return None;
-                }
-                let owned = xplan.owned(decl.region, rank);
-                let RankField::F64 { local, data } = &self.fields[f.0 as usize] else {
-                    unreachable!();
-                };
-                let mut vals = Vec::with_capacity(owned.len() as usize);
-                for &(s, e) in owned.runs() {
-                    let p = local.pos(s).expect("owned ⊆ local") as usize;
-                    vals.extend_from_slice(&data[p..p + (e - s) as usize]);
-                }
-                Some((f, vals))
-            })
-            .collect()
     }
 
     /// Installs a checkpointed shard into the global store — one
@@ -202,6 +137,63 @@ impl RankStore {
             }
         }
     }
+}
+
+/// Packs the values of `sets` (plan order: ascending field, ascending
+/// element) into `out`, returning how many elements were packed — one
+/// contiguous copy per run. Every run must be resident: the exchange plan
+/// only asks a rank to pack what it holds.
+pub(crate) fn pack(store: &impl Storage, sets: &FieldSets, out: &mut Vec<f64>) -> usize {
+    let before = out.len();
+    for (f, set) in sets {
+        pack_set(store, *f, set, out);
+    }
+    out.len() - before
+}
+
+fn pack_set(store: &impl Storage, f: FieldId, set: &IndexSet, out: &mut Vec<f64>) {
+    for &(s, e) in set.runs() {
+        let at = out.len();
+        out.resize(at + (e - s) as usize, 0.0);
+        assert!(store.load_run(f, s, &mut out[at..]), "packed run is resident");
+    }
+}
+
+/// Installs packed `values` into the elements of `sets` — one contiguous
+/// copy per run — consuming the prefix and returning the rest (messages
+/// concatenate several set lists).
+pub(crate) fn unpack<'v>(
+    store: &mut impl Storage,
+    sets: &FieldSets,
+    mut values: &'v [f64],
+) -> &'v [f64] {
+    for (f, set) in sets {
+        for &(s, e) in set.runs() {
+            let (run, rest) = values.split_at((e - s) as usize);
+            assert!(store.store_run(*f, s, run), "unpacked run is resident");
+            values = rest;
+        }
+    }
+    values
+}
+
+/// A copy of a rank's owned f64 shards, for a checkpoint: `(field, values
+/// over xplan.owned(region, rank))`.
+pub(crate) fn extract_owned(
+    store: &impl Storage,
+    xplan: &ExchangePlan,
+    rank: usize,
+    schema: &Schema,
+) -> Vec<(FieldId, Vec<f64>)> {
+    let f64_fields = (0..schema.num_fields() as u32).map(FieldId);
+    let f64_fields = f64_fields.filter(|&f| matches!(schema.field(f).kind, FieldKind::F64));
+    f64_fields
+        .map(|f| {
+            let mut vals = Vec::new();
+            pack_set(store, f, xplan.owned(schema.field(f).region, rank), &mut vals);
+            (f, vals)
+        })
+        .collect()
 }
 
 /// Global-index element access: an element outside `owned ∪ ghosts` is
@@ -579,10 +571,10 @@ mod tests {
         // A transfer set spanning parts of both runs of the footprint.
         let sets: FieldSets = vec![(f, IndexSet::from_indices([1, 2, 8, 9]))];
         let mut out = Vec::new();
-        assert_eq!(rs.pack(&sets, &mut out), 4);
+        assert_eq!(pack(&rs, &sets, &mut out), 4);
         assert_eq!(out, vec![1.0, 2.0, 8.0, 9.0]);
 
-        let rest = rs.unpack(&sets, &[10.0, 20.0, 80.0, 90.0, 7.5]);
+        let rest = unpack(&mut rs, &sets, &[10.0, 20.0, 80.0, 90.0, 7.5]);
         assert_eq!(rest, &[7.5], "unpack consumes exactly the set elements");
         assert_eq!(rs.read_f64(f, 1), Some(10.0));
         assert_eq!(rs.read_f64(f, 2), Some(20.0));

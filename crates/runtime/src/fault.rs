@@ -1,23 +1,24 @@
 //! Deterministic fault injection, recovery and checkpoint policy — the one
-//! fault plane both executors take.
+//! fault plane of the driver.
 //!
 //! Long-running distributed executions lose nodes; the paper's target
 //! (Legion on a production cluster) treats task failure as routine. A
 //! seeded [`FaultPlan`] decides — as a pure hash of the coordinates of the
 //! thing it attacks — what fails, so every failure schedule replays
 //! bit-identically from its seed regardless of thread interleaving. One
-//! plan names three kinds of fault; each backend injects the kinds it can
-//! (`partir::Run` rejects a plan that requests one its backend cannot):
+//! plan names three kinds of fault. Task attempts fail on every rank;
+//! the fabric and whole ranks only where there are peers (sharded ranks —
+//! `partir::Run` rejects them on the threads backend, one rank in place):
 //!
-//! * **task attempts** (threads backend, `(seed, loop, color, attempt)`):
-//!   a *clean kill* stops the task mid-loop after a deterministic number
-//!   of iterations, leaving partial effects behind (the executor rolls
-//!   them back from a pre-attempt snapshot); a *poison* additionally
-//!   panics inside the task body, exercising the `catch_unwind` isolation
-//!   barrier. Recovery is bounded per-task retries with linear backoff
-//!   ([`RetryPolicy`]), then sequential re-execution of the failed
-//!   subregion on the main thread; `ExecReport::degraded` records that the
-//!   slow path ran.
+//! * **task attempts** (`(seed, loop, color, attempt)`): a *clean kill*
+//!   stops the task mid-loop after a deterministic number of iterations,
+//!   leaving partial effects behind (the driver rolls them back from a
+//!   pre-attempt snapshot); a *poison* additionally panics inside the task
+//!   body, exercising the `catch_unwind` isolation barrier. Recovery is
+//!   bounded per-task retries with linear backoff ([`RetryPolicy`]), then
+//!   sequential re-execution of the failed subregion on its rank's thread;
+//!   `DistReport::degraded` records that the slow path ran. This is the
+//!   recovery level below a rank crash.
 //! * **the fabric** (rank backend, `(seed, epoch, src, dst, kind,
 //!   attempt)`): seeded message drops force the bounded retransmit path
 //!   ([`MAX_SEND_ATTEMPTS`]), seeded duplication forces receiver-side
@@ -93,14 +94,13 @@ impl FaultPlan {
         }
     }
 
-    /// Does this plan kill task attempts (injectable on the threads
-    /// backend only)?
+    /// Does this plan kill task attempts?
     pub fn attacks_tasks(&self) -> bool {
         self.task_failure_rate > 0.0
     }
 
     /// Does this plan drop or duplicate messages or crash a rank
-    /// (injectable on the rank backend only)?
+    /// (injectable on sharded ranks only)?
     pub fn attacks_ranks(&self) -> bool {
         self.drop_rate > 0.0 || self.dup_rate > 0.0 || self.crash.is_some()
     }
@@ -182,16 +182,16 @@ pub struct InjectedFault {
 /// injected failure (retryable) from a genuine bug (fatal).
 pub struct InjectedPanic;
 
-/// How the executor responds to failed task attempts.
+/// How the driver responds to failed task attempts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Re-attempts per task after the first try.
     pub max_retries: u32,
     /// Base backoff between attempts; attempt `k` sleeps `k * backoff`.
     pub backoff: Duration,
-    /// Re-execute tasks that exhaust their retries sequentially on the
-    /// main thread (the graceful-degradation path). With this off,
-    /// exhaustion is an [`crate::exec::ExecError::TaskFailed`] error.
+    /// Re-execute tasks that exhaust their retries sequentially on their
+    /// rank's thread (the graceful-degradation path). With this off,
+    /// exhaustion is a [`crate::dist::DistError::TaskFailed`] error.
     pub sequential_recovery: bool,
 }
 

@@ -279,8 +279,8 @@ pub(crate) struct OutOfScope;
 /// the end of the block (loop body, `ForEach` body) that assigns it.
 /// `LoopBuilder` hands out a `ForEach` body's variables for use after
 /// `end_for_each`; the parallelizability analysis refuses such a body, so
-/// no solve plans one, but `execute_program` / `execute_ranks` take any
-/// program with any plan, so a read outside is found here too.
+/// no solve plans one, but `execute_ranks` takes any program with any
+/// plan, so a read outside is found here too.
 /// The interpreter would read what its frame still holds from
 /// the last element or, past an empty range, from the previous iteration,
 /// which a partitioned run cannot reproduce.

@@ -1,10 +1,10 @@
-//! The compute core both executors share.
+//! The compute core every rank runs.
 //!
 //! The paper's Section 5 runtime mechanisms live here once: plan/partition
 //! validation ([`PlanError`]), per-loop resolution (`LoopSetup`: the loop
 //! body lowered to a flat register program by the `lower` module, access
 //! modes, reduction buffer sets, write ownership — resolved once per run
-//! by the driver and shared by reference with every worker and rank), and
+//! by the driver and shared by reference with every rank and worker), and
 //! the executor (`Task`) that runs one color of one loop over that program
 //! chunk-at-a-time:
 //!
@@ -12,7 +12,7 @@
 //!   task's subregion of the corresponding access partition, and an
 //!   element the storage does not hold is a violation too;
 //! * **two-step uncentered reductions** (Section 2) — `Buffered`
-//!   reductions accumulate into task-local buffers the backend merges in
+//!   reductions accumulate into task-local buffers the driver merges in
 //!   ascending color order after the parallel phase;
 //! * **guards** (Section 5.1) — in relaxed loops a reduction applies only
 //!   when its target lies in the task's subregion of the (disjoint)
@@ -23,9 +23,8 @@
 //!   reductions write directly inside the private sub-partition and buffer
 //!   only the shared remainder.
 //!
-//! The backends differ only in the `Storage` a task runs against (the
-//! threads' shared store, a rank's shard) and in what they do between
-//! tasks (merge buffers, exchange halos).
+//! Ranks differ only in the `Storage` a task runs against (the caller's
+//! store in place, a shard) and in what they exchange between tasks.
 //!
 //! The executor shares no code with the sequential interpreter in
 //! `partir-ir`, which stays a plain tree walk: that makes the interpreter
@@ -33,6 +32,7 @@
 //! differential suites (`tests/prop_lowered.rs`, `tests/prop_backends.rs`,
 //! the app equivalence tests), not by construction.
 
+use crate::dist::DistReport;
 use crate::fault::InjectedPanic;
 use crate::lower::{lower_loop, Expand, ForEach, IdxStep, Lowered, Op, OutOfScope, ReduceSite};
 use crate::lower::{IReg, VReg, LOOP_VAR};
@@ -56,7 +56,7 @@ pub const CHUNK: usize = 256;
 
 /// A plan or partition set that cannot drive the program it was handed
 /// with, or a loop body no partitioned run can execute faithfully. Found
-/// before any task runs, on either backend.
+/// before any task runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PlanError {
     /// The plan does not describe this program (loop counts differ).
@@ -122,7 +122,7 @@ impl std::error::Error for PlanError {}
 /// subregion or outside what the task's storage holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LegalityViolation {
-    /// The rank that ran the task; `None` on the threads backend.
+    /// The rank that ran the task; `None` in place (the threads backend).
     pub rank: Option<usize>,
     /// Loop index in execution order.
     pub loop_id: usize,
@@ -389,39 +389,18 @@ pub(crate) fn plan_loops<'a>(
     Ok(setups)
 }
 
-/// What is the same for every task a worker or rank runs.
+/// What is the same for every task a rank runs.
 #[derive(Clone, Copy)]
 pub(crate) struct TaskEnv<'a> {
     /// Check every access against its partition subregion.
     pub check: bool,
-    /// The rank running the tasks; `None` on the threads backend.
+    /// The rank running the tasks; `None` in place.
     pub rank: Option<usize>,
     /// Raised with the first violation so the other workers stop.
     pub abort: &'a AtomicBool,
     /// First legality violation observed (recorded before the panic that
     /// aborts the task, so the driver can report a structured error).
     pub violation: &'a Mutex<Option<LegalityViolation>>,
-}
-
-/// Per-task counters, plain integers merged by the backend once per task.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct TaskCounts {
-    pub legality_checks: u64,
-    pub guard_hits: u64,
-    pub guard_skips: u64,
-    pub write_skips: u64,
-    /// Bytes of the partial buffers this task allocated.
-    pub buffer_bytes: u64,
-}
-
-impl TaskCounts {
-    pub fn add(&mut self, o: &TaskCounts) {
-        self.legality_checks += o.legality_checks;
-        self.guard_hits += o.guard_hits;
-        self.guard_skips += o.guard_skips;
-        self.write_skips += o.write_skips;
-        self.buffer_bytes += o.buffer_bytes;
-    }
 }
 
 /// What an index register holds in the current chunk.
@@ -437,8 +416,8 @@ enum IdxForm {
 }
 
 /// The register file a loop's tasks run in: one buffer of `lanes` entries
-/// per register of the loop's [`Lowered`] program. A worker thread or rank
-/// allocates it once per loop and reuses it for every task and chunk.
+/// per register of the loop's [`Lowered`] program. A worker allocates it
+/// once per loop and reuses it for every task and chunk.
 pub(crate) struct Regs {
     lanes: usize,
     vals: Vec<Vec<f64>>,
@@ -603,7 +582,8 @@ pub(crate) struct Task<'a, S> {
     /// The task's partial reduction buffers, one slot per
     /// [`LoopSetup::buffers`] entry, identity-filled on first use.
     pub bufs: Vec<Option<Vec<f64>>>,
-    pub counts: TaskCounts,
+    /// What the task counted: legality checks, guards, write skips.
+    pub counts: DistReport,
 }
 
 impl<'a, S: Storage> Task<'a, S> {
@@ -615,7 +595,7 @@ impl<'a, S: Storage> Task<'a, S> {
             color,
             write_own: setup.write_own.as_deref().map(|own| &own[color]),
             bufs: vec![None; setup.buffers.len()],
-            counts: TaskCounts::default(),
+            counts: DistReport::default(),
         }
     }
 
@@ -921,10 +901,8 @@ impl<'a, S: Storage> Task<'a, S> {
         let spec = &self.setup.buffers[buf];
         let Some(slot) = spec.slot(self.color, i) else { self.fail(site.access, i) };
         let set = &spec.sets[self.color];
-        let values = self.bufs[buf].get_or_insert_with(|| {
-            self.counts.buffer_bytes += set.len() * 8;
-            vec![site.op.identity(); set.len() as usize]
-        });
+        let values =
+            self.bufs[buf].get_or_insert_with(|| vec![site.op.identity(); set.len() as usize]);
         values[slot] = site.op.apply(values[slot], v);
     }
 

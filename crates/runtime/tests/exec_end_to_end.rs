@@ -8,7 +8,7 @@ use partir_dpl::func::{FnDef, FnTable, IndexFn};
 use partir_dpl::region::{FieldKind, RegionId, Schema, Store};
 use partir_ir::ast::{Loop, LoopBuilder, ReduceOp, VExpr};
 use partir_ir::interp::run_program_seq;
-use partir_runtime::exec::{execute_program, ExecOptions};
+use partir_runtime::dist::{execute_ranks, DistError, DistOptions, DistReport, Layout};
 use rand::{Rng, SeedableRng};
 
 /// Runs both executions and compares every f64 field.
@@ -19,7 +19,7 @@ fn check_parallel_matches_seq(
     n_colors: usize,
     hints: &Hints,
     exts: &ExtBindings,
-) -> partir_runtime::exec::ExecReport {
+) -> DistReport {
     let schema = store.schema().clone();
     let plan = auto_parallelize(program, fns, &schema, hints, Options::default())
         .expect("auto-parallelization succeeds");
@@ -29,15 +29,11 @@ fn check_parallel_matches_seq(
     run_program_seq(program, &mut seq_store, fns);
 
     let mut par_store = store.clone();
-    let report = execute_program(
-        program,
-        &plan,
-        &parts,
-        &mut par_store,
-        fns,
-        &ExecOptions { n_threads: 4, check_legality: true, ..ExecOptions::default() },
-    )
-    .expect("parallel execution succeeds");
+    let threads = Layout::InPlace { workers: 4 };
+    let opts = DistOptions::default();
+    let report = execute_ranks(program, &plan, &parts, threads, &mut par_store, fns, &opts)
+        .expect("parallel execution succeeds")
+        .report;
 
     for f in 0..schema.num_fields() {
         let fid = partir_dpl::region::FieldId(f as u32);
@@ -339,15 +335,10 @@ fn legality_violation_detected() {
         RegionId(1),
         vec![partir_dpl::index_set::IndexSet::new(); 2],
     ));
-    let err = execute_program(
-        &program,
-        &plan,
-        &parts,
-        &mut store,
-        &fns,
-        &ExecOptions { n_threads: 2, check_legality: true, ..ExecOptions::default() },
-    )
-    .unwrap_err();
+    let threads = Layout::InPlace { workers: 2 };
+    let err =
+        execute_ranks(&program, &plan, &parts, threads, &mut store, &fns, &DistOptions::default())
+            .unwrap_err();
     let msg = format!("{err}");
     assert!(
         msg.contains("legality") || msg.contains("not disjoint") || msg.contains("rank"),
@@ -356,7 +347,7 @@ fn legality_violation_detected() {
     // The violation is structured, not just a message: it names the loop,
     // the task, and the region whose subregion was escaped.
     match err {
-        partir_runtime::exec::ExecError::Legality(v) => {
+        DistError::Legality(v) => {
             assert_eq!(v.loop_id, 0);
             assert!(v.task < 2, "task {} out of range", v.task);
             assert_eq!(v.region, RegionId(1), "violation targets the S region");

@@ -1,15 +1,17 @@
-//! Fault-injection executor tests: under any deterministic fault schedule
-//! the executor must produce final stores bit-identical to the sequential
-//! interpreter — via retries, panic isolation, or sequential recovery —
-//! and identical `FaultPlan` seeds must replay identical schedules.
+//! Task-fault tests: under any deterministic fault schedule a run must
+//! produce final stores bit-identical to the sequential interpreter — via
+//! retries, panic isolation, or sequential recovery — and identical
+//! `FaultPlan` seeds must replay identical schedules, in place on threads
+//! and on sharded ranks alike.
 
 use partir_core::eval::ExtBindings;
 use partir_core::pipeline::{auto_parallelize, Hints, Options};
+use partir_core::placement::{place, PlacementConfig};
 use partir_dpl::func::{FnDef, FnTable, IndexFn};
-use partir_dpl::region::{FieldKind, RegionId, Schema, Store};
+use partir_dpl::region::{FieldId, FieldKind, RegionId, Schema, Store};
 use partir_ir::ast::{Loop, LoopBuilder, ReduceOp, VExpr};
 use partir_ir::interp::run_program_seq;
-use partir_runtime::exec::{execute_program, ExecError, ExecOptions, ExecReport};
+use partir_runtime::dist::{execute_ranks, DistError, DistOptions, DistReport, Layout};
 use partir_runtime::fault::{FaultPlan, InjectedPanic, RetryPolicy};
 use rand::{Rng, SeedableRng};
 
@@ -80,15 +82,17 @@ fn figure1_fixture() -> (Vec<Loop>, FnTable, Store) {
     (vec![l1, l2], fns, store)
 }
 
-/// Runs the program under `opts`, asserting every f64 field matches the
-/// sequential interpreter bit-for-bit; returns the report and the store.
-fn run_and_compare(
+/// Runs the program under `opts` on four threads, or on `ranks` ranks,
+/// asserting every f64 field matches the sequential interpreter
+/// bit-for-bit; returns the report and the store.
+fn run_on(
+    ranks: Option<usize>,
     program: &[Loop],
     fns: &FnTable,
     store: &Store,
     n_colors: usize,
-    opts: &ExecOptions,
-) -> (ExecReport, Store) {
+    opts: &DistOptions,
+) -> (DistReport, Store) {
     let schema = store.schema().clone();
     let plan = auto_parallelize(program, fns, &schema, &Hints::new(), Options::default())
         .expect("auto-parallelization succeeds");
@@ -98,8 +102,14 @@ fn run_and_compare(
     run_program_seq(program, &mut seq_store, fns);
 
     let mut par_store = store.clone();
-    let report = execute_program(program, &plan, &parts, &mut par_store, fns, opts)
-        .expect("faulty execution still completes");
+    let placed = ranks.map(|r| place(&plan, &parts, &schema, r, &PlacementConfig::default()));
+    let layout = match &placed {
+        Some(p) => Layout::Sharded(&p.as_ref().expect("placement").xplan),
+        None => Layout::InPlace { workers: 4 },
+    };
+    let report = execute_ranks(program, &plan, &parts, layout, &mut par_store, fns, opts)
+        .expect("faulty execution still completes")
+        .report;
 
     for f in 0..schema.num_fields() {
         let fid = partir_dpl::region::FieldId(f as u32);
@@ -113,12 +123,30 @@ fn run_and_compare(
     (report, par_store)
 }
 
+fn run_and_compare(
+    program: &[Loop],
+    fns: &FnTable,
+    store: &Store,
+    n_colors: usize,
+    opts: &DistOptions,
+) -> (DistReport, Store) {
+    run_on(None, program, fns, store, n_colors, opts)
+}
+
+/// Every count of a report; the timings are the only fields replays may
+/// not reproduce.
+fn counts(r: &DistReport) -> String {
+    let mut r = *r;
+    (r.pack_ns, r.exchange_wait_ns, r.unpack_ns, r.compute_ns, r.merge_ns) = (0, 0, 0, 0, 0);
+    r.to_json().to_string()
+}
+
 #[test]
 fn clean_kills_retry_and_match_sequential() {
     let (program, fns, store) = figure1_fixture();
-    let opts = ExecOptions {
+    let opts = DistOptions {
         fault: Some(FaultPlan { task_failure_rate: 0.6, ..FaultPlan::quiescent(11) }),
-        ..ExecOptions::default()
+        ..DistOptions::default()
     };
     let (report, _) = run_and_compare(&program, &fns, &store, 8, &opts);
     assert!(report.faults_injected > 0, "rate 0.6 over 16 tasks must fire");
@@ -129,20 +157,20 @@ fn clean_kills_retry_and_match_sequential() {
 #[test]
 fn identical_seeds_replay_identically() {
     let (program, fns, store) = figure1_fixture();
-    let opts = ExecOptions {
+    let opts = DistOptions {
         fault: Some(FaultPlan {
             task_failure_rate: 0.5,
             poison_after: Some(8),
             ..FaultPlan::quiescent(7)
         }),
-        ..ExecOptions::default()
+        ..DistOptions::default()
     };
     quiet_injected_panics();
     let (r1, s1) = run_and_compare(&program, &fns, &store, 8, &opts);
     let (r2, s2) = run_and_compare(&program, &fns, &store, 8, &opts);
     // Same seed ⇒ same injected-fault schedule, same retry counts, same
     // recovery set — the whole report replays, not just the result.
-    assert_eq!(format!("{}", r1.to_json()), format!("{}", r2.to_json()));
+    assert_eq!(counts(&r1), counts(&r2));
     assert!(r1.faults_injected > 0);
     for f in 0..store.schema().num_fields() {
         let fid = partir_dpl::region::FieldId(f as u32);
@@ -153,7 +181,7 @@ fn identical_seeds_replay_identically() {
     }
 
     // A different seed yields a different schedule (same final stores).
-    let other = ExecOptions { fault: Some(FaultPlan { seed: 8, ..opts.fault.unwrap() }), ..opts };
+    let other = DistOptions { fault: Some(FaultPlan { seed: 8, ..opts.fault.unwrap() }), ..opts };
     let (r3, _) = run_and_compare(&program, &fns, &store, 8, &other);
     assert_ne!(
         (r1.faults_injected, r1.task_retries, r1.tasks_recovered),
@@ -165,15 +193,15 @@ fn identical_seeds_replay_identically() {
 #[test]
 fn rate_one_exhausts_retries_and_recovers_sequentially() {
     let (program, fns, store) = figure1_fixture();
-    let opts = ExecOptions {
+    let opts = DistOptions {
         fault: Some(FaultPlan { task_failure_rate: 1.0, ..FaultPlan::quiescent(3) }),
         retry: RetryPolicy { max_retries: 1, ..RetryPolicy::default() },
-        ..ExecOptions::default()
+        ..DistOptions::default()
     };
     let (report, _) = run_and_compare(&program, &fns, &store, 6, &opts);
     // Every attempt of every task dies, so every task falls through to the
     // sequential-recovery path; results are still bit-identical.
-    assert!(report.degraded);
+    assert!(report.degraded());
     assert_eq!(report.tasks_recovered, report.tasks_run);
     assert_eq!(report.task_retries, report.tasks_run);
     assert_eq!(report.faults_injected, report.tasks_run * 2);
@@ -183,13 +211,13 @@ fn rate_one_exhausts_retries_and_recovers_sequentially() {
 fn poison_panics_are_isolated_and_recovered() {
     quiet_injected_panics();
     let (program, fns, store) = figure1_fixture();
-    let opts = ExecOptions {
+    let opts = DistOptions {
         fault: Some(FaultPlan {
             task_failure_rate: 0.5,
             poison_after: Some(0),
             ..FaultPlan::quiescent(21)
         }),
-        ..ExecOptions::default()
+        ..DistOptions::default()
     };
     let (report, _) = run_and_compare(&program, &fns, &store, 8, &opts);
     assert!(report.faults_injected > 0);
@@ -207,14 +235,16 @@ fn exhaustion_without_recovery_is_a_typed_error() {
         auto_parallelize(&program, &fns, &schema, &Hints::new(), Options::default()).unwrap();
     let parts = plan.evaluate(&store, &fns, 4, &ExtBindings::new());
     let mut par_store = store.clone();
-    let opts = ExecOptions {
+    let opts = DistOptions {
         fault: Some(FaultPlan { task_failure_rate: 1.0, ..FaultPlan::quiescent(5) }),
         retry: RetryPolicy { sequential_recovery: false, ..RetryPolicy::default() },
-        ..ExecOptions::default()
+        ..DistOptions::default()
     };
-    let err = execute_program(&program, &plan, &parts, &mut par_store, &fns, &opts).unwrap_err();
+    let threads = Layout::InPlace { workers: 4 };
+    let err =
+        execute_ranks(&program, &plan, &parts, threads, &mut par_store, &fns, &opts).unwrap_err();
     match err {
-        ExecError::TaskFailed { loop_index, attempts, .. } => {
+        DistError::TaskFailed { loop_index, attempts, .. } => {
             assert_eq!(loop_index, 0);
             assert_eq!(attempts, RetryPolicy::default().max_retries + 1);
         }
@@ -250,11 +280,42 @@ fn legality_violation_is_not_masked_by_faults() {
         RegionId(1),
         vec![partir_dpl::index_set::IndexSet::new(); 2],
     ));
-    let opts = ExecOptions {
-        n_threads: 2,
+    let opts = DistOptions {
         fault: Some(FaultPlan { task_failure_rate: 0.8, ..FaultPlan::quiescent(9) }),
-        ..ExecOptions::default()
+        ..DistOptions::default()
     };
-    let err = execute_program(&program, &plan, &parts, &mut store, &fns, &opts).unwrap_err();
-    assert!(matches!(err, ExecError::Legality(_)), "expected a legality violation, got {err}");
+    let threads = Layout::InPlace { workers: 2 };
+    let err = execute_ranks(&program, &plan, &parts, threads, &mut store, &fns, &opts).unwrap_err();
+    assert!(matches!(err, DistError::Legality(_)), "expected a legality violation, got {err}");
+}
+
+/// Task faults are the recovery level below a rank crash, on every rank:
+/// two sharded ranks under clean kills and under poison end bit-identical
+/// to the interpreter, replay their counts exactly, and inject the same
+/// schedule as four threads in place (it is a function of loop, color and
+/// attempt alone).
+#[test]
+fn ranks_retry_killed_and_poisoned_tasks_bit_identically() {
+    quiet_injected_panics();
+    let (program, fns, store) = figure1_fixture();
+    for poison_after in [None, Some(0)] {
+        let opts = DistOptions {
+            fault: Some(FaultPlan {
+                task_failure_rate: 0.5,
+                poison_after,
+                ..FaultPlan::quiescent(13)
+            }),
+            ..DistOptions::default()
+        };
+        let (r1, s1) = run_on(Some(2), &program, &fns, &store, 8, &opts);
+        let (r2, s2) = run_on(Some(2), &program, &fns, &store, 8, &opts);
+        assert!(r1.faults_injected > 0 && r1.task_retries > 0, "{poison_after:?}");
+        let poisons = if poison_after.is_some() { r1.faults_injected } else { 0 };
+        assert_eq!(r1.panics_isolated, poisons, "{poison_after:?}");
+        assert_eq!(counts(&r1), counts(&r2), "{poison_after:?}: replay diverged");
+        assert_eq!(s1.field_data(FieldId(1)), s2.field_data(FieldId(1)));
+        let (threads, _) = run_and_compare(&program, &fns, &store, 8, &opts);
+        let schedule = |r: &DistReport| (r.faults_injected, r.task_retries, r.tasks_recovered);
+        assert_eq!(schedule(&r1), schedule(&threads), "{poison_after:?}");
+    }
 }

@@ -14,8 +14,7 @@ use partir_dpl::func::{FnDef, FnTable, IndexFn};
 use partir_dpl::region::{FieldData, FieldId, FieldKind, RegionId, Schema, Store};
 use partir_ir::ast::{BinOp, Loop, LoopBuilder, ReduceOp, UnOp, VExpr};
 use partir_ir::interp::run_program_seq;
-use partir_runtime::dist::{execute_ranks, DistError, DistOptions, LegalityMode};
-use partir_runtime::exec::{execute_program, ExecError, ExecOptions};
+use partir_runtime::dist::{execute_ranks, DistError, DistOptions, Layout, LegalityMode};
 use partir_runtime::task::{PlanError, CHUNK};
 
 mod shapes;
@@ -24,7 +23,7 @@ use shapes::{fill, nested_for_each};
 /// Several chunks and a ragged tail per color.
 const N: u64 = 2 * CHUNK as u64 + 37;
 
-type Failure = (Result<(), ExecError>, Result<(), DistError>);
+type Failure = (Result<(), DistError>, Result<(), DistError>);
 
 /// Runs `program` sequentially, on 2 threads and on 2 ranks (3 colors),
 /// checked and unchecked. Returns the first failure of each backend, after
@@ -48,20 +47,19 @@ fn run_everywhere(program: &[Loop], fns: &FnTable, store: &Store) -> Failure {
         }
     };
     let (mut exec_result, mut dist_result) = (Ok(()), Ok(()));
-    for check in [true, false] {
-        let mut par = store.clone();
-        let opts = ExecOptions { n_threads: 2, check_legality: check, ..ExecOptions::default() };
-        match execute_program(program, &plan, &parts, &mut par, fns, &opts) {
-            Ok(_) => same(&par, "threads"),
-            Err(e) => exec_result = Err(e),
-        }
-        let xplan = place(&plan, &parts, &schema, 2, &PlacementConfig::default()).unwrap().xplan;
-        let mut par = store.clone();
-        let legality = if check { LegalityMode::Element } else { LegalityMode::Off };
+    let xplan = place(&plan, &parts, &schema, 2, &PlacementConfig::default()).unwrap().xplan;
+    for legality in [LegalityMode::Element, LegalityMode::Off] {
         let opts = DistOptions { legality, ..DistOptions::default() };
-        match execute_ranks(program, &plan, &parts, &xplan, &mut par, fns, &opts) {
-            Ok(_) => same(&par, "ranks"),
-            Err(e) => dist_result = Err(e),
+        let backends = [
+            (Layout::InPlace { workers: 2 }, "threads", &mut exec_result),
+            (Layout::Sharded(&xplan), "ranks", &mut dist_result),
+        ];
+        for (layout, label, result) in backends {
+            let mut par = store.clone();
+            match execute_ranks(program, &plan, &parts, layout, &mut par, fns, &opts) {
+                Ok(_) => same(&par, label),
+                Err(e) => *result = Err(e),
+            }
         }
     }
     assert_eq!(seq_ok, exec_result.is_ok(), "the interpreter and the threads disagree on failing");
@@ -201,12 +199,13 @@ fn a_recurrence_through_a_for_each_runs_in_iteration_order() {
 fn codes((exec, dist): Failure) -> (String, String) {
     let exec = exec.expect_err("threads must fail");
     let dist = dist.expect_err("ranks must fail");
+    assert!(matches!(exec, DistError::RankPanic { rank: 0, .. }), "got {exec}");
     assert!(matches!(dist, DistError::RankPanic { .. }), "got {dist}");
     (exec.to_string(), dist.to_string())
 }
 
-/// An `Affine` image outside its target region is a task panic on the
-/// threads and a rank panic on the ranks, with the message it always had —
+/// An `Affine` image outside its target region is a rank panic on either
+/// backend (rank 0 on the threads), with the message it always had —
 /// whether the run is evaluated as a whole (unit stride), lane by lane, or
 /// through the checked arithmetic at the `i64` edge.
 #[test]
@@ -221,7 +220,7 @@ fn an_index_function_leaving_its_target_fails_as_before() {
         let v = b.val_read(r, f[0], j);
         b.val_write(r, f[1], i, VExpr::var(v));
         let (exec, dist) = codes(run_everywhere(&[b.finish()], &fns, &store));
-        assert_eq!(exec, "task panicked: affine out of range", "({mul}, {add})");
+        assert_eq!(exec, "rank 0 panicked: affine out of range", "({mul}, {add})");
         assert!(dist.contains("affine out of range"), "({mul}, {add}): {dist}");
     }
 }
@@ -284,28 +283,15 @@ fn a_for_each_variable_read_after_the_block_is_refused_up_front() {
         let parts = plan.evaluate(&store, &fns, 3, &ExtBindings::new());
         let want = PlanError::VariableOutOfScope { loop_index: 1 };
 
-        let mut par = store.clone();
-        let opts = ExecOptions { n_threads: 2, ..ExecOptions::default() };
-        match execute_program(&program, &plan, &parts, &mut par, &fns, &opts) {
-            Err(ExecError::Plan(e)) => assert_eq!(e, want),
-            other => panic!("threads: {:?}", other.map(|_| ())),
-        }
-        assert_eq!(par.field_data(cw), store.field_data(cw), "threads ran loop 0");
-
         let xplan = place(&plan, &parts, &schema, 2, &PlacementConfig::default()).unwrap().xplan;
-        let mut par = store.clone();
-        match execute_ranks(
-            &program,
-            &plan,
-            &parts,
-            &xplan,
-            &mut par,
-            &fns,
-            &DistOptions::default(),
-        ) {
-            Err(DistError::Plan(e)) => assert_eq!(e, want),
-            other => panic!("ranks: {:?}", other.map(|_| ())),
+        for layout in [Layout::InPlace { workers: 2 }, Layout::Sharded(&xplan)] {
+            let mut par = store.clone();
+            let opts = DistOptions::default();
+            match execute_ranks(&program, &plan, &parts, layout, &mut par, &fns, &opts) {
+                Err(DistError::Plan(e)) => assert_eq!(e, want),
+                other => panic!("{layout:?}: {:?}", other.map(|_| ())),
+            }
+            assert_eq!(par.field_data(cw), store.field_data(cw), "{layout:?} ran loop 0");
         }
-        assert_eq!(par.field_data(cw), store.field_data(cw), "ranks ran loop 0");
     }
 }

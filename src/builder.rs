@@ -273,6 +273,15 @@ mod tests {
         }
     }
 
+    /// A run spawns at most one worker per color, so any width completes.
+    #[test]
+    fn a_run_wider_than_its_colors_spawns_one_worker_per_color() {
+        let (plan, seed, seq) = solved_scatter(4);
+        let outcome =
+            run_identical(&Run::new().backend(Backend::Threads(usize::MAX)), &plan, &seed, &seq);
+        assert_eq!(outcome.report.tasks_run(), 4 * plan.program().len() as u64);
+    }
+
     #[test]
     fn plan_exposes_the_solution() {
         let (program, fns, schema, _) = scatter();
@@ -415,12 +424,6 @@ mod tests {
         invalid(threads().fault(crash(0, 1)), &plan, &seed);
         invalid(threads().checkpoint(CheckpointPolicy::every(1)), &plan, &seed);
         invalid(threads().chaos_seed(3), &plan, &seed);
-        invalid(ranks().fault(FaultPlan { task_failure_rate: 0.5, ..quiet }), &plan, &seed);
-        invalid(
-            ranks().retry(RetryPolicy { max_retries: 5, ..RetryPolicy::default() }),
-            &plan,
-            &seed,
-        );
         // A crash of a rank the backend does not have.
         invalid(ranks().fault(crash(5, 1)), &plan, &seed);
         // A plan that requests nothing is valid on both, and injects nothing.
@@ -429,6 +432,40 @@ mod tests {
         let on_ranks = run_identical(&ranks().fault(quiet), &plan, &seed, &seq);
         let dist = on_ranks.report.as_ranks().unwrap();
         assert_eq!((dist.retransmits, dist.duplicates, dist.recoveries), (0, 0, 0));
+    }
+
+    /// A rate outside `[0, 1]` is refused on both backends, NaN included
+    /// (every comparison with it is false, so unchecked it would kill
+    /// every attempt while `attacks_tasks` said it attacked nothing).
+    #[test]
+    fn fault_rates_outside_the_unit_interval_are_session_errors() {
+        let (plan, seed, _) = solved_scatter(4);
+        let quiet = FaultPlan::quiescent(7);
+        for rate in [f64::NAN, -0.1, 1.5] {
+            let plans = [
+                FaultPlan { task_failure_rate: rate, ..quiet },
+                FaultPlan { drop_rate: rate, ..quiet },
+                FaultPlan { dup_rate: rate, ..quiet },
+            ];
+            for fault in plans {
+                for backend in [Backend::Threads(2), Backend::Ranks(2)] {
+                    invalid(Run::new().backend(backend).fault(fault), &plan, &seed);
+                }
+            }
+        }
+    }
+
+    /// Task faults and retry policies are injected on every rank: a
+    /// sharded run recovers every killed attempt bit-identically.
+    #[test]
+    fn task_faults_flow_through_the_ranks_backend() {
+        let (plan, seed, seq) = solved_scatter(4);
+        let run = Run::new()
+            .backend(Backend::Ranks(2))
+            .fault(FaultPlan { task_failure_rate: 0.5, ..FaultPlan::quiescent(11) })
+            .retry(RetryPolicy { max_retries: 5, ..RetryPolicy::default() });
+        let dist = *run_identical(&run, &plan, &seed, &seq).report.stats();
+        assert!(dist.faults_injected > 0 && dist.task_retries > 0, "{dist:?}");
     }
 
     #[test]

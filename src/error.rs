@@ -1,8 +1,7 @@
 //! The unified `partir::Error`.
 //!
 //! Every layer of the pipeline has its own typed error (pipeline,
-//! solver, exchange derivation, threaded executor, distributed
-//! executor). The builder API surfaces them all as one enum so callers
+//! solver, exchange derivation, the runtime driver). The builder API surfaces them all as one enum so callers
 //! match on a single type, and [`Error::error_code`] gives each failure a
 //! stable string from the `partir-report-v1` registry
 //! ([`partir_obs::report::ERROR_CODES`]) for machine-readable failure
@@ -13,7 +12,6 @@ use partir_core::exchange::ExchangeError;
 use partir_core::pipeline::AutoError;
 use partir_core::solve::SolveError;
 use partir_runtime::dist::DistError;
-use partir_runtime::exec::ExecError;
 use partir_runtime::task::PlanError;
 use std::fmt;
 
@@ -61,9 +59,7 @@ pub enum Error {
     Solve(SolveError),
     /// Communication-set derivation failure (`exchange.*`).
     Exchange(ExchangeError),
-    /// Threaded-executor failure (`exec.*`).
-    Exec(ExecError),
-    /// Distributed-executor failure (`dist.*`).
+    /// Runtime failure on either backend (`dist.*`).
     Dist(DistError),
     /// Builder misuse: an inconsistent or impossible solve or run
     /// configuration (`session.invalid`).
@@ -84,17 +80,11 @@ impl Error {
             Error::Auto(AutoError::Unsatisfiable) => "auto.unsatisfiable",
             Error::Solve(SolveError::Unsatisfiable) => "solve.unsatisfiable",
             Error::Exchange(e) => exchange_code(e),
-            Error::Exec(e) => match e {
-                ExecError::Plan(p) => plan_code(p).0,
-                ExecError::Legality(_) => "exec.legality",
-                ExecError::TaskPanic(_) => "exec.task_panic",
-                ExecError::TaskFailed { .. } => "exec.task_failed",
-            },
             Error::Dist(e) => match e {
                 // Exchange derivation keeps its own code family even when
                 // reached through the distributed entry point.
                 DistError::Exchange(x) => exchange_code(x),
-                DistError::Plan(p) => plan_code(p).1,
+                DistError::Plan(p) => plan_code(p),
                 DistError::Legality(_) => "dist.legality",
                 DistError::PlanIllegal(_) => "dist.plan_illegal",
                 DistError::RankPanic { .. } => "dist.rank_panic",
@@ -103,6 +93,7 @@ impl Error {
                 DistError::Internal(_) => "dist.internal",
                 DistError::VolumeMismatch { .. } => "dist.volume_mismatch",
                 DistError::RankLost { .. } => "dist.rank_lost",
+                DistError::TaskFailed { .. } => "dist.task_failed",
             },
             Error::Session(_) => "session.invalid",
             Error::Serve(e) => match e {
@@ -115,32 +106,17 @@ impl Error {
     }
 }
 
-/// The `(exec.*, dist.*)` codes of a plan/partition defect: one check, a
-/// code family per backend that ran it.
-fn plan_code(e: &PlanError) -> (&'static str, &'static str) {
+/// The code of a plan/partition defect.
+fn plan_code(e: &PlanError) -> &'static str {
     match e {
-        PlanError::PlanMismatch { .. } => ("exec.plan_mismatch", "dist.plan_mismatch"),
-        PlanError::PartitionIndexOutOfBounds { .. } => {
-            ("exec.partition_index_out_of_bounds", "dist.partition_index_out_of_bounds")
-        }
-        PlanError::PartitionWidthMismatch { .. } => {
-            ("exec.partition_width_mismatch", "dist.partition_width_mismatch")
-        }
-        PlanError::PartitionExceedsRegion { .. } => {
-            ("exec.partition_exceeds_region", "dist.partition_exceeds_region")
-        }
-        PlanError::IncompleteIteration { .. } => {
-            ("exec.incomplete_iteration", "dist.incomplete_iteration")
-        }
-        PlanError::IterationNotDisjoint { .. } => {
-            ("exec.iteration_not_disjoint", "dist.iteration_not_disjoint")
-        }
-        PlanError::ReductionNotDisjoint { .. } => {
-            ("exec.reduction_not_disjoint", "dist.reduction_not_disjoint")
-        }
-        PlanError::VariableOutOfScope { .. } => {
-            ("exec.variable_out_of_scope", "dist.variable_out_of_scope")
-        }
+        PlanError::PlanMismatch { .. } => "dist.plan_mismatch",
+        PlanError::PartitionIndexOutOfBounds { .. } => "dist.partition_index_out_of_bounds",
+        PlanError::PartitionWidthMismatch { .. } => "dist.partition_width_mismatch",
+        PlanError::PartitionExceedsRegion { .. } => "dist.partition_exceeds_region",
+        PlanError::IncompleteIteration { .. } => "dist.incomplete_iteration",
+        PlanError::IterationNotDisjoint { .. } => "dist.iteration_not_disjoint",
+        PlanError::ReductionNotDisjoint { .. } => "dist.reduction_not_disjoint",
+        PlanError::VariableOutOfScope { .. } => "dist.variable_out_of_scope",
     }
 }
 
@@ -158,7 +134,6 @@ impl fmt::Display for Error {
             Error::Auto(e) => write!(f, "{e}"),
             Error::Solve(e) => write!(f, "{e}"),
             Error::Exchange(e) => write!(f, "{e}"),
-            Error::Exec(e) => write!(f, "{e}"),
             Error::Dist(e) => write!(f, "{e}"),
             Error::Session(m) => write!(f, "invalid session configuration: {m}"),
             Error::Serve(e) => write!(f, "{e}"),
@@ -173,7 +148,6 @@ impl std::error::Error for Error {
             Error::Auto(e) => Some(e),
             Error::Solve(e) => Some(e),
             Error::Exchange(e) => Some(e),
-            Error::Exec(e) => Some(e),
             Error::Dist(e) => Some(e),
             Error::Session(_) => None,
             Error::Serve(e) => Some(e),
@@ -197,12 +171,6 @@ impl From<SolveError> for Error {
 impl From<ExchangeError> for Error {
     fn from(e: ExchangeError) -> Self {
         Error::Exchange(e)
-    }
-}
-
-impl From<ExecError> for Error {
-    fn from(e: ExecError) -> Self {
-        Error::Exec(e)
     }
 }
 
@@ -256,11 +224,8 @@ mod tests {
             PlanError::ReductionNotDisjoint { loop_index: 0, access: AccessId(0) },
             PlanError::VariableOutOfScope { loop_index: 0 },
         ];
-        let mut samples: Vec<Error> = Vec::new();
-        for p in plan_defects {
-            samples.push(Error::Exec(ExecError::Plan(p.clone())));
-            samples.push(Error::Dist(DistError::Plan(p)));
-        }
+        let mut samples: Vec<Error> =
+            plan_defects.into_iter().map(|p| Error::Dist(DistError::Plan(p))).collect();
         samples.extend([
             Error::Auto(AutoError::Unsatisfiable),
             Error::Solve(SolveError::Unsatisfiable),
@@ -272,9 +237,8 @@ mod tests {
                 n_ranks: 2,
                 bad_rank: Some(9),
             }),
-            Error::Exec(ExecError::Legality(violation(None))),
-            Error::Exec(ExecError::TaskPanic("boom".into())),
-            Error::Exec(ExecError::TaskFailed { loop_index: 0, color: 0, attempts: 3 }),
+            Error::Dist(DistError::Legality(violation(None))),
+            Error::Dist(DistError::TaskFailed { loop_index: 0, color: 0, attempts: 3 }),
             Error::Dist(DistError::Exchange(ExchangeError::NoRanks)),
             Error::Dist(DistError::Legality(violation(Some(0)))),
             Error::Dist(DistError::PlanIllegal(partir_core::exchange::PlanLegalityError {

@@ -25,9 +25,9 @@
 //!   Section 5 reduction optimizations, and the end-to-end
 //!   [`core::pipeline::auto_parallelize`] pass;
 //! * [`runtime`] — one compute core (legality checking, reduction
-//!   buffers, relaxation guards, private sub-partitions) under two
-//!   backends — a threaded executor and an SPMD rank-sharded distributed
-//!   backend with constraint-derived ghost exchange;
+//!   buffers, relaxation guards, private sub-partitions) under one SPMD
+//!   driver: rank-sharded with constraint-derived ghost exchange, or one
+//!   rank in place on host threads;
 //! * [`apps`] — the five benchmark applications of the paper's evaluation
 //!   and the distributed-memory simulator that prices their weak scaling.
 //!

@@ -31,19 +31,20 @@ use partir_obs::json::Json;
 use partir_obs::trace::Trace;
 use partir_obs::ObsConfig;
 use partir_runtime::dist::{
-    execute_ranks, DistOptions, DistReport, LegalityMode, VolumeAccounting,
+    execute_ranks, DistOptions, DistReport, Layout, LegalityMode, VolumeAccounting,
 };
-use partir_runtime::exec::{execute_program, ExecOptions, ExecReport};
 use partir_runtime::fault::{CheckpointPolicy, FaultPlan, RetryPolicy};
 use std::sync::Arc;
 
-/// Which executor a run uses.
+/// Where a run executes. Both backends are the one SPMD driver
+/// (`partir_runtime::dist::execute_ranks`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// The shared-memory threaded executor with the given worker count.
+    /// One rank in place on the caller's store, its colors run by the
+    /// given number of worker threads (at most one per color).
     Threads(usize),
-    /// The SPMD rank-sharded executor with the given rank count: each rank
-    /// holds only its shard plus constraint-derived ghosts.
+    /// The given number of ranks, each holding only its shard plus
+    /// constraint-derived ghosts, with one worker each.
     Ranks(usize),
 }
 
@@ -191,17 +192,17 @@ impl Run {
     /// Observability for this run (default: [`ObsConfig::disabled`]).
     /// `trace`/`metrics` install the process-wide stderr sink unless one
     /// is installed already; `timeline` and `strict_volume` apply to this
-    /// run on the rank backend.
+    /// run, on either backend.
     pub fn obs(mut self, config: ObsConfig) -> Self {
         self.obs = config;
         self
     }
 
     /// Deterministic fault injection (default: none). The plan's
-    /// task-attempt faults are injected by the threads backend, its
-    /// fabric and rank-crash faults by the rank backend; a plan that
-    /// requests a fault the chosen backend cannot inject is
-    /// `session.invalid`, and one that requests nothing
+    /// task-attempt faults are injected on both backends, its fabric and
+    /// rank-crash faults by the rank backend only; a plan that requests a
+    /// fault the chosen backend cannot inject, or a rate outside `[0, 1]`,
+    /// is `session.invalid`, and one that requests nothing
     /// ([`FaultPlan::quiescent`]) is valid on both.
     pub fn fault(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
@@ -228,8 +229,8 @@ impl Run {
         self
     }
 
-    /// Recovery policy for failed task attempts (threads backend only;
-    /// default: [`RetryPolicy::default`]).
+    /// Recovery policy for failed task attempts (default:
+    /// [`RetryPolicy::default`]).
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = policy;
         self
@@ -241,6 +242,14 @@ impl Run {
     fn validate(&self, n_colors: usize) -> Result<(), Error> {
         let invalid = |m: String| Err(Error::Session(m));
         let fault = self.fault.unwrap_or(FaultPlan::quiescent(0));
+        let rates = [
+            ("task_failure_rate", fault.task_failure_rate),
+            ("drop_rate", fault.drop_rate),
+            ("dup_rate", fault.dup_rate),
+        ];
+        if let Some((name, rate)) = rates.into_iter().find(|(_, r)| !(0.0..=1.0).contains(r)) {
+            return invalid(format!("fault plan {name} is {rate}, outside [0, 1]"));
+        }
         match self.backend {
             Backend::Threads(0) | Backend::Ranks(0) => {
                 return invalid(format!("backend {:?} has zero width", self.backend));
@@ -251,21 +260,11 @@ impl Run {
                         "rank backend needs colors >= ranks (got {n_colors} colors for {r} ranks)"
                     ));
                 }
-                if fault.attacks_tasks() {
-                    return invalid(
-                        "task-attempt faults (task_failure_rate > 0) are injected by the \
-                         Threads backend only"
-                            .into(),
-                    );
-                }
                 if let Some(crash) = fault.crash.filter(|c| c.rank >= r) {
                     return invalid(format!(
                         "fault plan crashes rank {} but the backend has only {r} ranks",
                         crash.rank
                     ));
-                }
-                if self.retry != RetryPolicy::default() {
-                    return invalid("retry policies apply to the Threads backend only".into());
                 }
             }
             Backend::Threads(_) => {
@@ -315,96 +314,89 @@ impl Run {
                     .into(),
             ));
         }
-        match self.backend {
-            Backend::Threads(n_threads) => {
-                let parts = plan.solved().parts_for(store);
-                let opts = ExecOptions {
-                    n_threads,
-                    check_legality: self.legality != LegalityMode::Off,
-                    fault: self.fault,
-                    retry: self.retry,
-                };
-                let report = execute_program(
-                    plan.program(),
-                    plan.parallel_plan(),
-                    &parts,
-                    store,
-                    plan.fns(),
-                    &opts,
-                )?;
-                Ok(RunOutcome {
-                    report: RunReport::Threads(report),
-                    trace: None,
-                    volume: None,
-                    placement: None,
-                })
-            }
+        let (artifacts, workers) = match self.backend {
+            Backend::Threads(workers) => (None, workers),
+            // The memoized distributed artifacts: evaluated partitions,
+            // owner assignment, exchange plan, and the legality proof. A
+            // memo hit skips evaluation, exchange derivation, placement,
+            // and (via `preproved`) re-proving.
             Backend::Ranks(n_ranks) => {
-                // The memoized distributed artifacts: evaluated partitions,
-                // owner assignment, exchange plan, and the legality proof.
-                // A memo hit skips evaluation, exchange derivation,
-                // placement, and (via `preproved`) re-proving.
-                let artifacts = plan.solved().dist_artifacts(store, n_ranks, &self.placement)?;
-                let opts = DistOptions {
-                    legality: self.legality,
-                    chaos_seed: self.chaos_seed,
-                    collect_timeline: self.obs.timeline,
-                    strict_volume: self.obs.strict_volume,
-                    fault: self.fault,
-                    checkpoint: self.checkpoint,
-                    preproved: artifacts.proof_facts,
-                };
-                let outcome = execute_ranks(
-                    plan.program(),
-                    plan.parallel_plan(),
-                    &artifacts.parts,
-                    &artifacts.placement.xplan,
-                    store,
-                    plan.fns(),
-                    &opts,
-                )?;
-                Ok(RunOutcome {
-                    report: RunReport::Ranks(outcome.report),
-                    trace: outcome.trace,
-                    volume: Some(outcome.volume),
-                    placement: Some(artifacts.placement.report.clone()),
-                })
+                (Some(plan.solved().dist_artifacts(store, n_ranks, &self.placement)?), 1)
             }
-        }
+        };
+        let parts =
+            artifacts.as_ref().map_or_else(|| plan.solved().parts_for(store), |a| a.parts.clone());
+        let layout = artifacts
+            .as_ref()
+            .map_or(Layout::InPlace { workers }, |a| Layout::Sharded(&a.placement.xplan));
+        let opts = DistOptions {
+            legality: self.legality,
+            chaos_seed: self.chaos_seed,
+            collect_timeline: self.obs.timeline,
+            strict_volume: self.obs.strict_volume,
+            fault: self.fault,
+            retry: self.retry,
+            checkpoint: self.checkpoint,
+            preproved: artifacts.as_ref().and_then(|a| a.proof_facts),
+        };
+        let outcome = execute_ranks(
+            plan.program(),
+            plan.parallel_plan(),
+            &parts,
+            layout,
+            store,
+            plan.fns(),
+            &opts,
+        )?;
+        let report = match self.backend {
+            Backend::Threads(_) => RunReport::Threads(outcome.report),
+            Backend::Ranks(_) => RunReport::Ranks(outcome.report),
+        };
+        Ok(RunOutcome {
+            report,
+            trace: outcome.trace,
+            volume: Some(outcome.volume),
+            placement: artifacts.map(|a| a.placement.report.clone()),
+        })
     }
 }
 
-/// Everything one run produced: the backend report plus the optional
-/// rank-backend artifacts (timeline, volume accounting, placement report).
+/// Everything one run produced: the report, the volume accounting, and
+/// the optional timeline and placement report.
 #[derive(Clone, Debug)]
 pub struct RunOutcome {
     pub report: RunReport,
-    /// Per-rank timelines, present on the rank backend when
+    /// Per-rank timelines (one rank on the threads backend), present when
     /// [`ObsConfig::timeline`] is on.
     pub trace: Option<Trace>,
-    /// Predicted-vs-measured communication accounting (rank backend).
+    /// Predicted-vs-measured communication accounting, present on both
+    /// backends (with no pairs on the threads one: one rank sends nothing).
     pub volume: Option<VolumeAccounting>,
     /// How colors mapped onto ranks (rank backend).
     pub placement: Option<PlacementReport>,
 }
 
-/// Backend-tagged execution statistics from one run.
+/// Execution statistics from one run, tagged with the backend that ran it.
 #[derive(Clone, Copy, Debug)]
 pub enum RunReport {
-    Threads(ExecReport),
+    Threads(DistReport),
     Ranks(DistReport),
 }
 
 impl RunReport {
-    /// Tasks (colors) executed, on either backend.
-    pub fn tasks_run(&self) -> u64 {
+    /// The statistics, whichever backend ran.
+    pub fn stats(&self) -> &DistReport {
         match self {
-            RunReport::Threads(r) => r.tasks_run,
-            RunReport::Ranks(r) => r.tasks_run,
+            RunReport::Threads(r) | RunReport::Ranks(r) => r,
         }
     }
 
-    pub fn as_threads(&self) -> Option<&ExecReport> {
+    /// Tasks (colors) executed, on either backend.
+    pub fn tasks_run(&self) -> u64 {
+        self.stats().tasks_run
+    }
+
+    pub fn as_threads(&self) -> Option<&DistReport> {
         match self {
             RunReport::Threads(r) => Some(r),
             RunReport::Ranks(_) => None,
@@ -421,10 +413,8 @@ impl RunReport {
     /// Machine-readable form for `partir-report-v1` envelopes, tagged with
     /// the backend it came from.
     pub fn to_json(&self) -> Json {
-        match self {
-            RunReport::Threads(r) => r.to_json().with("backend", "threads"),
-            RunReport::Ranks(r) => r.to_json().with("backend", "ranks"),
-        }
+        let backend = if self.as_threads().is_some() { "threads" } else { "ranks" };
+        self.stats().to_json().with("backend", backend)
     }
 }
 

@@ -117,14 +117,8 @@ fn csr_with_overlapping_rows_executes_correctly() {
     let mut seq = store2.clone();
     run_program_seq(&program, &mut seq, &fns);
     let mut par = store2.clone();
-    execute_program(
-        &program,
-        &plan,
-        &parts,
-        &mut par,
-        &fns,
-        &ExecOptions { n_threads: 3, check_legality: true, ..ExecOptions::default() },
-    )
-    .expect("parallel CSR with overlapping rows");
+    let threads = Layout::InPlace { workers: 3 };
+    execute_ranks(&program, &plan, &parts, threads, &mut par, &fns, &DistOptions::default())
+        .expect("parallel CSR with overlapping rows");
     assert_eq!(seq.f64s(yv), par.f64s(yv));
 }

@@ -1,7 +1,7 @@
 //! Plan/partition validation, pinned per backend: each of the seven
-//! malformed shapes the executors reject before running anything is fed to
-//! the threaded executor and to the rank backend, and must come back with
-//! the same registered `exec.*` / `dist.*` code it always had. The eighth
+//! malformed shapes the driver rejects before running anything is fed to
+//! it in place on threads and sharded on ranks, and must come back with
+//! the same registered `dist.*` code on both. The eighth
 //! shape they reject, a body reading a `ForEach`'s variable after the
 //! block, never gets that far through the facade: `solve()` refuses it.
 //! Nor does a store laid out otherwise than the plan's schema: `Run::run`
@@ -16,7 +16,7 @@ use partir::dpl::index_set::IndexSet;
 use partir::dpl::partition::Partition;
 use partir::obs::report::is_known_error_code;
 use partir::prelude::*;
-use partir::runtime::dist::{execute_ranks, DistOptions};
+use partir::runtime::dist::{execute_ranks, DistOptions, Layout};
 use std::sync::Arc;
 
 mod common;
@@ -57,11 +57,12 @@ fn fixture(reduce: bool, second_loop: bool) -> Fixture {
 fn codes(fx: &Fixture, s: &Shape) -> (&'static str, &'static str) {
     let fns = &fx.built.fns;
     let mut store = fx.built.store.clone();
-    let exec =
-        execute_program(&s.program, &s.plan, &s.parts, &mut store, fns, &ExecOptions::default())
-            .expect_err("the threaded executor must reject the shape");
     let opts = DistOptions::default();
-    let dist = execute_ranks(&s.program, &s.plan, &s.parts, &fx.xplan, &mut store, fns, &opts)
+    let threads = Layout::InPlace { workers: 4 };
+    let exec = execute_ranks(&s.program, &s.plan, &s.parts, threads, &mut store, fns, &opts)
+        .expect_err("the threads backend must reject the shape");
+    let ranks = Layout::Sharded(&fx.xplan);
+    let dist = execute_ranks(&s.program, &s.plan, &s.parts, ranks, &mut store, fns, &opts)
         .expect_err("the rank backend must reject the shape");
     assert_eq!(store.field_data(FieldId(2)), fx.built.store.field_data(FieldId(2)), "nothing ran");
     (Error::from(exec).error_code(), Error::from(dist).error_code())
@@ -175,7 +176,7 @@ fn every_malformed_shape_keeps_its_code_on_both_backends() {
         };
         malform(&mut shape);
         let (exec, dist) = codes(fx, &shape);
-        assert_eq!(exec, format!("exec.{name}"));
+        assert_eq!(exec, format!("dist.{name}"));
         assert_eq!(dist, format!("dist.{name}"));
         assert!(is_known_error_code(exec) && is_known_error_code(dist), "{name}");
     }

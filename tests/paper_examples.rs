@@ -210,13 +210,14 @@ fn figure4_user_invariant_discharges_constraints() {
     let mut seq = store.clone();
     run_program_seq(&program, &mut seq, &fns);
     let mut par = store.clone();
-    execute_program(
+    execute_ranks(
         &program,
         &plan,
         &parts,
+        Layout::InPlace { workers: 4 },
         &mut par,
         &fns,
-        &ExecOptions { n_threads: 4, check_legality: true, ..ExecOptions::default() },
+        &DistOptions::default(),
     )
     .expect("parallel execution with hints");
     assert_eq!(seq.f64s(pos), par.f64s(pos));
@@ -264,15 +265,17 @@ fn figure11_relaxed_execution_matches_figure12_semantics() {
     let mut seq = store.clone();
     run_program_seq(&program, &mut seq, &fns);
     let mut par = store.clone();
-    let report = execute_program(
+    let report = execute_ranks(
         &program,
         &plan,
         &parts,
+        Layout::InPlace { workers: 4 },
         &mut par,
         &fns,
-        &ExecOptions { n_threads: 4, check_legality: true, ..ExecOptions::default() },
+        &DistOptions::default(),
     )
-    .unwrap();
+    .unwrap()
+    .report;
     assert_eq!(seq.f64s(sx), par.f64s(sx), "each contribution applied exactly once");
     assert!(report.guard_skips > 0, "guards skipped duplicated contributions");
     assert_eq!(report.buffer_bytes, 0);

@@ -1,11 +1,11 @@
 //! Cross-backend equivalence, empirically: for randomly generated
 //! parallelizable programs, one solved `Plan` produces bit-identical
-//! stores on the sequential interpreter, the threaded executor, and the
-//! rank-sharded SPMD backend — with dynamic legality checking on
-//! everywhere. Both backends run the same plan through the same compute
-//! core, so they must also agree on what that core counted: tasks, guard
-//! hits and skips, skipped non-owner writes. The rank side runs with strict
-//! volume accounting, which pins on generated programs what the volume
+//! stores on the sequential interpreter and on every `(backend, width)` —
+//! in place on threads or sharded on ranks — with dynamic legality
+//! checking and strict volume accounting on everywhere. Every run is the
+//! same driver over the same compute core, so it must also count what one
+//! worker in place counts: tasks, guard hits and skips, skipped non-owner
+//! writes. Strict volume pins on generated programs what the volume
 //! prediction assumes: every routed buffer slice is allocated and sent.
 
 use partir::core::pipeline::{Options, PlannedReduce};
@@ -16,55 +16,60 @@ use proptest::prelude::*;
 mod common;
 use common::{arb_cfg_with_optional_loops, assert_f64_fields_eq, build, Cfg};
 
-/// Solves `cfg`'s program once and runs the plan on `Threads(width)` and
-/// `Ranks(width)`; returns the plan and both reports.
-fn run_on_both(
+/// A backend at width 1 to 4.
+fn arb_backend() -> impl Strategy<Value = Backend> {
+    let backend = |(ranks, w)| if ranks { Backend::Ranks(w) } else { Backend::Threads(w) };
+    (any::<bool>(), 1usize..5).prop_map(backend)
+}
+
+/// Solves `cfg`'s program once and runs the plan on `backend` and on the
+/// reference, one thread in place; returns the plan and the report.
+fn run_against_reference(
     cfg: &Cfg,
     options: Options,
-    width: usize,
-) -> Result<(Plan, ExecReport, DistReport), TestCaseError> {
+    backend: Backend,
+) -> Result<(Plan, DistReport), TestCaseError> {
     let built = build(cfg);
     let mut seq = built.store.clone();
     run_program_seq(&built.program, &mut seq, &built.fns);
 
     // The rank backend needs at least one color per rank.
+    let (Backend::Threads(width) | Backend::Ranks(width)) = backend;
     let plan = Partir::new(built.program, built.fns, built.store.schema().clone())
         .colors(cfg.colors.max(width))
         .options(options)
         .solve()
         .expect("generated programs are parallelizable");
     let strict = ObsConfig { strict_volume: true, ..ObsConfig::disabled() };
-    let runs = [
-        Run::new().backend(Backend::Threads(width)),
-        Run::new().backend(Backend::Ranks(width)).obs(strict),
-    ];
     let mut reports = Vec::new();
-    for (run, backend) in runs.into_iter().zip(["threads", "ranks"]) {
+    for backend in [Backend::Threads(1), backend] {
         let mut par = built.store.clone();
-        let outcome = run
+        let outcome = Run::new()
+            .backend(backend)
+            .obs(strict)
             .legality_mode(LegalityMode::Element)
             .run(&plan, &mut par)
-            .map_err(|e| TestCaseError::fail(format!("{backend} failed: {e}")))?;
-        assert_f64_fields_eq(&seq, &par, &format!("{backend} (cfg {cfg:?})"))?;
-        reports.push(outcome.report);
+            .map_err(|e| TestCaseError::fail(format!("{backend:?} failed: {e}")))?;
+        assert_f64_fields_eq(&seq, &par, &format!("{backend:?} (cfg {cfg:?})"))?;
+        reports.push(*outcome.report.stats());
     }
-    let (threads, ranks) = (*reports[0].as_threads().unwrap(), *reports[1].as_ranks().unwrap());
-    let counted = |tasks, hits, skips, writes| (tasks, hits, skips, writes);
+    let counted = |r: &DistReport| (r.tasks_run, r.guard_hits, r.guard_skips, r.write_skips);
     prop_assert_eq!(
-        counted(threads.tasks_run, threads.guard_hits, threads.guard_skips, threads.write_skips),
-        counted(ranks.tasks_run, ranks.guard_hits, ranks.guard_skips, ranks.write_skips),
-        "(tasks, guard hits, guard skips, write skips) differ on cfg {:?}",
+        counted(&reports[0]),
+        counted(&reports[1]),
+        "(tasks, guard hits, guard skips, write skips) differ on {:?}, cfg {:?}",
+        backend,
         cfg
     );
-    Ok((plan, threads, ranks))
+    Ok((plan, reports[1]))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn all_backends_agree(cfg in arb_cfg_with_optional_loops(), width in 1usize..5) {
-        run_on_both(&cfg, Options::default(), width)?;
+    fn all_backends_agree(cfg in arb_cfg_with_optional_loops(), backend in arb_backend()) {
+        run_against_reference(&cfg, Options::default(), backend)?;
     }
 }
 
@@ -93,12 +98,17 @@ fn every_reduction_mode_counts_the_same_on_both_backends() {
         (cfg(false), no_private),
         (cfg(true), Options::default()),
     ] {
-        let (plan, threads, ranks) = run_on_both(&cfg, options, 3).expect("backends agree");
-        let modes = plan.parallel_plan().loops.iter().flat_map(|l| &l.accesses);
-        seen.extend(modes.filter_map(|a| a.reduce.clone()));
-        if cfg.reduce_via_ptr {
-            assert!(threads.guard_hits > 0 && threads.guard_skips > 0, "guards ran: {threads:?}");
-            assert!(ranks.write_skips > 0, "the aliased iteration skipped no write: {ranks:?}");
+        for backend in [Backend::Threads(3), Backend::Ranks(3)] {
+            let run = run_against_reference(&cfg, options, backend);
+            let (plan, report) = run.expect("backends agree");
+            if cfg.reduce_via_ptr {
+                assert!(report.guard_hits > 0 && report.guard_skips > 0, "guards: {report:?}");
+                assert!(report.write_skips > 0, "the aliased iteration skipped no write");
+            }
+            if backend == Backend::Ranks(3) {
+                let modes = plan.parallel_plan().loops.iter().flat_map(|l| &l.accesses);
+                seen.extend(modes.filter_map(|a| a.reduce.clone()));
+            }
         }
     }
     assert!(matches!(seen[0], PlannedReduce::BufferedPrivate { .. }), "{seen:?}");

@@ -195,21 +195,28 @@ fn a_kill_in_the_middle_of_a_chunk_rolls_back_and_retries_bit_identically() {
         }
         assert!(mid_chunk > 0, "seed {} never kills inside a chunk", fault.seed);
 
-        let run = |label: &str| {
-            let mut par = built.store.clone();
-            let report = Run::new()
-                .backend(Backend::Threads(2))
-                .fault(fault)
-                .retry(RetryPolicy { max_retries: retries, ..RetryPolicy::default() })
-                .run(&plan, &mut par)
-                .unwrap_or_else(|e| panic!("{label} run failed: {e}"))
-                .report;
-            assert_f64_fields_eq(&seq, &par, label).unwrap();
-            *report.as_threads().unwrap()
-        };
-        let (first, replay) = (run("faulted"), run("replayed"));
-        assert!(first.faults_injected > 0 && first.task_retries > 0, "{first:?}");
-        assert_eq!(first.to_json().to_string(), replay.to_json().to_string());
+        for backend in [Backend::Threads(2), Backend::Ranks(2)] {
+            let run = |label: &str| {
+                let mut par = built.store.clone();
+                let report = Run::new()
+                    .backend(backend)
+                    .fault(fault)
+                    .retry(RetryPolicy { max_retries: retries, ..RetryPolicy::default() })
+                    .run(&plan, &mut par)
+                    .unwrap_or_else(|e| panic!("{backend:?} {label} run failed: {e}"))
+                    .report;
+                assert_f64_fields_eq(&seq, &par, label).unwrap();
+                // Every count; timings are the only fields a replay may
+                // not reproduce.
+                let mut r = *report.stats();
+                (r.pack_ns, r.exchange_wait_ns, r.unpack_ns, r.compute_ns, r.merge_ns) =
+                    (0, 0, 0, 0, 0);
+                r
+            };
+            let (first, replay) = (run("faulted"), run("replayed"));
+            assert!(first.faults_injected > 0 && first.task_retries > 0, "{first:?}");
+            assert_eq!(first.to_json().to_string(), replay.to_json().to_string());
+        }
     }
 }
 

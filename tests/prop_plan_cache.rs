@@ -802,7 +802,7 @@ fn repeated_warm_runs_stay_bit_identical() {
 }
 
 /// All five paper applications, solved cold and through a warm cache,
-/// execute bit-identically at 1/2/4/8 ranks and on the threaded backend.
+/// execute bit-identically at 1/2/4/8 ranks and on the threads backend.
 #[test]
 fn five_apps_cache_hits_are_bit_identical() {
     use partir::apps::circuit::{Circuit, CircuitParams};
