@@ -561,7 +561,10 @@ mod tests {
         let app = small();
         let (plan, _, exts) = app.hinted_plan(4);
         // External partitions appear in the plan.
-        let uses_ext = plan.partition_exprs.iter().any(|e| matches!(e, PExpr::Ext(_)));
+        let uses_ext = plan
+            .partition_ids
+            .iter()
+            .any(|&id| matches!(plan.system.arena.node(id), partir_core::lang::Expr::Ext(_)));
         assert!(uses_ext, "{}", plan.render_dpl(&app.fns));
         // The charge reductions are buffered with the private
         // sub-partition, not relaxed.

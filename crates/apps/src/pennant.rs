@@ -664,7 +664,7 @@ mod tests {
         let (p1, _) = app.plan(PennantConfig::Hint1);
         let (p2, _) = app.plan(PennantConfig::Hint2);
         let derived_ops = |p: &partir_core::pipeline::ParallelPlan| -> usize {
-            p.partition_exprs.iter().map(|e| crate::sim::pexpr_weight(e) as usize - 1).sum()
+            p.partition_ids.iter().map(|&id| p.system.arena.weight(id) as usize - 1).sum()
         };
         assert!(derived_ops(&p1) > 0, "{}", p1.render_dpl(&app.fns));
         assert_eq!(

@@ -27,7 +27,6 @@
 //! scaling bottleneck exactly as in Figure 14d.
 
 use partir_core::exchange::access_sets;
-use partir_core::lang::PExpr;
 use partir_core::pipeline::ParallelPlan;
 use partir_dpl::index_set::IndexSet;
 use partir_dpl::ops;
@@ -152,7 +151,7 @@ struct SimAccess<'a> {
     /// A write moves the region's home to `part`.
     writes: bool,
     /// Operator-node count of the partition's expression (runtime metadata
-    /// weight, see [`pexpr_weight`]).
+    /// weight, see [`partir_core::lang::ExprArena::weight`]).
     expr_weight: f64,
 }
 
@@ -199,25 +198,12 @@ fn sim_loops<'a>(
             let part: &Partition = &parts[ap.part.0 as usize];
             let sets = buffered.map_or(Cow::Borrowed(part.subregions()), |b| b.sets());
             let writes = ap.kind.is_write();
-            let expr_weight = pexpr_weight(&plan.partition_exprs[ap.part.0 as usize]);
+            let expr_weight = plan.system.arena.weight(plan.partition_ids[ap.part.0 as usize]);
             accesses.push(SimAccess { part, sets, writes, expr_weight });
         }
         loops.push(SimLoop { iter, work_per_iter, accesses });
     }
     Ok(loops)
-}
-
-/// Operator-node count of a partition expression — the complexity weight
-/// the simulator charges for runtime metadata. Externally provided
-/// partitions weigh 1.
-pub fn pexpr_weight(e: &PExpr) -> f64 {
-    match e {
-        PExpr::Sym(_) | PExpr::Ext(_) | PExpr::Equal(_) => 1.0,
-        PExpr::Image { src, .. } | PExpr::Preimage { src, .. } => 1.0 + pexpr_weight(src),
-        PExpr::Union(a, b) | PExpr::Intersect(a, b) | PExpr::Difference(a, b) => {
-            1.0 + pexpr_weight(a) + pexpr_weight(b)
-        }
-    }
 }
 
 /// Per-node cost breakdown (seconds).

@@ -216,9 +216,11 @@ mod tests {
         let app = Stencil::generate(&StencilParams { nx: 16, ny: 16 });
         let plan = app.auto_plan();
         let images = plan
-            .partition_exprs
+            .partition_ids
             .iter()
-            .filter(|e| matches!(e, partir_core::lang::PExpr::Image { .. }))
+            .filter(|&&id| {
+                matches!(plan.system.arena.node(id), partir_core::lang::Expr::Image { .. })
+            })
             .count();
         assert_eq!(images, 8, "{}", plan.render_dpl(&app.fns));
     }

@@ -162,9 +162,6 @@ pub struct ParallelPlan {
     /// Distinct closed partition expressions, deduplicated canonically
     /// (interned ids: `a ∪ b` and `b ∪ a` are one plan partition).
     pub partition_ids: Vec<ExprId>,
-    /// Tree-form view of `partition_ids` (materialized once, for display
-    /// and weight heuristics).
-    pub partition_exprs: Vec<PExpr>,
     pub loops: Vec<LoopPlan>,
     /// The post-unification system (facts included, for runtime checks).
     /// Its arena interns every plan expression; evaluators share it.
@@ -236,10 +233,12 @@ impl ParallelPlan {
         mut bind: impl FnMut(usize, &AccessInfo) -> (PartId, Option<PlannedReduce>),
     ) -> Result<ParallelPlan, NotParallelizable> {
         let mut system = System::new();
-        let partition_exprs: Vec<PExpr> = (0..exts.len() as u32)
-            .map(|k| PExpr::ext(system.add_external(format!("X{k}"), exts.get(ExtId(k)).region)))
+        let partition_ids = (0..exts.len() as u32)
+            .map(|k| {
+                let ext = system.add_external(format!("X{k}"), exts.get(ExtId(k)).region);
+                system.intern(PExpr::ext(ext))
+            })
             .collect();
-        let partition_ids = partition_exprs.iter().map(|e| system.intern(e)).collect();
         let mut loops = Vec::with_capacity(program.len());
         for (loop_index, (lp, &iter)) in program.iter().zip(iters).enumerate() {
             let summary = analyze_with_table(lp, fns)?;
@@ -256,7 +255,7 @@ impl ParallelPlan {
             let relaxed = accesses.iter().any(|a| a.reduce == Some(PlannedReduce::Guarded));
             loops.push(LoopPlan { loop_index, iter, iter_must_be_disjoint, relaxed, accesses });
         }
-        Ok(ParallelPlan { partition_ids, partition_exprs, loops, system, ..Default::default() })
+        Ok(ParallelPlan { partition_ids, loops, system, ..Default::default() })
     }
 
     /// Renders the synthesized DPL program.
@@ -489,11 +488,8 @@ pub fn auto_parallelize(
     // executor's flush).
     partir_obs::flush_counters();
 
-    let partition_exprs: Vec<PExpr> =
-        plan_ids.iter().map(|&id| system.arena.to_pexpr(id)).collect();
     Ok(ParallelPlan {
         partition_ids: plan_ids,
-        partition_exprs,
         loops: plan_loops,
         system,
         solution,

@@ -529,7 +529,7 @@ pub fn execute_ranks(
         ..DistReport::default()
     };
     let mut lost_ranks: Vec<usize> = Vec::new();
-    let (outcomes, volume, first_epoch) = match xplan {
+    let (tracers, volume, first_epoch) = match xplan {
         None => {
             let shared = SharedStore::new(store);
             let sync = AttemptSync::default();
@@ -537,19 +537,13 @@ pub fn execute_ranks(
             if let Some(e) = attempt.error {
                 return Err(e);
             }
-            let run = |(_, (stats, _, tracer)): RankOutcome<_>| (stats, tracer);
-            let runs = attempt.outcomes.into_iter().map(|o| o.map(run)).collect();
-            (runs, VolumeAccounting::default(), 0)
+            report.add(&attempt.stats);
+            (attempt.tracers, VolumeAccounting::default(), 0)
         }
         Some(x) => {
             run_sharded(&in_place, plan, parts, x, store, opts, &mut report, &mut lost_ranks)?
         }
     };
-    let mut done_tracers: Vec<RankTracer> = Vec::new();
-    for (stats, tracer) in outcomes.into_iter().flatten() {
-        report.add(&stats);
-        done_tracers.extend(tracer);
-    }
     if opts.strict_volume {
         if let Some(d) = volume.first_mismatch() {
             return Err(DistError::VolumeMismatch {
@@ -561,7 +555,7 @@ pub fn execute_ranks(
         }
     }
     let trace = opts.collect_timeline.then(|| {
-        let mut t = Trace::from_rank_tracers(n_ranks, done_tracers);
+        let mut t = Trace::from_rank_tracers(n_ranks, tracers);
         t.first_epoch = first_epoch;
         t.lost_ranks = lost_ranks.clone();
         t
@@ -598,8 +592,8 @@ pub fn execute_ranks(
 
 /// Runs the sharded ranks of `xplan` to completion and gathers their
 /// owned shards into `store`, recovering from rank losses (into `report`
-/// and `lost_ranks`) when a fault plan or checkpoint policy is set.
-/// Returns every rank's share of the report and timeline, the volume
+/// and `lost_ranks`) when a fault plan or checkpoint policy is set. Adds
+/// the ranks' shares to `report`; returns their timelines, the volume
 /// accounting, and the epoch the last attempt started at.
 #[allow(clippy::too_many_arguments)]
 fn run_sharded(
@@ -611,7 +605,7 @@ fn run_sharded(
     opts: &DistOptions,
     report: &mut DistReport,
     lost_ranks: &mut Vec<usize>,
-) -> Result<(Vec<Option<RankShare>>, VolumeAccounting, usize), DistError> {
+) -> Result<(Vec<RankTracer>, VolumeAccounting, usize), DistError> {
     let (n_ranks, schema) = (xplan.n_ranks, cx.schema);
     // Fault plane. A configured fault plan (or checkpoint policy) enables
     // survivor-side recovery, which needs the pristine input state as the
@@ -629,7 +623,7 @@ fn run_sharded(
     // its survivors' timelines carry a Recovery span.
     let mut last_recovery: Option<(u64, u64)> = None;
 
-    let outcomes = loop {
+    let attempt = loop {
         let base_store: &Store = restored.as_ref().unwrap_or(store);
         let xp: &ExchangePlan = &cur_xplan;
         let sync = AttemptSync::default();
@@ -639,7 +633,7 @@ fn run_sharded(
         // parallel and the run's largest buffers never sit on the driver's
         // heap.
         let shard = |r| RankStore::shard(base_store, xp, r);
-        let attempt = run_attempt(&cx, &sync, opts, &alive, shard, 1, last_recovery)?;
+        let mut attempt = run_attempt(&cx, &sync, opts, &alive, shard, 1, last_recovery)?;
         // The crash slot is ground truth; a peer's RankLost (from a notice,
         // a deadline expiry, or retransmit exhaustion) is the fallback.
         let lost = sync.lost.into_inner();
@@ -647,7 +641,7 @@ fn run_sharded(
             Some(DistError::RankLost { rank, .. }) => Some(*rank),
             _ => None,
         });
-        match (dead, attempt.error) {
+        match (dead, attempt.error.take()) {
             (Some(dead), err) if recovery_enabled && alive[dead] => {
                 // Survivor-side recovery: evacuate the dead rank's colors
                 // onto the live ranks, re-fold + re-prove the exchange plan,
@@ -707,7 +701,7 @@ fn run_sharded(
                 let epoch = lost.map(|(_, e)| e).unwrap_or(0);
                 return Err(DistError::RankLost { rank: dead, epoch });
             }
-            (None, None) => break attempt.outcomes,
+            (None, None) => break attempt,
         }
     };
 
@@ -716,22 +710,17 @@ fn run_sharded(
     // assignment the survivors' shards cover every region completely.
     // measured[src][dst]: what dst's mailbox metered against src.
     let mut measured = vec![vec![(0u64, 0u64); n_ranks]; n_ranks];
-    let mut runs = Vec::with_capacity(n_ranks);
-    for (r, out) in outcomes.into_iter().enumerate() {
-        match out {
-            Some((rstore, (stats, received, tracer))) => {
-                rstore.gather_into(store, &cur_xplan, r);
-                for (src, &cell) in received.iter().enumerate() {
-                    measured[src][r] = cell;
-                }
-                runs.push(Some((stats, tracer)));
+    for (r, out) in attempt.outcomes.into_iter().enumerate() {
+        if let Some((rstore, received)) = out {
+            rstore.gather_into(store, &cur_xplan, r);
+            for (src, &cell) in received.iter().enumerate() {
+                measured[src][r] = cell;
             }
-            None if alive[r] => {
-                return Err(DistError::Internal(format!("rank {r} produced no result")));
-            }
-            None => runs.push(None),
+        } else if alive[r] {
+            return Err(DistError::Internal(format!("rank {r} produced no result")));
         }
     }
+    report.add(&attempt.stats);
     let planned = cur_xplan.stats();
     report.ghost_elements = planned.ghost_elements;
     report.ghost_fetch_bytes = planned.ghost_fetch_bytes;
@@ -762,7 +751,7 @@ fn run_sharded(
             });
         }
     }
-    Ok((runs, VolumeAccounting { pairs }, first_epoch))
+    Ok((attempt.tracers, VolumeAccounting { pairs }, first_epoch))
 }
 
 /// The in-place writes of every color of a loop, per mutating access:
@@ -791,21 +780,18 @@ pub(crate) struct AttemptSync {
     pub lost: Mutex<Option<(usize, u64)>>,
 }
 
-/// What a rank ran: its share of the report, the `(bytes, messages)` its
-/// mailbox received from each source, and its timeline.
-type RankRun = (DistReport, Vec<(u64, u64)>, Option<RankTracer>);
-
-/// A rank's share of the run's report, and its timeline.
-type RankShare = (DistReport, Option<RankTracer>);
-
-/// One rank's result: its storage (owned elements final) and its run.
-type RankOutcome<D> = (D, RankRun);
+/// One rank's result: its storage (owned elements final) and the
+/// `(bytes, messages)` its mailbox received from each source.
+type RankOutcome<D> = (D, Vec<(u64, u64)>);
 
 /// Everything one SPMD attempt produced, success or not.
 struct AttemptResult<D> {
     /// Per-rank outcomes; `None` for ranks that were not spawned (already
     /// dead) or did not finish.
     outcomes: Vec<Option<RankOutcome<D>>>,
+    /// The finished ranks' shares of the report, and their timelines.
+    stats: DistReport,
+    tracers: Vec<RankTracer>,
     /// The first hard error any rank hit (secondary aborts excluded).
     error: Option<DistError>,
 }
@@ -859,36 +845,42 @@ fn run_attempt<D: RankData + Send>(
         })
         .collect();
 
-    let first_error: Mutex<Option<DistError>> = Mutex::new(None);
-    let outcomes: Mutex<Vec<Option<RankOutcome<D>>>> =
-        Mutex::new((0..n_ranks).map(|_| None).collect());
+    let out = Mutex::new(AttemptResult {
+        outcomes: (0..n_ranks).map(|_| None).collect(),
+        stats: DistReport::default(),
+        tracers: Vec::new(),
+        error: None,
+    });
     let scope_result = crossbeam::scope(|s| {
         for (r, (mut mailbox, tracer)) in mailboxes.into_iter().zip(tracers).enumerate() {
             if !alive[r] {
                 continue;
             }
             let senders = senders.clone();
-            let (data, first_error, outcomes) = (&data, &first_error, &outcomes);
+            let (data, out) = (&data, &out);
             s.spawn(move |_| {
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     rank::rank_main(r, cx, sync, data(r), workers, &senders, &mut mailbox, tracer)
                 }));
                 match result {
                     Ok(Ok((data, stats, tracer))) => {
-                        let received = mailbox.measured().to_vec();
-                        outcomes.lock()[r] = Some((data, (stats, received, tracer)));
+                        let mut out = out.lock();
+                        out.outcomes[r] = Some((data, mailbox.measured().to_vec()));
+                        out.stats.add(&stats);
+                        out.tracers.extend(tracer);
                     }
                     // A secondary failure; the first failure has the cause.
                     Ok(Err(DistError::Aborted)) => {}
                     Ok(Err(e)) => {
-                        first_error.lock().get_or_insert(e);
+                        out.lock().error.get_or_insert(e);
                         sync.abort.store(true, Ordering::Relaxed);
                     }
                     Err(p) => {
                         // Tasks catch their own panics; this is the
                         // protocol's own bookkeeping.
                         let message = panic_message(p);
-                        first_error.lock().get_or_insert(DistError::RankPanic { rank: r, message });
+                        let e = DistError::RankPanic { rank: r, message };
+                        out.lock().error.get_or_insert(e);
                         sync.abort.store(true, Ordering::Relaxed);
                     }
                 }
@@ -901,7 +893,7 @@ fn run_attempt<D: RankData + Send>(
     if let Some(v) = sync.violation.lock().take() {
         return Err(DistError::Legality(v));
     }
-    Ok(AttemptResult { outcomes: outcomes.into_inner(), error: first_error.into_inner() })
+    Ok(out.into_inner())
 }
 
 #[cfg(test)]

@@ -9,13 +9,23 @@
 //!    destination);
 //! 2. **interior compute** — run the colors whose accesses stay inside the
 //!    rank's owned sets, overlapping with the ghost traffic in flight;
-//! 3. **pull ghosts** — receive and install the rank's own ghost values;
-//! 4. **boundary compute** — run the remaining colors;
+//! 3. **pull ghosts** — receive and install the rank's own ghost values,
+//!    in arrival order;
+//! 4. **boundary compute** — run each remaining color as soon as the peers
+//!    it reads from have installed;
 //! 5. **post** — send in-place write-backs (installed verbatim by the
 //!    owner) and partial-reduction buffer slices (with per-slice presence
 //!    flags) to the owners; receive the same, then merge partials in
 //!    ascending global color order, so results agree bit-for-bit with the
 //!    sequential interpreter.
+//!
+//! Both kinds of traffic take one path through the rank's [`Port`]:
+//! `send` packs one message per peer of the rank's row and hands it to the
+//! fabric under the fault plan, `recv` takes the next message of the
+//! rank's column in arrival order and installs it. Every phase is charged
+//! by `charge`, the one clock: it adds the phase's duration to its report
+//! counter and records the same duration as a span when a timeline is
+//! attached, so each `*_ns` field is exactly the sum of its spans.
 //!
 //! A rank without an exchange plan is the whole run in place (the threads
 //! backend): every color is interior, nothing is sent, and every buffer
@@ -32,7 +42,7 @@ use super::store::{extract_owned, pack, unpack};
 use super::{AttemptSync, CheckpointStore, DistError, DistReport};
 use crate::fault::{CheckpointPolicy, FaultPlan, MAX_SEND_ATTEMPTS};
 use crate::task::{LoopSetup, Regs, TaskEnv};
-use partir_core::exchange::{ExchangePlan, LoopExchange, PostMessage};
+use partir_core::exchange::{ExchangePlan, LoopExchange, PairMessages, PostMessage};
 use partir_dpl::index_set::IndexSet;
 use partir_dpl::region::{FieldId, Schema};
 use partir_obs::trace::{RankTracer, SpanKind};
@@ -43,25 +53,6 @@ use std::time::{Duration, Instant};
 /// A copy of a rank's owned shard of every F64 field (a checkpoint), ready
 /// to be written back into a unified store.
 pub(crate) type OwnedShards = Vec<(FieldId, Vec<f64>)>;
-
-/// Records a completed communication span when timeline collection is on.
-/// `start` is `None` exactly when the tracer is — the per-peer `Instant`s
-/// are only taken under `tracer.is_some()`, so the tracing-off path costs
-/// nothing beyond the phase-level stats timers that always ran.
-#[inline]
-fn rec(
-    tracer: &mut Option<RankTracer>,
-    kind: SpanKind,
-    epoch: usize,
-    start: Option<Instant>,
-    dur_ns: u64,
-    bytes: u64,
-    peer: usize,
-) {
-    if let (Some(tr), Some(t0)) = (tracer.as_mut(), start) {
-        tr.record(kind, epoch, t0, dur_ns, bytes, Some(peer));
-    }
-}
 
 /// What every rank of an attempt shares.
 #[derive(Clone, Copy)]
@@ -90,9 +81,8 @@ pub(crate) fn rank_main<D: RankData>(
     workers: usize,
     senders: &[Sender<Msg>],
     mailbox: &mut Mailbox,
-    mut tracer: Option<RankTracer>,
+    tracer: Option<RankTracer>,
 ) -> Result<(D, DistReport, Option<RankTracer>), DistError> {
-    let mut stats = DistReport::default();
     let env = TaskEnv {
         check: cx.check,
         rank: cx.xplan.map(|_| rank),
@@ -100,6 +90,16 @@ pub(crate) fn rank_main<D: RankData>(
         violation: &sync.violation,
     };
     let fault = cx.faults.plan.as_ref();
+    let mut port = Port {
+        rank,
+        epoch: 0,
+        senders,
+        mailbox,
+        fault,
+        abort: &sync.abort,
+        stats: DistReport::default(),
+        tracer,
+    };
     for (li, setup) in cx.setups.iter().enumerate().skip(cx.first_epoch) {
         if sync.abort.load(Ordering::Relaxed) {
             return Err(DistError::Aborted);
@@ -107,7 +107,8 @@ pub(crate) fn rank_main<D: RankData>(
         // Injected whole-rank crash: die at the top of the epoch, before
         // sending or computing anything for it. The shared `lost` slot is
         // the driver's ground truth; a loud crash also broadcasts notices
-        // so peers detect the loss without waiting out their deadline.
+        // (outside the fault plane: they are not protocol traffic) so peers
+        // detect the loss without waiting out their deadline.
         if let Some(crash) = fault.and_then(|f| f.crashes(rank, li as u64)) {
             let mut slot = sync.lost.lock();
             if slot.is_none() {
@@ -131,19 +132,9 @@ pub(crate) fn rank_main<D: RankData>(
             // the peers' RankLost (or the ground-truth slot) as the cause.
             return Err(DistError::Aborted);
         }
-        run_epoch(
-            rank,
-            li,
-            Colors::new(li, setup, &env, cx.faults),
-            cx.xplan.map(|x| &x.loops[li]),
-            workers,
-            &mut store,
-            senders,
-            mailbox,
-            &mut stats,
-            &mut tracer,
-            fault,
-        )?;
+        port.epoch = li;
+        let colors = Colors::new(li, setup, &env, cx.faults);
+        run_epoch(colors, cx.xplan.map(|x| &x.loops[li]), workers, &mut store, &mut port)?;
         // Checkpoint hook: snapshot the owned shard (never ghosts) after
         // every `interval_epochs`-th completed epoch.
         if let (Some((policy, ckpts)), Some(xplan)) = (cx.ckpt, cx.xplan) {
@@ -152,87 +143,48 @@ pub(crate) fn rank_main<D: RankData>(
                 let shard = extract_owned(&store, xplan, rank, cx.schema);
                 let bytes: u64 = shard.iter().map(|(_, v)| v.len() as u64 * 8).sum();
                 ckpts.put(rank, li as u64, shard);
-                let d = t.elapsed().as_nanos() as u64;
-                stats.checkpoints += 1;
-                stats.checkpoint_bytes += bytes;
-                stats.checkpoint_ns += d;
-                if let Some(tr) = tracer.as_mut() {
-                    tr.record(SpanKind::Checkpoint, li, t, d, bytes, None);
-                }
+                port.stats.checkpoints += 1;
+                port.stats.checkpoint_bytes += bytes;
+                port.charge(SpanKind::Checkpoint, t, bytes, None);
             }
         }
     }
-    Ok((store, stats, tracer))
+    Ok((store, port.stats, port.tracer))
 }
 
 /// One epoch of one rank: one loop, exchanging what the loop's message
 /// table `lx` lists when the rank has peers.
-#[allow(clippy::too_many_arguments)]
 fn run_epoch<D: RankData>(
-    rank: usize,
-    li: usize,
     colors: Colors<'_, '_>,
     lx: Option<&LoopExchange>,
     workers: usize,
     store: &mut D,
-    senders: &[Sender<Msg>],
-    mailbox: &mut Mailbox,
-    stats: &mut DistReport,
-    tracer: &mut Option<RankTracer>,
-    fault: Option<&FaultPlan>,
+    port: &mut Port<'_>,
 ) -> Result<(), DistError> {
-    let setup = colors.setup;
-    let epoch = li as u64;
-    let abort = colors.env.abort;
+    let (rank, setup) = (port.rank, colors.setup);
     // One register file per rank and epoch, not per task.
     let mut regs = Regs::new(setup);
     let all: Vec<usize>;
-    let (interior, pairs) = match lx {
-        Some(lx) => (&lx.interior[rank][..], &lx.pairs[..]),
+    let (pairs, interior, boundary, deps) = match lx {
+        Some(x) => (&x.pairs[..], &x.interior[rank], &x.boundary[rank], &x.boundary_deps[rank]),
         None => {
             all = (0..setup.iter.num_subregions()).collect();
-            (&all[..], &[][..])
+            (&[][..], &all, &Vec::new(), &Vec::new())
         }
     };
-    let n_ranks = pairs.len();
 
     // Phase 1: pack and push ghosts (owner-fresh loop-start values).
-    let t = Instant::now();
-    for (dst, out) in pairs.get(rank).into_iter().flatten().enumerate() {
-        let sets = &out.ghost;
-        if dst == rank || sets.is_empty() {
-            continue;
-        }
-        let t0 = tracer.is_some().then(Instant::now);
-        let mut values = Vec::new();
-        let packed = pack(store, sets, &mut values);
-        let bytes = packed as u64 * 8;
-        rec(tracer, SpanKind::Pack, li, t0, elapsed(t0), bytes, dst);
-        stats.bytes_sent += bytes;
-        stats.messages += 1;
-        let t1 = tracer.is_some().then(Instant::now);
-        send_faulty(
-            fault,
-            senders,
-            dst,
-            Msg { epoch, src: rank, kind: MsgKind::Ghost, values, partials_present: Vec::new() },
-            abort,
-            stats,
-        )?;
-        rec(tracer, SpanKind::Send, li, t1, elapsed(t1), bytes, dst);
-    }
-    stats.pack_ns += t.elapsed().as_nanos() as u64;
+    port.send(MsgKind::Ghost, pairs, |pair, values| {
+        pack(store, &pair.ghost, values);
+        Vec::new()
+    })?;
 
     // Phase 2: interior compute, overlapping the ghost traffic in flight.
+    // Interior/halo/merge phases are charged even with no colors to run,
+    // so every epoch appears on every rank's timeline.
     let t = Instant::now();
     colors.run(store, interior, workers, &mut regs);
-    let d = t.elapsed().as_nanos() as u64;
-    stats.compute_ns += d;
-    // Interior/halo/merge spans are recorded unconditionally (even with no
-    // colors to run) so every epoch appears on every rank's timeline.
-    if let Some(tr) = tracer.as_mut() {
-        tr.record(SpanKind::InteriorCompute, li, t, d, 0, None);
-    }
+    port.charge(SpanKind::InteriorCompute, t, 0, None);
 
     // Phases 3+4: arrival-order halo install with dependency-driven
     // boundary compute. Ghost messages are taken as they land (whichever
@@ -240,15 +192,10 @@ fn run_epoch<D: RankData>(
     // peers *it* depends on (`boundary_deps`) have installed — the rank
     // waits only for the halos a color actually reads, never for the whole
     // exchange, and never in a fixed source order a slow peer could stall.
-    let (boundary, deps) = match lx {
-        Some(lx) => (&lx.boundary[rank][..], &lx.boundary_deps[rank][..]),
-        None => (&[][..], &[][..]),
-    };
     let mut color_done = vec![false; boundary.len()];
-    let mut installed = vec![false; n_ranks];
-    let mut wanted: Vec<usize> =
-        (0..n_ranks).filter(|&src| src != rank && !pairs[src][rank].ghost.is_empty()).collect();
-    let mut halo_spans = 0usize;
+    let mut installed = vec![false; pairs.len()];
+    let mut wanted = port.sources(MsgKind::Ghost, pairs);
+    let mut halo_charged = false;
     loop {
         // Run every boundary color whose halos are all resident.
         let t = Instant::now();
@@ -261,105 +208,42 @@ fn run_epoch<D: RankData>(
             color_done[k] = true;
             ran = true;
         }
-        if ran {
-            let d = t.elapsed().as_nanos() as u64;
-            stats.compute_ns += d;
-            halo_spans += 1;
-            if let Some(tr) = tracer.as_mut() {
-                tr.record(SpanKind::HaloCompute, li, t, d, 0, None);
-            }
+        let last = wanted.is_empty() || port.abort.load(Ordering::Relaxed);
+        if ran || (last && !halo_charged) {
+            port.charge(SpanKind::HaloCompute, t, 0, None);
+            halo_charged = true;
         }
-        if wanted.is_empty() || abort.load(Ordering::Relaxed) {
+        if last {
             break;
         }
-        let t0 = Instant::now();
-        let msg = mailbox
-            .recv_any(epoch, MsgKind::Ghost, &mut wanted)
-            .map_err(|e| mb_err(e, wanted.first().copied().unwrap_or(rank), epoch))?;
-        let wait = t0.elapsed().as_nanos() as u64;
-        stats.exchange_wait_ns += wait;
-        let bytes = msg.values.len() as u64 * 8;
-        if let Some(tr) = tracer.as_mut() {
-            tr.record(SpanKind::RecvWait, li, t0, wait, bytes, Some(msg.src));
-        }
-        let t1 = Instant::now();
-        let rest = unpack(store, &pairs[msg.src][rank].ghost, &msg.values);
-        debug_assert!(rest.is_empty(), "ghost message longer than its plan sets");
-        let un = t1.elapsed().as_nanos() as u64;
-        stats.unpack_ns += un;
-        if let Some(tr) = tracer.as_mut() {
-            tr.record(SpanKind::Unpack, li, t1, un, bytes, Some(msg.src));
-        }
-        installed[msg.src] = true;
-    }
-    // Keep the halo phase visible on every rank's timeline even when the
-    // epoch had no boundary colors.
-    if halo_spans == 0 {
-        if let Some(tr) = tracer.as_mut() {
-            tr.record(SpanKind::HaloCompute, li, Instant::now(), 0, 0, None);
-        }
+        let src = port.recv(MsgKind::Ghost, pairs, &mut wanted, |pair, msg| {
+            let rest = unpack(store, &pair.ghost, &msg.values);
+            debug_assert!(rest.is_empty(), "ghost message longer than its plan sets");
+        })?;
+        installed[src] = true;
     }
     let (bufs, counts) = colors.finish(store, &mut regs)?;
     debug_assert!(color_done.iter().all(|&d| d), "every boundary color ran");
-    stats.add(&counts);
+    port.stats.add(&counts);
 
     // Phase 5: post traffic out — write-backs first, then the pair's
     // partial-buffer slices with presence flags.
-    let t = Instant::now();
-    for (dst, out) in pairs.get(rank).into_iter().flatten().enumerate() {
-        let post = &out.post;
-        if dst == rank || post.is_empty() {
-            continue;
-        }
-        let t0 = tracer.is_some().then(Instant::now);
-        let mut values = Vec::new();
-        pack(store, &post.write_back, &mut values);
-        let flags = pack_slices(post, setup, &bufs, &mut values);
-        let bytes = values.len() as u64 * 8;
-        rec(tracer, SpanKind::Pack, li, t0, elapsed(t0), bytes, dst);
-        stats.bytes_sent += bytes;
-        stats.messages += 1;
-        let t1 = tracer.is_some().then(Instant::now);
-        send_faulty(
-            fault,
-            senders,
-            dst,
-            Msg { epoch, src: rank, kind: MsgKind::Post, values, partials_present: flags },
-            abort,
-            stats,
-        )?;
-        rec(tracer, SpanKind::Send, li, t1, elapsed(t1), bytes, dst);
-    }
-    stats.pack_ns += t.elapsed().as_nanos() as u64;
+    port.send(MsgKind::Post, pairs, |pair, values| {
+        pack(store, &pair.post.write_back, values);
+        pack_slices(&pair.post, setup, &bufs, values)
+    })?;
 
     // Phase 6: receive post traffic in arrival order — install write-backs
     // verbatim (disjoint per source, so order is immaterial), stash the
     // partial slices that came with values; the merge below sorts them
     // into the deterministic order.
     let mut partials: Vec<Partial<'_>> = Vec::new();
-    let mut post_wanted: Vec<usize> =
-        (0..n_ranks).filter(|&src| src != rank && !pairs[src][rank].post.is_empty()).collect();
-    while !post_wanted.is_empty() {
-        let t0 = Instant::now();
-        let msg = mailbox
-            .recv_any(epoch, MsgKind::Post, &mut post_wanted)
-            .map_err(|e| mb_err(e, post_wanted.first().copied().unwrap_or(rank), epoch))?;
-        let src = msg.src;
-        let wait = t0.elapsed().as_nanos() as u64;
-        stats.exchange_wait_ns += wait;
-        let bytes = msg.values.len() as u64 * 8;
-        if let Some(tr) = tracer.as_mut() {
-            tr.record(SpanKind::RecvWait, li, t0, wait, bytes, Some(src));
-        }
-        let t1 = Instant::now();
-        let post = &pairs[src][rank].post;
-        let vals = unpack(store, &post.write_back, &msg.values);
-        unpack_slices(post, &msg.partials_present, vals, &mut partials);
-        let un = t1.elapsed().as_nanos() as u64;
-        stats.unpack_ns += un;
-        if let Some(tr) = tracer.as_mut() {
-            tr.record(SpanKind::Unpack, li, t1, un, bytes, Some(src));
-        }
+    let mut wanted = port.sources(MsgKind::Post, pairs);
+    while !wanted.is_empty() {
+        port.recv(MsgKind::Post, pairs, &mut wanted, |pair, msg| {
+            let vals = unpack(store, &pair.post.write_back, &msg.values);
+            unpack_slices(&pair.post, &msg.partials_present, vals, &mut partials);
+        })?;
     }
 
     // Owner merge of partial reductions: buffer order, ascending
@@ -393,12 +277,160 @@ fn run_epoch<D: RankData>(
             store.write_f64(field, i, op.apply(cur, v));
         }
     }
-    let d = t.elapsed().as_nanos() as u64;
-    stats.merge_ns += d;
-    if let Some(tr) = tracer.as_mut() {
-        tr.record(SpanKind::Merge, li, t, d, 0, None);
-    }
+    port.charge(SpanKind::Merge, t, 0, None);
     Ok(())
+}
+
+/// A rank's end of the fabric and its phase clock: every phase of an
+/// epoch sends through it, receives from it and is charged to it.
+struct Port<'p> {
+    rank: usize,
+    /// The epoch in progress.
+    epoch: usize,
+    senders: &'p [Sender<Msg>],
+    mailbox: &'p mut Mailbox,
+    fault: Option<&'p FaultPlan>,
+    abort: &'p AtomicBool,
+    /// The rank's share of the run's report.
+    stats: DistReport,
+    tracer: Option<RankTracer>,
+}
+
+impl Port<'_> {
+    /// Charges the phase that began at `t` to its report counter and, when
+    /// a timeline is attached, records it as a span of the same duration.
+    fn charge(&mut self, kind: SpanKind, t: Instant, bytes: u64, peer: Option<usize>) {
+        let d = t.elapsed().as_nanos() as u64;
+        let s = &mut self.stats;
+        match kind {
+            SpanKind::Pack | SpanKind::Send => s.pack_ns += d,
+            SpanKind::RecvWait => s.exchange_wait_ns += d,
+            SpanKind::Unpack => s.unpack_ns += d,
+            SpanKind::InteriorCompute | SpanKind::HaloCompute => s.compute_ns += d,
+            SpanKind::Merge => s.merge_ns += d,
+            SpanKind::Checkpoint => s.checkpoint_ns += d,
+            // Driver-side phases, charged by the driver.
+            SpanKind::Legality | SpanKind::Recovery => {}
+        }
+        if let Some(tr) = &mut self.tracer {
+            tr.record(kind, self.epoch, t, d, bytes, peer);
+        }
+    }
+
+    /// Sends one `kind` message to each peer whose pair in this rank's row
+    /// of `pairs` has traffic of that kind; `payload` fills its values and
+    /// returns its presence flags. Under the fault plan, seeded
+    /// in-flight drops make the sender retransmit with seeded backoff
+    /// (bounded by [`MAX_SEND_ATTEMPTS`], after which the destination is
+    /// declared lost), and seeded duplication sends a second copy the
+    /// receiver must dedup. Dropped attempts never cross the channel, so
+    /// the receiver's protocol meter stays comparable to the plan's
+    /// predicted volume; duplicates are metered separately on arrival.
+    fn send(
+        &mut self,
+        kind: MsgKind,
+        pairs: &[Vec<PairMessages>],
+        mut payload: impl FnMut(&PairMessages, &mut Vec<f64>) -> Vec<bool>,
+    ) -> Result<(), DistError> {
+        let (rank, epoch, senders, abort) =
+            (self.rank, self.epoch as u64, self.senders, self.abort);
+        for (dst, pair) in pairs.get(rank).into_iter().flatten().enumerate() {
+            if dst == rank || !carries(pair, kind) {
+                continue;
+            }
+            let t = Instant::now();
+            let mut values = Vec::new();
+            let partials_present = payload(pair, &mut values);
+            let bytes = values.len() as u64 * 8;
+            self.charge(SpanKind::Pack, t, bytes, Some(dst));
+            self.stats.bytes_sent += bytes;
+            self.stats.messages += 1;
+            let t = Instant::now();
+            let msg = Msg { epoch, src: rank, kind, values, partials_present };
+            let push = |msg| {
+                senders[dst].send(msg).map_err(|_| match abort.load(Ordering::Relaxed) {
+                    true => DistError::Aborted,
+                    false => DistError::Disconnected { rank: dst },
+                })
+            };
+            let mut attempt = 0u32;
+            while let Some(f) =
+                self.fault.filter(|f| f.drops(epoch, rank, dst, kind.tag(), attempt))
+            {
+                self.stats.retransmits += 1;
+                attempt += 1;
+                if attempt >= MAX_SEND_ATTEMPTS {
+                    return Err(DistError::RankLost { rank: dst, epoch });
+                }
+                if abort.load(Ordering::Relaxed) {
+                    return Err(DistError::Aborted);
+                }
+                std::thread::sleep(Duration::from_micros(f.backoff_us(epoch, rank, dst, attempt)));
+            }
+            if self.fault.is_some_and(|f| f.duplicates(epoch, rank, dst, kind.tag())) {
+                self.stats.duplicates += 1;
+                // The real copy goes first: the receiver always waits for
+                // the first arrival, so this send cannot race with its
+                // shutdown. The trailing duplicate can — a receiver that
+                // already got everything it wanted may exit before the
+                // extra copy lands, so a closed channel there is a benign
+                // shutdown race, not a lost rank.
+                push(msg.clone())?;
+                let _ = push(msg);
+            } else {
+                push(msg)?;
+            }
+            self.charge(SpanKind::Send, t, bytes, Some(dst));
+        }
+        Ok(())
+    }
+
+    /// The peers whose pair in this rank's column of `pairs` has `kind`
+    /// traffic for it: what the epoch's receives wait for.
+    fn sources(&self, kind: MsgKind, pairs: &[Vec<PairMessages>]) -> Vec<usize> {
+        let rank = self.rank;
+        (0..pairs.len()).filter(|&src| src != rank && carries(&pairs[src][rank], kind)).collect()
+    }
+
+    /// Receives the `kind` message that lands first from a source still in
+    /// `wanted` and installs it with `install`, given its pair; charges
+    /// the wait and the install, and returns the source. A deadline expiry
+    /// names the first source still awaited — the rank whose traffic never
+    /// came, the silent-crash detection heuristic.
+    fn recv<'x>(
+        &mut self,
+        kind: MsgKind,
+        pairs: &'x [Vec<PairMessages>],
+        wanted: &mut Vec<usize>,
+        install: impl FnOnce(&'x PairMessages, &Msg),
+    ) -> Result<usize, DistError> {
+        let t = Instant::now();
+        let epoch = self.epoch as u64;
+        let msg = self.mailbox.recv_any(epoch, kind, wanted).map_err(|e| {
+            let suspect = wanted.first().copied().unwrap_or(self.rank);
+            match e {
+                MailboxError::Aborted => DistError::Aborted,
+                MailboxError::Disconnected => DistError::Disconnected { rank: suspect },
+                MailboxError::Lost { rank } => DistError::RankLost { rank, epoch },
+                MailboxError::Deadline => DistError::RankLost { rank: suspect, epoch },
+            }
+        })?;
+        let bytes = msg.values.len() as u64 * 8;
+        self.charge(SpanKind::RecvWait, t, bytes, Some(msg.src));
+        let t = Instant::now();
+        install(&pairs[msg.src][self.rank], &msg);
+        self.charge(SpanKind::Unpack, t, bytes, Some(msg.src));
+        Ok(msg.src)
+    }
+}
+
+/// Does `pair` have `kind` traffic? An empty message is not sent.
+fn carries(pair: &PairMessages, kind: MsgKind) -> bool {
+    match kind {
+        MsgKind::Ghost => !pair.ghost.is_empty(),
+        MsgKind::Post => !pair.post.is_empty(),
+        MsgKind::Crash => false,
+    }
 }
 
 /// A partial-buffer slice that arrived with values: `(route, color, the
@@ -438,82 +470,4 @@ fn unpack_slices<'a>(
         values = rest;
     }
     debug_assert!(values.is_empty(), "post message longer than its plan sets");
-}
-
-/// Elapsed nanoseconds of a gated instant (0 when tracing is off).
-#[inline]
-fn elapsed(start: Option<Instant>) -> u64 {
-    start.map_or(0, |t| t.elapsed().as_nanos() as u64)
-}
-
-fn send(
-    senders: &[Sender<Msg>],
-    dst: usize,
-    msg: Msg,
-    abort: &AtomicBool,
-) -> Result<(), DistError> {
-    senders[dst].send(msg).map_err(|_| {
-        if abort.load(Ordering::Relaxed) {
-            DistError::Aborted
-        } else {
-            DistError::Disconnected { rank: dst }
-        }
-    })
-}
-
-/// Maps a mailbox failure to the typed distributed error. `suspect` is
-/// the first source the receive was still waiting on — for a deadline
-/// expiry that is the rank whose traffic never came, the silent-crash
-/// detection heuristic.
-fn mb_err(e: MailboxError, suspect: usize, epoch: u64) -> DistError {
-    match e {
-        MailboxError::Aborted => DistError::Aborted,
-        MailboxError::Disconnected => DistError::Disconnected { rank: suspect },
-        MailboxError::Lost { rank } => DistError::RankLost { rank, epoch },
-        MailboxError::Deadline => DistError::RankLost { rank: suspect, epoch },
-    }
-}
-
-/// [`send`] under the fault plan: seeded in-flight drops make the sender
-/// retransmit with seeded backoff (bounded by [`MAX_SEND_ATTEMPTS`], after
-/// which the destination is declared lost), and seeded duplication sends a
-/// second copy the receiver must dedup. Dropped attempts never cross the
-/// channel, so the receiver's protocol meter stays comparable to the
-/// plan's predicted volume; duplicates are metered separately on arrival.
-fn send_faulty(
-    fault: Option<&FaultPlan>,
-    senders: &[Sender<Msg>],
-    dst: usize,
-    msg: Msg,
-    abort: &AtomicBool,
-    stats: &mut DistReport,
-) -> Result<(), DistError> {
-    let Some(f) = fault.filter(|f| f.drop_rate > 0.0 || f.dup_rate > 0.0) else {
-        return send(senders, dst, msg, abort);
-    };
-    let (epoch, src, kind) = (msg.epoch, msg.src, msg.kind.tag());
-    let mut attempt = 0u32;
-    while f.drops(epoch, src, dst, kind, attempt) {
-        stats.retransmits += 1;
-        attempt += 1;
-        if attempt >= MAX_SEND_ATTEMPTS {
-            return Err(DistError::RankLost { rank: dst, epoch });
-        }
-        if abort.load(Ordering::Relaxed) {
-            return Err(DistError::Aborted);
-        }
-        std::thread::sleep(Duration::from_micros(f.backoff_us(epoch, src, dst, attempt)));
-    }
-    if f.duplicates(epoch, src, dst, kind) {
-        stats.duplicates += 1;
-        // The real copy goes first: the receiver always waits for the
-        // first arrival, so this send cannot race with its shutdown. The
-        // trailing duplicate can — a receiver that already got everything
-        // it wanted may exit before the extra copy lands, so a closed
-        // channel there is a benign shutdown race, not a lost rank.
-        send(senders, dst, msg.clone(), abort)?;
-        let _ = send(senders, dst, msg, abort);
-        return Ok(());
-    }
-    send(senders, dst, msg, abort)
 }

@@ -299,8 +299,11 @@ fn external_partition_hint_used_and_correct() {
     let schema2 = store.schema().clone();
     let plan = auto_parallelize(&program, &fns, &schema2, &hints, Options::default()).unwrap();
     // The externals appear in the plan's partition expressions.
-    let uses_ext =
-        plan.partition_exprs.iter().any(|e| matches!(e, partir_core::lang::PExpr::Ext(_)));
+    let arena = &plan.system.arena;
+    let uses_ext = plan
+        .partition_ids
+        .iter()
+        .any(|&id| matches!(arena.node(id), partir_core::lang::Expr::Ext(_)));
     assert!(uses_ext, "hint partitions used: {}", plan.render_dpl(&fns));
 
     check_parallel_matches_seq(&program, &fns, &store, n_colors, &hints, &exts);

@@ -434,6 +434,19 @@ mod tests {
         assert_eq!((dist.retransmits, dist.duplicates, dist.recoveries), (0, 0, 0));
     }
 
+    /// A checkpoint interval of 0 epochs (a struct literal, which skips the
+    /// clamp in `CheckpointPolicy::every`) would never be due: refused,
+    /// where `every(0)` clamps to every epoch and checkpoints.
+    #[test]
+    fn a_zero_checkpoint_interval_is_a_session_error() {
+        let (plan, seed, seq) = solved_scatter(4);
+        let ranks = || Run::new().backend(Backend::Ranks(2));
+        invalid(ranks().checkpoint(CheckpointPolicy { interval_epochs: 0 }), &plan, &seed);
+        let clamped = ranks().checkpoint(CheckpointPolicy::every(0));
+        let dist = *run_identical(&clamped, &plan, &seed, &seq).report.stats();
+        assert!(dist.checkpoints > 0, "every(0) checkpoints every epoch: {dist:?}");
+    }
+
     /// A rate outside `[0, 1]` is refused on both backends, NaN included
     /// (every comparison with it is false, so unchecked it would kill
     /// every attempt while `attacks_tasks` said it attacked nothing).

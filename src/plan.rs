@@ -250,6 +250,11 @@ impl Run {
         if let Some((name, rate)) = rates.into_iter().find(|(_, r)| !(0.0..=1.0).contains(r)) {
             return invalid(format!("fault plan {name} is {rate}, outside [0, 1]"));
         }
+        // `CheckpointPolicy::every` clamps; a struct literal does not, and
+        // an interval of 0 epochs would never be due.
+        if self.checkpoint.is_some_and(|c| c.interval_epochs == 0) {
+            return invalid("checkpoint interval is 0 epochs; it must be at least 1".into());
+        }
         match self.backend {
             Backend::Threads(0) | Backend::Ranks(0) => {
                 return invalid(format!("backend {:?} has zero width", self.backend));
