@@ -306,10 +306,9 @@ pub fn simulate(
     let n = machine.nodes;
     let loops = sim_loops(program, plan, parts, store, weights, n)?;
     let schema = store.schema();
-    let mut home: Vec<Vec<IndexSet>> = schema
-        .regions()
-        .map(|(r, decl)| ops::equal(r, decl.size, n).subregions().to_vec())
-        .collect();
+    let blocks: Vec<Partition> =
+        schema.regions().map(|(r, decl)| ops::equal(r, decl.size, n)).collect();
+    let mut home: Vec<&[IndexSet]> = blocks.iter().map(Partition::subregions).collect();
 
     let mut result = None;
     for _round in 0..2 {
@@ -335,7 +334,7 @@ pub fn simulate(
                 b.meta_units += meta;
             }
             for acc in &lp.accesses {
-                let h = &home[acc.part.region.0 as usize];
+                let h = home[acc.part.region.0 as usize];
                 transfer(&acc.sets, h, &mut per_node, &mut total_bytes);
             }
             // Home updates: *writes* move ownership to the accessing
@@ -343,8 +342,7 @@ pub fn simulate(
             // into the owners' existing instances, so they do not move
             // ownership.
             for acc in lp.accesses.iter().filter(|a| a.writes) {
-                home[acc.part.region.0 as usize] =
-                    acc.part.first_owner().unwrap_or_else(|| acc.part.subregions().to_vec());
+                home[acc.part.region.0 as usize] = acc.part.first_owner_sets();
             }
         }
         result = Some(SimResult {
@@ -382,7 +380,7 @@ fn failure_summary(
     machine: &MachineModel,
     fm: &FailureModel,
     result: &SimResult,
-    home: &[Vec<IndexSet>],
+    home: &[&[IndexSet]],
 ) -> FailureSummary {
     let n = machine.nodes;
     let mut recompute = vec![0.0f64; n];
@@ -405,7 +403,7 @@ fn failure_summary(
             1.0
         } else {
             let total: u64 = lp.iter.total_elements();
-            let support = lp.iter.support().len();
+            let support = lp.iter.support_len();
             if support == 0 {
                 1.0
             } else {

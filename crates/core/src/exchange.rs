@@ -84,24 +84,12 @@ pub struct AccessSets<'a> {
     pub resident: Option<&'a Partition>,
     /// The task-local buffer of a two-step reduction.
     pub buffered: Option<BufferedSets<'a>>,
-    /// See [`AccessSets::in_place`].
-    in_place: Option<&'a [IndexSet]>,
-    /// A centered write: over an aliased iteration partition it applies
-    /// only in the first color owning the iteration.
-    first_owner_only: bool,
-}
-
-impl<'a> AccessSets<'a> {
-    /// `in_place(..)?[c]`: the store elements color `c` may mutate. Each
+    /// `in_place?[c]`: the store elements color `c` may mutate. Each
     /// element has one in-place writer: the sets are disjoint across
-    /// colors. `write_own` is the iteration partition's first-owner
-    /// narrowing ([`Partition::first_owner`]).
-    pub fn in_place(&self, write_own: Option<&'a [IndexSet]>) -> Option<&'a [IndexSet]> {
-        match write_own {
-            Some(own) if self.first_owner_only => Some(own),
-            _ => self.in_place,
-        }
-    }
+    /// colors. A centered write over an aliased iteration partition
+    /// applies only in the first color owning the iteration, so its sets
+    /// are the iteration partition's [`Partition::first_owner_sets`].
+    pub in_place: Option<&'a [IndexSet]>,
 }
 
 /// The element sets a two-step (`Buffered` / `BufferedPrivate`) reduction
@@ -138,7 +126,7 @@ pub fn access_sets<'a>(
     let part: &Partition = &parts[ap.part.0 as usize];
     let (resident, in_place, buffered) = match (ap.kind, &ap.reduce) {
         (AccessKind::Read, _) => (Some(part), None, None),
-        (AccessKind::Write, _) => (Some(part), Some(iter.subregions()), None),
+        (AccessKind::Write, _) => (Some(part), Some(iter.first_owner_sets()), None),
         // A centered reduction: the iteration partition is disjoint.
         (AccessKind::Reduce(_), None) => (Some(part), Some(iter.subregions()), None),
         (AccessKind::Reduce(_), Some(PlannedReduce::Direct | PlannedReduce::Guarded)) => {
@@ -153,8 +141,7 @@ pub fn access_sets<'a>(
             (Some(private), Some(private.subregions()), Some(buffered))
         }
     };
-    let first_owner_only = ap.kind.is_write();
-    Some(AccessSets { field, resident, buffered, in_place, first_owner_only })
+    Some(AccessSets { field, resident, buffered, in_place })
 }
 
 /// Per-field transfer sets of one `(src, dst)` pair, ascending by field id;
@@ -219,10 +206,6 @@ pub struct LoopExchange {
     /// run each boundary color as soon as *its* halos land instead of
     /// waiting for the whole exchange.
     pub boundary_deps: Vec<Vec<Vec<usize>>>,
-    /// First-owner narrowing of centered writes for aliased iteration
-    /// partitions ([`Partition::first_owner`]), `None` when the iteration
-    /// partition is disjoint. Shared by the footprint and all its folds.
-    pub write_own: Option<Arc<[IndexSet]>>,
 }
 
 /// Volume accounting for one full pass over the program.
@@ -628,7 +611,6 @@ struct Piece {
 /// `src` for slices.
 #[derive(Debug)]
 struct LoopFootprint {
-    write_own: Option<Arc<[IndexSet]>>,
     routes: Vec<BufferRoute>,
     /// `resident(dst) ∩ owner(src)` per f64 field, `src ≠ dst`.
     ghost: Vec<Piece>,
@@ -673,7 +655,6 @@ impl Footprint {
         let mut loops = Vec::with_capacity(plan.loops.len());
         for lp in &plan.loops {
             let iter = &parts[lp.iter.0 as usize];
-            let write_own = iter.first_owner().map(Arc::from);
             // (access index, sets) of every access with an f64 footprint.
             let sets = lp.accesses.iter().enumerate();
             let sets: Vec<_> = sets
@@ -684,7 +665,7 @@ impl Footprint {
                 let owner = &owners[schema.field(field).region.0 as usize];
                 let of_field = sets.iter().filter(|(_, s)| s.field == field).map(|(_, s)| s);
                 let resident = of_field.clone().filter_map(|s| Some(s.resident?.subregions()));
-                let in_place = of_field.filter_map(|s| s.in_place(write_own.as_deref()));
+                let in_place = of_field.filter_map(|s| s.in_place);
                 // A ghost travels from the owner to the reader.
                 let at = ghost.len();
                 split_colors(resident.collect(), owner, field.0 as usize, false, &mut ghost);
@@ -703,7 +684,7 @@ impl Footprint {
                 let owner = &owners[schema.field(route.field).region.0 as usize];
                 split_colors(vec![&route.sets], owner, r, true, &mut slices);
             }
-            loops.push(LoopFootprint { write_own, routes, ghost, write_back, slices });
+            loops.push(LoopFootprint { routes, ghost, write_back, slices });
         }
         Ok(Footprint { n_colors, schema: schema.clone(), owners, loops })
     }
@@ -778,8 +759,8 @@ impl Footprint {
             let (interior, boundary) = (split(true), split(false));
             let boundary_deps = boundary.iter().map(|cs| cs.iter().map(|&c| deps[c].clone()));
             let boundary_deps = boundary_deps.map(Iterator::collect).collect();
-            let (routes, write_own) = (lf.routes.clone(), lf.write_own.clone());
-            lxs.push(LoopExchange { pairs, routes, interior, boundary, boundary_deps, write_own });
+            let routes = lf.routes.clone();
+            lxs.push(LoopExchange { pairs, routes, interior, boundary, boundary_deps });
         }
 
         let locals: Vec<Vec<IndexSet>> = owned

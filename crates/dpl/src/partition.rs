@@ -6,21 +6,65 @@
 //! "dependent partitioning" model. Disjointness and completeness — the
 //! `DISJ`/`COMP` predicates of the constraint language — are *checkable
 //! properties* here, used both by tests and by the runtime to validate
-//! solver output dynamically.
+//! solver output dynamically. Both, and the first-owner narrowing, come
+//! from one sweep over the subregions' runs, made once per partition.
 
 use crate::index_set::{Idx, IndexSet};
 use crate::region::RegionId;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// An indexed collection of subregions of `region`.
-#[derive(Clone, Debug, PartialEq, Hash)]
+///
+/// `cover` is a write-once cell for what one sweep over the subregions
+/// learns, filled the first time a predicate or the narrowing is asked
+/// for. The subregions never change, so the cell never goes stale; clones
+/// carry it, and equality, hashing and `Debug` see only `(region,
+/// subregions)`.
+#[derive(Clone)]
 pub struct Partition {
     pub region: RegionId,
     subregions: Vec<IndexSet>,
+    cover: OnceLock<Cover>,
+}
+
+/// The union of a partition's subregions, as one sweep sees it.
+#[derive(Clone)]
+struct Cover {
+    /// Elements in at least one subregion.
+    support_len: u64,
+    /// The largest of them.
+    max: Option<Idx>,
+    /// See [`Partition::first_owner`].
+    first_owner: Option<Arc<[IndexSet]>>,
+}
+
+impl PartialEq for Partition {
+    fn eq(&self, other: &Self) -> bool {
+        self.region == other.region && self.subregions == other.subregions
+    }
+}
+
+impl Hash for Partition {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.region.hash(state);
+        self.subregions.hash(state);
+    }
+}
+
+impl fmt::Debug for Partition {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut d = f.debug_struct("Partition");
+        d.field("region", &self.region).field("subregions", &self.subregions).finish()
+    }
 }
 
 impl Partition {
     pub fn new(region: RegionId, subregions: Vec<IndexSet>) -> Self {
-        Partition { region, subregions }
+        Partition { region, subregions, cover: OnceLock::new() }
     }
 
     /// Number of subregions (the partition's "color space" size).
@@ -46,20 +90,18 @@ impl Partition {
         self.subregions.iter().map(IndexSet::len).sum()
     }
 
-    /// Union of all subregions.
-    pub fn support(&self) -> IndexSet {
-        let mut acc = IndexSet::new();
-        for s in &self.subregions {
-            acc = acc.union(s);
-        }
-        acc
+    fn cover(&self) -> &Cover {
+        self.cover.get_or_init(|| sweep(&self.subregions))
+    }
+
+    /// Number of elements in at least one subregion.
+    pub fn support_len(&self) -> u64 {
+        self.cover().support_len
     }
 
     /// `DISJ`: no element appears in two different subregions.
     pub fn is_disjoint(&self) -> bool {
-        // Pairwise checks would be O(n²); instead verify that the sum of
-        // subregion sizes equals the support size.
-        self.total_elements() == self.support().len()
+        self.cover().first_owner.is_none()
     }
 
     /// First-owner narrowing of an aliased partition: subregion `c` minus
@@ -67,22 +109,21 @@ impl Partition {
     /// the lowest color holding it. `None` when the partition is already
     /// disjoint. This is what keeps centered writes sequentially ordered
     /// when a relaxed loop runs over an aliased iteration partition.
-    pub fn first_owner(&self) -> Option<Vec<IndexSet>> {
-        if self.is_disjoint() {
-            return None;
-        }
-        let mut seen = IndexSet::new();
-        let own = self.subregions.iter().map(|s| {
-            let mine = s.difference(&seen);
-            seen = seen.union(s);
-            mine
-        });
-        Some(own.collect())
+    /// Computed once; every call returns the same allocation.
+    pub fn first_owner(&self) -> Option<&Arc<[IndexSet]>> {
+        self.cover().first_owner.as_ref()
+    }
+
+    /// Each element's lowest color: [`Partition::first_owner`], or the
+    /// subregions themselves when they are disjoint.
+    pub fn first_owner_sets(&self) -> &[IndexSet] {
+        self.first_owner().map_or(&self.subregions[..], |own| &own[..])
     }
 
     /// `COMP`: the subregions cover all of `[0, region_size)`.
     pub fn is_complete(&self, region_size: u64) -> bool {
-        self.support() == IndexSet::from_range(0, region_size)
+        let c = self.cover();
+        c.support_len == region_size && c.max == region_size.checked_sub(1)
     }
 
     /// `PART`: every subregion is contained in `[0, region_size)`.
@@ -107,6 +148,101 @@ impl Partition {
     pub fn max_subregion_len(&self) -> u64 {
         self.subregions.iter().map(IndexSet::len).max().unwrap_or(0)
     }
+}
+
+/// The sweep visits a bitmap over the span `[min, max]` when it has at
+/// most this many 64-bit words per run, and merges the runs otherwise.
+const BITMAP_WORDS_PER_RUN: u64 = 2;
+
+/// One pass over every run of `subs`: the support's size and largest
+/// element, and each element's lowest color. Its cost grows with the
+/// number of runs, never with the span alone: a dense span is a bitmap,
+/// a sparse one a merge of the colors' runs in position order.
+fn sweep(subs: &[IndexSet]) -> Cover {
+    let runs: u64 = subs.iter().map(|s| s.run_count() as u64).sum();
+    let lo = subs.iter().filter_map(IndexSet::min).min();
+    let max = subs.iter().filter_map(IndexSet::max).max();
+    let own = match (lo, max) {
+        (Some(lo), Some(hi)) if (hi - lo + 1) / 64 <= BITMAP_WORDS_PER_RUN * runs => {
+            bitmap_sweep(subs, lo, hi)
+        }
+        _ => merge_sweep(subs),
+    };
+    let support_len: u64 = own.iter().map(IndexSet::len).sum();
+    let total: u64 = subs.iter().map(IndexSet::len).sum();
+    let first_owner = (support_len != total).then(|| own.into());
+    Cover { support_len, max, first_owner }
+}
+
+/// Appends `[s, e)` to canonical runs ending at or before `s`.
+fn push_run(runs: &mut Vec<(Idx, Idx)>, s: Idx, e: Idx) {
+    match runs.last_mut() {
+        Some((_, end)) if *end == s => *end = e,
+        _ => runs.push((s, e)),
+    }
+}
+
+/// Colors in order, each keeping the bits of its runs no earlier color
+/// set.
+fn bitmap_sweep(subs: &[IndexSet], lo: Idx, hi: Idx) -> Vec<IndexSet> {
+    let mut seen = vec![0u64; usize::try_from((hi - lo) / 64 + 1).expect("the span fits")];
+    let own = subs.iter().map(|sub| {
+        let mut mine = Vec::new();
+        for &(s, e) in sub.runs() {
+            let (mut a, b) = (s - lo, e - lo);
+            while a < b {
+                let (w, bit) = ((a / 64) as usize, a % 64);
+                let n = (b - a).min(64 - bit);
+                let mask = (u64::MAX >> (64 - n)) << bit;
+                let mut free = mask & !seen[w];
+                seen[w] |= mask;
+                while free != 0 {
+                    let first = free.trailing_zeros();
+                    let len = (!(free >> first)).trailing_zeros();
+                    let start = lo + w as u64 * 64 + u64::from(first);
+                    push_run(&mut mine, start, start + u64::from(len));
+                    free &= u64::MAX.checked_shl(first + len).unwrap_or(0);
+                }
+                a += n;
+            }
+        }
+        IndexSet::from_sorted_runs(mine)
+    });
+    own.collect()
+}
+
+/// A k-way merge of the colors' runs by start; between two events the
+/// lowest color with an open run owns the segment. Open runs are kept by
+/// color and dropped once they surface ended.
+fn merge_sweep(subs: &[IndexSet]) -> Vec<IndexSet> {
+    let mut own = vec![Vec::new(); subs.len()];
+    // (start, color, run index) of each color's next unopened run.
+    let mut next: BinaryHeap<Reverse<(Idx, usize, usize)>> = BinaryHeap::new();
+    next.extend(subs.iter().enumerate().filter_map(|(c, s)| Some(Reverse((s.min()?, c, 0)))));
+    let mut open: BinaryHeap<Reverse<(usize, Idx)>> = BinaryHeap::new();
+    let mut pos = 0;
+    loop {
+        while let Some(&Reverse((_, c, k))) = next.peek().filter(|r| r.0 .0 <= pos) {
+            next.pop();
+            let runs = subs[c].runs();
+            open.push(Reverse((c, runs[k].1)));
+            next.extend(runs.get(k + 1).map(|&(s, _)| Reverse((s, c, k + 1))));
+        }
+        while open.peek().is_some_and(|&Reverse((_, e))| e <= pos) {
+            open.pop();
+        }
+        let upcoming = next.peek().map(|&Reverse((s, _, _))| s);
+        match (open.peek(), upcoming) {
+            (Some(&Reverse((c, e))), _) => {
+                let to = upcoming.map_or(e, |s| s.min(e));
+                push_run(&mut own[c], pos, to);
+                pos = to;
+            }
+            (None, Some(s)) => pos = s,
+            (None, None) => break,
+        }
+    }
+    own.into_iter().map(IndexSet::from_sorted_runs).collect()
 }
 
 #[cfg(test)]
@@ -152,9 +288,9 @@ mod tests {
         assert_eq!(own[0], IndexSet::from_range(2, 6), "the first color keeps everything");
         assert_eq!(own[1], IndexSet::from_range(6, 9), "earlier colors win");
         assert_eq!(own[2], IndexSet::from_indices([0, 11]));
-        let narrowed = Partition::new(r(), own);
+        let narrowed = Partition::new(r(), own.to_vec());
         assert!(narrowed.is_disjoint());
-        assert_eq!(narrowed.support(), aliased.support());
+        assert_eq!(narrowed.support_len(), aliased.support_len());
     }
 
     #[test]
@@ -162,7 +298,7 @@ mod tests {
         let p = Partition::new(r(), vec![IndexSet::from_range(0, 3), IndexSet::from_range(7, 10)]);
         assert!(p.is_disjoint());
         assert!(!p.is_complete(10));
-        assert_eq!(p.support().len(), 6);
+        assert_eq!(p.support_len(), 6);
     }
 
     #[test]

@@ -765,7 +765,7 @@ fn effect_sets<'s>(
     accesses
         .filter_map(|ap| {
             let sets = access_sets(ap, setup.iter, parts, schema)?;
-            Some((sets.field, sets.in_place(setup.write_own.as_deref())?))
+            Some((sets.field, sets.in_place?))
         })
         .collect()
 }

@@ -259,8 +259,9 @@ pub(crate) struct LoopSetup<'a> {
     /// One per two-step reduction access, in access order.
     pub buffers: Vec<BufferSpec<'a>>,
     /// With an aliased iteration partition, a centered write applies only
-    /// in the first task owning the iteration; `None` when it is disjoint.
-    pub write_own: Option<Cow<'a, [IndexSet]>>,
+    /// in the first task owning the iteration ([`Partition::first_owner`]);
+    /// `None` when it is disjoint.
+    pub write_own: Option<&'a [IndexSet]>,
     /// Bytes of all buffer sets, and what the private sub-partitions saved
     /// against buffering the full subregions (Section 5.2).
     pub planned_buffer_bytes: u64,
@@ -275,8 +276,8 @@ fn set_bytes(sets: &[IndexSet]) -> u64 {
 /// and resolves every loop's [`LoopSetup`]. `parts` must be `plan.evaluate(...)` output
 /// (indexed by `PartId`), all of one launch width. The element-bounds walk
 /// touches every subregion, so it rides on `check_bounds`. With an
-/// exchange plan at hand its first-owner and buffer sets are borrowed
-/// instead of derived again.
+/// exchange plan at hand its buffer sets are borrowed instead of derived
+/// again; the first-owner sets are always the iteration partition's own.
 pub(crate) fn plan_loops<'a>(
     program: &[Loop],
     plan: &'a ParallelPlan,
@@ -320,10 +321,6 @@ pub(crate) fn plan_loops<'a>(
         if lplan.iter_must_be_disjoint && !iter.is_disjoint() {
             return Err(PlanError::IterationNotDisjoint { loop_index: li });
         }
-        let write_own = match xplan {
-            Some(x) => x.loops[li].write_own.as_deref().map(Cow::Borrowed),
-            None => iter.first_owner().map(Cow::Owned),
-        };
         let code = lower_loop(lp, fns, schema)
             .map_err(|OutOfScope| PlanError::VariableOutOfScope { loop_index: li })?;
         let longest = iter.iter().map(IndexSet::len).max().unwrap_or(0);
@@ -339,7 +336,7 @@ pub(crate) fn plan_loops<'a>(
             parts: Vec::with_capacity(lplan.accesses.len()),
             modes: Vec::with_capacity(lplan.accesses.len()),
             buffers: Vec::new(),
-            write_own,
+            write_own: iter.first_owner().map(|own| &own[..]),
             planned_buffer_bytes: 0,
             private_bytes_saved: 0,
         };
@@ -593,7 +590,7 @@ impl<'a, S: Storage> Task<'a, S> {
             env: *env,
             setup,
             color,
-            write_own: setup.write_own.as_deref().map(|own| &own[color]),
+            write_own: setup.write_own.map(|own| &own[color]),
             bufs: vec![None; setup.buffers.len()],
             counts: DistReport::default(),
         }

@@ -8,8 +8,9 @@
 //! every set the two produce is compared exactly: owned, ghost and local
 //! footprints per region and rank, and per loop the message table, the
 //! buffer routes, the interior/boundary split with its dependencies, and
-//! the first-owner narrowing. Bad assignments must fail with the same
-//! error.
+//! the iteration partition's first-owner narrowing. The oracle checks
+//! `DISJ`, `COMP` and the narrowing by chains of unions, not by the
+//! partition's own sweep. Bad assignments must fail with the same error.
 //!
 //! Inputs: the eight configurations `exchange_golden.rs` pins (that test
 //! pins totals; this one pins the sets), and programs from the shared
@@ -43,6 +44,26 @@ struct Oracle {
     ghosts: Vec<Vec<IndexSet>>,
     locals: Vec<Vec<IndexSet>>,
     loops: Vec<LoopExchange>,
+    /// Per loop, the iteration partition's first-owner narrowing.
+    write_own: Vec<Option<Vec<IndexSet>>>,
+}
+
+/// The union of a partition's subregions.
+fn support(p: &Partition) -> IndexSet {
+    p.iter().fold(IndexSet::new(), |acc, s| acc.union(s))
+}
+
+/// Each subregion minus every earlier one; `None` when no element is in
+/// two subregions.
+fn first_owner(p: &Partition) -> Option<Vec<IndexSet>> {
+    let mut seen = IndexSet::new();
+    let own = p.iter().map(|s| {
+        let mine = s.difference(&seen);
+        seen = seen.union(s);
+        mine
+    });
+    let own: Vec<IndexSet> = own.collect();
+    (seen.len() != p.total_elements()).then_some(own)
 }
 
 /// Splits `set` by the (disjoint, complete) owner sets, ascending by rank;
@@ -118,8 +139,8 @@ fn oracle(
             let size = schema.region_size(region);
             let candidate =
                 plan.loops.iter().map(|lp| lp.iter.0 as usize).chain(0..parts.len()).find(|&pi| {
-                    let p = &parts[pi];
-                    p.region == region && p.is_disjoint() && p.is_complete(size)
+                    let (p, full) = (&parts[pi], IndexSet::from_range(0, size));
+                    p.region == region && p.total_elements() == size && support(p) == full
                 });
             let mut owned = vec![IndexSet::new(); n_ranks];
             match candidate {
@@ -131,10 +152,10 @@ fn oracle(
         .collect();
 
     let mut ghost_acc: Vec<Vec<IndexSet>> = vec![vec![IndexSet::new(); n_ranks]; n_regions];
-    let mut loops = Vec::with_capacity(plan.loops.len());
+    let (mut loops, mut write_owns) = (Vec::new(), Vec::new());
     for lp in &plan.loops {
         let iter = &parts[lp.iter.0 as usize];
-        let write_own = iter.first_owner();
+        let write_own = first_owner(iter);
         let sets: Vec<_> = lp
             .accesses
             .iter()
@@ -156,7 +177,11 @@ fn oracle(
                 let ni = slot(&mut needed, s.field);
                 union_colors(&mut needed[ni].1, part.subregions());
             }
-            if let Some(in_place) = s.in_place(write_own.as_deref()) {
+            let in_place = match &write_own {
+                Some(own) if lp.accesses[*ai].kind.is_write() => Some(&own[..]),
+                _ => s.in_place,
+            };
+            if let Some(in_place) = in_place {
                 let mi = slot(&mut mutated, s.field);
                 union_colors(&mut mutated[mi].1, in_place);
             }
@@ -230,8 +255,8 @@ fn oracle(
             }
         }
         drop(sets);
-        let write_own = write_own.map(Arc::from);
-        loops.push(LoopExchange { pairs, routes, interior, boundary, boundary_deps, write_own });
+        loops.push(LoopExchange { pairs, routes, interior, boundary, boundary_deps });
+        write_owns.push(write_own);
     }
 
     let locals: Vec<Vec<IndexSet>> = owned
@@ -239,7 +264,8 @@ fn oracle(
         .zip(&ghost_acc)
         .map(|(o, g)| o.iter().zip(g).map(|(os, gs)| os.union(gs)).collect())
         .collect();
-    Ok(Oracle { color_owner, rank_colors, owned, ghosts: ghost_acc, locals, loops })
+    let (ghosts, write_own) = (ghost_acc, write_owns);
+    Ok(Oracle { color_owner, rank_colors, owned, ghosts, locals, loops, write_own })
 }
 
 /// Compares one plan with the oracle, table by table, naming the first
@@ -276,7 +302,6 @@ fn assert_same(x: &ExchangePlan, o: &Oracle, schema: &Schema, label: &str) {
         assert_eq!(got.interior, want.interior, "{label}: loop {li} interior");
         assert_eq!(got.boundary, want.boundary, "{label}: loop {li} boundary");
         assert_eq!(got.boundary_deps, want.boundary_deps, "{label}: loop {li} boundary deps");
-        assert_eq!(got.write_own, want.write_own, "{label}: loop {li} write_own");
     }
 }
 
@@ -292,7 +317,14 @@ fn check(
 ) {
     let got = derive_exchange_with(plan, parts, schema, n_ranks, assignment);
     match (got, oracle(plan, parts, schema, n_ranks, assignment)) {
-        (Ok(x), Ok(o)) => assert_same(&x, &o, schema, label),
+        (Ok(x), Ok(o)) => {
+            assert_same(&x, &o, schema, label);
+            for (li, (lp, want)) in plan.loops.iter().zip(&o.write_own).enumerate() {
+                let got = parts[lp.iter.0 as usize].first_owner();
+                let got = got.map(|own| &own[..]);
+                assert_eq!(got, want.as_deref(), "{label}: loop {li} first-owner narrowing");
+            }
+        }
         (Err(g), Err(w)) => assert_eq!(g, w, "{label}: error"),
         (got, want) => panic!(
             "{label}: derivation {:?} but oracle {:?}",
