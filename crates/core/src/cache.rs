@@ -272,7 +272,6 @@ impl SolvedPlan {
     fn parts_keyed(&self, key: Fingerprint, store: &Store) -> Arc<Vec<Arc<Partition>>> {
         if let Ok(mut memos) = self.memos.lock() {
             if let Some(parts) = memos.parts.get(&key) {
-                partir_obs::counter("plan.parts_memo_hit", 1);
                 return parts;
             }
         }
@@ -300,7 +299,6 @@ impl SolvedPlan {
         };
         if let Ok(mut memos) = self.memos.lock() {
             if let Some(artifacts) = memos.dist.get(&key) {
-                partir_obs::counter("plan.dist_memo_hit", 1);
                 return Ok(artifacts);
             }
         }
@@ -413,8 +411,8 @@ impl PlanCache {
         }
     }
 
-    /// Looks up a plan, updating LRU order and hit/miss counters (also
-    /// emitted as the obs counters `plan.cache_hit` / `plan.cache_miss`).
+    /// Looks up a plan, updating LRU order and the hit/miss counts of
+    /// [`CacheStats`].
     pub fn get(&self, fp: Fingerprint) -> Result<Option<Arc<SolvedPlan>>, CacheError> {
         let mut inner = self.inner.lock().map_err(|_| CacheError::Poisoned)?;
         inner.tick += 1;
@@ -424,14 +422,10 @@ impl PlanCache {
                 entry.last_use = tick;
                 let plan = Arc::clone(&entry.plan);
                 inner.hits += 1;
-                drop(inner);
-                partir_obs::counter("plan.cache_hit", 1);
                 Ok(Some(plan))
             }
             None => {
                 inner.misses += 1;
-                drop(inner);
-                partir_obs::counter("plan.cache_miss", 1);
                 Ok(None)
             }
         }
@@ -465,7 +459,6 @@ impl PlanCache {
             let evicted = inner.entries.remove(&victim).expect("victim exists");
             inner.bytes -= evicted.bytes;
             inner.evictions += 1;
-            partir_obs::counter("plan.cache_evict", 1);
         }
         inner.tick += 1;
         let tick = inner.tick;

@@ -499,9 +499,6 @@ pub fn prove_plan_legality(
             }
         }
     }
-    if partir_obs::metrics_enabled() {
-        partir_obs::counter("legality.plan_proved", proof.facts);
-    }
     sp.close_with(vec![("facts", proof.facts.into())]);
     Ok(proof)
 }
@@ -691,8 +688,8 @@ impl Footprint {
 
     /// The rank-granular exchange under `rank_of[color] = rank`: owned
     /// sets, the message table, the interior/boundary split and the ghost
-    /// footprints, by unions of the table's pieces. Same errors and
-    /// `exchange.*` counters as [`derive_exchange_with`].
+    /// footprints, by unions of the table's pieces. Same errors as
+    /// [`derive_exchange_with`].
     pub fn fold(&self, n_ranks: usize, rank_of: &[usize]) -> Result<ExchangePlan, ExchangeError> {
         let (n_colors, got) = (self.n_colors, rank_of.len());
         let bad_rank = rank_of.iter().copied().find(|&r| r >= n_ranks);
@@ -783,13 +780,6 @@ impl Footprint {
         };
 
         let stats = xplan.stats();
-        if partir_obs::metrics_enabled() {
-            partir_obs::counter("exchange.ghost_elements", stats.ghost_elements);
-            partir_obs::counter("exchange.ghost_fetch_bytes", stats.ghost_fetch_bytes);
-            partir_obs::counter("exchange.write_back_bytes", stats.write_back_bytes);
-            partir_obs::counter("exchange.partial_bytes", stats.partial_bytes);
-            partir_obs::counter("exchange.messages", stats.messages);
-        }
         sp.close_with(vec![
             ("ghost_elements", stats.ghost_elements.into()),
             ("messages", stats.messages.into()),

@@ -170,12 +170,12 @@ pub fn solve_fingerprint(
 /// legality proofs.
 ///
 /// It is a content hash — two stores built apart with equal structure agree
-/// — that the store remembers: the columns are hashed (and the obs counter
-/// `plan.store_hash` emitted) only when no clone of this store has been
-/// asked since its index columns were last written.
+/// — that the store remembers: the columns are hashed (and the trace
+/// instant `plan.store_hash` emitted) only when no clone of this store has
+/// been asked since its index columns were last written.
 pub fn store_index_fingerprint(store: &Store) -> Fingerprint {
     Fingerprint(store.index_digest(|| {
-        partir_obs::counter("plan.store_hash", 1);
+        partir_obs::instant("plan.store_hash", Vec::new());
         hash_index_structure(store).0
     }))
 }

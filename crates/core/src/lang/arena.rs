@@ -75,10 +75,9 @@ struct Inner {
     sym_regions: Vec<RegionId>,
     ext_regions: Vec<RegionId>,
     empty_syms: Arc<BTreeSet<PSym>>,
-    /// Counter: distinct nodes created (`expr.interned`).
+    /// Counter: distinct nodes created.
     interned: u64,
-    /// Counter: intern calls answered by an existing node
-    /// (`expr.dedup_hit`).
+    /// Counter: intern calls answered by an existing node.
     dedup_hits: u64,
 }
 
@@ -126,7 +125,7 @@ impl ExprArena {
         self.lock().nodes.is_empty()
     }
 
-    /// `(expr.interned, expr.dedup_hit)` counters.
+    /// `(nodes created, intern calls answered by an existing node)`.
     pub fn counters(&self) -> (u64, u64) {
         let g = self.lock();
         (g.interned, g.dedup_hits)

@@ -211,10 +211,6 @@ impl ParallelPlan {
         let parts = self.partition_ids.iter().map(|&id| ev.eval_id(id)).collect();
         let stats =
             EvalStats { cache_hits: ev.cache_hits(), partitions_built: ev.partitions_built() };
-        if partir_obs::metrics_enabled() {
-            partir_obs::counter("eval.cache_hit", stats.cache_hits);
-            partir_obs::flush_counters();
-        }
         (parts, stats)
     }
 
@@ -477,16 +473,7 @@ pub fn auto_parallelize(
         });
     }
     sp.close_with(vec![("partitions", plan_ids.len().into()), ("loops", plan_loops.len().into())]);
-    let (interned, dedup_hits) = system.arena.counters();
-    if partir_obs::metrics_enabled() {
-        partir_obs::counter("expr.interned", interned);
-        partir_obs::counter("expr.dedup_hit", dedup_hits);
-    }
     let rewrite_time = t2.elapsed();
-    // The solver path must emit its accumulated counters even when no
-    // executor follows (solver-only harnesses like table1 never reach the
-    // executor's flush).
-    partir_obs::flush_counters();
 
     Ok(ParallelPlan {
         partition_ids: plan_ids,

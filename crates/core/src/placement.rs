@@ -622,10 +622,6 @@ pub fn place(
         report.place_ns = t_place.elapsed().as_nanos() as u64;
         report.predicted_bytes = xplan.stats().total_bytes();
         report.gain_bytes = report.predicted_block_bytes.saturating_sub(report.predicted_bytes);
-        if partir_obs::metrics_enabled() {
-            partir_obs::counter("placement.predicted_bytes", report.predicted_bytes);
-            partir_obs::counter("placement.gain_bytes", report.gain_bytes);
-        }
         Ok(Placement { assignment, xplan, report })
     };
 

@@ -407,12 +407,6 @@ pub fn solve_with(
                 ],
             );
         }
-        if partir_obs::metrics_enabled() {
-            partir_obs::counter("solve.nodes_explored", stats.nodes_explored);
-            partir_obs::counter("solve.backtracks", stats.backtracks);
-            partir_obs::counter("solve.lemma_applications", stats.lemma_applications);
-            partir_obs::counter("subst.cache_hit", stats.subst_cache_hits);
-        }
         Ok(Solution { bindings, binding_ids, provenance, stats, degraded: false })
     } else if let Some(reason) = stats.exhausted {
         if partir_obs::trace_enabled() {
@@ -424,9 +418,6 @@ pub fn solve_with(
                     ("backtracks", stats.backtracks.into()),
                 ],
             );
-        }
-        if partir_obs::metrics_enabled() {
-            partir_obs::counter("solve.budget_exhausted", 1);
         }
         Ok(trivial_solution(system, forced, stats))
     } else {

@@ -3,13 +3,12 @@
 //!
 //! A run is configured by values: `partir::Run` carries an [`ObsConfig`]
 //! and every other setting explicitly, and `Run::run` reads no environment
-//! variable. Three process-level names remain, each read here and nowhere
+//! variable. Two process-level names remain, each read here and nowhere
 //! else:
 //!
 //! | variable | meaning | read by |
 //! |---|---|---|
 //! | `PARTIR_TRACE` | emit span/instant events to stderr | [`ObsConfig::from_env`], once per process via [`crate::init_from_env`] |
-//! | `PARTIR_METRICS` | emit counter events to stderr | [`ObsConfig::from_env`], once per process via [`crate::init_from_env`] |
 //! | `PARTIR_REPORT_EPOCH` | fixed `created_unix_ms` for diffable reports | [`report_epoch_env`] |
 //!
 //! README "Configuration" lists the typed setter that replaced each
@@ -28,8 +27,6 @@ fn env_flag(name: &str) -> bool {
 pub struct ObsConfig {
     /// Span/instant events (phase boundaries, solver decisions).
     pub trace: bool,
-    /// Counter events (volumes, check counts).
-    pub metrics: bool,
     /// Per-rank timeline collection on the rank backend: every epoch
     /// phase (pack/send/recv-wait/unpack/compute/merge) is recorded as a
     /// [`crate::trace::TraceSpan`], exportable as a Chrome trace and
@@ -50,26 +47,22 @@ impl ObsConfig {
         ObsConfig::default()
     }
 
-    /// The process-level stream switches, `PARTIR_TRACE` and
-    /// `PARTIR_METRICS` — the only place these variables are read.
-    /// `timeline` and `strict_volume` are per-run settings and stay off.
+    /// The process-level stream switch, `PARTIR_TRACE` — the only place
+    /// this variable is read. `timeline` and `strict_volume` are per-run
+    /// settings and stay off.
     pub fn from_env() -> Self {
-        ObsConfig {
-            trace: env_flag("PARTIR_TRACE"),
-            metrics: env_flag("PARTIR_METRICS"),
-            ..ObsConfig::disabled()
-        }
+        ObsConfig { trace: env_flag("PARTIR_TRACE"), ..ObsConfig::disabled() }
     }
 
-    /// Installs the stderr line-JSON sink for the enabled streams. Does
-    /// nothing when both streams are off, and never replaces a sink that
+    /// Installs the stderr line-JSON sink when tracing is on. Does
+    /// nothing when it is off, and never replaces a sink that
     /// is already installed (so programmatic [`crate::install_sink`]
     /// callers — tests, report harnesses — always win). `timeline` and
     /// `strict_volume` need no sink; the rank backend gets them from the
     /// run's configuration directly.
     pub fn apply(&self) {
-        if self.trace || self.metrics {
-            crate::install_default_sink(Arc::new(StderrSink), self.trace, self.metrics);
+        if self.trace {
+            crate::install_default_sink(Arc::new(StderrSink));
         }
     }
 }
@@ -88,7 +81,6 @@ mod tests {
     fn default_config_is_silent() {
         let c = ObsConfig::disabled();
         assert!(!c.trace);
-        assert!(!c.metrics);
         c.apply(); // must be a no-op, not an uninstall
     }
 }

@@ -1,33 +1,23 @@
 //! # partir-obs — observability for the partitioning pipeline
 //!
-//! Lightweight spans, counters, and a structured event sink used by every
+//! Lightweight spans, instants, and a structured event sink used by every
 //! phase of the pipeline (inference, lemma engine, solver, unification,
 //! Section-5 optimizations, executor, simulator) and by the bench harness
 //! binaries for machine-readable reports.
 //!
 //! ## Gating and cost model
 //!
-//! Emission is **off by default** and controlled by two environment
-//! variables, read once at [`init_from_env`]:
-//!
-//! * `PARTIR_TRACE=1` — span/instant events (phase boundaries, solver
-//!   decisions, unification merges) are written to stderr as JSON lines;
-//! * `PARTIR_METRICS=1` — counter events are written too.
+//! Emission is **off by default**. `PARTIR_TRACE=1`, read once at
+//! [`init_from_env`], writes span/instant events (phase boundaries, solver
+//! decisions, unification merges) to stderr as JSON lines.
 //!
 //! The fast path when disabled is a single relaxed atomic load at *phase
-//! boundaries only* — hot loops never branch on the sink. Per-iteration
-//! quantities (candidates tried, lemma applications, legality checks, …)
-//! are accumulated unconditionally into plain integer fields of the stat
-//! structs the pipeline already returns (`SolveStats` and friends); the
-//! sink only sees them summarized, at the end of a phase.
-//!
-//! [`counter`] calls never touch the sink directly: they accumulate into
-//! per-name shared atomics (one relaxed `fetch_add` under a registry read
-//! lock) and reach the sink only when a phase ends and [`flush_counters`]
-//! drains them, sorted by name. Eight rank threads bumping
-//! `dist.bytes_sent` therefore never serialize on the sink's lock
-//! mid-epoch, so enabling `PARTIR_METRICS` does not skew the timings the
-//! trace is measuring (`fig_dist --check-obs-skew` asserts this).
+//! boundaries only* — hot loops never branch on the sink. Numbers
+//! (candidates tried, lemma applications, bytes sent, cache hits, …) are
+//! not events: they are plain integer fields of the typed reports the
+//! pipeline returns (`SolveStats`, `ExchangeStats`, `PlacementReport`,
+//! `DistReport`, `CacheStats`); a span may repeat a few of them on its
+//! end event.
 //!
 //! Tests and the report harness can install a [`MemorySink`] via
 //! [`install_sink`] to capture events in-process regardless of the
@@ -48,7 +38,7 @@ pub mod trace;
 
 pub use config::ObsConfig;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
@@ -112,8 +102,6 @@ pub enum EventKind {
     SpanEnd,
     /// A point-in-time decision or observation.
     Instant,
-    /// A named numeric metric.
-    Counter,
 }
 
 /// One structured event.
@@ -137,7 +125,6 @@ pub trait EventSink: Send + Sync {
 }
 
 static TRACE_ENABLED: AtomicBool = AtomicBool::new(false);
-static METRICS_ENABLED: AtomicBool = AtomicBool::new(false);
 static ENV_INIT: OnceLock<()> = OnceLock::new();
 
 fn sink_slot() -> &'static RwLock<Option<Arc<dyn EventSink>>> {
@@ -151,15 +138,9 @@ pub fn trace_enabled() -> bool {
     TRACE_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Is counter emission on?
-#[inline]
-pub fn metrics_enabled() -> bool {
-    METRICS_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Reads `PARTIR_TRACE` / `PARTIR_METRICS` once (via
-/// [`config::ObsConfig::from_env`] — the single place those variables are
-/// parsed) and, if either is set, installs the stderr line-JSON sink.
+/// Reads `PARTIR_TRACE` once (via [`config::ObsConfig::from_env`] — the
+/// single place it is parsed) and, if it is set, installs the stderr
+/// line-JSON sink.
 /// Idempotent and cheap to call from any entry point (`auto_parallelize`
 /// calls it, as do the bench bins).
 pub fn init_from_env() {
@@ -168,39 +149,30 @@ pub fn init_from_env() {
     });
 }
 
-/// Installs `sink` only when no sink is installed yet — the
-/// [`ObsConfig::apply`] path, which must never clobber a sink a test or
-/// report harness installed programmatically.
-pub fn install_default_sink(sink: Arc<dyn EventSink>, trace: bool, metrics: bool) {
+/// Installs `sink` with tracing on, only when no sink is installed yet —
+/// the [`ObsConfig::apply`] path, which must never clobber a sink a test
+/// or report harness installed programmatically.
+pub fn install_default_sink(sink: Arc<dyn EventSink>) {
     let mut slot = sink_slot().write().unwrap_or_else(|e| e.into_inner());
     if slot.is_none() {
         *slot = Some(sink);
-        TRACE_ENABLED.store(trace, Ordering::Relaxed);
-        METRICS_ENABLED.store(metrics, Ordering::Relaxed);
-        drain_counters();
+        TRACE_ENABLED.store(true, Ordering::Relaxed);
     }
 }
 
 /// Installs a sink programmatically (tests, report harnesses), replacing
-/// any current sink. `trace`/`metrics` select which event kinds flow.
-/// Pending (unflushed) counter accumulations from before the install are
-/// discarded so the new sink starts from a clean slate.
-pub fn install_sink(sink: Arc<dyn EventSink>, trace: bool, metrics: bool) {
+/// any current sink. `trace` selects whether spans and instants flow.
+pub fn install_sink(sink: Arc<dyn EventSink>, trace: bool) {
     let mut slot = sink_slot().write().unwrap_or_else(|e| e.into_inner());
     *slot = Some(sink);
     TRACE_ENABLED.store(trace, Ordering::Relaxed);
-    METRICS_ENABLED.store(metrics, Ordering::Relaxed);
-    drain_counters();
 }
 
-/// Removes the current sink and disables all emission. Unflushed counter
-/// accumulations are discarded.
+/// Removes the current sink and disables all emission.
 pub fn uninstall_sink() {
     let mut slot = sink_slot().write().unwrap_or_else(|e| e.into_inner());
     *slot = None;
     TRACE_ENABLED.store(false, Ordering::Relaxed);
-    METRICS_ENABLED.store(false, Ordering::Relaxed);
-    drain_counters();
 }
 
 #[cold]
@@ -215,73 +187,6 @@ fn emit_to_sink(event: Event) {
 pub fn instant(name: &'static str, fields: Vec<(&'static str, Value)>) {
     if trace_enabled() {
         emit_to_sink(Event { kind: EventKind::Instant, name, fields });
-    }
-}
-
-/// The shared counter cells: one leaked `AtomicU64` per counter name,
-/// behind a read-mostly registry lock. Counter names are a small static
-/// set (a few dozen dotted names), so a linear scan beats hashing.
-fn counter_registry() -> &'static RwLock<Vec<(&'static str, &'static AtomicU64)>> {
-    static REG: OnceLock<RwLock<Vec<(&'static str, &'static AtomicU64)>>> = OnceLock::new();
-    REG.get_or_init(|| RwLock::new(Vec::new()))
-}
-
-/// Adds `value` to the named counter (no-op unless metrics are on).
-///
-/// This never touches the sink: the value lands in a shared atomic cell
-/// with one relaxed `fetch_add` under the registry's *read* lock, so
-/// concurrent rank threads do not serialize here. The accumulated totals
-/// reach the sink when [`flush_counters`] runs at the end of a phase.
-pub fn counter(name: &'static str, value: u64) {
-    if !metrics_enabled() {
-        return;
-    }
-    {
-        let reg = counter_registry().read().unwrap_or_else(|e| e.into_inner());
-        if let Some((_, cell)) = reg.iter().find(|(n, _)| *n == name) {
-            cell.fetch_add(value, Ordering::Relaxed);
-            return;
-        }
-    }
-    // First use of this name: take the write lock and register the cell.
-    let mut reg = counter_registry().write().unwrap_or_else(|e| e.into_inner());
-    if let Some((_, cell)) = reg.iter().find(|(n, _)| *n == name) {
-        cell.fetch_add(value, Ordering::Relaxed);
-    } else {
-        reg.push((name, Box::leak(Box::new(AtomicU64::new(value)))));
-    }
-}
-
-/// Drains every accumulated counter and emits one [`EventKind::Counter`]
-/// event per nonzero total, sorted by name (so reports are deterministic
-/// regardless of which thread bumped a counter first). Called by the
-/// executors at the end of a run; a no-op unless metrics are on.
-pub fn flush_counters() {
-    if !metrics_enabled() {
-        return;
-    }
-    let mut totals: Vec<(&'static str, u64)> = {
-        let reg = counter_registry().read().unwrap_or_else(|e| e.into_inner());
-        reg.iter()
-            .map(|(n, c)| (*n, c.swap(0, Ordering::Relaxed)))
-            .filter(|(_, v)| *v > 0)
-            .collect()
-    };
-    totals.sort_unstable_by_key(|(n, _)| *n);
-    for (name, value) in totals {
-        emit_to_sink(Event {
-            kind: EventKind::Counter,
-            name,
-            fields: vec![("value", Value::U64(value))],
-        });
-    }
-}
-
-/// Zeroes all accumulated counters without emitting them.
-fn drain_counters() {
-    let reg = counter_registry().read().unwrap_or_else(|e| e.into_inner());
-    for (_, cell) in reg.iter() {
-        cell.store(0, Ordering::Relaxed);
     }
 }
 
@@ -350,7 +255,6 @@ pub fn event_to_json(event: &Event) -> json::Json {
         EventKind::SpanStart => "span_start",
         EventKind::SpanEnd => "span_end",
         EventKind::Instant => "instant",
-        EventKind::Counter => "counter",
     };
     let mut obj = json::Json::object()
         .with("ev", json::Json::str(kind))
@@ -413,19 +317,16 @@ mod tests {
         let _guard = sink_test_lock();
         uninstall_sink();
         assert!(!trace_enabled());
-        assert!(!metrics_enabled());
         // All of these must be no-ops (and must not panic with no sink).
         let s = span("test.disabled");
         instant("test.instant", vec![("x", Value::U64(1))]);
-        counter("test.counter", 7);
         drop(s);
 
         // Even with a sink installed, kinds that are gated off don't flow.
         let sink = MemorySink::new();
-        install_sink(sink.clone(), false, false);
+        install_sink(sink.clone(), false);
         let s = span("test.gated");
         instant("test.gated", vec![]);
-        counter("test.gated", 1);
         drop(s);
         assert!(sink.is_empty(), "gated-off sink must receive nothing");
         uninstall_sink();
@@ -435,18 +336,15 @@ mod tests {
     fn enabled_sink_captures_span_nesting() {
         let _guard = sink_test_lock();
         let sink = MemorySink::new();
-        install_sink(sink.clone(), true, true);
+        install_sink(sink.clone(), true);
 
         {
             let outer = span_with("outer", vec![("app", Value::Str("spmv".into()))]);
             {
                 let _inner = span("inner");
-                counter("work.items", 40);
-                counter("work.items", 2);
             }
             outer.close_with(vec![("loops", Value::U64(2))]);
         }
-        flush_counters();
         uninstall_sink();
 
         let events = sink.take();
@@ -459,54 +357,14 @@ mod tests {
                 ("inner", EventKind::SpanStart),
                 ("inner", EventKind::SpanEnd),
                 ("outer", EventKind::SpanEnd),
-                ("work.items", EventKind::Counter),
             ],
-            "spans nest LIFO; counters accumulate and flush after the phase"
+            "spans nest LIFO"
         );
-        // Start carries user fields; end carries elapsed + close fields;
-        // the flushed counter carries the accumulated total.
+        // Start carries user fields; end carries elapsed + close fields.
         assert_eq!(events[0].field("app"), Some(&Value::Str("spmv".into())));
         assert!(events[2].field("elapsed_ns").is_some());
         assert_eq!(events[3].field("loops"), Some(&Value::U64(2)));
         assert!(events[3].field("elapsed_ns").is_some());
-        assert_eq!(events[4].field("value"), Some(&Value::U64(42)));
-    }
-
-    #[test]
-    fn counters_accumulate_and_flush_sorted_once() {
-        let _guard = sink_test_lock();
-        let sink = MemorySink::new();
-        install_sink(sink.clone(), false, true);
-        counter("b.second", 5);
-        counter("a.first", 1);
-        counter("a.first", 2);
-        flush_counters();
-        // A second flush emits nothing: the totals were drained.
-        flush_counters();
-        uninstall_sink();
-        let events = sink.take();
-        let got: Vec<(&'static str, Option<&Value>)> =
-            events.iter().map(|e| (e.name, e.field("value"))).collect();
-        assert_eq!(
-            got,
-            vec![("a.first", Some(&Value::U64(3))), ("b.second", Some(&Value::U64(5)))],
-            "flush emits accumulated totals sorted by name, exactly once"
-        );
-    }
-
-    #[test]
-    fn trace_without_metrics_drops_counters() {
-        let _guard = sink_test_lock();
-        let sink = MemorySink::new();
-        install_sink(sink.clone(), true, false);
-        let s = span("only.spans");
-        counter("dropped", 1);
-        drop(s);
-        flush_counters();
-        uninstall_sink();
-        let events = sink.take();
-        assert_eq!(events.len(), 2);
-        assert!(events.iter().all(|e| e.kind != EventKind::Counter));
     }
 
     #[test]

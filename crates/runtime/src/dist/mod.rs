@@ -561,28 +561,6 @@ pub fn execute_ranks(
         t
     });
 
-    partir_obs::counter("dist.tasks_run", report.tasks_run);
-    partir_obs::counter("dist.messages", report.messages);
-    partir_obs::counter("dist.bytes_sent", report.bytes_sent);
-    partir_obs::counter("dist.ghost_elements", report.ghost_elements);
-    partir_obs::counter("dist.legality_checks", report.legality_checks);
-    partir_obs::counter("dist.buffer_bytes", report.buffer_bytes);
-    partir_obs::counter("dist.private_buffer_bytes_saved", report.private_buffer_bytes_saved);
-    if report.faults_injected > 0 {
-        partir_obs::counter("dist.faults_injected", report.faults_injected);
-        partir_obs::counter("dist.task_retries", report.task_retries);
-        partir_obs::counter("dist.tasks_recovered", report.tasks_recovered);
-        partir_obs::counter("dist.panics_isolated", report.panics_isolated);
-    }
-    if report.recoveries > 0 {
-        partir_obs::counter("dist.recovery_count", report.recoveries);
-        partir_obs::counter("dist.recovery_bytes_migrated", report.bytes_migrated);
-    }
-    if report.checkpoints > 0 {
-        partir_obs::counter("dist.checkpoints", report.checkpoints);
-        partir_obs::counter("dist.checkpoint_bytes", report.checkpoint_bytes);
-    }
-    partir_obs::flush_counters();
     span.close_with(vec![
         ("messages", report.messages.into()),
         ("bytes_sent", report.bytes_sent.into()),

@@ -24,7 +24,7 @@ fn sink_test_lock() -> std::sync::MutexGuard<'static, ()> {
 /// built and how many folds it made.
 fn count(f: impl FnOnce()) -> (usize, usize) {
     let sink = MemorySink::new();
-    install_sink(sink.clone(), true, false);
+    install_sink(sink.clone(), true);
     f();
     uninstall_sink();
     let events = sink.take();

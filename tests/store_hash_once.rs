@@ -1,12 +1,12 @@
 //! A store's index structure is hashed when it is first identified and
 //! never again until an index column is written: `plan.store_hash`, the
-//! counter emitted where the content hash really runs, reads 1 after a
-//! cold plan, a warm plan and three runs over clones of one store.
+//! trace instant emitted where the content hash really runs, is seen once
+//! after a cold plan, a warm plan and three runs over clones of one store.
 //!
-//! One test, alone in its binary: the sink and the counters are
-//! process-wide, and any other test hashing a store would be counted.
+//! One test, alone in its binary: the sink is process-wide, and any other
+//! test hashing a store would be counted.
 
-use partir::obs::{flush_counters, install_sink, uninstall_sink, EventKind, MemorySink, Value};
+use partir::obs::{install_sink, uninstall_sink, EventKind, MemorySink};
 use partir::prelude::*;
 use std::sync::Arc;
 
@@ -17,16 +17,11 @@ const COLORS: usize = 4;
 const RANKS: usize = 2;
 
 /// Content hashes run since the last call.
-fn store_hashes(sink: &MemorySink) -> u64 {
-    flush_counters();
+fn store_hashes(sink: &MemorySink) -> usize {
     sink.take()
         .iter()
-        .filter(|e| e.kind == EventKind::Counter && e.name == "plan.store_hash")
-        .map(|e| match e.field("value") {
-            Some(Value::U64(v)) => *v,
-            other => panic!("counter without a value: {other:?}"),
-        })
-        .sum()
+        .filter(|e| e.kind == EventKind::Instant && e.name == "plan.store_hash")
+        .count()
 }
 
 #[test]
@@ -58,7 +53,7 @@ fn a_structure_is_hashed_once_and_again_only_after_an_index_write() {
     };
 
     let sink = MemorySink::new();
-    install_sink(sink.clone(), false, true);
+    install_sink(sink.clone(), true);
 
     let cold = acquire();
     let warm = acquire();
