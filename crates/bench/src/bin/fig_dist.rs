@@ -45,8 +45,10 @@
 //! bit-identical to the sequential interpreter under strict volume
 //! accounting, that cost-driven never predicts (or measures) more
 //! cross-rank ghost bytes than block on any app and strictly fewer on
-//! SpMV and Circuit, and that the refinement solve time stays under 5%
-//! of the end-to-end plan time — emitting the `placement` experiment.
+//! SpMV and Circuit, that KL/FM refinement never ends above the seed it
+//! starts from and cuts SpMV's to a hundredth or less, and that the
+//! refinement solve time stays under 5% of the end-to-end plan time —
+//! emitting the `placement` experiment.
 
 use partir::core::exchange::derive_exchange;
 use partir::core::placement::{
@@ -538,13 +540,14 @@ fn run_placement_compare(args: &BenchArgs) {
             let solve_pct = steady_ns as f64 / (build_ns + cost_pl.place_ns).max(1) as f64 * 100.0;
 
             eprintln!(
-                "placement gate: {} at {ranks} ranks: block {} B -> cost {} B; \
+                "placement gate: {} at {ranks} ranks: block {} B -> cost {} B (seed {} B); \
                  build {:.2} ms, place {:.1} us (graph {:.1} us, solve {:.1} us \
                  in-situ / {:.1} us steady, {solve_pct:.2}% of build), \
                  {} passes / {} moves",
                 case.name,
                 block_pl.predicted_bytes,
                 cost_pl.predicted_bytes,
+                cost_pl.seed_bytes,
                 build_ns as f64 / 1e6,
                 cost_pl.place_ns as f64 / 1e3,
                 cost_pl.graph_ns as f64 / 1e3,
@@ -577,6 +580,22 @@ fn run_placement_compare(args: &BenchArgs) {
                     format!("cost-driven measured {cost_meas} B vs block {block_meas} B"),
                 ),
             ];
+            // What KL/FM refinement buys: cost-driven never moves more than
+            // the seed it refines (the best of block and the greedy seed),
+            // and on the shifted band it moves a hundredth of it or less.
+            let seed_bytes = cost_pl.seed_bytes;
+            gates.push((
+                "refinement_no_worse_than_seed",
+                cost_pred <= seed_bytes,
+                format!("cost-driven predicts {cost_pred} B vs seed {seed_bytes} B"),
+            ));
+            if case.name == "SpMV" {
+                gates.push((
+                    "refinement_beats_seed_100x",
+                    cost_pred.saturating_mul(100) <= seed_bytes,
+                    format!("cost-driven predicts {cost_pred} B vs seed {seed_bytes} B"),
+                ));
+            }
             if matches!(case.name, "SpMV" | "Circuit") {
                 gates.push((
                     "cost_strictly_beats_block",

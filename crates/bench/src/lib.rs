@@ -220,13 +220,13 @@ pub fn plan_json(name: &str, plan: &ParallelPlan, loops: usize, fns: &FnTable) -
     let u = &plan.unified;
     let (exprs_interned, dedup_hits) = plan.system.arena.counters();
     let mut provenance = Json::array();
-    for (i, e) in plan.solution.bindings.iter().enumerate() {
+    for (i, &e) in plan.solution.binding_ids.iter().enumerate() {
         let rule = plan.solution.provenance.get(i).copied().unwrap_or(BindRule::EqualTrivial);
         provenance = provenance.push(
             Json::object()
                 .with("symbol", format!("P{i}"))
                 .with("name", plan.system.sym_names.get(i).map(String::as_str).unwrap_or(""))
-                .with("binding", e.display(fns, &plan.system.externals))
+                .with("binding", plan.system.display_expr(e, fns))
                 .with("rule", rule.as_str()),
         );
     }

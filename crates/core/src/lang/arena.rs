@@ -315,9 +315,10 @@ impl ExprArena {
         out
     }
 
-    // ---- PExpr bridge ------------------------------------------------
+    // ---- tree input --------------------------------------------------
 
-    /// Interns a tree-form expression, canonicalizing along the way.
+    /// Interns a tree-form expression, canonicalizing along the way. The
+    /// only bridge between the two forms, and it runs one way.
     pub fn intern(&self, e: &PExpr) -> ExprId {
         match e {
             PExpr::Sym(s) => self.sym(*s),
@@ -344,28 +345,6 @@ impl ExprArena {
                 self.difference(ia, ib)
             }
         }
-    }
-
-    /// Materializes an id back into tree form (n-ary nodes rebuild as
-    /// left-associated binary operators; `∅` as `equal(R) − equal(R)`).
-    pub fn to_pexpr(&self, id: ExprId) -> PExpr {
-        match self.node(id) {
-            Expr::Sym(s) => PExpr::Sym(s),
-            Expr::Ext(x) => PExpr::Ext(x),
-            Expr::Equal(r) => PExpr::Equal(r),
-            Expr::Empty(r) => PExpr::difference(PExpr::Equal(r), PExpr::Equal(r)),
-            Expr::Image { src, f, target } => PExpr::image(self.to_pexpr(src), f, target),
-            Expr::Preimage { domain, f, src } => PExpr::preimage(domain, f, self.to_pexpr(src)),
-            Expr::Union(cs) => self.fold_binary(&cs, PExpr::union),
-            Expr::Intersect(cs) => self.fold_binary(&cs, PExpr::intersect),
-            Expr::Difference(a, b) => PExpr::difference(self.to_pexpr(a), self.to_pexpr(b)),
-        }
-    }
-
-    fn fold_binary(&self, cs: &[ExprId], op: fn(PExpr, PExpr) -> PExpr) -> PExpr {
-        let mut it = cs.iter();
-        let first = self.to_pexpr(*it.next().expect("n-ary node with no children"));
-        it.fold(first, |acc, c| op(acc, self.to_pexpr(*c)))
     }
 
     /// Substitutes `sym ↦ repl` everywhere in `id`, re-canonicalizing.
@@ -568,17 +547,5 @@ mod tests {
         // (P0 − equal(r0))[P0 ↦ equal(r0)] = ∅.
         let d = a.difference(p, x);
         assert_eq!(a.node(a.subst(d, PSym(0), x)), Expr::Empty(r(0)));
-    }
-
-    #[test]
-    fn pexpr_round_trip_is_canonical() {
-        let a = ExprArena::new();
-        let e =
-            PExpr::union(PExpr::union(PExpr::Equal(r(1)), PExpr::Equal(r(0))), PExpr::Equal(r(1)));
-        let id = a.intern(&e);
-        let back = a.to_pexpr(id);
-        // Canonical: flattened, deduped; re-interning the materialized
-        // tree gives the same id.
-        assert_eq!(a.intern(&back), id);
     }
 }

@@ -19,7 +19,6 @@ pub use arena::{Expr, ExprArena, ExprId};
 
 use partir_dpl::func::{FnId, FnTable};
 use partir_dpl::region::RegionId;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// A partition symbol: a placeholder the solver must bind to an expression.
@@ -59,8 +58,11 @@ impl FnRef {
     }
 }
 
-/// Partition expressions (Figure 5's `E`).
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// Partition expressions (Figure 5's `E`) in tree form: the form in which
+/// hints and hand-built systems are written. It is an input only — interned
+/// once into an [`ExprArena`] (through [`ExprArena::intern`], [`IntoExprId`]
+/// or `Evaluator::eval`) and never produced from an id.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum PExpr {
     Sym(PSym),
     Ext(ExtId),
@@ -106,104 +108,6 @@ impl PExpr {
     }
     pub fn difference(a: PExpr, b: PExpr) -> PExpr {
         PExpr::Difference(Box::new(a), Box::new(b))
-    }
-
-    /// True when the expression contains no partition symbol (externals are
-    /// fixed, so they count as closed — Algorithm 2's notion).
-    pub fn is_closed(&self) -> bool {
-        match self {
-            PExpr::Sym(_) => false,
-            PExpr::Ext(_) | PExpr::Equal(_) => true,
-            PExpr::Image { src, .. } => src.is_closed(),
-            PExpr::Preimage { src, .. } => src.is_closed(),
-            PExpr::Union(a, b) | PExpr::Intersect(a, b) | PExpr::Difference(a, b) => {
-                a.is_closed() && b.is_closed()
-            }
-        }
-    }
-
-    /// Collects all partition symbols.
-    pub fn syms(&self, out: &mut BTreeSet<PSym>) {
-        match self {
-            PExpr::Sym(s) => {
-                out.insert(*s);
-            }
-            PExpr::Ext(_) | PExpr::Equal(_) => {}
-            PExpr::Image { src, .. } | PExpr::Preimage { src, .. } => src.syms(out),
-            PExpr::Union(a, b) | PExpr::Intersect(a, b) | PExpr::Difference(a, b) => {
-                a.syms(out);
-                b.syms(out);
-            }
-        }
-    }
-
-    /// Substitutes `sym ↦ repl` everywhere.
-    pub fn subst(&self, sym: PSym, repl: &PExpr) -> PExpr {
-        match self {
-            PExpr::Sym(s) if *s == sym => repl.clone(),
-            PExpr::Sym(_) | PExpr::Ext(_) | PExpr::Equal(_) => self.clone(),
-            PExpr::Image { src, f, target } => {
-                PExpr::Image { src: Box::new(src.subst(sym, repl)), f: *f, target: *target }
-            }
-            PExpr::Preimage { domain, f, src } => {
-                PExpr::Preimage { domain: *domain, f: *f, src: Box::new(src.subst(sym, repl)) }
-            }
-            PExpr::Union(a, b) => {
-                PExpr::Union(Box::new(a.subst(sym, repl)), Box::new(b.subst(sym, repl)))
-            }
-            PExpr::Intersect(a, b) => {
-                PExpr::Intersect(Box::new(a.subst(sym, repl)), Box::new(b.subst(sym, repl)))
-            }
-            PExpr::Difference(a, b) => {
-                PExpr::Difference(Box::new(a.subst(sym, repl)), Box::new(b.subst(sym, repl)))
-            }
-        }
-    }
-
-    /// Pretty-prints with function names resolved through `fns` and
-    /// external names through `exts`.
-    pub fn display(&self, fns: &FnTable, exts: &[ExternalDecl]) -> String {
-        match self {
-            PExpr::Sym(s) => format!("{s:?}"),
-            PExpr::Ext(e) => {
-                exts.get(e.0 as usize).map(|d| d.name.clone()).unwrap_or_else(|| format!("{e:?}"))
-            }
-            PExpr::Equal(r) => format!("equal(r{})", r.0),
-            PExpr::Image { src, f, target } => {
-                format!("image({}, {}, r{})", src.display(fns, exts), f.display(fns), target.0)
-            }
-            PExpr::Preimage { domain, f, src } => {
-                format!("preimage(r{}, {}, {})", domain.0, f.display(fns), src.display(fns, exts))
-            }
-            PExpr::Union(a, b) => {
-                format!("({} ∪ {})", a.display(fns, exts), b.display(fns, exts))
-            }
-            PExpr::Intersect(a, b) => {
-                format!("({} ∩ {})", a.display(fns, exts), b.display(fns, exts))
-            }
-            PExpr::Difference(a, b) => {
-                format!("({} − {})", a.display(fns, exts), b.display(fns, exts))
-            }
-        }
-    }
-}
-
-impl fmt::Debug for PExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PExpr::Sym(s) => write!(f, "{s:?}"),
-            PExpr::Ext(e) => write!(f, "{e:?}"),
-            PExpr::Equal(r) => write!(f, "equal({r:?})"),
-            PExpr::Image { src, f: func, target } => {
-                write!(f, "image({src:?}, {func:?}, {target:?})")
-            }
-            PExpr::Preimage { domain, f: func, src } => {
-                write!(f, "preimage({domain:?}, {func:?}, {src:?})")
-            }
-            PExpr::Union(a, b) => write!(f, "({a:?} ∪ {b:?})"),
-            PExpr::Intersect(a, b) => write!(f, "({a:?} ∩ {b:?})"),
-            PExpr::Difference(a, b) => write!(f, "({a:?} − {b:?})"),
-        }
     }
 }
 
@@ -397,40 +301,6 @@ mod tests {
 
     fn r(i: u32) -> RegionId {
         RegionId(i)
-    }
-
-    #[test]
-    fn closedness() {
-        let mut sys = System::new();
-        let p = sys.fresh_sym(r(0), "p");
-        let e = sys.add_external("pn", r(0));
-        assert!(!PExpr::sym(p).is_closed());
-        assert!(PExpr::ext(e).is_closed());
-        assert!(PExpr::Equal(r(0)).is_closed());
-        let img = PExpr::image(PExpr::sym(p), FnRef::Identity, r(1));
-        assert!(!img.is_closed());
-        let img2 = PExpr::image(PExpr::ext(e), FnRef::Identity, r(1));
-        assert!(img2.is_closed());
-        let u = PExpr::union(img2.clone(), PExpr::Equal(r(1)));
-        assert!(u.is_closed());
-        assert!(!PExpr::union(img, PExpr::Equal(r(1))).is_closed());
-    }
-
-    #[test]
-    fn subst_replaces_all_occurrences() {
-        let p0 = PSym(0);
-        let p1 = PSym(1);
-        let e = PExpr::union(
-            PExpr::image(PExpr::sym(p0), FnRef::Identity, r(1)),
-            PExpr::intersect(PExpr::sym(p0), PExpr::sym(p1)),
-        );
-        let replaced = e.subst(p0, &PExpr::Equal(r(0)));
-        assert!(!replaced.is_closed()); // p1 still free
-        let mut syms = BTreeSet::new();
-        replaced.syms(&mut syms);
-        assert_eq!(syms.into_iter().collect::<Vec<_>>(), vec![p1]);
-        let closed = replaced.subst(p1, &PExpr::Equal(r(0)));
-        assert!(closed.is_closed());
     }
 
     #[test]

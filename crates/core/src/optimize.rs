@@ -420,8 +420,8 @@ mod tests {
         let sol = crate::solve::solve(&inf.system, &fns).expect("solvable");
         let p_f = inf.loops[0].access_syms[1];
         let s_region = inf.system.sym_region(p_f);
-        assert_eq!(sol.expr_for(p_f), &PExpr::Equal(s_region));
-        assert!(matches!(sol.expr_for(iter), PExpr::Union(_, _)));
+        assert_eq!(sol.id_for(p_f), inf.system.intern(PExpr::Equal(s_region)));
+        assert!(matches!(inf.system.arena.node(sol.id_for(iter)), Expr::Union(_)));
     }
 
     #[test]
@@ -449,9 +449,9 @@ mod tests {
         sys.pred_obligations.extend(prefs);
         let sol = crate::solve::solve(&sys, &fns).expect("solvable with preference");
         let p2 = inf.loops[0].access_syms[1];
-        assert_eq!(sol.expr_for(p2), &PExpr::Equal(s_));
+        assert_eq!(sol.id_for(p2), sys.intern(PExpr::Equal(s_)));
         let iter = inf.loops[0].iter_sym;
-        assert!(matches!(sol.expr_for(iter), PExpr::Preimage { .. }));
+        assert!(matches!(sys.arena.node(sol.id_for(iter)), Expr::Preimage { .. }));
     }
 
     #[test]

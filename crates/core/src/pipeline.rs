@@ -16,7 +16,7 @@ use crate::optimize::{
     apply_relaxation, choose_reduce_mode, disj_preferences, ReduceMode, RelaxPolicy,
 };
 use crate::solve::{solve_with, Solution, SolveBudget, SolveError};
-use crate::unify::{unify, Rep, Unified};
+use crate::unify::{forced_bindings, unify, Rep, Unified};
 use partir_dpl::func::FnTable;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, RegionId, Schema, Store};
@@ -327,11 +327,7 @@ pub fn auto_parallelize(
         ("pred_constraints", inference.system.pred_obligations.len().into()),
     ]);
     let sp = partir_obs::span("pipeline.relax");
-    let relax = apply_relaxation(
-        &mut inference,
-        if matches!(opts.relax, RelaxPolicy::Off) { RelaxPolicy::Off } else { RelaxPolicy::Auto },
-        &hinted_regions,
-    );
+    let relax = apply_relaxation(&mut inference, opts.relax, &hinted_regions);
     sp.close_with(vec![("relaxed_loops", relax.iter().filter(|r| r.relaxed).count().into())]);
     let inference_time = t0.elapsed();
 
@@ -361,7 +357,7 @@ pub fn auto_parallelize(
     // greedily (each kept only while the system stays solvable).
     let sp = partir_obs::span("pipeline.solve");
     let mut system = unified.system.clone();
-    let forced = forced_ext_bindings(&unified);
+    let forced = forced_bindings(&system, |s| unified.rep[s.0 as usize]);
     let base_solution = match solve_with(&system, fns, &forced, &opts.solve_budget) {
         Ok(s) => s,
         Err(SolveError::Unsatisfiable) => return Err(AutoError::Unsatisfiable),
@@ -371,9 +367,9 @@ pub fn auto_parallelize(
         for pref in disj_preferences(&inference, &relax) {
             let mapped = match pref {
                 Pred::Disj(e) => match system.arena.node(e) {
-                    Expr::Sym(s) => match resolve_rep(&unified, s) {
-                        PExpr::Sym(t) => Pred::Disj(system.arena.sym(t)),
-                        _ => continue, // bound to an external: fixed
+                    Expr::Sym(s) => match unified.rep[s.0 as usize] {
+                        Rep::Ext(_) => continue, // bound to an external: fixed
+                        _ => Pred::Disj(unified.resolve(s)),
                     },
                     _ => pref,
                 },
@@ -420,9 +416,10 @@ pub fn auto_parallelize(
     };
 
     let resolve_id = |s: PSym| -> ExprId {
-        match resolve_rep(&unified, s) {
-            PExpr::Sym(t) => solution.id_for(t),
-            ext => system.intern(&ext),
+        match unified.rep[s.0 as usize] {
+            Rep::SelfSym => solution.id_for(s),
+            Rep::Sym(t) => solution.id_for(t),
+            Rep::Ext(_) => unified.resolve(s),
         }
     };
 
@@ -500,20 +497,6 @@ fn install_hints(system: &mut System, hints: &Hints) {
         };
         system.assume_fact_pred(interned);
     }
-}
-
-fn resolve_rep(unified: &Unified, s: PSym) -> PExpr {
-    unified.resolve(s)
-}
-
-fn forced_ext_bindings(unified: &Unified) -> HashMap<PSym, PExpr> {
-    let mut forced = HashMap::new();
-    for (i, r) in unified.rep.iter().enumerate() {
-        if let Rep::Ext(x) = r {
-            forced.insert(PSym(i as u32), PExpr::ext(*x));
-        }
-    }
-    forced
 }
 
 #[cfg(test)]

@@ -242,6 +242,10 @@ pub struct PlacementReport {
     /// The configured cap and the achieved `max_r load_r / (total · share_r)`.
     pub imbalance_limit: f64,
     pub imbalance: f64,
+    /// Exact predicted bytes of the seed refinement starts from (the best
+    /// of block and the greedy seed), priced by one fold: what the
+    /// assignment would move without KL/FM. Zero for non-cost policies.
+    pub seed_bytes: u64,
     /// Refinement sweeps run and moves applied.
     pub passes: u64,
     pub moves: u64,
@@ -274,6 +278,7 @@ impl PlacementReport {
             .with("predicted_bytes", self.predicted_bytes)
             .with("imbalance_limit", self.imbalance_limit)
             .with("imbalance", self.imbalance)
+            .with("seed_bytes", self.seed_bytes)
             .with("passes", self.passes)
             .with("moves", self.moves)
             .with("gain_bytes", self.gain_bytes)
@@ -564,7 +569,9 @@ fn priced_cut(adj: &Adjacency, assignment: &[usize]) -> f64 {
 /// graphs (stencils), where refining a scrambled greedy seed back to an
 /// equal-cut assignment would waste sweeps; greedy wins when the affinity
 /// structure is non-contiguous (pairwise bands, strided interconnects).
-pub fn cost_driven_assignment(g: &CommGraph, n_ranks: usize) -> (Vec<usize>, u64, u64) {
+///
+/// Returns `(seed, refined, passes, moves)`.
+pub fn cost_driven_assignment(g: &CommGraph, n_ranks: usize) -> (Vec<usize>, Vec<usize>, u64, u64) {
     let adj = Adjacency::build(g);
     let mut cur = seed_assignment(g, &adj, n_ranks);
     let block = block_assignment(g.n_colors, n_ranks);
@@ -575,8 +582,9 @@ pub fn cost_driven_assignment(g: &CommGraph, n_ranks: usize) -> (Vec<usize>, u64
     }
     let ranks: Vec<usize> = (0..n_ranks).collect();
     let movable: Vec<usize> = (0..g.n_colors).collect();
+    let seed = cur.clone();
     let (passes, moves) = refine(g, &adj, n_ranks, &ranks, &mut cur, &movable);
-    (cur, passes, moves)
+    (seed, cur, passes, moves)
 }
 
 /// Solves the owner mapping for `n_ranks` ranks under `config` and folds
@@ -586,7 +594,8 @@ pub fn cost_driven_assignment(g: &CommGraph, n_ranks: usize) -> (Vec<usize>, u64
 /// identity assignment for the graph, then under the refined candidate and
 /// the block baseline, and the cheaper of those two (by
 /// `ExchangeStats::total_bytes`) wins — the graph guides the search, the
-/// set algebra decides.
+/// set algebra decides. A fourth fold prices the seed for
+/// [`PlacementReport::seed_bytes`] when it is neither of those two.
 pub fn place(
     plan: &ParallelPlan,
     parts: &[Arc<Partition>],
@@ -638,7 +647,7 @@ pub fn place(
             let graph = CommGraph::of(&fp, schema)?;
             report.graph_ns = t_place.elapsed().as_nanos() as u64;
             let t_solve = Instant::now();
-            let (cand, passes, moves) = cost_driven_assignment(&graph, n_ranks);
+            let (seed, cand, passes, moves) = cost_driven_assignment(&graph, n_ranks);
             report.solve_ns = t_solve.elapsed().as_nanos() as u64;
             report.passes = passes;
             report.moves = moves;
@@ -649,6 +658,11 @@ pub fn place(
             let xc = fp.fold(n_ranks, &cand)?;
             let (block_bytes, cand_bytes) = (xb.stats().total_bytes(), xc.stats().total_bytes());
             report.predicted_block_bytes = block_bytes;
+            report.seed_bytes = match &seed {
+                s if *s == block => block_bytes,
+                s if *s == cand => cand_bytes,
+                s => fp.fold(n_ranks, s)?.stats().total_bytes(),
+            };
             if cand_bytes < block_bytes {
                 finish(cand, xc, report)
             } else {

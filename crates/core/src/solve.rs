@@ -32,7 +32,7 @@
 //! comparison, and one lemma-memoizing [`FactCtx`] serves every base-case
 //! check of a solve.
 
-use crate::lang::{Expr, ExprId, PExpr, PSym, Pred, Subset, System};
+use crate::lang::{Expr, ExprId, PSym, Pred, Subset, System};
 use crate::lemmas::{entails_subset, prove_pred, FactCtx};
 use partir_dpl::func::FnTable;
 use std::collections::hash_map::DefaultHasher;
@@ -43,14 +43,12 @@ use std::time::{Duration, Instant};
 /// A complete assignment of closed expressions to partition symbols.
 #[derive(Clone, Debug, Default)]
 pub struct Solution {
-    /// Fully-inlined closed expression per symbol (materialized from
-    /// `binding_ids` for display and API compatibility).
-    pub bindings: Vec<PExpr>,
-    /// Interned id per symbol binding; two symbols alias the same
-    /// partition iff their ids are equal (canonical-form CSE).
+    /// Fully-inlined closed expression per symbol, interned; two symbols
+    /// alias the same partition iff their ids are equal (canonical-form
+    /// CSE).
     pub binding_ids: Vec<ExprId>,
-    /// Which candidate rule produced each binding (indexed like `bindings`);
-    /// the solver's explanation trace.
+    /// Which candidate rule produced each binding (indexed like
+    /// `binding_ids`); the solver's explanation trace.
     pub provenance: Vec<BindRule>,
     /// Search statistics.
     pub stats: SolveStats,
@@ -192,10 +190,6 @@ impl BindRule {
 }
 
 impl Solution {
-    pub fn expr_for(&self, s: PSym) -> &PExpr {
-        &self.bindings[s.0 as usize]
-    }
-
     /// Interned binding id for a symbol.
     pub fn id_for(&self, s: PSym) -> ExprId {
         self.binding_ids[s.0 as usize]
@@ -372,15 +366,15 @@ impl SearchState {
 pub fn solve_with(
     system: &System,
     fns: &FnTable,
-    forced: &HashMap<PSym, PExpr>,
+    forced: &HashMap<PSym, ExprId>,
     budget: &SolveBudget,
 ) -> Result<Solution, SolveError> {
     let start = Instant::now();
     let n = system.num_syms();
     let mut state = SearchState::new(n);
-    for (s, e) in forced {
-        debug_assert!(e.is_closed(), "forced binding for {s:?} must be closed");
-        state.bindings[s.0 as usize] = Some(system.arena.intern(e));
+    for (&s, &e) in forced {
+        debug_assert!(system.arena.is_closed(e), "forced binding for {s:?} must be closed");
+        state.bindings[s.0 as usize] = Some(e);
         state.prov[s.0 as usize] = Some(BindRule::Forced);
     }
     let mut stats = SolveStats::default();
@@ -390,8 +384,6 @@ pub fn solve_with(
     stats.lemma_memo_hits += ctx.memo_hits();
     if solved {
         let binding_ids: Vec<ExprId> = state.bindings.into_iter().map(Option::unwrap).collect();
-        let bindings: Vec<PExpr> =
-            binding_ids.iter().map(|&id| system.arena.to_pexpr(id)).collect();
         let provenance =
             state.prov.into_iter().map(|r| r.unwrap_or(BindRule::EqualTrivial)).collect();
         if partir_obs::trace_enabled() {
@@ -407,7 +399,7 @@ pub fn solve_with(
                 ],
             );
         }
-        Ok(Solution { bindings, binding_ids, provenance, stats, degraded: false })
+        Ok(Solution { binding_ids, provenance, stats, degraded: false })
     } else if let Some(reason) = stats.exhausted {
         if partir_obs::trace_enabled() {
             partir_obs::instant(
@@ -433,15 +425,15 @@ pub fn solve_with(
 /// region, the paper's trivial solution. Forced bindings are preserved.
 fn trivial_solution(
     system: &System,
-    forced: &HashMap<PSym, PExpr>,
+    forced: &HashMap<PSym, ExprId>,
     mut stats: SolveStats,
 ) -> Solution {
     let arena = &system.arena;
     let n = system.num_syms();
     let mut state = SearchState::new(n);
     let mut prov: Vec<BindRule> = vec![BindRule::DegradedTrivial; n];
-    for (s, e) in forced {
-        state.bindings[s.0 as usize] = Some(arena.intern(e));
+    for (&s, &e) in forced {
+        state.bindings[s.0 as usize] = Some(e);
         prov[s.0 as usize] = BindRule::Forced;
     }
     let mut lower: Vec<Vec<ExprId>> = vec![Vec::new(); n];
@@ -470,8 +462,7 @@ fn trivial_solution(
         state.bindings[i] = Some(cand.unwrap_or_else(|| arena.equal(system.sym_regions[i])));
     }
     let binding_ids: Vec<ExprId> = state.bindings.into_iter().map(Option::unwrap).collect();
-    let bindings = binding_ids.iter().map(|&id| arena.to_pexpr(id)).collect();
-    Solution { bindings, binding_ids, provenance: prov, stats, degraded: true }
+    Solution { binding_ids, provenance: prov, stats, degraded: true }
 }
 
 /// Substituted view of the obligations under the current partial bindings,
@@ -729,7 +720,7 @@ fn solve_rec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lang::FnRef;
+    use crate::lang::{FnRef, PExpr};
     use partir_dpl::func::FnId;
     use partir_dpl::region::{RegionId, Schema};
 
@@ -759,9 +750,9 @@ mod tests {
         sys.require_subset(PExpr::image(PExpr::sym(p1), g(), s), PExpr::sym(p2));
         sys.require_subset(PExpr::sym(p1), PExpr::sym(p3));
         let sol = solve(&sys, &fns).expect("solvable");
-        assert_eq!(sol.expr_for(p1), &PExpr::Equal(r));
-        assert_eq!(sol.expr_for(p2), &PExpr::image(PExpr::Equal(r), g(), s));
-        assert_eq!(sol.expr_for(p3), &PExpr::Equal(r));
+        assert_eq!(sol.id_for(p1), sys.intern(PExpr::Equal(r)));
+        assert_eq!(sol.id_for(p2), sys.intern(PExpr::image(PExpr::Equal(r), g(), s)));
+        assert_eq!(sol.id_for(p3), sys.intern(PExpr::Equal(r)));
         // After CSE, P3 = P1: 2 distinct partitions.
         assert_eq!(sol.num_distinct_partitions(), 2);
         assert_eq!(sol.id_for(p1), sol.id_for(p3));
@@ -781,9 +772,9 @@ mod tests {
         sys.require_disj(PExpr::sym(p2));
         sys.require_subset(PExpr::sym(p1), PExpr::sym(p3));
         let sol = solve(&sys, &fns).expect("solvable");
-        assert_eq!(sol.expr_for(p2), &PExpr::Equal(s));
-        assert_eq!(sol.expr_for(p1), &PExpr::preimage(r, g(), PExpr::Equal(s)));
-        assert_eq!(sol.expr_for(p3), sol.expr_for(p1));
+        assert_eq!(sol.id_for(p2), sys.intern(PExpr::Equal(s)));
+        assert_eq!(sol.id_for(p1), sys.intern(PExpr::preimage(r, g(), PExpr::Equal(s))));
+        assert_eq!(sol.id_for(p3), sol.id_for(p1));
     }
 
     /// Program-B preference: with COMP on the deeper Cells symbol the solver
@@ -810,9 +801,9 @@ mod tests {
         sys.require_subset(PExpr::image(PExpr::sym(p1), f1, cells), PExpr::sym(p2));
         sys.require_subset(PExpr::image(PExpr::sym(p2), h, cells), PExpr::sym(p3));
         let sol = solve(&sys, &fns).expect("solvable");
-        assert_eq!(sol.expr_for(p2), &PExpr::Equal(cells));
-        assert_eq!(sol.expr_for(p1), &PExpr::preimage(particles, f1, PExpr::Equal(cells)));
-        assert_eq!(sol.expr_for(p3), &PExpr::image(PExpr::Equal(cells), h, cells));
+        assert_eq!(sol.id_for(p2), sys.intern(PExpr::Equal(cells)));
+        assert_eq!(sol.id_for(p1), sys.intern(PExpr::preimage(particles, f1, PExpr::Equal(cells))));
+        assert_eq!(sol.id_for(p3), sys.intern(PExpr::image(PExpr::Equal(cells), h, cells)));
         assert_eq!(sol.num_distinct_partitions(), 3);
     }
 
@@ -839,13 +830,18 @@ mod tests {
         sys.require_comp(PExpr::sym(p3), s);
         sys.require_subset(PExpr::preimage(r, gq, PExpr::sym(p3)), PExpr::sym(p1));
         let sol = solve(&sys, &fns).expect("solvable");
-        assert_eq!(sol.expr_for(p2), &PExpr::Equal(s));
-        assert_eq!(sol.expr_for(p3), &PExpr::Equal(s));
-        match sol.expr_for(p1) {
-            PExpr::Union(a, b) => {
-                let both = [format!("{a:?}"), format!("{b:?}")];
-                assert!(both.iter().any(|x| x.contains("fn0")));
-                assert!(both.iter().any(|x| x.contains("fn1")));
+        assert_eq!(sol.id_for(p2), sys.intern(PExpr::Equal(s)));
+        assert_eq!(sol.id_for(p3), sys.intern(PExpr::Equal(s)));
+        match sys.arena.node(sol.id_for(p1)) {
+            Expr::Union(cs) => {
+                let fs: Vec<FnRef> = cs
+                    .iter()
+                    .filter_map(|&c| match sys.arena.node(c) {
+                        Expr::Preimage { f, .. } => Some(f),
+                        _ => None,
+                    })
+                    .collect();
+                assert!(fs.contains(&f) && fs.contains(&gq), "{fs:?}");
             }
             other => panic!("expected union of preimages, got {other:?}"),
         }
@@ -880,10 +876,10 @@ mod tests {
         sys.require_comp(PExpr::sym(p1), r);
         sys.require_subset(PExpr::image(PExpr::sym(p1), g2, r), PExpr::sym(p1));
         let mut forced = HashMap::new();
-        forced.insert(p1, PExpr::ext(rs_p));
+        forced.insert(p1, sys.intern(PExpr::ext(rs_p)));
         let sol = solve_with(&sys, &fns2, &forced, &SolveBudget::unlimited())
             .expect("consistent with external");
-        assert_eq!(sol.expr_for(p1), &PExpr::ext(rs_p));
+        assert_eq!(sol.id_for(p1), sys.intern(PExpr::ext(rs_p)));
     }
 
     /// A system whose first candidate (Preimage) fails verification and
@@ -906,8 +902,8 @@ mod tests {
             .expect("budget exhaustion must not error");
         assert!(sol.degraded);
         assert_eq!(sol.stats.exhausted, Some(BudgetExhausted::Backtracks));
-        assert_eq!(sol.expr_for(p1), &PExpr::Equal(r));
-        assert!(sol.bindings.iter().all(PExpr::is_closed));
+        assert_eq!(sol.id_for(p1), sys.intern(PExpr::Equal(r)));
+        assert!(sol.binding_ids.iter().all(|&b| sys.arena.is_closed(b)));
         assert!(sol.provenance.iter().all(|b| matches!(b, BindRule::DegradedTrivial)));
         // The same system under a budget it fits in solves non-degraded.
         let roomy = SolveBudget { max_backtracks: Some(64), ..SolveBudget::default() };
@@ -915,7 +911,7 @@ mod tests {
         assert!(!sol.degraded);
         assert_eq!(sol.stats.exhausted, None);
         assert!(sol.stats.backtracks >= 1, "first candidate must have failed");
-        assert_eq!(sol.expr_for(p1), &PExpr::Equal(r));
+        assert_eq!(sol.id_for(p1), sys.intern(PExpr::Equal(r)));
     }
 
     /// `max_nodes = 0` forbids any search at all: every system yields the
@@ -933,7 +929,7 @@ mod tests {
         assert!(sol.degraded);
         assert_eq!(sol.stats.exhausted, Some(BudgetExhausted::Nodes));
         assert_eq!(sol.stats.nodes_explored, 0);
-        assert!(sol.bindings.iter().all(PExpr::is_closed));
+        assert!(sol.binding_ids.iter().all(|&b| sys.arena.is_closed(b)));
     }
 
     /// A zero wall-clock deadline exhausts immediately but still returns a
@@ -947,7 +943,7 @@ mod tests {
         let sol = solve_with(&sys, &fns, &HashMap::new(), &budget).expect("total");
         assert!(sol.degraded);
         assert_eq!(sol.stats.exhausted, Some(BudgetExhausted::Deadline));
-        assert_eq!(sol.expr_for(p), &PExpr::Equal(r));
+        assert_eq!(sol.id_for(p), sys.intern(PExpr::Equal(r)));
     }
 
     /// Forced bindings (unification/externals) survive into the degraded
@@ -960,13 +956,13 @@ mod tests {
         let p2 = sys.fresh_sym(s, "p2");
         sys.require_subset(PExpr::image(PExpr::sym(p1), g(), s), PExpr::sym(p2));
         let mut forced = HashMap::new();
-        forced.insert(p1, PExpr::ext(rs_p));
+        forced.insert(p1, sys.intern(PExpr::ext(rs_p)));
         let budget = SolveBudget { max_nodes: Some(0), ..SolveBudget::default() };
         let sol = solve_with(&sys, &fns, &forced, &budget).expect("total");
         assert!(sol.degraded);
-        assert_eq!(sol.expr_for(p1), &PExpr::ext(rs_p));
+        assert_eq!(sol.id_for(p1), sys.intern(PExpr::ext(rs_p)));
         assert_eq!(sol.provenance[p1.0 as usize], BindRule::Forced);
-        assert_eq!(sol.expr_for(p2), &PExpr::image(PExpr::ext(rs_p), g(), s));
+        assert_eq!(sol.id_for(p2), sys.intern(PExpr::image(PExpr::ext(rs_p), g(), s)));
     }
 
     /// A genuinely unsatisfiable system stays an error under an *unlimited*
@@ -987,7 +983,7 @@ mod tests {
         let budget = SolveBudget { max_nodes: Some(0), ..SolveBudget::default() };
         let sol = solve_with(&sys, &fns2, &HashMap::new(), &budget).expect("total");
         assert!(sol.degraded);
-        assert_eq!(sol.expr_for(p1), &PExpr::Equal(r));
+        assert_eq!(sol.id_for(p1), sys.intern(PExpr::Equal(r)));
     }
 
     /// A symbol with no constraints at all gets the trivial equal partition.
@@ -996,7 +992,7 @@ mod tests {
         let (mut sys, fns, r, _) = setup();
         let p = sys.fresh_sym(r, "lonely");
         let sol = solve(&sys, &fns).expect("solvable");
-        assert_eq!(sol.expr_for(p), &PExpr::Equal(r));
+        assert_eq!(sol.id_for(p), sys.intern(PExpr::Equal(r)));
     }
 
     /// Render produces readable DPL with aliases for duplicates.

@@ -25,7 +25,7 @@
 //! sets of id-carrying [`Pred`]/[`Subset`] values.
 
 use crate::infer::Inference;
-use crate::lang::{Expr, ExprId, ExtId, FnRef, PExpr, PSym, Pred, Subset, System};
+use crate::lang::{Expr, ExprId, ExtId, FnRef, PSym, Pred, Subset, System};
 use crate::solve::{solve_with, SolveBudget, SolveStats};
 use partir_dpl::func::FnTable;
 use partir_dpl::region::RegionId;
@@ -106,12 +106,14 @@ pub struct Unified {
 }
 
 impl Unified {
-    /// Resolves a symbol to its final representative expression.
-    pub fn resolve(&self, s: PSym) -> PExpr {
+    /// Resolves a symbol to its representative: itself, the root symbol
+    /// it was merged into, or an external (`rep` holds roots).
+    pub fn resolve(&self, s: PSym) -> ExprId {
+        let arena = &self.system.arena;
         match self.rep[s.0 as usize] {
-            Rep::SelfSym => PExpr::sym(s),
-            Rep::Sym(t) => self.resolve(t),
-            Rep::Ext(x) => PExpr::ext(x),
+            Rep::SelfSym => arena.sym(s),
+            Rep::Sym(t) => arena.sym(t),
+            Rep::Ext(x) => arena.ext(x),
         }
     }
 }
@@ -371,17 +373,20 @@ fn rewrite_system(system: &System, uf: &Uf) -> System {
     out
 }
 
-/// Forced bindings for solver consistency checks: symbols bound to external
-/// partitions stay fixed.
-fn forced_bindings(system: &System, uf: &Uf) -> HashMap<PSym, PExpr> {
-    let mut forced = HashMap::new();
-    for i in 0..system.num_syms() {
-        let s = PSym(i as u32);
-        if let Rep::Ext(x) = uf.find(s) {
-            forced.insert(s, PExpr::ext(x));
-        }
-    }
-    forced
+/// The solver's forced bindings under a unification whose root of each
+/// symbol is `root`: symbols bound to external partitions stay fixed. Serves
+/// the trial solves here and the pipeline's solves alike.
+pub(crate) fn forced_bindings(
+    system: &System,
+    root: impl Fn(PSym) -> Rep,
+) -> HashMap<PSym, ExprId> {
+    (0..system.num_syms() as u32)
+        .map(PSym)
+        .filter_map(|s| match root(s) {
+            Rep::Ext(x) => Some((s, system.arena.ext(x))),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Renders a matched pair set for merge-log entries.
@@ -429,7 +434,7 @@ impl State<'_> {
         detail: impl FnOnce() -> String,
     ) -> bool {
         let trial_system = rewrite_system(self.system, &trial);
-        let forced = forced_bindings(self.system, &trial);
+        let forced = forced_bindings(self.system, |s| trial.find(s));
         match solve_with(&trial_system, self.fns, &forced, &SolveBudget::unlimited()) {
             Ok(sol) => {
                 self.check_stats.absorb(&sol.stats);
@@ -703,11 +708,7 @@ pub fn unify(inference: &Inference, fns: &FnTable) -> Unified {
             let s = PSym(i as u32);
             match uf.find(s) {
                 Rep::Sym(t) if t == s => Rep::SelfSym,
-                other => match other {
-                    Rep::Sym(t) => Rep::Sym(t),
-                    Rep::Ext(x) => Rep::Ext(x),
-                    Rep::SelfSym => Rep::SelfSym,
-                },
+                other => other,
             }
         })
         .collect();
@@ -740,6 +741,7 @@ pub fn unify(inference: &Inference, fns: &FnTable) -> Unified {
 mod tests {
     use super::*;
     use crate::infer::infer;
+    use crate::lang::PExpr;
     use partir_dpl::region::{FieldKind, Schema};
     use partir_ir::ast::{LoopBuilder, ReduceOp, VExpr};
 
@@ -805,16 +807,16 @@ mod tests {
         let cell_read = inf.loops[0].access_syms[0];
         assert_eq!(uni.resolve(cell_read), uni.resolve(iter1));
         // Fewest partitions: Particles preimage + Cells equal + Cells image.
-        let resolved_syms: std::collections::BTreeSet<String> = (0..inf.system.num_syms())
+        let resolved: std::collections::BTreeSet<ExprId> = (0..inf.system.num_syms())
             .map(|i| {
                 let e = uni.resolve(PSym(i as u32));
-                match e {
-                    PExpr::Sym(s) => format!("{:?}", sol.expr_for(s)),
-                    other => format!("{other:?}"),
+                match uni.system.arena.node(e) {
+                    Expr::Sym(s) => sol.id_for(s),
+                    _ => e,
                 }
             })
             .collect();
-        assert_eq!(resolved_syms.len(), 3, "{resolved_syms:?}");
+        assert_eq!(resolved.len(), 3, "{resolved:?}");
     }
 
     /// Example 6: unification against external facts discharges constraints.
@@ -864,17 +866,15 @@ mod tests {
         let uni = unify(&inf, &fns);
         let iter = inf.loops[0].iter_sym;
         let cells_acc = inf.loops[0].access_syms[1];
-        assert_eq!(uni.resolve(iter), PExpr::ext(p_particles), "P1 = pParticles");
-        assert_eq!(uni.resolve(cells_acc), PExpr::ext(p_cells), "P2 = pCells");
+        assert_eq!(uni.resolve(iter), inf.system.arena.ext(p_particles), "P1 = pParticles");
+        assert_eq!(uni.resolve(cells_acc), inf.system.arena.ext(p_cells), "P2 = pCells");
         // The h access remains a symbol solved as image(pCells, h, Cells).
         let sol = crate::solve::solve(&uni.system, &fns).expect("solvable");
         let h_acc = inf.loops[0].access_syms[2];
-        match uni.resolve(h_acc) {
-            PExpr::Sym(s) => {
-                assert_eq!(
-                    sol.expr_for(s),
-                    &PExpr::image(PExpr::ext(p_cells), FnRef::Fn(h), cells)
-                );
+        match uni.system.arena.node(uni.resolve(h_acc)) {
+            Expr::Sym(s) => {
+                let want = PExpr::image(PExpr::ext(p_cells), FnRef::Fn(h), cells);
+                assert_eq!(sol.id_for(s), uni.system.intern(want));
             }
             other => panic!("unexpected resolution {other:?}"),
         }

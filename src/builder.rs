@@ -8,7 +8,6 @@
 //! let plan = Partir::new(program, fns, schema)
 //!     .hints(h)
 //!     .budget(b)
-//!     .relax(RelaxPolicy::Auto)
 //!     .colors(8)
 //!     .cache(&cache)           // optional: fingerprint-keyed reuse
 //!     .solve()?;               // solve once (or hit the cache)
@@ -22,7 +21,6 @@ use crate::plan::Plan;
 use partir_core::cache::{PlanCache, SolvedPlan};
 use partir_core::eval::ExtBindings;
 use partir_core::fingerprint::solve_fingerprint;
-use partir_core::optimize::RelaxPolicy;
 use partir_core::pipeline::{Hints, Options};
 use partir_core::solve::SolveBudget;
 use partir_dpl::func::{FnDef, FnId, FnTable, IndexFn, MultiFn};
@@ -68,8 +66,8 @@ impl Partir {
         self
     }
 
-    /// Full pipeline options (ablation knobs). [`budget`](Self::budget)
-    /// and [`relax`](Self::relax) are shortcuts into this.
+    /// Full pipeline options (ablation knobs, relaxation policy).
+    /// [`budget`](Self::budget) is a shortcut into this.
     pub fn options(mut self, options: Options) -> Self {
         self.options = options;
         self
@@ -78,12 +76,6 @@ impl Partir {
     /// Resource budget for the constraint solver.
     pub fn budget(mut self, budget: SolveBudget) -> Self {
         self.options.solve_budget = budget;
-        self
-    }
-
-    /// Relaxation policy for loops whose constraints over-approximate.
-    pub fn relax(mut self, policy: RelaxPolicy) -> Self {
-        self.options.relax = policy;
         self
     }
 

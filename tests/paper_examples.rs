@@ -1,6 +1,7 @@
 //! Integration tests that walk the paper's own worked examples through the
 //! public API, end to end.
 
+use partir::core::lang::Expr;
 use partir::prelude::*;
 
 /// Figure 1 / Figure 2: the particles/cells program solves to "program B"
@@ -70,14 +71,14 @@ fn examples_2_and_3_via_solver() {
     sys.require_disj(PExpr::sym(p1));
     sys.require_subset(PExpr::image(PExpr::sym(p1), g, s), PExpr::sym(p2));
     let sol = solve(&sys, &fns).unwrap();
-    assert_eq!(sol.expr_for(p1), &PExpr::Equal(r));
-    assert!(matches!(sol.expr_for(p2), PExpr::Image { .. }));
+    assert_eq!(sol.id_for(p1), sys.intern(PExpr::Equal(r)));
+    assert!(matches!(sys.arena.node(sol.id_for(p2)), Expr::Image { .. }));
 
     // Example 3: add DISJ(P2).
     sys.require_disj(PExpr::sym(p2));
     let sol = solve(&sys, &fns).unwrap();
-    assert_eq!(sol.expr_for(p2), &PExpr::Equal(s));
-    assert!(matches!(sol.expr_for(p1), PExpr::Preimage { .. }));
+    assert_eq!(sol.id_for(p2), sys.intern(PExpr::Equal(s)));
+    assert!(matches!(sys.arena.node(sol.id_for(p1)), Expr::Preimage { .. }));
 }
 
 /// Theorem 5.1, validated empirically: the synthesized private
@@ -112,12 +113,11 @@ fn theorem_5_1_empirical() {
         let ctx = FactCtx::new(&sys, &fns);
         let private_id =
             partir::core::optimize::private_subpartition(img_id, &ctx).expect("constructible");
-        let private_expr = sys.arena.to_pexpr(private_id);
 
         let exts = ExtBindings::new();
-        let mut ev = Evaluator::new(&store, &fns, colors, &exts);
-        let img_part = ev.eval(&img);
-        let private = ev.eval(&private_expr);
+        let mut ev = Evaluator::with_arena(&store, &fns, colors, &exts, sys.arena.clone());
+        let img_part = ev.eval_id(img_id);
+        let private = ev.eval_id(private_id);
 
         // (a) Pp ⊆ fS(P); (b) DISJ(Pp).
         assert!(private.subset_of(&img_part), "trial {trial}");

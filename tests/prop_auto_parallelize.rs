@@ -1,30 +1,59 @@
 //! Solver soundness, empirically: for randomly generated parallelizable
 //! loops over randomly populated stores,
 //!
-//! 1. every constraint of the (post-unification) system — substituted with
-//!    the solver's bindings and evaluated to concrete partitions — holds:
-//!    subsets are subregion-wise subsets, `DISJ`/`COMP` predicates are true
-//!    of the evaluated partitions;
+//! 1. every constraint of the (post-unification) system — evaluated node by
+//!    node to concrete partitions, each symbol standing for the partition
+//!    the plan's evaluator builds for its binding — holds: subsets are
+//!    subregion-wise subsets, `DISJ`/`COMP` predicates are true of the
+//!    evaluated partitions;
 //! 2. the auto-parallelized execution on threads equals the sequential
 //!    interpreter bit-for-bit (integer-valued data), with dynamic legality
 //!    checking on.
 
+use partir::core::lang::{Expr, ExprId, Pred};
+use partir::dpl::index_set::IndexSet;
+use partir::dpl::ops;
+use partir::dpl::partition::Partition;
 use partir::prelude::*;
 use proptest::prelude::*;
 
 mod common;
 use common::{arb_cfg, build};
 
-/// Evaluates a closed expression through the plan's evaluator.
-fn eval_closed(
-    e: &partir::core::lang::PExpr,
-    store: &Store,
-    fns: &FnTable,
-    colors: usize,
-) -> std::sync::Arc<partir::dpl::partition::Partition> {
-    let exts = ExtBindings::new();
-    let mut ev = Evaluator::new(store, fns, colors, &exts);
-    ev.eval(e)
+/// Evaluates an obligation node by node with the DPL operators. It neither
+/// substitutes nor normalizes a substituted term: a symbol is the partition
+/// the plan's evaluator builds for the symbol's binding. An identity
+/// function clips the source's sets to the target region.
+fn eval_node(plan: &ParallelPlan, ev: &mut Evaluator, id: ExprId) -> Partition {
+    let (store, fns, colors) = (ev.store, ev.fns, ev.n_colors);
+    let mut sub = |id| eval_node(plan, ev, id);
+    let clip = |p: Partition, r: RegionId| {
+        let bounds = IndexSet::from_range(0, store.schema().region_size(r));
+        Partition::new(r, p.iter().map(|s| s.intersect(&bounds)).collect())
+    };
+    let fold = |mut ps: Vec<Partition>, op: fn(&Partition, &Partition) -> Partition| {
+        let first = ps.remove(0);
+        ps.iter().fold(first, |acc, p| op(&acc, p))
+    };
+    match plan.system.arena.node(id) {
+        Expr::Sym(s) => Partition::clone(&ev.eval_id(plan.solution.id_for(s))),
+        Expr::Ext(x) => panic!("generated programs declare no externals: {x:?}"),
+        Expr::Equal(r) => ops::equal(r, store.schema().region_size(r), colors),
+        Expr::Empty(r) => Partition::new(r, vec![IndexSet::default(); colors]),
+        Expr::Image { src, f, target } => match f {
+            FnRef::Identity => clip(sub(src), target),
+            FnRef::Fn(f) => ops::image(store, fns, &sub(src), f, target),
+        },
+        Expr::Preimage { domain, f, src } => match f {
+            FnRef::Identity => clip(sub(src), domain),
+            FnRef::Fn(f) => ops::preimage(store, fns, domain, f, &sub(src)),
+        },
+        Expr::Union(cs) => fold(cs.into_iter().map(&mut sub).collect(), ops::union_pointwise),
+        Expr::Intersect(cs) => {
+            fold(cs.into_iter().map(&mut sub).collect(), ops::intersect_pointwise)
+        }
+        Expr::Difference(a, b) => ops::difference_pointwise(&sub(a), &sub(b)),
+    }
 }
 
 proptest! {
@@ -46,19 +75,18 @@ proptest! {
         .expect("generated programs are parallelizable");
 
         // ---- 1. Every constraint holds on the evaluated partitions. ----
-        let subst = |e: &partir::core::lang::PExpr| -> partir::core::lang::PExpr {
-            let mut out = e.clone();
-            let mut syms = std::collections::BTreeSet::new();
-            out.syms(&mut syms);
-            for s in syms {
-                out = out.subst(s, plan.solution.expr_for(s));
-            }
-            out
-        };
-        let arena = &plan.system.arena;
+        let no_exts = ExtBindings::new();
+        let mut ev = Evaluator::with_arena(
+            &built.store,
+            &built.fns,
+            cfg.colors,
+            &no_exts,
+            plan.system.arena.clone(),
+        );
+        let mut eval = |e| eval_node(&plan, &mut ev, e);
         for sub in &plan.system.subset_obligations {
-            let lhs = eval_closed(&subst(&arena.to_pexpr(sub.lhs)), &built.store, &built.fns, cfg.colors);
-            let rhs = eval_closed(&subst(&arena.to_pexpr(sub.rhs)), &built.store, &built.fns, cfg.colors);
+            let lhs = eval(sub.lhs);
+            let rhs = eval(sub.rhs);
             prop_assert!(
                 lhs.subset_of(&rhs),
                 "subset violated: {:?} ⊆ {:?}",
@@ -68,17 +96,17 @@ proptest! {
         }
         for pred in &plan.system.pred_obligations {
             match pred {
-                partir::core::lang::Pred::Disj(e) => {
-                    let p = eval_closed(&subst(&arena.to_pexpr(*e)), &built.store, &built.fns, cfg.colors);
+                Pred::Disj(e) => {
+                    let p = eval(*e);
                     prop_assert!(p.is_disjoint(), "DISJ violated: {e:?}");
                 }
-                partir::core::lang::Pred::Comp(e, r) => {
-                    let p = eval_closed(&subst(&arena.to_pexpr(*e)), &built.store, &built.fns, cfg.colors);
+                Pred::Comp(e, r) => {
+                    let p = eval(*e);
                     let size = schema.region_size(*r);
                     prop_assert!(p.is_complete(size), "COMP violated: {e:?}");
                 }
-                partir::core::lang::Pred::Part(e, r) => {
-                    let p = eval_closed(&subst(&arena.to_pexpr(*e)), &built.store, &built.fns, cfg.colors);
+                Pred::Part(e, r) => {
+                    let p = eval(*e);
                     let size = schema.region_size(*r);
                     prop_assert!(p.is_partition_of(size), "PART violated: {e:?}");
                 }

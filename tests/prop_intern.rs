@@ -3,13 +3,21 @@
 //! original tree on random stores and external bindings), idempotent, and
 //! respects the AC laws it claims to normalize (associativity,
 //! commutativity, idempotence of `∪`/`∩`, and `E − E → ∅`).
+//!
+//! The reference is `eval_tree`: the DPL operators applied to the tree as
+//! written, with no arena, so no normal form sits on both sides of a
+//! comparison.
 
-use partir::core::lang::{ExprArena, PExpr};
+use partir::core::lang::{Expr, ExprArena, ExprId, PExpr};
+use partir::dpl::index_set::IndexSet;
+use partir::dpl::ops;
+use partir::dpl::partition::Partition;
 use partir::prelude::*;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
 const COLORS: usize = 3;
+const CASES: u32 = if cfg!(debug_assertions) { 64 } else { 1000 };
 
 struct World {
     store: Store,
@@ -50,13 +58,9 @@ fn build_world(n_a: u64, n_b: u64, seed: u64) -> World {
     let mut exts = ExtBindings::new();
     let mut random_part = |region: RegionId, size: u64| -> PExpr {
         let sets = (0..COLORS)
-            .map(|_| {
-                partir::dpl::index_set::IndexSet::from_indices(
-                    (0..size).filter(|_| rng.gen_bool(0.4)),
-                )
-            })
+            .map(|_| IndexSet::from_indices((0..size).filter(|_| rng.gen_bool(0.4))))
             .collect();
-        PExpr::ext(exts.push(partir::dpl::partition::Partition::new(region, sets)))
+        PExpr::ext(exts.push(Partition::new(region, sets)))
     };
     let ext_a = vec![random_part(a_r, n_a), random_part(a_r, n_a)];
     let ext_b = vec![random_part(b_r, n_b), random_part(b_r, n_b)];
@@ -95,18 +99,55 @@ fn gen_expr(w: &World, rng: &mut rand::rngs::StdRng, region: RegionId, depth: u3
     }
 }
 
-fn eval_fresh(w: &World, e: &PExpr) -> partir::dpl::partition::Partition {
-    let mut ev = Evaluator::new(&w.store, &w.fns, COLORS, &w.exts);
-    partir::dpl::partition::Partition::clone(&ev.eval(e))
+/// The tree as written, evaluated operator by operator. An identity
+/// function clips the source's sets to the target region.
+fn eval_tree(w: &World, e: &PExpr) -> Partition {
+    let clip = |p: Partition, r: RegionId| {
+        let bounds = IndexSet::from_range(0, w.store.schema().region_size(r));
+        Partition::new(r, p.iter().map(|s| s.intersect(&bounds)).collect())
+    };
+    match e {
+        PExpr::Sym(s) => panic!("generated expressions are closed: {s:?}"),
+        PExpr::Ext(x) => w.exts.get(*x).clone(),
+        PExpr::Equal(r) => ops::equal(*r, w.store.schema().region_size(*r), COLORS),
+        PExpr::Image { src, f, target } => match f {
+            FnRef::Identity => clip(eval_tree(w, src), *target),
+            FnRef::Fn(f) => ops::image(&w.store, &w.fns, &eval_tree(w, src), *f, *target),
+        },
+        PExpr::Preimage { domain, f, src } => match f {
+            FnRef::Identity => clip(eval_tree(w, src), *domain),
+            FnRef::Fn(f) => ops::preimage(&w.store, &w.fns, *domain, *f, &eval_tree(w, src)),
+        },
+        PExpr::Union(a, b) => ops::union_pointwise(&eval_tree(w, a), &eval_tree(w, b)),
+        PExpr::Intersect(a, b) => ops::intersect_pointwise(&eval_tree(w, a), &eval_tree(w, b)),
+        PExpr::Difference(a, b) => ops::difference_pointwise(&eval_tree(w, a), &eval_tree(w, b)),
+    }
+}
+
+/// Rebuilds an interned node through the arena's constructors.
+fn rebuild(a: &ExprArena, id: ExprId) -> ExprId {
+    match a.node(id) {
+        Expr::Sym(s) => a.sym(s),
+        Expr::Ext(x) => a.ext(x),
+        Expr::Equal(r) => a.equal(r),
+        Expr::Empty(r) => a.empty(r),
+        Expr::Image { src, f, target } => a.image(rebuild(a, src), f, target),
+        Expr::Preimage { domain, f, src } => a.preimage(domain, f, rebuild(a, src)),
+        Expr::Union(cs) => a.union(cs.into_iter().map(|c| rebuild(a, c)).collect::<Vec<_>>()),
+        Expr::Intersect(cs) => {
+            a.intersect(cs.into_iter().map(|c| rebuild(a, c)).collect::<Vec<_>>())
+        }
+        Expr::Difference(x, y) => a.difference(rebuild(a, x), rebuild(a, y)),
+    }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
-    /// `intern` round-trips semantically: the canonical normal form
-    /// evaluates to the same concrete `Partition` as the original tree,
-    /// whether re-evaluated from the materialized tree or directly by id
-    /// through a shared arena. Interning the normal form is a fixpoint.
+    /// Interning preserves semantics: the canonical normal form, evaluated
+    /// by id through the arena, is the partition the tree as written
+    /// evaluates to. Rebuilding the normal form through the arena's
+    /// constructors is a fixpoint.
     #[test]
     fn intern_round_trips_and_is_idempotent(
         n_a in 8u64..40,
@@ -122,18 +163,12 @@ proptest! {
 
         let arena = ExprArena::new();
         let id = arena.intern(&e);
-        let canon = arena.to_pexpr(id);
 
-        // Same partition from the original tree, the canonical tree, and
-        // the id evaluated through the shared arena.
-        let p_orig = eval_fresh(&w, &e);
-        let p_canon = eval_fresh(&w, &canon);
-        prop_assert_eq!(&p_orig, &p_canon, "normal form changed semantics: {:?} vs {:?}", e, canon);
         let mut ev = Evaluator::with_arena(&w.store, &w.fns, COLORS, &w.exts, arena.clone());
-        prop_assert_eq!(&*ev.eval_id(id), &p_orig);
+        prop_assert_eq!(&*ev.eval_id(id), &eval_tree(&w, &e), "normal form changed semantics: {:?}", e);
 
         // Idempotence: the normal form is already normal.
-        prop_assert_eq!(arena.intern(&canon), id, "intern not idempotent for {:?}", canon);
+        prop_assert_eq!(rebuild(&arena, id), id, "normal form not a fixpoint for {:?}", e);
     }
 
     /// The canonicalizer really implements the AC laws: associativity,
@@ -172,14 +207,14 @@ proptest! {
 
         // E − E is the empty normal form and evaluates to nothing.
         let diff = PExpr::difference(e1.clone(), e1.clone());
-        let p = eval_fresh(&w, &diff);
+        let p = Evaluator::new(&w.store, &w.fns, COLORS, &w.exts).eval(&diff);
         prop_assert_eq!(p.num_subregions(), COLORS);
         prop_assert!(p.iter().all(|s| s.is_empty()), "E − E must be empty: {:?}", e1);
 
         // Dedup soundness on independently generated trees: equal ids must
         // mean equal semantics (the converse need not hold).
         if arena.intern(&e1) == arena.intern(&e2) {
-            prop_assert_eq!(eval_fresh(&w, &e1), eval_fresh(&w, &e2));
+            prop_assert_eq!(eval_tree(&w, &e1), eval_tree(&w, &e2));
         }
     }
 }
