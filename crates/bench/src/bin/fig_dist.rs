@@ -1,100 +1,106 @@
-//! Distributed-backend scaling: ghost exchange vs replication, with
-//! cross-rank timelines and predicted-vs-measured accounting.
+//! Distributed-backend scaling, placement and recovery: every gate of the
+//! rank backend in one run.
 //!
-//! Runs all five benchmark applications on the rank-sharded SPMD backend
-//! at increasing rank counts (strong scaling: fixed problem, more ranks),
-//! verifies each point bit-identically against the sequential interpreter
-//! with legality checking on, and reports:
+//! Runs the five benchmark applications on the rank-sharded SPMD backend
+//! and reports four sections in one `fig_dist` envelope:
 //!
-//! * the exchange-set traffic the constraint solution derives, vs the
-//!   bytes a replicate-everything runtime would ship;
-//! * the `dist_profile` critical-path breakdown per epoch (compute /
-//!   exchange-wait / pack-unpack / legality / barrier-skew), computed from
-//!   per-rank timelines;
-//! * per-`(src, dst)` predicted-vs-measured bytes and messages, run in
-//!   strict mode — any pair where the mailboxes moved different traffic
-//!   than the `ExchangePlan` predicts aborts the harness.
+//! * the strong-scaling table at 1, 2, 4 and 8 ranks under block
+//!   placement: the exchange-set traffic the constraint solution derives
+//!   against the bytes a replicate-everything runtime would ship, the
+//!   `dist_profile` critical-path breakdown per epoch from per-rank
+//!   timelines, and per-`(src, dst)` predicted-vs-measured bytes under
+//!   strict volume accounting;
+//! * the scaling verdict: on Stencil and SpMV, the 8-rank median
+//!   wall-clock over the 1-rank one stays within 1.0 on a multi-core host
+//!   (2.0 on one core, where thread-per-rank SPMD cannot beat one rank);
+//! * `placement`: block vs cost-driven owner mapping on
+//!   placement-adversarial inputs (SpMV with an antipodal band shift,
+//!   Circuit with strided cross-cluster wires) over-decomposed to 4 colors
+//!   per rank at 4 and 8 ranks. Cost-driven never predicts or measures
+//!   more cross-rank bytes than block, and strictly fewer on SpMV and
+//!   Circuit; KL/FM refinement never ends above its seed and cuts SpMV's
+//!   to a hundredth or less; the steady refinement solve stays under 5 %
+//!   of end-to-end planning;
+//! * `dist_recovery`: a seeded rank crash (seed 42) mid-program in every
+//!   app at 8 ranks, with mild seeded message loss and duplication on
+//!   top. The survivors finish bit-identical, migrate no more than the
+//!   lost rank's owned shard, and record a `recovery` span; fault-free
+//!   checkpointing at the Young/Daly interval costs under 5 % for an
+//!   assumed mean time between failures of one hour.
+//!
+//! Every run is checked bit-identical to the sequential interpreter with
+//! clean strict volume accounting, and every check is a named entry of
+//! the report's `verdicts`. The report is written first; the process then
+//! exits 1 naming every failed verdict.
 //!
 //! Run: `cargo run --release -p partir-bench --bin fig_dist`
 //! JSON report: `... --bin fig_dist -- --json [--out PATH]`
 //! Chrome trace: `... --bin fig_dist -- --trace-out trace.json` (load in
-//! Perfetto / `chrome://tracing`; one process per app×rank-count combo,
-//! one thread per rank).
-//! Scaling gate: `... --bin fig_dist -- --assert-scaling [--max-ratio X]`
-//! fails when the largest rank count's median wall-clock exceeds 1-rank
-//! by more than the allowed ratio on Stencil and SpMV (the CI perf gate;
-//! `--max-ratio` overrides the parallelism-aware default — strict `1.0`
-//! on multi-core hosts, relaxed on single-core ones where thread-per-rank
-//! SPMD cannot beat one rank).
-//! Rank counts: `--ranks 2,4,8` overrides the default `1,2,4,8`.
-//! Fault tolerance: `... --bin fig_dist -- --fault-seed N` crashes a
-//! seeded rank mid-program in every app at the largest rank count (with
-//! mild seeded message loss and duplication on top), verifies the
-//! survivors finish bit-identical with migration bounded by the lost
-//! rank's owned shard, and emits a `dist_recovery` section: recovery
-//! wall-clock, bytes migrated vs a full re-shard, and the fault-free
-//! checkpoint overhead at the Young/Daly interval — the latter gated
-//! under 5%, for an assumed mean time between failures of one hour.
-//! Placement: `... --bin fig_dist -- --placement block|cost|compare`.
-//! `block`/`cost` pick the owner-mapping policy for the normal scaling
-//! table;
-//! `compare` runs only the placement axis — block vs cost-driven on
-//! placement-adversarial inputs (SpMV with an antipodal band shift,
-//! Circuit with strided cross-cluster wires) over-decomposed to
-//! 4 colors per rank at 4 and 8 ranks, asserting both policies stay
-//! bit-identical to the sequential interpreter under strict volume
-//! accounting, that cost-driven never predicts (or measures) more
-//! cross-rank ghost bytes than block on any app and strictly fewer on
-//! SpMV and Circuit, that KL/FM refinement never ends above the seed it
-//! starts from and cuts SpMV's to a hundredth or less, and that the
-//! refinement solve time stays under 5% of the end-to-end plan time —
-//! emitting the `placement` experiment.
+//! Perfetto / `chrome://tracing`; one process per app × rank count and one
+//! per app's crash, one thread per rank).
 
 use partir::core::exchange::derive_exchange;
-use partir::core::placement::{
-    cost_driven_assignment, CommGraph, PlacementPolicy, PlacementReport,
-};
-use partir::{Backend, Partir, Plan, Run, RunReport};
+use partir::core::placement::{cost_driven_assignment, CommGraph, PlacementPolicy};
+use partir::{Backend, Partir, Plan, Run, RunOutcome};
 use partir_apps::circuit::{Circuit, CircuitParams};
 use partir_apps::miniaero::{MiniAero, MiniAeroParams};
 use partir_apps::pennant::{Pennant, PennantParams};
 use partir_apps::{spmv, stencil};
-use partir_bench::{BenchArgs, PlacementMode};
+use partir_bench::BenchArgs;
 use partir_dpl::func::FnTable;
-use partir_dpl::region::{FieldData, FieldId, Store};
+use partir_dpl::region::{FieldId, Store};
 use partir_ir::ast::Loop;
 use partir_ir::interp::run_program_seq;
 use partir_obs::json::Json;
 use partir_obs::profile::DistProfile;
-use partir_obs::trace::chrome_trace_doc;
+use partir_obs::trace::{chrome_trace_doc, SpanKind};
 use partir_obs::ObsConfig;
 use partir_runtime::dist::DistReport;
 use partir_runtime::fault::{CheckpointPolicy, FaultPlan, RankCrash};
 use std::time::Instant;
 
-/// Budget for fault-free Young/Daly checkpointing under `--fault-seed`,
-/// percent of wall-clock.
+/// Rank counts of the scaling table.
+const SWEEP_RANKS: [usize; 4] = [1, 2, 4, 8];
+/// Rank counts of the placement section (colors are four per rank).
+const PLACEMENT_RANKS: [usize; 2] = [4, 8];
+/// Rank count and seed of the crash.
+const FAULT_RANKS: usize = 8;
+const FAULT_SEED: u64 = 42;
+/// Timed repetitions behind every wall-clock median.
+const REPS: usize = 5;
+/// Budget for fault-free Young/Daly checkpointing, percent of wall-clock.
 const OVERHEAD_MAX_PCT: f64 = 5.0;
 /// Mean time between failures the Young/Daly interval assumes, seconds.
 const MTBF_S: f64 = 3600.0;
+/// Budget for the steady refinement solve, percent of end-to-end planning.
+const MAX_SOLVE_PCT: f64 = 5.0;
 
+/// An application instance and its sequential-interpreter result.
 struct Case {
     name: &'static str,
     program: Vec<Loop>,
     fns: FnTable,
     store: Store,
+    seq: Store,
+}
+
+impl Case {
+    fn new(name: &'static str, program: Vec<Loop>, fns: FnTable, store: Store) -> Case {
+        let mut seq = store.clone();
+        run_program_seq(&program, &mut seq, &fns);
+        Case { name, program, fns, store, seq }
+    }
 }
 
 fn cases() -> Vec<Case> {
-    let mut out = Vec::new();
     let a = stencil::Stencil::generate(&stencil::StencilParams { nx: 256, ny: 256 });
-    out.push(Case { name: "Stencil", program: a.program, fns: a.fns, store: a.store });
+    let stencil = Case::new("Stencil", a.program, a.fns, a.store);
     let a = spmv::Spmv::generate(&spmv::SpmvParams {
         rows: 100_000,
         halo: 2,
         ..spmv::SpmvParams::default()
     });
-    out.push(Case { name: "SpMV", program: a.program, fns: a.fns, store: a.store });
+    let spmv = Case::new("SpMV", a.program, a.fns, a.store);
     let a = Circuit::generate(&CircuitParams {
         clusters: 4,
         nodes_per_cluster: 400,
@@ -103,12 +109,44 @@ fn cases() -> Vec<Case> {
         cross_stride: None,
         seed: 7,
     });
-    out.push(Case { name: "Circuit", program: a.program, fns: a.fns, store: a.store });
+    let circuit = Case::new("Circuit", a.program, a.fns, a.store);
+    vec![stencil, spmv, circuit, miniaero(), pennant()]
+}
+
+/// Placement-adversarial inputs: each strict-win app is tuned so that a
+/// contiguous block owner mapping is the wrong answer at `4·ranks` colors.
+/// SpMV's band is renumbered to center on the antipodal row (color `c`
+/// only talks to color `c + C/2`, which block pins on a distant rank), and
+/// Circuit's cross wires all target the cluster `ranks` strides away.
+/// Stencil, MiniAero and PENNANT keep their natural locality: block is
+/// already near-optimal for them, so they pin "cost-driven never regresses
+/// below block" rather than a strict win.
+fn placement_cases(ranks: usize) -> Vec<Case> {
+    let a = stencil::Stencil::generate(&stencil::StencilParams { nx: 512, ny: 512 });
+    let stencil = Case::new("Stencil", a.program, a.fns, a.store);
+    let rows = 400_000;
+    let a = spmv::Spmv::generate(&spmv::SpmvParams { rows, halo: 2, band_shift: rows / 2 });
+    let spmv = Case::new("SpMV", a.program, a.fns, a.store);
+    let a = Circuit::generate(&CircuitParams {
+        clusters: 2 * ranks,
+        nodes_per_cluster: 400,
+        wires_per_cluster: 800,
+        cross_fraction: 0.6,
+        cross_stride: Some(ranks as u64),
+        seed: 7,
+    });
+    let circuit = Case::new("Circuit", a.program, a.fns, a.store);
+    vec![stencil, spmv, circuit, miniaero(), pennant()]
+}
+
+fn miniaero() -> Case {
     let a = MiniAero::generate(&MiniAeroParams { nx: 8, ny: 8, nz: 8 });
-    out.push(Case { name: "MiniAero", program: a.program, fns: a.fns, store: a.store });
+    Case::new("MiniAero", a.program, a.fns, a.store)
+}
+
+fn pennant() -> Case {
     let a = Pennant::generate(&PennantParams { pieces: 4, zw: 8, zy: 8 });
-    out.push(Case { name: "PENNANT", program: a.program, fns: a.fns, store: a.store });
-    out
+    Case::new("PENNANT", a.program, a.fns, a.store)
 }
 
 /// A fresh solve of `case` at `colors` (no cache: every call pays the
@@ -120,255 +158,499 @@ fn solve_at(case: &Case, colors: usize) -> Plan {
         .unwrap_or_else(|e| panic!("{} auto-parallelizes: {e}", case.name))
 }
 
-/// `base` (the sweep's placement policy) on `ranks` ranks with `obs`.
-fn on_ranks(base: &Run, ranks: usize, obs: ObsConfig) -> Run {
-    base.clone().backend(Backend::Ranks(ranks)).obs(obs)
+fn on_ranks(ranks: usize, obs: ObsConfig) -> Run {
+    Run::new().backend(Backend::Ranks(ranks)).obs(obs)
 }
 
-fn ranks_report(report: RunReport) -> DistReport {
-    *report.as_ranks().expect("rank backend requested")
+fn strict() -> ObsConfig {
+    ObsConfig { strict_volume: true, ..ObsConfig::disabled() }
 }
 
-/// One scaling point: the distributed report plus the observability
-/// payloads derived from its timeline and the timed strong-scaling
-/// measurement.
-struct Point {
-    rep: DistReport,
-    profile: Json,
-    pairs: Json,
-    /// Median wall-clock of the timed repetitions (observability off).
-    wall_ns: u64,
-    /// Chrome `trace_event` objects for `--trace-out` (empty otherwise).
-    events: Vec<Json>,
+fn ranks_report(outcome: &RunOutcome) -> DistReport {
+    *outcome.report.as_ranks().expect("rank backend requested")
 }
 
-/// Median wall-clock of `REPS` runs with all observability off — the
-/// strong-scaling number proper. The plan (solve + exchange derivation)
-/// is built once and amortized, exactly how a production caller would run
-/// repeated epochs.
-fn time_point(base: &Run, case: &Case, ranks: usize) -> u64 {
-    const REPS: usize = 5;
-    let plan = solve_at(case, ranks.max(4));
-    let run = on_ranks(base, ranks, ObsConfig::disabled());
-    let mut times: Vec<u64> = (0..REPS)
-        .map(|_| {
-            let mut par = case.store.clone();
-            let t0 = Instant::now();
-            run.run(&plan, &mut par).unwrap_or_else(|e| panic!("timed run: {e}"));
-            t0.elapsed().as_nanos() as u64
-        })
-        .collect();
-    times.sort_unstable();
-    times[REPS / 2]
+/// Every named check of the run, in the order they were made. A name
+/// checked more than once holds only if every check of it held.
+#[derive(Default)]
+struct Verdicts(Vec<(String, bool, String)>);
+
+impl Verdicts {
+    /// Records `name`; `detail` says what was measured when it fails.
+    fn check(&mut self, name: String, pass: bool, detail: impl FnOnce() -> String) {
+        let detail = if pass { String::new() } else { detail() };
+        match self.0.iter_mut().find(|(n, ..)| *n == name) {
+            Some(v) if v.1 => (v.1, v.2) = (pass, detail),
+            Some(_) => {}
+            None => self.0.push((name, pass, detail)),
+        }
+    }
+
+    fn to_json(&self) -> Json {
+        self.0.iter().fold(Json::object(), |doc, (name, pass, _)| doc.with(name.as_str(), *pass))
+    }
+
+    /// One line per failed verdict: its name and what was measured.
+    fn failures(&self) -> Vec<String> {
+        self.0.iter().filter(|(_, pass, _)| !pass).map(|(n, _, d)| format!("{n}: {d}")).collect()
+    }
 }
 
-fn run_point(
-    base: &Run,
+/// One run of `plan` on a fresh copy of the case's store, checked as
+/// `{at}.bit_identical` against the sequential interpreter and as
+/// `{at}.volume_clean` under strict volume accounting (`run` must ask for
+/// it), and its wall-clock. A run that errors has no numbers to report and
+/// panics.
+fn verified_run(
+    v: &mut Verdicts,
+    at: &str,
     case: &Case,
-    seq: &Store,
-    ranks: usize,
-    pid: u64,
-    want_trace: bool,
-) -> Point {
-    let obs = ObsConfig { timeline: true, strict_volume: true, ..ObsConfig::disabled() };
-    let plan = solve_at(case, ranks.max(4));
+    run: &Run,
+    plan: &Plan,
+) -> (RunOutcome, u64) {
     let mut par = case.store.clone();
-    let outcome = on_ranks(base, ranks, obs)
-        .run(&plan, &mut par)
-        .unwrap_or_else(|e| panic!("{} on {ranks} ranks: {e}", case.name));
-    let schema = case.store.schema();
-    for f in 0..schema.num_fields() {
-        let fid = FieldId(f as u32);
-        if let FieldData::F64(sv) = seq.field_data(fid) {
-            let FieldData::F64(pv) = par.field_data(fid) else { unreachable!() };
-            assert_eq!(sv, pv, "{}: field {fid:?} diverged at {ranks} ranks", case.name);
-        }
-    }
-    let rep = ranks_report(outcome.report);
-    // Release builds must ride the plan-level proof: zero per-element
-    // checks, non-zero containment facts. (Debug builds deliberately keep
-    // the per-element path as a second line of defense.)
-    if cfg!(not(debug_assertions)) {
-        assert_eq!(
-            rep.legality_checks, 0,
-            "{} at {ranks} ranks: release path fell back to per-element legality",
-            case.name
-        );
-        assert!(
-            rep.plan_proved > 0,
-            "{} at {ranks} ranks: plan-level legality proof established no facts",
-            case.name
-        );
-    }
-
-    let trace = outcome.trace.as_ref().expect("timeline collection was requested");
-    trace
-        .validate()
-        .unwrap_or_else(|e| panic!("{} at {ranks} ranks: malformed timeline: {e}", case.name));
-    let profile = DistProfile::from_trace(trace);
-    assert!(
-        profile.coverage() >= 0.95,
-        "{} at {ranks} ranks: critical-path categories cover only {:.1}% of wall-clock",
-        case.name,
-        profile.coverage() * 100.0
-    );
-    // Strict mode already errored on any mismatch; assert the reported
-    // deltas agree.
-    let volume = outcome.volume.as_ref().expect("volume accounting present");
-    assert!(volume.is_clean(), "{} at {ranks} ranks: dirty volume accounting", case.name);
-
-    let events = if want_trace {
-        trace.chrome_trace_events(&format!("{} @ {ranks} ranks", case.name), pid)
-    } else {
-        Vec::new()
-    };
-    let wall_ns = time_point(base, case, ranks);
-    Point { rep, profile: profile.to_json(), pairs: volume.to_json(), wall_ns, events }
+    let t0 = Instant::now();
+    let outcome = run.run(plan, &mut par).unwrap_or_else(|e| panic!("{at}: {e}"));
+    let wall_ns = t0.elapsed().as_nanos() as u64;
+    let diverged = (0..case.store.schema().num_fields() as u32)
+        .map(FieldId)
+        .find(|&f| case.seq.field_data(f) != par.field_data(f));
+    v.check(format!("{at}.bit_identical"), diverged.is_none(), || {
+        format!("field {diverged:?} diverged from the sequential interpreter")
+    });
+    let clean = outcome.volume.as_ref().is_some_and(|vol| vol.is_clean());
+    v.check(format!("{at}.volume_clean"), clean, || "dirty volume accounting".into());
+    (outcome, wall_ns)
 }
 
-/// Median wall-clock (and last report) of `reps` fault-free runs at a
-/// given checkpoint cadence, observability off.
-fn time_checkpointed(
-    base: &Run,
-    case: &Case,
-    ranks: usize,
-    ckpt: Option<CheckpointPolicy>,
-    reps: usize,
-) -> (u64, DistReport) {
-    let mut walls = Vec::with_capacity(reps);
-    let mut last = None;
-    for _ in 0..reps {
-        let plan = solve_at(case, ranks.max(4));
-        let mut run = on_ranks(base, ranks, ObsConfig::disabled());
-        if let Some(p) = ckpt {
-            run = run.checkpoint(p);
-        }
+/// The plan-level legality proof established facts and, in release
+/// builds, replaced every per-element check (debug builds deliberately keep
+/// the per-element path as a second line of defense).
+fn check_proved(v: &mut Verdicts, at: &str, rep: &DistReport) {
+    let pass = rep.plan_proved > 0 && (cfg!(debug_assertions) || rep.legality_checks == 0);
+    v.check(format!("{at}.legality_proved"), pass, || {
+        format!("{} per-element checks, {} proved facts", rep.legality_checks, rep.plan_proved)
+    });
+}
+
+/// The median, by `key`, of `reps` calls of `f`.
+fn median_of<T>(reps: usize, mut f: impl FnMut() -> T, key: impl Fn(&T) -> f64) -> T {
+    let mut samples: Vec<T> = (0..reps).map(|_| f()).collect();
+    samples.sort_by(|a, b| key(a).total_cmp(&key(b)));
+    samples.swap_remove(reps / 2)
+}
+
+/// Median wall-clock of [`REPS`] runs of `plan` on fresh copies of the
+/// case's store, and the report of the median run.
+fn median_wall(run: &Run, plan: &Plan, case: &Case) -> (u64, DistReport) {
+    let timed = || {
         let mut par = case.store.clone();
         let t0 = Instant::now();
-        let outcome = run.run(&plan, &mut par).unwrap_or_else(|e| panic!("fault-mode run: {e}"));
-        walls.push(t0.elapsed().as_nanos() as u64);
-        last = Some(ranks_report(outcome.report));
-    }
-    walls.sort_unstable();
-    (walls[reps / 2], last.unwrap())
+        let outcome = run.run(plan, &mut par).unwrap_or_else(|e| panic!("{}: {e}", case.name));
+        (t0.elapsed().as_nanos() as u64, ranks_report(&outcome))
+    };
+    median_of(REPS, timed, |&(ns, _)| ns as f64)
 }
 
-/// `--fault-seed` measurement for one app: prices fault-free checkpointing
-/// at the Young/Daly interval (gated), then crashes a seeded rank
-/// mid-program — with mild seeded message loss and duplication on top —
-/// and reports what recovery cost and moved.
-fn run_fault_point(base: &Run, case: &Case, ranks: usize, seed: u64) -> Json {
-    const REPS: usize = 5;
+/// The scaling table: every app at every sweep rank count. Returns the
+/// section, its human rendering, and each app's `(ranks, median wall_ns)`.
+fn sweep(
+    v: &mut Verdicts,
+    cases: &[Case],
+    chrome: &mut Vec<Vec<Json>>,
+) -> (Json, String, Vec<Vec<(usize, u64)>>) {
+    let obs = ObsConfig { timeline: true, ..strict() };
+    let (mut apps, mut human, mut walls) = (Json::array(), String::new(), Vec::new());
+    for case in cases {
+        human.push_str(&format!(
+            "\n{}\n{:<7} {:>7} {:>9} {:>13} {:>13} {:>9} {:>9} {:>9} {:>10} {:>8}\n",
+            case.name,
+            "ranks",
+            "tasks",
+            "messages",
+            "ghost_bytes",
+            "repl_bytes",
+            "ratio",
+            "wait%",
+            "skew%",
+            "wall_ms",
+            "speedup"
+        ));
+        let mut points = Json::array();
+        let mut series: Vec<(usize, u64)> = Vec::new();
+        for r in SWEEP_RANKS {
+            let at = format!("sweep.{}@{r}", case.name);
+            let plan = solve_at(case, r.max(4));
+            let (outcome, _) = verified_run(v, &at, case, &on_ranks(r, obs), &plan);
+            let rep = ranks_report(&outcome);
+            check_proved(v, &at, &rep);
+            let trace = outcome.trace.as_ref().expect("timeline collection was requested");
+            let valid = trace.validate();
+            v.check(format!("{at}.timeline_valid"), valid.is_ok(), || valid.unwrap_err());
+            let profile = DistProfile::from_trace(trace);
+            v.check(format!("{at}.profile_coverage"), profile.coverage() >= 0.95, || {
+                format!(
+                    "critical-path categories cover {:.1}% of wall-clock",
+                    profile.coverage() * 100.0
+                )
+            });
+            if r > 1 {
+                v.check(
+                    format!("{at}.ghost_beats_replication"),
+                    rep.bytes_sent < rep.replication_bytes,
+                    || {
+                        format!(
+                            "ghost {} B vs replication {} B",
+                            rep.bytes_sent, rep.replication_bytes
+                        )
+                    },
+                );
+            }
+            let pid = chrome.len() as u64 + 1;
+            chrome.push(trace.chrome_trace_events(&format!("{} @ {r} ranks", case.name), pid));
+
+            let (wall_ns, _) = median_wall(&on_ranks(r, ObsConfig::disabled()), &plan, case);
+            series.push((r, wall_ns));
+            let speedup = series[0].1 as f64 / wall_ns.max(1) as f64;
+            let totals = profile.totals();
+            let pct = |part: u64| part as f64 / totals.wall_ns.max(1) as f64 * 100.0;
+            let ratio = match rep.bytes_sent {
+                0 => f64::INFINITY,
+                sent => rep.replication_bytes as f64 / sent as f64,
+            };
+            human.push_str(&format!(
+                "{:<7} {:>7} {:>9} {:>13} {:>13} {:>8.0}x {:>8.1} {:>8.1} {:>10.2} {:>7.2}x\n",
+                r,
+                rep.tasks_run,
+                rep.messages,
+                rep.bytes_sent,
+                rep.replication_bytes,
+                ratio,
+                pct(totals.exchange_wait_ns),
+                pct(totals.barrier_skew_ns),
+                wall_ns as f64 / 1e6,
+                speedup,
+            ));
+            points = points.push(
+                rep.to_json()
+                    .with("wall_ns", wall_ns)
+                    .with("speedup", speedup)
+                    .with("dist_profile", profile.to_json())
+                    .with("pairs", outcome.volume.as_ref().map_or(Json::Null, |vol| vol.to_json())),
+            );
+        }
+        walls.push(series);
+        apps = apps.push(Json::object().with("name", case.name).with("points", points));
+    }
+    (apps, human, walls)
+}
+
+/// The scaling verdict: the largest rank count's median wall-clock must not
+/// lose against one rank on the scaling-critical apps. The bound is
+/// parallelism-aware: on a multi-core host threads-as-ranks genuinely
+/// parallelize, so it demands no loss (1.0); on one core the ranks
+/// time-slice and only overlap can help, so it caps the protocol overhead.
+fn scaling(v: &mut Verdicts, cases: &[Case], walls: &[Vec<(usize, u64)>], cores: usize) -> Json {
+    let max_ratio = if cores >= 2 { 1.0 } else { 2.0 };
+    let mut out = Json::array();
+    for (case, series) in cases.iter().zip(walls) {
+        if !matches!(case.name, "Stencil" | "SpMV") {
+            continue;
+        }
+        let ((r0, w0), (rn, wn)) = (series[0], series[series.len() - 1]);
+        let ratio = wn as f64 / w0.max(1) as f64;
+        eprintln!(
+            "scaling: {}: {rn}-rank wall {:.2} ms vs {r0}-rank {:.2} ms \
+             (ratio {ratio:.3}, allowed {max_ratio:.3}, host parallelism {cores})",
+            case.name,
+            wn as f64 / 1e6,
+            w0 as f64 / 1e6,
+        );
+        v.check(format!("scaling.{}.{rn}_vs_{r0}_ranks", case.name), ratio <= max_ratio, || {
+            format!(
+                "{rn}-rank wall-clock is {ratio:.3}x the {r0}-rank one (allowed {max_ratio:.3})"
+            )
+        });
+        out = out.push(
+            Json::object()
+                .with("name", case.name)
+                .with("ranks", rn as u64)
+                .with("baseline_ranks", r0 as u64)
+                .with("ratio", ratio)
+                .with("max_ratio", max_ratio),
+        );
+    }
+    out
+}
+
+/// Steady-state cost of the placement solver on the case's real
+/// communication graph: the minimum over repetitions, the standard
+/// estimate for a µs-scale cost. A single in-situ solve right after a
+/// cache-hostile execution phase measures mostly the machine's cache
+/// state (~3× steady); the solve-time verdict bounds the *solver's* cost,
+/// so it divides this number by the one-shot plan wall. The in-situ
+/// `solve_ns` stays in the report unmodified.
+fn steady_solve_ns(case: &Case, ranks: usize) -> u64 {
+    let plan = solve_at(case, 4 * ranks);
+    let parts = plan.evaluate(&case.store);
+    let graph = CommGraph::build(plan.parallel_plan(), &parts, case.store.schema())
+        .unwrap_or_else(|e| panic!("{} (steady solve) graph: {e}", case.name));
+    (0..64)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(cost_driven_assignment(&graph, ranks));
+            t.elapsed().as_nanos() as u64
+        })
+        .min()
+        .unwrap_or(0)
+}
+
+/// One policy on the placement axis: over-decomposed to `4·ranks` colors,
+/// strict volume accounting, verified. Returns the outcome and the wall
+/// time of the solve (inference, constraint solve, rewrite) the solve-time
+/// verdict divides by, together with the placement stage of the run.
+fn placement_run(
+    v: &mut Verdicts,
+    case: &Case,
+    ranks: usize,
+    policy: PlacementPolicy,
+) -> (RunOutcome, u64) {
+    let at = format!("placement.{}@{ranks}.{}", case.name, policy.name());
+    // Planning is timed at µs granularity and a cold first pass through
+    // the planning and placement paths costs ~3× steady state in cache
+    // misses alone. One unmeasured warm-up (solved *and* run — placement
+    // happens inside `run`) keeps the measured timings about the solver,
+    // not the process's cache state.
+    let run = on_ranks(ranks, strict()).placement(policy);
+    run.run(&solve_at(case, 4 * ranks), &mut case.store.clone())
+        .unwrap_or_else(|e| panic!("{at} warm-up: {e}"));
+    let t_build = Instant::now();
+    let plan = solve_at(case, 4 * ranks);
+    let build_ns = t_build.elapsed().as_nanos() as u64;
+    (verified_run(v, &at, case, &run, &plan).0, build_ns)
+}
+
+/// The placement section: block vs cost-driven per app at 4 and 8 ranks.
+fn placement(v: &mut Verdicts) -> (Json, String) {
+    let mut entries = Json::array();
+    let mut human = format!(
+        "\n{:<9} {:>5} {:>6} {:>13} {:>13} {:>8} {:>6} {:>6} {:>9} {:>8}\n",
+        "app",
+        "ranks",
+        "colors",
+        "block_bytes",
+        "cost_bytes",
+        "reduct%",
+        "passes",
+        "moves",
+        "solve_us",
+        "solve%"
+    );
+    for ranks in PLACEMENT_RANKS {
+        for case in placement_cases(ranks) {
+            let (block, _) = placement_run(v, &case, ranks, PlacementPolicy::Block);
+            let block_meas = ranks_report(&block).bytes_sent;
+            let block_pl = block.placement.expect("rank backend records its placement");
+            // Placement is deterministic, so bytes agree across repetitions;
+            // only the µs-scale timings wobble. The median of three by
+            // solve share bounds the scheduler's influence on a single run
+            // without letting an outlier in either direction decide.
+            let (cost, build_ns) = median_of(
+                3,
+                || placement_run(v, &case, ranks, PlacementPolicy::CostDriven),
+                // Planning has two phases: `solve` (inference, constraint
+                // solve, rewrite) and the placement stage inside `run`.
+                |(o, build)| {
+                    let pl = o.placement.as_ref().expect("rank backend records its placement");
+                    pl.solve_ns as f64 / (build + pl.place_ns).max(1) as f64
+                },
+            );
+            let cost_meas = ranks_report(&cost).bytes_sent;
+            let cost_pl = cost.placement.expect("rank backend records its placement");
+            let steady_ns = steady_solve_ns(&case, ranks);
+            // The denominator is the whole of planning: inference,
+            // constraint solve, rewrite, and the full placement stage
+            // (graph build and the rank-granular candidate derivations
+            // included). The numerator is the steady-state solver cost:
+            // the one-shot in-situ sample runs on caches the surrounding
+            // execution just evicted and lands ~3x above what the solver
+            // costs, so bounding it would bound scheduler noise.
+            let solve_pct = steady_ns as f64 / (build_ns + cost_pl.place_ns).max(1) as f64 * 100.0;
+            eprintln!(
+                "placement: {} at {ranks} ranks: block {} B -> cost {} B (seed {} B); \
+                 build {:.2} ms, place {:.1} us (graph {:.1} us, solve {:.1} us \
+                 in-situ / {:.1} us steady, {solve_pct:.2}% of build), \
+                 {} passes / {} moves",
+                case.name,
+                block_pl.predicted_bytes,
+                cost_pl.predicted_bytes,
+                cost_pl.seed_bytes,
+                build_ns as f64 / 1e6,
+                cost_pl.place_ns as f64 / 1e3,
+                cost_pl.graph_ns as f64 / 1e3,
+                cost_pl.solve_ns as f64 / 1e3,
+                steady_ns as f64 / 1e3,
+                cost_pl.passes,
+                cost_pl.moves,
+            );
+            let (block_pred, cost_pred) = (block_pl.predicted_bytes, cost_pl.predicted_bytes);
+            let seed = cost_pl.seed_bytes;
+            let at = format!("placement.{}@{ranks}", case.name);
+            let mut check = |gate: &str, pass: bool, detail: String| {
+                v.check(format!("{at}.{gate}"), pass, || detail)
+            };
+            // Both candidates derive the same block baseline.
+            check(
+                "block_baselines_agree",
+                cost_pl.predicted_block_bytes == block_pred,
+                format!("{} B vs {block_pred} B", cost_pl.predicted_block_bytes),
+            );
+            let vs_block = format!(
+                "predicted {cost_pred} vs {block_pred} B, measured {cost_meas} vs {block_meas} B"
+            );
+            check("cost_predicts_no_more", cost_pred <= block_pred, vs_block.clone());
+            check("cost_measures_no_more", cost_meas <= block_meas, vs_block.clone());
+            // What KL/FM refinement buys: cost-driven never moves more than
+            // the seed it refines (the best of block and the greedy seed),
+            // and on the shifted band a hundredth of it or less.
+            let vs_seed = format!("cost-driven predicts {cost_pred} B vs seed {seed} B");
+            check("refinement_no_worse_than_seed", cost_pred <= seed, vs_seed.clone());
+            if case.name == "SpMV" {
+                check("refinement_beats_seed_100x", cost_pred.saturating_mul(100) <= seed, vs_seed);
+            }
+            if matches!(case.name, "SpMV" | "Circuit") {
+                let strict = cost_pred < block_pred && cost_meas < block_meas;
+                check("cost_strictly_beats_block", strict, vs_block);
+            }
+            check(
+                "solve_within_budget",
+                solve_pct < MAX_SOLVE_PCT,
+                format!("refinement took {solve_pct:.2}% of planning (budget {MAX_SOLVE_PCT}%)"),
+            );
+
+            let reduction = |block: u64, cost: u64| {
+                if block > 0 {
+                    block.saturating_sub(cost) as f64 / block as f64
+                } else {
+                    0.0
+                }
+            };
+            let pred_red = reduction(block_pred, cost_pred);
+            human.push_str(&format!(
+                "{:<9} {:>5} {:>6} {:>13} {:>13} {:>7.1}% {:>6} {:>6} {:>9.1} {:>7.2}%\n",
+                case.name,
+                ranks,
+                4 * ranks,
+                block_pred,
+                cost_pred,
+                pred_red * 100.0,
+                cost_pl.passes,
+                cost_pl.moves,
+                steady_ns as f64 / 1e3,
+                solve_pct,
+            ));
+            entries = entries.push(
+                cost_pl
+                    .to_json()
+                    .with("name", case.name)
+                    .with("ranks", ranks as u64)
+                    .with("measured_block_bytes", block_meas)
+                    .with("measured_bytes", cost_meas)
+                    .with("predicted_reduction", pred_red)
+                    .with("measured_reduction", reduction(block_meas, cost_meas))
+                    .with("build_ns", build_ns)
+                    .with("solve_steady_ns", steady_ns)
+                    .with("solve_pct_of_build", solve_pct),
+            );
+        }
+    }
+    (entries, human)
+}
+
+/// The recovery section for one app: prices fault-free checkpointing at the
+/// Young/Daly interval, then crashes a seeded rank mid-program (with mild
+/// seeded message loss and duplication on top) and reports what recovery
+/// cost and moved. The crash's timeline joins the Chrome trace.
+fn recovery(v: &mut Verdicts, case: &Case, chrome: &mut Vec<Vec<Json>>) -> Json {
+    let ranks = FAULT_RANKS;
+    let at = format!("recovery.{}@{ranks}", case.name);
     let n_epochs = (case.program.len() as u64).max(1);
+    let plan = solve_at(case, ranks);
+    let bare = on_ranks(ranks, ObsConfig::disabled());
 
     // Fault-free baseline, then an every-epoch probe to price a snapshot;
     // Young/Daly turns (epoch cost, snapshot cost, MTBF) into the
-    // checkpoint interval the gate measures at. For programs far shorter
+    // checkpoint interval the verdict measures at. For programs far shorter
     // than the interval the optimum is genuinely "no checkpoint within
-    // this horizon" — the gated run then prices exactly that policy (the
+    // this horizon", and the verdict then prices exactly that policy (the
     // every-epoch overhead stays in the report as the worst case).
-    let (base_wall, _) = time_checkpointed(base, case, ranks, None, REPS);
-    let (every_wall, probe) =
-        time_checkpointed(base, case, ranks, Some(CheckpointPolicy::every(1)), REPS);
+    let (base_wall, _) = median_wall(&bare, &plan, case);
+    let every = bare.clone().checkpoint(CheckpointPolicy::every(1));
+    let (every_wall, probe) = median_wall(&every, &plan, case);
     let every_pct = (every_wall as f64 - base_wall as f64) / base_wall as f64 * 100.0;
     let epoch_cost_s = base_wall as f64 / 1e9 / n_epochs as f64;
-    let snap_cost_s = if probe.checkpoints > 0 {
-        // Ranks snapshot in parallel: the per-epoch cost is one rank's
-        // average snapshot time, not the sum across ranks.
-        probe.checkpoint_ns as f64 / 1e9 / probe.checkpoints as f64
-    } else {
-        0.0
-    };
+    // Ranks snapshot in parallel: the per-epoch cost is one rank's average
+    // snapshot time, not the sum across ranks.
+    let snap_cost_s = probe.checkpoint_ns as f64 / 1e9 / probe.checkpoints.max(1) as f64;
     let policy = CheckpointPolicy::young_daly(epoch_cost_s, snap_cost_s, MTBF_S);
-    let (ckpt_wall, ckpt_rep) = time_checkpointed(base, case, ranks, Some(policy), REPS);
-    // The gated number is the snapshot time the ranks themselves clocked,
+    let (ckpt_wall, ckpt_rep) = median_wall(&bare.checkpoint(policy), &plan, case);
+    // The checked number is the snapshot time the ranks themselves clocked,
     // on the critical path (ranks snapshot concurrently, so the per-rank
-    // average — sum / ranks — is what the run's wall-clock absorbs).
-    // Wall-clock A/B deltas cannot resolve a 5% budget on a noisy shared
-    // host; the protocol's own timer can, and it is what the budget is
-    // about. The wall delta stays in the log as a sanity cross-check.
+    // average is what the run's wall-clock absorbs). Wall-clock A/B deltas
+    // cannot resolve a 5% budget on a noisy shared host; the protocol's
+    // own timer can, and it is what the budget is about.
     let overhead_pct = ckpt_rep.checkpoint_ns as f64 / ranks as f64 / ckpt_wall as f64 * 100.0;
-    eprintln!(
-        "ckpt overhead: {} at {ranks} ranks: bare {:.2} ms, every-{}-epochs {:.2} ms \
-         ({} snapshots, {overhead_pct:.2}% of wall on the snapshot path; \
-         wall deltas: gated {:+.2}%, every-epoch {every_pct:+.2}%)",
-        case.name,
-        base_wall as f64 / 1e6,
-        policy.interval_epochs,
-        ckpt_wall as f64 / 1e6,
-        ckpt_rep.checkpoints,
-        (ckpt_wall as f64 - base_wall as f64) / base_wall as f64 * 100.0,
-    );
-    assert!(
-        overhead_pct <= OVERHEAD_MAX_PCT,
-        "{}: Young/Daly checkpointing costs {overhead_pct:.2}% fault-free \
-         (budget {OVERHEAD_MAX_PCT:.1}%)",
-        case.name
-    );
+    v.check(format!("{at}.checkpoint_overhead"), overhead_pct <= OVERHEAD_MAX_PCT, || {
+        format!("Young/Daly checkpointing costs {overhead_pct:.2}% (budget {OVERHEAD_MAX_PCT}%)")
+    });
 
     // The crash proper: seeded rank and epoch, a 2% drop/dup storm on
     // top, every-epoch checkpoints so the rollback is minimal, strict
     // volume accounting across the recovery.
-    let crash_rank = (seed as usize) % ranks;
-    let crash_epoch = (seed / 7) % n_epochs;
+    let crash_rank = (FAULT_SEED as usize) % ranks;
+    let crash_epoch = (FAULT_SEED / 7) % n_epochs;
     let fault = FaultPlan {
         drop_rate: 0.02,
         dup_rate: 0.02,
         crash: Some(RankCrash { rank: crash_rank, epoch: crash_epoch, silent: false }),
-        ..FaultPlan::quiescent(seed)
+        ..FaultPlan::quiescent(FAULT_SEED)
     };
-    let mut seq = case.store.clone();
-    run_program_seq(&case.program, &mut seq, &case.fns);
-    let schema = case.store.schema().clone();
-    let plan = solve_at(case, ranks.max(4));
-    let run = on_ranks(base, ranks, ObsConfig { strict_volume: true, ..ObsConfig::disabled() })
+    let schema = case.store.schema();
+    let xplan = derive_exchange(plan.parallel_plan(), &plan.evaluate(&case.store), schema, ranks)
+        .unwrap_or_else(|e| panic!("{at}: {e}"));
+    let dead_owned = xplan.owned_field_bytes(schema, crash_rank);
+    // A recovery scheme with no migration bound would re-shard everything:
+    // the full owned footprint is the yardstick `bytes_migrated` beats.
+    let full_reshard: u64 = (0..ranks).map(|r| xplan.owned_field_bytes(schema, r)).sum();
+    let run = on_ranks(ranks, ObsConfig { timeline: true, ..strict() })
         .check_legality(true)
         .fault(fault)
         .checkpoint(CheckpointPolicy::every(1));
-    let parts = plan.evaluate(&case.store);
-    let xplan = derive_exchange(plan.parallel_plan(), &parts, &schema, ranks).unwrap();
-    let dead_owned = xplan.owned_field_bytes(&schema, crash_rank);
-    // A recovery scheme with no migration bound would re-shard everything:
-    // the full owned footprint is the yardstick `bytes_migrated` beats.
-    let full_reshard: u64 = (0..ranks).map(|r| xplan.owned_field_bytes(&schema, r)).sum();
-
-    let mut par = case.store.clone();
-    let t0 = Instant::now();
-    let outcome = run
-        .run(&plan, &mut par)
-        .unwrap_or_else(|e| panic!("{} at {ranks} ranks survives the crash: {e}", case.name));
-    let fault_wall = t0.elapsed().as_nanos() as u64;
-    let rep = ranks_report(outcome.report);
-    assert_eq!(rep.recoveries, 1, "{}: exactly one recovery", case.name);
-    assert!(
-        rep.bytes_migrated <= dead_owned,
-        "{}: migrated {} B but the lost rank owned only {dead_owned} B",
-        case.name,
-        rep.bytes_migrated
-    );
-    assert!(rep.plan_proved > 0, "{}: the evacuated plan was not re-proved", case.name);
-    if cfg!(not(debug_assertions)) {
-        assert_eq!(
-            rep.legality_checks, 0,
-            "{}: release recovery ran per-element checks",
-            case.name
-        );
-    }
-    for f in 0..schema.num_fields() {
-        let fid = FieldId(f as u32);
-        if let FieldData::F64(sv) = seq.field_data(fid) {
-            let FieldData::F64(pv) = par.field_data(fid) else { unreachable!() };
-            assert_eq!(sv, pv, "{}: field {fid:?} diverged after recovery", case.name);
-        }
-    }
+    let (outcome, fault_wall) = verified_run(v, &at, case, &run, &plan);
+    let rep = ranks_report(&outcome);
+    v.check(format!("{at}.one_recovery"), rep.recoveries == 1, || {
+        format!("{} recoveries", rep.recoveries)
+    });
+    v.check(format!("{at}.migration_bounded"), rep.bytes_migrated <= dead_owned, || {
+        format!("migrated {} B but the lost rank owned {dead_owned} B", rep.bytes_migrated)
+    });
+    check_proved(v, &at, &rep);
+    let trace = outcome.trace.as_ref().expect("timeline collection was requested");
+    let traced = trace.validate().and_then(|()| {
+        let recovered = trace.spans.iter().any(|s| s.kind == SpanKind::Recovery);
+        recovered.then_some(()).ok_or_else(|| "the timeline holds no recovery span".to_string())
+    });
+    v.check(format!("{at}.recovery_traced"), traced.is_ok(), || traced.unwrap_err());
+    let pid = chrome.len() as u64 + 1;
+    chrome.push(trace.chrome_trace_events(&format!("{} @ {ranks} ranks, crash", case.name), pid));
     eprintln!(
         "recovery: {} at {ranks} ranks: rank {crash_rank} died at epoch {crash_epoch}; \
-         recovered in {:.2} ms migrating {} B of {} B ({:.1}% of a full re-shard)",
+         recovered in {:.2} ms migrating {} B of {full_reshard} B; checkpoints every {} \
+         epochs cost {overhead_pct:.2}% fault-free (every epoch: {every_pct:+.2}% wall)",
         case.name,
         rep.recovery_ns as f64 / 1e6,
         rep.bytes_migrated,
-        full_reshard,
-        rep.bytes_migrated as f64 / full_reshard as f64 * 100.0,
+        policy.interval_epochs,
     );
 
     Json::object()
@@ -391,474 +673,73 @@ fn run_fault_point(base: &Run, case: &Case, ranks: usize, seed: u64) -> Json {
         .with("every_epoch_overhead_pct", every_pct)
         .with("checkpoints", probe.checkpoints)
         .with("checkpoint_bytes", probe.checkpoint_bytes)
-        .with("bit_identical", true)
 }
 
-/// Placement-adversarial inputs for the `--placement compare` axis.
-///
-/// Each strict-win app is tuned so that a contiguous block owner mapping is
-/// the wrong answer at `4·ranks` colors: SpMV's band is renumbered to
-/// center on the antipodal row (color `c` only talks to color `c + C/2`,
-/// which block pins on a distant rank), and Circuit's cross wires all
-/// target the cluster `ranks` strides away. Stencil, MiniAero and PENNANT
-/// keep their natural locality — block is already near-optimal for them, so
-/// they pin the "cost-driven never regresses below block" guarantee rather
-/// than a strict win.
-fn placement_cases(ranks: usize) -> Vec<Case> {
-    let mut out = Vec::new();
-    let a = stencil::Stencil::generate(&stencil::StencilParams { nx: 512, ny: 512 });
-    out.push(Case { name: "Stencil", program: a.program, fns: a.fns, store: a.store });
-    let rows = 400_000;
-    let a = spmv::Spmv::generate(&spmv::SpmvParams { rows, halo: 2, band_shift: rows / 2 });
-    out.push(Case { name: "SpMV", program: a.program, fns: a.fns, store: a.store });
-    let a = Circuit::generate(&CircuitParams {
-        clusters: 2 * ranks,
-        nodes_per_cluster: 400,
-        wires_per_cluster: 800,
-        cross_fraction: 0.6,
-        cross_stride: Some(ranks as u64),
-        seed: 7,
-    });
-    out.push(Case { name: "Circuit", program: a.program, fns: a.fns, store: a.store });
-    let a = MiniAero::generate(&MiniAeroParams { nx: 8, ny: 8, nz: 8 });
-    out.push(Case { name: "MiniAero", program: a.program, fns: a.fns, store: a.store });
-    let a = Pennant::generate(&PennantParams { pieces: 4, zw: 8, zy: 8 });
-    out.push(Case { name: "PENNANT", program: a.program, fns: a.fns, store: a.store });
-    out
-}
+fn main() {
+    let args = BenchArgs::parse();
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let mut v = Verdicts::default();
+    // Chrome trace events, one process per timeline.
+    let mut chrome: Vec<Vec<Json>> = Vec::new();
+    let cases = cases();
+    let (apps, sweep_human, walls) = sweep(&mut v, &cases, &mut chrome);
+    let scaling = scaling(&mut v, &cases, &walls, cores);
+    let (placement, placement_human) = placement(&mut v);
+    let recoveries =
+        cases.iter().fold(Json::array(), |arr, case| arr.push(recovery(&mut v, case, &mut chrome)));
 
-/// Steady-state cost of the placement solver on the case's real
-/// communication graph: the minimum over repetitions, the standard
-/// estimate for a µs-scale cost. A single in-situ solve right after a
-/// cache-hostile execution phase measures mostly the machine's cache
-/// state (~3× steady); the solve-time gate bounds the *solver's* cost,
-/// so it divides this number by the one-shot plan wall. The in-situ
-/// `solve_ns` stays in the report unmodified.
-fn steady_solve_ns(case: &Case, ranks: usize) -> u64 {
-    let plan = solve_at(case, 4 * ranks);
-    let parts = plan.evaluate(&case.store);
-    let graph = CommGraph::build(plan.parallel_plan(), &parts, case.store.schema())
-        .unwrap_or_else(|e| panic!("{} (steady solve) graph: {e}", case.name));
-    let mut best = u64::MAX;
-    for _ in 0..64 {
-        let t = std::time::Instant::now();
-        std::hint::black_box(cost_driven_assignment(&graph, ranks));
-        best = best.min(t.elapsed().as_nanos() as u64);
-    }
-    best
-}
-
-/// One policy run on the placement axis: over-decomposed to `4·ranks`
-/// colors, strict volume accounting, verified bit-identical against `seq`.
-/// Returns the measured report, the placement report, and the wall time of
-/// the solve (inference, constraint solve, rewrite) the solve-time gate
-/// divides by, together with the placement stage of the run.
-fn run_placement_policy(
-    case: &Case,
-    seq: &Store,
-    ranks: usize,
-    policy: PlacementPolicy,
-) -> (DistReport, PlacementReport, u64) {
-    let label = policy.name();
-    // Planning is timed at µs granularity and a cold first pass through
-    // the planning and placement paths costs ~3× steady state in cache
-    // misses alone. One unmeasured warm-up (solved *and* run — placement
-    // happens inside `run`) keeps the measured timings about the solver,
-    // not the process's cache state.
-    let base = Run::new().placement(policy);
-    let run = on_ranks(&base, ranks, ObsConfig { strict_volume: true, ..ObsConfig::disabled() });
-    run.run(&solve_at(case, 4 * ranks), &mut case.store.clone())
-        .unwrap_or_else(|e| panic!("{} ({label}) warm-up on {ranks} ranks: {e}", case.name));
-    let t_build = std::time::Instant::now();
-    let plan = solve_at(case, 4 * ranks);
-    let build_ns = t_build.elapsed().as_nanos() as u64;
-    let mut par = case.store.clone();
-    let outcome = run
-        .run(&plan, &mut par)
-        .unwrap_or_else(|e| panic!("{} ({label}) on {ranks} ranks: {e}", case.name));
-    let schema = case.store.schema();
-    for f in 0..schema.num_fields() {
-        let fid = FieldId(f as u32);
-        if let FieldData::F64(sv) = seq.field_data(fid) {
-            let FieldData::F64(pv) = par.field_data(fid) else { unreachable!() };
-            assert_eq!(sv, pv, "{} ({label}): field {fid:?} diverged at {ranks} ranks", case.name);
-        }
-    }
-    // Strict mode already aborted on any predicted-vs-measured mismatch;
-    // the accounting must also read clean after the fact.
-    let volume = outcome.volume.expect("strict volume accounting present");
-    assert!(volume.is_clean(), "{} ({label}): dirty volume accounting", case.name);
-    let placement = outcome.placement.expect("rank backend records its placement");
-    (ranks_report(outcome.report), placement, build_ns)
-}
-
-/// The `--placement compare` axis: block vs cost-driven per app at 4 and
-/// 8 ranks, with the byte-reduction, bit-identity and solve-time gates.
-fn run_placement_compare(args: &BenchArgs) {
-    let max_solve_pct = 5.0;
-    let mut entries = Json::array();
-    // Every gate of every point is evaluated and reported before any
-    // failure ends the process, so a failing run still writes its report.
-    let mut failed: Vec<String> = Vec::new();
-    let mut human = format!(
-        "\n{:<9} {:>5} {:>6} {:>13} {:>13} {:>8} {:>6} {:>6} {:>9} {:>8}\n",
-        "app",
-        "ranks",
-        "colors",
-        "block_bytes",
-        "cost_bytes",
-        "reduct%",
-        "passes",
-        "moves",
-        "solve_us",
-        "solve%"
-    );
-    for ranks in [4usize, 8] {
-        for case in placement_cases(ranks) {
-            let mut seq = case.store.clone();
-            run_program_seq(&case.program, &mut seq, &case.fns);
-            let (block_rep, block_pl, _) =
-                run_placement_policy(&case, &seq, ranks, PlacementPolicy::Block);
-            // Placement is deterministic, so bytes agree across repetitions;
-            // only the µs-scale timings wobble. Three reps and the median
-            // ratio bound the scheduler's influence on a single run without
-            // letting an outlier in either direction decide the gate.
-            let mut reps: Vec<(DistReport, PlacementReport, u64, f64)> = (0..3)
-                .map(|_| {
-                    let (rep, pl, build) =
-                        run_placement_policy(&case, &seq, ranks, PlacementPolicy::CostDriven);
-                    // Planning has two phases: `solve` (inference,
-                    // constraint solve, rewrite) and the placement stage
-                    // inside `run` — end-to-end plan time is their sum.
-                    let pct = pl.solve_ns as f64 / (build + pl.place_ns).max(1) as f64 * 100.0;
-                    (rep, pl, build, pct)
-                })
-                .collect();
-            reps.sort_by(|a, b| a.3.partial_cmp(&b.3).unwrap_or(std::cmp::Ordering::Equal));
-            let (cost_rep, cost_pl, build_ns, _) = reps.swap_remove(1);
-            let steady_ns = steady_solve_ns(&case, ranks);
-            let solve_pct = steady_ns as f64 / (build_ns + cost_pl.place_ns).max(1) as f64 * 100.0;
-
-            eprintln!(
-                "placement gate: {} at {ranks} ranks: block {} B -> cost {} B (seed {} B); \
-                 build {:.2} ms, place {:.1} us (graph {:.1} us, solve {:.1} us \
-                 in-situ / {:.1} us steady, {solve_pct:.2}% of build), \
-                 {} passes / {} moves",
-                case.name,
-                block_pl.predicted_bytes,
-                cost_pl.predicted_bytes,
-                cost_pl.seed_bytes,
-                build_ns as f64 / 1e6,
-                cost_pl.place_ns as f64 / 1e3,
-                cost_pl.graph_ns as f64 / 1e3,
-                cost_pl.solve_ns as f64 / 1e3,
-                steady_ns as f64 / 1e3,
-                cost_pl.passes,
-                cost_pl.moves,
-            );
-            let (block_pred, cost_pred) = (block_pl.predicted_bytes, cost_pl.predicted_bytes);
-            let (block_meas, cost_meas) = (block_rep.bytes_sent, cost_rep.bytes_sent);
-            let mut gates = vec![
-                // Both candidates derive the same block baseline; the two
-                // runs must agree on what block predicts.
-                (
-                    "block_baselines_agree",
-                    cost_pl.predicted_block_bytes == block_pred,
-                    format!("{} B vs {block_pred} B", cost_pl.predicted_block_bytes),
-                ),
-                // The tentpole gate: cost-driven never predicts — or, under
-                // strict accounting, measures — more cross-rank ghost bytes
-                // than block, and strictly fewer on the adversarial apps.
-                (
-                    "cost_predicts_no_more",
-                    cost_pred <= block_pred,
-                    format!("cost-driven predicts {cost_pred} B vs block {block_pred} B"),
-                ),
-                (
-                    "cost_measures_no_more",
-                    cost_meas <= block_meas,
-                    format!("cost-driven measured {cost_meas} B vs block {block_meas} B"),
-                ),
-            ];
-            // What KL/FM refinement buys: cost-driven never moves more than
-            // the seed it refines (the best of block and the greedy seed),
-            // and on the shifted band it moves a hundredth of it or less.
-            let seed_bytes = cost_pl.seed_bytes;
-            gates.push((
-                "refinement_no_worse_than_seed",
-                cost_pred <= seed_bytes,
-                format!("cost-driven predicts {cost_pred} B vs seed {seed_bytes} B"),
-            ));
-            if case.name == "SpMV" {
-                gates.push((
-                    "refinement_beats_seed_100x",
-                    cost_pred.saturating_mul(100) <= seed_bytes,
-                    format!("cost-driven predicts {cost_pred} B vs seed {seed_bytes} B"),
-                ));
-            }
-            if matches!(case.name, "SpMV" | "Circuit") {
-                gates.push((
-                    "cost_strictly_beats_block",
-                    cost_pred < block_pred && cost_meas < block_meas,
-                    format!(
-                        "predicted {cost_pred} vs {block_pred} B, measured {cost_meas} vs {block_meas} B"
-                    ),
-                ));
-            }
-            // Solve-time gate: seeding + refinement must stay a rounding
-            // error next to the rest of planning. The denominator is the
-            // whole of planning — inference, constraint solve, rewrite,
-            // and the full placement stage (graph build and the
-            // rank-granular candidate derivations included). The
-            // numerator is the steady-state solver cost: the one-shot
-            // in-situ sample runs on caches the surrounding execution just
-            // evicted and lands ~3x above what the solver actually costs,
-            // so gating on it would bound scheduler noise, not the solver.
-            gates.push((
-                "solve_within_budget",
-                solve_pct < max_solve_pct,
-                format!(
-                    "placement refinement took {solve_pct:.2}% of the end-to-end planning \
-                     time (budget {max_solve_pct}%)"
-                ),
-            ));
-            let mut verdicts = Json::object();
-            for (gate, pass, detail) in gates {
-                verdicts = verdicts.with(gate, pass);
-                if !pass {
-                    failed.push(format!("{} at {ranks} ranks: {gate}: {detail}", case.name));
-                }
-            }
-
-            let reduction = |block: u64, cost: u64| {
-                if block > 0 {
-                    block.saturating_sub(cost) as f64 / block as f64
-                } else {
-                    0.0
-                }
-            };
-            let pred_red = reduction(block_pl.predicted_bytes, cost_pl.predicted_bytes);
-            let meas_red = reduction(block_rep.bytes_sent, cost_rep.bytes_sent);
-            human.push_str(&format!(
-                "{:<9} {:>5} {:>6} {:>13} {:>13} {:>7.1}% {:>6} {:>6} {:>9.1} {:>7.2}%\n",
-                case.name,
-                ranks,
-                4 * ranks,
-                block_pl.predicted_bytes,
-                cost_pl.predicted_bytes,
-                pred_red * 100.0,
-                cost_pl.passes,
-                cost_pl.moves,
-                steady_ns as f64 / 1e3,
-                solve_pct,
-            ));
-            entries = entries.push(
-                cost_pl
-                    .to_json()
-                    .with("name", case.name)
-                    .with("ranks", ranks as u64)
-                    .with("measured_block_bytes", block_rep.bytes_sent)
-                    .with("measured_bytes", cost_rep.bytes_sent)
-                    .with("predicted_reduction", pred_red)
-                    .with("measured_reduction", meas_red)
-                    .with("build_ns", build_ns)
-                    .with("solve_steady_ns", steady_ns)
-                    .with("solve_pct_of_build", solve_pct)
-                    .with("gates", verdicts)
-                    .with("bit_identical", true),
-            );
-        }
-    }
     let payload = Json::object()
-        .with("mode", "compare")
-        .with("solve_budget_pct", max_solve_pct)
-        .with("placement", entries);
-    // Its own experiment name, so `report` can hold it next to the scaling
-    // table's `fig_dist` (experiments merge last-wins by name).
-    args.emit("placement", payload, || {
-        println!("# Placement axis: block vs cost-driven owner mapping");
-        println!("# (both policies bit-identical to the sequential interpreter under");
-        println!("#  strict volume accounting; bytes are exact per-pass predictions,");
-        println!("#  measured bytes match them by construction)");
-        print!("{human}");
+        .with("ranks", Json::Arr(SWEEP_RANKS.iter().map(|&r| Json::from(r as u64)).collect()))
+        .with("host_parallelism", cores as u64)
+        .with("apps", apps)
+        .with("scaling", scaling)
+        .with("solve_budget_pct", MAX_SOLVE_PCT)
+        .with("placement", placement)
+        .with("fault_seed", FAULT_SEED)
+        .with("dist_recovery", recoveries)
+        .with("verdicts", v.to_json());
+    let failures = v.failures();
+    args.emit("fig_dist", payload, || {
+        println!("# Distributed backend: constraint-derived ghost exchange vs replication");
+        println!("# (every run verified bit-identical to the sequential interpreter under");
+        println!("#  strict predicted-vs-measured accounting; wait% / skew% from the");
+        println!("#  per-epoch critical-path profile)");
+        print!("{sweep_human}");
+        println!("\n# Placement: block vs cost-driven owner mapping, 4 colors per rank");
+        print!("{placement_human}");
+        println!("\n# {} verdicts, {} failed", v.0.len(), failures.len());
     });
-    if !failed.is_empty() {
-        for f in &failed {
-            eprintln!("placement gate failed: {f}");
+    if let Some(path) = &args.trace_out {
+        if let Err(e) = std::fs::write(path, format!("{}\n", chrome_trace_doc(chrome.concat()))) {
+            eprintln!("failed to write {}: {e}", path.display());
+            std::process::exit(1);
+        }
+        eprintln!("wrote {}", path.display());
+    }
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("verdict failed: {f}");
         }
         std::process::exit(1);
     }
 }
 
-fn main() {
-    let args = BenchArgs::parse();
-    if args.placement == Some(PlacementMode::Compare) {
-        run_placement_compare(&args);
-        return;
-    }
-    let base = &Run::new().placement(match args.placement {
-        Some(PlacementMode::Cost) => PlacementPolicy::CostDriven,
-        _ => PlacementPolicy::Block,
-    });
-    let ranks = args.ranks.clone().unwrap_or_else(|| vec![1, 2, 4, 8]);
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let mut apps = Json::array();
-    let mut human = String::new();
-    let mut chrome_events: Vec<Json> = Vec::new();
-    let mut pid = 0u64;
-    // Per app: the (ranks, median wall_ns) series, for the scaling gate.
-    let mut walls: Vec<(&'static str, Vec<(usize, u64)>)> = Vec::new();
-    for case in cases() {
-        let mut seq = case.store.clone();
-        run_program_seq(&case.program, &mut seq, &case.fns);
-
-        human.push_str(&format!(
-            "\n{}\n{:<7} {:>7} {:>9} {:>13} {:>13} {:>9} {:>9} {:>9} {:>10} {:>8}\n",
-            case.name,
-            "ranks",
-            "tasks",
-            "messages",
-            "ghost_bytes",
-            "repl_bytes",
-            "ratio",
-            "wait%",
-            "skew%",
-            "wall_ms",
-            "speedup"
-        ));
-        let mut points = Json::array();
-        let mut series: Vec<(usize, u64)> = Vec::new();
-        for &r in &ranks {
-            pid += 1;
-            let point = run_point(base, &case, &seq, r, pid, args.trace_out.is_some());
-            let rep = &point.rep;
-            series.push((r, point.wall_ns));
-            // Speedup vs the smallest rank count in the series (1 by
-            // default — true strong-scaling baseline).
-            let base = series[0].1;
-            let speedup =
-                if point.wall_ns > 0 { base as f64 / point.wall_ns as f64 } else { f64::INFINITY };
-            if r > 1 {
-                assert!(
-                    rep.bytes_sent < rep.replication_bytes,
-                    "{}: ghost exchange ({} B) must beat replication ({} B) at {r} ranks",
-                    case.name,
-                    rep.bytes_sent,
-                    rep.replication_bytes
-                );
-            }
-            let ratio = if rep.bytes_sent > 0 {
-                rep.replication_bytes as f64 / rep.bytes_sent as f64
-            } else {
-                f64::INFINITY
-            };
-            let pct = |part: Option<&Json>| -> f64 {
-                let wall = point.profile.get("totals").and_then(|t| t.get("wall_ns"));
-                match (part.and_then(Json::as_f64), wall.and_then(Json::as_f64)) {
-                    (Some(p), Some(w)) if w > 0.0 => p / w * 100.0,
-                    _ => 0.0,
-                }
-            };
-            let totals = point.profile.get("totals");
-            human.push_str(&format!(
-                "{:<7} {:>7} {:>9} {:>13} {:>13} {:>8.0}x {:>8.1} {:>8.1} {:>10.2} {:>7.2}x\n",
-                r,
-                rep.tasks_run,
-                rep.messages,
-                rep.bytes_sent,
-                rep.replication_bytes,
-                ratio,
-                pct(totals.and_then(|t| t.get("exchange_wait_ns"))),
-                pct(totals.and_then(|t| t.get("barrier_skew_ns"))),
-                point.wall_ns as f64 / 1e6,
-                speedup,
-            ));
-            points = points.push(
-                rep.to_json()
-                    .with("bit_identical", true)
-                    .with("wall_ns", point.wall_ns)
-                    .with("speedup", speedup)
-                    .with("dist_profile", point.profile)
-                    .with("pairs", point.pairs),
-            );
-            chrome_events.extend(point.events);
-        }
-        walls.push((case.name, series));
-        apps = apps.push(Json::object().with("name", case.name).with("points", points));
+    #[test]
+    fn a_failed_verdict_is_false_in_the_report_and_named_in_the_failures() {
+        let mut v = Verdicts::default();
+        v.check("a.holds".into(), true, || unreachable!("no detail for a passing check"));
+        v.check("b.fails".into(), false, || "measured 3 B".into());
+        v.check("c.flips".into(), true, String::new);
+        v.check("c.flips".into(), false, || "second check".into());
+        v.check("c.flips".into(), true, String::new);
+        let doc = v.to_json();
+        assert_eq!(doc.get("a.holds").and_then(Json::as_bool), Some(true));
+        assert_eq!(doc.get("b.fails").and_then(Json::as_bool), Some(false));
+        assert_eq!(doc.get("c.flips").and_then(Json::as_bool), Some(false), "one failure sticks");
+        assert_eq!(v.failures(), ["b.fails: measured 3 B", "c.flips: second check"]);
     }
-
-    if let Some(path) = &args.trace_out {
-        let doc = chrome_trace_doc(chrome_events);
-        match std::fs::write(path, format!("{doc}\n")) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-
-    let host_parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if args.assert_scaling {
-        // CI perf gate: the largest rank count must not lose wall-clock
-        // against the smallest on the scaling-critical apps. The default
-        // bound is parallelism-aware: on a multi-core host threads-as-ranks
-        // genuinely parallelize so we demand strict improvement (<= 1.0);
-        // on a single core the ranks time-slice and only overlap can help,
-        // so the bound just caps the protocol overhead.
-        let max_ratio = args.max_ratio.unwrap_or(if host_parallelism >= 2 { 1.0 } else { 2.0 });
-        for (name, series) in &walls {
-            if !matches!(*name, "Stencil" | "SpMV") {
-                continue;
-            }
-            let (r0, w0) = series[0];
-            let &(rn, wn) = series.last().unwrap();
-            if rn == r0 || w0 == 0 {
-                continue;
-            }
-            let scale = wn as f64 / w0 as f64;
-            eprintln!(
-                "scaling gate: {name}: {rn}-rank wall {:.2} ms vs {r0}-rank {:.2} ms \
-                 (ratio {scale:.3}, allowed {max_ratio:.3}, host parallelism {host_parallelism})",
-                wn as f64 / 1e6,
-                w0 as f64 / 1e6,
-            );
-            assert!(
-                scale <= max_ratio,
-                "{name}: {rn}-rank wall-clock is {scale:.3}x the {r0}-rank baseline \
-                 (allowed {max_ratio:.3}) — the rank backend stopped scaling"
-            );
-        }
-    }
-
-    let mut dist_recovery: Option<Json> = None;
-    if let Some(seed) = args.fault_seed {
-        // Crashes need survivors: at least 2 ranks, measured at the
-        // largest point of the sweep.
-        let r = ranks.iter().copied().max().unwrap_or(4).max(2);
-        let mut arr = Json::array();
-        for case in cases() {
-            arr = arr.push(run_fault_point(base, &case, r, seed));
-        }
-        dist_recovery = Some(arr);
-    }
-
-    let mut ranks_json = Json::array();
-    for &r in &ranks {
-        ranks_json = ranks_json.push(r as u64);
-    }
-    let mut payload = Json::object()
-        .with("ranks", ranks_json)
-        .with("host_parallelism", host_parallelism as u64)
-        .with("apps", apps);
-    if let Some(rec) = dist_recovery {
-        payload = payload.with("fault_seed", args.fault_seed.unwrap()).with("dist_recovery", rec);
-    }
-    args.emit("fig_dist", payload, || {
-        println!("# Distributed backend: constraint-derived ghost exchange vs replication");
-        println!("# (every point verified bit-identical to the sequential interpreter,");
-        println!("#  legality checking on, strict predicted-vs-measured accounting;");
-        println!("#  wait% / skew% from the per-epoch critical-path profile)");
-        print!("{human}");
-    });
 }

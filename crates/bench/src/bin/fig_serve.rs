@@ -15,11 +15,12 @@
 //! every warm plan is checked bit-identical to its cold counterpart by
 //! executing both.
 //!
+//! Every run checks two gates: the warm hit rate is 100% and warm
+//! acquisition (request → artifacts) is at least 10x faster than the cold
+//! median. The report is written first; a failed gate then exits 1.
+//!
 //! Run: `cargo run --release -p partir-bench --bin fig_serve`
 //! JSON report: `... --bin fig_serve -- --json [--out PATH]`
-//! CI gate: `... --bin fig_serve -- --assert` fails unless the warm hit
-//! rate is 100% and warm acquisition (request → artifacts) is at least 10x
-//! faster than the cold median.
 
 use partir::prelude::*;
 use partir::serve::{ServeConfig, ServeReply, Server};
@@ -39,8 +40,8 @@ const CLIENTS: usize = 2;
 /// The rank count artifacts are derived, and the bit-identity runs
 /// executed, at.
 const RANKS: usize = 4;
-/// The `--assert` gate: warm acquisition (request → artifacts) must beat
-/// the cold median by at least this factor.
+/// Warm acquisition (request → artifacts) must beat the cold median by at
+/// least this factor.
 const MIN_WARM_SPEEDUP: f64 = 10.0;
 
 struct Request {
@@ -314,33 +315,27 @@ fn main() {
         println!("  bit-identity: every warm plan matched its cold solve");
     });
 
-    if args.assert_gates {
-        let mut failures = Vec::new();
-        if hit_rate < 1.0 {
-            failures.push(format!(
-                "warm hit rate {:.1}% (need 100%): {} of {} requests missed",
-                hit_rate * 100.0,
-                warm.replies.len() - hits,
-                warm.replies.len()
-            ));
-        }
-        if speedup < MIN_WARM_SPEEDUP {
-            failures.push(format!(
-                "warm request -> artifacts only {speedup:.1}x faster than cold median \
-                 (need {MIN_WARM_SPEEDUP}x): cold {:.3} ms vs warm {:.3} ms",
-                ns_to_ms(cold.acquire.p50_ns),
-                ns_to_ms(warm.acquire.p50_ns),
-            ));
-        }
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("serve gate FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
-        println!(
-            "serve gate passed: 100% warm hits, {speedup:.1}x over cold median \
-             (threshold {MIN_WARM_SPEEDUP}x)"
-        );
+    let mut failures = Vec::new();
+    if hit_rate < 1.0 {
+        failures.push(format!(
+            "warm hit rate {:.1}% (need 100%): {} of {} requests missed",
+            hit_rate * 100.0,
+            warm.replies.len() - hits,
+            warm.replies.len()
+        ));
+    }
+    if speedup < MIN_WARM_SPEEDUP {
+        failures.push(format!(
+            "warm request -> artifacts only {speedup:.1}x faster than cold median \
+             (need {MIN_WARM_SPEEDUP}x): cold {:.3} ms vs warm {:.3} ms",
+            ns_to_ms(cold.acquire.p50_ns),
+            ns_to_ms(warm.acquire.p50_ns),
+        ));
+    }
+    for f in &failures {
+        eprintln!("serve gate FAILED: {f}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
     }
 }

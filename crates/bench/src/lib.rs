@@ -19,53 +19,15 @@ use std::path::PathBuf;
 ///   (implies `--json`);
 /// * `--trace-out PATH` — write a Chrome `trace_event` JSON file of the
 ///   per-rank timelines (honored by `fig_dist`; harnesses without
-///   timelines ignore it);
-/// * `--assert-scaling` — fail when the largest rank count's wall-clock
-///   exceeds 1-rank wall-clock by more than the allowed ratio on the
-///   scaling-critical apps (honored by `fig_dist`; the CI perf gate);
-/// * `--max-ratio X` — the allowed `wall(max ranks) / wall(1 rank)` ratio
-///   for `--assert-scaling` (overrides the parallelism-aware default);
-/// * `--ranks N[,N…]` — the rank counts `fig_dist` sweeps (default
-///   `1,2,4,8`);
-/// * `--fault-seed N` — run the fault-tolerance measurement: inject a
-///   seeded rank crash (plus mild message loss and duplication) into every
-///   app at the largest rank count, verify survivor-side recovery, and
-///   emit a `dist_recovery` report section with recovery wall-clock,
-///   migrated bytes vs a full re-shard, and the fault-free checkpoint
-///   overhead at the Young/Daly interval, gated under 5% (honored by
-///   `fig_dist`);
-/// * `--assert` — fail when the harness's built-in acceptance gates do
-///   not hold (honored by `fig_serve`: warm hit rate must be 100% and
-///   warm plan acquisition at least 10x faster than the cold median);
-/// * `--placement block|cost|compare` — owner-mapping policy for the
-///   distributed runs (honored by `fig_dist`). `block` and `cost` set the
-///   policy for the normal scaling table; `compare` runs only the
-///   placement axis: block vs cost-driven on placement-adversarial inputs
-///   with over-decomposed colors, asserting cost-driven never predicts
-///   more cross-rank ghost bytes than block and emitting a `placement`
-///   report section.
+///   timelines ignore it).
+///
+/// The harnesses take no other flag: each checks all of its gates on every
+/// run.
 #[derive(Clone, Debug, Default)]
 pub struct BenchArgs {
     pub json: bool,
     pub out: Option<PathBuf>,
     pub trace_out: Option<PathBuf>,
-    pub assert_scaling: bool,
-    pub assert_gates: bool,
-    pub max_ratio: Option<f64>,
-    pub ranks: Option<Vec<usize>>,
-    pub fault_seed: Option<u64>,
-    pub placement: Option<PlacementMode>,
-}
-
-/// `--placement` modes understood by the harnesses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PlacementMode {
-    /// Contiguous block owner mapping for the normal tables.
-    Block,
-    /// Cost-driven owner mapping for the normal tables.
-    Cost,
-    /// Run only the block-vs-cost placement comparison axis.
-    Compare,
 }
 
 impl BenchArgs {
@@ -99,65 +61,10 @@ impl BenchArgs {
                         .ok_or_else(|| "--trace-out requires a path argument".to_string())?;
                     args.trace_out = Some(PathBuf::from(path));
                 }
-                "--assert-scaling" => args.assert_scaling = true,
-                "--assert" => args.assert_gates = true,
-                "--max-ratio" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| "--max-ratio requires a number argument".to_string())?;
-                    let ratio: f64 = v
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("--max-ratio: '{v}' is not a number"))?;
-                    if !ratio.is_finite() || ratio <= 0.0 {
-                        return Err(format!("--max-ratio must be a positive number, got {v}"));
-                    }
-                    args.max_ratio = Some(ratio);
-                }
-                "--ranks" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| "--ranks requires a comma-separated list".to_string())?;
-                    let ranks: Vec<usize> = v
-                        .split(',')
-                        .map(|p| p.trim().parse().ok().filter(|&n| n > 0))
-                        .collect::<Option<_>>()
-                        .ok_or_else(|| {
-                            format!("--ranks: '{v}' is not a list of positive integers")
-                        })?;
-                    args.ranks = Some(ranks);
-                }
-                "--placement" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| "--placement requires a mode argument".to_string())?;
-                    args.placement = Some(match v.trim() {
-                        "block" => PlacementMode::Block,
-                        "cost" | "cost-driven" => PlacementMode::Cost,
-                        "compare" => PlacementMode::Compare,
-                        other => {
-                            return Err(format!(
-                                "--placement: '{other}' is not a mode (expected block|cost|compare)"
-                            ));
-                        }
-                    });
-                }
-                "--fault-seed" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| "--fault-seed requires a number argument".to_string())?;
-                    let seed: u64 = v
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("--fault-seed: '{v}' is not an unsigned integer"))?;
-                    args.fault_seed = Some(seed);
-                }
                 other => {
                     return Err(format!(
                         "unknown argument '{other}' (expected --json [--out PATH] \
-                         [--trace-out PATH] [--assert-scaling] [--assert] \
-                         [--max-ratio X] [--ranks N,N] [--fault-seed N] \
-                         [--placement block|cost|compare])"
+                         [--trace-out PATH])"
                     ));
                 }
             }
@@ -311,65 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_from_accepts_scaling_gate_flags() {
-        let a = BenchArgs::parse_from(argv(&["--assert-scaling"])).unwrap();
-        assert!(a.assert_scaling && a.max_ratio.is_none());
-        let a = BenchArgs::parse_from(argv(&["--assert-scaling", "--max-ratio", "1.25"])).unwrap();
-        assert_eq!(a.max_ratio, Some(1.25));
-        let err = BenchArgs::parse_from(argv(&["--max-ratio", "zero"])).unwrap_err();
-        assert!(err.contains("not a number"), "{err}");
-        let err = BenchArgs::parse_from(argv(&["--max-ratio", "-2"])).unwrap_err();
-        assert!(err.contains("positive"), "{err}");
-    }
-
-    #[test]
-    fn parse_from_accepts_rank_lists() {
-        let a = BenchArgs::parse_from(argv(&["--ranks", "1, 8"])).unwrap();
-        assert_eq!(a.ranks, Some(vec![1, 8]));
-        assert_eq!(BenchArgs::parse_from(argv(&[])).unwrap().ranks, None);
-        for bad in ["", "2,x", "0", "4,"] {
-            let err = BenchArgs::parse_from(argv(&["--ranks", bad])).unwrap_err();
-            assert!(err.contains("--ranks"), "{err}");
-        }
-        assert!(BenchArgs::parse_from(argv(&["--ranks"])).is_err());
-    }
-
-    #[test]
-    fn parse_from_accepts_fault_seed() {
-        let a = BenchArgs::parse_from(argv(&["--fault-seed", "42"])).unwrap();
-        assert_eq!(a.fault_seed, Some(42));
-        assert!(!a.json, "--fault-seed alone does not imply --json");
-        let err = BenchArgs::parse_from(argv(&["--fault-seed"])).unwrap_err();
-        assert!(err.contains("requires a number"), "{err}");
-        let err = BenchArgs::parse_from(argv(&["--fault-seed", "-3"])).unwrap_err();
-        assert!(err.contains("not an unsigned integer"), "{err}");
-    }
-
-    #[test]
-    fn parse_from_accepts_placement_modes() {
-        let a = BenchArgs::parse_from(argv(&["--placement", "block"])).unwrap();
-        assert_eq!(a.placement, Some(PlacementMode::Block));
-        let a = BenchArgs::parse_from(argv(&["--placement", "cost"])).unwrap();
-        assert_eq!(a.placement, Some(PlacementMode::Cost));
-        let a = BenchArgs::parse_from(argv(&["--placement", "cost-driven"])).unwrap();
-        assert_eq!(a.placement, Some(PlacementMode::Cost));
-        let a = BenchArgs::parse_from(argv(&["--placement", "compare"])).unwrap();
-        assert_eq!(a.placement, Some(PlacementMode::Compare));
-        let err = BenchArgs::parse_from(argv(&["--placement", "greedy"])).unwrap_err();
-        assert!(err.contains("block|cost|compare"), "{err}");
-        let err = BenchArgs::parse_from(argv(&["--placement"])).unwrap_err();
-        assert!(err.contains("requires a mode"), "{err}");
-    }
-
-    #[test]
-    fn parse_from_accepts_assert() {
-        let a = BenchArgs::parse_from(argv(&["--assert", "--json"])).unwrap();
-        assert!(a.assert_gates && a.json);
-        let a = BenchArgs::parse_from(argv(&["--assert-scaling"])).unwrap();
-        assert!(a.assert_scaling && !a.assert_gates, "--assert-scaling is a different flag");
-    }
-
-    #[test]
     fn parse_from_rejects_bad_args_with_message() {
         let err = BenchArgs::parse_from(argv(&["--bogus"])).unwrap_err();
         assert!(err.contains("--bogus"), "{err}");
@@ -377,6 +225,19 @@ mod tests {
         assert!(err.contains("requires a path"), "{err}");
         let err = BenchArgs::parse_from(argv(&["--trace-out"])).unwrap_err();
         assert!(err.contains("requires a path"), "{err}");
+        // Every harness checks all of its gates on every run; the flags
+        // that once chose a mode or a gate are gone.
+        for gone in [
+            "--assert-scaling",
+            "--max-ratio",
+            "--ranks",
+            "--placement",
+            "--fault-seed",
+            "--assert",
+        ] {
+            let err = BenchArgs::parse_from(argv(&[gone, "1"])).unwrap_err();
+            assert!(err.starts_with(&format!("unknown argument '{gone}'")), "{err}");
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use crate::lang::{Expr, ExprId, FnRef, PSym, System};
 use partir_dpl::func::FnTable;
 use partir_dpl::region::Schema;
-use partir_ir::analysis::{analyze_with_table, AccessKind, LoopSummary, NotParallelizable};
+use partir_ir::analysis::{analyze, AccessKind, LoopSummary, NotParallelizable};
 use partir_ir::ast::Loop;
 use std::collections::HashMap;
 
@@ -66,7 +66,7 @@ pub fn infer(
     let mut system = System::new();
     let mut out = Vec::with_capacity(loops.len());
     for (li, lp) in loops.iter().enumerate() {
-        let summary = analyze_with_table(lp, fns)?;
+        let summary = analyze(lp, fns)?;
         let il = infer_loop(li, lp, summary, fns, &mut system);
         if partir_obs::trace_enabled() {
             partir_obs::instant(

@@ -20,7 +20,7 @@ use crate::unify::{forced_bindings, unify, Rep, Unified};
 use partir_dpl::func::FnTable;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, RegionId, Schema, Store};
-use partir_ir::analysis::{analyze_with_table, AccessInfo, AccessKind, NotParallelizable};
+use partir_ir::analysis::{analyze, AccessInfo, AccessKind, NotParallelizable};
 use partir_ir::ast::Loop;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -237,7 +237,7 @@ impl ParallelPlan {
             .collect();
         let mut loops = Vec::with_capacity(program.len());
         for (loop_index, (lp, &iter)) in program.iter().zip(iters).enumerate() {
-            let summary = analyze_with_table(lp, fns)?;
+            let summary = analyze(lp, fns)?;
             let mut accesses = Vec::with_capacity(summary.accesses.len());
             for a in &summary.accesses {
                 let (part, reduce) = bind(loop_index, a);

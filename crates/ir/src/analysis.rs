@@ -15,7 +15,7 @@
 //! index variable derives from the loop variable (empty path = centered).
 
 use crate::ast::{AccessId, IVar, Loop, ReduceOp, Stmt, VExpr, VVar};
-use partir_dpl::func::{FnId, FnTable};
+use partir_dpl::func::{FnDef, FnId, FnTable, MultiFn};
 use partir_dpl::region::{FieldId, RegionId};
 use std::collections::HashMap;
 use std::fmt;
@@ -128,13 +128,15 @@ impl fmt::Display for NotParallelizable {
 impl std::error::Error for NotParallelizable {}
 
 /// Analyzes a loop: checks the syntactic parallelizability conditions and
-/// returns per-access summaries (paths from the loop variable).
-pub fn analyze(lp: &Loop, _fns: &FnTable) -> Result<LoopSummary, NotParallelizable> {
+/// returns per-access summaries (paths from the loop variable). A ForEach
+/// header's read is recorded against its range function's domain, and its
+/// field is the range field when the function is one.
+pub fn analyze(lp: &Loop, fns: &FnTable) -> Result<LoopSummary, NotParallelizable> {
     let mut paths: HashMap<IVar, Vec<FnId>> = HashMap::new();
     paths.insert(lp.var, Vec::new());
     let mut accesses: Vec<AccessInfo> = Vec::new();
 
-    collect(&lp.body, &mut paths, &mut Vec::new(), &mut accesses)?;
+    collect(&lp.body, fns, &mut paths, &mut Vec::new(), &mut accesses)?;
     accesses.sort_by_key(|a| a.id);
     debug_assert!(accesses.iter().enumerate().all(|(i, a)| a.id.0 as usize == i));
 
@@ -195,6 +197,7 @@ pub fn analyze(lp: &Loop, _fns: &FnTable) -> Result<LoopSummary, NotParallelizab
 /// interpreter's frame would still hold there).
 fn collect(
     body: &[Stmt],
+    fns: &FnTable,
     paths: &mut HashMap<IVar, Vec<FnId>>,
     values: &mut Vec<VVar>,
     accesses: &mut Vec<AccessInfo>,
@@ -287,22 +290,17 @@ fn collect(
                     .get(src)
                     .cloned()
                     .ok_or(NotParallelizable::UndefinedIndexVar { var: *src })?;
-                // Reading the range bounds is a read access on the region
-                // that owns the range field (via the function's domain).
-                // The recorded region/field come from the function table at
-                // inference time; here we record the access against the
-                // function's domain via path only. The ForEach header reads
-                // `F`'s backing field at `src`: region information is
-                // resolved by constraint inference from the FnTable. We
-                // store the access with the function's *domain* unknown at
-                // this layer, so the region/field are filled by the caller.
-                // To keep the IR self-contained we instead require ForEach
-                // functions to be registered range fields and record the
-                // access against that field's owner region.
+                // Reading the range bounds is a read of `f`'s backing
+                // field at `src`, in the region that owns it.
+                let nf = fns.get(*f);
+                let field = match &nf.def {
+                    FnDef::Multi(MultiFn::RangeField { field }) => Some(*field),
+                    _ => None,
+                };
                 accesses.push(AccessInfo {
                     id: *range_access,
-                    region: RegionId(u32::MAX), // patched below by fixup
-                    field: None,
+                    region: nf.domain,
+                    field,
                     kind: AccessKind::Read,
                     path: src_path.clone(),
                 });
@@ -311,43 +309,12 @@ fn collect(
                 let mut inner = paths.clone();
                 inner.insert(*var, var_path);
                 let outer_values = values.len();
-                collect(body, &mut inner, values, accesses)?;
+                collect(body, fns, &mut inner, values, accesses)?;
                 values.truncate(outer_values);
             }
         }
     }
     Ok(())
-}
-
-/// Patches ForEach header accesses with the region/field that back the
-/// range function. Called by [`analyze_with_table`].
-fn fixup_foreach_regions(lp: &Loop, fns: &FnTable, accesses: &mut [AccessInfo]) {
-    fn walk(body: &[Stmt], fns: &FnTable, accesses: &mut [AccessInfo]) {
-        for s in body {
-            if let Stmt::ForEach { range_access, f, body, .. } = s {
-                let nf = fns.get(*f);
-                let a = &mut accesses[range_access.0 as usize];
-                a.region = nf.domain;
-                if let partir_dpl::func::FnDef::Multi(partir_dpl::func::MultiFn::RangeField {
-                    field,
-                }) = &nf.def
-                {
-                    a.field = Some(*field);
-                }
-                walk(body, fns, accesses);
-            }
-        }
-    }
-    walk(&lp.body, fns, accesses);
-}
-
-/// Like [`analyze`] but resolves ForEach header accesses against the
-/// function table (the range field's owner region). Use this entry point
-/// whenever the loop contains data-dependent inner loops.
-pub fn analyze_with_table(lp: &Loop, fns: &FnTable) -> Result<LoopSummary, NotParallelizable> {
-    let mut summary = analyze(lp, fns)?;
-    fixup_foreach_regions(lp, fns, &mut summary.accesses);
-    Ok(summary)
 }
 
 #[cfg(test)]
@@ -554,7 +521,7 @@ mod tests {
         b.val_reduce(y, yv, i, ReduceOp::Add, VExpr::mul(VExpr::var(a), VExpr::var(xval)));
         b.end_for_each();
         let lp = b.finish();
-        let s = analyze_with_table(&lp, &fns).expect("parallelizable");
+        let s = analyze(&lp, &fns).expect("parallelizable");
         // Header access on Y (range field), centered.
         assert_eq!(s.accesses[0].region, y);
         assert!(s.accesses[0].is_centered());
@@ -566,5 +533,33 @@ mod tests {
         // Y reduction is centered.
         assert!(s.accesses[4].is_centered());
         assert!(!s.has_uncentered_reduce);
+    }
+
+    #[test]
+    fn foreach_header_reads_the_range_field() {
+        // for i in Y: for k in Ranges(i): for j in Cols(k): Y[i] += Mat[j].val
+        let mut schema = Schema::new();
+        let mat = schema.add_region("Mat", 100);
+        let y = schema.add_region("Y", 10);
+        let yv = schema.add_field(y, "val", FieldKind::F64);
+        let rows = schema.add_field(y, "rows", FieldKind::Range(mat));
+        let cols = schema.add_field(mat, "cols", FieldKind::Range(mat));
+        let mval = schema.add_field(mat, "val", FieldKind::F64);
+        let mut fns = FnTable::new();
+        let f_rows = fns.add_range_field("Rows", y, mat, rows);
+        let f_cols = fns.add_range_field("Cols", mat, mat, cols);
+
+        let mut b = LoopBuilder::new("nested", y);
+        let i = b.loop_var();
+        let k = b.begin_for_each(f_rows, i);
+        let j = b.begin_for_each(f_cols, k);
+        let v = b.val_read(mat, mval, j);
+        b.val_reduce(y, yv, i, ReduceOp::Add, VExpr::var(v));
+        b.end_for_each();
+        b.end_for_each();
+        let s = analyze(&b.finish(), &fns).expect("parallelizable");
+        assert_eq!((s.accesses[0].region, s.accesses[0].field), (y, Some(rows)));
+        assert_eq!((s.accesses[1].region, s.accesses[1].field), (mat, Some(cols)));
+        assert_eq!(s.accesses[1].path, vec![f_rows]);
     }
 }

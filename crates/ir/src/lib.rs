@@ -17,9 +17,7 @@ pub mod ast;
 pub mod interp;
 
 pub mod prelude {
-    pub use crate::analysis::{
-        analyze, analyze_with_table, AccessInfo, AccessKind, LoopSummary, NotParallelizable,
-    };
+    pub use crate::analysis::{analyze, AccessInfo, AccessKind, LoopSummary, NotParallelizable};
     pub use crate::ast::{
         AccessId, BinOp, IVar, Loop, LoopBuilder, Program, ReduceOp, Stmt, UnOp, VExpr, VVar,
     };

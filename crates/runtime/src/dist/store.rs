@@ -2,9 +2,9 @@
 //!
 //! Each rank holds only its shard of every f64 field — the elements of
 //! `owned ∪ ghosts` from the [`ExchangePlan`] — laid out densely in
-//! ascending global index order, with global→local translation through a
-//! [`LocalMap`]: one [`Positions`] index per region, shared by the region's
-//! f64 fields, so an access is one bitmap word and one popcount (or one
+//! ascending global index order, with global→local translation through
+//! one [`Positions`] index per region and rank, shared by the region's f64
+//! fields (an `Arc`), so an access is one bitmap word and one popcount (or one
 //! subtraction when the footprint is one contiguous run).
 //! Ptr/Range topology fields are not sharded — they describe the
 //! mesh/matrix structure and partitioning functions read them at arbitrary
@@ -29,35 +29,13 @@ use crate::task::Storage;
 use partir_core::exchange::{ExchangePlan, FieldSets};
 use partir_dpl::index_set::{Idx, IndexSet, Positions};
 use partir_dpl::region::{FieldData, FieldId, FieldKind, Schema, Store};
-use std::ops::Deref;
 use std::sync::Arc;
-
-/// Global→local translation for one region's footprint on one rank: a
-/// [`Positions`] index over the footprint, built once per shard and shared
-/// by every f64 field of the region.
-#[derive(Clone)]
-pub(crate) struct LocalMap(Arc<Positions>);
-
-impl LocalMap {
-    pub(crate) fn new(set: &IndexSet) -> Self {
-        LocalMap(Arc::new(Positions::new(set)))
-    }
-}
-
-impl Deref for LocalMap {
-    type Target = Positions;
-
-    #[inline]
-    fn deref(&self) -> &Positions {
-        &self.0
-    }
-}
 
 /// One field's rank-local storage.
 enum RankField {
     /// Sharded f64 payload: `data[local.pos(i)]` holds global element `i`.
     F64 {
-        local: LocalMap,
+        local: Arc<Positions>,
         data: Vec<f64>,
     },
     /// Topology, whole and shared with the global store.
@@ -73,10 +51,10 @@ pub struct RankStore {
 impl RankStore {
     /// Shards `store` for `rank` per the exchange plan's local footprints,
     /// copying each footprint run with one `extend_from_slice`. The fields
-    /// of one region share one `LocalMap`.
+    /// of one region share one position index.
     pub fn shard(store: &Store, xplan: &ExchangePlan, rank: usize) -> Self {
         let schema = store.schema();
-        let mut maps: Vec<Option<LocalMap>> = vec![None; schema.num_regions()];
+        let mut maps: Vec<Option<Arc<Positions>>> = vec![None; schema.num_regions()];
         let fields = (0..schema.num_fields())
             .map(|fi| {
                 let f = FieldId(fi as u32);
@@ -85,7 +63,7 @@ impl RankStore {
                         let region = schema.field(f).region;
                         let set = xplan.local(region, rank);
                         let local = maps[region.0 as usize]
-                            .get_or_insert_with(|| LocalMap::new(set))
+                            .get_or_insert_with(|| Arc::new(Positions::new(set)))
                             .clone();
                         let mut data = Vec::with_capacity(local.len() as usize);
                         for &(s, e) in set.runs() {
@@ -373,7 +351,7 @@ mod tests {
         for r in 0..n_ranks {
             let shard = RankStore::shard(&store, &xplan, r);
             for region in (0..schema.num_regions()).map(|g| RegionId(g as u32)) {
-                let maps: Vec<&LocalMap> = (0..schema.num_fields())
+                let maps: Vec<&Arc<Positions>> = (0..schema.num_fields())
                     .filter(|&fi| schema.field(FieldId(fi as u32)).region == region)
                     .filter_map(|fi| match &shard.fields[fi] {
                         RankField::F64 { local, .. } => Some(local),
@@ -381,7 +359,7 @@ mod tests {
                     })
                     .collect();
                 let Some(first) = maps.first() else { continue };
-                assert!(maps.iter().all(|m| Arc::ptr_eq(&m.0, &first.0)), "one index per region");
+                assert!(maps.iter().all(|m| Arc::ptr_eq(m, first)), "one index per region");
                 let set = xplan.local(region, r);
                 let span = set.max().map_or(0, |max| max + 1 - set.min().unwrap());
                 assert!(first.heap_bytes() as u64 <= span.next_multiple_of(64) / 4);
@@ -429,7 +407,7 @@ mod tests {
         // Build via RankField directly to keep the test self-contained.
         let mut rs = RankStore {
             fields: vec![RankField::F64 {
-                local: LocalMap::new(&IndexSet::from_range(0, 4)),
+                local: Arc::new(Positions::new(&IndexSet::from_range(0, 4))),
                 data: vec![0.0, 1.0, 2.0, 3.0],
             }],
         };
@@ -453,7 +431,7 @@ mod tests {
     fn local_map_translates_multi_run_footprints() {
         // Footprint {2,3} ∪ {10..13} ∪ {20}: positions 0,1,2,3,4,5.
         let set = IndexSet::from_indices([2, 3, 10, 11, 12, 20]);
-        let m = LocalMap::new(&set);
+        let m = Positions::new(&set);
         assert_eq!(m.len(), 6);
         assert_eq!(m.pos(2), Some(0));
         assert_eq!(m.pos(3), Some(1));
@@ -470,7 +448,7 @@ mod tests {
         assert_eq!(m.pos_run(u64::MAX, 2), None);
         assert_eq!(m.pos_run(7, 0), Some(0), "the empty run is resident anywhere");
         // The dense fast path kicks in for one contiguous run.
-        let dense = LocalMap::new(&IndexSet::from_range(5, 9));
+        let dense = Positions::new(&IndexSet::from_range(5, 9));
         assert_eq!(dense.heap_bytes(), 0, "one run needs no bitmap");
         assert_eq!(dense.pos(7), Some(2));
         assert_eq!(dense.pos(9), None);
@@ -563,7 +541,7 @@ mod tests {
         let local = IndexSet::from_indices([0, 1, 2, 3, 8, 9]);
         let mut rs = RankStore {
             fields: vec![RankField::F64 {
-                local: LocalMap::new(&local),
+                local: Arc::new(Positions::new(&local)),
                 data: vec![0.0, 1.0, 2.0, 3.0, 8.0, 9.0],
             }],
         };

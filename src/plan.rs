@@ -190,8 +190,8 @@ impl Run {
     }
 
     /// Observability for this run (default: [`ObsConfig::disabled`]).
-    /// `trace`/`metrics` install the process-wide stderr sink unless one
-    /// is installed already; `timeline` and `strict_volume` apply to this
+    /// `trace` installs the process-wide stderr sink unless one is
+    /// installed already; `timeline` and `strict_volume` apply to this
     /// run, on either backend.
     pub fn obs(mut self, config: ObsConfig) -> Self {
         self.obs = config;
