@@ -11,7 +11,7 @@ use partir_dpl::region::{FieldData, FieldId, Store};
 use partir_ir::ast::Loop;
 use partir_ir::interp::run_program_seq;
 use partir_runtime::dist::{execute_ranks, DistOptions, DistReport, Layout};
-use partir_runtime::fault::{FaultPlan, InjectedPanic, RetryPolicy};
+use partir_runtime::fault::{FaultPlan, InjectedPanic, MAX_TASK_RETRIES};
 
 fn quiet_injected_panics() {
     static ONCE: std::sync::Once = std::sync::Once::new();
@@ -145,7 +145,6 @@ fn all_apps_bit_identical_under_faults_with_deterministic_replay() {
                     poison_after: Some(4),
                     ..FaultPlan::quiescent(seed)
                 }),
-                retry: RetryPolicy { max_retries: 1, ..RetryPolicy::default() },
                 ..DistOptions::default()
             };
             let (r1, s1) = run_against_seq(&fx, &opts);
@@ -179,7 +178,6 @@ fn all_apps_survive_total_failure_via_recovery() {
     for fx in fixtures() {
         let opts = DistOptions {
             fault: Some(FaultPlan { task_failure_rate: 1.0, ..FaultPlan::quiescent(9) }),
-            retry: RetryPolicy { max_retries: 0, ..RetryPolicy::default() },
             ..DistOptions::default()
         };
         let (report, _) = run_against_seq(&fx, &opts);
@@ -189,5 +187,9 @@ fn all_apps_survive_total_failure_via_recovery() {
             "{}: every task re-runs sequentially",
             fx.name
         );
+        // Every attempt dies: the first and each of the retries.
+        let retries = u64::from(MAX_TASK_RETRIES);
+        assert_eq!(report.task_retries, retries * report.tasks_run, "{}", fx.name);
+        assert_eq!(report.faults_injected, (retries + 1) * report.tasks_run, "{}", fx.name);
     }
 }

@@ -15,8 +15,8 @@ use crate::lemmas::FactCtx;
 use crate::optimize::{
     apply_relaxation, choose_reduce_mode, disj_preferences, ReduceMode, RelaxPolicy,
 };
-use crate::solve::{solve_with, Solution, SolveBudget, SolveError};
-use crate::unify::{forced_bindings, unify, Rep, Unified};
+use crate::solve::{solve_since, Solution, SolveBudget, SolveError};
+use crate::unify::{forced_bindings, unify_within, Rep, Unified};
 use partir_dpl::func::FnTable;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, RegionId, Schema, Store};
@@ -92,9 +92,13 @@ pub struct Options {
     pub disj_preference: bool,
     /// Synthesize private sub-partitions (Theorem 5.1).
     pub private_subs: bool,
-    /// Resource budget for the constraint solver. On exhaustion the
-    /// pipeline degrades to the trivial solution instead of erroring, so
-    /// `auto_parallelize` stays total under any budget.
+    /// Resource budget for every solve of the call: each unification
+    /// check, the final solve and each preference trial. The deadline is
+    /// the call's, counted from its start; the node and backtrack limits
+    /// apply to each solve on its own. A final solve that runs out
+    /// degrades to the trivial solution instead of erroring, so
+    /// `auto_parallelize` stays total under any budget; a check that runs
+    /// out refuses its merge and marks the plan degraded too.
     pub solve_budget: SolveBudget,
 }
 
@@ -314,6 +318,9 @@ pub fn auto_parallelize(
     partir_obs::init_from_env();
 
     // ---- Phase 1: inference (Algorithm 1). ----
+    // `t0` is also the request's one clock: the budget's deadline bounds
+    // every solve below (unification checks, the final solve, preference
+    // trials) counted from here.
     let t0 = Instant::now();
     let sp = partir_obs::span("pipeline.infer");
     let mut inference: Inference = infer(loops, fns, schema)?;
@@ -335,7 +342,7 @@ pub fn auto_parallelize(
     let t1 = Instant::now();
     let sp = partir_obs::span("pipeline.unify");
     let unified = if opts.unify {
-        unify(&inference, fns)
+        unify_within(&inference, fns, opts.solve_budget, t0)
     } else {
         // Identity unification: keep the system as-is.
         Unified {
@@ -358,7 +365,7 @@ pub fn auto_parallelize(
     let sp = partir_obs::span("pipeline.solve");
     let mut system = unified.system.clone();
     let forced = forced_bindings(&system, |s| unified.rep[s.0 as usize]);
-    let base_solution = match solve_with(&system, fns, &forced, &opts.solve_budget) {
+    let base_solution = match solve_since(&system, fns, &forced, &opts.solve_budget, t0) {
         Ok(s) => s,
         Err(SolveError::Unsatisfiable) => return Err(AutoError::Unsatisfiable),
     };
@@ -383,7 +390,7 @@ pub fn auto_parallelize(
             // A degraded trial solution would accept the stronger system
             // without the solver having actually satisfied it — only take
             // the preference when the search completed within budget.
-            if let Ok(sol) = solve_with(&trial, fns, &forced, &opts.solve_budget) {
+            if let Ok(sol) = solve_since(&trial, fns, &forced, &opts.solve_budget, t0) {
                 if !sol.degraded {
                     system = trial;
                     solution = sol;
@@ -391,6 +398,10 @@ pub fn auto_parallelize(
             }
         }
     }
+    // A merge refused for want of budget leaves a legal plan that may have
+    // fewer merges than the unbudgeted call finds: degraded, like a solve that
+    // ran out (never cached, `serve.over_budget` through a server).
+    solution.degraded |= unified.stats.rejected_over_budget > 0;
     sp.close_with(vec![
         ("nodes", solution.stats.nodes_explored.into()),
         ("candidates", solution.stats.candidates_tried.into()),

@@ -67,12 +67,14 @@ pub struct Solution {
 /// usable [`Solution`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct SolveBudget {
-    /// Maximum search nodes to explore (`Some(0)` forbids searching at all).
+    /// Maximum search nodes to explore in one solve (`Some(0)` forbids
+    /// searching at all).
     pub max_nodes: Option<u64>,
-    /// Maximum backtracks before giving up (`Some(0)` means the first
-    /// failed candidate ends the search).
+    /// Maximum backtracks in one solve before giving up (`Some(0)` means
+    /// the first failed candidate ends the search).
     pub max_backtracks: Option<u64>,
-    /// Wall-clock limit on the whole solve.
+    /// Wall-clock limit on the whole solve — under `auto_parallelize`, on
+    /// the whole call, every solve of it counted from its start.
     pub deadline: Option<Duration>,
 }
 
@@ -369,7 +371,18 @@ pub fn solve_with(
     forced: &HashMap<PSym, ExprId>,
     budget: &SolveBudget,
 ) -> Result<Solution, SolveError> {
-    let start = Instant::now();
+    solve_since(system, fns, forced, budget, Instant::now())
+}
+
+/// [`solve_with`] on a clock started at `start`: the budget's deadline
+/// counts from there, so every solve of one request draws on one deadline.
+pub(crate) fn solve_since(
+    system: &System,
+    fns: &FnTable,
+    forced: &HashMap<PSym, ExprId>,
+    budget: &SolveBudget,
+    start: Instant,
+) -> Result<Solution, SolveError> {
     let n = system.num_syms();
     let mut state = SearchState::new(n);
     for (&s, &e) in forced {

@@ -26,10 +26,11 @@
 
 use crate::infer::Inference;
 use crate::lang::{Expr, ExprId, ExtId, FnRef, PSym, Pred, Subset, System};
-use crate::solve::{solve_with, SolveBudget, SolveStats};
+use crate::solve::{solve_since, SolveBudget, SolveStats};
 use partir_dpl::func::FnTable;
 use partir_dpl::region::RegionId;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::time::Instant;
 
 /// What a symbol resolved to after unification.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -74,8 +75,14 @@ pub struct UnifyStats {
     pub merges_accepted: u64,
     /// Candidates dropped before the solver ran (degenerate mapping).
     pub rejected_structural: u64,
-    /// Candidates whose rewritten system the solver refuted.
+    /// Candidates whose rewritten system the solver refuted — or did not
+    /// solve within the request's budget: a trial that comes back
+    /// degraded refuses its merge (fewer merges, never a wrong plan).
     pub rejected_unsolvable: u64,
+    /// Of those, the trials that ran out of budget. Any such refusal
+    /// makes the call's plan degraded: it may have fewer merges than an
+    /// unbudgeted call finds.
+    pub rejected_over_budget: u64,
     /// Largest accumulated constraint graph seen (nodes / edges).
     pub max_graph_nodes: u64,
     pub max_graph_edges: u64,
@@ -412,6 +419,9 @@ fn node_desc(n: GNode, system: &System) -> String {
 struct State<'a> {
     system: &'a System,
     fns: &'a FnTable,
+    /// Every trial solves under this budget, on the request's clock.
+    budget: SolveBudget,
+    start: Instant,
     uf: Uf,
     check_stats: SolveStats,
     stats: UnifyStats,
@@ -425,8 +435,9 @@ impl State<'_> {
     }
 
     /// Commits `trial` if the system rewritten under it is still solvable
-    /// (Algorithm 2, with symbols bound to externals held fixed), logging
-    /// it as a `stage` merge; otherwise counts it as refuted.
+    /// (Algorithm 2, with symbols bound to externals held fixed) within
+    /// the budget, logging it as a `stage` merge; otherwise counts it as
+    /// refuted.
     fn try_merge(
         &mut self,
         trial: Uf,
@@ -435,30 +446,44 @@ impl State<'_> {
     ) -> bool {
         let trial_system = rewrite_system(self.system, &trial);
         let forced = forced_bindings(self.system, |s| trial.find(s));
-        match solve_with(&trial_system, self.fns, &forced, &SolveBudget::unlimited()) {
-            Ok(sol) => {
+        match solve_since(&trial_system, self.fns, &forced, &self.budget, self.start) {
+            Ok(sol) if !sol.degraded => {
                 self.check_stats.absorb(&sol.stats);
                 self.stats.merges_accepted += 1;
                 self.merge_log.push(MergeEntry { stage, detail: detail() });
                 self.uf = trial;
                 true
             }
-            Err(_) => {
+            refused => {
                 self.stats.rejected_unsolvable += 1;
+                self.stats.rejected_over_budget += u64::from(refused.is_ok());
                 false
             }
         }
     }
 }
 
-/// Runs both unification stages over an inference result.
+/// Runs both unification stages over an inference result, with no budget.
 pub fn unify(inference: &Inference, fns: &FnTable) -> Unified {
+    unify_within(inference, fns, SolveBudget::unlimited(), Instant::now())
+}
+
+/// [`unify`] with every consistency check under `budget`, its deadline
+/// counted from `start`.
+pub(crate) fn unify_within(
+    inference: &Inference,
+    fns: &FnTable,
+    budget: SolveBudget,
+    start: Instant,
+) -> Unified {
     let system = &inference.system;
     let arena = system.arena.clone();
     let n = system.num_syms();
     let mut st = State {
         system,
         fns,
+        budget,
+        start,
         uf: Uf::new(n),
         check_stats: SolveStats::default(),
         stats: UnifyStats::default(),

@@ -79,7 +79,6 @@ pub const ERROR_CODES: &[&str] = &[
     "dist.internal",
     "dist.volume_mismatch",
     "dist.rank_lost",
-    "dist.task_failed",
     // builder
     "session.invalid",
     // serving layer (`partir::serve`)

@@ -10,16 +10,16 @@
 //! that attacks tasks, attempts die deterministically mid-loop (cleanly or
 //! by poisoning the worker with a panic); each attempt runs against a
 //! snapshot of the color's in-place effect sets, so a failed attempt rolls
-//! back, bounded retries with backoff re-run the color, and a color that
-//! exhausts its retries is re-run sequentially on the rank's thread after
-//! the pool ([`RetryPolicy`]) — results stay bit-identical to the
-//! sequential interpreter under any fault schedule. Every attempt runs
-//! inside `catch_unwind`: a legality panic stops the run (the violation is
+//! back and is retried at once, at most [`MAX_TASK_RETRIES`] times. A
+//! color that runs out of retries re-runs sequentially on the rank's
+//! thread after the pool — results stay bit-identical to the sequential
+//! interpreter under any fault schedule. Every attempt runs inside
+//! `catch_unwind`: a legality panic stops the run (the violation is
 //! already recorded), a genuine panic is [`DistError::RankPanic`].
 
-use super::store::RankStore;
+use super::store::{pack_set, unpack_set, RankStore};
 use super::{DistError, DistReport};
-use crate::fault::{FaultPlan, InjectedFault, InjectedPanic, RetryPolicy};
+use crate::fault::{FaultPlan, InjectedFault, InjectedPanic, MAX_TASK_RETRIES};
 use crate::shared::SharedStore;
 use crate::task::{panic_message, LoopSetup, Regs, Storage, Task, TaskEnv};
 use parking_lot::Mutex;
@@ -27,7 +27,6 @@ use partir_dpl::index_set::IndexSet;
 use partir_dpl::region::FieldId;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 /// The storage one rank's colors run against.
 pub(crate) trait RankData: Storage {
@@ -69,53 +68,40 @@ pub(crate) type Buffers = Vec<Option<Vec<f64>>>;
 /// until the merge, and a failed attempt just drops them.
 pub(crate) type Effects<'a> = Vec<(FieldId, &'a [IndexSet])>;
 
-/// Saved pre-attempt values of one color's effect sets. Restoring is
+/// Saved pre-attempt values of one color's effect sets: each site (field,
+/// element set) once, its values packed in site order. Restoring is
 /// race-free: every saved element is written in place by this color alone
 /// (the same ownership argument that makes the direct effects race-free).
-type Snapshot<'a> = Vec<(FieldId, &'a IndexSet, Vec<f64>)>;
-
-fn take_snapshot<'a>(store: &impl Storage, effects: &Effects<'a>, color: usize) -> Snapshot<'a> {
-    let mut saved: Snapshot<'a> = Vec::new();
-    for &(field, sets) in effects {
-        let set = &sets[color];
-        if saved.iter().any(|(f, s, _)| *f == field && std::ptr::eq(*s, set)) {
-            continue; // site already covered (same field, same element set)
-        }
-        let held = |i| store.read_f64(field, i).expect("effect sets are resident");
-        saved.push((field, set, set.iter().map(held).collect()));
-    }
-    saved
+struct Snapshot<'a> {
+    sites: Vec<(FieldId, &'a IndexSet)>,
+    values: Vec<f64>,
 }
 
-fn restore_snapshot(store: &mut impl Storage, snap: &Snapshot<'_>) {
-    for (field, set, vals) in snap {
-        for (i, &v) in set.iter().zip(vals) {
-            store.write_f64(*field, i, v);
+impl<'a> Snapshot<'a> {
+    fn take(store: &impl Storage, effects: &Effects<'a>, color: usize) -> Self {
+        let mut sites: Vec<(FieldId, &'a IndexSet)> = Vec::new();
+        for &(field, sets) in effects {
+            if !sites.iter().any(|&(f, s)| f == field && std::ptr::eq(s, &sets[color])) {
+                sites.push((field, &sets[color]));
+            }
         }
+        let mut values = Vec::new();
+        sites.iter().for_each(|&(f, set)| pack_set(store, f, set, &mut values));
+        Snapshot { sites, values }
+    }
+
+    fn restore(&self, store: &mut impl Storage) {
+        let values = &self.values[..];
+        self.sites.iter().fold(values, |rest, &(f, set)| unpack_set(store, f, set, rest));
     }
 }
 
-/// The fault plane of a run's colors: the plan, the retry policy and,
-/// under a plan that attacks tasks, every loop's effect sets.
+/// The fault plane of a run's colors: the plan and, under a plan that
+/// attacks tasks, every loop's effect sets.
 pub(crate) struct TaskFaults<'a> {
     pub plan: Option<FaultPlan>,
-    pub retry: RetryPolicy,
     /// Per loop; empty unless the plan attacks tasks.
     pub effects: Vec<Effects<'a>>,
-}
-
-impl TaskFaults<'_> {
-    /// The longest `colors` colors can sleep in backoff between their
-    /// attempts: each retrying `max_retries` times, attempt `k` sleeping
-    /// `k * backoff`.
-    pub fn retry_sleep(&self, colors: usize) -> Duration {
-        if !self.plan.is_some_and(|p| p.attacks_tasks()) {
-            return Duration::ZERO;
-        }
-        let m = u64::from(self.retry.max_retries);
-        let steps = (m * (m + 1) / 2).saturating_mul(colors as u64);
-        u32::try_from(steps).map_or(Duration::MAX, |k| self.retry.backoff.saturating_mul(k))
-    }
 }
 
 /// One epoch's colors on one rank: how each runs, and where the finished
@@ -129,7 +115,7 @@ pub(crate) struct Colors<'e, 'a> {
     /// `bufs[buf][color]`: the partial buffers of finished colors.
     bufs: Mutex<Vec<Buffers>>,
     counts: Mutex<DistReport>,
-    /// Colors that exhausted their retries, for sequential recovery.
+    /// Colors that ran out of retries, for sequential recovery.
     failed: Mutex<Vec<usize>>,
     panic: Mutex<Option<String>>,
 }
@@ -212,7 +198,7 @@ impl<'e, 'a> Colors<'e, 'a> {
     /// Every attempt of `color`; false when the run must stop.
     fn attempts(&self, store: &mut impl Storage, color: usize, regs: &mut Regs) -> bool {
         let (li, faults) = (self.li, self.faults);
-        let snapshot = faults.effects.get(li).map(|e| take_snapshot(store, e, color));
+        let snapshot = faults.effects.get(li).map(|e| Snapshot::take(store, e, color));
         let n_colors = self.setup.iter.num_subregions();
         let n_iters = self.setup.iter.subregion(color).len();
         let coords = |attempt: u32| -> Vec<(&'static str, partir_obs::Value)> {
@@ -259,9 +245,9 @@ impl<'e, 'a> Colors<'e, 'a> {
                 partir_obs::instant("fault.injected", coords(attempt));
             }
             if let Some(snap) = &snapshot {
-                restore_snapshot(store, snap);
+                snap.restore(store);
             }
-            if attempt >= faults.retry.max_retries {
+            if attempt >= MAX_TASK_RETRIES {
                 self.failed.lock().push(color);
                 return true;
             }
@@ -269,9 +255,6 @@ impl<'e, 'a> Colors<'e, 'a> {
             self.counts.lock().task_retries += 1;
             if self.tracing {
                 partir_obs::instant("task.retry", coords(attempt));
-            }
-            if !faults.retry.backoff.is_zero() {
-                std::thread::sleep(faults.retry.backoff * attempt);
             }
         }
     }
@@ -283,7 +266,7 @@ impl<'e, 'a> Colors<'e, 'a> {
         }
     }
 
-    /// Re-runs the colors that exhausted their retries, sequentially in
+    /// Re-runs the colors that ran out of retries, sequentially in
     /// color order on the rank's thread — the interpreter's semantics
     /// restricted to the failed subregions: bit-identical, just not
     /// parallel — and hands over the finished colors' buffers and
@@ -304,10 +287,6 @@ impl<'e, 'a> Colors<'e, 'a> {
         }
         let mut failed = std::mem::take(&mut *self.failed.lock());
         failed.sort_unstable();
-        if let (Some(&color), false) = (failed.first(), self.faults.retry.sequential_recovery) {
-            let attempts = self.faults.retry.max_retries + 1;
-            return Err(DistError::TaskFailed { loop_index: self.li, color, attempts });
-        }
         let mut store = store.workers(1).pop().expect("one worker");
         for color in failed {
             let (c, bufs) = match self.attempt(&mut store, color, regs, None) {
@@ -332,24 +311,5 @@ impl<'e, 'a> Colors<'e, 'a> {
             }
         }
         Ok((self.bufs.into_inner(), self.counts.into_inner()))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn retry_sleep_sums_every_backoff_and_saturates() {
-        let faults = |rate: f64, max_retries: u32| TaskFaults {
-            plan: Some(FaultPlan { task_failure_rate: rate, ..FaultPlan::quiescent(1) }),
-            retry: RetryPolicy { max_retries, ..RetryPolicy::default() },
-            effects: Vec::new(),
-        };
-        let backoff = RetryPolicy::default().backoff;
-        // Attempts 1 and 2 sleep 1 and 2 backoffs, on each of 3 colors.
-        assert_eq!(faults(0.5, 2).retry_sleep(3), backoff * 9);
-        assert_eq!(faults(0.0, 2).retry_sleep(3), Duration::ZERO);
-        assert_eq!(faults(0.5, u32::MAX).retry_sleep(usize::MAX), Duration::MAX);
     }
 }

@@ -27,7 +27,7 @@ pub use store::RankStore;
 use crate::dist::colors::{Effects, RankData, TaskFaults};
 use crate::dist::mailbox::build_fabric;
 use crate::dist::rank::{OwnedShards, RunCx};
-use crate::fault::{CheckpointPolicy, FaultPlan, RetryPolicy};
+use crate::fault::{CheckpointPolicy, FaultPlan};
 use crate::shared::SharedStore;
 use crate::task::{panic_message, plan_loops, LegalityViolation, LoopSetup, PlanError};
 use parking_lot::Mutex;
@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 /// still-awaited source lost. Only silent crashes need it (loud crashes
 /// broadcast notices), but it is a harmless backstop either way — epochs
 /// complete in microseconds-to-milliseconds, so a healthy peer never
-/// comes close. What task retries may sleep in backoff is added on top.
+/// comes close.
 const EPOCH_DEADLINE: Duration = Duration::from_secs(2);
 
 /// How access legality (`accessed ⊆ owned ∪ ghosts`) is established. A
@@ -91,11 +91,6 @@ impl Default for LegalityMode {
 pub struct DistOptions {
     /// How access legality is established (see [`LegalityMode`]).
     pub legality: LegalityMode,
-    /// When set, mailboxes shuffle delivery order among ready messages and
-    /// inject tiny receive-side delays, deterministically per seed —
-    /// simulates an adversarially slow fabric so tests can pin that
-    /// results stay bit-identical under any arrival schedule.
-    pub chaos_seed: Option<u64>,
     /// Record a per-rank timeline span for every epoch phase (pack, send,
     /// recv-wait, unpack, interior/halo compute, merge), returned as
     /// [`DistOutcome::trace`] for Chrome-trace export and critical-path
@@ -109,15 +104,13 @@ pub struct DistOptions {
     /// not a perf one.
     pub strict_volume: bool,
     /// Deterministic fault injection: task attempts on every rank; message
-    /// drops, duplication and a whole-rank crash on sharded ranks. On a
-    /// sharded layout a plan also enables survivor-side recovery: a lost
-    /// rank's colors are evacuated to the survivors, state restores from
-    /// the last consistent checkpoint (or the pristine input), and the run
-    /// resumes bit-identical to the sequential interpreter.
+    /// drops, duplication, delivery-order chaos and a whole-rank crash on
+    /// sharded ranks. On a sharded layout a plan also enables
+    /// survivor-side recovery: a lost rank's colors are evacuated to the
+    /// survivors, state restores from the last consistent checkpoint (or
+    /// the pristine input), and the run resumes bit-identical to the
+    /// sequential interpreter.
     pub fault: Option<FaultPlan>,
-    /// Recovery policy for failed task attempts (only consulted when
-    /// attempts actually fail).
-    pub retry: RetryPolicy,
     /// Epoch-interval checkpointing of each rank's owned shard, the
     /// restore points recovery rolls back to. Without a policy, recovery
     /// restarts from epoch 0.
@@ -243,10 +236,11 @@ counters! {
         pub write_skips,
         /// Task attempts killed by the fault plan (clean kills and poisons).
         pub faults_injected,
-        /// Re-attempts after a failed attempt (bounded by the retry policy).
+        /// Re-attempts after a failed attempt (at most
+        /// [`crate::fault::MAX_TASK_RETRIES`] per color).
         pub task_retries,
-        /// Colors that exhausted their retries and were re-run sequentially
-        /// on their rank's thread.
+        /// Colors that ran out of retries and were re-run sequentially on
+        /// their rank's thread.
         pub tasks_recovered,
         /// Task panics contained by the per-attempt `catch_unwind` barrier.
         pub panics_isolated,
@@ -371,8 +365,6 @@ pub enum DistError {
     /// A task or a rank thread panicked (a genuine bug, not an injected
     /// fault or a legality report).
     RankPanic { rank: usize, message: String },
-    /// A task exhausted its retries and sequential recovery was disabled.
-    TaskFailed { loop_index: usize, color: usize, attempts: u32 },
     /// A peer's mailbox hung up mid-run.
     Disconnected { rank: usize },
     /// A rank was declared lost at `epoch` — it crashed (detected by a
@@ -401,10 +393,6 @@ impl fmt::Display for DistError {
             DistError::RankPanic { rank, message } => {
                 write!(f, "rank {rank} panicked: {message}")
             }
-            DistError::TaskFailed { loop_index, color, attempts } => write!(
-                f,
-                "loop {loop_index}: task {color} failed all {attempts} attempts and sequential recovery is disabled"
-            ),
             DistError::Disconnected { rank } => {
                 write!(f, "rank {rank} hung up mid-run")
             }
@@ -500,7 +488,6 @@ pub fn execute_ranks(
     };
     let faults = TaskFaults {
         plan: opts.fault,
-        retry: opts.retry,
         effects: match opts.fault.is_some_and(|f| f.attacks_tasks()) {
             true => setups.iter().map(|s| effect_sets(s, parts, &schema)).collect(),
             false => Vec::new(),
@@ -790,20 +777,14 @@ fn run_attempt<D: RankData + Send>(
 ) -> Result<AttemptResult<D>, DistError> {
     let n_ranks = alive.len();
     let (senders, mut mailboxes) = build_fabric(n_ranks, &sync.abort);
-    if let Some(seed) = opts.chaos_seed {
+    if let Some(plan) = cx.faults.plan {
         for (r, mb) in mailboxes.iter_mut().enumerate() {
-            // Per-rank decorrelated streams from one user seed.
-            mb.set_chaos(seed ^ (r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        }
-    }
-    if cx.faults.plan.is_some_and(|f| f.crash.is_some()) {
-        // A rank sleeps between task attempts; peers must not take that
-        // for a loss, so the deadline also covers every color of the
-        // widest loop exhausting its retries on one rank.
-        let widest = cx.setups.iter().map(|s| s.iter.num_subregions()).max().unwrap_or(0);
-        let deadline = EPOCH_DEADLINE.saturating_add(cx.faults.retry_sleep(widest));
-        for mb in mailboxes.iter_mut() {
-            mb.set_deadline(deadline);
+            if let Some(seed) = plan.chaos_stream(r) {
+                mb.set_chaos(seed);
+            }
+            if plan.crash.is_some() {
+                mb.set_deadline(EPOCH_DEADLINE);
+            }
         }
     }
     // One shared time base, taken before any rank spawns, so spans of

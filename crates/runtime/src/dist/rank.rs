@@ -48,7 +48,7 @@ use partir_dpl::region::{FieldId, Schema};
 use partir_obs::trace::{RankTracer, SpanKind};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A copy of a rank's owned shard of every F64 field (a checkpoint), ready
 /// to be written back into a unified store.
@@ -320,9 +320,9 @@ impl Port<'_> {
     /// Sends one `kind` message to each peer whose pair in this rank's row
     /// of `pairs` has traffic of that kind; `payload` fills its values and
     /// returns its presence flags. Under the fault plan, seeded
-    /// in-flight drops make the sender retransmit with seeded backoff
-    /// (bounded by [`MAX_SEND_ATTEMPTS`], after which the destination is
-    /// declared lost), and seeded duplication sends a second copy the
+    /// in-flight drops make the sender retransmit at once (bounded by
+    /// [`MAX_SEND_ATTEMPTS`], after which the destination is declared
+    /// lost), and seeded duplication sends a second copy the
     /// receiver must dedup. Dropped attempts never cross the channel, so
     /// the receiver's protocol meter stays comparable to the plan's
     /// predicted volume; duplicates are metered separately on arrival.
@@ -354,9 +354,7 @@ impl Port<'_> {
                 })
             };
             let mut attempt = 0u32;
-            while let Some(f) =
-                self.fault.filter(|f| f.drops(epoch, rank, dst, kind.tag(), attempt))
-            {
+            while self.fault.is_some_and(|f| f.drops(epoch, rank, dst, kind.tag(), attempt)) {
                 self.stats.retransmits += 1;
                 attempt += 1;
                 if attempt >= MAX_SEND_ATTEMPTS {
@@ -365,7 +363,6 @@ impl Port<'_> {
                 if abort.load(Ordering::Relaxed) {
                     return Err(DistError::Aborted);
                 }
-                std::thread::sleep(Duration::from_micros(f.backoff_us(epoch, rank, dst, attempt)));
             }
             if self.fault.is_some_and(|f| f.duplicates(epoch, rank, dst, kind.tag())) {
                 self.stats.duplicates += 1;

@@ -129,12 +129,30 @@ pub(crate) fn pack(store: &impl Storage, sets: &FieldSets, out: &mut Vec<f64>) -
     out.len() - before
 }
 
-fn pack_set(store: &impl Storage, f: FieldId, set: &IndexSet, out: &mut Vec<f64>) {
+/// Appends the values of `f` over `set` to `out`, one contiguous copy per
+/// run.
+pub(crate) fn pack_set(store: &impl Storage, f: FieldId, set: &IndexSet, out: &mut Vec<f64>) {
     for &(s, e) in set.runs() {
         let at = out.len();
         out.resize(at + (e - s) as usize, 0.0);
         assert!(store.load_run(f, s, &mut out[at..]), "packed run is resident");
     }
+}
+
+/// The inverse of [`pack_set`]: installs the prefix of `values` into `f`
+/// over `set`, one contiguous copy per run, and returns the rest.
+pub(crate) fn unpack_set<'v>(
+    store: &mut impl Storage,
+    f: FieldId,
+    set: &IndexSet,
+    mut values: &'v [f64],
+) -> &'v [f64] {
+    for &(s, e) in set.runs() {
+        let (run, rest) = values.split_at((e - s) as usize);
+        assert!(store.store_run(f, s, run), "unpacked run is resident");
+        values = rest;
+    }
+    values
 }
 
 /// Installs packed `values` into the elements of `sets` — one contiguous
@@ -146,11 +164,7 @@ pub(crate) fn unpack<'v>(
     mut values: &'v [f64],
 ) -> &'v [f64] {
     for (f, set) in sets {
-        for &(s, e) in set.runs() {
-            let (run, rest) = values.split_at((e - s) as usize);
-            assert!(store.store_run(*f, s, run), "unpacked run is resident");
-            values = rest;
-        }
+        values = unpack_set(store, *f, set, values);
     }
     values
 }

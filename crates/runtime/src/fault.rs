@@ -14,19 +14,22 @@
 //!   stops the task mid-loop after a deterministic number of iterations,
 //!   leaving partial effects behind (the driver rolls them back from a
 //!   pre-attempt snapshot); a *poison* additionally panics inside the task
-//!   body, exercising the `catch_unwind` isolation barrier. Recovery is
-//!   bounded per-task retries with linear backoff ([`RetryPolicy`]), then
-//!   sequential re-execution of the failed subregion on its rank's thread;
-//!   `DistReport::degraded` records that the slow path ran. This is the
-//!   recovery level below a rank crash.
+//!   body, exercising the `catch_unwind` isolation barrier. A killed
+//!   attempt is retried at once, at most [`MAX_TASK_RETRIES`] times; a
+//!   color that runs out of retries re-runs sequentially on its rank's
+//!   thread, and `DistReport::degraded` records that the slow path ran.
+//!   This is the recovery level below a rank crash.
 //! * **the fabric** (rank backend, `(seed, epoch, src, dst, kind,
 //!   attempt)`): seeded message drops force the bounded retransmit path
 //!   ([`MAX_SEND_ATTEMPTS`]), seeded duplication forces receiver-side
-//!   dedup.
+//!   dedup, and [`FaultPlan::chaos`] shuffles each mailbox's delivery
+//!   order.
 //! * **a whole rank** (rank backend, [`RankCrash`]): the victim stops at
 //!   the top of a chosen epoch, forcing detection, checkpoint restore
 //!   ([`CheckpointPolicy`]) and survivor-side shard migration.
 //!
+//! Nothing sleeps to recover: a retry or a retransmit follows its failure
+//! at once, because waiting would change the wall time and no decision.
 //! Results are always bit-identical to the sequential interpreter, merely
 //! slower.
 //!
@@ -35,8 +38,6 @@
 //! optimal interval is `τ = sqrt(2 · C · MTBF)` for checkpoint cost `C`;
 //! translated into whole epochs here since the rank backend checkpoints at
 //! epoch boundaries (the only globally consistent cut the protocol has).
-
-use std::time::Duration;
 
 /// Whole-rank crash injection: the victim stops at the top of `epoch`,
 /// before sending or computing anything for it.
@@ -52,7 +53,7 @@ pub struct RankCrash {
 }
 
 /// Deterministic, seedable description of what fails: task attempts, the
-/// fabric, a rank.
+/// fabric, a rank. It is the only fault value a run takes.
 ///
 /// Decisions are pure functions of the seed and the coordinates, so they
 /// do not depend on thread scheduling: replaying with the same plan yields
@@ -71,12 +72,17 @@ pub struct FaultPlan {
     /// only.
     pub poison_after: Option<u64>,
     /// Probability in `[0, 1]` that any given send *attempt* is dropped
-    /// before delivery (the sender retransmits with seeded backoff).
+    /// before delivery (the sender retransmits at once).
     pub drop_rate: f64,
     /// Probability in `[0, 1]` that a delivered message is sent twice
     /// (the receiver must dedup; duplicate traffic is metered separately
     /// so strict volume accounting still balances).
     pub dup_rate: f64,
+    /// Every mailbox shuffles its delivery order among ready messages and
+    /// injects tiny receive-side delays, from its rank's stream of `seed`
+    /// ([`FaultPlan::chaos_stream`]): an adversarially slow fabric, under
+    /// which results must stay bit-identical.
+    pub chaos: bool,
     /// Optional whole-rank crash.
     pub crash: Option<RankCrash>,
 }
@@ -90,6 +96,7 @@ impl FaultPlan {
             poison_after: None,
             drop_rate: 0.0,
             dup_rate: 0.0,
+            chaos: false,
             crash: None,
         }
     }
@@ -99,10 +106,10 @@ impl FaultPlan {
         self.task_failure_rate > 0.0
     }
 
-    /// Does this plan drop or duplicate messages or crash a rank
+    /// Does this plan drop, duplicate or reorder messages or crash a rank
     /// (injectable on sharded ranks only)?
     pub fn attacks_ranks(&self) -> bool {
-        self.drop_rate > 0.0 || self.dup_rate > 0.0 || self.crash.is_some()
+        self.drop_rate > 0.0 || self.dup_rate > 0.0 || self.chaos || self.crash.is_some()
     }
 
     /// Decides the fate of one task attempt. `ordinal` is the cumulative
@@ -158,13 +165,10 @@ impl FaultPlan {
         unit(h) < self.dup_rate
     }
 
-    /// Seeded retransmit backoff for attempt `attempt`, in microseconds:
-    /// linear in the attempt number with a hashed jitter so retransmit
-    /// storms from different ranks decorrelate deterministically.
-    pub fn backoff_us(&self, epoch: u64, src: usize, dst: usize, attempt: u32) -> u64 {
-        let jitter =
-            hash4(self.seed, epoch, hash4(src as u64, dst as u64, 0, 3), attempt as u64) % 40;
-        (attempt as u64) * 20 + jitter
+    /// The seed of `rank`'s delivery-order chaos, when the plan asks for
+    /// chaos: one decorrelated stream per rank.
+    pub fn chaos_stream(&self, rank: usize) -> Option<u64> {
+        self.chaos.then(|| self.seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 }
 
@@ -182,28 +186,9 @@ pub struct InjectedFault {
 /// injected failure (retryable) from a genuine bug (fatal).
 pub struct InjectedPanic;
 
-/// How the driver responds to failed task attempts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Re-attempts per task after the first try.
-    pub max_retries: u32,
-    /// Base backoff between attempts; attempt `k` sleeps `k * backoff`.
-    pub backoff: Duration,
-    /// Re-execute tasks that exhaust their retries sequentially on their
-    /// rank's thread (the graceful-degradation path). With this off,
-    /// exhaustion is a [`crate::dist::DistError::TaskFailed`] error.
-    pub sequential_recovery: bool,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            backoff: Duration::from_micros(50),
-            sequential_recovery: true,
-        }
-    }
-}
+/// Re-attempts of a killed task attempt, each at once. A color that is
+/// killed this many times more re-runs sequentially on its rank's thread.
+pub const MAX_TASK_RETRIES: u32 = 2;
 
 /// splitmix64-style finalizer: the standard 64-bit avalanche mix.
 #[inline]
@@ -379,12 +364,14 @@ mod tests {
     }
 
     #[test]
-    fn backoff_grows_with_attempt_and_stays_bounded() {
-        let plan = FaultPlan::quiescent(11);
-        let b1 = plan.backoff_us(0, 0, 1, 1);
-        let b8 = plan.backoff_us(0, 0, 1, 8);
-        assert!(b1 < 20 + 40);
-        assert!((160..160 + 40).contains(&b8), "linear base with bounded jitter: {b8}");
+    fn chaos_is_a_fabric_fault_with_one_stream_per_rank() {
+        let quiet = FaultPlan::quiescent(5);
+        assert_eq!(quiet.chaos_stream(0), None);
+        let chaos = FaultPlan { chaos: true, ..quiet };
+        assert!(chaos.attacks_ranks() && !chaos.attacks_tasks());
+        let streams: Vec<u64> = (0..4).map(|r| chaos.chaos_stream(r).unwrap()).collect();
+        assert_eq!(streams[0], 5, "rank 0's stream is the seed itself");
+        assert!(streams.windows(2).all(|w| w[0] != w[1]), "decorrelated per rank");
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod task;
 
 pub mod prelude {
     pub use crate::dist::{execute_ranks, DistError, DistOptions, DistReport, Layout, RankStore};
-    pub use crate::fault::{CheckpointPolicy, FaultPlan, RankCrash, RetryPolicy};
+    pub use crate::fault::{CheckpointPolicy, FaultPlan, RankCrash};
     pub use crate::shared::SharedStore;
     pub use crate::task::{LegalityViolation, PlanError};
 }

@@ -12,7 +12,7 @@ use partir_dpl::region::{FieldId, FieldKind, RegionId, Schema, Store};
 use partir_ir::ast::{Loop, LoopBuilder, ReduceOp, VExpr};
 use partir_ir::interp::run_program_seq;
 use partir_runtime::dist::{execute_ranks, DistError, DistOptions, DistReport, Layout};
-use partir_runtime::fault::{FaultPlan, InjectedPanic, RetryPolicy};
+use partir_runtime::fault::{FaultPlan, InjectedPanic, MAX_TASK_RETRIES};
 use rand::{Rng, SeedableRng};
 
 /// Injected poison panics unwind through the default panic hook before the
@@ -195,16 +195,16 @@ fn rate_one_exhausts_retries_and_recovers_sequentially() {
     let (program, fns, store) = figure1_fixture();
     let opts = DistOptions {
         fault: Some(FaultPlan { task_failure_rate: 1.0, ..FaultPlan::quiescent(3) }),
-        retry: RetryPolicy { max_retries: 1, ..RetryPolicy::default() },
         ..DistOptions::default()
     };
     let (report, _) = run_and_compare(&program, &fns, &store, 6, &opts);
     // Every attempt of every task dies, so every task falls through to the
     // sequential-recovery path; results are still bit-identical.
+    let attempts = u64::from(MAX_TASK_RETRIES) + 1;
     assert!(report.degraded());
     assert_eq!(report.tasks_recovered, report.tasks_run);
-    assert_eq!(report.task_retries, report.tasks_run);
-    assert_eq!(report.faults_injected, report.tasks_run * 2);
+    assert_eq!(report.task_retries, report.tasks_run * u64::from(MAX_TASK_RETRIES));
+    assert_eq!(report.faults_injected, report.tasks_run * attempts);
 }
 
 #[test]
@@ -225,31 +225,6 @@ fn poison_panics_are_isolated_and_recovered() {
         report.panics_isolated, report.faults_injected,
         "poison_after=0 makes every injected fault a caught panic"
     );
-}
-
-#[test]
-fn exhaustion_without_recovery_is_a_typed_error() {
-    let (program, fns, store) = figure1_fixture();
-    let schema = store.schema().clone();
-    let plan =
-        auto_parallelize(&program, &fns, &schema, &Hints::new(), Options::default()).unwrap();
-    let parts = plan.evaluate(&store, &fns, 4, &ExtBindings::new());
-    let mut par_store = store.clone();
-    let opts = DistOptions {
-        fault: Some(FaultPlan { task_failure_rate: 1.0, ..FaultPlan::quiescent(5) }),
-        retry: RetryPolicy { sequential_recovery: false, ..RetryPolicy::default() },
-        ..DistOptions::default()
-    };
-    let threads = Layout::InPlace { workers: 4 };
-    let err =
-        execute_ranks(&program, &plan, &parts, threads, &mut par_store, &fns, &opts).unwrap_err();
-    match err {
-        DistError::TaskFailed { loop_index, attempts, .. } => {
-            assert_eq!(loop_index, 0);
-            assert_eq!(attempts, RetryPolicy::default().max_retries + 1);
-        }
-        other => panic!("expected TaskFailed, got {other}"),
-    }
 }
 
 /// A wrong plan must surface as a legality error even when fault injection

@@ -194,7 +194,7 @@ mod tests {
     use partir_obs::profile::DistProfile;
     use partir_obs::ObsConfig;
     use partir_runtime::dist::LegalityMode;
-    use partir_runtime::fault::{CheckpointPolicy, FaultPlan, RankCrash, RetryPolicy};
+    use partir_runtime::fault::{CheckpointPolicy, FaultPlan, RankCrash};
     use std::time::Duration;
 
     /// Figure 7's scatter: `for i in R: S[g(i)] += R[i]`.
@@ -370,9 +370,10 @@ mod tests {
         run_program_seq(&program, &mut seq, &fns);
         let cache = PlanCache::default();
         // Different backend, legality, chaos — one solve serves them all.
+        let chaos = FaultPlan { chaos: true, ..FaultPlan::quiescent(7) };
         let runs = [
             Run::new().backend(Backend::Threads(3)),
-            Run::new().backend(Backend::Ranks(2)).check_legality(false).chaos_seed(7),
+            Run::new().backend(Backend::Ranks(2)).check_legality(false).fault(chaos),
             Run::new().backend(Backend::Ranks(3)).legality_mode(LegalityMode::Element),
         ];
         for run in &runs {
@@ -415,7 +416,7 @@ mod tests {
         invalid(threads().fault(FaultPlan { dup_rate: 0.1, ..quiet }), &plan, &seed);
         invalid(threads().fault(crash(0, 1)), &plan, &seed);
         invalid(threads().checkpoint(CheckpointPolicy::every(1)), &plan, &seed);
-        invalid(threads().chaos_seed(3), &plan, &seed);
+        invalid(threads().fault(FaultPlan { chaos: true, ..quiet }), &plan, &seed);
         // A crash of a rank the backend does not have.
         invalid(ranks().fault(crash(5, 1)), &plan, &seed);
         // A plan that requests nothing is valid on both, and injects nothing.
@@ -424,6 +425,23 @@ mod tests {
         let on_ranks = run_identical(&ranks().fault(quiet), &plan, &seed, &seq);
         let dist = on_ranks.report.as_ranks().unwrap();
         assert_eq!((dist.retransmits, dist.duplicates, dist.recoveries), (0, 0, 0));
+    }
+
+    /// A crash at or past the program's last loop would never fire, and the
+    /// run would report no recovery: refused. One in the last loop fires
+    /// and recovers.
+    #[test]
+    fn a_crash_past_the_last_loop_is_a_session_error() {
+        let (plan, seed, seq) = solved_scatter(4);
+        let loops = plan.program().len() as u64;
+        let at = |epoch| FaultPlan {
+            crash: Some(RankCrash { rank: 1, epoch, silent: false }),
+            ..FaultPlan::quiescent(3)
+        };
+        let ranks = || Run::new().backend(Backend::Ranks(2));
+        invalid(ranks().fault(at(loops)), &plan, &seed);
+        let last = run_identical(&ranks().fault(at(loops - 1)), &plan, &seed, &seq);
+        assert_eq!(last.report.as_ranks().unwrap().recoveries, 1);
     }
 
     /// A checkpoint interval of 0 epochs (a struct literal, which skips the
@@ -460,15 +478,14 @@ mod tests {
         }
     }
 
-    /// Task faults and retry policies are injected on every rank: a
-    /// sharded run recovers every killed attempt bit-identically.
+    /// Task faults are injected on every rank: a sharded run recovers every
+    /// killed attempt bit-identically.
     #[test]
     fn task_faults_flow_through_the_ranks_backend() {
         let (plan, seed, seq) = solved_scatter(4);
         let run = Run::new()
             .backend(Backend::Ranks(2))
-            .fault(FaultPlan { task_failure_rate: 0.5, ..FaultPlan::quiescent(11) })
-            .retry(RetryPolicy { max_retries: 5, ..RetryPolicy::default() });
+            .fault(FaultPlan { task_failure_rate: 0.5, ..FaultPlan::quiescent(11) });
         let dist = *run_identical(&run, &plan, &seed, &seq).report.stats();
         assert!(dist.faults_injected > 0 && dist.task_retries > 0, "{dist:?}");
     }

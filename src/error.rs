@@ -93,7 +93,6 @@ impl Error {
                 DistError::Internal(_) => "dist.internal",
                 DistError::VolumeMismatch { .. } => "dist.volume_mismatch",
                 DistError::RankLost { .. } => "dist.rank_lost",
-                DistError::TaskFailed { .. } => "dist.task_failed",
             },
             Error::Session(_) => "session.invalid",
             Error::Serve(e) => match e {
@@ -238,7 +237,6 @@ mod tests {
                 bad_rank: Some(9),
             }),
             Error::Dist(DistError::Legality(violation(None))),
-            Error::Dist(DistError::TaskFailed { loop_index: 0, color: 0, attempts: 3 }),
             Error::Dist(DistError::Exchange(ExchangeError::NoRanks)),
             Error::Dist(DistError::Legality(violation(Some(0)))),
             Error::Dist(DistError::PlanIllegal(partir_core::exchange::PlanLegalityError {

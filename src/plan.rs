@@ -33,7 +33,7 @@ use partir_obs::ObsConfig;
 use partir_runtime::dist::{
     execute_ranks, DistOptions, DistReport, Layout, LegalityMode, VolumeAccounting,
 };
-use partir_runtime::fault::{CheckpointPolicy, FaultPlan, RetryPolicy};
+use partir_runtime::fault::{CheckpointPolicy, FaultPlan};
 use std::sync::Arc;
 
 /// Where a run executes. Both backends are the one SPMD driver
@@ -149,12 +149,10 @@ impl Plan {
 pub struct Run {
     backend: Backend,
     legality: LegalityMode,
-    chaos_seed: Option<u64>,
     obs: ObsConfig,
     fault: Option<FaultPlan>,
     checkpoint: Option<CheckpointPolicy>,
     placement: PlacementConfig,
-    retry: RetryPolicy,
 }
 
 impl Run {
@@ -182,13 +180,6 @@ impl Run {
         self
     }
 
-    /// Deterministic delivery-order chaos for the rank backend's
-    /// mailboxes (rank backend only; default: none).
-    pub fn chaos_seed(mut self, seed: u64) -> Self {
-        self.chaos_seed = Some(seed);
-        self
-    }
-
     /// Observability for this run (default: [`ObsConfig::disabled`]).
     /// `trace` installs the process-wide stderr sink unless one is
     /// installed already; `timeline` and `strict_volume` apply to this
@@ -199,11 +190,15 @@ impl Run {
     }
 
     /// Deterministic fault injection (default: none). The plan's
-    /// task-attempt faults are injected on both backends, its fabric and
-    /// rank-crash faults by the rank backend only; a plan that requests a
-    /// fault the chosen backend cannot inject, or a rate outside `[0, 1]`,
-    /// is `session.invalid`, and one that requests nothing
-    /// ([`FaultPlan::quiescent`]) is valid on both.
+    /// task-attempt faults are injected on both backends, its fabric
+    /// faults (drops, duplication, delivery-order chaos) and rank crash by
+    /// the rank backend only; a plan that requests a fault the chosen
+    /// backend cannot inject, a rate outside `[0, 1]`, or a crash on a
+    /// rank or at an epoch the run does not have, is `session.invalid`,
+    /// and one that requests nothing ([`FaultPlan::quiescent`]) is valid
+    /// on both. A killed task attempt is retried at once, at most
+    /// [`MAX_TASK_RETRIES`](partir_runtime::fault::MAX_TASK_RETRIES)
+    /// times, and then re-run sequentially.
     pub fn fault(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
         self
@@ -229,17 +224,11 @@ impl Run {
         self
     }
 
-    /// Recovery policy for failed task attempts (default:
-    /// [`RetryPolicy::default`]).
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Checks the configuration against the backend it names and the color
-    /// count of the plan it is to run: every setting the backend cannot
-    /// honour is an error, never silently ignored.
-    fn validate(&self, n_colors: usize) -> Result<(), Error> {
+    /// Checks the configuration against the backend it names and the plan
+    /// it is to run (its color and loop counts): every setting the run
+    /// cannot honour is an error, never silently ignored.
+    fn validate(&self, plan: &Plan) -> Result<(), Error> {
+        let (n_colors, n_loops) = (plan.colors(), plan.program().len() as u64);
         let invalid = |m: String| Err(Error::Session(m));
         let fault = self.fault.unwrap_or(FaultPlan::quiescent(0));
         let rates = [
@@ -265,26 +254,25 @@ impl Run {
                         "rank backend needs colors >= ranks (got {n_colors} colors for {r} ranks)"
                     ));
                 }
-                if let Some(crash) = fault.crash.filter(|c| c.rank >= r) {
+                // A crash the run never reaches would never fire.
+                if let Some(c) = fault.crash.filter(|c| c.rank >= r || c.epoch >= n_loops) {
                     return invalid(format!(
-                        "fault plan crashes rank {} but the backend has only {r} ranks",
-                        crash.rank
+                        "fault plan crashes rank {} at epoch {}, but the run has ranks 0..{r} \
+                         and epochs 0..{n_loops}",
+                        c.rank, c.epoch
                     ));
                 }
             }
             Backend::Threads(_) => {
                 if fault.attacks_ranks() {
                     return invalid(
-                        "message drops, duplication and rank crashes are injected by the \
-                         Ranks backend only"
+                        "message drops, duplication, delivery chaos and rank crashes are \
+                         injected by the Ranks backend only"
                             .into(),
                     );
                 }
                 if self.checkpoint.is_some() {
                     return invalid("checkpointing is only supported on the Ranks backend".into());
-                }
-                if self.chaos_seed.is_some() {
-                    return invalid("chaos seeds apply to the Ranks backend only".into());
                 }
                 // The threads backend has no owner mapping.
                 if self.placement.policy != PlacementPolicy::Block {
@@ -303,12 +291,12 @@ impl Run {
     /// Validates this configuration against `plan` and executes, mutating
     /// `store` in place. Results are bit-identical to the sequential
     /// interpreter on both backends, for any backend width, placement, or
-    /// chaos seed. The outcome is a function of this value, `plan` and
+    /// fault plan. The outcome is a function of this value, `plan` and
     /// `store` alone: no environment variable is read, and a setting the
     /// chosen backend cannot honour is `session.invalid`, never silently
     /// ignored.
     pub fn run(&self, plan: &Plan, store: &mut Store) -> Result<RunOutcome, Error> {
-        self.validate(plan.colors())?;
+        self.validate(plan)?;
         self.obs.apply();
         // The plan's partitions, footprints and lowered loops are sized and
         // typed by the schema it was solved over.
@@ -336,11 +324,9 @@ impl Run {
             .map_or(Layout::InPlace { workers }, |a| Layout::Sharded(&a.placement.xplan));
         let opts = DistOptions {
             legality: self.legality,
-            chaos_seed: self.chaos_seed,
             collect_timeline: self.obs.timeline,
             strict_volume: self.obs.strict_volume,
             fault: self.fault,
-            retry: self.retry,
             checkpoint: self.checkpoint,
             preproved: artifacts.as_ref().and_then(|a| a.proof_facts),
         };

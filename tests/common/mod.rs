@@ -50,13 +50,21 @@ impl Cfg {
     /// `R.half[j] = 0.5·R.sum[j]`. The rows cut M into consecutive ranges,
     /// some empty, some longer than a chunk when M is.
     pub fn rows_loop(&self) -> bool {
-        self.ptr_seed >> 8 & 1 == 1 && self.room_for_more()
+        self.asks_rows_loop() && self.room_for_more()
     }
 
     /// `for c in C`: two uncentered reductions into `T.acc`, through a
     /// pointer and through an affine map.
     pub fn twin_loop(&self) -> bool {
-        self.ptr_seed >> 9 & 1 == 1 && self.room_for_more()
+        self.asks_twin_loop() && self.room_for_more()
+    }
+
+    fn asks_rows_loop(&self) -> bool {
+        self.ptr_seed >> 8 & 1 == 1
+    }
+
+    fn asks_twin_loop(&self) -> bool {
+        self.ptr_seed >> 9 & 1 == 1
     }
 }
 
@@ -116,6 +124,18 @@ pub struct Built {
 }
 
 pub fn build(cfg: &Cfg) -> Built {
+    build_loops(cfg, cfg.rows_loop(), cfg.twin_loop())
+}
+
+/// [`build`], with the optional loops the seed asks for kept beside both
+/// classic loops and the pointer chain, where `build` drops them. Such
+/// programs take the solver seconds to minutes without a budget (see
+/// `Cfg::room_for_more`); the generators never produce them.
+pub fn build_crowded(cfg: &Cfg) -> Built {
+    build_loops(cfg, cfg.asks_rows_loop(), cfg.asks_twin_loop())
+}
+
+fn build_loops(cfg: &Cfg, rows_loop: bool, twin_loop: bool) -> Built {
     use rand::{Rng, SeedableRng};
     let mut schema = Schema::new();
     let b_r = schema.add_region("B", cfg.n_b);
@@ -238,7 +258,7 @@ pub fn build(cfg: &Cfg) -> Built {
         bld.val_reduce(b_r, bacc, j, ReduceOp::Add, VExpr::var(x));
         program.push(bld.finish());
     }
-    if cfg.rows_loop() {
+    if rows_loop {
         let mut bld = LoopBuilder::new("loop_rows", r_r);
         let j = bld.loop_var();
         let k = bld.begin_for_each(frows, j);
@@ -249,7 +269,7 @@ pub fn build(cfg: &Cfg) -> Built {
         bld.val_write(r_r, rhalf, j, VExpr::mul(VExpr::Const(0.5), VExpr::var(sum)));
         program.push(bld.finish());
     }
-    if cfg.twin_loop() {
+    if twin_loop {
         let mut bld = LoopBuilder::new("loop_twin", c_r);
         let c = bld.loop_var();
         let w = bld.val_read(c_r, cwt, c);

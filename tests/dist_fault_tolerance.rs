@@ -191,16 +191,14 @@ fn two_rank_losses_recover_bit_identical() {
     }
 }
 
-/// Task retries back off on the rank's own thread, mid-epoch. Under a crash
-/// plan every mailbox arms the epoch deadline, and a peer waiting on a
-/// rank that backs off for longer must not take it for lost. Seed 110 at
-/// rate 0.05 kills one attempt in Pennant's five loops (loop 0, color 2,
-/// attempt 0), and its retry sleeps past the 2 s deadline four epochs
-/// before the planned crash: the run records that loss alone, and ends
-/// bit-identical. With no checkpoint the survivors replay from epoch 0,
-/// so the final attempt's report counts the kill and its retry.
+/// A task fault and a rank crash in one plan: the task level recovers
+/// within its rank, the crash is the one loss. Seed 110 at rate 0.05 kills
+/// one attempt in Pennant's five loops (loop 0, color 2, attempt 0), four
+/// epochs before the planned crash: the run records that loss alone, and
+/// ends bit-identical. With no checkpoint the survivors replay from epoch
+/// 0, so the final attempt's report counts the kill and its retry.
 #[test]
-fn retry_backoff_past_the_epoch_deadline_is_not_a_loss() {
+fn a_task_fault_beside_a_crash_is_one_recovery() {
     let a = Pennant::generate(&PennantParams { pieces: 4, zw: 6, zy: 6 });
     let mut seq = a.store.clone();
     run_program_seq(&a.program, &mut seq, &a.fns);
@@ -215,13 +213,8 @@ fn retry_backoff_past_the_epoch_deadline_is_not_a_loss() {
             crash: Some(RankCrash { rank: 0, epoch: last, silent: false }),
             ..FaultPlan::quiescent(110)
         })
-        .retry(RetryPolicy {
-            max_retries: 1,
-            backoff: std::time::Duration::from_millis(2100),
-            sequential_recovery: true,
-        })
         .run(&plan, &mut par)
-        .expect("a backing-off rank is alive");
+        .expect("a retrying rank is alive");
     let rep = outcome.report.as_ranks().unwrap();
     assert_eq!((rep.faults_injected, rep.task_retries), (1, 1), "the seed kills one attempt");
     assert_eq!(rep.recoveries, 1, "only the planned crash is a loss");
@@ -231,8 +224,8 @@ fn retry_backoff_past_the_epoch_deadline_is_not_a_loss() {
     }
 }
 
-/// Seeded drop storm: every dropped attempt forces a retransmit with
-/// seeded backoff, the delivered copy is the only one metered, and the
+/// Seeded drop storm: every dropped attempt forces a retransmit, the
+/// delivered copy is the only one metered, and the
 /// result stays bit-identical with strict volume accounting on.
 #[test]
 fn message_drop_storm_retransmits_and_stays_bit_identical() {

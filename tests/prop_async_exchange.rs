@@ -4,8 +4,8 @@
 //! bit-identical to the sequential interpreter — under an adversarially
 //! shuffled delivery schedule.
 //!
-//! The chaos seed drives a deterministic xorshift* stream inside each
-//! rank's mailbox that (a) picks among equally-ready stashed messages at
+//! A fault plan with `chaos` set drives, from its seed, a deterministic
+//! xorshift* stream inside each rank's mailbox that (a) picks among equally-ready stashed messages at
 //! random and (b) injects microsecond-scale receive delays, so ghost
 //! messages land in orders the happy path never produces and boundary
 //! colors run in dependency order, not rank order. Any hidden ordering
@@ -41,7 +41,7 @@ proptest! {
     fn async_exchange_is_bit_identical_under_delivery_chaos(
         cfg in arb_cfg(),
         ranks in 2usize..6,
-        chaos_seed in any::<u64>(),
+        seed in any::<u64>(),
     ) {
         let built = build(&cfg);
         let mut seq = built.store.clone();
@@ -60,22 +60,22 @@ proptest! {
         Run::new()
             .backend(Backend::Ranks(ranks))
             .check_legality(true)
-            .chaos_seed(chaos_seed)
+            .fault(FaultPlan { chaos: true, ..FaultPlan::quiescent(seed) })
             .run(&plan, &mut par)
-            .map_err(|e| TestCaseError::fail(format!("{ranks} ranks, chaos {chaos_seed:#x}: {e}")))?;
-        assert_f64_fields_eq(&seq, &par, &format!("{ranks} ranks, chaos {chaos_seed:#x}"))?;
+            .map_err(|e| TestCaseError::fail(format!("{ranks} ranks, chaos {seed:#x}: {e}")))?;
+        assert_f64_fields_eq(&seq, &par, &format!("{ranks} ranks, chaos {seed:#x}"))?;
     }
 
-    /// The fault matrix: on top of delivery chaos, seeded message drops
-    /// (bounded retransmit), seeded duplication (receiver dedup), and an
-    /// optional whole-rank crash (checkpoint restore + shard evacuation)
-    /// must all leave the store bit-identical to the sequential
-    /// interpreter, with strict volume accounting holding throughout.
+    /// The fault matrix: on top of delivery chaos from the same seed,
+    /// seeded message drops (bounded retransmit), seeded duplication
+    /// (receiver dedup), and an optional whole-rank crash (checkpoint
+    /// restore + shard evacuation) must all leave the store bit-identical
+    /// to the sequential interpreter, with strict volume accounting
+    /// holding throughout.
     #[test]
     fn faults_and_recovery_preserve_bit_identity(
         cfg in arb_cfg(),
         ranks in 2usize..6,
-        chaos_seed in any::<u64>(),
         (fault_seed, drop_rate, dup_rate, crash) in arb_fault(),
         ckpt_interval in 1u64..3,
     ) {
@@ -99,9 +99,14 @@ proptest! {
         let run = Run::new()
             .backend(Backend::Ranks(ranks))
             .check_legality(true)
-            .chaos_seed(chaos_seed)
             .obs(ObsConfig { strict_volume: true, ..ObsConfig::disabled() })
-            .fault(FaultPlan { drop_rate, dup_rate, crash, ..FaultPlan::quiescent(fault_seed) })
+            .fault(FaultPlan {
+                drop_rate,
+                dup_rate,
+                chaos: true,
+                crash,
+                ..FaultPlan::quiescent(fault_seed)
+            })
             .checkpoint(CheckpointPolicy::every(ckpt_interval));
 
         let mut par = built.store.clone();

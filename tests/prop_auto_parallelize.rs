@@ -170,7 +170,6 @@ proptest! {
 
         let opts = DistOptions {
             fault: Some(FaultPlan { task_failure_rate: rate_pct as f64 / 100.0, ..FaultPlan::quiescent(fault_seed) }),
-            retry: RetryPolicy { max_retries: 1, ..RetryPolicy::default() },
             ..DistOptions::default()
         };
         let run = |label: &str| -> Result<(DistReport, Store), TestCaseError> {

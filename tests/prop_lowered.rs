@@ -176,11 +176,11 @@ fn a_kill_in_the_middle_of_a_chunk_rolls_back_and_retries_bit_identically() {
         .unwrap();
 
     let parts = plan.evaluate(&built.store);
-    for (fault, retries) in [
-        (FaultPlan { task_failure_rate: 0.7, ..FaultPlan::quiescent(3) }, 2),
-        (FaultPlan { task_failure_rate: 0.7, poison_after: Some(2), ..FaultPlan::quiescent(9) }, 2),
+    for fault in [
+        FaultPlan { task_failure_rate: 0.7, ..FaultPlan::quiescent(3) },
+        FaultPlan { task_failure_rate: 0.7, poison_after: Some(2), ..FaultPlan::quiescent(9) },
         // Every attempt dies: all tasks end on the sequential recovery.
-        (FaultPlan { task_failure_rate: 1.0, ..FaultPlan::quiescent(5) }, 1),
+        FaultPlan { task_failure_rate: 1.0, ..FaultPlan::quiescent(5) },
     ] {
         // What the plan will decide for first attempts, from its own
         // decision function: at least one kill strictly inside a chunk.
@@ -201,7 +201,6 @@ fn a_kill_in_the_middle_of_a_chunk_rolls_back_and_retries_bit_identically() {
                 let report = Run::new()
                     .backend(backend)
                     .fault(fault)
-                    .retry(RetryPolicy { max_retries: retries, ..RetryPolicy::default() })
                     .run(&plan, &mut par)
                     .unwrap_or_else(|e| panic!("{backend:?} {label} run failed: {e}"))
                     .report;
