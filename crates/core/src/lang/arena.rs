@@ -347,32 +347,34 @@ impl ExprArena {
         }
     }
 
-    /// Substitutes `sym ↦ repl` everywhere in `id`, re-canonicalizing.
-    pub fn subst(&self, id: ExprId, sym: PSym, repl: ExprId) -> ExprId {
-        if !self.syms(id).contains(&sym) {
+    /// Rebuilds `id` with every symbol leaf `s` replaced by `leaf(s)`,
+    /// re-canonicalizing. Expressions without free symbols are returned
+    /// as-is (O(1): the free-symbol table is precomputed).
+    pub fn map_syms<F: Fn(PSym) -> ExprId>(&self, id: ExprId, leaf: &F) -> ExprId {
+        if self.syms(id).is_empty() {
             return id;
         }
         match self.node(id) {
-            Expr::Sym(s) if s == sym => repl,
-            Expr::Sym(_) | Expr::Ext(_) | Expr::Equal(_) | Expr::Empty(_) => id,
+            Expr::Sym(s) => leaf(s),
+            Expr::Ext(_) | Expr::Equal(_) | Expr::Empty(_) => id,
             Expr::Image { src, f, target } => {
-                let s = self.subst(src, sym, repl);
+                let s = self.map_syms(src, leaf);
                 self.image(s, f, target)
             }
             Expr::Preimage { domain, f, src } => {
-                let s = self.subst(src, sym, repl);
+                let s = self.map_syms(src, leaf);
                 self.preimage(domain, f, s)
             }
             Expr::Union(cs) => {
-                let cs: Vec<ExprId> = cs.into_iter().map(|c| self.subst(c, sym, repl)).collect();
+                let cs: Vec<ExprId> = cs.into_iter().map(|c| self.map_syms(c, leaf)).collect();
                 self.union(cs)
             }
             Expr::Intersect(cs) => {
-                let cs: Vec<ExprId> = cs.into_iter().map(|c| self.subst(c, sym, repl)).collect();
+                let cs: Vec<ExprId> = cs.into_iter().map(|c| self.map_syms(c, leaf)).collect();
                 self.intersect(cs)
             }
             Expr::Difference(a, b) => {
-                let (a, b) = (self.subst(a, sym, repl), self.subst(b, sym, repl));
+                let (a, b) = (self.map_syms(a, leaf), self.map_syms(b, leaf));
                 self.difference(a, b)
             }
         }
@@ -534,18 +536,19 @@ mod tests {
     }
 
     #[test]
-    fn subst_recanonicalizes() {
+    fn map_syms_recanonicalizes() {
         let a = ExprArena::new();
         a.register_sym(r(0));
         let p = a.sym(PSym(0));
         let x = a.equal(r(0));
+        let to_x = |_| x;
         // (P0 ∪ equal(r0))[P0 ↦ equal(r0)] = equal(r0).
         let u = a.union([p, x]);
-        assert_eq!(a.subst(u, PSym(0), x), x);
-        // Substitution into a sym-free expression is the identity (O(1)).
-        assert_eq!(a.subst(x, PSym(0), p), x);
+        assert_eq!(a.map_syms(u, &to_x), x);
+        // A sym-free expression is returned as-is (O(1)).
+        assert_eq!(a.map_syms(x, &|_| p), x);
         // (P0 − equal(r0))[P0 ↦ equal(r0)] = ∅.
         let d = a.difference(p, x);
-        assert_eq!(a.node(a.subst(d, PSym(0), x)), Expr::Empty(r(0)));
+        assert_eq!(a.node(a.map_syms(d, &to_x)), Expr::Empty(r(0)));
     }
 }

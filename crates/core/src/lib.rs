@@ -33,8 +33,8 @@ pub mod prelude {
     pub use crate::lang::{ExtId, ExternalDecl, FnRef, PExpr, PSym, Pred, Subset, System};
     pub use crate::lemmas::{entails_subset, prove_comp, prove_disj, prove_part, FactCtx};
     pub use crate::optimize::{
-        apply_relaxation, choose_reduce_mode, disj_preferences, private_subpartition, ReduceMode,
-        RelaxInfo, RelaxPolicy,
+        apply_relaxation, choose_reduce_mode, disjointness_preferences, private_subpartition,
+        ReduceMode, RelaxInfo, RelaxPolicy,
     };
     pub use crate::pipeline::{
         auto_parallelize, AccessPlan, AutoError, Hints, LoopPlan, Options, ParallelPlan, PartId,

@@ -255,7 +255,7 @@ fn relax_loop(inference: &mut Inference, li: usize, info: &mut RelaxInfo) {
 /// with uncentered reductions, ask the solver to make the reduction-target
 /// partitions disjoint so no buffer is needed. Returns candidate predicates
 /// to be tried (and individually dropped when unsatisfiable).
-pub fn disj_preferences(inference: &Inference, relax: &[RelaxInfo]) -> Vec<Pred> {
+pub fn disjointness_preferences(inference: &Inference, relax: &[RelaxInfo]) -> Vec<Pred> {
     let arena = &inference.system.arena;
     let mut prefs = Vec::new();
     for (li, l) in inference.loops.iter().enumerate() {
@@ -442,7 +442,7 @@ mod tests {
         let mut inf = infer(&[b.finish()], &fns, &schema).unwrap();
         let relax = apply_relaxation(&mut inf, RelaxPolicy::Auto, &Default::default());
         assert!(!relax[0].relaxed);
-        let prefs = disj_preferences(&inf, &relax);
+        let prefs = disjointness_preferences(&inf, &relax);
         assert_eq!(prefs.len(), 1);
         // With the preference, the solution is buffer-free (Example 3).
         let mut sys = inf.system.clone();

@@ -13,7 +13,7 @@ use crate::infer::{infer, Inference};
 use crate::lang::{Expr, ExprId, ExtId, PExpr, PSym, Pred, System};
 use crate::lemmas::FactCtx;
 use crate::optimize::{
-    apply_relaxation, choose_reduce_mode, disj_preferences, ReduceMode, RelaxPolicy,
+    apply_relaxation, choose_reduce_mode, disjointness_preferences, ReduceMode, RelaxPolicy,
 };
 use crate::solve::{solve_since, Solution, SolveBudget, SolveError};
 use crate::unify::{forced_bindings, unify_within, Rep, Unified};
@@ -83,13 +83,10 @@ impl Hints {
     }
 }
 
-/// Pipeline options (ablation knobs for the evaluation).
+/// Pipeline options.
 #[derive(Clone, Copy, Debug, Hash)]
 pub struct Options {
-    pub unify: bool,
     pub relax: RelaxPolicy,
-    /// Try `DISJ` preferences on reduction targets (Example 3 strategy).
-    pub disj_preference: bool,
     /// Synthesize private sub-partitions (Theorem 5.1).
     pub private_subs: bool,
     /// Resource budget for every solve of the call: each unification
@@ -105,9 +102,7 @@ pub struct Options {
 impl Default for Options {
     fn default() -> Self {
         Options {
-            unify: true,
             relax: RelaxPolicy::Auto,
-            disj_preference: true,
             private_subs: true,
             solve_budget: SolveBudget::unlimited(),
         }
@@ -341,19 +336,7 @@ pub fn auto_parallelize(
     // ---- Phase 2: unification + solving (Algorithms 2 & 3). ----
     let t1 = Instant::now();
     let sp = partir_obs::span("pipeline.unify");
-    let unified = if opts.unify {
-        unify_within(&inference, fns, opts.solve_budget, t0)
-    } else {
-        // Identity unification: keep the system as-is.
-        Unified {
-            system: inference.system.clone(),
-            rep: vec![Rep::SelfSym; inference.system.num_syms()],
-            merged: 0,
-            check_stats: Default::default(),
-            stats: Default::default(),
-            merge_log: Vec::new(),
-        }
-    };
+    let unified = unify_within(&inference, fns, opts.solve_budget, t0);
     sp.close_with(vec![
         ("merged", unified.merged.into()),
         ("candidates", unified.stats.candidates_considered.into()),
@@ -370,8 +353,8 @@ pub fn auto_parallelize(
         Err(SolveError::Unsatisfiable) => return Err(AutoError::Unsatisfiable),
     };
     let mut solution = base_solution;
-    if opts.disj_preference && !solution.degraded {
-        for pref in disj_preferences(&inference, &relax) {
+    if !solution.degraded {
+        for pref in disjointness_preferences(&inference, &relax) {
             let mapped = match pref {
                 Pred::Disj(e) => match system.arena.node(e) {
                     Expr::Sym(s) => match unified.rep[s.0 as usize] {
@@ -577,24 +560,6 @@ mod tests {
         assert!(iter1.is_complete(1000));
         let iter2 = &parts[plan.loops[1].iter.0 as usize];
         assert!(iter2.is_complete(100) && iter2.is_disjoint());
-    }
-
-    #[test]
-    fn no_unify_ablation_builds_more_partitions() {
-        let (loops, fns, schema) = figure1_program();
-        let with = auto_parallelize(&loops, &fns, &schema, &Hints::new(), Options::default())
-            .unwrap()
-            .num_partitions();
-        let without = auto_parallelize(
-            &loops,
-            &fns,
-            &schema,
-            &Hints::new(),
-            Options { unify: false, ..Options::default() },
-        )
-        .unwrap()
-        .num_partitions();
-        assert!(without > with, "unification reduces partitions: {with} vs {without}");
     }
 
     #[test]

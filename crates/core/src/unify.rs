@@ -3,21 +3,28 @@
 //! Inference assigns a separate symbol to every region access, which admits
 //! the widest range of strategies but produces solutions with many
 //! equivalent partitions. Unification merges symbols whose constraints are
-//! isomorphic, in two stages:
+//! isomorphic:
 //!
 //! 1. **Chain collapse** (the paper's Example 4): an access symbol whose
 //!    only lower bound is another symbol of the same region (`P ⊆ P'`)
 //!    merges into it. This is what turns Figure 6's `P1 ⊆ P2 ∧ P1 ⊆ P4`
 //!    into a single Particles partition, and deduplicates repeated accesses
 //!    along the same pointer chain.
-//! 2. **Common-subgraph unification** (Algorithm 3): per-loop constraint
-//!    graphs — nodes are symbols/externals, an edge `u →f v` encodes
-//!    `image(u, f, R) ⊆ v`, an unlabeled edge `u → v` encodes `u ⊆ v` — are
-//!    merged greedily, largest common subgraph first, with each candidate
-//!    checked for solvability (Algorithm 2) before committing. External
-//!    constraints (Section 3.3) participate as a constraint graph whose
-//!    nodes are fixed: unifying a symbol with an external discharges the
-//!    matched obligations against the user's invariant.
+//! 2. **Common-subgraph unification** (Algorithm 3), one greedy pass: each
+//!    program loop's constraint graph — nodes are symbols/externals, an
+//!    edge `u →f v` encodes `image(u, f, R) ⊆ v`, an unlabeled edge
+//!    `u → v` encodes `u ⊆ v` — is matched against the graph of the
+//!    external facts and the loops before it, largest common subgraph
+//!    first (`match_group`).
+//!    External constraints (Section 3.3) participate as a graph whose nodes
+//!    are fixed: unifying a symbol with an external discharges the matched
+//!    obligations against the user's invariant.
+//! 3. **Fact matching** and 4. **edge-less iteration symbols** bind symbols
+//!    to externals that graph matching cannot reach.
+//!
+//! Stages 2–4 commit through one rule (`State::try_pairs`): unite the
+//! candidate's pairs, skipping those already united, and keep the result
+//! only if the rewritten system is still solvable (Algorithm 2).
 //!
 //! All graph construction and system rewriting works on interned
 //! [`ExprId`]s: node identity, tautology pruning, and fact discharge are
@@ -41,25 +48,6 @@ pub enum Rep {
     Sym(PSym),
     /// Bound to an external partition.
     Ext(ExtId),
-}
-
-/// Why a candidate merge was not committed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RejectReason {
-    /// The mapping was degenerate: no new symbol pair, or committing it
-    /// would have made a symbol its own ancestor.
-    Structural,
-    /// The rewritten system failed the Algorithm-2 consistency check.
-    Unsolvable,
-}
-
-impl RejectReason {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RejectReason::Structural => "structural",
-            RejectReason::Unsolvable => "unsolvable",
-        }
-    }
 }
 
 /// Counters describing the unification search (product-graph sizes and the
@@ -144,44 +132,37 @@ impl Uf {
     }
 
     /// Resolves an expression's symbol leaves to representatives,
-    /// re-interning the result. Expressions without free symbols are
-    /// returned as-is (O(1): the arena's free-symbol table is precomputed).
+    /// re-interning the result.
     fn rewrite(&self, system: &System, e: ExprId) -> ExprId {
         let arena = &system.arena;
-        if arena.syms(e).is_empty() {
-            return e;
-        }
-        match arena.node(e) {
-            Expr::Sym(s) => match self.find(s) {
-                Rep::Sym(t) => arena.sym(t),
-                Rep::Ext(x) => arena.ext(x),
-                Rep::SelfSym => unreachable!(),
-            },
-            Expr::Ext(_) | Expr::Equal(_) | Expr::Empty(_) => e,
-            Expr::Image { src, f, target } => arena.image(self.rewrite(system, src), f, target),
-            Expr::Preimage { domain, f, src } => {
-                arena.preimage(domain, f, self.rewrite(system, src))
-            }
-            Expr::Union(cs) => {
-                let cs: Vec<ExprId> = cs.into_iter().map(|c| self.rewrite(system, c)).collect();
-                arena.union(cs)
-            }
-            Expr::Intersect(cs) => {
-                let cs: Vec<ExprId> = cs.into_iter().map(|c| self.rewrite(system, c)).collect();
-                arena.intersect(cs)
-            }
-            Expr::Difference(a, b) => {
-                arena.difference(self.rewrite(system, a), self.rewrite(system, b))
-            }
-        }
+        arena.map_syms(e, &|s| match self.find(s) {
+            Rep::Sym(t) => arena.sym(t),
+            Rep::Ext(x) => arena.ext(x),
+            Rep::SelfSym => unreachable!(),
+        })
     }
 
     /// Merges `b` into `a` (a stays representative). `a` may be an external.
-    fn union(&mut self, a: Rep, b: PSym) {
-        let rb = self.find(b);
-        match (a, rb) {
-            (x, Rep::Sym(sb)) if x != Rep::Sym(sb) => self.parent[sb.0 as usize] = x,
-            _ => {}
+    /// Returns whether anything changed: false when `b` is already united
+    /// with `a` or bound to an external.
+    fn union(&mut self, a: Rep, b: PSym) -> bool {
+        match (a, self.find(b)) {
+            (x, Rep::Sym(sb)) if x != Rep::Sym(sb) => {
+                self.parent[sb.0 as usize] = x;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Unites a matched pair of graph nodes; whether anything changed.
+    fn unite(&mut self, pair: (GNode, GNode)) -> bool {
+        match pair {
+            (GNode::Sym(a), GNode::Sym(b)) => self.union(self.find(a), b),
+            (GNode::Ext(x), GNode::Sym(b)) | (GNode::Sym(b), GNode::Ext(x)) => {
+                self.union(Rep::Ext(x), b)
+            }
+            (GNode::Ext(_), GNode::Ext(_)) => false,
         }
     }
 }
@@ -429,9 +410,27 @@ struct State<'a> {
 }
 
 impl State<'_> {
-    /// A copy of the committed union-find to build a tentative merge on.
-    fn trial(&self) -> Uf {
-        Uf { parent: self.uf.parent.clone() }
+    /// The one way a stage commits: counts the candidate, unites its
+    /// `pairs` on a copy of the committed union-find (skipping pairs
+    /// already united), and checks the result with [`Self::try_merge`].
+    /// A candidate that unites nothing is rejected as structural.
+    fn try_pairs(
+        &mut self,
+        stage: &'static str,
+        pairs: &[(GNode, GNode)],
+        detail: impl FnOnce() -> String,
+    ) -> bool {
+        self.stats.candidates_considered += 1;
+        let mut trial = Uf { parent: self.uf.parent.clone() };
+        let mut any = false;
+        for &pair in pairs {
+            any |= trial.unite(pair);
+        }
+        if !any {
+            self.stats.rejected_structural += 1;
+            return false;
+        }
+        self.try_merge(trial, stage, detail)
     }
 
     /// Commits `trial` if the system rewritten under it is still solvable
@@ -463,7 +462,36 @@ impl State<'_> {
     }
 }
 
-/// Runs both unification stages over an inference result, with no budget.
+/// How many of a group's largest candidate subgraphs are tried before the
+/// group is left as it stands.
+const MAX_TRIES: usize = 8;
+
+/// Algorithm 3 for one loop's constraints: match `group`'s graph against
+/// the accumulated graph `acc` and commit the largest common subgraph that
+/// stays solvable, again and again until none of the first [`MAX_TRIES`]
+/// candidates commits.
+fn match_group(st: &mut State, acc: &[Subset], group: &[Subset]) {
+    // Nothing to match against (a lone loop without facts): build nothing.
+    if acc.is_empty() {
+        return;
+    }
+    loop {
+        let ga = build_graph(acc, st.system, &st.uf);
+        let gb = build_graph(group, st.system, &st.uf);
+        st.stats.max_graph_nodes = st.stats.max_graph_nodes.max(ga.nodes.len() as u64);
+        st.stats.max_graph_edges = st.stats.max_graph_edges.max(ga.edges.len() as u64);
+        let system = st.system;
+        let committed = candidate_matches(&ga, &gb)
+            .into_iter()
+            .take(MAX_TRIES)
+            .any(|m| st.try_pairs("graph", &m.pairs, || describe_pairs(&m.pairs, system)));
+        if !committed {
+            return;
+        }
+    }
+}
+
+/// Runs every unification stage over an inference result, with no budget.
 pub fn unify(inference: &Inference, fns: &FnTable) -> Unified {
     unify_within(inference, fns, SolveBudget::unlimited(), Instant::now())
 }
@@ -491,8 +519,9 @@ pub(crate) fn unify_within(
     };
 
     // ---- Stage 1: chain collapse (Example 4). ----
-    // Count lower bounds per symbol.
-    let mut bounds: HashMap<PSym, Vec<ExprId>> = HashMap::new();
+    // Count lower bounds per symbol, in symbol order, so the merge log is
+    // the same on every run.
+    let mut bounds: BTreeMap<PSym, Vec<ExprId>> = BTreeMap::new();
     for s in &system.subset_obligations {
         if let Expr::Sym(p) = arena.node(s.rhs) {
             bounds.entry(p).or_default().push(s.lhs);
@@ -505,9 +534,8 @@ pub(crate) fn unify_within(
             if let Expr::Sym(base) = arena.node(bs[0]) {
                 if system.sym_region(base) == system.sym_region(*p) {
                     let rep = st.uf.find(base);
-                    // Avoid self-merge cycles.
-                    if rep != Rep::Sym(*p) {
-                        st.uf.union(rep, *p);
+                    // `union` refuses a self-merge, so no cycle forms.
+                    if st.uf.union(rep, *p) {
                         st.stats.chain_collapses += 1;
                         let dst = match rep {
                             Rep::Sym(t) => node_desc(GNode::Sym(t), system),
@@ -531,108 +559,16 @@ pub(crate) fn unify_within(
         .collect();
     groups.sort_by_key(|g: &Vec<Subset>| std::cmp::Reverse(g.len()));
 
-    // Accumulated constraint set starts with the external facts.
+    // The accumulated constraint set starts with the external facts, and
+    // each group joins it after it is matched. The largest group seeds it
+    // unmatched, unless it is also the last: a lone group is matched
+    // against the facts.
     let mut acc: Vec<Subset> = system.subset_facts.clone();
-    if let Some(first) = groups.first() {
-        acc.extend(first.iter().copied());
-    }
-
-    const MAX_TRIES: usize = 8;
-    for gi in 1..groups.len().max(1) {
-        if gi >= groups.len() {
-            break;
+    for (gi, group) in groups.iter().enumerate() {
+        if gi > 0 || gi + 1 == groups.len() {
+            match_group(&mut st, &acc, group);
         }
-        loop {
-            let ga = build_graph(&acc, system, &st.uf);
-            let gb = build_graph(&groups[gi], system, &st.uf);
-            st.stats.max_graph_nodes = st.stats.max_graph_nodes.max(ga.nodes.len() as u64);
-            st.stats.max_graph_edges = st.stats.max_graph_edges.max(ga.edges.len() as u64);
-            let candidates = candidate_matches(&ga, &gb);
-            let mut committed = false;
-            for m in candidates.into_iter().take(MAX_TRIES) {
-                st.stats.candidates_considered += 1;
-                // Build the tentative union.
-                let mut trial = st.trial();
-                let mut any = false;
-                let mut ok = true;
-                for (na, nb) in &m.pairs {
-                    match (na, nb) {
-                        (GNode::Sym(a), GNode::Sym(b)) if a != b => {
-                            let ra = trial.find(*a);
-                            if ra == Rep::Sym(*b) {
-                                ok = false;
-                                break;
-                            }
-                            trial.union(ra, *b);
-                            any = true;
-                        }
-                        (GNode::Ext(x), GNode::Sym(b)) | (GNode::Sym(b), GNode::Ext(x)) => {
-                            trial.union(Rep::Ext(*x), *b);
-                            any = true;
-                        }
-                        _ => {}
-                    }
-                }
-                if !ok || !any {
-                    st.stats.rejected_structural += 1;
-                    continue;
-                }
-                if st.try_merge(trial, "graph", || describe_pairs(&m.pairs, system)) {
-                    committed = true;
-                    break;
-                }
-            }
-            if !committed {
-                break;
-            }
-        }
-        acc.extend(groups[gi].iter().copied());
-    }
-
-    // Also attempt unification of the *first* group (and collapsed chains)
-    // against the external facts, which the loop above skips when there is
-    // only one group.
-    if groups.len() == 1 && !system.subset_facts.is_empty() {
-        loop {
-            let ga = build_graph(&system.subset_facts, system, &st.uf);
-            let gb = build_graph(&groups[0], system, &st.uf);
-            st.stats.max_graph_nodes = st.stats.max_graph_nodes.max(ga.nodes.len() as u64);
-            st.stats.max_graph_edges = st.stats.max_graph_edges.max(ga.edges.len() as u64);
-            let candidates = candidate_matches(&ga, &gb);
-            let mut committed = false;
-            for m in candidates.into_iter().take(MAX_TRIES) {
-                st.stats.candidates_considered += 1;
-                let mut trial = st.trial();
-                let mut any = false;
-                for (na, nb) in &m.pairs {
-                    match (na, nb) {
-                        (GNode::Ext(x), GNode::Sym(b)) | (GNode::Sym(b), GNode::Ext(x)) => {
-                            trial.union(Rep::Ext(*x), *b);
-                            any = true;
-                        }
-                        (GNode::Sym(a), GNode::Sym(b)) if a != b => {
-                            let ra = trial.find(*a);
-                            if ra != Rep::Sym(*b) {
-                                trial.union(ra, *b);
-                                any = true;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                if !any {
-                    st.stats.rejected_structural += 1;
-                    continue;
-                }
-                if st.try_merge(trial, "graph", || describe_pairs(&m.pairs, system)) {
-                    committed = true;
-                    break;
-                }
-            }
-            if !committed {
-                break;
-            }
-        }
+        acc.extend(group.iter().copied());
     }
 
     // ---- Stage 3: direct fact matching. ----
@@ -644,8 +580,8 @@ pub(crate) fn unify_within(
     // equal (same id) to a fact's lhs, with the fact's rhs an external,
     // unifies `P := that external` (checked for solvability like any
     // unification).
-    loop {
-        let mut changed = false;
+    // Each commit rewrites the obligations, so the scan restarts after one.
+    'scan: loop {
         let obligations: Vec<Subset> = system
             .subset_obligations
             .iter()
@@ -668,22 +604,14 @@ pub(crate) fn unify_within(
                 if system.ext_region(y) != system.sym_region(p) {
                     continue;
                 }
-                let mut trial = st.trial();
-                trial.union(Rep::Ext(y), p);
-                st.stats.candidates_considered += 1;
+                let pair = (GNode::Ext(y), GNode::Sym(p));
                 let detail = || format!("{p:?} -> {}", node_desc(GNode::Ext(y), system));
-                if st.try_merge(trial, "fact", detail) {
-                    changed = true;
-                    break;
+                if st.try_pairs("fact", &[pair], detail) {
+                    continue 'scan;
                 }
             }
-            if changed {
-                break;
-            }
         }
-        if !changed {
-            break;
-        }
+        break;
     }
 
     // ---- Stage 4: edge-less iteration symbols. ----
@@ -716,11 +644,9 @@ pub(crate) fn unify_within(
                     continue;
                 }
             }
-            let mut trial = st.trial();
-            trial.union(Rep::Ext(x), s);
-            st.stats.candidates_considered += 1;
+            let pair = (GNode::Ext(x), GNode::Sym(s));
             let detail = || format!("{s:?} -> {}", node_desc(GNode::Ext(x), system));
-            if st.try_merge(trial, "iter-ext", detail) {
+            if st.try_pairs("iter-ext", &[pair], detail) {
                 break;
             }
         }
@@ -903,6 +829,22 @@ mod tests {
             }
             other => panic!("unexpected resolution {other:?}"),
         }
+    }
+
+    /// A pair already united (directly or through its roots) unites
+    /// nothing, so a candidate is tried with its other pairs only.
+    #[test]
+    fn unite_skips_pairs_already_united() {
+        let (p0, p1, p2) = (PSym(0), PSym(1), PSym(2));
+        let mut uf = Uf::new(3);
+        assert!(uf.unite((GNode::Sym(p0), GNode::Sym(p1))));
+        assert!(!uf.unite((GNode::Sym(p1), GNode::Sym(p0))), "same root");
+        assert!(!uf.unite((GNode::Sym(p2), GNode::Sym(p2))), "a self pair");
+        assert!(uf.unite((GNode::Ext(ExtId(0)), GNode::Sym(p2))));
+        assert!(!uf.unite((GNode::Sym(p2), GNode::Ext(ExtId(1)))), "already bound");
+        assert!(!uf.unite((GNode::Ext(ExtId(0)), GNode::Ext(ExtId(0)))));
+        assert_eq!(uf.find(p1), Rep::Sym(p0));
+        assert_eq!(uf.find(p2), Rep::Ext(ExtId(0)));
     }
 
     /// Chain collapse merges centered access symbols into the iteration

@@ -104,16 +104,13 @@ pub struct Mailbox {
     pending: Vec<Msg>,
     abort: Arc<AtomicBool>,
     /// Per source rank: `(bytes, messages)` pulled off the channel —
-    /// protocol traffic only. Duplicate deliveries and crash notices go
-    /// to `aux_meter`, so this meter stays comparable to
+    /// protocol traffic only. Duplicate deliveries and crash notices are
+    /// not metered, so this meter stays comparable to
     /// `ExchangePlan::predicted_pair_volume` even under fault injection.
     meter: Vec<(u64, u64)>,
-    /// Per source rank: `(bytes, messages)` of traffic outside the plan's
-    /// prediction — deduplicated duplicate deliveries and crash notices.
-    aux_meter: Vec<(u64, u64)>,
     /// `(epoch, kind, src)` triples already delivered; the epoch protocol
     /// sends at most one message per triple, so a repeat is an injected
-    /// (or fabric-level) duplicate and is dropped after metering.
+    /// (or fabric-level) duplicate and is dropped.
     seen: HashSet<(u64, u64, usize)>,
     chaos: Option<Chaos>,
     /// Maximum time one `recv_any` call may wait before declaring the
@@ -130,7 +127,6 @@ impl Mailbox {
             pending: Vec::new(),
             abort,
             meter: vec![(0, 0); n_ranks],
-            aux_meter: vec![(0, 0); n_ranks],
             seen: HashSet::new(),
             chaos: None,
             deadline: None,
@@ -152,14 +148,6 @@ impl Mailbox {
     /// counted once, at arrival — not again on replay).
     fn note(&mut self, m: &Msg) {
         if let Some(cell) = self.meter.get_mut(m.src) {
-            cell.0 += m.values.len() as u64 * 8;
-            cell.1 += 1;
-        }
-    }
-
-    /// Meters out-of-plan traffic (duplicates, crash notices).
-    fn note_aux(&mut self, m: &Msg) {
-        if let Some(cell) = self.aux_meter.get_mut(m.src) {
             cell.0 += m.values.len() as u64 * 8;
             cell.1 += 1;
         }
@@ -215,14 +203,11 @@ impl Mailbox {
             match self.rx.recv_timeout(Duration::from_millis(10)) {
                 Ok(m) => {
                     if m.kind == MsgKind::Crash {
-                        self.note_aux(&m);
                         return Err(MailboxError::Lost { rank: m.src });
                     }
                     if self.seen.insert((m.epoch, m.kind.tag(), m.src)) {
                         self.note(&m);
                         self.pending.push(m);
-                    } else {
-                        self.note_aux(&m);
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => continue,
@@ -359,7 +344,7 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_deliveries_are_dropped_and_metered_separately() {
+    fn duplicate_deliveries_are_dropped_and_metered_once() {
         let abort = Arc::new(AtomicBool::new(false));
         let (senders, mut boxes) = build_fabric(2, &abort);
         for _ in 0..2 {
@@ -379,9 +364,8 @@ mod tests {
         // never comes, with a short deadline to break the wait.
         boxes[0].set_deadline(Duration::from_millis(30));
         assert!(matches!(boxes[0].recv_from(1, MsgKind::Ghost, 1), Err(MailboxError::Deadline)));
-        // Main meter saw the message once; the duplicate went to aux.
+        // The meter saw the message once; the duplicate was dropped.
         assert_eq!(boxes[0].measured(), &[(0, 0), (8, 1)]);
-        assert_eq!(boxes[0].aux_meter, &[(0, 0), (8, 1)]);
     }
 
     #[test]
@@ -403,7 +387,6 @@ mod tests {
         }
         // Crash notices never touch the protocol meter.
         assert_eq!(boxes[0].measured(), &[(0, 0), (0, 0)]);
-        assert_eq!(boxes[0].aux_meter, &[(0, 0), (0, 1)]);
     }
 
     #[test]

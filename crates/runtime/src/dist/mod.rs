@@ -694,9 +694,9 @@ fn run_sharded(
     report.replication_bytes = planned.replication_bytes;
 
     // Predicted-vs-measured accounting per (src, dst) pair. A recovered
-    // run predicts only the epochs it actually re-executed; duplicate
-    // deliveries and crash notices were metered separately by the
-    // mailboxes and never pollute these pairs.
+    // run predicts only the epochs it actually re-executed; the mailboxes
+    // drop duplicate deliveries and crash notices unmetered, so they never
+    // pollute these pairs.
     let predicted = cur_xplan.predicted_pair_volume_from(first_epoch);
     let mut pairs = Vec::new();
     for src in 0..n_ranks {

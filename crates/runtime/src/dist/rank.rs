@@ -325,7 +325,7 @@ impl Port<'_> {
     /// lost), and seeded duplication sends a second copy the
     /// receiver must dedup. Dropped attempts never cross the channel, so
     /// the receiver's protocol meter stays comparable to the plan's
-    /// predicted volume; duplicates are metered separately on arrival.
+    /// predicted volume; duplicates are dropped on arrival, unmetered.
     fn send(
         &mut self,
         kind: MsgKind,

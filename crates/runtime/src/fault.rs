@@ -75,8 +75,8 @@ pub struct FaultPlan {
     /// before delivery (the sender retransmits at once).
     pub drop_rate: f64,
     /// Probability in `[0, 1]` that a delivered message is sent twice
-    /// (the receiver must dedup; duplicate traffic is metered separately
-    /// so strict volume accounting still balances).
+    /// (the receiver drops the copy unmetered, so strict volume accounting
+    /// still balances).
     pub dup_rate: f64,
     /// Every mailbox shuffles its delivery order among ready messages and
     /// injects tiny receive-side delays, from its rank's stream of `seed`

@@ -23,16 +23,19 @@
 use crate::task::Storage;
 use partir_dpl::index_set::Idx;
 use partir_dpl::region::{FieldData, FieldId, Store};
+use std::sync::Arc;
 
-/// Raw views of every field of a store, shareable across worker threads.
+/// Views of every field of a store, shareable across worker threads: raw
+/// views of the f64 columns, shared handles on the topology columns (as a
+/// rank's shard holds them).
 pub struct SharedStore {
     fields: Vec<RawField>,
 }
 
 enum RawField {
     F64 { ptr: *mut f64, len: usize },
-    Ptr { ptr: *const Idx, len: usize },
-    Range { ptr: *const (Idx, Idx), len: usize },
+    Ptr(Arc<Vec<Idx>>),
+    Range(Arc<Vec<(Idx, Idx)>>),
 }
 
 // SAFETY: see the module docs — the executor guarantees conflicting
@@ -41,11 +44,12 @@ unsafe impl Sync for SharedStore {}
 unsafe impl Send for SharedStore {}
 
 impl SharedStore {
-    /// Captures raw views of every field. The borrow of `store` must outlive
+    /// Captures views of every field. The borrow of `store` must outlive
     /// the parallel phase (the executor keeps `&mut Store` frozen while the
     /// crossbeam scope is alive). Only f64 columns are borrowed mutably:
-    /// index columns are read-only here, and a `&mut` to one would un-share
-    /// it from the store's clones and forget the store's digest.
+    /// index columns are read-only here and are shared, not copied, and a
+    /// `&mut` to one would un-share it from the store's clones and forget
+    /// the store's digest.
     pub fn new(store: &mut Store) -> Self {
         let fields = (0..store.schema().num_fields())
             .map(|i| {
@@ -55,8 +59,8 @@ impl SharedStore {
                         let v = store.f64s_mut(fid);
                         RawField::F64 { ptr: v.as_mut_ptr(), len: v.len() }
                     }
-                    FieldData::Ptr(v) => RawField::Ptr { ptr: v.as_ptr(), len: v.len() },
-                    FieldData::Range(v) => RawField::Range { ptr: v.as_ptr(), len: v.len() },
+                    FieldData::Ptr(column) => RawField::Ptr(Arc::clone(column)),
+                    FieldData::Range(column) => RawField::Range(Arc::clone(column)),
                 }
             })
             .collect();
@@ -133,21 +137,14 @@ impl Storage for &SharedStore {
         }
     }
 
+    // Topology is never written during parallel phases, so it is read
+    // through its shared column. An index beyond it panics inside the task,
+    // as on a rank's shard.
+
     #[inline]
     fn ptr_run(&self, f: FieldId, start: Idx, dst: &mut [Idx]) {
         match &self.fields[f.0 as usize] {
-            RawField::Ptr { ptr, len } => {
-                assert!(in_field(start, dst.len(), *len), "ptr read out of bounds");
-                // SAFETY: in bounds (assert), `dst` is a register; pointer
-                // fields are never written during parallel phases.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        ptr.add(start as usize),
-                        dst.as_mut_ptr(),
-                        dst.len(),
-                    );
-                }
-            }
+            RawField::Ptr(v) => dst.copy_from_slice(&v[start as usize..][..dst.len()]),
             _ => panic!("field {f:?} is not Ptr"),
         }
     }
@@ -155,12 +152,7 @@ impl Storage for &SharedStore {
     #[inline]
     fn read_ptr(&self, f: FieldId, i: Idx) -> Idx {
         match &self.fields[f.0 as usize] {
-            RawField::Ptr { ptr, len } => {
-                assert!((i as usize) < *len, "ptr read out of bounds");
-                // SAFETY: in bounds; pointer fields are never written
-                // during parallel phases.
-                unsafe { *ptr.add(i as usize) }
-            }
+            RawField::Ptr(v) => v[i as usize],
             _ => panic!("field {f:?} is not Ptr"),
         }
     }
@@ -168,12 +160,7 @@ impl Storage for &SharedStore {
     #[inline]
     fn read_range(&self, f: FieldId, i: Idx) -> (Idx, Idx) {
         match &self.fields[f.0 as usize] {
-            RawField::Range { ptr, len } => {
-                assert!((i as usize) < *len, "range read out of bounds");
-                // SAFETY: in bounds; range fields are never written during
-                // parallel phases.
-                unsafe { *ptr.add(i as usize) }
-            }
+            RawField::Range(v) => v[i as usize],
             _ => panic!("field {f:?} is not Range"),
         }
     }

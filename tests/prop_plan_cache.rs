@@ -600,14 +600,12 @@ fn mutants(base: &SolveInputs) -> Vec<(String, SolveInputs)> {
         push(what, &|x| x.hints = h.clone());
     }
 
-    let Options { unify, relax, disj_preference, private_subs, solve_budget } = base.opts;
-    push("opts.unify".into(), &|x| x.opts.unify = !unify);
+    let Options { relax, private_subs, solve_budget } = base.opts;
     let other_relax = match relax {
         RelaxPolicy::Off => RelaxPolicy::Auto,
         RelaxPolicy::Auto => RelaxPolicy::Off,
     };
     push("opts.relax".into(), &|x| x.opts.relax = other_relax);
-    push("opts.disj_preference".into(), &|x| x.opts.disj_preference = !disj_preference);
     push("opts.private_subs".into(), &|x| x.opts.private_subs = !private_subs);
     let SolveBudget { max_nodes, max_backtracks, deadline } = solve_budget;
     let (nodes, backtracks, deadline) =
