@@ -6,8 +6,11 @@
 //! sorted vector of disjoint half-open intervals `[start, end)`. This keeps
 //! `equal`-style partitions O(1) in space and makes union / intersection /
 //! difference linear in the number of runs rather than the number of
-//! elements. Where a caller needs an element's position within a set on
-//! every access, [`Positions`] answers in constant time.
+//! elements. Membership on a set is a binary search over its runs; a caller
+//! that tests membership or asks an element's position on every access
+//! builds a [`Positions`] index once instead, a bitmap where the set is
+//! dense enough and its runs otherwise ([`BITMAP_WORDS_PER_RUN`]), so a
+//! lookup is one word load and no span is ever too large to index.
 
 use std::fmt;
 
@@ -23,8 +26,10 @@ pub type Idx = u64;
 /// * consecutive runs are separated by a gap (`prev.end < next.start`), so
 ///   the representation of a set is unique.
 ///
-/// Membership is a binary search over the runs; an element's position in
-/// the set, on every access, is a [`Positions`] index built once.
+/// [`IndexSet::contains`] is a binary search over the runs, for cold
+/// paths. Membership or an element's position on every access is a
+/// [`Positions`] index built once (for a partition's subregions, cached on
+/// the partition).
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct IndexSet {
     runs: Vec<(Idx, Idx)>,
@@ -280,50 +285,85 @@ impl FromIterator<Idx> for IndexSet {
     }
 }
 
-/// Constant-time position index over an [`IndexSet`]: the position of an
-/// element in ascending iteration order, `None` for a non-member.
+/// The density rule: a set or a cover keeps one bit per element of its
+/// span `[lo, hi]` only when that is at most this many 64-bit words per
+/// run, and keeps its runs otherwise. The partition cover's sweep, the
+/// ranks' residency maps and the membership indexes all follow it.
+pub const BITMAP_WORDS_PER_RUN: u64 = 2;
+
+/// True when a bitmap over `[lo, hi]` fits [`BITMAP_WORDS_PER_RUN`] words
+/// per run for `runs` runs (`lo <= hi < u64::MAX`, as a set's bounds are).
+pub(crate) fn bitmap_fits(lo: Idx, hi: Idx, runs: u64) -> bool {
+    (hi - lo + 1) / 64 <= BITMAP_WORDS_PER_RUN.saturating_mul(runs)
+}
+
+/// Position index over an [`IndexSet`]: membership, and the position of
+/// an element in ascending iteration order (`None` for a non-member).
 ///
-/// A one-run set translates by subtraction and allocates nothing. Any
-/// other set keeps one bit per element of its span `[min, max]` and, with
-/// each 64-bit word, the count of set bits in the words before it, so a
-/// lookup is one word load and one popcount. That is 16 bytes per 64
-/// elements of the span, a quarter byte per element.
+/// A one-run set translates by subtraction and allocates nothing. A set
+/// whose span `[min, max]` has at most [`BITMAP_WORDS_PER_RUN`] 64-bit
+/// words per run keeps one bit per element of the span and, with each
+/// word, the count of set bits in the words before it: a membership test
+/// is one word load, a position one more popcount, and the index a
+/// quarter byte per element of span (32 bytes per run at most). A sparser
+/// set keeps each run's start and position, 16 bytes per run, and
+/// searches them. Either way memory is linear in the runs, whatever the
+/// span.
 #[derive(Clone, Debug, Default)]
 pub struct Positions {
-    /// `[s, e)` when the set is one run: position `i - s`.
-    dense: Option<(Idx, Idx)>,
-    /// The set's smallest element; word `w` covers `lo + 64w ..`.
+    /// The set's smallest element.
     lo: Idx,
-    /// `(set bits in earlier words, this word's bits)`.
-    words: Vec<(u64, u64)>,
     len: u64,
+    form: Form,
+}
+
+#[derive(Clone, Debug, Default)]
+enum Form {
+    /// Empty, or the one run `[lo, lo + len)`: position `i - lo`.
+    #[default]
+    Run,
+    /// Word `w` covers `lo + 64w ..`: `(set bits in earlier words, this
+    /// word's bits)`.
+    Bitmap(Vec<(u64, u64)>),
+    /// `(start, position of start)` per run; a run ends where the next
+    /// one's positions begin.
+    Runs(Vec<(Idx, u64)>),
 }
 
 impl Positions {
-    /// Indexes `set`, in time and memory linear in its span.
+    /// Indexes `set`, in time and memory linear in its runs.
     pub fn new(set: &IndexSet) -> Self {
         let len = set.len();
         let (Some(lo), Some(max)) = (set.min(), set.max()) else { return Positions::default() };
-        if let [one] = set.runs() {
-            return Positions { dense: Some(*one), lo, words: Vec::new(), len };
-        }
-        let n_words = usize::try_from((max - lo) / 64 + 1).expect("the span fits in memory");
-        let mut words = vec![(0, 0); n_words];
-        for &(s, e) in set.runs() {
-            let (mut a, b) = (s - lo, e - lo);
-            while a < b {
-                let (w, bit) = ((a / 64) as usize, a % 64);
-                let n = (b - a).min(64 - bit);
-                words[w].1 |= (u64::MAX >> (64 - n)) << bit;
-                a += n;
+        let runs = set.runs();
+        let form = if runs.len() == 1 {
+            Form::Run
+        } else if bitmap_fits(lo, max, runs.len() as u64) {
+            let mut words = vec![(0, 0); ((max - lo) / 64 + 1) as usize];
+            for &(s, e) in runs {
+                let (mut a, b) = (s - lo, e - lo);
+                while a < b {
+                    let (w, bit) = ((a / 64) as usize, a % 64);
+                    let n = (b - a).min(64 - bit);
+                    words[w].1 |= (u64::MAX >> (64 - n)) << bit;
+                    a += n;
+                }
             }
-        }
-        let mut before = 0;
-        for (base, bits) in &mut words {
-            *base = before;
-            before += u64::from(bits.count_ones());
-        }
-        Positions { dense: None, lo, words, len }
+            let mut before = 0;
+            for (base, bits) in &mut words {
+                *base = before;
+                before += u64::from(bits.count_ones());
+            }
+            Form::Bitmap(words)
+        } else {
+            let mut at = 0;
+            let starts = runs.iter().map(|&(s, e)| {
+                at += e - s;
+                (s, at - (e - s))
+            });
+            Form::Runs(starts.collect())
+        };
+        Positions { lo, len, form }
     }
 
     /// Number of elements in the set.
@@ -338,17 +378,31 @@ impl Positions {
 
     /// Bytes the index holds on the heap.
     pub fn heap_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<(u64, u64)>()
+        match &self.form {
+            Form::Run => 0,
+            Form::Bitmap(words) => words.capacity() * std::mem::size_of::<(u64, u64)>(),
+            Form::Runs(starts) => starts.capacity() * std::mem::size_of::<(Idx, u64)>(),
+        }
+    }
+
+    /// True when `i` is a member.
+    #[inline]
+    pub fn contains(&self, i: Idx) -> bool {
+        match &self.form {
+            Form::Bitmap(words) => i.checked_sub(self.lo).is_some_and(|off| {
+                let word = usize::try_from(off / 64).ok().and_then(|w| words.get(w));
+                word.is_some_and(|&(_, bits)| bits >> (off % 64) & 1 != 0)
+            }),
+            _ => self.in_run(i).is_some(),
+        }
     }
 
     /// Position of `i` in the set, `None` when it is not a member.
     #[inline]
     pub fn pos(&self, i: Idx) -> Option<u64> {
-        if let Some((s, e)) = self.dense {
-            return (i >= s && i < e).then(|| i - s);
-        }
+        let Form::Bitmap(words) = &self.form else { return self.in_run(i).map(|(p, _)| p) };
         let off = i.checked_sub(self.lo)?;
-        let &(base, bits) = self.words.get(usize::try_from(off / 64).ok()?)?;
+        let &(base, bits) = words.get(usize::try_from(off / 64).ok()?)?;
         let bit = 1u64 << (off % 64);
         (bits & bit != 0).then(|| base + u64::from((bits & (bit - 1)).count_ones()))
     }
@@ -362,12 +416,28 @@ impl Positions {
         if n == 0 {
             return Some(0);
         }
-        if let Some((s, e)) = self.dense {
-            return (i >= s && i < e && n <= e - i).then(|| i - s);
-        }
+        let Form::Bitmap(_) = &self.form else {
+            return self.in_run(i).and_then(|(p, end)| (n <= end - p).then_some(p));
+        };
         let p = self.pos(i)?;
         let q = self.pos(i.checked_add(n - 1)?)?;
         (q - p == n - 1).then_some(p)
+    }
+
+    /// Outside the bitmap form: `i`'s position and the position where its
+    /// run ends, `None` for a non-member.
+    #[inline]
+    fn in_run(&self, i: Idx) -> Option<(u64, u64)> {
+        let (start, p, end) = match &self.form {
+            Form::Runs(starts) => {
+                let k = starts.partition_point(|&(s, _)| s <= i).checked_sub(1)?;
+                let (s, p) = starts[k];
+                (s, p, starts.get(k + 1).map_or(self.len, |&(_, q)| q))
+            }
+            _ => (self.lo, 0, self.len),
+        };
+        let off = i.checked_sub(start)?;
+        (off < end - p).then_some((p + off, end))
     }
 }
 

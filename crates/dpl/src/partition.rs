@@ -8,8 +8,10 @@
 //! properties* here, used both by tests and by the runtime to validate
 //! solver output dynamically. Both, and the first-owner narrowing, come
 //! from one sweep over the subregions' runs, made once per partition.
+//! Membership in a subregion or a first-owner color, which executors test
+//! per element, is a [`Positions`] index built once per color.
 
-use crate::index_set::{Idx, IndexSet};
+use crate::index_set::{bitmap_fits, Idx, IndexSet, Positions};
 use crate::region::RegionId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -21,14 +23,18 @@ use std::sync::{Arc, OnceLock};
 ///
 /// `cover` is a write-once cell for what one sweep over the subregions
 /// learns, filled the first time a predicate or the narrowing is asked
-/// for. The subregions never change, so the cell never goes stale; clones
-/// carry it, and equality, hashing and `Debug` see only `(region,
-/// subregions)`.
+/// for. `indexes` are write-once cells too, one per color, filled the
+/// first time that color's membership is asked for. The subregions never
+/// change, so no cell goes stale; clones carry them, and equality, hashing
+/// and `Debug` see only `(region, subregions)`.
 #[derive(Clone)]
 pub struct Partition {
     pub region: RegionId,
     subregions: Vec<IndexSet>,
     cover: OnceLock<Cover>,
+    /// `[c]` indexes subregion `c`, `[n + c]` first-owner color `c` of an
+    /// aliased partition of `n` colors.
+    indexes: Box<[OnceLock<Arc<Positions>>]>,
 }
 
 /// The union of a partition's subregions, as one sweep sees it.
@@ -64,7 +70,8 @@ impl fmt::Debug for Partition {
 
 impl Partition {
     pub fn new(region: RegionId, subregions: Vec<IndexSet>) -> Self {
-        Partition { region, subregions, cover: OnceLock::new() }
+        let indexes = (0..2 * subregions.len()).map(|_| OnceLock::new()).collect();
+        Partition { region, subregions, cover: OnceLock::new(), indexes }
     }
 
     /// Number of subregions (the partition's "color space" size).
@@ -120,6 +127,25 @@ impl Partition {
         self.first_owner().map_or(&self.subregions[..], |own| &own[..])
     }
 
+    /// Membership index of subregion `c`, built on first ask. Every call,
+    /// and every clone taken after the first, returns the same allocation.
+    pub fn subregion_index(&self, c: usize) -> &Arc<Positions> {
+        self.indexes[c].get_or_init(|| Arc::new(Positions::new(&self.subregions[c])))
+    }
+
+    /// Membership index of color `c` of [`Partition::first_owner_sets`],
+    /// built on first ask: the subregion's own when the partition is
+    /// disjoint.
+    pub fn owner_index(&self, c: usize) -> &Arc<Positions> {
+        match self.first_owner() {
+            Some(own) => {
+                let cell = &self.indexes[self.subregions.len() + c];
+                cell.get_or_init(|| Arc::new(Positions::new(&own[c])))
+            }
+            None => self.subregion_index(c),
+        }
+    }
+
     /// `COMP`: the subregions cover all of `[0, region_size)`.
     pub fn is_complete(&self, region_size: u64) -> bool {
         let c = self.cover();
@@ -138,21 +164,11 @@ impl Partition {
             && self.subregions.iter().zip(&other.subregions).all(|(a, b)| a.is_subset(b))
     }
 
-    /// Finds the subregions containing index `i` (used by exchange logic and
-    /// diagnostics; unique when the partition is disjoint).
-    pub fn owners_of(&self, i: Idx) -> Vec<usize> {
-        self.subregions.iter().enumerate().filter_map(|(k, s)| s.contains(i).then_some(k)).collect()
-    }
-
     /// Largest subregion size (load-imbalance diagnostics).
     pub fn max_subregion_len(&self) -> u64 {
         self.subregions.iter().map(IndexSet::len).max().unwrap_or(0)
     }
 }
-
-/// The sweep visits a bitmap over the span `[min, max]` when it has at
-/// most this many 64-bit words per run, and merges the runs otherwise.
-const BITMAP_WORDS_PER_RUN: u64 = 2;
 
 /// One pass over every run of `subs`: the support's size and largest
 /// element, and each element's lowest color. Its cost grows with the
@@ -163,9 +179,7 @@ fn sweep(subs: &[IndexSet]) -> Cover {
     let lo = subs.iter().filter_map(IndexSet::min).min();
     let max = subs.iter().filter_map(IndexSet::max).max();
     let own = match (lo, max) {
-        (Some(lo), Some(hi)) if (hi - lo + 1) / 64 <= BITMAP_WORDS_PER_RUN * runs => {
-            bitmap_sweep(subs, lo, hi)
-        }
+        (Some(lo), Some(hi)) if bitmap_fits(lo, hi, runs) => bitmap_sweep(subs, lo, hi),
         _ => merge_sweep(subs),
     };
     let support_len: u64 = own.iter().map(IndexSet::len).sum();
@@ -294,6 +308,20 @@ mod tests {
     }
 
     #[test]
+    fn membership_indexes_are_built_once_and_shared_by_clones() {
+        let p = Partition::new(r(), vec![IndexSet::from_range(0, 6), IndexSet::from_range(4, 10)]);
+        let (sub, own) = (Arc::clone(p.subregion_index(1)), Arc::clone(p.owner_index(1)));
+        assert!(sub.contains(4) && !own.contains(4), "color 0 owns the overlap");
+        let copy = p.clone();
+        for q in [&p, &copy] {
+            assert!(Arc::ptr_eq(&sub, q.subregion_index(1)), "the same index on every call");
+            assert!(Arc::ptr_eq(&own, q.owner_index(1)), "and on a clone");
+        }
+        let disjoint = Partition::new(r(), vec![IndexSet::from_range(0, 5)]);
+        assert!(Arc::ptr_eq(disjoint.owner_index(0), disjoint.subregion_index(0)));
+    }
+
+    #[test]
     fn incomplete_partition() {
         let p = Partition::new(r(), vec![IndexSet::from_range(0, 3), IndexSet::from_range(7, 10)]);
         assert!(p.is_disjoint());
@@ -329,14 +357,6 @@ mod tests {
         let crossed =
             Partition::new(r(), vec![IndexSet::from_range(6, 8), IndexSet::from_range(1, 3)]);
         assert!(!crossed.subset_of(&big));
-    }
-
-    #[test]
-    fn owners_of_reports_all_containing_subregions() {
-        let p = Partition::new(r(), vec![IndexSet::from_range(0, 6), IndexSet::from_range(4, 10)]);
-        assert_eq!(p.owners_of(5), vec![0, 1]);
-        assert_eq!(p.owners_of(1), vec![0]);
-        assert_eq!(p.owners_of(11), Vec::<usize>::new());
     }
 
     #[test]

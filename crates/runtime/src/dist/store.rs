@@ -4,8 +4,9 @@
 //! `owned ∪ ghosts` from the [`ExchangePlan`] — laid out densely in
 //! ascending global index order, with global→local translation through
 //! one [`Positions`] index per region and rank, shared by the region's f64
-//! fields (an `Arc`), so an access is one bitmap word and one popcount (or one
-//! subtraction when the footprint is one contiguous run).
+//! fields (an `Arc`), so an access is one bitmap word and one popcount (one
+//! subtraction when the footprint is one contiguous run, a search of its
+//! runs when it is too sparse for a bitmap).
 //! Ptr/Range topology fields are not sharded — they describe the
 //! mesh/matrix structure and partitioning functions read them at arbitrary
 //! indices — and not copied either: every rank holds an `Arc` clone of the

@@ -209,7 +209,7 @@ impl<S: Storage> Storage for &mut S {
 
 /// How one access site executes, with its partition data resolved.
 #[derive(Clone, Copy)]
-pub(crate) enum Mode<'a> {
+pub(crate) enum Mode {
     /// Read/write/centered or provably-disjoint reduction: checked against
     /// the subregion, applied in place.
     Plain,
@@ -218,8 +218,9 @@ pub(crate) enum Mode<'a> {
     Guarded,
     /// Buffered reduction into `LoopSetup::buffers[_]`.
     Buffered(usize),
-    /// In place within `private`, buffered into `buffers[buf]` otherwise.
-    BufferedPrivate { private: &'a Partition, buf: usize },
+    /// In place within the private sub-partition `LoopSetup::parts[private]`,
+    /// buffered into `buffers[buf]` otherwise.
+    BufferedPrivate { private: usize, buf: usize },
 }
 
 /// The per-color element sets of one two-step reduction access.
@@ -253,15 +254,17 @@ pub(crate) struct LoopSetup<'a> {
     /// for a loop that has to run iteration by iteration.
     pub lanes: usize,
     pub iter: &'a Partition,
-    /// The access partition of every access site.
+    /// What the lanes test membership in: the access partition of every
+    /// access site, in access order, then the private sub-partition of
+    /// every `BufferedPrivate` site.
     pub parts: Vec<&'a Partition>,
-    pub modes: Vec<Mode<'a>>,
+    pub modes: Vec<Mode>,
     /// One per two-step reduction access, in access order.
     pub buffers: Vec<BufferSpec<'a>>,
-    /// With an aliased iteration partition, a centered write applies only
-    /// in the first task owning the iteration ([`Partition::first_owner`]);
-    /// `None` when it is disjoint.
-    pub write_own: Option<&'a [IndexSet]>,
+    /// The iteration partition when it is aliased: a centered write then
+    /// applies only in the first task owning the iteration
+    /// ([`Partition::owner_index`]).
+    pub write_own: Option<&'a Partition>,
     /// Bytes of all buffer sets, and what the private sub-partitions saved
     /// against buffering the full subregions (Section 5.2).
     pub planned_buffer_bytes: u64,
@@ -336,10 +339,11 @@ pub(crate) fn plan_loops<'a>(
             parts: Vec::with_capacity(lplan.accesses.len()),
             modes: Vec::with_capacity(lplan.accesses.len()),
             buffers: Vec::new(),
-            write_own: iter.first_owner().map(|own| &own[..]),
+            write_own: (!iter.is_disjoint()).then_some(iter),
             planned_buffer_bytes: 0,
             private_bytes_saved: 0,
         };
+        let mut privates = Vec::new();
         for (access, ap) in lplan.accesses.iter().enumerate() {
             let part = resolve(li, ap.part, ap.region)?;
             if let Some(PlannedReduce::BufferedPrivate { private }) = &ap.reduce {
@@ -371,7 +375,11 @@ pub(crate) fn plan_loops<'a>(
                     let slots = sets.iter().map(|_| OnceLock::new()).collect();
                     s.buffers.push(BufferSpec { field, op: b.op, sets, slots });
                     match b.private {
-                        Some(private) => Mode::BufferedPrivate { private, buf },
+                        Some(private) => {
+                            privates.push(private);
+                            let private = lplan.accesses.len() + privates.len() - 1;
+                            Mode::BufferedPrivate { private, buf }
+                        }
                         None => Mode::Buffered(buf),
                     }
                 }
@@ -381,6 +389,7 @@ pub(crate) fn plan_loops<'a>(
             s.parts.push(part);
             s.modes.push(mode);
         }
+        s.parts.extend(privates);
         setups.push(s);
     }
     Ok(setups)
@@ -575,7 +584,9 @@ pub(crate) struct Task<'a, S> {
     env: TaskEnv<'a>,
     setup: &'a LoopSetup<'a>,
     color: usize,
-    write_own: Option<&'a IndexSet>,
+    /// `members[k]`: the index of the task's subregion of
+    /// `LoopSetup::parts[k]`, resolved on the first test.
+    members: Vec<Option<&'a Positions>>,
     /// The task's partial reduction buffers, one slot per
     /// [`LoopSetup::buffers`] entry, identity-filled on first use.
     pub bufs: Vec<Option<Vec<f64>>>,
@@ -590,7 +601,7 @@ impl<'a, S: Storage> Task<'a, S> {
             env: *env,
             setup,
             color,
-            write_own: setup.write_own.map(|own| &own[color]),
+            members: vec![None; setup.parts.len()],
             bufs: vec![None; setup.buffers.len()],
             counts: DistReport::default(),
         }
@@ -665,16 +676,20 @@ impl<'a, S: Storage> Task<'a, S> {
         panic!("legality violation: {v}");
     }
 
+    /// Whether `i` lies in the task's subregion of `LoopSetup::parts[k]`:
+    /// the membership test of guards, private checks and legality checks,
+    /// one lookup in the partition's cached index.
     #[inline]
-    fn subregion(&self, a: AccessId) -> &'a IndexSet {
-        self.setup.parts[a.0 as usize].subregion(self.color)
+    fn member(&mut self, k: usize, i: Idx) -> bool {
+        let (part, color) = (self.setup.parts[k], self.color);
+        self.members[k].get_or_insert_with(|| part.subregion_index(color)).contains(i)
     }
 
     #[inline]
     fn check_access(&mut self, a: AccessId, i: Idx) {
         if self.env.check {
             self.counts.legality_checks += 1;
-            if !self.subregion(a).contains(i) {
+            if !self.member(a.0 as usize, i) {
                 self.fail(a, i);
             }
         }
@@ -786,7 +801,8 @@ impl<'a, S: Storage> Task<'a, S> {
         regs: &mut Regs,
         n: usize,
     ) {
-        let whole_run = !self.env.check && self.write_own.is_none();
+        let own = self.setup.write_own.map(|iter| &**iter.owner_index(self.color));
+        let whole_run = !self.env.check && own.is_none();
         let copied = regs.run_of(idx, n).filter(|_| whole_run).is_some_and(|(start, head)| {
             let (a, b) = regs.vals[src as usize][..n].split_at(head);
             self.store.store_run(field, start, a) && self.store.store_run(field, 0, b)
@@ -797,7 +813,7 @@ impl<'a, S: Storage> Task<'a, S> {
         regs.materialize(idx, n);
         for (&i, &v) in regs.idxs[idx as usize][..n].iter().zip(&regs.vals[src as usize][..n]) {
             self.check_access(access, i);
-            if self.write_own.is_some_and(|own| !own.contains(i)) {
+            if own.is_some_and(|own| !own.contains(i)) {
                 self.counts.write_skips += 1;
             } else if !self.store.write_f64(field, i, v) {
                 self.fail(access, i);
@@ -861,7 +877,7 @@ impl<'a, S: Storage> Task<'a, S> {
                 self.in_place(site, i, v);
             }
             Mode::Guarded => {
-                if self.subregion(a).contains(i) {
+                if self.member(a.0 as usize, i) {
                     self.counts.guard_hits += 1;
                     self.in_place(site, i, v);
                 } else {
@@ -874,7 +890,7 @@ impl<'a, S: Storage> Task<'a, S> {
             }
             Mode::BufferedPrivate { private, buf } => {
                 self.check_access(a, i);
-                if private.subregion(self.color).contains(i) {
+                if self.member(private, i) {
                     self.in_place(site, i, v);
                 } else {
                     self.buffer_reduce(site, buf, i, v);

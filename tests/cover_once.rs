@@ -1,13 +1,15 @@
 //! A partition computes its cover — `DISJ`, `COMP` and the first-owner
 //! narrowing — once, and everything that needs the narrowing reads that
 //! one copy: the footprint's in-place write sets, the runs on both
-//! layouts, later calls. The cache is invisible to equality and to the
-//! plan-cache key.
+//! layouts, later calls. Its membership indexes are built once too: a warm
+//! run tests against the ones the first run cached. The caches are
+//! invisible to equality and to the plan-cache key.
 
 use partir::apps::circuit::{Circuit, CircuitParams};
 use partir::core::exchange::{access_sets, block_assignment, derive_exchange_with};
 use partir::core::fingerprint::solve_fingerprint;
 use partir::prelude::*;
+use partir::runtime::dist::LegalityMode;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -66,6 +68,60 @@ fn the_wire_loops_share_one_narrowing() {
     let after = solved.parts_for(&a.store);
     let again = after[aliased[0].0 as usize].first_owner().unwrap();
     assert!(Arc::ptr_eq(&own, again), "runs read the cached narrowing");
+}
+
+/// Which membership indexes of `parts` were built when `snapshot` was
+/// cloned from them: a clone carries the built ones, so its index is the
+/// same allocation exactly then. Builds every index of `parts` (and of
+/// the snapshot) on the way.
+fn built_at(snapshot: &[Partition], parts: &[Arc<Partition>]) -> Vec<bool> {
+    let mut built = Vec::new();
+    for (copy, p) in snapshot.iter().zip(parts) {
+        for c in 0..p.num_subregions() {
+            built.push(Arc::ptr_eq(copy.subregion_index(c), p.subregion_index(c)));
+            built.push(Arc::ptr_eq(copy.owner_index(c), p.owner_index(c)));
+        }
+    }
+    built
+}
+
+#[test]
+fn a_warm_run_builds_no_membership_index() {
+    let a = circuit();
+    let plan = Partir::new(a.program.clone(), a.fns.clone(), a.store.schema().clone())
+        .colors(4)
+        .solve()
+        .unwrap();
+    let parts = plan.solved().parts_for(&a.store);
+    let snapshot = || parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>();
+    let run_both = || {
+        for backend in [Backend::Threads(2), Backend::Ranks(2)] {
+            let mut store = a.store.clone();
+            let run = Run::new().backend(backend).legality_mode(LegalityMode::Element);
+            run.run(&plan, &mut store).expect("the run finishes");
+        }
+    };
+    run_both();
+    let after_first = snapshot();
+    run_both();
+    let after_second = snapshot();
+    assert!(Arc::ptr_eq(&parts, &plan.solved().parts_for(&a.store)), "runs share the partitions");
+
+    let cold = built_at(&after_first, &parts);
+    assert_eq!(built_at(&after_second, &parts), cold, "the warm run built no index");
+    // The cold run built what its guards, write filters and checks test:
+    // every subregion of every partition, and the aliased iteration
+    // partition's first-owner colors.
+    let aliased = parts.iter().position(|p| !p.is_disjoint()).expect("an aliased partition");
+    for (k, p) in parts.iter().enumerate() {
+        let at = 2 * parts[..k].iter().map(|p| p.num_subregions()).sum::<usize>();
+        for c in 0..p.num_subregions() {
+            assert!(cold[at + 2 * c], "partition {k}: subregion {c} indexed by the cold run");
+            if k == aliased {
+                assert!(cold[at + 2 * c + 1], "first-owner color {c} indexed by the cold run");
+            }
+        }
+    }
 }
 
 fn hash_of(p: &Partition) -> u64 {
