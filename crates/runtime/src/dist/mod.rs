@@ -462,9 +462,13 @@ pub fn execute_ranks(
         Layout::Sharded(xplan) => (Some(xplan), 1),
     };
     let legality = opts.legality != LegalityMode::Off;
+    let check = match xplan {
+        Some(_) => opts.legality == LegalityMode::Element,
+        None => legality,
+    };
     let setups = {
         let _span = partir_obs::span("dist.validate");
-        plan_loops(program, plan, parts, store.schema(), fns, legality, xplan)?
+        plan_loops(program, plan, parts, store.schema(), fns, legality, check, xplan)?
     };
     let schema = store.schema().clone();
     // Plan-level legality: prove `accessed ⊆ owned ∪ ghosts` once, by
@@ -481,10 +485,6 @@ pub fn execute_ranks(
             prove_plan_legality(x, plan, parts, &schema).map_err(DistError::PlanIllegal)?.facts
         }
         (None, _) => 0,
-    };
-    let check = match xplan {
-        Some(_) => opts.legality == LegalityMode::Element,
-        None => legality,
     };
     let faults = TaskFaults {
         plan: opts.fault,
@@ -674,10 +674,13 @@ fn run_sharded(
     // caller's store. Under the final (possibly evacuated) owner
     // assignment the survivors' shards cover every region completely.
     // measured[src][dst]: what dst's mailbox metered against src.
+    // A field no loop writes still holds the caller's values, recovery
+    // included (a restore point is a copy, never the caller's store).
+    let written = store::written_fields(plan, schema);
     let mut measured = vec![vec![(0u64, 0u64); n_ranks]; n_ranks];
     for (r, out) in attempt.outcomes.into_iter().enumerate() {
         if let Some((rstore, received)) = out {
-            rstore.gather_into(store, &cur_xplan, r);
+            rstore.gather_into(store, &cur_xplan, r, &written);
             for (src, &cell) in received.iter().enumerate() {
                 measured[src][r] = cell;
             }

@@ -28,6 +28,7 @@
 
 use crate::task::Storage;
 use partir_core::exchange::{ExchangePlan, FieldSets};
+use partir_core::pipeline::ParallelPlan;
 use partir_dpl::index_set::{Idx, IndexSet, Positions};
 use partir_dpl::region::{FieldData, FieldId, FieldKind, Schema, Store};
 use std::sync::Arc;
@@ -80,12 +81,20 @@ impl RankStore {
         RankStore { fields }
     }
 
-    /// Writes the rank's owned elements of every f64 field into the global
+    /// Writes the rank's owned elements of every f64 field the program
+    /// writes (`written[field]`, from `written_fields`) into the global
     /// store (main thread, after the SPMD scope ends) — one contiguous copy
-    /// per owned run, straight from the shard.
-    pub fn gather_into(&self, store: &mut Store, xplan: &ExchangePlan, rank: usize) {
+    /// per owned run, straight from the shard. Any other field still holds
+    /// the store's own values, so it is skipped.
+    pub fn gather_into(
+        &self,
+        store: &mut Store,
+        xplan: &ExchangePlan,
+        rank: usize,
+        written: &[bool],
+    ) {
         for (fi, field) in self.fields.iter().enumerate() {
-            let RankField::F64 { local, data } = field else { continue };
+            let (RankField::F64 { local, data }, true) = (field, written[fi]) else { continue };
             let f = FieldId(fi as u32);
             let owned = xplan.owned(store.schema().field(f).region, rank);
             let fs = store.f64s_mut(f);
@@ -116,6 +125,15 @@ impl RankStore {
             }
         }
     }
+}
+
+/// `written[field]`: whether some loop of `plan` writes or reduces into
+/// the field.
+pub(crate) fn written_fields(plan: &ParallelPlan, schema: &Schema) -> Vec<bool> {
+    let mut written = vec![false; schema.num_fields()];
+    let writes = plan.loops.iter().flat_map(|lp| &lp.accesses).filter(|ap| !ap.kind.is_read());
+    writes.filter_map(|ap| ap.field).for_each(|f| written[f.0 as usize] = true);
+    written
 }
 
 /// Packs the values of `sets` (plan order: ascending field, ascending
@@ -280,17 +298,18 @@ mod tests {
     /// CSR row sums on 8 rows of 4 entries, placed on `n_ranks` ranks:
     /// `for i in Y: for k in row(i): Y[i].y += X[col(k)].x`. Returns the
     /// store, its exchange plan and the fields `[x, y, col, row]`.
-    fn csr_row_sums(n_ranks: usize) -> (Store, ExchangePlan, [FieldId; 4]) {
+    fn csr_row_sums(n_ranks: usize) -> (Store, ExchangePlan, [FieldId; 4], Vec<bool>) {
         csr_rows(8, |k| (k * 5) % 8, n_ranks)
     }
 
     /// [`csr_row_sums`] on `rows` rows with entry `k` in column `col_of(k)`;
-    /// `X` carries a second f64 field the loop never touches.
+    /// `X` carries a second f64 field the loop never touches. Last: the
+    /// plan's [`written_fields`].
     fn csr_rows(
         rows: u64,
         col_of: impl Fn(u64) -> u64,
         n_ranks: usize,
-    ) -> (Store, ExchangePlan, [FieldId; 4]) {
+    ) -> (Store, ExchangePlan, [FieldId; 4], Vec<bool>) {
         let mut schema = Schema::new();
         let mat = schema.add_region("Mat", 4 * rows);
         let x = schema.add_region("X", rows);
@@ -323,14 +342,15 @@ mod tests {
         let parts = plan.evaluate(&store, &fns, n_ranks, &ExtBindings::new());
         let xplan =
             place(&plan, &parts, &schema, n_ranks, &PlacementConfig::default()).unwrap().xplan;
-        (store, xplan, [fx, fy, col, row])
+        let written = written_fields(&plan, &schema);
+        (store, xplan, [fx, fy, col, row], written)
     }
 
     /// Every rank's shard holds the global store's own topology columns.
     #[test]
     fn ranks_share_topology_columns_with_the_global_store() {
         let n_ranks = 4;
-        let (store, xplan, [_, _, col, row]) = csr_row_sums(n_ranks);
+        let (store, xplan, [_, _, col, row], _) = csr_row_sums(n_ranks);
         let (FieldData::Ptr(cols), FieldData::Range(rows)) =
             (store.field_data(col), store.field_data(row))
         else {
@@ -359,7 +379,7 @@ mod tests {
     #[test]
     fn region_fields_share_one_position_index() {
         let (rows, n_ranks) = (1024, 4);
-        let (store, xplan, _) =
+        let (store, xplan, ..) =
             csr_rows(rows, |k| (k / 4 + [0, 1, 97, 300][k as usize % 4]) % rows, n_ranks);
         let schema = store.schema();
         let mut bitmaps = 0;
@@ -389,7 +409,8 @@ mod tests {
     #[test]
     fn gather_writes_owned_elements_only() {
         let n_ranks = 4;
-        let (mut store, xplan, [fx, ..]) = csr_row_sums(n_ranks);
+        let (mut store, xplan, [fx, ..], _) = csr_row_sums(n_ranks);
+        let every_field = vec![true; store.schema().num_fields()];
         let x = store.schema().field(fx).region;
         let mut ghosts = 0;
         for r in 0..n_ranks {
@@ -399,12 +420,39 @@ mod tests {
                 assert!(shard.write_f64(fx, i, 1.0 + r as f64));
             }
             ghosts += xplan.local(x, r).len() - xplan.owned(x, r).len();
-            shard.gather_into(&mut store, &xplan, r);
+            shard.gather_into(&mut store, &xplan, r, &every_field);
         }
         assert!(ghosts > 0, "the fixture has ghost elements to get wrong");
         for r in 0..n_ranks {
             for i in xplan.owned(x, r).iter() {
                 assert_eq!(store.f64s(fx)[i as usize], 1.0 + r as f64, "element {i}");
+            }
+        }
+    }
+
+    /// The gather copies back only the fields some loop writes: SpMV's `y`
+    /// is gathered, a scribble on its `x` (read only) stays in the shard.
+    #[test]
+    fn gather_skips_fields_no_loop_writes() {
+        let n_ranks = 4;
+        let (mut store, xplan, [fx, fy, ..], written) = csr_row_sums(n_ranks);
+        assert!(written[fy.0 as usize] && !written[fx.0 as usize], "{written:?}");
+        let (x, y) = (store.schema().field(fx).region, store.schema().field(fy).region);
+        let before = store.f64s(fx).to_vec();
+        for r in 0..n_ranks {
+            let mut shard = RankStore::shard(&store, &xplan, r);
+            for i in xplan.local(x, r).iter() {
+                assert!(shard.write_f64(fx, i, -1.0 - r as f64));
+            }
+            for i in xplan.local(y, r).iter() {
+                assert!(shard.write_f64(fy, i, 1.0 + r as f64));
+            }
+            shard.gather_into(&mut store, &xplan, r, &written);
+        }
+        assert_eq!(store.f64s(fx), &before[..], "an unwritten field keeps its values");
+        for r in 0..n_ranks {
+            for i in xplan.owned(y, r).iter() {
+                assert_eq!(store.f64s(fy)[i as usize], 1.0 + r as f64, "element {i}");
             }
         }
     }

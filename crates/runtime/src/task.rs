@@ -254,17 +254,20 @@ pub(crate) struct LoopSetup<'a> {
     /// for a loop that has to run iteration by iteration.
     pub lanes: usize,
     pub iter: &'a Partition,
-    /// What the lanes test membership in: the access partition of every
-    /// access site, in access order, then the private sub-partition of
-    /// every `BufferedPrivate` site.
-    pub parts: Vec<&'a Partition>,
+    /// `members[k][color]`: the index of `color`'s subregion of what the
+    /// lanes test membership in — the access partition of every access
+    /// site, in access order, then the private sub-partition of every
+    /// `BufferedPrivate` site. Resolved on the calling thread for every
+    /// partition a task tests (guarded sites, private sub-partitions, and
+    /// every access partition when accesses are checked); empty otherwise.
+    pub members: Vec<Vec<&'a Positions>>,
     pub modes: Vec<Mode>,
     /// One per two-step reduction access, in access order.
     pub buffers: Vec<BufferSpec<'a>>,
-    /// The iteration partition when it is aliased: a centered write then
-    /// applies only in the first task owning the iteration
-    /// ([`Partition::owner_index`]).
-    pub write_own: Option<&'a Partition>,
+    /// When the iteration partition is aliased, the index of each color's
+    /// first-owner set ([`Partition::owner_index`]): a centered write then
+    /// applies only in the first task owning the iteration.
+    pub write_own: Option<Vec<&'a Positions>>,
     /// Bytes of all buffer sets, and what the private sub-partitions saved
     /// against buffering the full subregions (Section 5.2).
     pub planned_buffer_bytes: u64,
@@ -278,9 +281,11 @@ fn set_bytes(sets: &[IndexSet]) -> u64 {
 /// Validates `plan` and `parts` against `program`, lowers every loop body
 /// and resolves every loop's [`LoopSetup`]. `parts` must be `plan.evaluate(...)` output
 /// (indexed by `PartId`), all of one launch width. The element-bounds walk
-/// touches every subregion, so it rides on `check_bounds`. With an
-/// exchange plan at hand its buffer sets are borrowed instead of derived
-/// again; the first-owner sets are always the iteration partition's own.
+/// touches every subregion, so it rides on `check_bounds`; `check` says
+/// whether the tasks will check every access. With an exchange plan at
+/// hand its buffer sets are borrowed instead of derived again; the
+/// first-owner sets are always the iteration partition's own.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_loops<'a>(
     program: &[Loop],
     plan: &'a ParallelPlan,
@@ -288,6 +293,7 @@ pub(crate) fn plan_loops<'a>(
     schema: &Schema,
     fns: &FnTable,
     check_bounds: bool,
+    check: bool,
     xplan: Option<&'a ExchangePlan>,
 ) -> Result<Vec<LoopSetup<'a>>, PlanError> {
     if plan.loops.len() != program.len() {
@@ -315,6 +321,7 @@ pub(crate) fn plan_loops<'a>(
             None => Ok(p),
         }
     };
+    let indexes = |p: &'a Partition| (0..width).map(|c| &**p.subregion_index(c)).collect();
     let mut setups = Vec::with_capacity(program.len());
     for (li, (lp, lplan)) in program.iter().zip(&plan.loops).enumerate() {
         let iter = resolve(li, lplan.iter, lp.region)?;
@@ -336,10 +343,11 @@ pub(crate) fn plan_loops<'a>(
             code,
             lanes,
             iter,
-            parts: Vec::with_capacity(lplan.accesses.len()),
+            members: Vec::with_capacity(lplan.accesses.len()),
             modes: Vec::with_capacity(lplan.accesses.len()),
             buffers: Vec::new(),
-            write_own: (!iter.is_disjoint()).then_some(iter),
+            write_own: (!iter.is_disjoint())
+                .then(|| (0..width).map(|c| &**iter.owner_index(c)).collect()),
             planned_buffer_bytes: 0,
             private_bytes_saved: 0,
         };
@@ -386,10 +394,11 @@ pub(crate) fn plan_loops<'a>(
                 None if matches!(ap.reduce, Some(PlannedReduce::Guarded)) => Mode::Guarded,
                 None => Mode::Plain,
             };
-            s.parts.push(part);
+            let tested = check || matches!(mode, Mode::Guarded);
+            s.members.push(if tested { indexes(part) } else { Vec::new() });
             s.modes.push(mode);
         }
-        s.parts.extend(privates);
+        s.members.extend(privates.into_iter().map(indexes));
         setups.push(s);
     }
     Ok(setups)
@@ -584,8 +593,8 @@ pub(crate) struct Task<'a, S> {
     env: TaskEnv<'a>,
     setup: &'a LoopSetup<'a>,
     color: usize,
-    /// `members[k]`: the index of the task's subregion of
-    /// `LoopSetup::parts[k]`, resolved on the first test.
+    /// `members[k]`: the index of the task's subregion of the `k`th
+    /// partition of [`LoopSetup::members`], where a task tests it.
     members: Vec<Option<&'a Positions>>,
     /// The task's partial reduction buffers, one slot per
     /// [`LoopSetup::buffers`] entry, identity-filled on first use.
@@ -601,7 +610,7 @@ impl<'a, S: Storage> Task<'a, S> {
             env: *env,
             setup,
             color,
-            members: vec![None; setup.parts.len()],
+            members: setup.members.iter().map(|m| m.get(color).copied()).collect(),
             bufs: vec![None; setup.buffers.len()],
             counts: DistReport::default(),
         }
@@ -676,13 +685,12 @@ impl<'a, S: Storage> Task<'a, S> {
         panic!("legality violation: {v}");
     }
 
-    /// Whether `i` lies in the task's subregion of `LoopSetup::parts[k]`:
-    /// the membership test of guards, private checks and legality checks,
-    /// one lookup in the partition's cached index.
+    /// Whether `i` lies in the task's subregion of the `k`th partition of
+    /// [`LoopSetup::members`]: the membership test of guards, private
+    /// checks and legality checks, one lookup in a resolved index.
     #[inline]
-    fn member(&mut self, k: usize, i: Idx) -> bool {
-        let (part, color) = (self.setup.parts[k], self.color);
-        self.members[k].get_or_insert_with(|| part.subregion_index(color)).contains(i)
+    fn member(&self, k: usize, i: Idx) -> bool {
+        self.members[k].expect("plan_loops resolves what a task tests").contains(i)
     }
 
     #[inline]
@@ -801,7 +809,7 @@ impl<'a, S: Storage> Task<'a, S> {
         regs: &mut Regs,
         n: usize,
     ) {
-        let own = self.setup.write_own.map(|iter| &**iter.owner_index(self.color));
+        let own = self.setup.write_own.as_ref().map(|own| own[self.color]);
         let whole_run = !self.env.check && own.is_none();
         let copied = regs.run_of(idx, n).filter(|_| whole_run).is_some_and(|(start, head)| {
             let (a, b) = regs.vals[src as usize][..n].split_at(head);

@@ -20,7 +20,7 @@ use crate::error::Error;
 use crate::plan::Plan;
 use partir_core::cache::{PlanCache, SolvedPlan};
 use partir_core::eval::ExtBindings;
-use partir_core::fingerprint::solve_fingerprint;
+use partir_core::fingerprint::{solve_fingerprint, Fingerprint};
 use partir_core::pipeline::{Hints, Options};
 use partir_core::solve::SolveBudget;
 use partir_dpl::func::{FnDef, FnId, FnTable, IndexFn, MultiFn};
@@ -111,7 +111,24 @@ impl Partir {
     /// zero colors, a miscounted externals list, an `AffineMod` modulus
     /// outside `1..=i64::MAX` anywhere in the function table — is
     /// `session.invalid` before either.
-    pub fn solve(self) -> Result<Plan, Error> {
+    pub fn solve(mut self) -> Result<Plan, Error> {
+        self.admit()?;
+        let Some(cache) = self.cache.take() else {
+            return Ok(Plan::from_solved(self.solve_cold()?, false));
+        };
+        if let Some(solved) = cache.get(self.key())? {
+            return Ok(Plan::from_solved(solved, true));
+        }
+        let solved = self.solve_cold()?;
+        // Degraded (budget-exhausted) plans are refused by the cache
+        // itself, so a warm cache never pins a fallback solution.
+        cache.insert(solved.clone())?;
+        Ok(Plan::from_solved(solved, false))
+    }
+
+    /// Admission: every `session.invalid` check of [`solve`](Self::solve),
+    /// made before any cache is consulted.
+    pub(crate) fn admit(&self) -> Result<(), Error> {
         if self.colors == 0 {
             return Err(Error::Session("color count must be at least 1".into()));
         }
@@ -135,22 +152,25 @@ impl Partir {
                 )));
             }
         }
-        let cache = self.cache;
-        if let Some(cache) = &cache {
-            let fp = solve_fingerprint(
-                &self.program,
-                &self.fns,
-                &self.schema,
-                &self.hints,
-                &self.options,
-                &self.externals,
-                self.colors,
-            );
-            if let Some(solved) = cache.get(fp)? {
-                return Ok(Plan::from_solved(solved, true));
-            }
-        }
-        let solved = Arc::new(SolvedPlan::solve(
+        Ok(())
+    }
+
+    /// The cache key of an admitted request: its solve fingerprint.
+    pub(crate) fn key(&self) -> Fingerprint {
+        solve_fingerprint(
+            &self.program,
+            &self.fns,
+            &self.schema,
+            &self.hints,
+            &self.options,
+            &self.externals,
+            self.colors,
+        )
+    }
+
+    /// The cold path of an admitted request: the whole pipeline, no cache.
+    pub(crate) fn solve_cold(self) -> Result<Arc<SolvedPlan>, Error> {
+        Ok(Arc::new(SolvedPlan::solve(
             self.program,
             self.fns,
             self.schema,
@@ -158,13 +178,7 @@ impl Partir {
             self.options,
             self.externals,
             self.colors,
-        )?);
-        if let Some(cache) = &cache {
-            // Degraded (budget-exhausted) plans are refused by the cache
-            // itself, so a warm cache never pins a fallback solution.
-            cache.insert(solved.clone())?;
-        }
-        Ok(Plan::from_solved(solved, false))
+        )?))
     }
 }
 

@@ -135,6 +135,26 @@ pub fn build_crowded(cfg: &Cfg) -> Built {
     build_loops(cfg, cfg.asks_rows_loop(), cfg.asks_twin_loop())
 }
 
+/// Both classic loops with every access flag set, plus the rows loop
+/// (`n_a = 60`, `n_b = 30`, 4 colors): its one candidate merge is refuted
+/// by an exhaustive search that takes unbudgeted unification about
+/// 0.3–0.45 s in release, seconds in debug.
+pub fn classic_loops_and_rows() -> Built {
+    let built = build_crowded(&Cfg {
+        n_a: 60,
+        n_b: 30,
+        colors: 4,
+        read_ptr_chain: true,
+        read_affine: true,
+        reduce_via_ptr: true,
+        reduce_via_affine: true,
+        second_loop: true,
+        ptr_seed: 1 << 8,
+    });
+    assert_eq!(built.program.len(), 3, "both classic loops and the rows loop");
+    built
+}
+
 fn build_loops(cfg: &Cfg, rows_loop: bool, twin_loop: bool) -> Built {
     use rand::{Rng, SeedableRng};
     let mut schema = Schema::new();

@@ -1,17 +1,18 @@
 //! A solve deadline bounds the whole request: unification's merge checks,
 //! the preference trials and the final solve draw on one clock, started
-//! when the solve begins. The program is the generator's two classic
-//! loops with every access flag set, plus the rows loop (`n_a = 60`,
-//! `n_b = 30`, 4 colors): its one candidate merge is refuted by an
-//! exhaustive search that takes unbudgeted unification about 0.3–0.45 s
-//! in release. A node or backtrack limit applies to each solve on its
-//! own; a merge check that runs out of it degrades the plan.
+//! when the solve begins. The program (`common::classic_loops_and_rows`)
+//! is the generator's two classic loops with every access flag set, plus
+//! the rows loop (`n_a = 60`, `n_b = 30`, 4 colors): its one candidate
+//! merge is refuted by an exhaustive search that takes unbudgeted
+//! unification about 0.3–0.45 s in release. A node or backtrack limit
+//! applies to each solve on its own; a merge check that runs out of it
+//! degrades the plan.
 
 use partir::prelude::*;
 use std::time::{Duration, Instant};
 
 mod common;
-use common::{build_crowded, Built, Cfg};
+use common::{classic_loops_and_rows, Built};
 
 const DEADLINE: Duration = Duration::from_millis(5);
 
@@ -20,22 +21,6 @@ const DEADLINE: Duration = Duration::from_millis(5);
 /// still separates a bounded request from one that is not.
 const BOUND: Duration =
     if cfg!(debug_assertions) { Duration::from_millis(100) } else { Duration::from_millis(50) };
-
-fn classic_loops_and_rows() -> Built {
-    let built = build_crowded(&Cfg {
-        n_a: 60,
-        n_b: 30,
-        colors: 4,
-        read_ptr_chain: true,
-        read_affine: true,
-        reduce_via_ptr: true,
-        reduce_via_affine: true,
-        second_loop: true,
-        ptr_seed: 1 << 8,
-    });
-    assert_eq!(built.program.len(), 3, "both classic loops and the rows loop");
-    built
-}
 
 fn request(built: &Built) -> Partir {
     Partir::new(built.program.clone(), built.fns.clone(), built.store.schema().clone()).colors(4)
