@@ -6,13 +6,15 @@
 //! sorted vector of disjoint half-open intervals `[start, end)`. This keeps
 //! `equal`-style partitions O(1) in space and makes union / intersection /
 //! difference linear in the number of runs rather than the number of
-//! elements. Membership on a set is a binary search over its runs; a caller
-//! that tests membership or asks an element's position on every access
-//! builds a [`Positions`] index once instead, a bitmap where the set is
-//! dense enough and its runs otherwise ([`BITMAP_WORDS_PER_RUN`]), so a
-//! lookup is one word load and no span is ever too large to index.
+//! elements. Membership and an element's position go through the set's
+//! own [`Positions`] index ([`IndexSet::index`]), built the first time it
+//! is asked for and shared by every clone taken after that: a bitmap where
+//! the set is dense enough and its runs otherwise ([`BITMAP_WORDS_PER_RUN`]),
+//! so a lookup is one word load and no span is ever too large to index.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// Element index within a region's index space.
 pub type Idx = u64;
@@ -26,19 +28,34 @@ pub type Idx = u64;
 /// * consecutive runs are separated by a gap (`prev.end < next.start`), so
 ///   the representation of a set is unique.
 ///
-/// [`IndexSet::contains`] is a binary search over the runs, for cold
-/// paths. Membership or an element's position on every access is a
-/// [`Positions`] index built once (for a partition's subregions, cached on
-/// the partition).
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+/// `index` is a write-once cell for the set's [`Positions`], filled by
+/// [`IndexSet::index`]. The runs never change, so it never goes stale;
+/// clones share it once it is built, and equality, hashing and `Debug`
+/// see only the runs.
+#[derive(Clone, Default)]
 pub struct IndexSet {
     runs: Vec<(Idx, Idx)>,
+    index: OnceLock<Arc<Positions>>,
+}
+
+impl PartialEq for IndexSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.runs == other.runs
+    }
+}
+
+impl Eq for IndexSet {}
+
+impl Hash for IndexSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.runs.hash(state);
+    }
 }
 
 impl IndexSet {
     /// The empty set.
     pub fn new() -> Self {
-        IndexSet { runs: Vec::new() }
+        Self::default()
     }
 
     /// The contiguous range `[start, end)`. An empty range yields the empty set.
@@ -46,7 +63,7 @@ impl IndexSet {
         if start >= end {
             IndexSet::new()
         } else {
-            IndexSet { runs: vec![(start, end)] }
+            IndexSet { runs: vec![(start, end)], ..Self::default() }
         }
     }
 
@@ -68,7 +85,7 @@ impl IndexSet {
                 _ => runs.push((i, i + 1)),
             }
         }
-        IndexSet { runs }
+        IndexSet { runs, ..Self::default() }
     }
 
     /// Builds from runs sorted by start; drops empty ones and merges
@@ -84,7 +101,7 @@ impl IndexSet {
                 _ => out.push((s, e)),
             }
         }
-        IndexSet { runs: out }
+        IndexSet { runs: out, ..Self::default() }
     }
 
     /// Number of elements in the set.
@@ -117,12 +134,16 @@ impl IndexSet {
         self.runs.last().map(|&(_, e)| e - 1)
     }
 
-    /// Membership test, O(log runs).
+    /// The set's membership and position index, built on first ask. Every
+    /// call, and every clone taken after the first, returns the same
+    /// allocation.
+    pub fn index(&self) -> &Arc<Positions> {
+        self.index.get_or_init(|| Arc::new(Positions::new(self)))
+    }
+
+    /// Membership test, through [`IndexSet::index`].
     pub fn contains(&self, i: Idx) -> bool {
-        match self.runs.binary_search_by(|&(s, _)| s.cmp(&i)) {
-            Ok(_) => true,
-            Err(pos) => pos > 0 && i < self.runs[pos - 1].1,
-        }
+        self.index().contains(i)
     }
 
     /// Iterates over all member indices in ascending order.
@@ -165,7 +186,7 @@ impl IndexSet {
             };
             push(&mut out, next);
         }
-        IndexSet { runs: out }
+        IndexSet { runs: out, ..Self::default() }
     }
 
     /// Set intersection.
@@ -186,7 +207,7 @@ impl IndexSet {
                 j += 1;
             }
         }
-        IndexSet { runs: out }
+        IndexSet { runs: out, ..Self::default() }
     }
 
     /// Set difference `self − other`.
@@ -215,7 +236,7 @@ impl IndexSet {
                 k += 1;
             }
         }
-        IndexSet { runs: out }
+        IndexSet { runs: out, ..Self::default() }
     }
 
     /// Complement within the universe `[0, size)`.
@@ -287,14 +308,26 @@ impl FromIterator<Idx> for IndexSet {
 
 /// The density rule: a set or a cover keeps one bit per element of its
 /// span `[lo, hi]` only when that is at most this many 64-bit words per
-/// run, and keeps its runs otherwise. The partition cover's sweep, the
-/// ranks' residency maps and the membership indexes all follow it.
+/// run, and keeps its runs otherwise. The partition cover's sweep and
+/// every set's [`Positions`] index follow it.
 pub const BITMAP_WORDS_PER_RUN: u64 = 2;
 
 /// True when a bitmap over `[lo, hi]` fits [`BITMAP_WORDS_PER_RUN`] words
 /// per run for `runs` runs (`lo <= hi < u64::MAX`, as a set's bounds are).
 pub(crate) fn bitmap_fits(lo: Idx, hi: Idx, runs: u64) -> bool {
     (hi - lo + 1) / 64 <= BITMAP_WORDS_PER_RUN.saturating_mul(runs)
+}
+
+/// Cuts `[s, e)` into the words of a bitmap whose bit 0 is `lo`, calling
+/// `f(word, mask)` once per word it touches (`lo <= s`).
+pub(crate) fn word_masks(lo: Idx, s: Idx, e: Idx, mut f: impl FnMut(usize, u64)) {
+    let (mut a, b) = (s - lo, e - lo);
+    while a < b {
+        let (w, bit) = ((a / 64) as usize, a % 64);
+        let n = (b - a).min(64 - bit);
+        f(w, (u64::MAX >> (64 - n)) << bit);
+        a += n;
+    }
 }
 
 /// Position index over an [`IndexSet`]: membership, and the position of
@@ -309,7 +342,7 @@ pub(crate) fn bitmap_fits(lo: Idx, hi: Idx, runs: u64) -> bool {
 /// set keeps each run's start and position, 16 bytes per run, and
 /// searches them. Either way memory is linear in the runs, whatever the
 /// span.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug)]
 pub struct Positions {
     /// The set's smallest element.
     lo: Idx,
@@ -317,10 +350,9 @@ pub struct Positions {
     form: Form,
 }
 
-#[derive(Clone, Debug, Default)]
+#[derive(Debug)]
 enum Form {
     /// Empty, or the one run `[lo, lo + len)`: position `i - lo`.
-    #[default]
     Run,
     /// Word `w` covers `lo + 64w ..`: `(set bits in earlier words, this
     /// word's bits)`.
@@ -331,23 +363,20 @@ enum Form {
 }
 
 impl Positions {
-    /// Indexes `set`, in time and memory linear in its runs.
-    pub fn new(set: &IndexSet) -> Self {
+    /// Indexes `set`, in time and memory linear in its runs. Only
+    /// [`IndexSet::index`] calls it.
+    pub(crate) fn new(set: &IndexSet) -> Self {
         let len = set.len();
-        let (Some(lo), Some(max)) = (set.min(), set.max()) else { return Positions::default() };
+        let (Some(lo), Some(max)) = (set.min(), set.max()) else {
+            return Positions { lo: 0, len, form: Form::Run };
+        };
         let runs = set.runs();
         let form = if runs.len() == 1 {
             Form::Run
         } else if bitmap_fits(lo, max, runs.len() as u64) {
             let mut words = vec![(0, 0); ((max - lo) / 64 + 1) as usize];
             for &(s, e) in runs {
-                let (mut a, b) = (s - lo, e - lo);
-                while a < b {
-                    let (w, bit) = ((a / 64) as usize, a % 64);
-                    let n = (b - a).min(64 - bit);
-                    words[w].1 |= (u64::MAX >> (64 - n)) << bit;
-                    a += n;
-                }
+                word_masks(lo, s, e, |w, mask| words[w].1 |= mask);
             }
             let mut before = 0;
             for (base, bits) in &mut words {
@@ -561,7 +590,7 @@ mod tests {
     #[test]
     fn rank_positions() {
         let s = IndexSet::from_sorted_runs(vec![(10, 13), (20, 22)]);
-        let p = Positions::new(&s);
+        let p = s.index();
         assert_eq!(p.pos(10), Some(0));
         assert_eq!(p.pos(12), Some(2));
         assert_eq!(p.pos(13), None);
@@ -569,12 +598,38 @@ mod tests {
         assert_eq!(p.pos(21), Some(4));
         assert_eq!(p.pos(22), None);
         assert_eq!(p.pos(0), None);
-        assert_eq!(Positions::new(&IndexSet::new()).pos(5), None);
+        assert_eq!(IndexSet::new().index().pos(5), None);
         // Positions agree with iteration order.
         for (k, i) in s.iter().enumerate() {
             assert_eq!(p.pos(i), Some(k as u64));
         }
         assert_eq!(p.len(), s.len());
+    }
+
+    #[test]
+    fn the_index_is_built_once_and_shared_by_later_clones() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |s: &IndexSet| {
+            let mut h = DefaultHasher::new();
+            s.hash(&mut h);
+            h.finish()
+        };
+        let s = IndexSet::from_sorted_runs(vec![(10, 13), (20, 22)]);
+        let (early, fresh) = (s.clone(), s.clone());
+        let index = Arc::clone(s.index());
+        assert!(Arc::ptr_eq(&index, s.index()), "built once");
+        let late = s.clone();
+        assert!(Arc::ptr_eq(&index, late.index()), "a clone taken after shares it");
+        assert!(!Arc::ptr_eq(&index, early.index()), "one taken before builds its own");
+        assert!(fresh.index.get().is_none());
+        for t in [&s, &late, &early] {
+            assert_eq!(*t, fresh);
+            assert_eq!(hash(t), hash(&fresh), "the hash of the runs with no index built");
+            assert_eq!(format!("{t:?}"), "{10..13, 20..22}");
+        }
+        let mut runs = DefaultHasher::new();
+        s.runs.hash(&mut runs);
+        assert_eq!(hash(&s), runs.finish(), "what the derive fed the hasher");
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! solver output dynamically. Both, and the first-owner narrowing, come
 //! from one sweep over the subregions' runs, made once per partition.
 //! Membership in a subregion or a first-owner color, which executors test
-//! per element, is a [`Positions`] index built once per color.
+//! per element, is that set's own index ([`IndexSet::index`]).
 
-use crate::index_set::{bitmap_fits, Idx, IndexSet, Positions};
+use crate::index_set::{bitmap_fits, word_masks, Idx, IndexSet};
 use crate::region::RegionId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -23,18 +23,13 @@ use std::sync::{Arc, OnceLock};
 ///
 /// `cover` is a write-once cell for what one sweep over the subregions
 /// learns, filled the first time a predicate or the narrowing is asked
-/// for. `indexes` are write-once cells too, one per color, filled the
-/// first time that color's membership is asked for. The subregions never
-/// change, so no cell goes stale; clones carry them, and equality, hashing
-/// and `Debug` see only `(region, subregions)`.
+/// for. The subregions never change, so it never goes stale; clones carry
+/// it, and equality, hashing and `Debug` see only `(region, subregions)`.
 #[derive(Clone)]
 pub struct Partition {
     pub region: RegionId,
     subregions: Vec<IndexSet>,
     cover: OnceLock<Cover>,
-    /// `[c]` indexes subregion `c`, `[n + c]` first-owner color `c` of an
-    /// aliased partition of `n` colors.
-    indexes: Box<[OnceLock<Arc<Positions>>]>,
 }
 
 /// The union of a partition's subregions, as one sweep sees it.
@@ -70,8 +65,7 @@ impl fmt::Debug for Partition {
 
 impl Partition {
     pub fn new(region: RegionId, subregions: Vec<IndexSet>) -> Self {
-        let indexes = (0..2 * subregions.len()).map(|_| OnceLock::new()).collect();
-        Partition { region, subregions, cover: OnceLock::new(), indexes }
+        Partition { region, subregions, cover: OnceLock::new() }
     }
 
     /// Number of subregions (the partition's "color space" size).
@@ -125,25 +119,6 @@ impl Partition {
     /// subregions themselves when they are disjoint.
     pub fn first_owner_sets(&self) -> &[IndexSet] {
         self.first_owner().map_or(&self.subregions[..], |own| &own[..])
-    }
-
-    /// Membership index of subregion `c`, built on first ask. Every call,
-    /// and every clone taken after the first, returns the same allocation.
-    pub fn subregion_index(&self, c: usize) -> &Arc<Positions> {
-        self.indexes[c].get_or_init(|| Arc::new(Positions::new(&self.subregions[c])))
-    }
-
-    /// Membership index of color `c` of [`Partition::first_owner_sets`],
-    /// built on first ask: the subregion's own when the partition is
-    /// disjoint.
-    pub fn owner_index(&self, c: usize) -> &Arc<Positions> {
-        match self.first_owner() {
-            Some(own) => {
-                let cell = &self.indexes[self.subregions.len() + c];
-                cell.get_or_init(|| Arc::new(Positions::new(&own[c])))
-            }
-            None => self.subregion_index(c),
-        }
     }
 
     /// `COMP`: the subregions cover all of `[0, region_size)`.
@@ -203,11 +178,7 @@ fn bitmap_sweep(subs: &[IndexSet], lo: Idx, hi: Idx) -> Vec<IndexSet> {
     let own = subs.iter().map(|sub| {
         let mut mine = Vec::new();
         for &(s, e) in sub.runs() {
-            let (mut a, b) = (s - lo, e - lo);
-            while a < b {
-                let (w, bit) = ((a / 64) as usize, a % 64);
-                let n = (b - a).min(64 - bit);
-                let mask = (u64::MAX >> (64 - n)) << bit;
+            word_masks(lo, s, e, |w, mask| {
                 let mut free = mask & !seen[w];
                 seen[w] |= mask;
                 while free != 0 {
@@ -217,8 +188,7 @@ fn bitmap_sweep(subs: &[IndexSet], lo: Idx, hi: Idx) -> Vec<IndexSet> {
                     push_run(&mut mine, start, start + u64::from(len));
                     free &= u64::MAX.checked_shl(first + len).unwrap_or(0);
                 }
-                a += n;
-            }
+            });
         }
         IndexSet::from_sorted_runs(mine)
     });
@@ -305,20 +275,6 @@ mod tests {
         let narrowed = Partition::new(r(), own.to_vec());
         assert!(narrowed.is_disjoint());
         assert_eq!(narrowed.support_len(), aliased.support_len());
-    }
-
-    #[test]
-    fn membership_indexes_are_built_once_and_shared_by_clones() {
-        let p = Partition::new(r(), vec![IndexSet::from_range(0, 6), IndexSet::from_range(4, 10)]);
-        let (sub, own) = (Arc::clone(p.subregion_index(1)), Arc::clone(p.owner_index(1)));
-        assert!(sub.contains(4) && !own.contains(4), "color 0 owns the overlap");
-        let copy = p.clone();
-        for q in [&p, &copy] {
-            assert!(Arc::ptr_eq(&sub, q.subregion_index(1)), "the same index on every call");
-            assert!(Arc::ptr_eq(&own, q.owner_index(1)), "and on a clone");
-        }
-        let disjoint = Partition::new(r(), vec![IndexSet::from_range(0, 5)]);
-        assert!(Arc::ptr_eq(disjoint.owner_index(0), disjoint.subregion_index(0)));
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! Each rank holds only its shard of every f64 field — the elements of
 //! `owned ∪ ghosts` from the [`ExchangePlan`] — laid out densely in
 //! ascending global index order, with global→local translation through
-//! one [`Positions`] index per region and rank, shared by the region's f64
-//! fields (an `Arc`), so an access is one bitmap word and one popcount (one
-//! subtraction when the footprint is one contiguous run, a search of its
-//! runs when it is too sparse for a bitmap).
+//! the footprint's own [`Positions`] index ([`IndexSet::index`]): the
+//! region's f64 fields share it, it lives as long as the exchange plan,
+//! and every later run on that plan reuses it. An access is one bitmap
+//! word and one popcount (one subtraction when the footprint is one
+//! contiguous run, a search of its runs when it is too sparse for a
+//! bitmap).
 //! Ptr/Range topology fields are not sharded — they describe the
 //! mesh/matrix structure and partitioning functions read them at arbitrary
 //! indices — and not copied either: every rank holds an `Arc` clone of the
@@ -52,21 +54,17 @@ pub struct RankStore {
 
 impl RankStore {
     /// Shards `store` for `rank` per the exchange plan's local footprints,
-    /// copying each footprint run with one `extend_from_slice`. The fields
-    /// of one region share one position index.
+    /// copying each footprint run with one `extend_from_slice`. Every f64
+    /// field translates through its footprint's own index.
     pub fn shard(store: &Store, xplan: &ExchangePlan, rank: usize) -> Self {
         let schema = store.schema();
-        let mut maps: Vec<Option<Arc<Positions>>> = vec![None; schema.num_regions()];
         let fields = (0..schema.num_fields())
             .map(|fi| {
                 let f = FieldId(fi as u32);
                 match store.field_data(f) {
                     FieldData::F64(global) => {
-                        let region = schema.field(f).region;
-                        let set = xplan.local(region, rank);
-                        let local = maps[region.0 as usize]
-                            .get_or_insert_with(|| Arc::new(Positions::new(set)))
-                            .clone();
+                        let set = xplan.local(schema.field(f).region, rank);
+                        let local = Arc::clone(set.index());
                         let mut data = Vec::with_capacity(local.len() as usize);
                         for &(s, e) in set.runs() {
                             data.extend_from_slice(&global[s as usize..e as usize]);
@@ -290,10 +288,8 @@ mod tests {
     use partir_core::pipeline::{auto_parallelize, Hints, Options};
     use partir_core::placement::{place, PlacementConfig};
     use partir_dpl::func::FnTable;
-    use partir_dpl::region::{RegionId, Schema};
+    use partir_dpl::region::Schema;
     use partir_ir::ast::{LoopBuilder, ReduceOp, VExpr};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     /// CSR row sums on 8 rows of 4 entries, placed on `n_ranks` ranks:
     /// `for i in Y: for k in row(i): Y[i].y += X[col(k)].x`. Returns the
@@ -373,9 +369,11 @@ mod tests {
         assert_eq!((Arc::strong_count(cols), Arc::strong_count(rows)), (1, 1));
     }
 
-    /// The f64 fields of a region share one position index per rank, and
-    /// the index holds at most a quarter byte per element of its span
-    /// (rounded up to whole 64-element words).
+    /// A shard translates through the exchange plan's own footprint
+    /// indexes: every f64 field holds the `Arc` of its region's
+    /// `xplan.local(region, rank).index()`, a second shard of the rank the
+    /// same one, and the index holds at most a quarter byte per element of
+    /// its span (rounded up to whole 64-element words).
     #[test]
     fn region_fields_share_one_position_index() {
         let (rows, n_ranks) = (1024, 4);
@@ -384,24 +382,23 @@ mod tests {
         let schema = store.schema();
         let mut bitmaps = 0;
         for r in 0..n_ranks {
-            let shard = RankStore::shard(&store, &xplan, r);
-            for region in (0..schema.num_regions()).map(|g| RegionId(g as u32)) {
-                let maps: Vec<&Arc<Positions>> = (0..schema.num_fields())
-                    .filter(|&fi| schema.field(FieldId(fi as u32)).region == region)
-                    .filter_map(|fi| match &shard.fields[fi] {
-                        RankField::F64 { local, .. } => Some(local),
-                        _ => None,
-                    })
-                    .collect();
-                let Some(first) = maps.first() else { continue };
-                assert!(maps.iter().all(|m| Arc::ptr_eq(m, first)), "one index per region");
-                let set = xplan.local(region, r);
+            let (shard, again) =
+                (RankStore::shard(&store, &xplan, r), RankStore::shard(&store, &xplan, r));
+            for (fi, (field, other)) in shard.fields.iter().zip(&again.fields).enumerate() {
+                let (RankField::F64 { local, .. }, RankField::F64 { local: other, .. }) =
+                    (field, other)
+                else {
+                    continue;
+                };
+                let set = xplan.local(schema.field(FieldId(fi as u32)).region, r);
+                assert!(Arc::ptr_eq(local, set.index()), "field {fi}: the plan's index");
+                assert!(Arc::ptr_eq(local, other), "field {fi}: built once for both shards");
                 let span = set.max().map_or(0, |max| max + 1 - set.min().unwrap());
-                assert!(first.heap_bytes() as u64 <= span.next_multiple_of(64) / 4);
-                bitmaps += usize::from(maps.len() == 2 && first.heap_bytes() > 0);
+                assert!(local.heap_bytes() as u64 <= span.next_multiple_of(64) / 4);
+                bitmaps += usize::from(local.heap_bytes() > 0);
             }
         }
-        assert!(bitmaps > 0, "some two-field footprint is more than one run");
+        assert!(bitmaps > 0, "some footprint is more than one run");
     }
 
     /// The gather writes what a rank owns and nothing it merely holds: a
@@ -470,7 +467,7 @@ mod tests {
         // Build via RankField directly to keep the test self-contained.
         let mut rs = RankStore {
             fields: vec![RankField::F64 {
-                local: Arc::new(Positions::new(&IndexSet::from_range(0, 4))),
+                local: Arc::clone(IndexSet::from_range(0, 4).index()),
                 data: vec![0.0, 1.0, 2.0, 3.0],
             }],
         };
@@ -491,120 +488,11 @@ mod tests {
     }
 
     #[test]
-    fn local_map_translates_multi_run_footprints() {
-        // Footprint {2,3} ∪ {10..13} ∪ {20}: positions 0,1,2,3,4,5.
-        let set = IndexSet::from_indices([2, 3, 10, 11, 12, 20]);
-        let m = Positions::new(&set);
-        assert_eq!(m.len(), 6);
-        assert_eq!(m.pos(2), Some(0));
-        assert_eq!(m.pos(3), Some(1));
-        assert_eq!(m.pos(10), Some(2));
-        assert_eq!(m.pos(12), Some(4));
-        assert_eq!(m.pos(20), Some(5));
-        for miss in [0, 1, 4, 9, 13, 19, 21] {
-            assert_eq!(m.pos(miss), None, "element {miss} is not resident");
-        }
-        // A run is resident only inside one footprint run.
-        assert_eq!(m.pos_run(10, 3), Some(2));
-        assert_eq!(m.pos_run(11, 3), None);
-        assert_eq!(m.pos_run(3, 2), None, "3 and 10 are neighbours locally, not globally");
-        assert_eq!(m.pos_run(u64::MAX, 2), None);
-        assert_eq!(m.pos_run(7, 0), Some(0), "the empty run is resident anywhere");
-        // The dense fast path kicks in for one contiguous run.
-        let dense = Positions::new(&IndexSet::from_range(5, 9));
-        assert_eq!(dense.heap_bytes(), 0, "one run needs no bitmap");
-        assert_eq!(dense.pos(7), Some(2));
-        assert_eq!(dense.pos(9), None);
-        assert_eq!(dense.pos_run(5, 4), Some(0));
-        assert_eq!(dense.pos_run(6, 4), None);
-    }
-
-    /// The run search the position index replaced, kept as its oracle:
-    /// the position of `[i, i + n)` when one run of `set` holds all of it.
-    fn run_search(set: &IndexSet, i: Idx, n: u64) -> Option<u64> {
-        if n == 0 {
-            return Some(0);
-        }
-        let runs = set.runs();
-        let k = runs.partition_point(|&(s, _)| s <= i);
-        let (s, e) = *runs.get(k.checked_sub(1)?)?;
-        let before: u64 = runs[..k - 1].iter().map(|&(s, e)| e - s).sum();
-        (i < e && n <= e - i).then(|| before + (i - s))
-    }
-
-    /// Every `pos(i)` and `pos_run(i, n)` with `i` in a window around the
-    /// span (and at `u64::MAX`) and `n ≤ 130` against the oracle.
-    fn agrees_with_run_search(set: &IndexSet) {
-        let m = Positions::new(set);
-        assert_eq!(m.len(), set.len());
-        let (lo, hi) = (set.min().unwrap_or(0), set.max().map_or(0, |max| max + 1));
-        let window = lo.saturating_sub(70)..hi.saturating_add(70);
-        for i in window.chain([u64::MAX]) {
-            assert_eq!(m.pos(i), run_search(set, i, 1), "{set:?}: pos({i})");
-            for n in 0..=130 {
-                assert_eq!(m.pos_run(i, n), run_search(set, i, n), "{set:?}: pos_run({i}, {n})");
-            }
-        }
-    }
-
-    /// Canonical runs from `lo` up: lengths around and at one 64-bit word,
-    /// some starting word-aligned relative to `lo`, stopping short of
-    /// `u64::MAX`.
-    fn arb_footprint(r: &mut StdRng) -> IndexSet {
-        let lo = match r.gen_range(0..4u32) {
-            0 => r.gen_range(0..200u64),
-            1 => (1u64 << 40) + r.gen_range(0..64u64),
-            2 => u64::MAX - r.gen_range(100..600u64),
-            _ => 64 * r.gen_range(0..4u64),
-        };
-        let mut runs = Vec::new();
-        let mut at = lo;
-        for _ in 0..r.gen_range(0..12u32) {
-            let len = match r.gen_range(0..4u32) {
-                0 => r.gen_range(1..4u64),
-                1 => 64,
-                2 => r.gen_range(60..70u64),
-                _ => r.gen_range(1..150u64),
-            };
-            if len == 64 && r.gen_bool(0.5) {
-                at = lo + (at - lo).next_multiple_of(64);
-            }
-            let Some(end) = at.checked_add(len) else { break };
-            runs.push((at, end));
-            match end.checked_add(r.gen_range(1..80u64)) {
-                Some(next) => at = next,
-                None => break,
-            }
-        }
-        IndexSet::from_sorted_runs(runs)
-    }
-
-    #[test]
-    fn position_index_matches_run_search() {
-        // The empty set, one run (the dense path), runs straddling a word,
-        // whole aligned words, a gap between words, a span near the top.
-        let (big, top) = (1 << 40, u64::MAX);
-        let fixed = [
-            IndexSet::new(),
-            IndexSet::from_range(5, 300),
-            IndexSet::from_sorted_runs([(0, 3), (60, 70), (128, 192), (200, 201)]),
-            IndexSet::from_sorted_runs([(64, 128), (192, 256), (256 + 63, 256 + 65)]),
-            IndexSet::from_sorted_runs([(big, big + 2), (big + 190, big + 400)]),
-            IndexSet::from_sorted_runs([(top - 200, top - 100), (top - 2, top)]),
-        ];
-        fixed.iter().for_each(agrees_with_run_search);
-        const CASES: u64 = if cfg!(debug_assertions) { 40 } else { 2000 };
-        for seed in 0..CASES {
-            agrees_with_run_search(&arb_footprint(&mut StdRng::seed_from_u64(seed)));
-        }
-    }
-
-    #[test]
     fn pack_and_unpack_copy_whole_runs() {
         let local = IndexSet::from_indices([0, 1, 2, 3, 8, 9]);
         let mut rs = RankStore {
             fields: vec![RankField::F64 {
-                local: Arc::new(Positions::new(&local)),
+                local: Arc::clone(local.index()),
                 data: vec![0.0, 1.0, 2.0, 3.0, 8.0, 9.0],
             }],
         };

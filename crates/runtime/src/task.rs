@@ -42,12 +42,12 @@ use partir_core::pipeline::{LoopPlan, ParallelPlan, PartId, PlannedReduce};
 use partir_dpl::func::FnTable;
 use partir_dpl::index_set::{Idx, IndexSet, Positions};
 use partir_dpl::partition::Partition;
-use partir_dpl::region::{FieldId, RegionId, Schema};
+use partir_dpl::region::{FieldId, FieldKind, RegionId, Schema};
 use partir_ir::ast::{AccessId, BinOp, Loop, ReduceOp, UnOp};
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Lanes (iterations, or `ForEach` elements) a chunk holds at most. Large
 /// enough to amortize per-op dispatch over a tight lane loop, small enough
@@ -230,17 +230,13 @@ pub(crate) struct BufferSpec<'a> {
     /// `sets[color]`: the elements the color's buffer covers, in buffer
     /// order.
     pub sets: Cow<'a, [IndexSet]>,
-    /// `slots[color]`: the index of `sets[color]`, built with the color's
-    /// buffer.
-    slots: Vec<OnceLock<Positions>>,
 }
 
 impl BufferSpec<'_> {
     /// The slot of element `i` in `color`'s buffer, `None` outside its set.
     #[inline]
     pub fn slot(&self, color: usize, i: Idx) -> Option<usize> {
-        let index = self.slots[color].get_or_init(|| Positions::new(&self.sets[color]));
-        index.pos(i).map(|p| p as usize)
+        self.sets[color].index().pos(i).map(|p| p as usize)
     }
 }
 
@@ -265,7 +261,7 @@ pub(crate) struct LoopSetup<'a> {
     /// One per two-step reduction access, in access order.
     pub buffers: Vec<BufferSpec<'a>>,
     /// When the iteration partition is aliased, the index of each color's
-    /// first-owner set ([`Partition::owner_index`]): a centered write then
+    /// first-owner set ([`Partition::first_owner_sets`]): a centered write then
     /// applies only in the first task owning the iteration.
     pub write_own: Option<Vec<&'a Positions>>,
     /// Bytes of all buffer sets, and what the private sub-partitions saved
@@ -284,7 +280,10 @@ fn set_bytes(sets: &[IndexSet]) -> u64 {
 /// touches every subregion, so it rides on `check_bounds`; `check` says
 /// whether the tasks will check every access. With an exchange plan at
 /// hand its buffer sets are borrowed instead of derived again; the
-/// first-owner sets are always the iteration partition's own.
+/// first-owner sets are always the iteration partition's own. Every set
+/// index a run uses is built here, on the calling thread: the membership
+/// indexes the tasks test, the buffer sets' slot indexes and each rank's
+/// footprints' residency indexes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_loops<'a>(
     program: &[Loop],
@@ -321,7 +320,7 @@ pub(crate) fn plan_loops<'a>(
             None => Ok(p),
         }
     };
-    let indexes = |p: &'a Partition| (0..width).map(|c| &**p.subregion_index(c)).collect();
+    let indexes = |p: &'a Partition| p.iter().map(|sub| &**sub.index()).collect();
     let mut setups = Vec::with_capacity(program.len());
     for (li, (lp, lplan)) in program.iter().zip(&plan.loops).enumerate() {
         let iter = resolve(li, lplan.iter, lp.region)?;
@@ -347,7 +346,7 @@ pub(crate) fn plan_loops<'a>(
             modes: Vec::with_capacity(lplan.accesses.len()),
             buffers: Vec::new(),
             write_own: (!iter.is_disjoint())
-                .then(|| (0..width).map(|c| &**iter.owner_index(c)).collect()),
+                .then(|| iter.first_owner_sets().iter().map(|own| &**own.index()).collect()),
             planned_buffer_bytes: 0,
             private_bytes_saved: 0,
         };
@@ -380,8 +379,11 @@ pub(crate) fn plan_loops<'a>(
                     let bytes = set_bytes(&sets);
                     s.planned_buffer_bytes += bytes;
                     s.private_bytes_saved += set_bytes(b.part.subregions()) - bytes;
-                    let slots = sets.iter().map(|_| OnceLock::new()).collect();
-                    s.buffers.push(BufferSpec { field, op: b.op, sets, slots });
+                    // Built here: a borrowed set keeps its index after the
+                    // run, and one built on a worker would hold that
+                    // thread's heap from shrinking.
+                    sets.iter().for_each(|set| _ = set.index());
+                    s.buffers.push(BufferSpec { field, op: b.op, sets });
                     match b.private {
                         Some(private) => {
                             privates.push(private);
@@ -400,6 +402,14 @@ pub(crate) fn plan_loops<'a>(
         }
         s.members.extend(privates.into_iter().map(indexes));
         setups.push(s);
+    }
+    // Each rank's footprint of every region it shards: the exchange plan
+    // keeps these too.
+    if let Some(x) = xplan {
+        let fields = (0..schema.num_fields()).map(|f| schema.field(FieldId(f as u32)));
+        for field in fields.filter(|field| matches!(field.kind, FieldKind::F64)) {
+            (0..x.n_ranks).for_each(|rank| _ = x.local(field.region, rank).index());
+        }
     }
     Ok(setups)
 }

@@ -1,13 +1,15 @@
 //! A partition computes its cover — `DISJ`, `COMP` and the first-owner
 //! narrowing — once, and everything that needs the narrowing reads that
 //! one copy: the footprint's in-place write sets, the runs on both
-//! layouts, later calls. Its membership indexes are built once too: a warm
-//! run tests against the ones the first run cached. The caches are
-//! invisible to equality and to the plan-cache key.
+//! layouts, later calls. Every set's membership index is built once too:
+//! a warm run tests the subregions, first-owner sets and rank footprints
+//! against the indexes the first run built. The caches are invisible to
+//! equality and to the plan-cache key.
 
 use partir::apps::circuit::{Circuit, CircuitParams};
 use partir::core::exchange::{access_sets, block_assignment, derive_exchange_with};
 use partir::core::fingerprint::solve_fingerprint;
+use partir::core::placement::PlacementConfig;
 use partir::prelude::*;
 use partir::runtime::dist::LegalityMode;
 use std::collections::hash_map::DefaultHasher;
@@ -70,30 +72,21 @@ fn the_wire_loops_share_one_narrowing() {
     assert!(Arc::ptr_eq(&own, again), "runs read the cached narrowing");
 }
 
-/// Which membership indexes of `parts` were built when `snapshot` was
-/// cloned from them: a clone carries the built ones, so its index is the
-/// same allocation exactly then. Builds every index of `parts` (and of
-/// the snapshot) on the way.
-fn built_at(snapshot: &[Partition], parts: &[Arc<Partition>]) -> Vec<bool> {
-    let mut built = Vec::new();
-    for (copy, p) in snapshot.iter().zip(parts) {
-        for c in 0..p.num_subregions() {
-            built.push(Arc::ptr_eq(copy.subregion_index(c), p.subregion_index(c)));
-            built.push(Arc::ptr_eq(copy.owner_index(c), p.owner_index(c)));
-        }
-    }
-    built
+/// Which indexes of `sets` were built when `snapshot` was cloned from
+/// them: a clone carries a built index, so its index is the same
+/// allocation exactly then. Builds every index of `sets` (and of the
+/// snapshot) on the way.
+fn built_at(snapshot: &[IndexSet], sets: &[&IndexSet]) -> Vec<bool> {
+    snapshot.iter().zip(sets).map(|(copy, set)| Arc::ptr_eq(copy.index(), set.index())).collect()
 }
 
 #[test]
 fn a_warm_run_builds_no_membership_index() {
     let a = circuit();
-    let plan = Partir::new(a.program.clone(), a.fns.clone(), a.store.schema().clone())
-        .colors(4)
-        .solve()
-        .unwrap();
+    let schema = a.store.schema();
+    let plan =
+        Partir::new(a.program.clone(), a.fns.clone(), schema.clone()).colors(4).solve().unwrap();
     let parts = plan.solved().parts_for(&a.store);
-    let snapshot = || parts.iter().map(|p| (**p).clone()).collect::<Vec<_>>();
     let run_both = || {
         for backend in [Backend::Threads(2), Backend::Ranks(2)] {
             let mut store = a.store.clone();
@@ -102,24 +95,52 @@ fn a_warm_run_builds_no_membership_index() {
         }
     };
     run_both();
+    let artifacts = plan.solved().dist_artifacts(&a.store, 2, &PlacementConfig::default()).unwrap();
+    let xplan = &artifacts.placement.xplan;
+    // Every set a run indexes: each partition's subregions, then its
+    // first-owner sets, then each rank's footprint of every region.
+    let mut sets: Vec<&IndexSet> = Vec::new();
+    for p in parts.iter() {
+        sets.extend(p.subregions());
+        sets.extend(p.first_owner_sets());
+    }
+    let regions = (0..schema.num_regions()).map(|g| RegionId(g as u32));
+    let footprints: Vec<_> = regions.flat_map(|g| (0..2).map(move |r| (g, r))).collect();
+    sets.extend(footprints.iter().map(|&(g, r)| xplan.local(g, r)));
+    let snapshot = || sets.iter().map(|&s| s.clone()).collect::<Vec<_>>();
     let after_first = snapshot();
     run_both();
     let after_second = snapshot();
     assert!(Arc::ptr_eq(&parts, &plan.solved().parts_for(&a.store)), "runs share the partitions");
+    let again = plan.solved().dist_artifacts(&a.store, 2, &PlacementConfig::default()).unwrap();
+    assert!(Arc::ptr_eq(&artifacts, &again), "and the memoized exchange plan");
 
-    let cold = built_at(&after_first, &parts);
-    assert_eq!(built_at(&after_second, &parts), cold, "the warm run built no index");
-    // The cold run built what its guards, write filters and checks test:
-    // every subregion of every partition, and the aliased iteration
-    // partition's first-owner colors.
+    let cold = built_at(&after_first, &sets);
+    assert_eq!(built_at(&after_second, &sets), cold, "the warm run built no index");
+    // The cold run built what its guards, write filters, checks and
+    // shards use: every subregion of every partition, the aliased
+    // iteration partition's first-owner colors, and each rank's
+    // footprint of every region holding an f64 field.
     let aliased = parts.iter().position(|p| !p.is_disjoint()).expect("an aliased partition");
+    let mut at = 0;
     for (k, p) in parts.iter().enumerate() {
-        let at = 2 * parts[..k].iter().map(|p| p.num_subregions()).sum::<usize>();
-        for c in 0..p.num_subregions() {
-            assert!(cold[at + 2 * c], "partition {k}: subregion {c} indexed by the cold run");
+        let n = p.num_subregions();
+        for c in 0..n {
+            assert!(cold[at + c], "partition {k}: subregion {c} indexed by the cold run");
             if k == aliased {
-                assert!(cold[at + 2 * c + 1], "first-owner color {c} indexed by the cold run");
+                assert!(cold[at + n + c], "first-owner color {c} indexed by the cold run");
             }
+        }
+        at += 2 * n;
+    }
+    let f64_regions: Vec<RegionId> = (0..schema.num_fields())
+        .map(|f| schema.field(FieldId(f as u32)))
+        .filter(|d| matches!(d.kind, FieldKind::F64))
+        .map(|d| d.region)
+        .collect();
+    for (k, &(g, r)) in footprints.iter().enumerate() {
+        if f64_regions.contains(&g) {
+            assert!(cold[at + k], "region {g:?}: rank {r}'s footprint indexed by the cold run");
         }
     }
 }
