@@ -194,18 +194,13 @@ pub struct LoopExchange {
     pub pairs: Vec<Vec<PairMessages>>,
     /// Two-step reduction accesses, in loop-plan access order.
     pub routes: Vec<BufferRoute>,
-    /// Per rank: colors whose every in-place f64 access stays inside the
-    /// rank's owned sets — safe to run *before* ghosts arrive (overlapping
+    /// Per rank, ascending: colors that read no ghost piece from another
+    /// rank — safe to run *before* ghosts arrive (overlapping
     /// communication with local-interior compute).
     pub interior: Vec<Vec<usize>>,
-    /// Per rank: the rank's remaining colors, run after the ghost exchange.
+    /// Per rank, ascending: the rank's remaining colors, which read some
+    /// ghost; they run once every ghost message of the epoch is installed.
     pub boundary: Vec<Vec<usize>>,
-    /// `boundary_deps[rank][k]`: the source ranks whose ghost message must
-    /// be installed before `boundary[rank][k]` may run — the owners of the
-    /// color's foreign touches. Parallel to `boundary`; lets the runtime
-    /// run each boundary color as soon as *its* halos land instead of
-    /// waiting for the whole exchange.
-    pub boundary_deps: Vec<Vec<Vec<usize>>>,
 }
 
 /// Volume accounting for one full pass over the program.
@@ -737,27 +732,20 @@ impl Footprint {
             for (s, d, p, set) in fold_pieces(&lf.slices, rank_of, true) {
                 pairs[s][d].post.slices.push((p.of, p.src, set));
             }
-            // A boundary color waits for the owners of its foreign pieces.
-            let mut deps = vec![Vec::new(); n_colors];
+            // A color is boundary when it reads a ghost piece from another rank.
+            let mut reads_ghost = vec![false; n_colors];
             for p in lf.ghost.iter().filter(|p| rank_of[p.src] != rank_of[p.dst]) {
-                deps[p.dst].push(rank_of[p.src]);
+                reads_ghost[p.dst] = true;
             }
-            for d in &mut deps {
-                d.sort_unstable();
-                d.dedup();
-            }
-            // Interior colors need no ghost; boundary colors wait on theirs.
-            let split = |interior: bool| -> Vec<Vec<usize>> {
+            let split = |boundary: bool| -> Vec<Vec<usize>> {
                 let pick = |cs: &Vec<usize>| {
-                    cs.iter().copied().filter(|&c| deps[c].is_empty() == interior).collect()
+                    cs.iter().copied().filter(|&c| reads_ghost[c] == boundary).collect()
                 };
                 rank_colors.iter().map(pick).collect()
             };
-            let (interior, boundary) = (split(true), split(false));
-            let boundary_deps = boundary.iter().map(|cs| cs.iter().map(|&c| deps[c].clone()));
-            let boundary_deps = boundary_deps.map(Iterator::collect).collect();
+            let (interior, boundary) = (split(false), split(true));
             let routes = lf.routes.clone();
-            lxs.push(LoopExchange { pairs, routes, interior, boundary, boundary_deps });
+            lxs.push(LoopExchange { pairs, routes, interior, boundary });
         }
 
         let locals: Vec<Vec<IndexSet>> = owned
@@ -1061,39 +1049,49 @@ mod tests {
     }
 
     #[test]
-    fn boundary_deps_name_the_halo_owners() {
-        let n = 40u64;
-        let (program, fns, schema) = stencil_1d(n);
+    fn boundary_colors_are_the_ghost_readers() {
+        let (program, fns, schema) = stencil_1d(40);
         let plan =
             auto_parallelize(&program, &fns, &schema, &Hints::new(), Options::default()).unwrap();
         let store = Store::new(schema.clone());
-        let ranks = 4usize;
-        let parts = plan.evaluate(&store, &fns, ranks, &ExtBindings::new());
-        let x = derive_exchange(&plan, &parts, &schema, ranks).unwrap();
-        let lx = &x.loops[0];
-        for rank in 0..ranks {
-            assert_eq!(
-                lx.boundary[rank].len(),
-                lx.boundary_deps[rank].len(),
-                "deps parallel to boundary colors"
-            );
-            // One color per rank; the periodic ±1 stencil makes every
-            // color a boundary color depending on both neighbors.
-            let left = (rank + ranks - 1) % ranks;
-            let right = (rank + 1) % ranks;
-            let mut want = vec![left, right];
-            want.sort_unstable();
-            want.dedup();
-            assert_eq!(lx.boundary_deps[rank], vec![want], "rank {rank} deps");
-            // Every dep has a matching non-empty ghost message to wait on.
-            for deps in &lx.boundary_deps[rank] {
-                for &src in deps {
+        // 4 ranks of one color each, then 2 ranks of four colors each.
+        for (ranks, n_colors) in [(4usize, 4usize), (2, 8)] {
+            let parts = plan.evaluate(&store, &fns, n_colors, &ExtBindings::new());
+            let fp = Footprint::build(&plan, &parts, &schema).unwrap();
+            let rank_of = block_assignment(n_colors, ranks);
+            let x = fp.fold(ranks, &rank_of).unwrap();
+            let lx = &x.loops[0];
+            let foreign = fp.loops[0].ghost.iter().filter(|p| rank_of[p.src] != rank_of[p.dst]);
+            let mut reads_ghost = vec![false; n_colors];
+            foreign.for_each(|p| reads_ghost[p.dst] = true);
+            for rank in 0..ranks {
+                let colors = x.colors_of(rank);
+                for &c in colors {
+                    assert_eq!(
+                        lx.boundary[rank].contains(&c),
+                        reads_ghost[c],
+                        "{ranks} ranks: color {c} is boundary iff it reads a foreign ghost"
+                    );
+                }
+                // Interior and boundary split the rank's colors in order.
+                let mut split = lx.interior[rank].clone();
+                split.extend(&lx.boundary[rank]);
+                split.sort_unstable();
+                assert_eq!(split, colors, "{ranks} ranks: rank {rank} colors");
+                assert!(lx.interior[rank].is_sorted() && lx.boundary[rank].is_sorted());
+                // A rank with a boundary color has a ghost message to wait on.
+                if !lx.boundary[rank].is_empty() {
+                    let mut sources = (0..ranks).filter(|&s| s != rank);
                     assert!(
-                        !lx.pairs[src][rank].ghost.is_empty(),
-                        "rank {rank} dep on {src} without a ghost message"
+                        sources.any(|s| !lx.pairs[s][rank].ghost.is_empty()),
+                        "{ranks} ranks: rank {rank} has boundary colors and no ghost source"
                     );
                 }
             }
+            // The periodic ±1 stencil: every color at one color per rank,
+            // the two edge colors of each rank at four.
+            let boundary: usize = lx.boundary.iter().map(Vec::len).sum();
+            assert_eq!(boundary, 4, "{ranks} ranks");
         }
     }
 

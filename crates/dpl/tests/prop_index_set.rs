@@ -1,5 +1,6 @@
 //! Property tests: the interval-run `IndexSet` must agree with a naive
-//! `BTreeSet` model on every operation.
+//! `BTreeSet` model on every operation, near zero and, shifted by a base
+//! offset, near both ends of the index space.
 
 use partir_dpl::index_set::{Idx, IndexSet};
 use proptest::prelude::*;
@@ -9,6 +10,16 @@ const UNIVERSE: u64 = 200;
 
 fn arb_indices() -> impl Strategy<Value = Vec<Idx>> {
     proptest::collection::vec(0..UNIVERSE, 0..80)
+}
+
+/// Where a shifted window `[base, base + UNIVERSE)` starts: at zero, past
+/// 32 bits, at 2^62, and just below the largest index a run can hold.
+fn arb_base() -> impl Strategy<Value = Idx> {
+    (0usize..4).prop_map(|k| [0, 1 << 32, 1 << 62, u64::MAX - 256][k])
+}
+
+fn shifted(v: &[Idx], base: Idx) -> Vec<Idx> {
+    v.iter().map(|&i| base + i).collect()
 }
 
 fn model(v: &[Idx]) -> BTreeSet<Idx> {
@@ -100,6 +111,33 @@ proptest! {
         let sa = IndexSet::from_indices(a.iter().copied());
         let cc = sa.complement_within(UNIVERSE).complement_within(UNIVERSE);
         prop_assert_eq!(cc, sa);
+    }
+
+    #[test]
+    fn algebra_matches_model_at_large_offsets(base in arb_base(), a in arb_indices(), b in arb_indices()) {
+        let (a, b) = (shifted(&a, base), shifted(&b, base));
+        let (sa, sb) = (IndexSet::from_indices(a.iter().copied()), IndexSet::from_indices(b.iter().copied()));
+        let (ma, mb) = (model(&a), model(&b));
+        for (got, want) in [
+            (sa.union(&sb), ma.union(&mb).copied().collect::<Vec<_>>()),
+            (sa.intersect(&sb), ma.intersection(&mb).copied().collect()),
+            (sa.difference(&sb), ma.difference(&mb).copied().collect()),
+        ] {
+            prop_assert!(got.check_invariants());
+            prop_assert_eq!(to_vec(&got), want);
+        }
+        prop_assert_eq!(sa.is_subset(&sb), ma.is_subset(&mb));
+        prop_assert_eq!(sa.is_disjoint(&sb), ma.is_disjoint(&mb));
+        // The complement within the window's end: all of `[0, base)`, and
+        // the window's indices `a` lacks.
+        let end = base + UNIVERSE;
+        let c = sa.complement_within(end);
+        prop_assert!(c.check_invariants());
+        let window = IndexSet::from_range(base, end);
+        prop_assert_eq!(c.difference(&window), IndexSet::from_range(0, base));
+        let mc: Vec<Idx> = (base..end).filter(|i| !ma.contains(i)).collect();
+        prop_assert_eq!(to_vec(&c.intersect(&window)), mc);
+        prop_assert_eq!(c.complement_within(end), sa);
     }
 
     #[test]

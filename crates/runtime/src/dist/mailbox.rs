@@ -8,6 +8,7 @@
 //! against a shared abort flag so one failing rank cannot deadlock the
 //! rest of the fleet.
 
+use crate::fault::hash4;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -72,30 +73,6 @@ pub enum MailboxError {
     Deadline,
 }
 
-/// Deterministic delivery-order shuffling for tests: a seeded xorshift*
-/// stream that picks among equally-ready stashed messages and injects
-/// tiny receive-side delays, simulating an adversarially slow fabric.
-/// Results must stay bit-identical under any schedule it produces.
-struct Chaos {
-    state: u64,
-}
-
-impl Chaos {
-    fn new(seed: u64) -> Self {
-        Chaos { state: seed | 1 }
-    }
-
-    fn next(&mut self) -> u64 {
-        // xorshift64*: cheap, deterministic, good enough to shuffle.
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
 /// The receiving half of one rank's mailbox. Meters arriving traffic per
 /// source rank — the *measured* side of the predicted-vs-measured
 /// communication accounting.
@@ -112,7 +89,13 @@ pub struct Mailbox {
     /// sends at most one message per triple, so a repeat is an injected
     /// (or fabric-level) duplicate and is dropped.
     seen: HashSet<(u64, u64, usize)>,
-    chaos: Option<Chaos>,
+    /// Delivery-order chaos for tests, `(stream, draws so far)`: each draw
+    /// is the fault plane's decision hash of the rank's stream
+    /// ([`crate::fault::FaultPlan::chaos_stream`]) and the draw's number.
+    /// It picks among equally-ready stashed messages and injects tiny
+    /// receive-side delays, simulating an adversarially slow fabric;
+    /// results must stay bit-identical under any schedule it produces.
+    chaos: Option<(u64, u64)>,
     /// Maximum time one `recv_any` call may wait before declaring the
     /// outstanding sources suspect (`MailboxError::Deadline`). `None`
     /// waits forever (the fault-free default — a stall is then a bug the
@@ -133,9 +116,16 @@ impl Mailbox {
         }
     }
 
-    /// Enables deterministic delivery-order shuffling (see [`Chaos`]).
+    /// Enables deterministic delivery-order shuffling, drawn from `seed`.
     pub fn set_chaos(&mut self, seed: u64) {
-        self.chaos = Some(Chaos::new(seed));
+        self.chaos = Some((seed, 0));
+    }
+
+    /// The next chaos draw, when chaos is on.
+    fn chaos_draw(&mut self) -> Option<u64> {
+        let (stream, draws) = self.chaos.as_mut()?;
+        *draws += 1;
+        Some(hash4(*stream, *draws, 0, 3))
     }
 
     /// Arms the epoch-deadline detector: a `recv_any` that waits longer
@@ -180,8 +170,8 @@ impl Mailbox {
                 .map(|(i, _)| i)
                 .collect();
             if !matches.is_empty() {
-                let pick = match &mut self.chaos {
-                    Some(c) => matches[c.next() as usize % matches.len()],
+                let pick = match self.chaos_draw() {
+                    Some(h) => matches[h as usize % matches.len()],
                     None => matches[0],
                 };
                 let m = self.pending.swap_remove(pick);
@@ -194,8 +184,7 @@ impl Mailbox {
             if self.deadline.is_some_and(|d| started.elapsed() >= d) {
                 return Err(MailboxError::Deadline);
             }
-            if let Some(c) = &mut self.chaos {
-                let us = c.next() % 120;
+            if let Some(us) = self.chaos_draw().map(|h| h % 120) {
                 if us >= 40 {
                     std::thread::sleep(Duration::from_micros(us));
                 }

@@ -9,10 +9,10 @@
 //!    destination);
 //! 2. **interior compute** — run the colors whose accesses stay inside the
 //!    rank's owned sets, overlapping with the ghost traffic in flight;
-//! 3. **pull ghosts** — receive and install the rank's own ghost values,
-//!    in arrival order;
-//! 4. **boundary compute** — run each remaining color as soon as the peers
-//!    it reads from have installed;
+//! 3. **pull ghosts** — receive and install every ghost message of the
+//!    rank's column, in arrival order: the epoch's one wait;
+//! 4. **boundary compute** — run the remaining colors, each of which reads
+//!    some ghost, now that every ghost is installed;
 //! 5. **post** — send in-place write-backs (installed verbatim by the
 //!    owner) and partial-reduction buffer slices (with per-slice presence
 //!    flags) to the owners; receive the same, then merge partials in
@@ -21,11 +21,12 @@
 //!
 //! Both kinds of traffic take one path through the rank's [`Port`]:
 //! `send` packs one message per peer of the rank's row and hands it to the
-//! fabric under the fault plan, `recv` takes the next message of the
-//! rank's column in arrival order and installs it. Every phase is charged
-//! by `charge`, the one clock: it adds the phase's duration to its report
-//! counter and records the same duration as a span when a timeline is
-//! attached, so each `*_ns` field is exactly the sum of its spans.
+//! fabric under the fault plan, `recv_all` takes every message of its kind
+//! from the rank's column in arrival order and installs each one. Every
+//! phase is charged by `charge`, the one clock: it adds the phase's
+//! duration to its report counter and records the same duration as a span
+//! when a timeline is attached, so each `*_ns` field is exactly the sum of
+//! its spans.
 //!
 //! A rank without an exchange plan is the whole run in place (the threads
 //! backend): every color is interior, nothing is sent, and every buffer
@@ -165,11 +166,11 @@ fn run_epoch<D: RankData>(
     // One register file per rank and epoch, not per task.
     let mut regs = Regs::new(setup);
     let all: Vec<usize>;
-    let (pairs, interior, boundary, deps) = match lx {
-        Some(x) => (&x.pairs[..], &x.interior[rank], &x.boundary[rank], &x.boundary_deps[rank]),
+    let (pairs, interior, boundary) = match lx {
+        Some(x) => (&x.pairs[..], &x.interior[rank], &x.boundary[rank]),
         None => {
             all = (0..setup.iter.num_subregions()).collect();
-            (&[][..], &all, &Vec::new(), &Vec::new())
+            (&[][..], &all, &Vec::new())
         }
     };
 
@@ -186,44 +187,22 @@ fn run_epoch<D: RankData>(
     colors.run(store, interior, workers, &mut regs);
     port.charge(SpanKind::InteriorCompute, t, 0, None);
 
-    // Phases 3+4: arrival-order halo install with dependency-driven
-    // boundary compute. Ghost messages are taken as they land (whichever
-    // peer is fastest first), and each boundary color runs as soon as the
-    // peers *it* depends on (`boundary_deps`) have installed — the rank
-    // waits only for the halos a color actually reads, never for the whole
-    // exchange, and never in a fixed source order a slow peer could stall.
-    let mut color_done = vec![false; boundary.len()];
-    let mut installed = vec![false; pairs.len()];
-    let mut wanted = port.sources(MsgKind::Ghost, pairs);
-    let mut halo_charged = false;
-    loop {
-        // Run every boundary color whose halos are all resident.
-        let t = Instant::now();
-        let mut ran = false;
-        for (k, &c) in boundary.iter().enumerate() {
-            if color_done[k] || !deps[k].iter().all(|&s| s == rank || installed[s]) {
-                continue;
-            }
-            colors.run(store, &[c], 1, &mut regs);
-            color_done[k] = true;
-            ran = true;
-        }
-        let last = wanted.is_empty() || port.abort.load(Ordering::Relaxed);
-        if ran || (last && !halo_charged) {
-            port.charge(SpanKind::HaloCompute, t, 0, None);
-            halo_charged = true;
-        }
-        if last {
-            break;
-        }
-        let src = port.recv(MsgKind::Ghost, pairs, &mut wanted, |pair, msg| {
-            let rest = unpack(store, &pair.ghost, &msg.values);
-            debug_assert!(rest.is_empty(), "ghost message longer than its plan sets");
-        })?;
-        installed[src] = true;
+    // Phase 3: install every ghost message in arrival order, the epoch's
+    // one wait. A run stopped meanwhile still reaches `finish`, which
+    // reports a task panic of this rank before the abort it caused.
+    match port.recv_all(MsgKind::Ghost, pairs, |pair, msg| {
+        let rest = unpack(store, &pair.ghost, &msg.values);
+        debug_assert!(rest.is_empty(), "ghost message longer than its plan sets");
+    }) {
+        Err(DistError::Aborted) => {}
+        halo => halo?,
     }
+
+    // Phase 4: boundary compute, every halo resident.
+    let t = Instant::now();
+    colors.run(store, boundary, workers, &mut regs);
+    port.charge(SpanKind::HaloCompute, t, 0, None);
     let (bufs, counts) = colors.finish(store, &mut regs)?;
-    debug_assert!(color_done.iter().all(|&d| d), "every boundary color ran");
     port.stats.add(&counts);
 
     // Phase 5: post traffic out — write-backs first, then the pair's
@@ -238,13 +217,10 @@ fn run_epoch<D: RankData>(
     // partial slices that came with values; the merge below sorts them
     // into the deterministic order.
     let mut partials: Vec<Partial<'_>> = Vec::new();
-    let mut wanted = port.sources(MsgKind::Post, pairs);
-    while !wanted.is_empty() {
-        port.recv(MsgKind::Post, pairs, &mut wanted, |pair, msg| {
-            let vals = unpack(store, &pair.post.write_back, &msg.values);
-            unpack_slices(&pair.post, &msg.partials_present, vals, &mut partials);
-        })?;
-    }
+    port.recv_all(MsgKind::Post, pairs, |pair, msg| {
+        let vals = unpack(store, &pair.post.write_back, &msg.values);
+        unpack_slices(&pair.post, &msg.partials_present, vals, &mut partials);
+    })?;
 
     // Owner merge of partial reductions: buffer order, ascending
     // *global* color order, skipping colors whose buffer was never
@@ -382,42 +358,40 @@ impl Port<'_> {
         Ok(())
     }
 
-    /// The peers whose pair in this rank's column of `pairs` has `kind`
-    /// traffic for it: what the epoch's receives wait for.
-    fn sources(&self, kind: MsgKind, pairs: &[Vec<PairMessages>]) -> Vec<usize> {
-        let rank = self.rank;
-        (0..pairs.len()).filter(|&src| src != rank && carries(&pairs[src][rank], kind)).collect()
-    }
-
-    /// Receives the `kind` message that lands first from a source still in
-    /// `wanted` and installs it with `install`, given its pair; charges
-    /// the wait and the install, and returns the source. A deadline expiry
-    /// names the first source still awaited — the rank whose traffic never
-    /// came, the silent-crash detection heuristic.
-    fn recv<'x>(
+    /// Receives the `kind` message of every peer whose pair in this rank's
+    /// column of `pairs` has traffic of that kind, in arrival order, and
+    /// installs each with `install`, given its pair; charges every wait
+    /// and install. A deadline expiry names the first source still
+    /// awaited — the rank whose traffic never came, the silent-crash
+    /// detection heuristic.
+    fn recv_all<'x>(
         &mut self,
         kind: MsgKind,
         pairs: &'x [Vec<PairMessages>],
-        wanted: &mut Vec<usize>,
-        install: impl FnOnce(&'x PairMessages, &Msg),
-    ) -> Result<usize, DistError> {
-        let t = Instant::now();
-        let epoch = self.epoch as u64;
-        let msg = self.mailbox.recv_any(epoch, kind, wanted).map_err(|e| {
-            let suspect = wanted.first().copied().unwrap_or(self.rank);
-            match e {
-                MailboxError::Aborted => DistError::Aborted,
-                MailboxError::Disconnected => DistError::Disconnected { rank: suspect },
-                MailboxError::Lost { rank } => DistError::RankLost { rank, epoch },
-                MailboxError::Deadline => DistError::RankLost { rank: suspect, epoch },
-            }
-        })?;
-        let bytes = msg.values.len() as u64 * 8;
-        self.charge(SpanKind::RecvWait, t, bytes, Some(msg.src));
-        let t = Instant::now();
-        install(&pairs[msg.src][self.rank], &msg);
-        self.charge(SpanKind::Unpack, t, bytes, Some(msg.src));
-        Ok(msg.src)
+        mut install: impl FnMut(&'x PairMessages, &Msg),
+    ) -> Result<(), DistError> {
+        let (rank, epoch) = (self.rank, self.epoch as u64);
+        let mut wanted: Vec<usize> = (0..pairs.len())
+            .filter(|&src| src != rank && carries(&pairs[src][rank], kind))
+            .collect();
+        while !wanted.is_empty() {
+            let t = Instant::now();
+            let msg = self.mailbox.recv_any(epoch, kind, &mut wanted).map_err(|e| {
+                let suspect = wanted.first().copied().unwrap_or(rank);
+                match e {
+                    MailboxError::Aborted => DistError::Aborted,
+                    MailboxError::Disconnected => DistError::Disconnected { rank: suspect },
+                    MailboxError::Lost { rank } => DistError::RankLost { rank, epoch },
+                    MailboxError::Deadline => DistError::RankLost { rank: suspect, epoch },
+                }
+            })?;
+            let bytes = msg.values.len() as u64 * 8;
+            self.charge(SpanKind::RecvWait, t, bytes, Some(msg.src));
+            let t = Instant::now();
+            install(&pairs[msg.src][rank], &msg);
+            self.charge(SpanKind::Unpack, t, bytes, Some(msg.src));
+        }
+        Ok(())
     }
 }
 

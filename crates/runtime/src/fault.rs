@@ -201,7 +201,7 @@ fn mix(mut z: u64) -> u64 {
 
 /// Hashes four coordinates into one well-mixed word: the decision hash.
 #[inline]
-fn hash4(a: u64, b: u64, c: u64, d: u64) -> u64 {
+pub(crate) fn hash4(a: u64, b: u64, c: u64, d: u64) -> u64 {
     mix(mix(mix(mix(a) ^ b) ^ c) ^ d)
 }
 

@@ -7,8 +7,8 @@
 //! owner. That derivation lives on here, unchanged, as the oracle, and
 //! every set the two produce is compared exactly: owned, ghost and local
 //! footprints per region and rank, and per loop the message table, the
-//! buffer routes, the interior/boundary split with its dependencies, and
-//! the iteration partition's first-owner narrowing. The oracle checks
+//! buffer routes, the interior/boundary split, and the iteration
+//! partition's first-owner narrowing. The oracle checks
 //! `DISJ`, `COMP` and the narrowing by chains of unions, not by the
 //! partition's own sweep. Bad assignments must fail with the same error.
 //!
@@ -197,26 +197,18 @@ fn oracle(
 
         let mut interior: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
         let mut boundary: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
-        let mut boundary_deps: Vec<Vec<Vec<usize>>> = vec![Vec::new(); n_ranks];
         for (rank, colors) in rank_colors.iter().enumerate() {
             for &c in colors {
-                let mut deps: Vec<usize> = Vec::new();
+                let mut reads_ghost = false;
                 for (_, region, s) in &sets {
                     let Some(part) = s.resident else { continue };
                     let owned = &owned[region.0 as usize];
                     let foreign = part.subregion(c).difference(&owned[rank]);
-                    for (src, _) in split_by_owner(&foreign, owned) {
-                        if !deps.contains(&src) {
-                            deps.push(src);
-                        }
-                    }
+                    reads_ghost |= !split_by_owner(&foreign, owned).is_empty();
                 }
-                if deps.is_empty() {
-                    interior[rank].push(c);
-                } else {
-                    deps.sort_unstable();
-                    boundary[rank].push(c);
-                    boundary_deps[rank].push(deps);
+                match reads_ghost {
+                    false => interior[rank].push(c),
+                    true => boundary[rank].push(c),
                 }
             }
         }
@@ -255,7 +247,7 @@ fn oracle(
             }
         }
         drop(sets);
-        loops.push(LoopExchange { pairs, routes, interior, boundary, boundary_deps });
+        loops.push(LoopExchange { pairs, routes, interior, boundary });
         write_owns.push(write_own);
     }
 
@@ -301,7 +293,6 @@ fn assert_same(x: &ExchangePlan, o: &Oracle, schema: &Schema, label: &str) {
         assert_eq!(got.routes, want.routes, "{label}: loop {li} routes");
         assert_eq!(got.interior, want.interior, "{label}: loop {li} interior");
         assert_eq!(got.boundary, want.boundary, "{label}: loop {li} boundary");
-        assert_eq!(got.boundary_deps, want.boundary_deps, "{label}: loop {li} boundary deps");
     }
 }
 

@@ -58,11 +58,7 @@ fn snapshot(
         arr.push(
             Json::object()
                 .with("interior", nested(&lx.interior))
-                .with("boundary", nested(&lx.boundary))
-                .with(
-                    "boundary_deps",
-                    Json::Arr(lx.boundary_deps.iter().map(|d| nested(d)).collect()),
-                ),
+                .with("boundary", nested(&lx.boundary)),
         )
     });
     let owned: Vec<u64> = (0..x.n_ranks).map(|r| x.owned_field_bytes(schema, r)).collect();

@@ -5,8 +5,12 @@
 //! timestamps within an epoch, every rank covering every epoch — the
 //! critical-path profile attributes the full wall-clock, and the
 //! predicted-vs-measured communication accounting is exact (strict mode
-//! stays silent).
+//! stays silent). Each rank waits for its ghosts once per epoch: its one
+//! `halo_compute` span comes after a `recv_wait`/`unpack` pair from every
+//! rank that sends it ghosts in that loop, and after no other receive.
 
+use partir::core::placement::PlacementConfig;
+use partir::obs::trace::{SpanKind, TraceSpan};
 use partir::prelude::*;
 use proptest::prelude::*;
 
@@ -51,6 +55,45 @@ proptest! {
                     "rank {} recorded no spans",
                     r
                 );
+            }
+
+            // The exchange plan the run used (memoized by the plan).
+            let artifacts = plan
+                .solved()
+                .dist_artifacts(&built.store, ranks, &PlacementConfig::default())
+                .expect("the run derived it");
+            for (epoch, lx) in artifacts.placement.xplan.loops.iter().enumerate() {
+                for r in 0..ranks {
+                    let mut spans: Vec<_> =
+                        trace.rank_spans(r).filter(|s| s.epoch as usize == epoch).collect();
+                    spans.sort_by_key(|s| s.seq);
+                    let at = format!("{ranks} ranks, rank {r}, epoch {epoch}");
+                    let halos: Vec<usize> = (0..spans.len())
+                        .filter(|&i| spans[i].kind == SpanKind::HaloCompute)
+                        .collect();
+                    prop_assert_eq!(halos.len(), 1, "{}: halo_compute spans", at);
+                    let recvs: Vec<&TraceSpan> = spans[..halos[0]]
+                        .iter()
+                        .copied()
+                        .filter(|s| matches!(s.kind, SpanKind::RecvWait | SpanKind::Unpack))
+                        .collect();
+                    let mut sources = Vec::new();
+                    for pair in recvs.chunks(2) {
+                        let (wait, unpack) = (pair[0], pair.get(1).copied());
+                        let unpacks =
+                            |u: &TraceSpan| (u.kind, u.peer) == (SpanKind::Unpack, wait.peer);
+                        prop_assert!(
+                            wait.kind == SpanKind::RecvWait && unpack.is_some_and(unpacks),
+                            "{}: a recv_wait without its unpack",
+                            at
+                        );
+                        sources.push(wait.peer.expect("a receive names its peer") as usize);
+                    }
+                    sources.sort_unstable();
+                    let sends = |&s: &usize| s != r && !lx.pairs[s][r].ghost.is_empty();
+                    let want: Vec<usize> = (0..ranks).filter(sends).collect();
+                    prop_assert_eq!(sources, want, "{}: ghost sources before the boundary", at);
+                }
             }
 
             let volume = outcome.volume.as_ref().expect("volume accounting present");
