@@ -3,13 +3,13 @@
 //!
 //! A [`SolvedPlan`] is the immutable bundle a solve produces: the
 //! [`ParallelPlan`] plus everything needed to execute it (program, function
-//! table, schema, external bindings, color count), with interior memos for
-//! the store-dependent artifacts — evaluated partitions, and per-rank-count
-//! distributed artifacts (exchange plan, placement assignment, plan-legality
-//! proof). A [`PlanCache`] maps [`solve_fingerprint`] keys to
-//! `Arc<SolvedPlan>` under a byte-accounted LRU, so a warm request skips
-//! constraint inference, solving, unification, partition evaluation,
-//! exchange derivation, placement, *and* re-proving.
+//! table, schema, external bindings, color count), with an interior memo
+//! for the store-dependent artifacts — evaluated partitions, and per-rank-
+//! count distributed artifacts (exchange plan, placement assignment,
+//! plan-legality proof). A [`PlanCache`] maps [`solve_fingerprint`] keys to
+//! `Arc<SolvedPlan>`, so a warm request skips constraint inference,
+//! solving, unification, partition evaluation, exchange derivation,
+//! placement, *and* re-proving.
 //!
 //! Why memos live *inside* the plan instead of fragmenting the cache key:
 //! the solve depends only on structure ([`solve_fingerprint`] inputs), while
@@ -19,41 +19,49 @@
 //! pointer structure matches — the common serving shape (same topology,
 //! changing f64 payloads) hits all three levels.
 //!
+//! One byte budget: the cache's capacity. A plan is charged its
+//! [`SolvedPlan::estimated_bytes`] plus the heap its memo entries hold,
+//! measured (`heap_bytes`: runs, covers, narrowings, membership indexes,
+//! exchange sets), never counted in entries. Membership indexes are built
+//! by runs after an entry is memoized, so a plan is re-measured whenever
+//! the cache touches it: the plan a `get` returns, and every plan on
+//! `insert` and `stats`. Both the cache's plan map and each plan's memo are
+//! one `Lru`: a hit never evicts the plan it returns, and a memo evicts
+//! its own least-recently-used entries so that the plan's charge stays
+//! within the capacity of the cache it last entered
+//! ([`DEFAULT_CAPACITY_BYTES`] before it enters one).
+//!
 //! Locking: the cache uses a `std::sync::Mutex` deliberately (not the
 //! vendored `parking_lot`), because poisoning is part of the contract — a
 //! panic inside the critical section surfaces as
 //! [`CacheError::Poisoned`] (`cache.poisoned` in `partir-report-v1`)
 //! instead of silently serving a cache whose accounting may be corrupt.
 //! The per-plan memos fail open instead: a poisoned memo quietly degrades
-//! to recomputation, which is always safe because the artifacts are pure
-//! functions of their key.
+//! to recomputation (and is charged nothing), which is always safe because
+//! the artifacts are pure functions of their key. Locks are taken in one
+//! order, the cache's and then a memo's; memo code never takes the cache's.
 
 use crate::eval::ExtBindings;
 use crate::exchange::{prove_plan_legality, ExchangeError};
-use crate::fingerprint::{
-    placement_fingerprint, solve_fingerprint, store_index_fingerprint, Fingerprint,
-};
+use crate::fingerprint::{solve_fingerprint, store_index_fingerprint, Fingerprint};
 use crate::pipeline::{auto_parallelize, AutoError, Hints, Options, ParallelPlan};
 use crate::placement::{place, Placement, PlacementConfig};
 use partir_dpl::func::FnTable;
+use partir_dpl::index_set::arc_bytes;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{Schema, Store};
 use partir_ir::ast::{Loop, Stmt};
 use partir_obs::json::Json;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
-/// Default LRU capacity when none is configured: generous for plan-sized
-/// artifacts (a solved plan estimates in the tens of kilobytes), small
-/// enough to be harmless resident state.
-pub const DEFAULT_CAPACITY_BYTES: u64 = 64 * 1024 * 1024;
-
-/// Entries kept per interior memo (partitions / distributed artifacts).
-/// Serving workloads see a handful of distinct `(store, ranks, placement)`
-/// shapes per plan; a small bound keeps `SolvedPlan` memory predictable
-/// without a second accounting scheme.
-const MEMO_CAP: usize = 8;
+/// Default capacity when none is configured, and the bound of the memo of
+/// a plan that is in no cache. The benchmark's largest plan, Circuit at
+/// 8 × 40 000 nodes, holds about 88 MB once its partitions, its indexes
+/// and the exchange plans of three placements are memoized.
+pub const DEFAULT_CAPACITY_BYTES: u64 = 128 * 1024 * 1024;
 
 /// A cache failure. The only variant is lock poisoning: some thread
 /// panicked while holding the cache lock, so hit/miss/byte accounting can
@@ -76,13 +84,13 @@ impl fmt::Display for CacheError {
 impl std::error::Error for CacheError {}
 
 /// The distributed-execution artifacts derived from one
-/// `(store structure, n_ranks, placement config)` triple: evaluated
-/// partitions, the placement (owner assignment + exchange plan + report),
-/// and the plan-legality proof's fact count. With these in hand a run goes
-/// straight to `partir-runtime`'s `dist::execute_ranks` with proving skipped.
+/// `(store structure, n_ranks, placement config)` triple: the placement
+/// (owner assignment + exchange plan + report) and the plan-legality
+/// proof's fact count. With these and the store's evaluated partitions
+/// ([`SolvedPlan::parts_for`]) a run goes straight to `partir-runtime`'s
+/// `dist::execute_ranks` with proving skipped.
 #[derive(Debug)]
 pub struct DistArtifacts {
-    pub parts: Arc<Vec<Arc<Partition>>>,
     pub placement: Placement,
     /// Facts established by [`prove_plan_legality`] over these partitions
     /// and this exchange plan. `None` when the proof failed (the runtime
@@ -90,49 +98,114 @@ pub struct DistArtifacts {
     pub proof_facts: Option<u64>,
 }
 
-/// A tiny LRU used for the interior memos: linear scan, bounded length.
-struct Memo<K: PartialEq, V> {
-    entries: Vec<(K, V, u64)>,
-    tick: u64,
+impl DistArtifacts {
+    /// Bytes the artifacts hold on the heap: the exchange plan's sets and
+    /// the assignment.
+    pub fn heap_bytes(&self) -> u64 {
+        let assignment = self.placement.assignment.capacity() * std::mem::size_of::<usize>();
+        self.placement.xplan.heap_bytes() + assignment as u64
+    }
 }
 
-impl<K: PartialEq, V: Clone> Memo<K, V> {
-    fn new() -> Self {
-        Memo { entries: Vec::new(), tick: 0 }
+/// A byte-bounded LRU: a [`PlanCache`]'s plans and each plan's memo. Every
+/// entry is charged the bytes it was last measured at; an entry larger
+/// than the whole capacity is refused, and otherwise the least recently
+/// used entries are evicted until the total fits.
+struct Lru<K, V> {
+    /// Value, charged bytes, last use.
+    entries: HashMap<K, (V, u64, u64)>,
+    tick: u64,
+    bytes: u64,
+    capacity: u64,
+    evictions: u64,
+}
+
+impl<K: Hash + Eq + Clone, V> Lru<K, V> {
+    fn new(capacity: u64) -> Self {
+        Lru { entries: HashMap::new(), tick: 0, bytes: 0, capacity, evictions: 0 }
     }
 
-    fn get(&mut self, key: &K) -> Option<V> {
+    /// The entry under `key`, now the most recently used.
+    fn get(&mut self, key: &K) -> Option<&V> {
         self.tick += 1;
         let tick = self.tick;
-        self.entries.iter_mut().find(|(k, _, _)| k == key).map(|(_, v, t)| {
+        self.entries.get_mut(key).map(|(v, _, t)| {
             *t = tick;
-            v.clone()
+            &*v
         })
     }
 
-    fn put(&mut self, key: K, value: V) {
-        if self.entries.len() >= MEMO_CAP {
-            if let Some(oldest) =
-                self.entries.iter().enumerate().min_by_key(|(_, (_, _, t))| *t).map(|(i, _)| i)
-            {
-                self.entries.swap_remove(oldest);
-            }
+    /// Charges every entry what `measure` says it holds now. Evicts nothing.
+    fn remeasure(&mut self, measure: impl Fn(&V) -> u64) {
+        self.bytes = 0;
+        for (v, bytes, _) in self.entries.values_mut() {
+            *bytes = measure(v);
+            self.bytes += *bytes;
+        }
+    }
+
+    /// Inserts or refreshes `key`, charged `bytes`, and evicts others until
+    /// the total fits. Returns whether it was kept.
+    fn insert(&mut self, key: K, value: V, bytes: u64) -> bool {
+        if bytes > self.capacity {
+            return false;
         }
         self.tick += 1;
-        self.entries.push((key, value, self.tick));
+        let old = self.entries.insert(key.clone(), (value, 0, self.tick));
+        self.bytes -= old.map_or(0, |(_, bytes, _)| bytes);
+        self.recharge(&key, bytes);
+        true
+    }
+
+    /// Charges the entry under `key` `bytes` and evicts others until the
+    /// total fits.
+    fn recharge(&mut self, key: &K, bytes: u64) {
+        if let Some((_, charged, _)) = self.entries.get_mut(key) {
+            self.bytes = self.bytes - *charged + bytes;
+            *charged = bytes;
+            self.evict_to_fit(Some(key));
+        }
+    }
+
+    /// Evicts least-recently-used entries other than `keep` until the total
+    /// fits the capacity (or only `keep` is left).
+    fn evict_to_fit(&mut self, keep: Option<&K>) {
+        while self.bytes > self.capacity {
+            let others = self.entries.iter().filter(|(k, _)| Some(*k) != keep);
+            let Some(victim) = others.min_by_key(|(_, e)| e.2).map(|(k, _)| k.clone()) else {
+                return;
+            };
+            self.bytes -= self.entries.remove(&victim).map_or(0, |(_, bytes, _)| bytes);
+            self.evictions += 1;
+        }
     }
 }
 
-#[derive(PartialEq)]
-struct DistKey {
-    store_fp: Fingerprint,
-    n_ranks: usize,
-    placement_fp: Fingerprint,
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum MemoKey {
+    /// Partitions of one store structure.
+    Parts(Fingerprint),
+    /// Distributed artifacts of `(store structure, n_ranks, placement)`.
+    Dist(Fingerprint, usize, PlacementConfig),
 }
 
-struct Memos {
-    parts: Memo<Fingerprint, Arc<Vec<Arc<Partition>>>>,
-    dist: Memo<DistKey, Arc<DistArtifacts>>,
+#[derive(Clone)]
+enum Memoized {
+    Parts(Arc<Vec<Arc<Partition>>>),
+    Dist(Arc<DistArtifacts>),
+}
+
+impl Memoized {
+    fn heap_bytes(&self) -> u64 {
+        match self {
+            Memoized::Parts(parts) => {
+                let each = arc_bytes::<Partition>() + std::mem::size_of::<usize>() as u64;
+                let parts = parts.iter().map(|p| each + p.heap_bytes()).sum::<u64>();
+                arc_bytes::<Vec<Arc<Partition>>>() + parts
+            }
+            Memoized::Dist(artifacts) => arc_bytes::<DistArtifacts>() + artifacts.heap_bytes(),
+        }
+    }
 }
 
 /// An immutable solved plan, shareable across threads and runs.
@@ -149,7 +222,7 @@ pub struct SolvedPlan {
     n_colors: usize,
     plan: ParallelPlan,
     estimated_bytes: u64,
-    memos: Mutex<Memos>,
+    memo: Mutex<Lru<MemoKey, Memoized>>,
 }
 
 impl fmt::Debug for SolvedPlan {
@@ -187,9 +260,10 @@ impl SolvedPlan {
             n_colors,
             plan,
             estimated_bytes: 0,
-            memos: Mutex::new(Memos { parts: Memo::new(), dist: Memo::new() }),
+            memo: Mutex::new(Lru::new(0)),
         };
         sp.estimated_bytes = sp.estimate_bytes();
+        sp.bound_memo(DEFAULT_CAPACITY_BYTES);
         Ok(sp)
     }
 
@@ -230,12 +304,50 @@ impl SolvedPlan {
         self.plan.solution.degraded
     }
 
-    /// Byte estimate used for LRU accounting: a deterministic structural
-    /// census (statements, functions, fields, partition expressions, runs),
-    /// not an allocator measurement. Interior memos are bounded
-    /// (`MEMO_CAP`) and charged as slack.
+    /// The plan's own share of its charge: a deterministic structural
+    /// census (statements, functions, fields, partition expressions, runs)
+    /// fixed at solve time. What the memo holds is measured instead
+    /// ([`Self::charged_bytes`]).
     pub fn estimated_bytes(&self) -> u64 {
         self.estimated_bytes
+    }
+
+    /// What a cache charges for the plan: [`Self::estimated_bytes`] plus
+    /// the heap every memo entry holds, measured now.
+    pub fn charged_bytes(&self) -> u64 {
+        let memo = self.memo.lock().map(|mut memo| {
+            memo.remeasure(Memoized::heap_bytes);
+            memo.bytes
+        });
+        self.estimated_bytes + memo.unwrap_or(0)
+    }
+
+    /// Bounds the memo so that the plan's charge fits `capacity`, evicting
+    /// its least recently used entries, and returns the charge.
+    fn bound_memo(&self, capacity: u64) -> u64 {
+        let memo = self.memo.lock().map(|mut memo| {
+            memo.capacity = capacity.saturating_sub(self.estimated_bytes);
+            memo.remeasure(Memoized::heap_bytes);
+            memo.evict_to_fit(None);
+            memo.bytes
+        });
+        self.estimated_bytes + memo.unwrap_or(0)
+    }
+
+    /// The memoized value under `key`, if any.
+    fn memo_get(&self, key: &MemoKey) -> Option<Memoized> {
+        self.memo.lock().ok()?.get(key).cloned()
+    }
+
+    /// Memoizes `value` under `key`, evicting the memo's least recently used
+    /// entries (all re-measured first) until the plan's charge fits its
+    /// bound. A value larger than the whole bound is not kept.
+    fn memo_put(&self, key: MemoKey, value: Memoized) {
+        if let Ok(mut memo) = self.memo.lock() {
+            memo.remeasure(Memoized::heap_bytes);
+            let bytes = value.heap_bytes();
+            memo.insert(key, value, bytes);
+        }
     }
 
     fn estimate_bytes(&self) -> u64 {
@@ -257,7 +369,7 @@ impl SolvedPlan {
             })
             .sum();
         let plan = 64 * self.plan.num_partitions() as u64 + 96 * self.plan.loops.len() as u64;
-        4096 + program + fns + schema + exts + plan
+        8192 + program + fns + schema + exts + plan
     }
 
     /// Evaluated partitions for `store`, memoized per index-structure
@@ -270,47 +382,38 @@ impl SolvedPlan {
 
     /// [`Self::parts_for`] for a caller that has read `store`'s key already.
     fn parts_keyed(&self, key: Fingerprint, store: &Store) -> Arc<Vec<Arc<Partition>>> {
-        if let Ok(mut memos) = self.memos.lock() {
-            if let Some(parts) = memos.parts.get(&key) {
-                return parts;
-            }
+        if let Some(Memoized::Parts(parts)) = self.memo_get(&MemoKey::Parts(key)) {
+            return parts;
         }
         let parts = Arc::new(self.plan.evaluate(store, &self.fns, self.n_colors, &self.externals));
-        if let Ok(mut memos) = self.memos.lock() {
-            memos.parts.put(key, Arc::clone(&parts));
-        }
+        self.memo_put(MemoKey::Parts(key), Memoized::Parts(Arc::clone(&parts)));
         parts
     }
 
     /// Distributed artifacts for `(store structure, n_ranks, placement)`,
-    /// memoized: partitions, placement (assignment + exchange plan), and
-    /// the plan-legality proof. A memo hit makes a distributed run skip
-    /// evaluation, exchange derivation, placement, and re-proving.
+    /// memoized: placement (assignment + exchange plan) and the
+    /// plan-legality proof. A memo hit makes a distributed run skip
+    /// exchange derivation, placement, and re-proving; its partitions are
+    /// [`Self::parts_for`]'s, memoized on their own so that no byte is
+    /// charged twice.
     pub fn dist_artifacts(
         &self,
         store: &Store,
         n_ranks: usize,
         placement: &PlacementConfig,
     ) -> Result<Arc<DistArtifacts>, ExchangeError> {
-        let key = DistKey {
-            store_fp: store_index_fingerprint(store),
-            n_ranks,
-            placement_fp: placement_fingerprint(placement),
-        };
-        if let Ok(mut memos) = self.memos.lock() {
-            if let Some(artifacts) = memos.dist.get(&key) {
-                return Ok(artifacts);
-            }
+        let store_fp = store_index_fingerprint(store);
+        let key = MemoKey::Dist(store_fp, n_ranks, placement.clone());
+        if let Some(Memoized::Dist(artifacts)) = self.memo_get(&key) {
+            return Ok(artifacts);
         }
-        let parts = self.parts_keyed(key.store_fp, store);
+        let parts = self.parts_keyed(store_fp, store);
         let placed = place(&self.plan, &parts, &self.schema, n_ranks, placement)?;
         let proof_facts = prove_plan_legality(&placed.xplan, &self.plan, &parts, &self.schema)
             .ok()
             .map(|p| p.facts);
-        let artifacts = Arc::new(DistArtifacts { parts, placement: placed, proof_facts });
-        if let Ok(mut memos) = self.memos.lock() {
-            memos.dist.put(key, Arc::clone(&artifacts));
-        }
+        let artifacts = Arc::new(DistArtifacts { placement: placed, proof_facts });
+        self.memo_put(key, Memoized::Dist(Arc::clone(&artifacts)));
         Ok(artifacts)
     }
 }
@@ -320,8 +423,11 @@ impl SolvedPlan {
 pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,
+    /// Plans evicted to make room. A memo's own evictions are not counted.
     pub evictions: u64,
     pub entries: usize,
+    /// The resident plans' charges ([`SolvedPlan::charged_bytes`]),
+    /// measured when the stats were taken.
     pub bytes: u64,
     pub capacity_bytes: u64,
 }
@@ -350,20 +456,10 @@ impl CacheStats {
     }
 }
 
-struct Entry {
-    plan: Arc<SolvedPlan>,
-    bytes: u64,
-    last_use: u64,
-}
-
 struct Inner {
-    entries: HashMap<Fingerprint, Entry>,
-    tick: u64,
-    bytes: u64,
-    capacity: u64,
+    plans: Lru<Fingerprint, Arc<SolvedPlan>>,
     hits: u64,
     misses: u64,
-    evictions: u64,
 }
 
 /// A byte-accounted LRU of solved plans, keyed on [`solve_fingerprint`].
@@ -395,96 +491,70 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// An empty cache holding at most `capacity_bytes` of estimated plan
-    /// bytes. `0` disables caching (every insert evicts immediately).
+    /// An empty cache whose resident plans are charged at most
+    /// `capacity_bytes`, memos included. `0` disables caching (every
+    /// insert is refused).
     pub fn new(capacity_bytes: u64) -> PlanCache {
-        PlanCache {
-            inner: Arc::new(Mutex::new(Inner {
-                entries: HashMap::new(),
-                tick: 0,
-                bytes: 0,
-                capacity: capacity_bytes,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            })),
-        }
+        let inner = Inner { plans: Lru::new(capacity_bytes), hits: 0, misses: 0 };
+        PlanCache { inner: Arc::new(Mutex::new(inner)) }
+    }
+
+    fn lock(&self) -> Result<std::sync::MutexGuard<'_, Inner>, CacheError> {
+        self.inner.lock().map_err(|_| CacheError::Poisoned)
     }
 
     /// Looks up a plan, updating LRU order and the hit/miss counts of
-    /// [`CacheStats`].
+    /// [`CacheStats`]. A hit re-measures the plan it returns and evicts
+    /// other plans if the charge has outgrown the capacity.
     pub fn get(&self, fp: Fingerprint) -> Result<Option<Arc<SolvedPlan>>, CacheError> {
-        let mut inner = self.inner.lock().map_err(|_| CacheError::Poisoned)?;
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.entries.get_mut(&fp) {
-            Some(entry) => {
-                entry.last_use = tick;
-                let plan = Arc::clone(&entry.plan);
-                inner.hits += 1;
-                Ok(Some(plan))
-            }
-            None => {
-                inner.misses += 1;
-                Ok(None)
-            }
-        }
+        let mut inner = self.lock()?;
+        let Some(plan) = inner.plans.get(&fp).cloned() else {
+            inner.misses += 1;
+            return Ok(None);
+        };
+        inner.hits += 1;
+        inner.plans.recharge(&fp, plan.charged_bytes());
+        Ok(Some(plan))
     }
 
-    /// Inserts a plan under its own fingerprint, evicting least-recently
-    /// used entries until it fits. Returns whether the plan was retained:
-    /// degraded plans (budget-exhausted fallbacks) and plans larger than
+    /// Inserts a plan under its own fingerprint, bounding its memo to the
+    /// capacity and evicting least-recently used plans until it fits.
+    /// Returns whether the plan was retained: degraded plans
+    /// (budget-exhausted fallbacks) and plans whose own estimate exceeds
     /// the whole capacity are not cached. Re-inserting an existing key
     /// refreshes the entry.
     pub fn insert(&self, plan: Arc<SolvedPlan>) -> Result<bool, CacheError> {
         if plan.degraded() {
             return Ok(false);
         }
-        let bytes = plan.estimated_bytes();
-        let fp = plan.fingerprint();
-        let mut inner = self.inner.lock().map_err(|_| CacheError::Poisoned)?;
-        if bytes > inner.capacity {
+        let mut inner = self.lock()?;
+        if plan.estimated_bytes() > inner.plans.capacity {
             return Ok(false);
         }
-        if let Some(old) = inner.entries.remove(&fp) {
-            inner.bytes -= old.bytes;
-        }
-        while inner.bytes + bytes > inner.capacity {
-            let victim = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(k, _)| *k)
-                .expect("bytes > 0 implies at least one entry");
-            let evicted = inner.entries.remove(&victim).expect("victim exists");
-            inner.bytes -= evicted.bytes;
-            inner.evictions += 1;
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.entries.insert(fp, Entry { plan, bytes, last_use: tick });
-        inner.bytes += bytes;
-        Ok(true)
+        inner.plans.remeasure(|p| p.charged_bytes());
+        let charge = plan.bound_memo(inner.plans.capacity);
+        Ok(inner.plans.insert(plan.fingerprint(), plan, charge))
     }
 
-    /// Current counters and occupancy.
+    /// Current counters and occupancy, every resident plan re-measured.
     pub fn stats(&self) -> Result<CacheStats, CacheError> {
-        let inner = self.inner.lock().map_err(|_| CacheError::Poisoned)?;
+        let mut inner = self.lock()?;
+        inner.plans.remeasure(|p| p.charged_bytes());
         Ok(CacheStats {
             hits: inner.hits,
             misses: inner.misses,
-            evictions: inner.evictions,
-            entries: inner.entries.len(),
-            bytes: inner.bytes,
-            capacity_bytes: inner.capacity,
+            evictions: inner.plans.evictions,
+            entries: inner.plans.entries.len(),
+            bytes: inner.plans.bytes,
+            capacity_bytes: inner.plans.capacity,
         })
     }
 
     /// Drops every entry (counters survive).
     pub fn clear(&self) -> Result<(), CacheError> {
-        let mut inner = self.inner.lock().map_err(|_| CacheError::Poisoned)?;
-        inner.entries.clear();
-        inner.bytes = 0;
+        let mut inner = self.lock()?;
+        inner.plans.entries.clear();
+        inner.plans.bytes = 0;
         Ok(())
     }
 
@@ -643,5 +713,97 @@ mod tests {
         let a4 = sp.dist_artifacts(&store, 4, &cfg).unwrap();
         assert!(!Arc::ptr_eq(&a1, &a4), "rank count keys the memo");
         assert_eq!(a4.placement.xplan.n_ranks, 4);
+    }
+
+    #[test]
+    fn every_placement_knob_keys_its_own_artifacts() {
+        use crate::exchange::block_assignment;
+        use crate::placement::PlacementPolicy;
+        let (_, _, _, store) = scatter(64);
+        let sp = solved(64);
+        let at = |policy| sp.dist_artifacts(&store, 2, &PlacementConfig { policy });
+        let explicit = |a: &[usize]| at(PlacementPolicy::Explicit(a.to_vec()));
+        let configs = [
+            at(PlacementPolicy::Block).unwrap(),
+            at(PlacementPolicy::CostDriven).unwrap(),
+            explicit(&[0, 1, 0, 1]).unwrap(),
+            explicit(&[0, 1, 1, 1]).unwrap(),
+            explicit(&block_assignment(4, 2)).unwrap(),
+        ];
+        for (i, a) in configs.iter().enumerate() {
+            for b in &configs[i + 1..] {
+                assert!(!Arc::ptr_eq(a, b), "one color moved, or the policy, keys the memo");
+            }
+        }
+        assert_eq!(configs[3].placement.assignment, [0, 1, 1, 1]);
+        assert!(explicit(&[0, 1, 0, 1, 0]).is_err(), "the length is keyed");
+        assert!(explicit(&[0, 1, 0]).is_err());
+        assert!(Arc::ptr_eq(&configs[0], &at(PlacementPolicy::Block).unwrap()), "equal configs");
+        let default = sp.dist_artifacts(&store, 2, &PlacementConfig::default()).unwrap();
+        assert!(Arc::ptr_eq(&configs[0], &default));
+        assert!(Arc::ptr_eq(&configs[2], &explicit(&[0, 1, 0, 1]).unwrap()));
+    }
+
+    #[test]
+    fn a_plan_is_charged_its_estimate_plus_its_memo() {
+        let (_, _, _, store) = scatter(64);
+        let sp = solved(64);
+        assert_eq!(sp.charged_bytes(), sp.estimated_bytes(), "an empty memo costs nothing");
+        let cache = PlanCache::default();
+        cache.insert(Arc::clone(&sp)).unwrap();
+        let parts = sp.parts_for(&store);
+        let evaluated = sp.charged_bytes();
+        assert!(evaluated > sp.estimated_bytes());
+        assert_eq!(cache.stats().unwrap().bytes, evaluated, "stats re-measure");
+        // Membership indexes are built after the partitions are memoized:
+        // the charge follows them.
+        for set in parts.iter().flat_map(|p| p.subregions()) {
+            set.index();
+        }
+        let indexed = sp.charged_bytes();
+        assert!(indexed > evaluated);
+        let artifacts = sp.dist_artifacts(&store, 2, &PlacementConfig::default()).unwrap();
+        let xplan = artifacts.placement.xplan.heap_bytes();
+        assert!(sp.charged_bytes() > indexed + xplan, "the artifacts and their Arc");
+        assert_eq!(cache.stats().unwrap().bytes, sp.charged_bytes());
+    }
+
+    #[test]
+    fn a_memo_evicts_its_own_least_recent_entries_to_fit_the_cache() {
+        let (_, _, _, store) = scatter(64);
+        let sp = solved(64);
+        let cfg = PlacementConfig::default();
+        let arts: Vec<_> = (1..=4).map(|r| sp.dist_artifacts(&store, r, &cfg).unwrap()).collect();
+        let full = sp.charged_bytes();
+        // One byte short: the memo gives up its least recently used entry,
+        // the artifacts at one rank.
+        let cache = PlanCache::new(full - 1);
+        assert!(cache.insert(Arc::clone(&sp)).unwrap());
+        let stats = cache.stats().unwrap();
+        assert!(stats.bytes <= stats.capacity_bytes, "{stats:?}");
+        assert_eq!((stats.entries, stats.evictions), (1, 0), "the plan stays");
+        assert!(Arc::ptr_eq(&arts[3], &sp.dist_artifacts(&store, 4, &cfg).unwrap()));
+        assert!(!Arc::ptr_eq(&arts[0], &sp.dist_artifacts(&store, 1, &cfg).unwrap()));
+        // New entries keep within the bound too.
+        for r in 5..=8 {
+            sp.dist_artifacts(&store, r, &cfg).unwrap();
+            assert!(sp.charged_bytes() < full, "{} against {full}", sp.charged_bytes());
+        }
+    }
+
+    #[test]
+    fn a_hit_re_measures_its_plan_and_evicts_others_never_it() {
+        let (_, _, _, store) = scatter(64);
+        let (a, b) = (solved(64), solved(32));
+        let cache = PlanCache::new(a.estimated_bytes() + b.estimated_bytes() + 64);
+        cache.insert(Arc::clone(&a)).unwrap();
+        cache.insert(Arc::clone(&b)).unwrap();
+        a.dist_artifacts(&store, 2, &PlacementConfig::default()).unwrap();
+        let hit = cache.get(a.fingerprint()).unwrap().expect("a hit");
+        assert!(Arc::ptr_eq(&hit, &a));
+        let stats = cache.stats().unwrap();
+        assert_eq!((stats.entries, stats.evictions), (1, 1), "the grown plan pushed b out");
+        assert!(cache.get(b.fingerprint()).unwrap().is_none());
+        assert_eq!(stats.bytes, a.charged_bytes());
     }
 }

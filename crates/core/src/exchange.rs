@@ -63,7 +63,7 @@
 //! and the owner mapping — not on field values).
 
 use crate::pipeline::{AccessPlan, ParallelPlan, PlannedReduce};
-use partir_dpl::index_set::{Idx, IndexSet};
+use partir_dpl::index_set::{sets_bytes, Idx, IndexSet};
 use partir_dpl::ops::equal;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, FieldKind, RegionId, Schema};
@@ -282,6 +282,21 @@ impl PairVolume {
 }
 
 impl ExchangePlan {
+    /// Bytes the plan holds on the heap: the sets of its footprint and of
+    /// every message table, indexes included. The per-rank and per-color
+    /// tables of indices beside them are not counted.
+    pub fn heap_bytes(&self) -> u64 {
+        let footprint = self.owned.iter().chain(&self.ghosts).chain(&self.locals).flatten();
+        let tables = self.loops.iter().flat_map(|lx| {
+            let pairs = lx.pairs.iter().flatten().flat_map(|m| {
+                let fields = m.ghost.iter().chain(&m.post.write_back).map(|(_, s)| s);
+                fields.chain(m.post.slices.iter().map(|(_, _, s)| s))
+            });
+            pairs.chain(lx.routes.iter().flat_map(|r| &r.sets))
+        });
+        sets_bytes(footprint.chain(tables))
+    }
+
     /// Bytes and messages per `(src, dst)` pair over a full program pass,
     /// indexed `[src][dst]`: the fold of every loop's message table. The
     /// mailbox layer measures the same quantities at receive time;

@@ -27,7 +27,7 @@
 //! [`VExpr`](partir_ir::ast::VExpr), which hashes `f64` constants by bit
 //! pattern.
 //!
-//! Three fingerprints exist, at three reuse granularities:
+//! Two fingerprints exist, at two reuse granularities:
 //!
 //! * [`solve_fingerprint`] — the [`crate::cache::PlanCache`] key; equal
 //!   fingerprints share one solved plan.
@@ -39,13 +39,13 @@
 //!   index-structure, surviving arbitrary value updates between runs. The
 //!   store keeps the value ([`Store::index_digest`]) until an index column
 //!   is written, so a structure is hashed once per process, not per call.
-//! * [`placement_fingerprint`] — the placement-config component of the
-//!   per-rank-count artifact memo inside [`crate::cache::SolvedPlan`].
+//!
+//! The per-rank-count artifact memo inside [`crate::cache::SolvedPlan`]
+//! keys on the [`crate::placement::PlacementConfig`] itself: that key
+//! never leaves the process, so it needs no fingerprint.
 
 use crate::eval::ExtBindings;
 use crate::pipeline::{Hints, Options};
-use crate::placement::PlacementConfig;
-use crate::placement::PlacementPolicy;
 use partir_dpl::func::FnTable;
 use partir_dpl::region::{FieldData, Schema, Store};
 use partir_ir::ast::Loop;
@@ -217,27 +217,9 @@ fn hash_index_structure(store: &Store) -> Fingerprint {
     h.fingerprint()
 }
 
-/// The placement-config component of the distributed-artifact memo key.
-pub fn placement_fingerprint(cfg: &PlacementConfig) -> Fingerprint {
-    let mut h = FpHasher::new();
-    match &cfg.policy {
-        PlacementPolicy::Block => h.write_u8(0),
-        PlacementPolicy::CostDriven => h.write_u8(1),
-        PlacementPolicy::Explicit(assignment) => {
-            h.write_u8(2);
-            h.write_usize(assignment.len());
-            for &r in assignment {
-                h.write_usize(r);
-            }
-        }
-    }
-    h.fingerprint()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exchange::block_assignment;
     use crate::lang::{PExpr, PSym};
     use partir_dpl::func::{FnDef, IndexFn};
     use partir_dpl::index_set::IndexSet;
@@ -392,17 +374,5 @@ mod tests {
     fn solve_fingerprint_is_pinned() {
         let (p, f, s) = scatter();
         assert_eq!(fp(&p, &f, &s, &Hints::new()).to_string(), "a86d42e63e2421ae3cc71621698d8c35");
-    }
-
-    #[test]
-    fn placement_fingerprint_sees_every_knob() {
-        let key = |policy| placement_fingerprint(&PlacementConfig { policy });
-        let explicit = |a: &[usize]| key(PlacementPolicy::Explicit(a.to_vec()));
-        assert_eq!(key(PlacementPolicy::Block), placement_fingerprint(&PlacementConfig::default()));
-        assert_ne!(key(PlacementPolicy::Block), key(PlacementPolicy::CostDriven));
-        assert_ne!(explicit(&[0, 1, 0, 1]), explicit(&[0, 1, 1, 1]), "one color moved");
-        let block = block_assignment(4, 2);
-        assert_ne!(key(PlacementPolicy::Block), explicit(&block), "the policy is keyed");
-        assert_ne!(explicit(&[0, 1]), explicit(&[0, 1, 0]), "the length is keyed");
     }
 }

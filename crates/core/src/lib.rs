@@ -26,9 +26,7 @@ pub mod prelude {
         BufferRoute, BufferedSets, ExchangeError, ExchangePlan, ExchangeStats, LoopExchange,
         PairMessages, PairVolume, PostMessage,
     };
-    pub use crate::fingerprint::{
-        placement_fingerprint, solve_fingerprint, store_index_fingerprint, Fingerprint,
-    };
+    pub use crate::fingerprint::{solve_fingerprint, store_index_fingerprint, Fingerprint};
     pub use crate::infer::{infer, Inference, InferredLoop};
     pub use crate::lang::{ExtId, ExternalDecl, FnRef, PExpr, PSym, Pred, Subset, System};
     pub use crate::lemmas::{entails_subset, prove_comp, prove_disj, prove_part, FactCtx};

@@ -62,7 +62,7 @@ pub const IMBALANCE: f64 = 1.10;
 pub const MAX_PASSES: usize = 8;
 
 /// How colors map to ranks.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum PlacementPolicy {
     /// Contiguous blocks in color-index order (the historical default).
     Block,
@@ -86,7 +86,7 @@ impl PlacementPolicy {
 
 /// Placement inputs: the policy. The balance cap and the refinement
 /// bound are the constants [`IMBALANCE`] and [`MAX_PASSES`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PlacementConfig {
     pub policy: PlacementPolicy,
 }

@@ -141,6 +141,14 @@ impl IndexSet {
         self.index.get_or_init(|| Arc::new(Positions::new(self)))
     }
 
+    /// Bytes the set holds on the heap: its runs and, once built, its
+    /// index. An index shared by clones counts once per holder.
+    pub fn heap_bytes(&self) -> u64 {
+        let index =
+            self.index.get().map_or(0, |p| arc_bytes::<Positions>() + p.heap_bytes() as u64);
+        (self.runs.capacity() * std::mem::size_of::<(Idx, Idx)>()) as u64 + index
+    }
+
     /// Membership test, through [`IndexSet::index`].
     pub fn contains(&self, i: Idx) -> bool {
         self.index().contains(i)
@@ -304,6 +312,16 @@ impl FromIterator<Idx> for IndexSet {
     fn from_iter<I: IntoIterator<Item = Idx>>(iter: I) -> Self {
         IndexSet::from_indices(iter)
     }
+}
+
+/// Heap bytes of one `Arc<T>` allocation: its two counts and the value.
+pub fn arc_bytes<T>() -> u64 {
+    (2 * std::mem::size_of::<usize>() + std::mem::size_of::<T>()) as u64
+}
+
+/// Heap bytes of sets held side by side in one buffer, and what each holds.
+pub fn sets_bytes<'a>(sets: impl IntoIterator<Item = &'a IndexSet>) -> u64 {
+    sets.into_iter().map(|s| std::mem::size_of::<IndexSet>() as u64 + s.heap_bytes()).sum()
 }
 
 /// The density rule: a set or a cover keeps one bit per element of its

@@ -11,7 +11,7 @@
 //! Membership in a subregion or a first-owner color, which executors test
 //! per element, is that set's own index ([`IndexSet::index`]).
 
-use crate::index_set::{bitmap_fits, word_masks, Idx, IndexSet};
+use crate::index_set::{arc_bytes, bitmap_fits, sets_bytes, word_masks, Idx, IndexSet};
 use crate::region::RegionId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -93,6 +93,15 @@ impl Partition {
 
     fn cover(&self) -> &Cover {
         self.cover.get_or_init(|| sweep(&self.subregions))
+    }
+
+    /// Bytes the partition holds on the heap: its subregions and, once
+    /// swept, its first-owner narrowing, indexes included. Measuring
+    /// builds nothing.
+    pub fn heap_bytes(&self) -> u64 {
+        let own = self.cover.get().and_then(|c| c.first_owner.as_ref());
+        let own = own.map_or(0, |own| arc_bytes::<()>() + sets_bytes(own.iter()));
+        sets_bytes(&self.subregions) + own
     }
 
     /// Number of elements in at least one subregion.

@@ -141,13 +141,30 @@ proptest! {
     }
 
     #[test]
-    fn from_sorted_runs_canonicalizes(runs in proptest::collection::vec((0..UNIVERSE, 0..UNIVERSE), 0..20)) {
-        // Sort + clip runs so they are a valid "sorted possibly-adjacent" input.
-        let mut rs: Vec<(u64, u64)> = runs.into_iter().map(|(a, b)| (a.min(b), a.max(b))).collect();
-        rs.sort_unstable();
-        // Make them non-overlapping by construction from their member set.
-        let members: Vec<Idx> = rs.iter().flat_map(|&(s, e)| s..e).collect();
-        let via_indices = IndexSet::from_indices(members.iter().copied());
-        prop_assert!(via_indices.check_invariants());
+    fn from_sorted_runs_canonicalizes(steps in proptest::collection::vec((0..16u64, -2..16i64), 0..24)) {
+        // A walk of starts, each 0..16 past the last: a run overlaps the
+        // one before it, touches it, or leaves a gap; a length of zero or
+        // less is an empty run.
+        let mut start = 0;
+        let runs: Vec<(Idx, Idx)> = steps
+            .iter()
+            .map(|&(step, len)| {
+                start += step;
+                (start, start.saturating_add_signed(len))
+            })
+            .collect();
+        let s = IndexSet::from_sorted_runs(runs.iter().copied());
+        let m: BTreeSet<Idx> = runs.iter().flat_map(|&(s, e)| s..e).collect();
+        prop_assert!(s.check_invariants());
+        prop_assert_eq!(to_vec(&s), m.iter().copied().collect::<Vec<_>>());
+        // The model's maximal runs: the one canonical form of its members.
+        let mut canonical: Vec<(Idx, Idx)> = Vec::new();
+        for &i in &m {
+            match canonical.last_mut() {
+                Some((_, e)) if *e == i => *e = i + 1,
+                _ => canonical.push((i, i + 1)),
+            }
+        }
+        prop_assert_eq!(s.runs(), &canonical[..]);
     }
 }

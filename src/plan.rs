@@ -309,16 +309,15 @@ impl Run {
         }
         let (artifacts, workers) = match self.backend {
             Backend::Threads(workers) => (None, workers),
-            // The memoized distributed artifacts: evaluated partitions,
-            // owner assignment, exchange plan, and the legality proof. A
-            // memo hit skips evaluation, exchange derivation, placement,
-            // and (via `preproved`) re-proving.
+            // The memoized distributed artifacts: owner assignment,
+            // exchange plan, and the legality proof. A memo hit skips
+            // exchange derivation, placement, and (via `preproved`)
+            // re-proving; the partitions are memoized beside them.
             Backend::Ranks(n_ranks) => {
                 (Some(plan.solved().dist_artifacts(store, n_ranks, &self.placement)?), 1)
             }
         };
-        let parts =
-            artifacts.as_ref().map_or_else(|| plan.solved().parts_for(store), |a| a.parts.clone());
+        let parts = plan.solved().parts_for(store);
         let layout = artifacts
             .as_ref()
             .map_or(Layout::InPlace { workers }, |a| Layout::Sharded(&a.placement.xplan));

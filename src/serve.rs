@@ -56,7 +56,8 @@ pub struct ServeConfig {
     /// Maximum misses queued or solving before further misses are
     /// rejected with `serve.queue_full` (default 64).
     pub queue_cap: usize,
-    /// Byte capacity of the server's [`PlanCache`] (default 64 MiB).
+    /// Byte capacity of the server's [`PlanCache`], plans and their memos
+    /// together (default 128 MiB).
     pub cache_bytes: u64,
     /// Server-wide admission budget. When set, it overrides each
     /// request's own [`SolveBudget`], and solves that would exhaust it

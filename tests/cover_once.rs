@@ -3,7 +3,8 @@
 //! one copy: the footprint's in-place write sets, the runs on both
 //! layouts, later calls. Every set's membership index is built once too:
 //! a warm run tests the subregions, first-owner sets and rank footprints
-//! against the indexes the first run built. The caches are invisible to
+//! against the indexes the first run built, so the plan cache's charge for
+//! the plan stays where the first run left it. The caches are invisible to
 //! equality and to the plan-cache key.
 
 use partir::apps::circuit::{Circuit, CircuitParams};
@@ -87,14 +88,13 @@ fn a_warm_run_builds_no_membership_index() {
     let plan =
         Partir::new(a.program.clone(), a.fns.clone(), schema.clone()).colors(4).solve().unwrap();
     let parts = plan.solved().parts_for(&a.store);
-    let run_both = || {
-        for backend in [Backend::Threads(2), Backend::Ranks(2)] {
-            let mut store = a.store.clone();
-            let run = Run::new().backend(backend).legality_mode(LegalityMode::Element);
-            run.run(&plan, &mut store).expect("the run finishes");
-        }
+    let backends = [Backend::Threads(2), Backend::Ranks(2)];
+    let run = |backend| {
+        let mut store = a.store.clone();
+        let run = Run::new().backend(backend).legality_mode(LegalityMode::Element);
+        run.run(&plan, &mut store).expect("the run finishes");
     };
-    run_both();
+    backends.into_iter().for_each(run);
     let artifacts = plan.solved().dist_artifacts(&a.store, 2, &PlacementConfig::default()).unwrap();
     let xplan = &artifacts.placement.xplan;
     // Every set a run indexes: each partition's subregions, then its
@@ -109,7 +109,14 @@ fn a_warm_run_builds_no_membership_index() {
     sets.extend(footprints.iter().map(|&(g, r)| xplan.local(g, r)));
     let snapshot = || sets.iter().map(|&s| s.clone()).collect::<Vec<_>>();
     let after_first = snapshot();
-    run_both();
+    // The plan cache charges the plan what its memo holds, indexes
+    // included: warm runs build nothing, so the charge stays.
+    let charged = plan.solved().charged_bytes();
+    for backend in backends {
+        run(backend);
+        let now = plan.solved().charged_bytes();
+        assert_eq!(now, charged, "a warm {backend:?} run leaves the charge unchanged");
+    }
     let after_second = snapshot();
     assert!(Arc::ptr_eq(&parts, &plan.solved().parts_for(&a.store)), "runs share the partitions");
     let again = plan.solved().dist_artifacts(&a.store, 2, &PlacementConfig::default()).unwrap();
