@@ -5,8 +5,9 @@
 //! [`ParallelPlan`] plus everything needed to execute it (program, function
 //! table, schema, external bindings, color count), with an interior memo
 //! for the store-dependent artifacts — evaluated partitions, and per-rank-
-//! count distributed artifacts (exchange plan, placement assignment,
-//! plan-legality proof). A [`PlanCache`] maps [`solve_fingerprint`] keys to
+//! count distributed artifacts (the placement, whose exchange plan records
+//! its own plan-legality proof: `dist_artifacts` proves each plan it
+//! memoizes, once). A [`PlanCache`] maps [`solve_fingerprint`] keys to
 //! `Arc<SolvedPlan>`, so a warm request skips constraint inference,
 //! solving, unification, partition evaluation, exchange derivation,
 //! placement, *and* re-proving.
@@ -85,25 +86,20 @@ impl std::error::Error for CacheError {}
 
 /// The distributed-execution artifacts derived from one
 /// `(store structure, n_ranks, placement config)` triple: the placement
-/// (owner assignment + exchange plan + report) and the plan-legality
-/// proof's fact count. With these and the store's evaluated partitions
-/// ([`SolvedPlan::parts_for`]) a run goes straight to `partir-runtime`'s
-/// `dist::execute_ranks` with proving skipped.
+/// (exchange plan + report), whose exchange plan carries its legality
+/// proof ([`crate::exchange::ExchangePlan::proved_facts`]). With these and
+/// the store's evaluated partitions ([`SolvedPlan::parts_for`]) a run goes
+/// straight to `partir-runtime`'s `dist::execute_ranks` with proving
+/// skipped.
 #[derive(Debug)]
 pub struct DistArtifacts {
     pub placement: Placement,
-    /// Facts established by [`prove_plan_legality`] over these partitions
-    /// and this exchange plan. `None` when the proof failed (the runtime
-    /// then re-proves and surfaces the typed error on its own path).
-    pub proof_facts: Option<u64>,
 }
 
 impl DistArtifacts {
-    /// Bytes the artifacts hold on the heap: the exchange plan's sets and
-    /// the assignment.
+    /// Bytes the artifacts hold on the heap: the exchange plan's sets.
     pub fn heap_bytes(&self) -> u64 {
-        let assignment = self.placement.assignment.capacity() * std::mem::size_of::<usize>();
-        self.placement.xplan.heap_bytes() + assignment as u64
+        self.placement.xplan.heap_bytes()
     }
 }
 
@@ -391,11 +387,12 @@ impl SolvedPlan {
     }
 
     /// Distributed artifacts for `(store structure, n_ranks, placement)`,
-    /// memoized: placement (assignment + exchange plan) and the
-    /// plan-legality proof. A memo hit makes a distributed run skip
-    /// exchange derivation, placement, and re-proving; its partitions are
-    /// [`Self::parts_for`]'s, memoized on their own so that no byte is
-    /// charged twice.
+    /// memoized: the placement, its exchange plan proved legal over the
+    /// store's partitions with the proof recorded on it (a plan that fails
+    /// the proof is memoized unproved, and a run surfaces the typed error).
+    /// A memo hit makes a distributed run skip exchange derivation,
+    /// placement, and re-proving; its partitions are [`Self::parts_for`]'s,
+    /// memoized on their own so that no byte is charged twice.
     pub fn dist_artifacts(
         &self,
         store: &Store,
@@ -408,11 +405,11 @@ impl SolvedPlan {
             return Ok(artifacts);
         }
         let parts = self.parts_keyed(store_fp, store);
-        let placed = place(&self.plan, &parts, &self.schema, n_ranks, placement)?;
-        let proof_facts = prove_plan_legality(&placed.xplan, &self.plan, &parts, &self.schema)
-            .ok()
-            .map(|p| p.facts);
-        let artifacts = Arc::new(DistArtifacts { placement: placed, proof_facts });
+        let mut placed = place(&self.plan, &parts, &self.schema, n_ranks, placement)?;
+        // Outside `PlacementReport::place_ns`: the proof is its own layer.
+        let proof = prove_plan_legality(&placed.xplan, &self.plan, &parts, &self.schema);
+        placed.xplan.proved = proof.ok().map(|p| p.facts);
+        let artifacts = Arc::new(DistArtifacts { placement: placed });
         self.memo_put(key, Memoized::Dist(Arc::clone(&artifacts)));
         Ok(artifacts)
     }
@@ -709,7 +706,8 @@ mod tests {
         let a1 = sp.dist_artifacts(&store, 2, &cfg).unwrap();
         let a2 = sp.dist_artifacts(&store, 2, &cfg).unwrap();
         assert!(Arc::ptr_eq(&a1, &a2));
-        assert!(a1.proof_facts.unwrap() > 0, "legality proof travels with the artifacts");
+        let facts = a1.placement.xplan.proved_facts();
+        assert!(facts.unwrap() > 0, "the legality proof travels with the exchange plan");
         let a4 = sp.dist_artifacts(&store, 4, &cfg).unwrap();
         assert!(!Arc::ptr_eq(&a1, &a4), "rank count keys the memo");
         assert_eq!(a4.placement.xplan.n_ranks, 4);
@@ -735,7 +733,7 @@ mod tests {
                 assert!(!Arc::ptr_eq(a, b), "one color moved, or the policy, keys the memo");
             }
         }
-        assert_eq!(configs[3].placement.assignment, [0, 1, 1, 1]);
+        assert_eq!(configs[3].placement.xplan.owner_assignment(), [0, 1, 1, 1]);
         assert!(explicit(&[0, 1, 0, 1, 0]).is_err(), "the length is keyed");
         assert!(explicit(&[0, 1, 0]).is_err());
         assert!(Arc::ptr_eq(&configs[0], &at(PlacementPolicy::Block).unwrap()), "equal configs");

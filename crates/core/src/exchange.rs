@@ -61,6 +61,13 @@
 //! [`ExchangePlan`] per `(store, ranks, placement)`, and reuses it across
 //! executions (the sets depend only on the plan, the evaluated partitions
 //! and the owner mapping — not on field values).
+//!
+//! The folded plan is the one record of a placement: it keeps each fact
+//! once. The owner assignment is [`ExchangePlan::owner_assignment`]; the
+//! ghosts of a rank are `local − owned` (the fold keeps only their count);
+//! and the legality proof, once the plan cache has run
+//! [`prove_plan_legality`] on it, is [`ExchangePlan::proved_facts`]. Only
+//! this crate records a proof, and a run proves any plan without one.
 
 use crate::pipeline::{AccessPlan, ParallelPlan, PlannedReduce};
 use partir_dpl::index_set::{sets_bytes, Idx, IndexSet};
@@ -239,16 +246,20 @@ pub struct ExchangePlan {
     /// (a rank may own no colors at all — e.g. one that crashed and was
     /// evacuated).
     color_owner: Vec<usize>,
-    /// Colors of each rank, ascending; inverse of `color_owner`.
-    rank_colors: Vec<Vec<usize>>,
     /// `owned[region][rank]`: disjoint + complete per region.
     owned: Vec<Vec<IndexSet>>,
-    /// `ghosts[region][rank]`: elements replicated from other owners.
-    ghosts: Vec<Vec<IndexSet>>,
-    /// `locals[region][rank] = owned ∪ ghosts` (rank-store footprint).
+    /// `locals[region][rank] = owned ∪ ghosts` (rank-store footprint); the
+    /// ghosts, `local − owned`, are the elements replicated from other
+    /// owners.
     locals: Vec<Vec<IndexSet>>,
+    /// See [`ExchangeStats::ghost_elements`].
+    ghost_elements: u64,
     /// See [`ExchangeStats::replication_bytes`].
     replication_bytes: u64,
+    /// Facts [`prove_plan_legality`] established for this plan over the
+    /// partitions it was folded from, recorded by the plan cache
+    /// (`SolvedPlan::dist_artifacts`); see [`Self::proved_facts`].
+    pub(crate) proved: Option<u64>,
     pub loops: Vec<LoopExchange>,
 }
 
@@ -286,7 +297,7 @@ impl ExchangePlan {
     /// every message table, indexes included. The per-rank and per-color
     /// tables of indices beside them are not counted.
     pub fn heap_bytes(&self) -> u64 {
-        let footprint = self.owned.iter().chain(&self.ghosts).chain(&self.locals).flatten();
+        let footprint = self.owned.iter().chain(&self.locals).flatten();
         let tables = self.loops.iter().flat_map(|lx| {
             let pairs = lx.pairs.iter().flatten().flat_map(|m| {
                 let fields = m.ghost.iter().chain(&m.post.write_back).map(|(_, s)| s);
@@ -327,7 +338,7 @@ impl ExchangePlan {
     /// the footprint facts.
     pub fn stats(&self) -> ExchangeStats {
         let mut stats = ExchangeStats {
-            ghost_elements: self.ghosts.iter().flatten().map(IndexSet::len).sum(),
+            ghost_elements: self.ghost_elements,
             replication_bytes: self.replication_bytes,
             ..ExchangeStats::default()
         };
@@ -344,10 +355,6 @@ impl ExchangePlan {
         &self.owned[region.0 as usize][rank]
     }
 
-    pub fn ghosts(&self, region: RegionId, rank: usize) -> &IndexSet {
-        &self.ghosts[region.0 as usize][rank]
-    }
-
     /// The rank's full footprint of a region: `owned ∪ ghosts`.
     pub fn local(&self, region: RegionId, rank: usize) -> &IndexSet {
         &self.locals[region.0 as usize][rank]
@@ -358,14 +365,17 @@ impl ExchangePlan {
         self.color_owner[c]
     }
 
-    /// Colors assigned to `rank`, ascending.
-    pub fn colors_of(&self, rank: usize) -> &[usize] {
-        &self.rank_colors[rank]
-    }
-
     /// The color → rank owner assignment, indexed by color.
     pub fn owner_assignment(&self) -> &[usize] {
         &self.color_owner
+    }
+
+    /// The fact count of this plan's legality proof, when one was recorded:
+    /// the plan cache proves each plan it memoizes. `None` for a plan no
+    /// one proved (a bare fold, a recovery's re-fold), which a run proves
+    /// for itself.
+    pub fn proved_facts(&self) -> Option<u64> {
+        self.proved
     }
 
     /// Bytes of f64 field data `rank` owns — the size of its checkpointed
@@ -380,18 +390,20 @@ impl ExchangePlan {
     /// below what the program touches — and strips it from every
     /// ghost message headed to that rank, so the plan consistently
     /// *lies* that the element is not needed (it is never shipped, never
-    /// resident, yet still read). Exists only so tests can prove the
-    /// legality machinery (plan-level proof and the runtime's residency
-    /// check) actually catches such a plan. Returns `false` when the plan
-    /// has no ghosts to corrupt.
+    /// resident, yet still read). Clears any recorded proof. Exists only
+    /// so tests can prove the legality machinery (plan-level proof and the
+    /// runtime's residency check) actually catches such a plan. Returns
+    /// `false` when the plan has no ghosts to corrupt.
     #[doc(hidden)]
     pub fn corrupt_footprint_for_test(&mut self, schema: &Schema) -> bool {
-        for ri in 0..self.ghosts.len() {
+        self.proved = None;
+        for ri in 0..self.locals.len() {
             for rank in 0..self.n_ranks {
-                let Some(&(g, _)) = self.ghosts[ri][rank].runs().first() else { continue };
+                let ghosts = self.locals[ri][rank].difference(&self.owned[ri][rank]);
+                let Some(&(g, _)) = ghosts.runs().first() else { continue };
                 let hole = IndexSet::from_indices([g]);
-                self.ghosts[ri][rank] = self.ghosts[ri][rank].difference(&hole);
                 self.locals[ri][rank] = self.locals[ri][rank].difference(&hole);
+                self.ghost_elements -= 1;
                 for row in self.loops.iter_mut().flat_map(|lx| &mut lx.pairs) {
                     let sets = &mut row[rank].ghost;
                     for (field, set) in sets.iter_mut() {
@@ -714,6 +726,7 @@ impl Footprint {
             vec![("ranks", n_ranks.into()), ("colors", n_colors.into())],
         );
         let region_of = |field: usize| self.schema.field(FieldId(field as u32)).region.0 as usize;
+        // The colors of each rank, ascending.
         let mut rank_colors: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
         for (c, &r) in rank_of.iter().enumerate() {
             rank_colors[r].push(c);
@@ -768,17 +781,18 @@ impl Footprint {
             .zip(&ghosts)
             .map(|(o, g)| o.iter().zip(g).map(|(os, gs)| os.union(gs)).collect())
             .collect();
+        let ghost_elements = ghosts.iter().flatten().map(IndexSet::len).sum();
         let f64_bytes: u64 =
             f64_field_regions(&self.schema).map(|r| self.schema.region_size(r) * 8).sum();
         let xplan = ExchangePlan {
             n_ranks,
             n_colors,
             color_owner: rank_of.to_vec(),
-            rank_colors,
             owned,
-            ghosts,
             locals,
+            ghost_elements,
             replication_bytes: (n_ranks as u64 - 1) * f64_bytes,
+            proved: None,
             loops: lxs,
         };
 
@@ -917,8 +931,8 @@ mod tests {
                 (lo + n - 1) % n, // left neighbor of the block start
                 hi % n,           // right neighbor of the block end
             ]);
-            assert_eq!(x.ghosts(r, rank), &want, "rank {rank} halo");
-            assert_eq!(x.local(r, rank), &x.owned(r, rank).union(&want));
+            assert_eq!(x.local(r, rank), &x.owned(r, rank).union(&want), "rank {rank} halo");
+            assert!(x.owned(r, rank).is_disjoint(&want));
         }
         // Each rank fetches one element from each of its two neighbors for
         // the single read field: 2 messages in, 2 out, 8 bytes each.
@@ -978,8 +992,6 @@ mod tests {
             assert!(p.is_complete(schema.region_size(region)));
         }
         // Colors 0..6 block onto ranks 0..3 two apiece.
-        assert_eq!(x.colors_of(0), &[0, 1]);
-        assert_eq!(x.colors_of(2), &[4, 5]);
         for c in 0..6 {
             assert_eq!(x.rank_of_color(c), c / 2);
         }
@@ -999,7 +1011,7 @@ mod tests {
         let y = derive_exchange_with(&plan, &parts, &schema, 4, &[0, 1, 0, 3]).unwrap();
         let r = schema.region_by_name("R").unwrap();
         assert!(y.owned(r, 2).is_empty(), "the evacuated rank owns nothing");
-        assert!(y.colors_of(2).is_empty());
+        assert!(!y.owner_assignment().contains(&2));
         // The owner map stays a disjoint + complete partition of the region
         // and the rebuilt plan still proves legal.
         let subs: Vec<IndexSet> = (0..4).map(|rk| y.owned(r, rk).clone()).collect();
@@ -1080,8 +1092,8 @@ mod tests {
             let mut reads_ghost = vec![false; n_colors];
             foreign.for_each(|p| reads_ghost[p.dst] = true);
             for rank in 0..ranks {
-                let colors = x.colors_of(rank);
-                for &c in colors {
+                let colors: Vec<usize> = (0..n_colors).filter(|&c| rank_of[c] == rank).collect();
+                for &c in &colors {
                     assert_eq!(
                         lx.boundary[rank].contains(&c),
                         reads_ghost[c],

@@ -289,11 +289,11 @@ impl PlacementReport {
     }
 }
 
-/// A solved placement: the assignment, the rank-granular exchange derived
-/// under it (callers reuse it instead of re-deriving), and the report.
+/// A solved placement: the rank-granular exchange derived under the chosen
+/// assignment (callers reuse it instead of re-deriving; the assignment is
+/// its [`ExchangePlan::owner_assignment`]), and the report.
 #[derive(Clone, Debug)]
 pub struct Placement {
-    pub assignment: Vec<usize>,
     pub xplan: ExchangePlan,
     pub report: PlacementReport,
 }
@@ -625,13 +625,13 @@ pub fn place(
         ..PlacementReport::default()
     };
 
-    let finish = |assignment: Vec<usize>, xplan: ExchangePlan, mut report: PlacementReport| {
+    let finish = |xplan: ExchangePlan, mut report: PlacementReport| {
         let loads: Vec<u64> = (0..n_ranks).map(|r| xplan.owned_field_bytes(schema, r)).collect();
         report.imbalance = achieved_imbalance(&loads);
         report.place_ns = t_place.elapsed().as_nanos() as u64;
         report.predicted_bytes = xplan.stats().total_bytes();
         report.gain_bytes = report.predicted_block_bytes.saturating_sub(report.predicted_bytes);
-        Ok(Placement { assignment, xplan, report })
+        Ok(Placement { xplan, report })
     };
 
     let fp = Footprint::build(plan, parts, schema)?;
@@ -640,9 +640,9 @@ pub fn place(
             let a = block_assignment(n_colors, n_ranks);
             let x = fp.fold(n_ranks, &a)?;
             report.predicted_block_bytes = x.stats().total_bytes();
-            finish(a, x, report)
+            finish(x, report)
         }
-        PlacementPolicy::Explicit(a) => finish(a.clone(), fp.fold(n_ranks, a)?, report),
+        PlacementPolicy::Explicit(a) => finish(fp.fold(n_ranks, a)?, report),
         PlacementPolicy::CostDriven => {
             let graph = CommGraph::of(&fp, schema)?;
             report.graph_ns = t_place.elapsed().as_nanos() as u64;
@@ -664,11 +664,11 @@ pub fn place(
                 s => fp.fold(n_ranks, s)?.stats().total_bytes(),
             };
             if cand_bytes < block_bytes {
-                finish(cand, xc, report)
+                finish(xc, report)
             } else {
                 report.fell_back_to_block = true;
                 report.cut_bytes = report.cut_block_bytes;
-                finish(block, xb, report)
+                finish(xb, report)
             }
         }
     };
@@ -815,12 +815,12 @@ mod tests {
             p.report.predicted_bytes,
             p.report.predicted_block_bytes
         );
+        let assignment = p.xplan.owner_assignment();
         for c in 0..8usize {
             assert_eq!(
-                p.assignment[c],
-                p.assignment[(c + 4) % 8],
-                "antipodal colors must share a rank: {:?}",
-                p.assignment
+                assignment[c],
+                assignment[(c + 4) % 8],
+                "antipodal colors must share a rank: {assignment:?}"
             );
         }
         assert!(p.report.imbalance <= p.report.imbalance_limit + 1e-9);
@@ -862,7 +862,7 @@ mod tests {
         ));
         let ok = PlacementConfig { policy: PlacementPolicy::Explicit(vec![1, 0, 1, 0]) };
         let p = place(&plan, &parts, &schema, 2, &ok).unwrap();
-        assert_eq!(p.assignment, vec![1, 0, 1, 0]);
+        assert_eq!(p.xplan.owner_assignment(), [1, 0, 1, 0]);
         assert_eq!(p.report.policy, "explicit");
         assert_eq!(p.report.predicted_bytes, p.xplan.stats().total_bytes());
     }
@@ -896,9 +896,10 @@ mod tests {
         let (plan, parts, schema) = planned(64, 32, 8);
         let p = place(&plan, &parts, &schema, 4, &PlacementConfig::cost_driven()).unwrap();
         let g = CommGraph::build(&plan, &parts, &schema).unwrap();
-        let after = evacuate_placement(&g, &p.assignment, &alive_without(4, &[2]));
+        let before = p.xplan.owner_assignment();
+        let after = evacuate_placement(&g, before, &alive_without(4, &[2]));
         assert!(!after.contains(&2), "the dead rank owns nothing");
-        for (c, (&b, &a)) in p.assignment.iter().zip(&after).enumerate() {
+        for (c, (&b, &a)) in before.iter().zip(&after).enumerate() {
             if b != 2 {
                 assert_eq!(b, a, "survivor color {c} moved");
             }

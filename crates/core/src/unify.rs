@@ -279,12 +279,12 @@ fn candidate_matches(a: &CGraph, b: &CGraph) -> Vec<Match> {
             } else if db != sb {
                 continue; // self-loop mismatch
             }
-            let mut matched = vec![(i, true)];
+            let mut matched = vec![i];
             let mut changed = true;
             while changed {
                 changed = false;
                 for (j, &(xa, ya, l1)) in a.edges.iter().enumerate() {
-                    if matched.iter().any(|&(k, _)| k == j) {
+                    if matched.contains(&j) {
                         continue;
                     }
                     for &(xb, yb, l2) in &b.edges {
@@ -307,7 +307,7 @@ fn candidate_matches(a: &CGraph, b: &CGraph) -> Vec<Match> {
                             rmap.insert(xb, xa);
                             map.insert(ya, yb);
                             rmap.insert(yb, ya);
-                            matched.push((j, true));
+                            matched.push(j);
                             changed = true;
                             break;
                         }

@@ -593,16 +593,30 @@ mod tests {
         assert!(IndexSet::new().is_subset(&a));
     }
 
-    #[test]
-    fn contains_uses_binary_search_boundaries() {
-        let s = IndexSet::from_sorted_runs(vec![(10, 20), (30, 40)]);
+    /// Membership at both ends of two runs `gap` apart, after checking
+    /// which form the set's index took.
+    fn contains_at_run_boundaries(gap: Idx, bitmap: bool) {
+        let s = IndexSet::from_sorted_runs(vec![(10, 20), (20 + gap, 30 + gap)]);
+        assert_eq!(matches!(s.index().form, Form::Bitmap(_)), bitmap, "{:?}", s.index());
+        assert_eq!(matches!(s.index().form, Form::Runs(_)), !bitmap, "{:?}", s.index());
         assert!(s.contains(10));
         assert!(s.contains(19));
         assert!(!s.contains(20));
-        assert!(!s.contains(29));
-        assert!(s.contains(30));
-        assert!(!s.contains(40));
+        assert!(!s.contains(19 + gap));
+        assert!(s.contains(20 + gap));
+        assert!(s.contains(29 + gap));
+        assert!(!s.contains(30 + gap));
         assert!(!s.contains(9));
+    }
+
+    #[test]
+    fn contains_boundaries_in_bitmap_form() {
+        contains_at_run_boundaries(10, true);
+    }
+
+    #[test]
+    fn contains_boundaries_in_run_search_form() {
+        contains_at_run_boundaries(1000, false);
     }
 
     #[test]

@@ -115,15 +115,6 @@ pub struct DistOptions {
     /// restore points recovery rolls back to. Without a policy, recovery
     /// restarts from epoch 0.
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Plan-legality facts already proved for *this* exchange plan and
-    /// partition set (e.g. by `partir-core`'s plan cache, which bundles
-    /// the proof with the cached artifacts). When set and legality is not
-    /// `Off`, the up-front `prove_plan_legality` pass is skipped and the
-    /// count is reported as `plan_proved` unchanged. Callers own the
-    /// invariant that the proof matches the plan they pass; recovery
-    /// re-proves from scratch regardless, since evacuation rewrites the
-    /// exchange plan.
-    pub preproved: Option<u64>,
 }
 
 /// In-memory per-rank checkpoint store: snapshots of each rank's owned
@@ -473,18 +464,18 @@ pub fn execute_ranks(
     let schema = store.schema().clone();
     // Plan-level legality: prove `accessed ⊆ owned ∪ ghosts` once, by
     // interval set-containment, instead of re-deriving it per element on
-    // the hot path. Element mode proves too — the per-element checks then
-    // double as the negative test's corruption detector. In place there is
-    // no footprint to prove against, so every access is checked instead.
-    let plan_proved = match (xplan, opts.preproved) {
-        (Some(_), _) if !legality => 0,
-        // A cached proof for this exact (xplan, parts) pair: skip the
-        // containment pass, keep the fact count in the report.
-        (Some(_), Some(facts)) => facts,
-        (Some(x), None) => {
+    // the hot path. A plan the plan cache memoized carries its proof; any
+    // other (a bare fold, a `derive_exchange_with` result) is proved here.
+    // Element mode proves too — the per-element checks then double as the
+    // negative test's corruption detector. In place there is no footprint
+    // to prove against, so every access is checked instead.
+    let plan_proved = match xplan.map(|x| (x, x.proved_facts())) {
+        Some(_) if !legality => 0,
+        Some((_, Some(facts))) => facts,
+        Some((x, None)) => {
             prove_plan_legality(x, plan, parts, &schema).map_err(DistError::PlanIllegal)?.facts
         }
-        (None, _) => 0,
+        None => 0,
     };
     let faults = TaskFaults {
         plan: opts.fault,

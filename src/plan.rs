@@ -309,10 +309,10 @@ impl Run {
         }
         let (artifacts, workers) = match self.backend {
             Backend::Threads(workers) => (None, workers),
-            // The memoized distributed artifacts: owner assignment,
-            // exchange plan, and the legality proof. A memo hit skips
-            // exchange derivation, placement, and (via `preproved`)
-            // re-proving; the partitions are memoized beside them.
+            // The memoized distributed artifacts: the placement and its
+            // exchange plan, which carries its legality proof. A memo hit
+            // skips exchange derivation, placement and re-proving; the
+            // partitions are memoized beside them.
             Backend::Ranks(n_ranks) => {
                 (Some(plan.solved().dist_artifacts(store, n_ranks, &self.placement)?), 1)
             }
@@ -327,7 +327,6 @@ impl Run {
             strict_volume: self.obs.strict_volume,
             fault: self.fault,
             checkpoint: self.checkpoint,
-            preproved: artifacts.as_ref().and_then(|a| a.proof_facts),
         };
         let outcome = execute_ranks(
             plan.program(),

@@ -39,7 +39,6 @@ const CASES: u32 = if cfg!(debug_assertions) { 24 } else { 240 };
 /// What the oracle derives: the rank-granular tables of an exchange plan.
 struct Oracle {
     color_owner: Vec<usize>,
-    rank_colors: Vec<Vec<usize>>,
     owned: Vec<Vec<IndexSet>>,
     ghosts: Vec<Vec<IndexSet>>,
     locals: Vec<Vec<IndexSet>>,
@@ -257,16 +256,13 @@ fn oracle(
         .map(|(o, g)| o.iter().zip(g).map(|(os, gs)| os.union(gs)).collect())
         .collect();
     let (ghosts, write_own) = (ghost_acc, write_owns);
-    Ok(Oracle { color_owner, rank_colors, owned, ghosts, locals, loops, write_own })
+    Ok(Oracle { color_owner, owned, ghosts, locals, loops, write_own })
 }
 
 /// Compares one plan with the oracle, table by table, naming the first
 /// difference.
 fn assert_same(x: &ExchangePlan, o: &Oracle, schema: &Schema, label: &str) {
     assert_eq!(x.owner_assignment(), &o.color_owner[..], "{label}: owner assignment");
-    for (rank, colors) in o.rank_colors.iter().enumerate() {
-        assert_eq!(x.colors_of(rank), &colors[..], "{label}: colors of rank {rank}");
-    }
     for (region, _) in schema.regions() {
         let ri = region.0 as usize;
         for rank in 0..x.n_ranks {
@@ -275,10 +271,13 @@ fn assert_same(x: &ExchangePlan, o: &Oracle, schema: &Schema, label: &str) {
                 &o.owned[ri][rank],
                 "{label}: owned r{ri} rank {rank}"
             );
-            assert_eq!(x.ghosts(region, rank), &o.ghosts[ri][rank], "{label}: ghosts r{ri} {rank}");
+            let ghosts = x.local(region, rank).difference(x.owned(region, rank));
+            assert_eq!(ghosts, o.ghosts[ri][rank], "{label}: ghosts r{ri} {rank}");
             assert_eq!(x.local(region, rank), &o.locals[ri][rank], "{label}: local r{ri} {rank}");
         }
     }
+    let ghost_elements: u64 = o.ghosts.iter().flatten().map(IndexSet::len).sum();
+    assert_eq!(x.stats().ghost_elements, ghost_elements, "{label}: ghost elements");
     assert_eq!(x.loops.len(), o.loops.len(), "{label}: loop count");
     for (li, (got, want)) in x.loops.iter().zip(&o.loops).enumerate() {
         for (src, (g_row, w_row)) in got.pairs.iter().zip(&want.pairs).enumerate() {

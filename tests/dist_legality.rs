@@ -113,3 +113,36 @@ fn corrupted_plan_is_rejected_by_prover_and_caught_by_residency_check() {
     .expect_err("the residency check must catch the missing ghost");
     assert!(matches!(err, DistError::Legality(_)), "got {err}");
 }
+
+/// A memoized exchange plan carries its proof; corrupting a copy of it
+/// clears the record, so the run proves the copy and rejects it.
+#[test]
+fn a_corrupted_copy_of_a_memoized_plan_loses_its_proof() {
+    let a = stencil();
+    let schema = a.store.schema().clone();
+    let plan = Partir::new(a.program.clone(), a.fns.clone(), schema.clone())
+        .colors(4)
+        .solve()
+        .expect("stencil auto-parallelizes");
+    let solved = plan.solved();
+    let artifacts = solved.dist_artifacts(&a.store, 4, &PlacementConfig::default()).unwrap();
+    assert!(artifacts.placement.xplan.proved_facts().is_some(), "the memo proves its plans");
+    let mut xplan = artifacts.placement.xplan.clone();
+    assert!(xplan.corrupt_footprint_for_test(&schema), "the stencil plan has ghosts");
+    assert_eq!(xplan.proved_facts(), None, "corruption clears the recorded proof");
+
+    let parts = solved.parts_for(&a.store);
+    let mut store = a.store.clone();
+    let opts = DistOptions { legality: LegalityMode::Plan, ..DistOptions::default() };
+    let err = execute_ranks(
+        &a.program,
+        solved.plan(),
+        &parts,
+        Layout::Sharded(&xplan),
+        &mut store,
+        &a.fns,
+        &opts,
+    )
+    .expect_err("the prover must reject the corrupted copy");
+    assert_eq!(partir::Error::from(err).error_code(), "dist.plan_illegal");
+}

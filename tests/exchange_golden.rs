@@ -99,7 +99,7 @@ fn exchange_tables_match_golden() {
                 let placed = place(&plan, &parts, &schema, ranks, &PlacementConfig { policy })
                     .expect("placement");
                 let snap = snapshot(&placed.xplan, &plan, &parts, &schema)
-                    .with("cut_bytes", graph.cut_bytes(&placed.assignment));
+                    .with("cut_bytes", graph.cut_bytes(placed.xplan.owner_assignment()));
                 lines.push(format!("\"{name}/r{ranks}/{label}\":{snap}"));
             }
         }
