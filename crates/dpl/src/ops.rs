@@ -22,7 +22,7 @@
 //! `tests/diff_ops.rs`.
 
 use crate::func::{FnDef, FnId, FnTable, IndexFn, MultiFn};
-use crate::index_set::{Idx, IndexSet};
+use crate::index_set::{push_bits, push_run, Idx, IndexSet};
 use crate::partition::Partition;
 use crate::region::{RegionId, Store};
 use std::ops::Range;
@@ -75,15 +75,6 @@ impl<'a> Arm<'a> {
             IndexFn::Ptr { field } => Arm::Ptr(store.ptrs(field)),
             _ => Arm::General(func),
         }
-    }
-}
-
-/// Appends `[lo, hi)`, growing the last run instead when the new one starts
-/// inside or right after it.
-fn push_run(out: &mut Vec<(Idx, Idx)>, lo: Idx, hi: Idx) {
-    match out.last_mut() {
-        Some(last) if last.0 <= lo && lo <= last.1 => last.1 = last.1.max(hi),
-        _ => out.push((lo, hi)),
     }
 }
 
@@ -172,31 +163,9 @@ fn shift_preimage(
 /// Appends the runs of set bits in `words` (bit 0 of the first is element
 /// `base`) and leaves every word zero.
 fn drain_bits(words: &mut [u64], base: Idx, out: &mut Vec<(Idx, Idx)>) {
-    let mut open = None;
-    let mut at = base;
-    for word in words {
-        let bits = std::mem::take(word);
-        let mut pos = 0;
-        while pos < 64 {
-            match open {
-                // Inside a run: it ends at the next clear bit, if any.
-                Some(start) => {
-                    pos += (!(bits >> pos)).trailing_zeros();
-                    if pos < 64 {
-                        out.push((start, at + Idx::from(pos)));
-                        open = None;
-                    }
-                }
-                None if bits >> pos == 0 => break,
-                None => {
-                    pos += (bits >> pos).trailing_zeros();
-                    open = Some(at + Idx::from(pos));
-                }
-            }
-        }
-        at += 64;
+    for (w, word) in words.iter_mut().enumerate() {
+        push_bits(out, base + w as u64 * 64, std::mem::take(word));
     }
-    out.extend(open.map(|start| (start, at)));
 }
 
 /// `image(E, f, R)` / `IMAGE(E, F, R)`: derives a partition of the target

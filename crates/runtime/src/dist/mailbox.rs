@@ -381,10 +381,27 @@ mod tests {
     #[test]
     fn deadline_expires_only_when_armed() {
         let abort = Arc::new(AtomicBool::new(false));
-        let (_senders, mut boxes) = build_fabric(2, &abort);
+        let (senders, mut boxes) = build_fabric(2, &abort);
         boxes[0].set_deadline(Duration::from_millis(25));
         let t0 = Instant::now();
         assert!(matches!(boxes[0].recv_from(0, MsgKind::Ghost, 1), Err(MailboxError::Deadline)));
         assert!(t0.elapsed() >= Duration::from_millis(25));
+        // Unarmed, a wait longer than that deadline ends with the message.
+        let (late, t0) = (senders[1].clone(), Instant::now());
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(60));
+            let values = vec![7.0];
+            late.send(Msg {
+                epoch: 0,
+                src: 0,
+                kind: MsgKind::Ghost,
+                values,
+                partials_present: vec![],
+            })
+        });
+        let got = boxes[1].recv_from(0, MsgKind::Ghost, 0);
+        assert!(t0.elapsed() >= Duration::from_millis(60));
+        assert_eq!(got.expect("no deadline is armed").values, vec![7.0]);
+        sender.join().unwrap().unwrap();
     }
 }

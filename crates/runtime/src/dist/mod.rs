@@ -564,11 +564,12 @@ fn run_sharded(
 ) -> Result<(Vec<RankTracer>, VolumeAccounting, usize), DistError> {
     let (n_ranks, schema) = (xplan.n_ranks, cx.schema);
     // Fault plane. A configured fault plan (or checkpoint policy) enables
-    // survivor-side recovery, which needs the pristine input state as the
-    // epoch-0 restore point.
+    // survivor-side recovery. Its epoch-0 restore point is `store` itself:
+    // ranks shard from it read-only and nothing writes it before the
+    // final gather, so a recovery copies it then, and a run without one
+    // never does.
     let policy = opts.checkpoint;
     let recovery_enabled = opts.fault.is_some() || policy.is_some();
-    let initial: Option<Store> = recovery_enabled.then(|| store.clone());
     let ckpts = CheckpointStore::new(n_ranks);
 
     let mut alive = vec![true; n_ranks];
@@ -632,7 +633,7 @@ fn run_sharded(
                     })
                     .sum();
                 report.bytes_migrated += migrated;
-                let mut base = initial.clone().expect("recovery implies a saved initial store");
+                let mut base = store.clone();
                 first_epoch = match ckpts.consistent_epoch(&spawned) {
                     Some(ce) => {
                         ckpts.restore_into(&mut base, xp, ce);
